@@ -1,4 +1,4 @@
-.PHONY: all build check test faultcheck-smoke fuzz-smoke serve-smoke enum-smoke datapath-smoke largevol-smoke snap-smoke crashcheck bench bench-json bench-json-quick serve-json serve-json-quick clean
+.PHONY: all build check test faultcheck-smoke fuzz-smoke serve-smoke enum-smoke datapath-smoke largevol-smoke snap-smoke perfbench-smoke crashcheck bench bench-json bench-json-quick serve-json serve-json-quick clean
 
 all: build
 
@@ -14,6 +14,7 @@ check:
 	$(MAKE) bench-json-quick
 	$(MAKE) snap-smoke
 	$(MAKE) serve-json-quick
+	$(MAKE) perfbench-smoke
 
 build:
 	dune build
@@ -52,7 +53,7 @@ enum-smoke: build
 # Nonzero exit on any violation.
 serve-smoke: build
 	@echo "== serve: 200 clients x 20 ops, -j 2 =="
-	dune exec bin/serve.exe -- --clients 200 --ops 20 -j 2 --seed 7 --quiet
+	dune exec bin/serve.exe -- --clients 200 --ops 20 -j 2 --seed 7
 	@echo "== fuzz --interleaved (clean) =="
 	dune exec bin/fuzz.exe -- --interleaved --seed 1 --pairs 25
 	@echo "== fuzz --interleaved --expect-buggy =="
@@ -94,6 +95,17 @@ snap-smoke: build
 	dune exec bin/fuzz.exe -- --snap-smoke
 	@echo "== bench snap-json (snapshot latency gates) =="
 	dune exec bench/main.exe -- snap-json
+
+# Repository benchmark smoke: one 1-second run of each BENCHMARK.json
+# workload. Every run fails on its own correctness checks: identical
+# simulated cost in every paper-fs round, fsck-clean served volumes, the
+# bigvol remount stat sweep and the fuzzer's determinism rerun.
+perfbench-smoke: build
+	@for w in crash-fuzz serve-zipf paper-fs bigvol; do \
+	  echo "== perfbench $$w (1 s) =="; \
+	  python3 perfbench/run.py --workload $$w --seed 1 --seconds 1 \
+	    --trace 0 || exit 2; \
+	done
 
 # Fast end-to-end exercise of the media-fault pipeline: checksummed
 # volume, seeded bit flips, scrub, degraded remount, EIO checks.

@@ -11,7 +11,7 @@
 
 open Cmdliner
 
-let run clients ops batch jobs seed dirs files theta device_mb quiet =
+let run clients ops batch jobs seed dirs files theta device_mb =
   let cfg =
     {
       Serve.Loadgen.clients;
@@ -27,24 +27,6 @@ let run clients ops batch jobs seed dirs files theta device_mb quiet =
   in
   let r = Serve.Loadgen.run cfg in
   Format.printf "@[<v>%a@]@." Serve.Loadgen.pp_report r;
-  if not quiet then begin
-    (* queue-depth histogram: sessions still waiting when a worker
-       claimed one (depth buckets collapse to deciles of the client
-       count for readability) *)
-    let total = List.fold_left (fun a (_, n) -> a + n) 0 r.Serve.Loadgen.r_qdepth in
-    Format.printf "queue depth at claim (%d claims):@." total;
-    let bucket = max 1 (clients / 10) in
-    let tbl = Hashtbl.create 16 in
-    List.iter
-      (fun (d, n) ->
-        let b = d / bucket in
-        Hashtbl.replace tbl b (n + Option.value ~default:0 (Hashtbl.find_opt tbl b)))
-      r.Serve.Loadgen.r_qdepth;
-    List.iter
-      (fun (b, n) ->
-        Format.printf "  [%4d..%4d) %d@." (b * bucket) ((b + 1) * bucket) n)
-      (List.sort compare (Hashtbl.fold (fun k v a -> (k, v) :: a) tbl []))
-  end;
   exit 0
 
 let () =
@@ -81,9 +63,6 @@ let () =
   let device_mb =
     Arg.(value & opt int 32 & info [ "device-mb" ] ~doc:"Device size in MiB")
   in
-  let quiet =
-    Arg.(value & flag & info [ "quiet" ] ~doc:"Skip the queue-depth histogram")
-  in
   exit
     (Cmd.eval
        (Cmd.v
@@ -91,4 +70,4 @@ let () =
              ~doc:"Zipf load generator for the concurrent SquirrelFS request frontend")
           Term.(
             const run $ clients $ ops $ batch $ jobs $ seed $ dirs $ files $ theta
-            $ device_mb $ quiet)))
+            $ device_mb)))

@@ -511,67 +511,76 @@ let write ?(cpu = 0) (ctx : Fsctx.t) ~ino ~off data =
     let missing = !missing in
     if List.length missing > Alloc.free_page_count ctx.alloc then
       Error Vfs.Errno.ENOSPC
-    else begin
-      (* Zero the stale tail of the old boundary page when writing past
-         the current size (a shrink may have left stale bytes there). *)
-      (if off > cur_size then
-         match Index.file_page ctx.index ~ino ~offset:(cur_size / ps) with
-         | Some page when cur_size mod ps <> 0 ->
-             let in_page = cur_size mod ps in
-             let zlen = min (ps - in_page) (off - cur_size) in
-             Device.zero ctx.dev
-               ~off:(Geometry.page_off ctx.geo ~page + in_page)
-               ~len:zlen
-         | Some _ | None -> ());
-      (* In-place writes to already-owned pages. *)
-      for o = first to last do
-        match Index.file_page ctx.index ~ino ~offset:o with
-        | None -> ()
-        | Some page ->
-            let pstart = o * ps in
-            let lo = max pstart off and hi = min (pstart + ps) (off + len) in
-            let doff = Geometry.page_off ctx.geo ~page + (lo - pstart) in
-            Device.store_coarse ctx.dev ~off:doff
-              (String.sub data (lo - off) (hi - lo))
-      done;
-      (* Fresh pages: fill and commit ({!commit_fresh}). Coalesced, an
-         in-place write has no fence before the final inode group (the
-         coarse data stores drain there) and an extending write has
-         exactly one. *)
-      let owned_ev, new_pages =
+    else
+      (* Take the fresh pages before the first store: another domain may
+         allocate between the count above and this call, and losing that
+         race must leave the volume untouched. *)
+      let fresh =
         match missing with
-        | [] ->
-            (* legacy data-only durability point *)
-            if not ctx.Fsctx.coalesce then Fsctx.fence ctx;
-            (None, [])
-        | _ :: _ -> (
-            match
-              Prange.alloc ~cpu ctx ~ino ~kind:R.Desc.Data ~offsets:missing
-            with
-            | Error _ -> failwith "Ops.write: allocator raced"
-            | Ok rng ->
+        | [] -> Ok None
+        | _ :: _ ->
+            Result.map Option.some
+              (Prange.alloc ~cpu ctx ~ino ~kind:R.Desc.Data ~offsets:missing)
+      in
+      match fresh with
+      | Error _ -> Error Vfs.Errno.ENOSPC
+      | Ok fresh ->
+          (* Zero the stale tail of the old boundary page when writing past
+             the current size (a shrink may have left stale bytes there). *)
+          (if off > cur_size then
+             match Index.file_page ctx.index ~ino ~offset:(cur_size / ps) with
+             | Some page when cur_size mod ps <> 0 ->
+                 let in_page = cur_size mod ps in
+                 let zlen = min (ps - in_page) (off - cur_size) in
+                 Device.zero ctx.dev
+                   ~off:(Geometry.page_off ctx.geo ~page + in_page)
+                   ~len:zlen
+             | Some _ | None -> ());
+          (* In-place writes to already-owned pages. *)
+          for o = first to last do
+            match Index.file_page ctx.index ~ino ~offset:o with
+            | None -> ()
+            | Some page ->
+                let pstart = o * ps in
+                let lo = max pstart off
+                and hi = min (pstart + ps) (off + len) in
+                let doff = Geometry.page_off ctx.geo ~page + (lo - pstart) in
+                Device.store_coarse ctx.dev ~off:doff
+                  (String.sub data (lo - off) (hi - lo))
+          done;
+          (* Fresh pages: fill and commit ({!commit_fresh}). Coalesced, an
+             in-place write has no fence before the final inode group (the
+             coarse data stores drain there) and an extending write has
+             exactly one. *)
+          let owned_ev, new_pages =
+            match fresh with
+            | None ->
+                (* legacy data-only durability point *)
+                if not ctx.Fsctx.coalesce then Fsctx.fence ctx;
+                (None, [])
+            | Some rng ->
                 let marr = Array.of_list missing in
                 let rng =
                   Prange.fill ctx rng
-                    ~contents:(fun i ->
-                      fresh_page_content ~off ~data marr.(i))
+                    ~contents:(fun i -> fresh_page_content ~off ~data marr.(i))
                 in
                 let rng, ev = commit_fresh ctx rng in
-                (Some ev, Prange.pages rng))
-      in
-      (* Size/mtime update, fenced last. *)
-      let now = Fsctx.now ctx in
-      let ih =
-        if new_size > cur_size || owned_ev <> None then
-          Inode.set_size ctx ih ~size:new_size ~mtime:now ~owned:owned_ev ()
-        else Inode.set_times ctx ih ~mtime:now ()
-      in
-      let _ih : (_, _) Inode.t = Inode.fence ctx (Inode.flush ctx ih) in
-      List.iter
-        (fun (page, o) -> Index.add_file_page ctx.index ~ino ~offset:o page)
-        new_pages;
-      Ok len
-    end
+                (Some ev, Prange.pages rng)
+          in
+          (* Size/mtime update, fenced last. *)
+          let now = Fsctx.now ctx in
+          let ih =
+            if new_size > cur_size || owned_ev <> None then
+              Inode.set_size ctx ih ~size:new_size ~mtime:now
+                ~owned:owned_ev ()
+            else Inode.set_times ctx ih ~mtime:now ()
+          in
+          let _ih : (_, _) Inode.t = Inode.fence ctx (Inode.flush ctx ih) in
+          List.iter
+            (fun (page, o) ->
+              Index.add_file_page ctx.index ~ino ~offset:o page)
+            new_pages;
+          Ok len
   end
 
 let truncate ?(cpu = 0) (ctx : Fsctx.t) ~ino new_size =
@@ -732,14 +741,14 @@ let write_atomic ?(cpu = 0) (ctx : Fsctx.t) ~ino ~off data =
       | Some e -> Error e
       | None ->
           (* fresh pages (gap + extension): invisible until committed *)
-          let owned_ev, new_pages =
+          let fresh =
             match missing with
-            | [] -> (None, [])
+            | [] -> Ok (None, [])
             | _ :: _ -> (
                 match
                   Prange.alloc ~cpu ctx ~ino ~kind:R.Desc.Data ~offsets:missing
                 with
-                | Error _ -> failwith "Ops.write_atomic: allocator raced"
+                | Error _ -> Error Vfs.Errno.ENOSPC
                 | Ok rng ->
                     let marr = Array.of_list missing in
                     let rng =
@@ -747,19 +756,24 @@ let write_atomic ?(cpu = 0) (ctx : Fsctx.t) ~ino ~off data =
                           fresh_page_content ~off ~data marr.(i))
                     in
                     let rng, ev = commit_fresh ctx rng in
-                    (Some ev, Prange.pages rng))
+                    Ok (Some ev, Prange.pages rng))
           in
-          let now = Fsctx.now ctx in
-          let ih =
-            if new_size > cur_size || owned_ev <> None then
-              Inode.set_size ctx ih ~size:new_size ~mtime:now ~owned:owned_ev ()
-            else Inode.set_times ctx ih ~mtime:now ()
-          in
-          let _ih : (_, _) Inode.t = Inode.fence ctx (Inode.flush ctx ih) in
-          List.iter
-            (fun (page, o) -> Index.add_file_page ctx.index ~ino ~offset:o page)
-            new_pages;
-          Ok len
+          match fresh with
+          | Error e -> Error e
+          | Ok (owned_ev, new_pages) ->
+              let now = Fsctx.now ctx in
+              let ih =
+                if new_size > cur_size || owned_ev <> None then
+                  Inode.set_size ctx ih ~size:new_size ~mtime:now
+                    ~owned:owned_ev ()
+                else Inode.set_times ctx ih ~mtime:now ()
+              in
+              let _ih : (_, _) Inode.t = Inode.fence ctx (Inode.flush ctx ih) in
+              List.iter
+                (fun (page, o) ->
+                  Index.add_file_page ctx.index ~ino ~offset:o page)
+                new_pages;
+              Ok len
     end
   end
 

@@ -6,6 +6,7 @@ let word_size = 8
 type record = { off : int; data : string }
 
 type line = {
+  idx : int;
   mutable pending : record list; (* newest first *)
   mutable flushed : int; (* #oldest pending records covered by clwb *)
 }
@@ -56,6 +57,8 @@ type t = {
   latest : Sbuf.t;
   durable : Sbuf.t;
   lines : (int, line) Hashtbl.t; (* dirty lines only *)
+  mutable drain : line list;
+      (* the lines [fence] will drain: each line with [flushed > 0], once *)
   latency : Latency.t;
   stats : Stats.t;
   mutable now_ns : int;
@@ -104,6 +107,7 @@ let create ?(latency = Latency.zero) ?sparse ~size () =
     latest = Sbuf.create ~sparse ~size;
     durable = Sbuf.create ~sparse ~size;
     lines = Hashtbl.create 256;
+    drain = [];
     latency;
     stats = Stats.create ();
     now_ns = 0;
@@ -140,6 +144,7 @@ let of_image ?(latency = Latency.zero) image =
     latest = load ();
     durable = load ();
     lines = Hashtbl.create 256;
+    drain = [];
     latency;
     stats = Stats.create ();
     now_ns = 0;
@@ -176,6 +181,7 @@ let of_spans ?(latency = Latency.zero) ~size spans =
     latest = load ();
     durable = load ();
     lines = Hashtbl.create 256;
+    drain = [];
     latency;
     stats = Stats.create ();
     now_ns = 0;
@@ -576,7 +582,7 @@ let get_line t idx =
   match Hashtbl.find_opt t.lines idx with
   | Some l -> l
   | None ->
-      let l = { pending = []; flushed = 0 } in
+      let l = { idx; pending = []; flushed = 0 } in
       Hashtbl.replace t.lines idx l;
       l
 
@@ -614,6 +620,9 @@ let flush t ~off ~len =
     count t "pm.flushes";
     let first = off / line_size and last = (off + len - 1) / line_size in
     let mark l =
+      (* a line in the table always has pending records, so this is the
+         one place [flushed] goes from 0 to positive *)
+      if l.flushed = 0 then t.drain <- l :: t.drain;
       l.flushed <- List.length l.pending;
       t.stats.flushes <- t.stats.flushes + 1;
       charge t t.latency.flush_ns
@@ -769,34 +778,37 @@ let fence t =
       t.in_fence <- true;
       Fun.protect ~finally:(fun () -> t.in_fence <- false) (fun () -> hook t)
   | Some _ | None -> ());
-  let drained = ref 0 in
-  let drained_idxs = ref [] in
-  let finished = ref [] in
-  Hashtbl.iter
-    (fun idx l ->
-      if l.flushed > 0 then begin
-        (* Apply the oldest [l.flushed] records to the durable image; the
-           rest stay pending ([l.pending] is newest-first). *)
-        retained_save t idx;
-        let oldest_first = List.rev l.pending in
-        let rec take n = function
-          | r :: rest when n > 0 ->
-              apply_record t.durable r;
-              take (n - 1) rest
-          | rest -> rest
-        in
-        let remaining_oldest_first = take l.flushed oldest_first in
-        l.pending <- List.rev remaining_oldest_first;
-        l.flushed <- 0;
-        incr drained;
-        drained_idxs := idx :: !drained_idxs;
-        if Array.length t.ecc > 0 then t.ecc.(idx) <- ecc_of_line t idx;
-        refresh_line_hash t idx;
-        if l.pending = [] then finished := idx :: !finished
-      end)
-    t.lines;
-  List.iter (Hashtbl.remove t.lines) !finished;
-  if !drained > 0 then begin
+  (* Drain exactly the lines [flush] queued, so a fence costs O(lines
+     drained) whatever the line table once held. The list is in reverse
+     flush order, which nothing can observe: record application,
+     [retained_save], the ECC entry and the scratch restore are per line
+     and independent, and the content hash is an xor. In shared mode the
+     list is touched only under the device lock that wraps [flush] and
+     [fence]. *)
+  let drain = t.drain in
+  t.drain <- [];
+  List.iter
+    (fun l ->
+      let idx = l.idx in
+      (* Apply the oldest [l.flushed] records to the durable image; the
+         rest stay pending ([l.pending] is newest-first). *)
+      retained_save t idx;
+      let oldest_first = List.rev l.pending in
+      let rec take n = function
+        | r :: rest when n > 0 ->
+            apply_record t.durable r;
+            take (n - 1) rest
+        | rest -> rest
+      in
+      let remaining_oldest_first = take l.flushed oldest_first in
+      l.pending <- List.rev remaining_oldest_first;
+      l.flushed <- 0;
+      if Array.length t.ecc > 0 then t.ecc.(idx) <- ecc_of_line t idx;
+      refresh_line_hash t idx;
+      if l.pending = [] then Hashtbl.remove t.lines idx)
+    drain;
+  let drained = List.length drain in
+  if drained > 0 then begin
     let old_gen = t.gen in
     t.gen <- old_gen + 1;
     (* Keep the attached scratch mirroring the new durable image: restore
@@ -804,14 +816,14 @@ let fence t =
        touched — all from the just-updated durable base. *)
     match t.attached with
     | Some s when s.s_gen = old_gen ->
-        scratch_restore_lines s !drained_idxs;
+        scratch_restore_lines s (List.map (fun l -> l.idx) drain);
         scratch_release s;
         s.s_gen <- t.gen
     | Some _ | None -> ()
   end;
   t.stats.fences <- t.stats.fences + 1;
-  t.stats.lines_drained <- t.stats.lines_drained + !drained;
-  charge t (t.latency.fence_base_ns + (!drained * t.latency.fence_line_ns))
+  t.stats.lines_drained <- t.stats.lines_drained + drained;
+  charge t (t.latency.fence_base_ns + (drained * t.latency.fence_line_ns))
 
 let persist t ~off ~len =
   flush t ~off ~len;
@@ -1205,6 +1217,7 @@ let reset ?hash t ~image =
   Sbuf.load_bytes t.durable image;
   Sbuf.load_bytes t.latest image;
   Hashtbl.reset t.lines;
+  t.drain <- [];
   Stats.reset t.stats;
   t.now_ns <- 0;
   t.fence_hook <- None;
@@ -1265,6 +1278,7 @@ let of_view ?(latency = Latency.zero) s =
       latest = s.s_buf;
       durable = s.s_buf;
       lines = Hashtbl.create 64;
+      drain = [];
       latency;
       stats = Stats.create ();
       now_ns = 0;

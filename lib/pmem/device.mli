@@ -162,7 +162,9 @@ val fence : t -> unit
     any) first, so the hook observes the maximal pending state. After the
     drain, any scratch created by {!scratch} is re-synchronized to the
     new durable base (O(drained + patched lines)), and any view applied
-    to it is implicitly reverted. *)
+    to it is implicitly reverted. The drain itself visits only the lines
+    flushed since the previous fence: O(lines drained), however many
+    lines the device has ever held dirty. *)
 
 val persist : t -> off:int -> len:int -> unit
 (** [flush] then [fence]. *)

@@ -57,7 +57,6 @@ type report = {
   r_fallbacks : int;  (** whole-FS-lock fallbacks *)
   r_fair_min : int;  (** fewest ops run by any worker *)
   r_fair_max : int;  (** most ops run by any worker *)
-  r_qdepth : (int * int) list;  (** sessions-waiting histogram at claim *)
   r_metrics : Obs.Metrics.t;  (** per-op latency histograms ("srv.<op>") *)
   r_durable_hash : int64;  (** determinism witness (see above) *)
 }
@@ -68,7 +67,6 @@ type acc = {
   mutable a_oks : int;
   a_errs : (Vfs.Errno.t, int) Hashtbl.t;
   a_metrics : Obs.Metrics.t;
-  a_qdepth : (int, int) Hashtbl.t;
 }
 
 let fresh_acc () =
@@ -77,7 +75,6 @@ let fresh_acc () =
     a_oks = 0;
     a_errs = Hashtbl.create 8;
     a_metrics = Obs.Metrics.create ();
-    a_qdepth = Hashtbl.create 8;
   }
 
 let tally tbl k n =
@@ -162,9 +159,6 @@ let run (cfg : cfg) : report =
     let rec loop () =
       let c = Atomic.fetch_and_add cursor 1 in
       if c < cfg.clients then begin
-        (* queue depth at claim time: sessions still waiting behind
-           this one *)
-        tally acc.a_qdepth (cfg.clients - c - 1) 1;
         run_session eng acc
           (Session.create scfg ~id:c)
           ~batch:cfg.batch ~ops:cfg.ops_per_client;
@@ -188,11 +182,9 @@ let run (cfg : cfg) : report =
   let ops = List.fold_left (fun a c -> a + c.a_ops) 0 accs in
   let oks = List.fold_left (fun a c -> a + c.a_oks) 0 accs in
   let errs = Hashtbl.create 8 in
-  let qdepth = Hashtbl.create 8 in
   List.iter
     (fun c ->
-      Hashtbl.iter (fun e n -> tally errs (Vfs.Errno.to_string e) n) c.a_errs;
-      Hashtbl.iter (fun d n -> tally qdepth d n) c.a_qdepth)
+      Hashtbl.iter (fun e n -> tally errs (Vfs.Errno.to_string e) n) c.a_errs)
     accs;
   let metrics =
     List.fold_left
@@ -200,14 +192,12 @@ let run (cfg : cfg) : report =
       (Obs.Metrics.create ()) accs
   in
   let per_worker = List.map (fun c -> c.a_ops) accs in
-  let sorted_assoc tbl =
-    List.sort compare (Hashtbl.fold (fun k v a -> (k, v) :: a) tbl [])
-  in
   {
     r_cfg = cfg;
     r_ops = ops;
     r_oks = oks;
-    r_errs = sorted_assoc errs;
+    r_errs =
+      List.sort compare (Hashtbl.fold (fun k v a -> (k, v) :: a) errs []);
     r_stamps = Engine.stamps_issued eng;
     r_wall_s = wall_s;
     r_ops_per_sec = (if wall_s > 0.0 then float_of_int ops /. wall_s else 0.0);
@@ -216,7 +206,6 @@ let run (cfg : cfg) : report =
     r_fallbacks = Engine.fallback_count eng;
     r_fair_min = List.fold_left min max_int per_worker;
     r_fair_max = List.fold_left max 0 per_worker;
-    r_qdepth = sorted_assoc qdepth;
     r_metrics = metrics;
     r_durable_hash = Device.durable_hash dev;
   }

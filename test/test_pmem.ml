@@ -365,6 +365,25 @@ let test_reset_stats_pinned_and_observers_dropped () =
   Alcotest.(check bool) "stats equal after same workload" true
     (Device.stats pooled = Device.stats fresh)
 
+(* Lines flushed but not yet fenced when [reset] runs belong to the old
+   image: the next fence must drain nothing and leave the template
+   durable, exactly like a fence on a fresh [of_image] device. *)
+let test_reset_drops_undrained_flushes () =
+  let template = Bytes.make 4096 '\000' in
+  Bytes.blit_string "template" 0 template 0 8;
+  let dev = Device.of_image template in
+  Device.store dev ~off:0 "stale";
+  Device.store dev ~off:1024 "stale";
+  Device.flush dev ~off:0 ~len:2048;
+  Device.reset dev ~image:template;
+  Device.fence dev;
+  let st = Device.stats dev in
+  Alcotest.(check int) "one fence" 1 st.Pmem.Stats.fences;
+  Alcotest.(check int) "nothing drained" 0 st.Pmem.Stats.lines_drained;
+  Alcotest.(check bytes_eq) "template still durable" template
+    (Device.image_durable dev);
+  Alcotest.(check bool) "quiescent" true (Device.is_quiescent dev)
+
 (* {1 Sparse backing}
 
    A lazily-backed device must be observably identical to a dense one —
@@ -564,6 +583,187 @@ let prop_sparse_dense_equivalent =
       in
       run true = run false)
 
+(* {2 Fence drain against a per-line reference model}
+
+   The device drains only the lines [flush] queued since the last fence.
+   The model below keeps every line's pending records and flushed count
+   in plain arrays and drains by scanning all of them, so any line the
+   device's queue misses or repeats shows up as a divergence in the
+   durable image, the content hash, the counters or the crash-state
+   count. *)
+
+type dop =
+  | D_store of int * string
+  | D_flush of int * int
+  | D_zero of int * int
+  | D_fence
+
+let pp_dop = function
+  | D_store (off, s) -> Printf.sprintf "store %d [%d]" off (String.length s)
+  | D_flush (off, len) -> Printf.sprintf "flush %d+%d" off len
+  | D_zero (off, len) -> Printf.sprintf "zero %d+%d" off len
+  | D_fence -> "fence"
+
+type model = {
+  m_sparse : bool;
+  m_durable : Bytes.t;
+  m_pending : (int * string) list array; (* per line, oldest first *)
+  m_flushed : int array;
+  m_touched : (int, unit) Hashtbl.t; (* sparse chunks holding a record *)
+  m_stats : Pmem.Stats.t;
+}
+
+let model_create ~sparse ~size =
+  let lines = size / Device.line_size in
+  {
+    m_sparse = sparse;
+    m_durable = Bytes.make size '\000';
+    m_pending = Array.make lines [];
+    m_flushed = Array.make lines 0;
+    m_touched = Hashtbl.create 8;
+    m_stats = Pmem.Stats.create ();
+  }
+
+let model_record m off data =
+  let idx = off / Device.line_size in
+  m.m_pending.(idx) <- m.m_pending.(idx) @ [ (off, data) ];
+  Hashtbl.replace m.m_touched (off / Sbuf.chunk_bytes) ();
+  m.m_stats.stores <- m.m_stats.stores + 1;
+  m.m_stats.bytes_stored <- m.m_stats.bytes_stored + String.length data
+
+(* regular stores split at 8-byte boundaries *)
+let model_store m off data =
+  let len = String.length data in
+  let pos = ref 0 in
+  while !pos < len do
+    let chunk = min (8 - ((off + !pos) mod 8)) (len - !pos) in
+    model_record m (off + !pos) (String.sub data !pos chunk);
+    pos := !pos + chunk
+  done
+
+let model_flush m off len =
+  if len > 0 then
+    for idx = off / Device.line_size to (off + len - 1) / Device.line_size do
+      if m.m_pending.(idx) <> [] then begin
+        m.m_flushed.(idx) <- List.length m.m_pending.(idx);
+        m.m_stats.flushes <- m.m_stats.flushes + 1
+      end
+    done
+
+(* line-sized zero records, none in a sparse chunk no record ever
+   touched (it is durably zero with nothing in flight), then a flush *)
+let model_zero m off len =
+  let stop = off + len in
+  let pos = ref off in
+  while !pos < stop do
+    let ci = !pos / Sbuf.chunk_bytes in
+    let chunk_end = min stop ((ci + 1) * Sbuf.chunk_bytes) in
+    if m.m_sparse && not (Hashtbl.mem m.m_touched ci) then pos := chunk_end
+    else
+      while !pos < chunk_end do
+        let room = Device.line_size - (!pos mod Device.line_size) in
+        let c = min room (chunk_end - !pos) in
+        model_record m !pos (String.make c '\000');
+        pos := !pos + c
+      done
+  done;
+  model_flush m off len
+
+let model_fence m =
+  Array.iteri
+    (fun idx k ->
+      if k > 0 then begin
+        let applied = List.filteri (fun i _ -> i < k) m.m_pending.(idx) in
+        List.iter
+          (fun (off, data) ->
+            Bytes.blit_string data 0 m.m_durable off (String.length data))
+          applied;
+        m.m_pending.(idx) <- List.filteri (fun i _ -> i >= k) m.m_pending.(idx);
+        m.m_flushed.(idx) <- 0;
+        m.m_stats.lines_drained <- m.m_stats.lines_drained + 1
+      end)
+    m.m_flushed;
+  m.m_stats.fences <- m.m_stats.fences + 1
+
+(* saturating at [max_int], like the device *)
+let model_crash_images m =
+  Array.fold_left
+    (fun acc p ->
+      let n = List.length p + 1 in
+      if acc > max_int / n then max_int else acc * n)
+    1 m.m_pending
+
+let dop_gen ~size =
+  let open QCheck.Gen in
+  (* most traffic lands on the first eight lines, so stores after a
+     flush, re-flushes and partially drained lines are common *)
+  let off = frequency [ (3, int_bound 511); (1, int_bound (size - 320)) ] in
+  frequency
+    [
+      ( 4,
+        map2
+          (fun o s -> D_store (o, s))
+          off
+          (string_size ~gen:(char_range 'a' 'z') (1 -- 16)) );
+      (3, map2 (fun o n -> D_flush (o, n)) off (1 -- 256));
+      (1, map2 (fun o n -> D_zero (o, n)) off (1 -- 300));
+      (2, return D_fence);
+    ]
+
+let prop_drain_matches_model =
+  QCheck.Test.make ~count:200
+    ~name:"fence drain matches a per-line model on dense and sparse devices"
+    (QCheck.make
+       ~print:(fun (sparse, ops) ->
+         Printf.sprintf "%s: %s"
+           (if sparse then "sparse" else "dense")
+           (String.concat "; " (List.map pp_dop ops)))
+       QCheck.Gen.(
+         bool >>= fun sparse ->
+         let size = if sparse then 16384 else 2048 in
+         map (fun ops -> (sparse, ops)) (list_size (1 -- 60) (dop_gen ~size))))
+    (fun (sparse, ops) ->
+      let size = if sparse then 16384 else 2048 in
+      let dev = Device.create ~sparse ~size () in
+      (* hash from the start, so every drain updates it incrementally *)
+      ignore (Device.durable_hash dev);
+      let m = model_create ~sparse ~size in
+      let check_after_fence i =
+        let expect what ok =
+          if not ok then
+            QCheck.Test.fail_reportf "after op %d (fence): %s diverges" i what
+        in
+        expect "durable image"
+          (Bytes.equal (Device.image_durable dev) m.m_durable);
+        expect "durable hash"
+          (Device.durable_hash dev
+          = Device.durable_hash (Device.of_image m.m_durable));
+        expect "stats" (Device.stats dev = m.m_stats);
+        expect "crash image count"
+          (Device.crash_image_count dev = model_crash_images m);
+        expect "quiescence"
+          (Device.is_quiescent dev
+          = Array.for_all (fun p -> p = []) m.m_pending)
+      in
+      List.iteri
+        (fun i op ->
+          match op with
+          | D_store (off, data) ->
+              Device.store dev ~off data;
+              model_store m off data
+          | D_flush (off, len) ->
+              Device.flush dev ~off ~len;
+              model_flush m off len
+          | D_zero (off, len) ->
+              Device.zero dev ~off ~len;
+              model_zero m off len
+          | D_fence ->
+              Device.fence dev;
+              model_fence m;
+              check_after_fence i)
+        (ops @ [ D_fence ]);
+      true)
+
 let prop_store_read_roundtrip =
   QCheck.Test.make ~count:200 ~name:"store/read roundtrip"
     QCheck.(pair (int_bound 1000) (string_of_size Gen.(1 -- 64)))
@@ -607,6 +807,9 @@ let unit_tests =
     ( "reset stats pinned, observers dropped",
       `Quick,
       test_reset_stats_pinned_and_observers_dropped );
+    ( "reset drops flushed, undrained lines",
+      `Quick,
+      test_reset_drops_undrained_flushes );
     ("sparse matches dense", `Quick, test_sparse_matches_dense);
     ("of_spans matches of_image", `Quick, test_of_spans_matches_of_image);
     ("sparse default by size", `Quick, test_sparse_default_by_size);
@@ -628,6 +831,7 @@ let prop_tests =
       prop_persist_all_makes_durable;
       prop_crash_images_bounded_by_latest_and_durable;
       prop_sparse_dense_equivalent;
+      prop_drain_matches_model;
       prop_store_read_roundtrip;
     ]
 

@@ -263,6 +263,25 @@ let test_loadgen_multidomain () =
   Alcotest.(check bool) "work spread over workers" true
     (r.Serve.Loadgen.r_fair_min > 0)
 
+(* Two domains running a 2 MiB volume out of pages: a write whose
+   free-page count passes but whose allocation then loses the race to
+   the other domain must reply ENOSPC like any full-volume write, not
+   raise out of the worker. *)
+let test_loadgen_exhaustion_multidomain () =
+  let cfg =
+    {
+      Serve.Loadgen.default with
+      Serve.Loadgen.clients = 500;
+      ops_per_client = 100;
+      jobs = 2;
+      device_mb = 2;
+    }
+  in
+  let r = Serve.Loadgen.run cfg in
+  Alcotest.(check int) "all ops replied" (500 * 100) r.Serve.Loadgen.r_ops;
+  Alcotest.(check bool) "volume ran out of space" true
+    (List.mem_assoc "ENOSPC" r.Serve.Loadgen.r_errs)
+
 (* {1 Interleaved fuzz mode} *)
 
 let test_interleave_clean () =
@@ -320,6 +339,9 @@ let () =
         [
           ("-j 1 deterministic", `Quick, test_loadgen_deterministic_j1);
           ("multi-domain completes", `Quick, test_loadgen_multidomain);
+          ( "multi-domain exhaustion replies ENOSPC",
+            `Quick,
+            test_loadgen_exhaustion_multidomain );
         ] );
       ( "interleave",
         [
