@@ -1,4 +1,4 @@
-.PHONY: all build check test faultcheck-smoke fuzz-smoke serve-smoke enum-smoke datapath-smoke largevol-smoke snap-smoke perfbench-smoke crashcheck bench bench-json bench-json-quick serve-json serve-json-quick clean
+.PHONY: all build check test faultcheck-smoke fuzz-smoke serve-smoke enum-smoke datapath-smoke largevol-smoke snap-smoke perfbench-smoke bench bench-json bench-json-quick serve-json serve-json-quick clean
 
 all: build
 
@@ -7,6 +7,7 @@ all: build
 check:
 	dune build && dune runtest
 	$(MAKE) fuzz-smoke
+	$(MAKE) faultcheck-smoke
 	$(MAKE) enum-smoke
 	$(MAKE) serve-smoke
 	$(MAKE) datapath-smoke
@@ -107,19 +108,20 @@ perfbench-smoke: build
 	    --trace 0 || exit 2; \
 	done
 
-# Fast end-to-end exercise of the media-fault pipeline: checksummed
-# volume, seeded bit flips, scrub, degraded remount, EIO checks.
+# Fast end-to-end exercise of the media-fault pipeline: clean fuzzing on
+# a checksummed volume with torn crash images probed at every fence, then
+# Phase B after every sequence (seeded inode bit flips, scrub, degraded
+# remount, quarantine, EIO). Exits non-zero on any violation or if no
+# flip was detected; the report's detected and eio-checks counts match.
 faultcheck-smoke: build
-	dune exec bin/faultcheck.exe -- --smoke --flips 2 --torn 0.2
-
-crashcheck: build
-	dune exec bin/crashcheck_cli.exe -- --systematic --buggy
+	dune exec bin/fuzz.exe -- --seed 1 --iters 12 --op-budget 6 --buggy-rate 0 \
+	  --flips 2 --torn 0.2
 
 bench: build
 	dune exec bench/main.exe
 
-# States/sec perf trajectory, machine-readable: legacy-copy vs delta-view
-# engines plus the -j scaling section (work-stealing scheduler; iteration
+# States/sec perf trajectory, machine-readable: crash-state throughput on
+# a 32 MB volume plus the -j scaling section (work-stealing scheduler; iteration
 # count scales with the job count; reports speedup, parallel_efficiency =
 # speedup/jobs, host_cores, and per-shard iter/chunk/wall stats), written
 # to BENCH_fuzz.json. Both variants warn loudly when -j N is slower than

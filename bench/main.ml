@@ -312,15 +312,15 @@ let bugs () =
                       s.Model.Explore.s_micro)
                   v.Model.Explore.v_trace)))
     Model.Scenarios.buggy;
-  Printf.printf "-- crash harness on raw mis-ordered implementations --\n";
+  Printf.printf "-- crash oracle on raw mis-ordered implementations --\n";
   List.iter
     (fun (name, w) ->
-      let r = Crashcheck.Harness.run_workload w in
-      Printf.printf "%-16s %d crash states, %d violations -> %s\n" name
-        r.Crashcheck.Harness.crash_states
-        (List.length r.Crashcheck.Harness.violations)
-        (if r.Crashcheck.Harness.violations <> [] then "detected"
-         else "NOT DETECTED (unexpected!)"))
+      let o = Fuzzer.Exec.run ~max_images_per_fence:12 w in
+      Printf.printf "%-16s %d crash states -> %s\n" name
+        o.Fuzzer.Exec.o_report.Crashcheck.Harness.crash_states
+        (match o.Fuzzer.Exec.o_fail with
+        | Some (_, detail) -> "detected: " ^ detail
+        | None -> "NOT DETECTED (unexpected!)"))
     [
       ("buggy-create", Crashcheck.Workload.[ Mkdir "/d"; Buggy_create "/b" ]);
       ( "buggy-unlink",
@@ -336,18 +336,20 @@ let bugs () =
 let crash () =
   section "Crash-consistency testing (sec 5.7, Chipmunk substitute)";
   let t0 = Unix.gettimeofday () in
-  let sys = Crashcheck.Workload.systematic_pairs () in
-  let r1 = Crashcheck.Harness.run_suite sys in
-  let fuzz =
-    Crashcheck.Workload.random ~seed:2024 ~ops_per_workload:8 ~count:50
+  (* the seq-1 + seq-2 sweep over the canonical universe (its seq-2 tier
+     is [Workload.systematic_pairs]) plus clean random sequences, all at
+     12 crash images per fence *)
+  let e = Fuzzer.Enum.run { Fuzzer.Enum.default_cfg with Fuzzer.Enum.max_images = 12 } in
+  let f =
+    Fuzzer.run
+      { Fuzzer.default_cfg with Fuzzer.seed = 2024; iters = 50; buggy_rate = 0.; max_images = 12 }
   in
-  let r2 = Crashcheck.Harness.run_suite fuzz in
-  let r = Crashcheck.Harness.merge r1 r2 in
-  Printf.printf "systematic: %d workloads; fuzz: %d workloads (%.1f s wall)\n"
-    (List.length sys) (List.length fuzz)
+  let r = Crashcheck.Harness.merge e.Fuzzer.Enum.e_harness f.Fuzzer.r_harness in
+  Printf.printf "systematic: %d sequences; fuzz: %d sequences (%.1f s wall)\n"
+    e.Fuzzer.Enum.e_executed f.Fuzzer.r_iters
     (Unix.gettimeofday () -. t0);
   Format.printf "%a@." Crashcheck.Harness.pp_report r;
-  if r.Crashcheck.Harness.violations = [] then
+  if r.Crashcheck.Harness.violations = [] && e.Fuzzer.Enum.e_ssu_found = [] then
     Printf.printf
       "no ordering-related crash-consistency bugs found (paper: Chipmunk\n\
        found none in typestate-checked SSU either)\n"
@@ -810,7 +812,7 @@ let bechamel () =
         Test.make ~name:"s57-crashcheck"
           (stage (fun () ->
                ignore
-                 (Crashcheck.Harness.run_workload
+                 (Fuzzer.Exec.run
                     Crashcheck.Workload.[ Create "/a"; Rename ("/a", "/b") ])));
       ]
   in
@@ -831,12 +833,9 @@ let bechamel () =
 (* {1 Crash-state fuzzer throughput (the Chipmunk role, §5.7)}
 
    States/sec is the fuzzing north-star metric: how fast the differential
-   oracle explores recovered crash states. The section compares the two
-   exploration engines on the same seed matrix — [Copy], the legacy path
-   (materialize every crash image, remount via two more full-device
-   copies), against [Delta], the zero-copy path (views patched into one
-   scratch buffer, [of_view] mounts, memoized fsck verdicts) — on the
-   32 MB default volume, where the per-state memcpy tax is largest. *)
+   oracle explores recovered crash states (views patched into one scratch
+   buffer, [of_view] mounts, memoized fsck verdicts) — measured on a
+   32 MB volume, where any per-state whole-device copy would show. *)
 
 type fuzz_measure = {
   fm_states : int;
@@ -847,7 +846,7 @@ type fuzz_measure = {
   fm_shards : Fuzzer.Parallel.shard_stat list;
 }
 
-let fuzz_cfg ?(seed = 7) ?(buggy_rate = 0.) ~engine ~mb ~iters ~op_budget () =
+let fuzz_cfg ?(seed = 7) ?(buggy_rate = 0.) ~mb ~iters ~op_budget () =
   {
     Fuzzer.default_cfg with
     seed;
@@ -857,7 +856,6 @@ let fuzz_cfg ?(seed = 7) ?(buggy_rate = 0.) ~engine ~mb ~iters ~op_budget () =
     device_size = mb * 1024 * 1024;
     latency = Some Pmem.Latency.optane;
     shrink = false;
-    engine;
   }
 
 let measure_fuzz ?(jobs = 1) cfg =
@@ -878,51 +876,15 @@ let measure_fuzz ?(jobs = 1) cfg =
 let states_per_wall m =
   if m.fm_wall > 0. then float_of_int m.fm_states /. m.fm_wall else 0.
 
-(* Same exploration modulo the work done per state? Counter-for-counter
-   and violation-for-violation (dedup count excluded by construction). *)
-let fuzz_reports_equivalent (a : Fuzzer.report) (b : Fuzzer.report) =
-  let key (r : Fuzzer.report) =
-    let h = r.Fuzzer.r_harness in
-    ( h.Crashcheck.Harness.crash_states,
-      h.Crashcheck.Harness.media_states,
-      h.Crashcheck.Harness.fences_probed,
-      h.Crashcheck.Harness.ops_run,
-      List.sort compare
-        (List.map
-           (fun (v : Crashcheck.Harness.violation) ->
-             (v.Crashcheck.Harness.v_op_index, v.Crashcheck.Harness.v_detail))
-           h.Crashcheck.Harness.violations),
-      r.Fuzzer.r_sim_ns,
-      List.map (fun (f : Fuzzer.found) -> (f.Fuzzer.fd_iter, f.Fuzzer.fd_min))
-        r.Fuzzer.r_found )
-  in
-  key a = key b
-
 let fuzz () =
-  section "Crash-state fuzzer: legacy-copy vs delta-view engines (32 MB volume)";
-  let mb = 32 and iters = 2 and op_budget = 5 in
-  let copy =
-    measure_fuzz (fuzz_cfg ~engine:Crashcheck.Harness.Copy ~mb ~iters ~op_budget ())
-  in
-  let delta =
-    measure_fuzz (fuzz_cfg ~engine:Crashcheck.Harness.Delta ~mb ~iters ~op_budget ())
-  in
-  Printf.printf "%-18s %12s %9s %9s %16s\n" "engine" "crash-states" "deduped"
-    "wall (s)" "states/wall-sec";
-  List.iter
-    (fun (name, m) ->
-      Printf.printf "%-18s %12d %9d %9.2f %16.0f\n" name m.fm_states
-        m.fm_deduped m.fm_wall (states_per_wall m))
-    [ ("copy (legacy)", copy); ("delta (zero-copy)", delta) ];
-  Printf.printf "speedup (delta/copy): %.2fx%s\n"
-    (states_per_wall delta /. states_per_wall copy)
-    (if fuzz_reports_equivalent copy.fm_report delta.fm_report then ""
-     else "  [ENGINE MISMATCH: reports differ]");
-  (* Default-volume throughput (delta engine), for continuity with the
-     numbers this section reported before the engine split. *)
+  section "Crash-state fuzzer throughput (32 MB volume)";
+  let m = measure_fuzz (fuzz_cfg ~mb:32 ~iters:2 ~op_budget:5 ()) in
+  Printf.printf "%12s %9s %9s %16s\n" "crash-states" "deduped" "wall (s)" "states/wall-sec";
+  Printf.printf "%12d %9d %9.2f %16.0f\n" m.fm_states m.fm_deduped m.fm_wall
+    (states_per_wall m);
   let r =
     (measure_fuzz
-       { (fuzz_cfg ~engine:Crashcheck.Harness.Delta ~mb:0 ~iters:12 ~op_budget:6 ()) with
+       { (fuzz_cfg ~mb:0 ~iters:12 ~op_budget:6 ()) with
          Fuzzer.device_size = Fuzzer.default_cfg.Fuzzer.device_size;
          shrink = true;
        })
@@ -942,7 +904,7 @@ let fuzz () =
 
 (* {1 BENCH_fuzz.json: machine-readable perf trajectory}
 
-   [fuzz-json] (full: 32 MB engine comparison + -j sharding check) and
+   [fuzz-json] (full: 32 MB volume + -j sharding check) and
    [fuzz-json-quick] (small volume, wired into `make check`) write the
    same JSON shape so CI can track states/sec from PR to PR. *)
 
@@ -956,13 +918,7 @@ let fuzz_json_common ~mode ~mb ~iters ~op_budget ~jiters_per_job () =
     (Printf.sprintf
        "BENCH_fuzz.json (%s: %d MB volume, %d iters, -j %d of %d requested)"
        mode mb iters jobs requested_jobs);
-  let copy =
-    measure_fuzz (fuzz_cfg ~engine:Crashcheck.Harness.Copy ~mb ~iters ~op_budget ())
-  in
-  let delta =
-    measure_fuzz (fuzz_cfg ~engine:Crashcheck.Harness.Delta ~mb ~iters ~op_budget ())
-  in
-  let engines_equiv = fuzz_reports_equivalent copy.fm_report delta.fm_report in
+  let delta = measure_fuzz (fuzz_cfg ~mb ~iters ~op_budget ()) in
   (* Scaling check on the default volume with mutants on: -j N must
      reproduce the -j 1 report (both canonicalized by [run_stats])
      bit-for-bit, and its wall clock is compared against -j 1 over the
@@ -973,8 +929,7 @@ let fuzz_json_common ~mode ~mb ~iters ~op_budget ~jiters_per_job () =
   let jiters = jiters_per_job * jobs in
   let jcfg =
     {
-      (fuzz_cfg ~seed:1 ~buggy_rate:0.15 ~engine:Crashcheck.Harness.Delta ~mb:0
-         ~iters:jiters ~op_budget:6 ())
+      (fuzz_cfg ~seed:1 ~buggy_rate:0.15 ~mb:0 ~iters:jiters ~op_budget:6 ())
       with
       Fuzzer.device_size = Fuzzer.default_cfg.Fuzzer.device_size;
       shrink = true;
@@ -994,7 +949,7 @@ let fuzz_json_common ~mode ~mb ~iters ~op_budget ~jiters_per_job () =
     if m.fm_states > 0 then float_of_int m.fm_deduped /. float_of_int m.fm_states
     else 0.
   in
-  let engine_json m =
+  let delta_json m =
     Printf.sprintf
       "{ \"crash_states\": %d, \"states_deduped\": %d, \"dedup_ratio\": %.4f, \
        \"wall_s\": %.4f, \"states_per_wall_s\": %.1f, \
@@ -1047,7 +1002,7 @@ let fuzz_json_common ~mode ~mb ~iters ~op_budget ~jiters_per_job () =
     && er.Fuzzer.Enum.e_ssu_found = []
   in
   (* Split-data-path gauges: exact fence counts and handle-vs-path
-     throughput, gated below like the engine/enum invariants. *)
+     throughput, gated below like the sharding/enum invariants. *)
   let dp = measure_datapath () in
   (* Large-volume gauges: sparse backing + indexed allocator scaling
      (quick keeps the volume just above the sparse threshold so `make
@@ -1067,10 +1022,7 @@ let fuzz_json_common ~mode ~mb ~iters ~op_budget ~jiters_per_job () =
       \  \"volume_mb\": %d,\n\
       \  \"iters\": %d,\n\
       \  \"op_budget\": %d,\n\
-      \  \"copy\": %s,\n\
       \  \"delta\": %s,\n\
-      \  \"speedup_delta_over_copy\": %.2f,\n\
-      \  \"engines_equivalent\": %b,\n\
       \  \"enum\": %s,\n\
       \  \"datapath\": %s,\n\
       \  \"large_volume\": %s,\n\
@@ -1087,9 +1039,8 @@ let fuzz_json_common ~mode ~mb ~iters ~op_budget ~jiters_per_job () =
       \    \"shards\": [\n%s\n    ]\n\
       \  }\n\
        }\n"
-      mode mb iters op_budget (engine_json copy) (engine_json delta)
-      (states_per_wall delta /. states_per_wall copy)
-      engines_equiv enum_json (datapath_json dp) (largevol_json lv)
+      mode mb iters op_budget (delta_json delta) enum_json (datapath_json dp)
+      (largevol_json lv)
       requested_jobs jobs host_cores jiters j1.fm_wall jn.fm_wall speedup
       parallel_efficiency jobs_equiv shards_json
   in
@@ -1098,8 +1049,8 @@ let fuzz_json_common ~mode ~mb ~iters ~op_budget ~jiters_per_job () =
   close_out oc;
   print_string json;
   Printf.printf "wrote BENCH_fuzz.json\n";
-  if not (engines_equiv && jobs_equiv) then begin
-    Printf.printf "BENCH_fuzz: ENGINE OR SHARDING MISMATCH\n";
+  if not jobs_equiv then begin
+    Printf.printf "BENCH_fuzz: SHARDING MISMATCH\n";
     exit 2
   end;
   if not enum_ok then begin
@@ -1472,7 +1423,7 @@ let () =
     match parse_trace [] (Array.to_list Sys.argv) with
     | _ :: [] | [ _; "all" ] ->
         (* the fuzz-json* sections are CI artifacts (and fuzz-json repeats
-           the engine comparison fuzz already runs); trace writes a file:
+           the measurement fuzz already runs); trace writes a file:
            all of them are explicit-only, keeping default output stable *)
         List.filter
           (fun n ->

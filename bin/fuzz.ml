@@ -4,6 +4,10 @@
      fuzz --seed 1 --iters 60 --expect-buggy   -- must re-find all Buggy_*
      fuzz --buggy-rate 0 --iters 50            -- clean fuzzing: must be quiet
      fuzz -j 4 --seed 1 --iters 200            -- 4 domains, same report
+     fuzz --enum [--expect-buggy]              -- exhaustive seq-2 sweep
+     fuzz --buggy-rate 0 --flips 2 --torn 0.2  -- media faults: torn/stuck
+                                                  crash images, then flip,
+                                                  scrub, degraded remount, EIO
      fuzz --replay "create /a; buggy-write /a 64"
                                                -- re-run a shrunk reproducer *)
 
@@ -11,24 +15,16 @@ open Cmdliner
 
 let latency_of optane = if optane then Some Pmem.Latency.optane else None
 
-let engine_of = function
-  | "copy" -> Crashcheck.Harness.Copy
-  | "delta" -> Crashcheck.Harness.Delta
-  | s ->
-      prerr_endline ("fuzz: unknown engine " ^ s ^ " (want copy|delta)");
-      exit 1
-
 (* Re-execute [ops] with a recorder attached and return the event list
    alongside the outcome. Used for --trace and the --expect-buggy
    trace-checker leg; tracing never perturbs the outcome, so the re-run
    reproduces exactly what the fuzzing run saw. *)
-let traced_run ?(faults = Faults.none) ?sparse ~device_kib ~images ~optane
-    ~engine ops =
+let traced_run ?(faults = Faults.none) ?sparse ~device_kib ~images ~optane ops =
   let r = Obs.Recorder.create () in
   let out =
     Fuzzer.Exec.run ~device_size:(device_kib * 1024) ?sparse
       ~max_images_per_fence:images
-      ~faults ?latency:(latency_of optane) ~engine ~trace:r ops
+      ~faults ?latency:(latency_of optane) ~trace:r ops
   in
   (out, Obs.Recorder.to_list r)
 
@@ -43,15 +39,13 @@ let dump_trace file events =
       | Some e -> Format.printf "  offending event: %a@." Obs.Event.pp e
       | None -> ())
 
-let replay_cmd line images device_kib sparse optane engine trace =
+let replay_cmd line faults images device_kib sparse optane trace =
   match Fuzzer.Repro.of_cli line with
   | Error msg ->
       prerr_endline ("replay: " ^ msg);
       exit 1
   | Ok ops -> (
-      let res, events =
-        traced_run ?sparse ~device_kib ~images ~optane ~engine ops
-      in
+      let res, events = traced_run ~faults ?sparse ~device_kib ~images ~optane ops in
       Format.printf "%a@." Crashcheck.Harness.pp_report res.Fuzzer.Exec.o_report;
       (match trace with Some file -> dump_trace file events | None -> ());
       match res.Fuzzer.Exec.o_fail with
@@ -187,10 +181,7 @@ let snap_smoke_cmd () =
   let module W = Crashcheck.Workload in
   let ok = ref true in
   let smoke name ops =
-    let out, events =
-      traced_run ~device_kib:256 ~images:128 ~optane:false
-        ~engine:Crashcheck.Harness.Delta ops
-    in
+    let out, events = traced_run ~device_kib:256 ~images:128 ~optane:false ops in
     let ssu = Obs.Ssu.check events in
     (match out.Fuzzer.Exec.o_fail with
     | Some (_, d) ->
@@ -227,10 +218,7 @@ let snap_smoke_cmd () =
         Rollback "s0";
       ]);
   let mutant = Fuzzer.Gen.setup @ [ W.Buggy_snap "torn-snapshot-commit-ordering" ] in
-  let out, events =
-    traced_run ~device_kib:256 ~images:128 ~optane:false
-      ~engine:Crashcheck.Harness.Delta mutant
-  in
+  let out, events = traced_run ~device_kib:256 ~images:128 ~optane:false mutant in
   let o = out.Fuzzer.Exec.o_fail <> None in
   let s = match Obs.Ssu.check events with Error _ -> true | Ok () -> false in
   if not (o && s) then ok := false;
@@ -239,25 +227,28 @@ let snap_smoke_cmd () =
     (if s then "flagged" else "MISSED");
   exit (if !ok then 0 else 2)
 
-let run seed iters op_budget images buggy_rate device_kib sparse_flag torn stuck
-    optane no_shrink
-    jobs engine replay expect_buggy trace metrics interleaved pairs max_inter enum depth
-    coverage_out snap_smoke =
-  let engine = engine_of engine in
+let run seed iters op_budget images buggy_rate device_kib sparse_flag flips torn stuck
+    optane no_shrink jobs replay expect_buggy trace metrics interleaved pairs max_inter
+    enum depth coverage_out snap_smoke =
   let sparse = if sparse_flag then Some true else None in
   if snap_smoke then snap_smoke_cmd ();
   if enum then
     enum_cmd jobs images device_kib sparse no_shrink depth coverage_out
       expect_buggy;
   if interleaved then interleaved_cmd seed pairs max_inter expect_buggy;
+  let faults =
+    if flips = 0 && torn = 0. && stuck = 0. then Faults.none
+    else
+      try
+        Faults.Plan.make ~seed ~bit_flips:flips ~torn_line_rate:torn
+          ~stuck_line_rate:stuck ()
+      with Invalid_argument msg ->
+        Printf.eprintf "fuzz: %s (flips >= 0; rates are probabilities in [0,1])\n" msg;
+        exit 2
+  in
   match replay with
-  | Some line -> replay_cmd line images device_kib sparse optane engine trace
+  | Some line -> replay_cmd line faults images device_kib sparse optane trace
   | None ->
-      let faults =
-        if torn > 0. || stuck > 0. then
-          Faults.Plan.make ~seed ~torn_line_rate:torn ~stuck_line_rate:stuck ()
-        else Faults.none
-      in
       let cfg =
         {
           Fuzzer.default_cfg with
@@ -271,7 +262,6 @@ let run seed iters op_budget images buggy_rate device_kib sparse_flag torn stuck
           faults;
           latency = latency_of optane;
           shrink = not no_shrink;
-          engine;
           collect_metrics = metrics;
         }
       in
@@ -298,9 +288,7 @@ let run seed iters op_budget images buggy_rate device_kib sparse_flag torn stuck
                 let rng = Random.State.make [| 0x5EED; seed; 0 |] in
                 Fuzzer.Gen.sequence rng { Fuzzer.Gen.op_budget; buggy_rate }
           in
-          let _, events =
-            traced_run ~faults ?sparse ~device_kib ~images ~optane ~engine ops
-          in
+          let _, events = traced_run ~faults ?sparse ~device_kib ~images ~optane ops in
           dump_trace file events);
       if expect_buggy then begin
         (* acceptance: every mutant re-discovered, every reproducer small *)
@@ -333,8 +321,7 @@ let run seed iters op_budget images buggy_rate device_kib sparse_flag torn stuck
             let fresh = List.filter (fun k -> not (List.mem k !flagged)) kinds in
             if fresh <> [] then begin
               let _, events =
-                traced_run ?sparse ~device_kib ~images ~optane ~engine
-                  f.Fuzzer.fd_min
+                traced_run ~faults ?sparse ~device_kib ~images ~optane f.Fuzzer.fd_min
               in
               match Obs.Ssu.check events with
               | Error v ->
@@ -359,9 +346,20 @@ let run seed iters op_budget images buggy_rate device_kib sparse_flag torn stuck
           Fuzzer.all_buggy_kinds;
         exit (if !ok then 0 else 2)
       end
-      else if buggy_rate = 0. then
-        (* clean fuzzing: any violation is an SSU bug in the real code *)
-        exit (if r.Fuzzer.r_harness.Crashcheck.Harness.violations = [] then 0 else 2)
+      else if buggy_rate = 0. then begin
+        (* clean fuzzing: any violation is an SSU bug in the real code,
+           and with --flips every flip must have been caught (a run whose
+           flips all missed would pass vacuously) *)
+        let h = r.Fuzzer.r_harness in
+        if flips > 0 && h.Crashcheck.Harness.faults_detected = 0 then
+          print_endline "fuzz: --flips: no flip landed (every sequence ended empty)";
+        exit
+          (if
+             h.Crashcheck.Harness.violations = []
+             && (flips = 0 || h.Crashcheck.Harness.faults_detected > 0)
+           then 0
+           else 2)
+      end
       else exit 0
 
 let () =
@@ -396,6 +394,18 @@ let () =
              states (duplicate-image counts may differ, since provably \
              no-op zero stores are pruned)")
   in
+  let flips =
+    Arg.(
+      value & opt int 0
+      & info [ "flips" ] ~docv:"N"
+          ~doc:
+            "Media-fault Phase B: after each sequence that passed, flip one \
+             seeded bit in up to N committed inode records, then require the \
+             scrubber to flag every damaged line, a degraded remount that \
+             quarantines those inodes, and a clean EIO from their paths. \
+             Formats a checksummed volume; a clean run (--buggy-rate 0) \
+             fails unless some flip was detected")
+  in
   let torn =
     Arg.(
       value & opt float 0. & info [ "torn" ] ~docv:"P" ~doc:"Torn-line rate (media images)")
@@ -420,20 +430,14 @@ let () =
              is bit-identical to -j 1 after canonicalization, and per-shard \
              iteration/chunk/wall stats are printed")
   in
-  let engine =
-    Arg.(
-      value
-      & opt string "delta"
-      & info [ "engine" ] ~docv:"ENGINE"
-          ~doc:
-            "Crash-state engine: delta (zero-copy views + memoized fsck, the \
-             default) or copy (legacy materialized images)")
-  in
   let replay =
     Arg.(
       value
       & opt (some string) None
-      & info [ "replay" ] ~docv:"OPS" ~doc:"Replay a semicolon-separated reproducer")
+      & info [ "replay" ] ~docv:"OPS"
+          ~doc:
+            "Replay a semicolon-separated reproducer (under the fault plan \
+             that --flips/--torn/--stuck/--seed describe)")
   in
   let expect_buggy =
     Arg.(
@@ -527,6 +531,6 @@ let () =
           (Cmd.info "fuzz" ~doc:"Crash-state fuzzing of SquirrelFS with a differential oracle")
           Term.(
             const run $ seed $ iters $ op_budget $ images $ buggy_rate $ device_kib
-            $ sparse $ torn $ stuck $ optane $ no_shrink $ jobs $ engine $ replay $ expect_buggy
+            $ sparse $ flips $ torn $ stuck $ optane $ no_shrink $ jobs $ replay $ expect_buggy
             $ trace $ metrics $ interleaved $ pairs $ max_inter $ enum $ depth
             $ coverage_out $ snap_smoke)))

@@ -4,8 +4,8 @@
     stores in an order the typestate API of {!Squirrelfs.Objects} makes
     unwritable — the OCaml equivalents simply do not type-check (see
     [examples/typestate_tour.ml] for the rejected forms). Running them
-    under the crash harness demonstrates that the invariants they violate
-    are exactly the ones the harness (and the paper's compiler) detects.
+    under the crash oracle demonstrates that the invariants they violate
+    are exactly the ones the oracle (and the paper's compiler) detects.
 
     Volatile indexes are updated at the end of each function so the
     post-operation state matches the correct implementation's — only the

@@ -1,7 +1,3 @@
-module Device = Pmem.Device
-module Sq = Squirrelfs
-module Logical = Vfs.Logical
-
 type violation = {
   v_op_index : int;
   v_op : Workload.op option;
@@ -51,428 +47,6 @@ let merge a b =
     eio_checks = a.eio_checks + b.eio_checks;
     violations = a.violations @ b.violations;
   }
-
-(* Crash-state exploration engine. [Copy] is the legacy path: every view
-   is materialized into a fresh image and remounted through [of_image]
-   (two more copies), nothing memoized. [Delta] patches views into one
-   reusable scratch buffer, mounts it zero-copy through [of_view], and
-   memoizes the content-determined part of each state's verdict by
-   64-bit content hash. Both engines probe the identical view sets, so
-   they find the identical violations. *)
-type engine = Copy | Delta
-
-(* Real-run dispatch: buggy variants go through the raw mis-ordered
-   implementations; everything else through the normal FS. *)
-let apply_real (ctx : Sq.Fsctx.t) (op : Workload.op) =
-  let root_name p = String.sub p 1 (String.length p - 1) in
-  match op with
-  | Workload.Buggy_create p ->
-      Buggy.create ctx ~dir:Layout.Geometry.root_ino ~name:(root_name p)
-  | Workload.Buggy_unlink p ->
-      Buggy.unlink ctx ~dir:Layout.Geometry.root_ino ~name:(root_name p)
-  | Workload.Write_atomic (p, off, data) -> (
-      match Sq.stat ctx p with
-      | Ok st ->
-          ignore
-            (Result.is_ok
-               (Sq.Ops.write_atomic ctx ~ino:st.Vfs.Fs.ino ~off data)
-              : bool)
-      | Error _ -> ())
-  | Workload.Buggy_write (p, data) -> (
-      match Sq.stat ctx p with
-      | Ok st -> Buggy.write_append ctx ~ino:st.Vfs.Fs.ino data
-      | Error e ->
-          failwith
-            (Printf.sprintf "Buggy_write: stat %s: %s" p
-               (Vfs.Errno.to_string e)))
-  | Workload.Snapshot n ->
-      ignore (Result.is_ok (Snap.snapshot ctx n) : bool)
-  | Workload.Rollback n -> ignore (Result.is_ok (Snap.rollback ctx n) : bool)
-  | Workload.Buggy_snap n -> Buggy.snap_create ctx ~name:n
-  | op -> Workload.apply (module Squirrelfs) ctx op
-
-(* Enumerate every path in the live file system (depth-first), one entry
-   per inode (hardlinks keep the first path seen). Used to pick Phase-B
-   corruption targets among committed, referenced metadata records. *)
-let live_objects fs =
-  let seen = Hashtbl.create 32 in
-  let out = ref [] in
-  let rec walk path =
-    match Sq.readdir fs path with
-    | Error _ -> ()
-    | Ok names ->
-        List.iter
-          (fun name ->
-            let p = if path = "/" then "/" ^ name else path ^ "/" ^ name in
-            match Sq.stat fs p with
-            | Error _ -> ()
-            | Ok st ->
-                if not (Hashtbl.mem seen st.Vfs.Fs.ino) then begin
-                  Hashtbl.add seen st.Vfs.Fs.ino ();
-                  out := (p, st.Vfs.Fs.ino) :: !out
-                end;
-                if st.Vfs.Fs.kind = Vfs.Fs.Dir then walk p)
-          names
-  in
-  walk "/";
-  List.rev !out
-
-(* Cross-workload verdict memos. The content-determined part of a crash
-   state's verdict depends only on the image bytes, and the full-content
-   view hash is canonical across devices of the same size — so carrying
-   the tables across the workloads of a suite (all run at one
-   [device_size]) is sound and skips re-checking states that recur from
-   workload to workload (empty-tree and single-file states recur
-   constantly). The [states_deduped] counter stays per-workload (see
-   [check_image]), so reports are independent of memo lifetime. *)
-type memo = {
-  m_states : (int64, string list * Logical.t option) Hashtbl.t;
-  m_media : (int64, string list) Hashtbl.t;
-}
-
-let memo_create () =
-  { m_states = Hashtbl.create 1024; m_media = Hashtbl.create 256 }
-
-(* Deterministically pick [k] distinct elements (partial Fisher-Yates). *)
-let pick_k rng k xs =
-  let arr = Array.of_list xs in
-  let n = Array.length arr in
-  let k = min k n in
-  for i = 0 to k - 1 do
-    let j = i + Random.State.int rng (n - i) in
-    let tmp = arr.(i) in
-    arr.(i) <- arr.(j);
-    arr.(j) <- tmp
-  done;
-  Array.to_list (Array.sub arr 0 k)
-
-let run_workload ?(device_size = 512 * 1024) ?(max_images_per_fence = 12)
-    ?(media_images_per_fence = 4) ?(compare_data = false)
-    ?(faults = Faults.none) ?(engine = Delta) ?memo ops =
-  let faulty = not (Faults.is_none faults) in
-  (* Media faults only make sense on a volume that can detect them:
-     fault runs format with checksummed metadata records. *)
-  let csum = faulty in
-  let media =
-    faulty
-    && (faults.Faults.Plan.torn_line_rate > 0.
-       || faults.Faults.Plan.stuck_line_rate > 0.)
-  in
-  let n = List.length ops in
-  (* Oracle: logical state after each prefix of the workload. *)
-  let odev = Device.create ~size:device_size () in
-  Sq.mkfs odev;
-  let ofs =
-    match Sq.mount odev with
-    | Ok fs -> fs
-    | Error e -> failwith ("oracle mount: " ^ Vfs.Errno.to_string e)
-  in
-  let oracle = Array.make (n + 1) (Logical.capture (module Squirrelfs) ofs) in
-  List.iteri
-    (fun i op ->
-      Workload.apply (module Squirrelfs) ofs op;
-      oracle.(i + 1) <- Logical.capture (module Squirrelfs) ofs)
-    ops;
-  (* Real run with crash probing at every fence. *)
-  let dev = Device.create ~size:device_size () in
-  Sq.Mount.mkfs ~csum dev;
-  let fs =
-    match Sq.mount dev with
-    | Ok fs -> fs
-    | Error e -> failwith ("mount: " ^ Vfs.Errno.to_string e)
-  in
-  if faulty then Device.set_fault_plan dev faults;
-  let cur_op = ref 0 in
-  let cur_opv = ref None in
-  let fences = ref 0 in
-  let states = ref 0 in
-  let deduped = ref 0 in
-  let media_states = ref 0 in
-  let detected = ref 0 in
-  let quarantined = ref 0 in
-  let eio_checks = ref 0 in
-  let violations = ref [] in
-  let violate detail =
-    violations :=
-      { v_op_index = !cur_op; v_op = !cur_opv; v_detail = detail }
-      :: !violations
-  in
-  (* One scratch buffer per run (Delta engine): crash views are patched
-     into it in place and mounted zero-copy via [of_view]. *)
-  let scr = lazy (Device.scratch dev) in
-  let mount_view v =
-    match engine with
-    | Delta ->
-        let s = Lazy.force scr in
-        Device.apply_view s v;
-        Device.of_view s
-    | Copy -> Device.of_image (Device.materialize dev v)
-  in
-  (* Content-determined part of a crash state's verdict: every check that
-     depends only on the image bytes (superblock, raw invariants, mount,
-     degraded-on-pure-image, fsck, capture). The oracle comparison stays
-     outside — it depends on which ops bracketed the fence, not on the
-     image — so memoizing this pair by content hash is sound. *)
-  let check_state v : string list * Logical.t option =
-    let dbg m = if Sys.getenv_opt "CRASHCHECK_DEBUG" <> None then Printf.eprintf "    %s\n%!" m in
-    let bad = ref [] in
-    let push m = bad := m :: !bad in
-    let d2 = mount_view v in
-    dbg "raw fsck";
-    (match Layout.Records.Superblock.read d2 with
-    | Some sb ->
-        (match Sq.Fsck.check_raw d2 sb.Layout.Records.Superblock.geometry with
-        | [] -> ()
-        | errs -> push ("raw invariants: " ^ String.concat " | " errs))
-    | None -> push "crash image has no superblock");
-    dbg "mounting";
-    let cap =
-      match Sq.mount d2 with
-      | Error e ->
-          push ("crash image fails to mount: " ^ Vfs.Errno.to_string e);
-          None
-      | Ok fs2 -> (
-          (* On a csum volume, a pure crash image (no media faults were
-             injected into it) must never trip the media pre-pass: SSU
-             orders every seal before its record's commit, so quarantine
-             here means a code path published an unsealed record. This is
-             how the harness catches Buggy_* variants on csum volumes. *)
-          if csum && (Sq.Mount.last_stats ()).Sq.Mount.degraded then
-            push
-              "media quarantine on a pure crash image (committed record \
-               without a valid checksum)";
-          dbg "fsck";
-          (match Sq.Fsck.check fs2 with
-          | [] -> ()
-          | errs -> push ("fsck: " ^ String.concat " | " errs));
-          dbg "capture";
-          match Logical.capture (module Squirrelfs) fs2 with
-          | exception Failure msg ->
-              push ("capture: " ^ msg);
-              None
-          | got -> Some got)
-    in
-    (List.rev !bad, cap)
-  in
-  (* Verdict caches: caller-carried when a [?memo] is shared across
-     workloads, local otherwise. The [seen] tables are always local to
-     this workload — [states_deduped] counts duplicates within one
-     workload only, so the report does not depend on memo lifetime. *)
-  let memo, memo_media =
-    match memo with
-    | Some m -> (m.m_states, m.m_media)
-    | None -> (Hashtbl.create 512, Hashtbl.create 128)
-  in
-  let seen = Hashtbl.create 256 and seen_media = Hashtbl.create 64 in
-  let check_image v ~legal =
-    incr states;
-    if Sys.getenv_opt "CRASHCHECK_DEBUG" <> None then Printf.eprintf "  image %d (op %d)\n%!" !states !cur_op;
-    let bads, cap =
-      match engine with
-      | Copy -> check_state v
-      | Delta -> (
-          let h = Device.view_hash dev v in
-          if Hashtbl.mem seen h then incr deduped else Hashtbl.replace seen h ();
-          match Hashtbl.find_opt memo h with
-          | Some verdict -> verdict
-          | None ->
-              let verdict = check_state v in
-              Hashtbl.replace memo h verdict;
-              verdict)
-    in
-    List.iter violate bads;
-    match cap with
-    | None -> ()
-    | Some got ->
-        if
-          not
-            (List.exists (fun st -> Logical.equal ~compare_data got st) legal)
-        then
-          violate
-            (Format.asprintf
-               "recovered state matches neither pre- nor post-op state; \
-                got %a"
-               Logical.pp got)
-  in
-  (* A crash image with injected media damage (torn / stuck lines) is not
-     a legal SSU state, so no logical comparison applies; the contract is
-     graceful handling only: mount either succeeds (possibly degraded,
-     with the damage quarantined) or refuses with a clean error — it must
-     never raise, and neither must fsck on the mounted result. *)
-  let check_media_state v : string list =
-    let d2 = mount_view v in
-    match Sq.mount d2 with
-    | exception e ->
-        [ "media crash image: mount raised " ^ Printexc.to_string e ]
-    | Error _ -> []
-    | Ok fs2 -> (
-        match Sq.Fsck.check fs2 with
-        | _ -> []
-        | exception e ->
-            [ "media crash image: fsck raised " ^ Printexc.to_string e ])
-  in
-  let check_media_image v =
-    incr media_states;
-    let bads =
-      match engine with
-      | Copy -> check_media_state v
-      | Delta -> (
-          let h = Device.view_hash dev v in
-          if Hashtbl.mem seen_media h then incr deduped
-          else Hashtbl.replace seen_media h ();
-          match Hashtbl.find_opt memo_media h with
-          | Some verdict -> verdict
-          | None ->
-              let verdict = check_media_state v in
-              Hashtbl.replace memo_media h verdict;
-              verdict)
-    in
-    List.iter violate bads
-  in
-  let probe d ~legal =
-    incr fences;
-    List.iter (fun v -> check_image v ~legal)
-      (Device.crash_views ~max_images:max_images_per_fence d);
-    if media then
-      List.iter check_media_image
-        (Device.crash_views_faulty ~max_images:media_images_per_fence d)
-  in
-  Device.set_fence_hook dev
-    (Some
-       (fun d ->
-         let legal = [ oracle.(!cur_op); oracle.(min n (!cur_op + 1)) ] in
-         probe d ~legal));
-  List.iteri
-    (fun i op ->
-      cur_op := i;
-      cur_opv := Some op;
-      if Sys.getenv_opt "CRASHCHECK_DEBUG" <> None then
-        Printf.eprintf "op %d: %s\n%!" i
-          (Format.asprintf "%a" Workload.pp_op op);
-      apply_real fs op)
-    ops;
-  Device.set_fence_hook dev None;
-  (* Final durable state must equal the oracle's final state exactly. *)
-  cur_op := n;
-  cur_opv := None;
-  probe dev ~legal:[ oracle.(n) ];
-  (* Phase B: permanent corruption. Flip one seeded bit in the sealed
-     (checksummed) region of up to [bit_flips] committed inode records,
-     then require the full detection pipeline: the scrubber flags every
-     damaged line, a remount comes up degraded with the damaged inodes
-     quarantined, reads of their paths return a clean EIO, and the rest
-     of the tree stays accessible. *)
-  if faulty && faults.Faults.Plan.bit_flips > 0 then begin
-    let geo = fs.Sq.Fsctx.geo in
-    let rng = Random.State.make [| faults.Faults.Plan.seed; 0xB17F11 |] in
-    let targets = pick_k rng faults.Faults.Plan.bit_flips (live_objects fs) in
-    let sealed_bytes =
-      List.concat_map
-        (fun (off, len) -> List.init len (fun i -> off + i))
-        Layout.Records.Inode.sealed_ranges
-    in
-    let flips =
-      List.map
-        (fun (path, ino) ->
-          let base = Layout.Geometry.inode_off geo ~ino in
-          let byte = List.nth sealed_bytes
-              (Random.State.int rng (List.length sealed_bytes))
-          in
-          let bit = Random.State.int rng 8 in
-          let off = base + byte in
-          Device.flip_bit dev ~off ~bit;
-          (path, ino, off))
-        targets
-    in
-    (* A workload can finish with an empty tree (everything unlinked);
-       then there is nothing to corrupt and nothing to check. *)
-    if flips <> [] then begin
-    (* Scrubber: every flipped line must fail its line ECC. *)
-    let bad = Device.scrub dev in
-    List.iter
-      (fun (path, _ino, off) ->
-        let line = off - (off mod Device.line_size) in
-        if not (List.mem line bad) then
-          violate
-            (Printf.sprintf "scrub missed flipped line 0x%x (inode of %s)"
-               line path))
-      flips;
-    (* Degraded remount of the damaged durable image. *)
-    (match Sq.mount (Device.of_image (Device.image_durable dev)) with
-    | Error e ->
-        violate
-          ("damaged volume fails to mount degraded: " ^ Vfs.Errno.to_string e)
-    | exception e ->
-        violate ("damaged volume: mount raised " ^ Printexc.to_string e)
-    | Ok fs3 ->
-        let ms = Sq.Mount.last_stats () in
-        if not ms.Sq.Mount.degraded then
-          violate "remount after metadata corruption is not degraded";
-        quarantined :=
-          !quarantined + ms.Sq.Mount.quarantined_inodes
-          + ms.Sq.Mount.quarantined_pages;
-        List.iter
-          (fun (path, ino, _off) ->
-            if Faults.Quarantine.mem_ino fs3.Sq.Fsctx.quar ino then
-              incr detected
-            else
-              violate
-                (Printf.sprintf
-                   "corrupt inode %d (%s) not quarantined on remount" ino path);
-            (match Sq.stat fs3 path with
-            | Error Vfs.Errno.EIO -> incr eio_checks
-            | Error e ->
-                violate
-                  (Printf.sprintf "stat %s on quarantined inode: %s (want EIO)"
-                     path (Vfs.Errno.to_string e))
-            | Ok _ ->
-                violate
-                  (Printf.sprintf "stat %s succeeded on a quarantined inode"
-                     path)
-            | exception e ->
-                violate
-                  (Printf.sprintf "stat %s raised %s (want EIO result)" path
-                     (Printexc.to_string e))))
-          flips;
-        (* The undamaged remainder of the tree must stay readable. *)
-        (match Sq.readdir fs3 "/" with
-        | Ok _ -> ()
-        | Error e ->
-            violate ("degraded mount cannot list /: " ^ Vfs.Errno.to_string e)))
-    end
-  end;
-  let dstats = Device.stats dev in
-  {
-    workloads = 1;
-    ops_run = n;
-    fences_probed = !fences;
-    crash_states = !states;
-    states_deduped = !deduped;
-    media_states = !media_states;
-    faults_injected =
-      dstats.Pmem.Stats.bitflips + dstats.Pmem.Stats.torn_lines
-      + dstats.Pmem.Stats.stuck_lines + dstats.Pmem.Stats.read_faults;
-    faults_detected = !detected;
-    faults_quarantined = !quarantined;
-    eio_checks = !eio_checks;
-    violations = List.rev !violations;
-  }
-
-let run_suite ?device_size ?max_images_per_fence ?media_images_per_fence
-    ?compare_data ?faults ?engine ?progress workloads =
-  let total = List.length workloads in
-  (* One verdict memo for the whole suite: every workload runs at the
-     same device size, so content-determined verdicts carry over. *)
-  let memo = memo_create () in
-  List.fold_left
-    (fun (i, acc) w ->
-      (match progress with Some f -> f i total | None -> ());
-      ( i + 1,
-        merge acc
-          (run_workload ?device_size ?max_images_per_fence
-             ?media_images_per_fence ?compare_data ?faults ?engine ~memo w) ))
-    (0, empty) workloads
-  |> snd
 
 let pp_report ppf r =
   Format.fprintf ppf

@@ -1,42 +1,7 @@
-(** Crash-consistency harness (the role of Chipmunk, §5.7).
-
-    For each workload the harness:
-
-    + runs the workload on a pristine {e oracle} volume, capturing the
-      logical state after every operation — since all SquirrelFS metadata
-      operations are synchronous and crash-atomic, a crash during
-      operation [k] must recover to exactly the state after [k-1] or
-      after [k] operations;
-    + replays the workload on a fresh volume with a fence hook installed:
-      at every store fence it enumerates the legal crash images under the
-      x86 persistence model, remounts each image (running recovery),
-      checks it with the independent {!Squirrelfs.Fsck} checker, and
-      compares its logical state against the oracle pair;
-    + probes the final durable state the same way.
-
-    Data contents are excluded from the comparison (data-plane writes are
-    not atomic in SquirrelFS or in any of the baselines, matching the
-    paper); sizes and all metadata are compared.
-
-    {2 Fault injection}
-
-    With a non-trivial [?faults] plan the real volume is formatted with
-    checksummed metadata ([mkfs ~csum:true]) and the plan is installed on
-    its device. Three extra obligations are then checked:
-
-    - {e pure crash images} (no media damage) must never trip the media
-      pre-pass: SSU seals every record before committing it, so a
-      quarantine on a plain crash image means some code path published an
-      unsealed record (this catches the [Buggy_*] variants on csum
-      volumes);
-    - {e media crash images} (torn / stuck cache lines sampled per the
-      plan's rates) are not legal SSU states, so the contract is graceful
-      handling only: mount and fsck must not raise;
-    - after the workload, {e Phase B} flips one seeded bit in the sealed
-      region of up to [bit_flips] committed inode records and requires
-      the full pipeline: the scrubber flags every damaged line, a remount
-      comes up degraded with the damaged inodes quarantined, their paths
-      return a clean [EIO], and the rest of the tree stays readable. *)
+(** Crash-check reports: what one or more probed runs of the crash
+    oracle ([Fuzzer.Exec.run]) counted and found. Reports merge
+    associatively, so sequences, shards and enumeration tiers fold into
+    one. *)
 
 type violation = {
   v_op_index : int;
@@ -51,10 +16,9 @@ type report = {
   crash_states : int;
   states_deduped : int;
       (** crash/media states whose content-determined verdict (recovery +
-          fsck + capture) came from the memo instead of a remount; always
-          0 under the [Copy] engine. Deduped states still count in
-          [crash_states]/[media_states] and still get the per-occurrence
-          oracle comparison. *)
+          fsck + capture) this run had already computed. Deduped states
+          still count in [crash_states]/[media_states] and still get the
+          per-occurrence oracle comparison. *)
   media_states : int;  (** faulty (torn/stuck) crash images checked *)
   faults_injected : int;  (** bit flips + torn + stuck + read faults *)
   faults_detected : int;  (** injected flips caught by checksum quarantine *)
@@ -62,62 +26,6 @@ type report = {
   eio_checks : int;  (** quarantined paths that correctly returned [EIO] *)
   violations : violation list;
 }
-
-type engine = Copy | Delta
-(** Crash-state exploration engine. [Copy] is the legacy path: each crash
-    state is materialized into a fresh byte image and remounted through
-    [Device.of_image] (three full-device copies per state), with no
-    memoization. [Delta] (the default) patches {!Pmem.Device.crash_views}
-    delta views into one reusable scratch buffer, mounts it zero-copy
-    through [Device.of_view], and memoizes the content-determined verdict
-    of each state by 64-bit content hash, so duplicate states across the
-    fence sequence are checked once. Both engines enumerate identical
-    state sets (same views, same RNG consumption) and report identical
-    violations; only the work done per state differs. *)
-
-type memo
-(** Cross-workload cache of content-determined crash-state verdicts,
-    keyed by full-content view hash ([Delta] engine only). Sound to
-    share across any runs that use the same [device_size] (the hash is
-    canonical across same-size devices); sharing never changes a report —
-    [states_deduped] stays per-workload — it only skips recomputation of
-    states that recur between workloads. Single-domain state: never
-    share a memo across domains. *)
-
-val memo_create : unit -> memo
-
-val run_workload :
-  ?device_size:int ->
-  ?max_images_per_fence:int ->
-  ?media_images_per_fence:int ->
-  ?compare_data:bool ->
-  ?faults:Faults.Plan.t ->
-  ?engine:engine ->
-  ?memo:memo ->
-  Workload.op list ->
-  report
-(** Defaults: 512 KiB device, 12 images per fence, 4 media images per
-    fence, [faults = Faults.none] (in which case the run is bit-identical
-    to the pre-fault-subsystem harness), [engine = Delta], no shared
-    [?memo] (verdicts cached within the workload only). [compare_data]
-    (default false) additionally compares file contents against the
-    oracle — only meaningful for workloads whose data writes are all
-    [Write_atomic], since regular data writes are not crash-atomic (in
-    SquirrelFS or any of the baselines, matching the paper). *)
-
-val run_suite :
-  ?device_size:int ->
-  ?max_images_per_fence:int ->
-  ?media_images_per_fence:int ->
-  ?compare_data:bool ->
-  ?faults:Faults.Plan.t ->
-  ?engine:engine ->
-  ?progress:(int -> int -> unit) ->
-  Workload.op list list ->
-  report
-(** Folds {!run_workload} over the suite with {!merge}, sharing one
-    {!memo} across all workloads (they run at one device size, so
-    verdicts for recurring states carry over). *)
 
 val empty : report
 val merge : report -> report -> report

@@ -61,40 +61,6 @@ let pp ppf ops =
        pp_op)
     ops
 
-let apply (type a) (module F : Vfs.Fs.S with type t = a) (fs : a) op =
-  let ign (r : _ Vfs.Fs.r) = ignore (Result.is_ok r : bool) in
-  match op with
-  | Create p | Buggy_create p -> ign (F.create fs p)
-  | Mkdir p -> ign (F.mkdir fs p)
-  | Unlink p | Buggy_unlink p -> ign (F.unlink fs p)
-  | Rmdir p -> ign (F.rmdir fs p)
-  | Rename (a, b) -> ign (F.rename fs a b)
-  | Link (a, b) -> ign (F.link fs a b)
-  | Symlink (a, b) -> ign (F.symlink fs a b)
-  | Write (p, off, data) | Write_atomic (p, off, data) ->
-      ign (F.write fs p ~off data)
-  | Buggy_write (p, data) -> (
-      (* oracle semantics: a correct page-aligned append *)
-      match F.stat fs p with
-      | Ok st ->
-          let page = Layout.Geometry.page_size in
-          let off = (st.Vfs.Fs.size + page - 1) / page * page in
-          ign (F.write fs p ~off data)
-      | Error _ -> ())
-  | Truncate (p, n) -> ign (F.truncate fs p n)
-  | Fsync p -> ign (F.fsync fs p)
-  | Fdatasync p -> ign (F.fdatasync fs p)
-  | Tmpfile tag -> ign (F.tmpfile fs tag)
-  | Linkat (tag, p) -> ign (F.linkat fs tag p)
-  | Open (tag, p) -> ign (F.open_file fs tag p)
-  | Close tag -> ign (F.close_file fs tag)
-  | Write_h (tag, off, data) -> ign (F.write_h fs tag ~off data)
-  | Read_h (tag, off, len) -> ign (F.read_h fs tag ~off ~len)
-  | Snapshot _ | Rollback _ | Buggy_snap _ ->
-      (* Snapshots live below the VFS surface; appliers that understand
-         them (Exec, Harness, Ref_fs) dispatch before reaching here. *)
-      ()
-
 let setup =
   [ Mkdir "/D"; Create "/A"; Write ("/A", 0, String.make 2000 'a') ]
 
@@ -149,29 +115,3 @@ let systematic_pairs () =
   List.concat_map
     (fun a -> List.map (fun b -> setup @ [ a; b ]) alphabet)
     alphabet
-
-let random ~seed ~ops_per_workload ~count =
-  let rng = Random.State.make [| seed |] in
-  let dirs = [ "/D"; "/E"; "/D/X" ] in
-  let files = [ "/A"; "/B"; "/D/F"; "/D/X/G"; "/E/H" ] in
-  let pick l = List.nth l (Random.State.int rng (List.length l)) in
-  let gen_op () =
-    match Random.State.int rng 11 with
-    | 0 -> Create (pick files)
-    | 1 -> Mkdir (pick dirs)
-    | 2 -> Unlink (pick files)
-    | 3 -> Rmdir (pick dirs)
-    | 4 -> Rename (pick files, pick files)
-    | 5 -> Rename (pick dirs, pick dirs)
-    | 6 -> Link (pick files, pick files)
-    | 7 ->
-        Write
-          ( pick files,
-            Random.State.int rng 5000,
-            String.make (1 + Random.State.int rng 5000) 'r' )
-    | 8 -> Truncate (pick files, Random.State.int rng 10000)
-    | 9 -> Symlink (pick files, pick files)
-    | _ -> Rename (pick files, pick dirs ^ "/moved")
-  in
-  List.init count (fun _ ->
-      List.init ops_per_workload (fun _ -> gen_op ()))

@@ -38,12 +38,6 @@ type op =
 val pp_op : Format.formatter -> op -> unit
 val pp : Format.formatter -> op list -> unit
 
-val apply : (module Vfs.Fs.S with type t = 'a) -> 'a -> op -> unit
-(** Execute one op, ignoring legitimate errors (generated sequences may
-    contain ops that fail, e.g. unlinking a renamed-away file); the buggy
-    variants are executed with their {e correct} semantics here (this is
-    the oracle path). *)
-
 val setup : op list
 (** Common prefix establishing a small namespace. *)
 
@@ -57,7 +51,3 @@ val systematic_pairs : unit -> op list list
 (** Every ordered pair from [alphabet], each prefixed with [setup]:
     |alphabet|² workloads — i.e. [Fuzzer.Enum]'s seq-2 tier, expressed
     as concrete workloads. *)
-
-val random : seed:int -> ops_per_workload:int -> count:int -> op list list
-(** Seeded random workloads over a wider namespace (the fuzzing
-    component). *)

@@ -21,7 +21,6 @@ type cfg = {
   faults : Faults.Plan.t;
   latency : Pmem.Latency.t option;
   shrink : bool;
-  engine : H.engine;  (** crash-state engine; [Delta] unless benchmarking *)
   collect_metrics : bool;
       (** collect an {!Obs.Metrics.t} registry (op latencies, device and
           token traffic) across the run; off by default — reports are
@@ -41,7 +40,6 @@ let default_cfg =
     faults = Faults.none;
     latency = None;
     shrink = true;
-    engine = H.Delta;
     collect_metrics = false;
   }
 
@@ -71,14 +69,14 @@ let exec ?pool ?metrics cfg ops =
   Exec.run ~device_size:cfg.device_size ?sparse:cfg.sparse
     ~max_images_per_fence:cfg.max_images
     ~media_images_per_fence:cfg.media_images ~faults:cfg.faults ?latency:cfg.latency
-    ~engine:cfg.engine ?pool ?metrics ops
+    ?pool ?metrics ops
 
 (* Scheduler-driven core: [next] hands out iteration indexes (a plain
    counter for the sequential [run] below, chunks claimed from a shared
    atomic cursor in [Parallel]); every iteration still reseeds from
    (0x5EED, seed, iter), so the set of indexes [next] yields — never who
    yields them or in what order — determines the report. Each call owns
-   one {!Exec.Pool}: the device, scratch engine and fsck-verdict memos
+   one {!Exec.Pool}: the device, scratch buffer and verdict memo
    are reused across every iteration (and shrinker re-execution) this
    call runs, which is what makes handing out small chunks cheap. *)
 let run_sched ?on_iter_start ?on_iter_done ~next cfg =
@@ -109,24 +107,9 @@ let run_sched ?on_iter_start ?on_iter_done ~next cfg =
     let res = exec_acc ops in
     (match res.Exec.o_fail with
     | None -> ()
-    | Some (cp, detail) ->
+    | Some ((cp, detail) as fail) ->
         let min_ops, det, mcp, sruns =
-          if not cfg.shrink then (ops, detail, cp, 0)
-          else begin
-            (* ops after the crash point cannot contribute: start from the
-               failing prefix if it still fails on its own *)
-            let runs = ref 0 in
-            let fails l =
-              incr runs;
-              (exec_acc l).Exec.o_fail <> None
-            in
-            let prefix = List.filteri (fun i _ -> i <= cp.Exec.cp_op) ops in
-            let start = if fails prefix then prefix else ops in
-            let m, _ = Shrink.minimize ~fails start in
-            match (exec_acc m).Exec.o_fail with
-            | Some (mcp, mdet) -> (m, mdet, mcp, !runs + 1)
-            | None -> (start, detail, cp, !runs + 1)
-          end
+          if cfg.shrink then Shrink.reproduce ~exec:exec_acc ops fail else (ops, detail, cp, 0)
         in
         shrink_runs := !shrink_runs + sruns;
         found :=

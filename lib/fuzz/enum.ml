@@ -282,22 +282,9 @@ let run_shard ?on_done ~next cfg (work : W.op list array) =
             s_sigs = I64Set.add o.Exec.o_state_sig !acc.s_sigs };
         (match o.Exec.o_fail with
         | None -> ()
-        | Some (cp, detail) ->
+        | Some ((cp, detail) as fail) ->
             let min_ops, det, mcp, sruns =
-              if not cfg.shrink then (ops, detail, cp, 0)
-              else begin
-                let runs = ref 0 in
-                let fails l =
-                  incr runs;
-                  (exec l).Exec.o_fail <> None
-                in
-                let prefix = List.filteri (fun i _ -> i <= cp.Exec.cp_op) ops in
-                let start = if fails prefix then prefix else ops in
-                let m, _ = Shrink.minimize ~fails start in
-                match (exec m).Exec.o_fail with
-                | Some (mcp, det) -> (m, det, mcp, !runs + 1)
-                | None -> (start, detail, cp, !runs + 1)
-              end
+              if cfg.shrink then Shrink.reproduce ~exec ops fail else (ops, detail, cp, 0)
             in
             acc :=
               { !acc with

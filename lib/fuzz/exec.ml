@@ -12,7 +12,12 @@
 
    The model has no capacity limits, so a SquirrelFS [ENOSPC]/[EMLINK]
    against a model success is benign: the model is rolled back and the
-   event counted as a divergence, not a violation. *)
+   event counted as a divergence, not a violation.
+
+   A fault plan formats the volume with checksummed records; torn/stuck
+   media views then get a never-raise check at every fence, and a plan
+   with bit flips ends each clean sequence with Phase B (flip, scrub,
+   degraded remount, quarantine, EIO). *)
 
 module Device = Pmem.Device
 module Sq = Squirrelfs
@@ -129,26 +134,166 @@ let apply_sq (ctx : Sq.Fsctx.t) (op : W.op) : (unit, Errno.t) result =
         | () -> Ok ()
         | exception Failure _ -> Error Errno.ENOSPC)
 
+(* {2 The crash-state prober}
+
+   The one verdict every crash view gets, shared by [run] below and by
+   [Interleave]. The content-determined part of a view's verdict —
+   superblock, raw invariants, mount (recovery), the csum-degraded
+   check, [Fsck] and capture — depends only on the image bytes, so it is
+   memoized by full-content view hash. The comparison against the legal
+   logical states stays outside the memo: it depends on which ops
+   bracket the fence, not on the image. *)
+
+type memo = {
+  m_states : (int64, (Logical.t, string) result) Hashtbl.t;
+  m_media : (int64, string option) Hashtbl.t;
+}
+
+let memo_create () = { m_states = Hashtbl.create 1024; m_media = Hashtbl.create 256 }
+
+(* Per-run state. The [seen] tables are always run-local —
+   [states_deduped] counts duplicates within one run only, which keeps
+   reports independent of memo lifetime, pooling, and how runs are
+   partitioned across domains. *)
+type prober = {
+  p_dev : Device.t;
+  p_csum : bool;
+  p_memo : memo;
+  p_scr : Device.scratch Lazy.t;
+  p_seen : (int64, unit) Hashtbl.t;
+  p_seen_media : (int64, unit) Hashtbl.t;
+  mutable p_states : int;
+  mutable p_media_states : int;
+  mutable p_deduped : int;
+  mutable p_sig : int64;
+}
+
+let prober ~memo ~csum dev =
+  {
+    p_dev = dev;
+    p_csum = csum;
+    p_memo = memo;
+    (* one scratch buffer per device (a pooled device keeps its attached
+       one across resets): views are patched into it in place and
+       mounted zero-copy *)
+    p_scr =
+      lazy
+        (match Device.attached_scratch dev with
+        | Some s -> s
+        | None -> Device.scratch dev);
+    p_seen = Hashtbl.create 256;
+    p_seen_media = Hashtbl.create 64;
+    p_states = 0;
+    p_media_states = 0;
+    p_deduped = 0;
+    p_sig = sig_empty;
+  }
+
+let states p = p.p_states
+let deduped p = p.p_deduped
+
+let mount_view p v =
+  let s = Lazy.force p.p_scr in
+  Device.apply_view s v;
+  Device.of_view s
+
+(* Content-determined verdict of a pure crash view: the first failing
+   check, or the recovered capture. *)
+let check_state p v =
+  let d2 = mount_view p v in
+  match Layout.Records.Superblock.read d2 with
+  | None -> Error "crash image has no superblock"
+  | Some sb -> (
+      match Sq.Fsck.check_raw d2 sb.Layout.Records.Superblock.geometry with
+      | _ :: _ as errs -> Error ("raw invariants: " ^ String.concat " | " errs)
+      | [] -> (
+          match Sq.mount d2 with
+          | Error e -> Error ("crash image fails to mount: " ^ Errno.to_string e)
+          | Ok fs2 ->
+              (* On a csum volume a pure crash image must never trip the
+                 media pre-pass: SSU orders every seal before its
+                 record's commit, so quarantine here means a code path
+                 published an unsealed record. *)
+              if p.p_csum && (Sq.Mount.last_stats ()).Sq.Mount.degraded then
+                Error
+                  "media quarantine on a pure crash image (committed record \
+                   without a valid checksum)"
+              else (
+                match Sq.Fsck.check fs2 with
+                | _ :: _ as errs -> Error ("fsck: " ^ String.concat " | " errs)
+                | [] -> (
+                    match Logical.capture (module Squirrelfs) fs2 with
+                    | exception Failure msg -> Error ("capture: " ^ msg)
+                    | got -> Ok got))))
+
+(* Torn/stuck media views are not legal SSU states; the contract is
+   graceful handling only: mount succeeds (possibly degraded) or refuses
+   with an errno, and neither mount nor fsck may raise. *)
+let check_media_state p v =
+  let d2 = mount_view p v in
+  match Sq.mount d2 with
+  | exception e -> Some ("media crash image: mount raised " ^ Printexc.to_string e)
+  | Error _ -> None
+  | Ok fs2 -> (
+      match Sq.Fsck.check fs2 with
+      | _ -> None
+      | exception e -> Some ("media crash image: fsck raised " ^ Printexc.to_string e))
+
+let memoized p ~seen ~memo check v =
+  let h = Device.view_hash p.p_dev v in
+  p.p_sig <- sig_add p.p_sig h;
+  if Hashtbl.mem seen h then p.p_deduped <- p.p_deduped + 1 else Hashtbl.replace seen h ();
+  match Hashtbl.find_opt memo h with
+  | Some verdict -> verdict
+  | None ->
+      let verdict = check p v in
+      Hashtbl.replace memo h verdict;
+      verdict
+
+let probe p ~max_images ~media_images ~legal ~fail =
+  List.iteri
+    (fun image v ->
+      p.p_states <- p.p_states + 1;
+      match memoized p ~seen:p.p_seen ~memo:p.p_memo.m_states check_state v with
+      | Error detail -> fail ~image detail
+      | Ok got ->
+          if not (List.exists (fun st -> Logical.equal ~compare_data:false got st) legal)
+          then
+            fail ~image
+              (Format.asprintf
+                 "recovered state is not prefix-consistent with the reference \
+                  model; got %a"
+                 Logical.pp got))
+    (Device.crash_views ~max_images p.p_dev);
+  match media_images with
+  | None -> ()
+  | Some max_images ->
+      List.iteri
+        (fun image v ->
+          p.p_media_states <- p.p_media_states + 1;
+          match memoized p ~seen:p.p_seen_media ~memo:p.p_memo.m_media check_media_state v with
+          | Some detail -> fail ~image detail
+          | None -> ())
+        (Device.crash_views_faulty ~max_images p.p_dev)
+
 (* {2 Per-domain resource pool}
 
    Fresh-device fuzzing pays a large constant per iteration: allocate two
-   device-sized buffers, simulate mkfs store by store, then (Delta
-   engine) copy the device again into a new scratch. A pool amortizes
-   all of it across the iterations of one driver/shard: the first
-   acquisition formats a device once and snapshots the post-mkfs durable
-   image as a template; every later acquisition blits the template back
-   over the same buffers ({!Device.reset}), reusing the attached scratch
-   too. The pool also carries the fsck-verdict memo tables across
-   iterations: verdicts are content-determined (keyed by full-content
-   view hash), so a state revisited in a later iteration skips the
-   remount + fsck entirely. The [states_deduped] counter stays run-local
-   (see [check_image]), so reports are independent of pooling.
+   device-sized buffers, simulate mkfs store by store, then copy the
+   device again into a new scratch. A pool amortizes all of it across
+   the iterations of one driver/shard: the first acquisition formats a
+   device once and snapshots the post-mkfs durable image as a template;
+   every later acquisition blits the template back over the same buffers
+   ({!Device.reset}), reusing the attached scratch too. The pool also
+   carries the prober's verdict memo across iterations, so a state
+   revisited in a later iteration skips the remount + fsck entirely.
 
    A pool is single-domain state: share one per domain, never across. *)
 module Pool = struct
   type entry = {
     e_dev : Device.t;
     e_tmpl : Bytes.t;  (* post-mkfs durable image *)
+    e_now : int;  (* post-mkfs clock *)
     mutable e_hash : (int64 array * int64) option;  (* lazy template hash *)
   }
 
@@ -159,18 +304,13 @@ module Pool = struct
     k_sparse : bool option; (* None = Device.create's size-based default *)
   }
 
-  type t = {
-    mutable slot : (key * entry) option;
-    memo : (int64, (Logical.t, string) result) Hashtbl.t;
-    memo_media : (int64, string option) Hashtbl.t;
-  }
+  type t = { mutable slot : (key * entry) option; memo : memo }
 
-  let create () =
-    { slot = None; memo = Hashtbl.create 1024; memo_media = Hashtbl.create 256 }
+  let create () = { slot = None; memo = memo_create () }
 
   (* A ready-to-mount formatted device: template-blit on reuse, real mkfs
      only on first acquisition (or when the configuration changes, which
-     also invalidates the content-hash-keyed memos). *)
+     also invalidates the content-hash-keyed memo). *)
   let acquire p ~size ~csum ~latency ~sparse =
     let key =
       { k_size = size; k_csum = csum; k_latency = latency; k_sparse = sparse }
@@ -186,28 +326,146 @@ module Pool = struct
               h
         in
         Device.reset ~hash e.e_dev ~image:e.e_tmpl;
+        (* reset zeroes the clock, but a fresh device's clock has run
+           through mkfs (a csum mkfs charges its seals) and inode
+           timestamps read it *)
+        Device.charge e.e_dev e.e_now;
         e.e_dev
     | Some _ | None ->
         if p.slot <> None then begin
-          Hashtbl.reset p.memo;
-          Hashtbl.reset p.memo_media
+          Hashtbl.reset p.memo.m_states;
+          Hashtbl.reset p.memo.m_media
         end;
         let dev = Device.create ?latency ?sparse ~size () in
         Sq.Mount.mkfs ~csum dev;
         p.slot <-
-          Some (key, { e_dev = dev; e_tmpl = Device.image_durable dev; e_hash = None });
+          Some
+            ( key,
+              {
+                e_dev = dev;
+                e_tmpl = Device.image_durable dev;
+                e_now = Device.now_ns dev;
+                e_hash = None;
+              } );
         dev
 end
 
-let run ?(device_size = 256 * 1024) ?sparse ?(max_images_per_fence = 8)
-    ?(media_images_per_fence = 4) ?(faults = Faults.none) ?latency
-    ?(engine = H.Delta) ?pool ?trace ?metrics ops =
-  let faulty = not (Faults.is_none faults) in
-  let media =
-    faulty
-    && (faults.Faults.Plan.torn_line_rate > 0. || faults.Faults.Plan.stuck_line_rate > 0.)
+(* {2 Phase B: permanent media corruption}
+
+   After a clean sequence under a plan with [bit_flips > 0], flip one
+   seeded bit in the sealed (checksummed) region of up to [bit_flips]
+   committed inode records and require the whole detection pipeline: the
+   scrubber flags every damaged line, a remount of the damaged durable
+   image comes up degraded with those inodes quarantined, their paths
+   return a clean [EIO], and the rest of the tree stays listable.
+   Returns (detected, quarantined, eio_checks). *)
+
+(* Every path in the live tree, depth-first, one per inode (hardlinks
+   keep the first path seen): the committed, referenced records. *)
+let live_objects fs =
+  let seen = Hashtbl.create 32 in
+  let out = ref [] in
+  let rec walk path =
+    match Sq.readdir fs path with
+    | Error _ -> ()
+    | Ok names ->
+        List.iter
+          (fun name ->
+            let p = if path = "/" then "/" ^ name else path ^ "/" ^ name in
+            match Sq.stat fs p with
+            | Error _ -> ()
+            | Ok st ->
+                if not (Hashtbl.mem seen st.Vfs.Fs.ino) then begin
+                  Hashtbl.add seen st.Vfs.Fs.ino ();
+                  out := (p, st.Vfs.Fs.ino) :: !out
+                end;
+                if st.Vfs.Fs.kind = Vfs.Fs.Dir then walk p)
+          names
   in
-  let csum = faulty in
+  walk "/";
+  List.rev !out
+
+(* Deterministically pick [k] distinct elements (partial Fisher-Yates). *)
+let pick_k rng k xs =
+  let arr = Array.of_list xs in
+  let n = Array.length arr in
+  let k = min k n in
+  for i = 0 to k - 1 do
+    let j = i + Random.State.int rng (n - i) in
+    let tmp = arr.(i) in
+    arr.(i) <- arr.(j);
+    arr.(j) <- tmp
+  done;
+  Array.to_list (Array.sub arr 0 k)
+
+let phase_b ~(plan : Faults.Plan.t) ~fail fs dev =
+  let rng = Random.State.make [| plan.Faults.Plan.seed; 0xB17F11 |] in
+  let targets = pick_k rng plan.Faults.Plan.bit_flips (live_objects fs) in
+  let sealed_bytes =
+    List.concat_map
+      (fun (off, len) -> List.init len (fun i -> off + i))
+      Layout.Records.Inode.sealed_ranges
+  in
+  let flips =
+    List.map
+      (fun (path, ino) ->
+        let base = Layout.Geometry.inode_off fs.Sq.Fsctx.geo ~ino in
+        let byte = List.nth sealed_bytes (Random.State.int rng (List.length sealed_bytes)) in
+        let off = base + byte in
+        Device.flip_bit dev ~off ~bit:(Random.State.int rng 8);
+        (path, ino, off))
+      targets
+  in
+  let detected = ref 0 and quarantined = ref 0 and eio = ref 0 in
+  (* a sequence can end with an empty tree: nothing to corrupt *)
+  if flips <> [] then begin
+    let bad = Device.scrub dev in
+    List.iter
+      (fun (path, _, off) ->
+        let line = off - (off mod Device.line_size) in
+        if not (List.mem line bad) then
+          fail (Printf.sprintf "scrub missed flipped line 0x%x (inode of %s)" line path))
+      flips;
+    match Sq.mount (Device.of_image (Device.image_durable dev)) with
+    | exception e -> fail ("damaged volume: mount raised " ^ Printexc.to_string e)
+    | Error e -> fail ("damaged volume fails to mount degraded: " ^ Errno.to_string e)
+    | Ok fs3 -> (
+        let ms = Sq.Mount.last_stats () in
+        if not ms.Sq.Mount.degraded then fail "remount after metadata corruption is not degraded";
+        quarantined := ms.Sq.Mount.quarantined_inodes + ms.Sq.Mount.quarantined_pages;
+        List.iter
+          (fun (path, ino, _) ->
+            if Faults.Quarantine.mem_ino fs3.Sq.Fsctx.quar ino then incr detected
+            else fail (Printf.sprintf "corrupt inode %d (%s) not quarantined on remount" ino path);
+            match Sq.stat fs3 path with
+            | Error Errno.EIO -> incr eio
+            | Error e ->
+                fail
+                  (Printf.sprintf "stat %s on quarantined inode: %s (want EIO)" path
+                     (Errno.to_string e))
+            | Ok _ -> fail (Printf.sprintf "stat %s succeeded on a quarantined inode" path)
+            | exception e ->
+                fail
+                  (Printf.sprintf "stat %s raised %s (want EIO result)" path
+                     (Printexc.to_string e)))
+          flips;
+        match Sq.readdir fs3 "/" with
+        | Ok _ -> ()
+        | Error e -> fail ("degraded mount cannot list /: " ^ Errno.to_string e))
+  end;
+  (!detected, !quarantined, !eio)
+
+let run ?(device_size = 256 * 1024) ?sparse ?(max_images_per_fence = 8)
+    ?(media_images_per_fence = 4) ?(faults = Faults.none) ?latency ?pool ?trace ?metrics
+    ops =
+  (* Media faults only make sense on a volume that can detect them: fault
+     runs format with checksummed metadata records. *)
+  let csum = not (Faults.is_none faults) in
+  let media_images =
+    if faults.Faults.Plan.torn_line_rate > 0. || faults.Faults.Plan.stuck_line_rate > 0. then
+      Some media_images_per_fence
+    else None
+  in
   let n = List.length ops in
   let opsa = Array.of_list ops in
   let dev =
@@ -238,16 +496,14 @@ let run ?(device_size = 256 * 1024) ?sparse ?(max_images_per_fence = 8)
       Device.set_metrics dev (Some m);
       Typestate.Token.set_metrics fs.Sq.Fsctx.reg (Some m)
   | None -> ());
-  if faulty then Device.set_fault_plan dev faults;
-  let cur_op = ref 0 and cur_fence = ref 0 in
-  let fences = ref 0 and states = ref 0 and media_states = ref 0 in
-  let deduped = ref 0 in
+  if csum then Device.set_fault_plan dev faults;
+  let cur_op = ref 0 and fences = ref 0 in
   let ops_run = ref 0 and divergences = ref 0 in
   let legal = ref [ Ref_fs.capture Ref_fs.empty ] in
   let fail = ref None in
   let violations = ref [] in
   let violate ~image detail =
-    let cp = { cp_op = !cur_op; cp_fence = !cur_fence; cp_image = image } in
+    let cp = { cp_op = !cur_op; cp_fence = !fences; cp_image = image } in
     fail := Some (cp, detail);
     violations :=
       {
@@ -260,139 +516,14 @@ let run ?(device_size = 256 * 1024) ?sparse ?(max_images_per_fence = 8)
        shrinker minimizes, so stop exploring this sequence *)
     raise Abort
   in
-  (* Delta engine: one scratch buffer for the whole run (reusing the
-     pooled device's attached scratch when there is one), views patched
-     in place and mounted zero-copy; Copy engine: legacy materialize +
-     of_image per state. *)
-  let scr =
-    lazy
-      (match Device.attached_scratch dev with
-      | Some s -> s
-      | None -> Device.scratch dev)
-  in
-  let mount_view v =
-    match engine with
-    | H.Delta ->
-        let s = Lazy.force scr in
-        Device.apply_view s v;
-        Device.of_view s
-    | H.Copy -> Device.of_image (Device.materialize dev v)
-  in
-  (* Content-determined verdict of a crash state: first failing check, or
-     the recovered capture. The prefix-consistency comparison against
-     [!legal] stays outside (it depends on the bracketing ops, not the
-     image), so this is sound to memoize by content hash. *)
-  let check_state v =
-    let d2 = mount_view v in
-    match Layout.Records.Superblock.read d2 with
-    | None -> Error "crash image has no superblock"
-    | Some sb -> (
-        match Sq.Fsck.check_raw d2 sb.Layout.Records.Superblock.geometry with
-        | _ :: _ as errs ->
-            Error ("raw invariants: " ^ String.concat " | " errs)
-        | [] -> (
-            match Sq.mount d2 with
-            | Error e ->
-                Error ("crash image fails to mount: " ^ Errno.to_string e)
-            | Ok fs2 ->
-                if csum && (Sq.Mount.last_stats ()).Sq.Mount.degraded then
-                  Error
-                    "media quarantine on a pure crash image (committed record \
-                     without a valid checksum)"
-                else (
-                  match Sq.Fsck.check fs2 with
-                  | _ :: _ as errs ->
-                      Error ("fsck: " ^ String.concat " | " errs)
-                  | [] -> (
-                      match Logical.capture (module Squirrelfs) fs2 with
-                      | exception Failure msg -> Error ("capture: " ^ msg)
-                      | got -> Ok got))))
-  in
-  (* Verdict caches: pool-carried when pooled (so states revisited across
-     iterations skip the recheck), run-local otherwise. The [seen] tables
-     are always run-local — [states_deduped] counts duplicates *within*
-     this run only, which keeps reports independent of pooling and of how
-     iterations are partitioned across domains. *)
-  let memo, memo_media =
-    match pool with
-    | Some p -> (p.Pool.memo, p.Pool.memo_media)
-    | None -> (Hashtbl.create 512, Hashtbl.create 128)
-  in
-  let seen = Hashtbl.create 256 and seen_media = Hashtbl.create 64 in
-  let state_sig = ref sig_empty in
-  let check_image ~image v =
-    incr states;
-    let verdict =
-      match engine with
-      | H.Copy -> check_state v
-      | H.Delta -> (
-          let h = Device.view_hash dev v in
-          state_sig := sig_add !state_sig h;
-          if Hashtbl.mem seen h then incr deduped else Hashtbl.replace seen h ();
-          match Hashtbl.find_opt memo h with
-          | Some verdict -> verdict
-          | None ->
-              let verdict = check_state v in
-              Hashtbl.replace memo h verdict;
-              verdict)
-    in
-    match verdict with
-    | Error detail -> violate ~image detail
-    | Ok got ->
-        if not (List.exists (fun st -> Logical.equal ~compare_data:false got st) !legal)
-        then
-          violate ~image
-            (Format.asprintf
-               "recovered state is not prefix-consistent with the \
-                reference model; got %a"
-               Logical.pp got)
-  in
-  (* Torn/stuck crash images are not legal SSU states; the contract is
-     graceful handling only (same as the crash harness). *)
-  let check_media_state v =
-    let d2 = mount_view v in
-    match Sq.mount d2 with
-    | exception e ->
-        Some ("media crash image: mount raised " ^ Printexc.to_string e)
-    | Error _ -> None
-    | Ok fs2 -> (
-        match Sq.Fsck.check fs2 with
-        | _ -> None
-        | exception e ->
-            Some ("media crash image: fsck raised " ^ Printexc.to_string e))
-  in
-  let check_media_image ~image v =
-    incr media_states;
-    let verdict =
-      match engine with
-      | H.Copy -> check_media_state v
-      | H.Delta -> (
-          let h = Device.view_hash dev v in
-          state_sig := sig_add !state_sig h;
-          if Hashtbl.mem seen_media h then incr deduped
-          else Hashtbl.replace seen_media h ();
-          match Hashtbl.find_opt memo_media h with
-          | Some verdict -> verdict
-          | None ->
-              let verdict = check_media_state v in
-              Hashtbl.replace memo_media h verdict;
-              verdict)
-    in
-    match verdict with
-    | Some detail -> violate ~image detail
-    | None -> ()
-  in
-  let probe d =
-    incr cur_fence;
+  let memo = match pool with Some p -> p.Pool.memo | None -> memo_create () in
+  let pr = prober ~memo ~csum dev in
+  let on_fence _ =
     incr fences;
-    List.iteri (fun i v -> check_image ~image:i v)
-      (Device.crash_views ~max_images:max_images_per_fence d);
-    if media then
-      List.iteri (fun i v -> check_media_image ~image:i v)
-        (Device.crash_views_faulty ~max_images:media_images_per_fence d)
+    probe pr ~max_images:max_images_per_fence ~media_images ~legal:!legal ~fail:violate
   in
   (try
-     Device.set_fence_hook dev (Some probe);
+     Device.set_fence_hook dev (Some on_fence);
      let model = ref Ref_fs.empty in
      let cap_prev = ref (Ref_fs.capture Ref_fs.empty) in
      for i = 0 to n - 1 do
@@ -427,7 +558,7 @@ let run ?(device_size = 256 * 1024) ?sparse ?(max_images_per_fence = 8)
      cur_op := n;
      legal := [ !cap_prev ];
      (* final durable state must equal the final model state exactly *)
-     probe dev;
+     on_fence dev;
      Device.set_fence_hook dev None;
      match Sq.Fsck.check fs with
      | [] -> ()
@@ -438,6 +569,14 @@ let run ?(device_size = 256 * 1024) ?sparse ?(max_images_per_fence = 8)
     Device.set_metrics dev None;
     Typestate.Token.set_metrics fs.Sq.Fsctx.reg None
   end;
+  (* read before Phase B, whose scrub charges the device: [o_sim_ns] is
+     the workload's own cost *)
+  let sim_ns = Device.now_ns dev - sim_base in
+  let detected, quarantined, eio_checks =
+    if !fail = None && faults.Faults.Plan.bit_flips > 0 then
+      try phase_b ~plan:faults ~fail:(violate ~image:(-1)) fs dev with Abort -> (0, 0, 0)
+    else (0, 0, 0)
+  in
   let dstats = Device.stats dev in
   {
     o_report =
@@ -445,19 +584,19 @@ let run ?(device_size = 256 * 1024) ?sparse ?(max_images_per_fence = 8)
         H.workloads = 1;
         ops_run = !ops_run;
         fences_probed = !fences;
-        crash_states = !states;
-        states_deduped = !deduped;
-        media_states = !media_states;
+        crash_states = pr.p_states;
+        states_deduped = pr.p_deduped;
+        media_states = pr.p_media_states;
         faults_injected =
           dstats.Pmem.Stats.bitflips + dstats.Pmem.Stats.torn_lines
           + dstats.Pmem.Stats.stuck_lines + dstats.Pmem.Stats.read_faults;
-        faults_detected = 0;
-        faults_quarantined = 0;
-        eio_checks = 0;
+        faults_detected = detected;
+        faults_quarantined = quarantined;
+        eio_checks;
         violations = List.rev !violations;
       };
     o_fail = !fail;
     o_divergences = !divergences;
-    o_sim_ns = Device.now_ns dev - sim_base;
-    o_state_sig = !state_sig;
+    o_sim_ns = sim_ns;
+    o_state_sig = pr.p_sig;
   }

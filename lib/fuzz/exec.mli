@@ -13,7 +13,7 @@ type crash_point = {
 
 type outcome = {
   o_report : Crashcheck.Harness.report;
-      (** one-workload report, mergeable with crash-harness reports *)
+      (** one-sequence report; reports merge with {!Crashcheck.Harness.merge} *)
   o_fail : (crash_point * string) option;
       (** first violation, if any: the executor stops at the first *)
   o_divergences : int;
@@ -29,13 +29,51 @@ type outcome = {
           content hash, in order. A function of (ops, config) only —
           independent of pooling, memo state and domain placement — so
           {!Enum} counts duplicate sequences with it order-independently
-          across [-j] shards. [Delta] engine only; 0-fold under [Copy]. *)
+          across [-j] shards. *)
 }
 
+(** {2 The crash-state prober}
+
+    The one check every crash view goes through, shared by {!run} and
+    [Interleave]: patch the view into a scratch buffer and mount it
+    zero-copy with [of_view], then superblock, [check_raw], mount
+    (recovery), the csum-degraded check (on a csum volume a pure crash
+    image must never be quarantined), [Fsck] and capture; the recovered
+    tree must equal one of the legal states. Torn/stuck media views get
+    the never-raise check instead. Content-determined verdicts are
+    memoized by full-content view hash. *)
+
+type memo
+(** Verdict cache keyed by view hash. Sound to share across runs on
+    devices of one size and csum setting; single-domain state. *)
+
+val memo_create : unit -> memo
+
+type prober
+(** One run's probing state: run-local dedup sets, state and dedup
+    counters, and the [o_state_sig] fold. *)
+
+val prober : memo:memo -> csum:bool -> Pmem.Device.t -> prober
+
+val probe :
+  prober ->
+  max_images:int ->
+  media_images:int option ->
+  legal:Vfs.Logical.t list ->
+  fail:(image:int -> string -> unit) ->
+  unit
+(** Probe the current fence of the prober's device: up to [max_images] crash
+    views, then (with [Some n]) up to [n] torn/stuck views. The
+    first failing view is reported through [fail] with its index, which
+    is expected to raise. *)
+
+val states : prober -> int
+val deduped : prober -> int
+
 (** Per-domain resource pool: one formatted device (template-blit reset
-    between runs instead of allocate + mkfs), its scratch engine, and the
-    content-hash-keyed fsck-verdict memo tables, all carried across the
-    runs that share the pool. Pooling is invisible in outcomes: reports,
+    between runs instead of allocate + mkfs), its scratch buffer, and the
+    prober's verdict {!memo}, all carried across the runs that share the
+    pool. Pooling is invisible in outcomes: reports,
     [states_deduped] and [o_sim_ns] are bit-identical with and without a
     pool. A pool is single-domain state — share one per domain/shard,
     never across domains. *)
@@ -58,15 +96,14 @@ val run :
   ?media_images_per_fence:int ->
   ?faults:Faults.Plan.t ->
   ?latency:Pmem.Latency.t ->
-  ?engine:Crashcheck.Harness.engine ->
   ?pool:Pool.t ->
   ?trace:Obs.Recorder.t ->
   ?metrics:Obs.Metrics.t ->
   Crashcheck.Workload.op list ->
   outcome
 (** Defaults: 256 KiB device, 8 crash images per fence, 4 media images
-    per fence, [Faults.none], zero latency, [engine = Delta], no pool
-    (fresh device + mkfs per call). [?sparse] forces the device's
+    per fence, [Faults.none], zero latency, no pool (fresh device + mkfs
+    per call). [?sparse] forces the device's
     backing representation (default: {!Pmem.Device.create}'s size-based
     choice). A sparse run is coverage-equivalent to a dense one —
     identical ops, fences, violations and {e unique} crash states — but
@@ -79,6 +116,9 @@ val run :
     non-trivial [?faults] plan the volume is formatted [~csum:true], the
     plan is installed, and torn/stuck media images (from
     [crash_views_faulty]) get the graceful-handling check on top of the
-    pure crash images. Fully deterministic for fixed arguments, and both
-    engines probe identical state sets and report identical outcomes
-    (the [Delta] engine additionally counts [states_deduped]). *)
+    pure crash images. With [bit_flips > 0] a sequence that passed ends
+    with Phase B: seeded flips in up to [bit_flips] committed inode
+    records, then scrub, degraded remount, quarantine and [EIO] checks,
+    which fill [faults_detected], [faults_quarantined] and [eio_checks]
+    ([o_sim_ns] is read before it). Fully deterministic for fixed
+    arguments. *)

@@ -105,15 +105,14 @@ let overlap a b =
 
    Same template-blit idea as [Exec.Pool], but the template is the
    durable image {e after} the setup prefix and a clean unmount, so each
-   enumerated schedule replays only the two ops. Verdict memo tables are
-   carried across schedules and pairs (verdicts are content-determined,
-   keyed by full-content view hash). *)
+   enumerated schedule replays only the two ops. The prober's verdict
+   memo is carried across schedules and pairs. *)
 
 type pool = {
   p_dev : Device.t;
   p_tmpl : Bytes.t;
   p_hash : int64 array * int64;
-  p_memo : (int64, (Logical.t, string) result) Hashtbl.t;
+  p_memo : Exec.memo;
 }
 
 let device_size = 256 * 1024
@@ -139,7 +138,7 @@ let make_pool () =
     p_dev = dev;
     p_tmpl = tmpl;
     p_hash = Device.image_hash_state tmpl;
-    p_memo = Hashtbl.create 512;
+    p_memo = Exec.memo_create ();
   }
 
 (* {2 The coroutine scheduler} *)
@@ -179,67 +178,13 @@ let run_schedule pool ~legal ~final ~(ops : W.op array) ~prefix =
   in
   let recorder = Obs.Recorder.create () in
   Sq.Tracing.attach ctx recorder;
-  let states = ref 0 and deduped = ref 0 in
   let fail = ref None in
-  let scr =
-    match Device.attached_scratch dev with
-    | Some s -> s
-    | None -> Device.scratch dev
-  in
-  (* Content-determined verdict of one crash image (memoized); the
-     legal-set comparison stays outside the memo, as in [Exec]. *)
-  let check_state v =
-    let d2 =
-      Device.apply_view scr v;
-      Device.of_view scr
-    in
-    match Layout.Records.Superblock.read d2 with
-    | None -> Error "crash image has no superblock"
-    | Some sb -> (
-        match Sq.Fsck.check_raw d2 sb.Layout.Records.Superblock.geometry with
-        | _ :: _ as errs -> Error ("raw invariants: " ^ String.concat " | " errs)
-        | [] -> (
-            match Sq.mount d2 with
-            | Error e -> Error ("crash image fails to mount: " ^ Errno.to_string e)
-            | Ok fs2 -> (
-                match Sq.Fsck.check fs2 with
-                | _ :: _ as errs -> Error ("fsck: " ^ String.concat " | " errs)
-                | [] -> (
-                    match Logical.capture (module Squirrelfs) fs2 with
-                    | exception Failure msg -> Error ("capture: " ^ msg)
-                    | got -> Ok got))))
-  in
-  let seen = Hashtbl.create 64 in
-  let probe d =
-    List.iter
-      (fun v ->
-        incr states;
-        let h = Device.view_hash dev v in
-        if Hashtbl.mem seen h then incr deduped else Hashtbl.replace seen h ();
-        let verdict =
-          match Hashtbl.find_opt pool.p_memo h with
-          | Some verdict -> verdict
-          | None ->
-              let verdict = check_state v in
-              Hashtbl.replace pool.p_memo h verdict;
-              verdict
-        in
-        match verdict with
-        | Error detail -> raise (Stop detail)
-        | Ok got ->
-            if
-              not
-                (List.exists
-                   (fun st -> Logical.equal ~compare_data:false got st)
-                   !legal)
-            then
-              raise
-                (Stop
-                   (Format.asprintf
-                      "recovered crash state matches no legal interleaving \
-                       state; got %a"
-                      Logical.pp got)))
-      (Device.crash_views ~max_images:8 d)
+  (* the shared crash-state prober, as in [Exec]; the legal set is the
+     four subset states (or the final state, for the closing probe) *)
+  let pr = Exec.prober ~memo:pool.p_memo ~csum:false dev in
+  let probe _ =
+    Exec.probe pr ~max_images:8 ~media_images:None ~legal:!legal
+      ~fail:(fun ~image:_ detail -> raise (Stop detail))
   in
   let nf = Array.length ops in
   let fibers =
@@ -342,8 +287,8 @@ let run_schedule pool ~legal ~final ~(ops : W.op array) ~prefix =
     so_schedule = List.rev !schedule;
     so_branches = !branches;
     so_fail = !fail;
-    so_states = !states;
-    so_deduped = !deduped;
+    so_states = Exec.states pr;
+    so_deduped = Exec.deduped pr;
     so_ssu = ssu;
     so_results = Array.map (function Done r -> r | _ -> Error Errno.EIO) fibers;
   }

@@ -332,8 +332,7 @@ let read_h t tag ~off ~len =
       else Ok (String.sub f.data off (min len (f.size - off)))
 
 (* Correct-semantics counterpart of [Crashcheck.Buggy.write_append]: a
-   page-aligned append (same placement arithmetic as the mutant and as
-   [Crashcheck.Workload.apply]'s oracle path). *)
+   page-aligned append (same placement arithmetic as the mutant). *)
 let buggy_append t path data =
   with_file t path (fun f ->
       let ps = Layout.Geometry.page_size in

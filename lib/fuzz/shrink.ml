@@ -62,3 +62,20 @@ let minimize ~fails ?(max_runs = 400) ops =
   (* pass 3: payload changes can unlock further drops *)
   let ops = fix (Array.to_list arr) in
   (ops, !runs)
+
+(* Turn a failing run into a reproducer: ops after the crash point cannot
+   contribute, so start from the failing prefix if it still fails on its
+   own, minimize, then re-run the result to pin its crash point. Returns
+   (reproducer, detail, crash point, executor runs used). *)
+let reproduce ~(exec : W.op list -> Exec.outcome) ops (cp, detail) =
+  let runs = ref 0 in
+  let fails l =
+    incr runs;
+    (exec l).Exec.o_fail <> None
+  in
+  let prefix = List.filteri (fun i _ -> i <= cp.Exec.cp_op) ops in
+  let start = if fails prefix then prefix else ops in
+  let m, _ = minimize ~fails start in
+  match (exec m).Exec.o_fail with
+  | Some (mcp, mdet) -> (m, mdet, mcp, !runs + 1)
+  | None -> (start, detail, cp, !runs + 1)

@@ -228,52 +228,46 @@ let test_read_fault_accounting () =
     st2.Pmem.Stats.read_faults;
   Alcotest.(check bool) "read_meta charges latency" true (Device.now_ns dev > t0)
 
-(* {1 Harness integration} *)
+(* {1 Fault runs through the crash oracle ([Fuzzer.Exec.run])} *)
 
-(* Same seed => byte-identical report (including the fault counters). *)
+module H = Crashcheck.Harness
+
+(* Same plan, same outcome — fault counters and media states included —
+   and Phase B detects and EIO-checks both flips. *)
 let test_harness_fault_run_deterministic () =
   let plan = Plan.make ~seed:11 ~bit_flips:2 ~torn_line_rate:0.2 () in
-  let w =
-    Crashcheck.Workload.[ Create "/a"; Write ("/a", 0, "data"); Mkdir "/d" ]
-  in
-  let r1 = Crashcheck.Harness.run_workload ~faults:plan w in
-  let r2 = Crashcheck.Harness.run_workload ~faults:plan w in
-  Alcotest.(check bool) "identical reports" true (r1 = r2);
-  Alcotest.(check int) "no violations" 0
-    (List.length r1.Crashcheck.Harness.violations);
-  Alcotest.(check int) "both flips detected" 2
-    r1.Crashcheck.Harness.faults_detected;
-  Alcotest.(check int) "both flips EIO-checked" 2
-    r1.Crashcheck.Harness.eio_checks;
-  Alcotest.(check bool) "media images probed" true
-    (r1.Crashcheck.Harness.media_states > 0)
+  let w = Crashcheck.Workload.[ Create "/a"; Write ("/a", 0, "data"); Mkdir "/d" ] in
+  let o1 = Fuzzer.Exec.run ~faults:plan w and o2 = Fuzzer.Exec.run ~faults:plan w in
+  Alcotest.(check bool) "identical outcomes" true (o1 = o2);
+  let r = o1.Fuzzer.Exec.o_report in
+  Alcotest.(check int) "no violations" 0 (List.length r.H.violations);
+  Alcotest.(check int) "both flips detected" 2 r.H.faults_detected;
+  Alcotest.(check int) "both flips EIO-checked" 2 r.H.eio_checks;
+  Alcotest.(check bool) "media images probed" true (r.H.media_states > 0)
 
 (* The reinjected ordering bugs must still be caught when the volume
-   carries checksums (the fault plan makes the harness format csum). *)
+   carries checksums (any non-trivial plan formats csum). *)
 let test_buggy_still_caught_under_csum () =
   let plan = Plan.make ~seed:5 () in
   List.iter
     (fun w ->
-      let r = Crashcheck.Harness.run_workload ~faults:plan w in
       Alcotest.(check bool) "caught" true
-        (r.Crashcheck.Harness.violations <> []))
+        ((Fuzzer.Exec.run ~faults:plan w).Fuzzer.Exec.o_fail <> None))
     Crashcheck.Workload.
       [
         [ Mkdir "/d"; Buggy_create "/b" ];
         [ Create "/a"; Write ("/a", 0, "xy"); Buggy_unlink "/a" ];
       ]
 
-(* With faults disabled the harness must behave exactly as before the
-   subsystem existed: plain volume, zero fault counters. *)
+(* Without a plan: plain volume, zero fault counters. *)
 let test_harness_no_faults_zero_counters () =
-  let w = Crashcheck.Workload.[ Create "/a"; Mkdir "/d" ] in
-  let r = Crashcheck.Harness.run_workload w in
-  Alcotest.(check int) "no violations" 0
-    (List.length r.Crashcheck.Harness.violations);
-  Alcotest.(check int) "no media states" 0 r.Crashcheck.Harness.media_states;
-  Alcotest.(check int) "no injected" 0 r.Crashcheck.Harness.faults_injected;
-  Alcotest.(check int) "no detected" 0 r.Crashcheck.Harness.faults_detected;
-  Alcotest.(check int) "no eio checks" 0 r.Crashcheck.Harness.eio_checks
+  let o = Fuzzer.Exec.run Crashcheck.Workload.[ Create "/a"; Mkdir "/d" ] in
+  let r = o.Fuzzer.Exec.o_report in
+  Alcotest.(check int) "no violations" 0 (List.length r.H.violations);
+  Alcotest.(check int) "no media states" 0 r.H.media_states;
+  Alcotest.(check int) "no injected" 0 r.H.faults_injected;
+  Alcotest.(check int) "no detected" 0 r.H.faults_detected;
+  Alcotest.(check int) "no eio checks" 0 r.H.eio_checks
 
 (* {1 Property-style cases shared with the fuzzer} *)
 

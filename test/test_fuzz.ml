@@ -15,9 +15,13 @@ let check_clean name ops =
   | Some (cp, detail) ->
       Alcotest.failf "%s: unexpected violation at op %d: %s" name cp.F.Exec.cp_op detail
 
-let check_fails name ops =
-  let o = run ops in
-  if o.F.Exec.o_fail = None then Alcotest.failf "%s: expected a violation" name
+(* the mutants are caught at the fuzzer's image budget and at 12 *)
+let expect_caught name ops =
+  List.iter
+    (fun images ->
+      if (F.Exec.run ~max_images_per_fence:images ops).F.Exec.o_fail = None then
+        Alcotest.failf "%s not detected at %d images per fence" name images)
+    [ 8; 12 ]
 
 (* {1 Reference model} *)
 
@@ -158,13 +162,13 @@ let test_staged_append_ssu_clean () =
         (fun ppf -> Obs.Ssu.pp_violation ppf)
         v
 
-let test_buggy_create_fails () = check_fails "buggy create" W.[ Mkdir "/d"; Buggy_create "/x" ]
+let test_buggy_create_fails () = expect_caught "buggy create" W.[ Mkdir "/d"; Buggy_create "/x" ]
 
 let test_buggy_unlink_fails () =
-  check_fails "buggy unlink" W.[ Create "/a"; Buggy_unlink "/a" ]
+  expect_caught "buggy unlink" W.[ Create "/a"; Buggy_unlink "/a" ]
 
 let test_buggy_write_fails () =
-  check_fails "buggy write" W.[ Create "/a"; Buggy_write ("/a", "z") ]
+  expect_caught "buggy write" W.[ Create "/a"; Buggy_write ("/a", "z") ]
 
 (* Capacity exhaustion is a divergence, never a violation: the model has
    no limits, SquirrelFS reports clean ENOSPC, both keep going. *)
@@ -180,6 +184,171 @@ let test_enospc_is_divergence_not_violation () =
   | None -> ()
   | Some (_, d) -> Alcotest.failf "unexpected violation: %s" d);
   Alcotest.(check bool) "diverged at least once" true (o.F.Exec.o_divergences >= 1)
+
+(* {1 Crash-checker workload corpus}
+
+   Fixed workloads covering every namespace op and the data paths, run
+   at 12 crash images per fence (4 more than the fuzzer's default) on
+   one device pool, plus the reinjected mutants ([expect_caught]). *)
+
+let check_clean_all name workloads =
+  let pool = F.Exec.Pool.create () in
+  let states = ref 0 in
+  List.iter
+    (fun ops ->
+      let o = F.Exec.run ~pool ~max_images_per_fence:12 ops in
+      (match o.F.Exec.o_fail with
+      | None -> ()
+      | Some (cp, detail) ->
+          Alcotest.failf "%s: %a: violation at op %d: %s" name W.pp ops cp.F.Exec.cp_op detail);
+      states := !states + o.F.Exec.o_report.Crashcheck.Harness.crash_states)
+    workloads;
+  Alcotest.(check bool) (name ^ " probed crash states") true (!states > 0)
+
+let test_create_workloads () =
+  check_clean_all "create"
+    W.[ [ Create "/a" ]; [ Create "/a"; Create "/b"; Create "/c" ]; [ Mkdir "/d"; Create "/d/a" ] ]
+
+let test_write_workloads () =
+  check_clean_all "write"
+    W.
+      [
+        [ Create "/a"; Write ("/a", 0, String.make 100 'x') ];
+        [ Create "/a"; Write ("/a", 0, String.make 5000 'x') ];
+        [ Create "/a"; Write ("/a", 0, String.make 100 'x'); Write ("/a", 100, String.make 100 'y') ];
+        [ Create "/a"; Write ("/a", 10000, "sparse") ];
+        [ Create "/a"; Write ("/a", 0, String.make 9000 'x'); Truncate ("/a", 100) ];
+        [ Create "/a"; Truncate ("/a", 9000) ];
+      ]
+
+let test_unlink_workloads () =
+  check_clean_all "unlink"
+    W.
+      [
+        [ Create "/a"; Unlink "/a" ];
+        [ Create "/a"; Write ("/a", 0, String.make 8192 'x'); Unlink "/a" ];
+        [ Mkdir "/d"; Rmdir "/d" ];
+        [ Create "/a"; Link ("/a", "/b"); Unlink "/a"; Unlink "/b" ];
+      ]
+
+let test_rename_workloads () =
+  check_clean_all "rename"
+    W.
+      [
+        [ Create "/a"; Rename ("/a", "/b") ];
+        [ Create "/a"; Create "/b"; Rename ("/a", "/b") ];
+        [ Mkdir "/d"; Create "/a"; Rename ("/a", "/d/a") ];
+        [ Mkdir "/d"; Mkdir "/e"; Rename ("/d", "/e") ];
+        [ Mkdir "/d"; Mkdir "/e"; Rename ("/d", "/e/d") ];
+        [ Mkdir "/d"; Create "/d/f"; Mkdir "/e"; Rename ("/d/f", "/e/f"); Rename ("/e", "/d/e") ];
+        [ Create "/a"; Link ("/a", "/b"); Rename ("/a", "/b") ];
+        [ Create "/a"; Symlink ("/a", "/s"); Rename ("/s", "/t") ];
+      ]
+
+(* a deterministic slice of the seq-2 matrix ([fuzz --enum] runs it all) *)
+let test_systematic_sample () =
+  check_clean_all "systematic sample"
+    (List.filteri (fun i _ -> i mod 13 = 0) (W.systematic_pairs ()))
+
+let test_random_fuzz () =
+  let r =
+    F.run
+      { F.default_cfg with seed = 42; iters = 10; op_budget = 6; buggy_rate = 0.; max_images = 12 }
+  in
+  if r.F.r_harness.Crashcheck.Harness.violations <> [] then
+    Alcotest.failf "clean fuzzing: %a" Crashcheck.Harness.pp_report r.F.r_harness;
+  Alcotest.(check bool) "probed crash states" true
+    (r.F.r_harness.Crashcheck.Harness.crash_states > 0)
+
+let test_buggy_create_detected () =
+  expect_caught "buggy create" W.[ Mkdir "/d"; Buggy_create "/b" ]
+
+let test_buggy_unlink_detected () =
+  expect_caught "buggy unlink" W.[ Create "/a"; Write ("/a", 0, "data"); Buggy_unlink "/a" ]
+
+let test_buggy_write_detected () =
+  expect_caught "buggy write" W.[ Create "/a"; Buggy_write ("/a", String.make 500 'z') ]
+
+(* the same logical operations through the typestate API are clean *)
+let test_correct_versions_pass () =
+  check_clean_all "correct counterparts"
+    W.
+      [
+        [ Mkdir "/d"; Create "/b" ];
+        [ Create "/a"; Write ("/a", 0, "data"); Unlink "/a" ];
+        [ Create "/a"; Write ("/a", 0, String.make 500 'z') ];
+      ]
+
+(* {2 Data atomicity}
+
+   The crash oracle compares metadata and sizes only: plain data writes
+   are not crash-atomic (in SquirrelFS or any evaluated system). COW
+   writes (the §3.4 extension) are, which needs a data-comparing oracle:
+   a fence hook that mounts every crash image and requires the model's
+   state before or after the current op, file contents included. Returns
+   the number of images that recover to neither. *)
+let torn_data_images ops =
+  let dev = Pmem.Device.create ~size:(512 * 1024) () in
+  Squirrelfs.mkfs dev;
+  let fs =
+    match Squirrelfs.mount dev with
+    | Ok fs -> fs
+    | Error e -> Alcotest.failf "mount: %s" (Vfs.Errno.to_string e)
+  in
+  let legal = ref [] and torn = ref 0 in
+  let check img =
+    match Squirrelfs.mount (Pmem.Device.of_image img) with
+    | Error _ -> incr torn
+    | Ok fs2 ->
+        let got = Vfs.Logical.capture (module Squirrelfs) fs2 in
+        if not (List.exists (Vfs.Logical.equal ~compare_data:true got) !legal) then incr torn
+  in
+  Pmem.Device.set_fence_hook dev
+    (Some (fun d -> List.iter check (Pmem.Device.crash_images ~max_images:12 d)));
+  ignore
+    (List.fold_left
+       (fun m op ->
+         let m', r = F.Ref_fs.apply m op in
+         let next = if r = Ok () then m' else m in
+         legal := [ F.Ref_fs.capture m; F.Ref_fs.capture next ];
+         ignore (F.Exec.apply_sq fs op : (unit, Vfs.Errno.t) result);
+         next)
+       F.Ref_fs.empty ops
+      : F.Ref_fs.t);
+  Pmem.Device.set_fence_hook dev None;
+  !torn
+
+let test_atomic_write_survives_data_compare () =
+  Alcotest.(check int) "torn images" 0
+    (torn_data_images
+       W.
+         [
+           Create "/a";
+           Write_atomic ("/a", 0, String.make 4096 'o');
+           Write_atomic ("/a", 0, String.make 4096 'n');
+           Write_atomic ("/a", 1000, "patch");
+         ])
+
+(* the control: plain overwrites MUST tear under data comparison *)
+let test_regular_write_is_not_atomic () =
+  Alcotest.(check bool) "plain overwrite tears" true
+    (torn_data_images
+       W.[ Create "/a"; Write ("/a", 0, String.make 4096 'o'); Write ("/a", 0, String.make 4096 'n') ]
+    > 0)
+
+(* under the metadata oracle COW-write workloads are as clean as the rest *)
+let test_atomic_write_metadata_clean () =
+  check_clean_all "atomic writes"
+    W.
+      [
+        [ Create "/a"; Write_atomic ("/a", 0, String.make 5000 'x') ];
+        [
+          Create "/a";
+          Write ("/a", 0, String.make 8192 'i');
+          Write_atomic ("/a", 2048, String.make 4096 'j');
+          Unlink "/a";
+        ];
+      ]
 
 (* {1 Shrinking} *)
 
@@ -285,7 +454,11 @@ let test_fuzzer_deterministic () =
   let r1 = F.run cfg and r2 = F.run cfg in
   Alcotest.(check string) "rendered reports identical" (F.report_to_string r1)
     (F.report_to_string r2);
-  Alcotest.(check bool) "reports structurally identical" true (r1 = r2)
+  Alcotest.(check bool) "reports structurally identical" true (r1 = r2);
+  (* an 8-iteration run revisits plenty of recovered states: the verdict
+     memo must actually fire *)
+  Alcotest.(check bool) "states deduped" true
+    (r1.F.r_harness.Crashcheck.Harness.states_deduped > 0)
 
 (* Generation alone is deterministic too (guards the generator if the
    executor ever grows state). *)
@@ -320,31 +493,7 @@ let test_fuzzer_with_media_faults () =
        r1.F.r_harness.Crashcheck.Harness.violations);
   Alcotest.(check bool) "deterministic" true (r1 = r2)
 
-(* {1 Engine equivalence and parallel sharding} *)
-
-(* The Copy and Delta engines probe the same crash-state sets in the
-   same order; only the work done per state differs. Reports must agree
-   on everything except the dedup counter (Copy never memoizes). *)
-let test_engines_equivalent () =
-  let cfg k =
-    { F.default_cfg with seed = 5; iters = 10; op_budget = 6;
-      buggy_rate = 0.25; engine = k }
-  in
-  let rc = F.run (cfg Crashcheck.Harness.Copy)
-  and rd = F.run (cfg Crashcheck.Harness.Delta) in
-  let strip r =
-    { r with
-      F.r_harness =
-        { r.F.r_harness with Crashcheck.Harness.states_deduped = 0 } }
-  in
-  Alcotest.(check bool) "identical modulo dedup counter" true
-    (strip rc = strip rd);
-  Alcotest.(check int) "Copy engine never dedups" 0
-    rc.F.r_harness.Crashcheck.Harness.states_deduped;
-  (* A 10-iteration run revisits plenty of recovered states: the Delta
-     engine's memo table must actually fire. *)
-  Alcotest.(check bool) "Delta engine dedups" true
-    (rd.F.r_harness.Crashcheck.Harness.states_deduped > 0)
+(* {1 Parallel sharding} *)
 
 (* Sharding the seed space across domains is invisible in the merged,
    canonicalized report: -j 3 == -j 1, bit for bit. *)
@@ -388,21 +537,18 @@ let test_jobs_clamped_to_work () =
   Alcotest.(check int) "-j 1 is one shard" 1 (List.length stats1);
   Alcotest.(check bool) "report == -j 1" true (r8 = r1)
 
-(* -j N == -j 1 (both post-canonicalize) across seeds, engines and a
-   media-fault plan: the work-stealing partition, the per-shard device
-   pools and the carried memo tables are all invisible in the report. *)
+(* -j N == -j 1 (both post-canonicalize) across seeds and a media-fault
+   plan: the work-stealing partition, the per-shard device pools and the
+   carried memo tables are all invisible in the report. *)
 let test_parallel_determinism_matrix () =
-  let base seed engine =
-    { F.default_cfg with seed; iters = 6; op_budget = 5; buggy_rate = 0.25; engine }
-  in
+  let base seed = { F.default_cfg with seed; iters = 6; op_budget = 5; buggy_rate = 0.25 } in
   let cfgs =
     [
-      ("delta seed 2", base 2 Crashcheck.Harness.Delta);
-      ("delta seed 11", base 11 Crashcheck.Harness.Delta);
-      ("copy seed 2", base 2 Crashcheck.Harness.Copy);
-      ( "delta media faults",
+      ("seed 2", base 2);
+      ("seed 11", base 11);
+      ( "media faults",
         {
-          (base 7 Crashcheck.Harness.Delta) with
+          (base 7) with
           F.buggy_rate = 0.;
           faults =
             Faults.Plan.make ~seed:7 ~torn_line_rate:0.25 ~stuck_line_rate:0.1 ();
@@ -456,7 +602,17 @@ let test_pool_transparent () =
   let fresh = F.Exec.run ops2 in
   Alcotest.(check bool) "warm pooled run == fresh run" true (warm = fresh);
   Alcotest.(check bool) "workload found its violation" true
-    (warm.F.Exec.o_fail <> None)
+    (warm.F.Exec.o_fail <> None);
+  (* Phase B flips the pooled device's durable bits; the next reset must
+     leave no trace of them *)
+  let faults = Faults.Plan.make ~seed:11 ~bit_flips:2 () in
+  let pool = F.Exec.Pool.create () in
+  let first = F.Exec.run ~pool ~faults ops1 in
+  Alcotest.(check int) "Phase B flipped and caught both inodes" 2
+    first.F.Exec.o_report.Crashcheck.Harness.faults_detected;
+  let warm = F.Exec.run ~pool ~faults ops1 in
+  let fresh = F.Exec.run ~faults ops1 in
+  Alcotest.(check bool) "warm pooled run after Phase B == fresh run" true (warm = fresh)
 
 let () =
   Alcotest.run "fuzz"
@@ -480,6 +636,30 @@ let () =
           Alcotest.test_case "ENOSPC is benign divergence" `Quick
             test_enospc_is_divergence_not_violation;
         ] );
+      ( "clean",
+        [
+          Alcotest.test_case "create workloads" `Quick test_create_workloads;
+          Alcotest.test_case "write workloads" `Quick test_write_workloads;
+          Alcotest.test_case "unlink workloads" `Quick test_unlink_workloads;
+          Alcotest.test_case "rename workloads" `Quick test_rename_workloads;
+          Alcotest.test_case "systematic sample" `Slow test_systematic_sample;
+          Alcotest.test_case "random fuzz" `Slow test_random_fuzz;
+        ] );
+      ( "buggy",
+        [
+          Alcotest.test_case "buggy create detected" `Quick test_buggy_create_detected;
+          Alcotest.test_case "buggy unlink detected" `Quick test_buggy_unlink_detected;
+          Alcotest.test_case "buggy write detected" `Quick test_buggy_write_detected;
+          Alcotest.test_case "correct versions pass" `Quick test_correct_versions_pass;
+        ] );
+      ( "cow-writes",
+        [
+          Alcotest.test_case "atomic under data compare" `Quick
+            test_atomic_write_survives_data_compare;
+          Alcotest.test_case "plain write tears (control)" `Quick
+            test_regular_write_is_not_atomic;
+          Alcotest.test_case "metadata oracle clean" `Quick test_atomic_write_metadata_clean;
+        ] );
       ( "shrink",
         [
           Alcotest.test_case "minimizes to the cause" `Quick test_shrinker_minimizes;
@@ -501,10 +681,8 @@ let () =
           Alcotest.test_case "media faults deterministic" `Quick
             test_fuzzer_with_media_faults;
         ] );
-      ( "engine",
+      ( "parallel",
         [
-          Alcotest.test_case "Copy == Delta modulo dedup" `Slow
-            test_engines_equivalent;
           Alcotest.test_case "-j 3 == -j 1 canonicalized" `Slow
             test_parallel_matches_sequential;
         ] );
@@ -512,7 +690,7 @@ let () =
         [
           Alcotest.test_case "jobs clamped to iteration count" `Quick
             test_jobs_clamped_to_work;
-          Alcotest.test_case "-j 4 == -j 1 across seeds/engines/faults" `Slow
+          Alcotest.test_case "-j 4 == -j 1 across seeds and faults" `Slow
             test_parallel_determinism_matrix;
           Alcotest.test_case "global progress counter" `Quick
             test_global_progress;
