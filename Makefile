@@ -1,4 +1,4 @@
-.PHONY: all build check test faultcheck-smoke fuzz-smoke serve-smoke enum-smoke datapath-smoke largevol-smoke snap-smoke perfbench-smoke bench bench-json bench-json-quick serve-json serve-json-quick clean
+.PHONY: all build check test faultcheck-smoke fuzz-smoke serve-smoke enum-smoke datapath-smoke tab2-smoke largevol-smoke snap-smoke perfbench-smoke bench bench-json bench-json-quick serve-json serve-json-quick clean
 
 all: build
 
@@ -11,6 +11,7 @@ check:
 	$(MAKE) enum-smoke
 	$(MAKE) serve-smoke
 	$(MAKE) datapath-smoke
+	$(MAKE) tab2-smoke
 	$(MAKE) largevol-smoke
 	$(MAKE) bench-json-quick
 	$(MAKE) snap-smoke
@@ -60,13 +61,21 @@ serve-smoke: build
 	@echo "== fuzz --interleaved --expect-buggy =="
 	dune exec bin/fuzz.exe -- --interleaved --expect-buggy
 
-# Split-data-path smoke: exact fence counts for the coalesced write
-# schedule (in-place = 1 sfence, extending append = 2, against the
-# legacy 2/3 ablation) and open-handle vs path-resolving throughput.
+# Split-data-path smoke: exact fence counts for the write schedule
+# (in-place = 1 sfence, extending append <= 2) and open-handle vs
+# path-resolving throughput (handle >= path for appends and reads).
 # Exits non-zero on any regression (see the `datapath` bench section).
 datapath-smoke: build
 	@echo "== bench datapath (fence schedule + handle throughput) =="
 	dune exec bench/main.exe -- datapath
+
+# Table 2 shape smoke: simulated mount times on a 64 MiB volume, empty
+# and filled to 100% utilization. Exits 2 unless the full mount costs
+# more than twice the empty one and recovery exceeds a normal mount at
+# full utilization (the paper's Table 2 shape).
+tab2-smoke: build
+	@echo "== bench tab2 (mount-time shape) =="
+	dune exec bench/main.exe -- tab2
 
 # Large-sparse-volume smoke: mkfs + mount + a 100k-file create/stat
 # sweep on a 4 GiB lazily-backed volume, gated on near-constant mkfs

@@ -210,7 +210,13 @@ let tab2 () =
   Printf.printf "%-22s %10.2f\n" "recovery mount, empty" rec_empty_ms;
   Printf.printf "%-22s %10.2f\n" "recovery mount, full" rec_full_ms;
   Printf.printf
-    "(paper shape: full >> empty; recovery > normal at the same utilization)\n"
+    "(paper shape: full >> empty; recovery > normal at the same utilization)\n";
+  (* The shape gate: a full volume costs more than twice an empty one to
+     mount, and recovery costs more than a normal mount when full. *)
+  if not (full_ms > 2. *. empty_ms && rec_full_ms > full_ms) then begin
+    Printf.printf "TABLE 2 SHAPE REGRESSION\n";
+    exit 2
+  end
 
 (* {1 Table 3: LoC and static checking} *)
 
@@ -441,16 +447,13 @@ let ablate () =
 
    Measures the two halves of the SplitFS-style datapath work: the
    coalesced fence schedule (in-place write = 1 sfence, extending
-   append = 2, against the legacy 2/3 with [coalesce] off) and the
-   open-handle ops against their path-resolving equivalents on a deep
-   path. Everything is simulated time and exact fence counts, so the
-   numbers are deterministic and gate-able. *)
+   append = 2) and the open-handle ops against their path-resolving
+   equivalents on a deep path. Everything is simulated time and exact
+   fence counts, so the numbers are deterministic and gate-able. *)
 
 type datapath = {
-  dp_inplace : float;  (** fences per in-place 4K overwrite, coalesced *)
-  dp_extend : float;  (** fences per one-page extending append, coalesced *)
-  dp_inplace_legacy : float;
-  dp_extend_legacy : float;
+  dp_inplace : float;  (** fences per in-place 4K overwrite *)
+  dp_extend : float;  (** fences per one-page extending append *)
   dp_append_path : float;  (** path-resolving appends per simulated sec *)
   dp_append_h : float;  (** handle appends per simulated sec *)
   dp_read_path : float;
@@ -458,11 +461,10 @@ type datapath = {
 }
 
 let measure_datapath () =
-  let fences_per_op ~coalesce ~inplace =
+  let fences_per_op ~inplace =
     let dev = device ~mb:8 () in
     Squirrelfs.mkfs dev;
     let fs = ok (Squirrelfs.mount dev) in
-    fs.Squirrelfs.Fsctx.coalesce <- coalesce;
     ok (Squirrelfs.create fs "/f");
     let page = String.make 4096 'p' in
     ignore (ok (Squirrelfs.write fs "/f" ~off:0 page));
@@ -515,38 +517,31 @@ let measure_datapath () =
     ops_per_sim_sec ()
   in
   {
-    dp_inplace = fences_per_op ~coalesce:true ~inplace:true;
-    dp_extend = fences_per_op ~coalesce:true ~inplace:false;
-    dp_inplace_legacy = fences_per_op ~coalesce:false ~inplace:true;
-    dp_extend_legacy = fences_per_op ~coalesce:false ~inplace:false;
+    dp_inplace = fences_per_op ~inplace:true;
+    dp_extend = fences_per_op ~inplace:false;
     dp_append_path;
     dp_append_h;
     dp_read_path;
     dp_read_h;
   }
 
-(* The acceptance bar: coalesced in-place = exactly 1 fence, extending
-   append within 2; never worse than the legacy schedule; handle ops at
-   least match their path equivalents. *)
+(* The acceptance bar: in-place = exactly 1 fence, extending append
+   within 2; handle ops at least match their path equivalents. *)
 let datapath_ok d =
   d.dp_inplace = 1.0
   && d.dp_extend <= 2.0
-  && d.dp_inplace <= d.dp_inplace_legacy
-  && d.dp_extend <= d.dp_extend_legacy
   && d.dp_append_h >= d.dp_append_path
   && d.dp_read_h >= d.dp_read_path
 
 let datapath_json d =
   Printf.sprintf
     "{ \"inplace_fences_per_op\": %.2f, \"extend_fences_per_op\": %.2f, \
-     \"legacy_inplace_fences_per_op\": %.2f, \
-     \"legacy_extend_fences_per_op\": %.2f, \
      \"appends_per_sim_s_path\": %.1f, \"appends_per_sim_s_handle\": %.1f, \
      \"reads_per_sim_s_path\": %.1f, \"reads_per_sim_s_handle\": %.1f, \
      \"handle_append_speedup\": %.3f, \"handle_read_speedup\": %.3f, \
      \"ok\": %b }"
-    d.dp_inplace d.dp_extend d.dp_inplace_legacy d.dp_extend_legacy
-    d.dp_append_path d.dp_append_h d.dp_read_path d.dp_read_h
+    d.dp_inplace d.dp_extend d.dp_append_path d.dp_append_h d.dp_read_path
+    d.dp_read_h
     (d.dp_append_h /. d.dp_append_path)
     (d.dp_read_h /. d.dp_read_path)
     (datapath_ok d)
@@ -554,8 +549,8 @@ let datapath_json d =
 let datapath () =
   section "Split data path: fence schedule and open-handle throughput";
   let d = measure_datapath () in
-  Printf.printf "fences/op:   in-place %.2f (legacy %.2f), extend %.2f (legacy %.2f)\n"
-    d.dp_inplace d.dp_inplace_legacy d.dp_extend d.dp_extend_legacy;
+  Printf.printf "fences/op:   in-place %.2f, extend %.2f\n" d.dp_inplace
+    d.dp_extend;
   Printf.printf
     "appends/sim-s: path %.0f, handle %.0f (%.2fx); reads/sim-s: path %.0f, \
      handle %.0f (%.2fx)\n"
@@ -647,7 +642,7 @@ let faults () =
 
    A multi-GB simulated volume must cost what is *touched*, not what is
    formatted: mkfs and an empty mount are near-constant (lazy chunk
-   backing plus the indexed run allocator, populated from geometry in
+   backing plus the run allocator, populated from geometry in
    O(1)), a populated mount scans only backed spans, and resident
    memory tracks touched lines rather than volume size. The section
    times a sharded create/stat sweep on a volume above the sparse
@@ -1004,7 +999,7 @@ let fuzz_json_common ~mode ~mb ~iters ~op_budget ~jiters_per_job () =
   (* Split-data-path gauges: exact fence counts and handle-vs-path
      throughput, gated below like the sharding/enum invariants. *)
   let dp = measure_datapath () in
-  (* Large-volume gauges: sparse backing + indexed allocator scaling
+  (* Large-volume gauges: sparse backing + run allocator scaling
      (quick keeps the volume just above the sparse threshold so `make
      check` stays fast; full runs the 4 GiB smoke configuration). *)
   let lv =

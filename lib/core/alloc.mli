@@ -4,61 +4,43 @@
     tables at mount. SquirrelFS uses a per-CPU page allocator and a
     single shared inode allocator.
 
-    Two representations share this interface. The {e legacy} list-based
-    allocator ({!create}/{!populated}) keeps small dense volumes
-    bit-identical to the historical behaviour. The {e indexed}
-    allocator ({!indexed_populated}) keeps free space as maximal runs
-    with a by-length index: population is O(1) from geometry,
-    single-page allocation and {!reserve_page}/{!reserve_inode} are
-    O(log runs), and contiguous (optionally aligned) extents are carved
-    directly from the run index — the large-volume/sparse-device
-    configuration. *)
+    Free space is kept as maximal runs with a by-length index:
+    population is O(1) from geometry, single-page allocation and
+    {!reserve_page}/{!reserve_inode} are O(log runs), and contiguous
+    (optionally aligned) extents are carved directly from the run
+    index. Freed pages go to per-CPU LIFO stacks; freed inode numbers
+    to one LIFO stack. *)
 
 type t
 
-val create : cpus:int -> Layout.Geometry.t -> t
-(** Empty legacy allocator covering no resources; populate with
-    [add_free_*]. *)
-
 val populated : cpus:int -> Layout.Geometry.t -> t
-(** Legacy allocator with every inode (except the root) and every page
-    free — the mkfs state. O(inodes + pages). *)
-
-val indexed_populated : cpus:int -> Layout.Geometry.t -> t
-(** Indexed allocator with every inode (except the root) and every page
-    free, in O(1): one run each. Carve out live objects with
+(** Allocator with every inode (except the root) and every page free,
+    in O(1): one run each. Carve out live objects with
     {!reserve_inode}/{!reserve_page}. *)
-
-val is_indexed : t -> bool
-
-val cpus : t -> int
-
-val add_free_inode : t -> int -> unit
-val add_free_page : t -> int -> unit
-(** Population primitives. On an indexed allocator, [add_free_page]
-    inserts into the run index with coalescing. *)
 
 val reserve_inode : t -> int -> unit
 val reserve_page : t -> int -> unit
-(** Remove one currently-free object from the allocator (the sparse
-    mount rebuild: start fully free, reserve what the scan finds live).
-    O(log runs) indexed; raises [Invalid_argument] if not free. *)
+(** Remove one currently-free object from the allocator (the mount
+    rebuild: start fully free, reserve what the scan finds live).
+    O(log runs); raises [Invalid_argument] if not free. *)
 
 val alloc_inode : t -> int option
+(** Freed numbers first (LIFO), then the never-used ones ascending. *)
+
 val free_inode : t -> int -> unit
 
 val alloc_page : ?cpu:int -> t -> int option
-(** Takes from the given CPU's pool (legacy) or freed-page stack then
-    placement region (indexed), stealing from others when empty. The
-    steal scan starts at the pool after the requesting CPU and rotates,
-    so no pool drains first systematically. Negative [cpu] hints are
-    floor-normalized into range. *)
+(** Takes from the given CPU's freed-page stack, then the run map
+    (preferring that CPU's placement region), stealing from other
+    CPUs' stacks when both are empty. The steal scan starts at the
+    stack after the requesting CPU and rotates, so no stack drains
+    first systematically. Negative [cpu] hints are floor-normalized
+    into range. *)
 
 val alloc_pages : ?cpu:int -> t -> int -> int list option
-(** [n] pages or nothing (no partial allocation). On an indexed
-    allocator this prefers one physically contiguous ascending extent
-    (falling back to page-at-a-time under fragmentation); legacy
-    allocators always allocate page-at-a-time. *)
+(** [n] pages or nothing (no partial allocation). Prefers one
+    physically contiguous ascending extent, falling back to
+    page-at-a-time under fragmentation. *)
 
 val free_page : ?cpu:int -> t -> int -> unit
 
@@ -70,13 +52,7 @@ val alloc_extent : ?align:int -> t -> int -> (int * int) option
 (** [alloc_extent ?align t n] carves a physically contiguous run of [n]
     pages whose start is a multiple of [align] (WineFS-style hugepage
     placement), returning [(start, n)]. Smallest fitting run wins,
-    lowest start among equals. [None] on a legacy allocator (callers
-    fall back to {!alloc_pages}) or when no contiguous fit exists. *)
-
-val free_extent : t -> start:int -> len:int -> unit
-(** Return a contiguous run. Indexed: reinserted with coalescing, so
-    extents survive churn; legacy: pages are pushed round-robin like
-    population. *)
+    lowest start among equals. [None] when no contiguous fit exists. *)
 
 val free_inode_count : t -> int
 val free_page_count : t -> int

@@ -36,7 +36,6 @@ type t = {
   next_range_id : int Atomic.t;
   cpus : int;
   mutable share_fences : bool;
-  mutable coalesce : bool;
   csum : bool;
   quar : Faults.Quarantine.t;
   anon : (string, int) Hashtbl.t;
@@ -51,20 +50,11 @@ let make ?(csum = false) ~dev ~geo ~cpus () =
     dev;
     geo;
     reg = Typestate.Token.create_registry ();
-    (* Large volumes get the indexed run allocator: O(1) to populate,
-       so mount cost tracks live objects instead of volume size. The
-       choice keys on volume size, not on the backing representation —
-       forcing a small device sparse must stay observably identical to
-       the dense run, placement included. *)
-    alloc =
-      (if Pmem.Device.size dev > Pmem.Device.sparse_threshold then
-         Alloc.indexed_populated ~cpus geo
-       else Alloc.create ~cpus geo);
+    alloc = Alloc.populated ~cpus geo;
     index = Index.create ();
     next_range_id = Atomic.make 0;
     cpus;
     share_fences = true;
-    coalesce = true;
     csum;
     quar = Faults.Quarantine.create ();
     anon = Hashtbl.create 8;
@@ -74,12 +64,9 @@ let make ?(csum = false) ~dev ~geo ~cpus () =
     on_fence = None;
   }
 
-(* Fresh allocator under the same policy [make] used: rollback rebuilds
-   the volatile state wholesale after flipping the durable image. *)
-let fresh_alloc t =
-  if Pmem.Device.size t.dev > Pmem.Device.sparse_threshold then
-    Alloc.indexed_populated ~cpus:t.cpus t.geo
-  else Alloc.create ~cpus:t.cpus t.geo
+(* Fresh allocator: rollback rebuilds the volatile state wholesale
+   after flipping the durable image. *)
+let fresh_alloc t = Alloc.populated ~cpus:t.cpus t.geo
 
 let fence t =
   Pmem.Device.fence t.dev;

@@ -46,11 +46,6 @@ type t = {
       (** when false, [after_fence] transitions issue their own [sfence]
           instead of reusing a shared one — the ablation of the paper's
           fence-sharing optimization (§3.2, §4.1) *)
-  mutable coalesce : bool;
-      (** when false, the write path keeps its legacy one-fence-per-group
-          ordering (fill / backptr / size fenced separately) instead of
-          the coalesced minimum — the before/after ablation for the
-          datapath bench *)
   csum : bool;
       (** volume has checksummed metadata records (superblock flag) *)
   quar : Faults.Quarantine.t;
@@ -81,9 +76,8 @@ val make :
   ?csum:bool -> dev:Pmem.Device.t -> geo:Layout.Geometry.t -> cpus:int -> unit -> t
 
 val fresh_alloc : t -> Alloc.t
-(** A fresh, fully-free allocator built under the same policy {!make}
-    used for this context (indexed above the sparse threshold, legacy
-    below). Rollback swaps it in before re-running the mount rebuild. *)
+(** A fresh, fully-free allocator for this context's geometry and CPU
+    count. Rollback swaps it in before re-running the mount rebuild. *)
 
 val fence : t -> unit
 (** Issue an [sfence] and advance the fence epoch used by shared-fence

@@ -471,22 +471,13 @@ let fresh_page_content ~off ~data o =
   else String.make (lo - pstart) '\000' ^ String.sub data (lo - off) (hi - lo)
 
 (* Commit a freshly filled range: make the pages durably owned and mint
-   the evidence that unlocks the size store. Coalesced (the default),
-   this is the SplitFS-style relink — backpointers set in the same
-   flush+fence group as the fill, one fence total (see {!Prange.relink}
-   for the crash argument). With [ctx.coalesce] off it keeps the legacy
-   fill-fence / backptr-fence schedule, the before side of the datapath
-   ablation. *)
+   the evidence that unlocks the size store. This is the SplitFS-style
+   relink — backpointers set in the same flush+fence group as the fill,
+   one fence total (see {!Prange.relink} for the crash argument). *)
 let commit_fresh (ctx : Fsctx.t) rng =
-  if ctx.Fsctx.coalesce then
-    let rng = Prange.relink ctx rng in
-    let rng = Prange.fence ctx (Prange.flush ctx rng) in
-    Prange.owned_evidence ctx rng
-  else
-    let rng = Prange.fence ctx (Prange.flush ctx rng) in
-    let rng = Prange.set_backptrs ctx rng in
-    let rng = Prange.fence ctx (Prange.flush ctx rng) in
-    Prange.owned_evidence ctx rng
+  let rng = Prange.relink ctx rng in
+  let rng = Prange.fence ctx (Prange.flush ctx rng) in
+  Prange.owned_evidence ctx rng
 
 let write ?(cpu = 0) (ctx : Fsctx.t) ~ino ~off data =
   span ctx "core.write" @@ fun () ->
@@ -548,16 +539,13 @@ let write ?(cpu = 0) (ctx : Fsctx.t) ~ino ~off data =
                 Device.store_coarse ctx.dev ~off:doff
                   (String.sub data (lo - off) (hi - lo))
           done;
-          (* Fresh pages: fill and commit ({!commit_fresh}). Coalesced, an
-             in-place write has no fence before the final inode group (the
-             coarse data stores drain there) and an extending write has
-             exactly one. *)
+          (* Fresh pages: fill and commit ({!commit_fresh}). An in-place
+             write has no fence before the final inode group (the coarse
+             data stores drain there) and an extending write has exactly
+             one. *)
           let owned_ev, new_pages =
             match fresh with
-            | None ->
-                (* legacy data-only durability point *)
-                if not ctx.Fsctx.coalesce then Fsctx.fence ctx;
-                (None, [])
+            | None -> (None, [])
             | Some rng ->
                 let marr = Array.of_list missing in
                 let rng =
@@ -914,9 +902,7 @@ let write_h ?(cpu = 0) (ctx : Fsctx.t) ~tag ~off data =
           (* Staged append: adopt reserve pages and relink-commit them. *)
           let owned_ev, new_pages =
             match missing with
-            | [] ->
-                if not ctx.Fsctx.coalesce then Fsctx.fence ctx;
-                (None, [])
+            | [] -> (None, [])
             | _ :: _ ->
                 let marr = Array.of_list missing in
                 let pairs = List.combine fresh missing in

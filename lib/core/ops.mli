@@ -47,13 +47,10 @@ val rename :
     directory moves with their link-count updates. *)
 
 val write : ?cpu:int -> Fsctx.t -> ino:int -> off:int -> string -> int r
-(** Fence schedule (coalesced, the default): in-place writes issue one
-    fence (the coarse data stores drain in the final inode group);
-    extending writes issue two (relink group — fill and backpointers
-    flushed and fenced together — then the size group gated on the
-    post-fence ownership evidence). With [Fsctx.coalesce] off, the
-    legacy schedule is kept: a data-only fence for in-place writes and
-    separate fill / backpointer fences for extensions (2 and 3). *)
+(** Fence schedule: in-place writes issue one fence (the coarse data
+    stores drain in the final inode group); extending writes issue two
+    (relink group — fill and backpointers flushed and fenced together —
+    then the size group gated on the post-fence ownership evidence). *)
 
 val write_atomic : ?cpu:int -> Fsctx.t -> ino:int -> off:int -> string -> int r
 (** Copy-on-write data write (the paper's §3.4 extension): overwrites of

@@ -95,18 +95,18 @@ and scratch = {
 
 (* Volumes above this threshold go sparse automatically; below it the
    dense representation is kept so every historical observable (hashes,
-   traces, allocation walk) stays bit-identical. *)
+   traces) stays bit-identical. *)
 let sparse_threshold = 64 * 1024 * 1024
 
-let create ?(latency = Latency.zero) ?sparse ~size () =
-  let sparse =
-    match sparse with Some b -> b | None -> size > sparse_threshold
-  in
+(* The one record literal behind every constructor: a quiescent device
+   over [latest]/[durable] with an empty line table, a zero clock and
+   every optional subsystem off. *)
+let assemble ~latency ~lines ~taint latest durable =
   {
-    size;
-    latest = Sbuf.create ~sparse ~size;
-    durable = Sbuf.create ~sparse ~size;
-    lines = Hashtbl.create 256;
+    size = Sbuf.length latest;
+    latest;
+    durable;
+    lines = Hashtbl.create lines;
     drain = [];
     latency;
     stats = Stats.create ();
@@ -120,12 +120,19 @@ let create ?(latency = Latency.zero) ?sparse ~size () =
     base_hash = 0L;
     attached = None;
     retained = [];
-    taint = None;
+    taint;
     tracer = None;
     metrics = None;
     rl = rlock_create ();
     shared = false;
   }
+
+let create ?(latency = Latency.zero) ?sparse ~size () =
+  let sparse =
+    match sparse with Some b -> b | None -> size > sparse_threshold
+  in
+  assemble ~latency ~lines:256 ~taint:None (Sbuf.create ~sparse ~size)
+    (Sbuf.create ~sparse ~size)
 
 let of_image ?(latency = Latency.zero) image =
   (* same size policy as [create]: large images go sparse, so loading a
@@ -139,30 +146,7 @@ let of_image ?(latency = Latency.zero) image =
     end
     else Sbuf.of_bytes (Bytes.copy image)
   in
-  {
-    size;
-    latest = load ();
-    durable = load ();
-    lines = Hashtbl.create 256;
-    drain = [];
-    latency;
-    stats = Stats.create ();
-    now_ns = 0;
-    fence_hook = None;
-    in_fence = false;
-    faults = None;
-    ecc = [||];
-    gen = 0;
-    hstate = H_off;
-    base_hash = 0L;
-    attached = None;
-    retained = [];
-    taint = None;
-    tracer = None;
-    metrics = None;
-    rl = rlock_create ();
-    shared = false;
-  }
+  assemble ~latency ~lines:256 ~taint:None (load ()) (load ())
 
 (* Quiescent device from [(off, payload)] spans over an otherwise-zero
    volume. Content-equivalent to [of_image] on the expanded image, but
@@ -176,30 +160,7 @@ let of_spans ?(latency = Latency.zero) ~size spans =
     List.iter (fun (off, s) -> Sbuf.blit_string s b off) spans;
     b
   in
-  {
-    size;
-    latest = load ();
-    durable = load ();
-    lines = Hashtbl.create 256;
-    drain = [];
-    latency;
-    stats = Stats.create ();
-    now_ns = 0;
-    fence_hook = None;
-    in_fence = false;
-    faults = None;
-    ecc = [||];
-    gen = 0;
-    hstate = H_off;
-    base_hash = 0L;
-    attached = None;
-    retained = [];
-    taint = None;
-    tracer = None;
-    metrics = None;
-    rl = rlock_create ();
-    shared = false;
-  }
+  assemble ~latency ~lines:256 ~taint:None (load ()) (load ())
 
 let size t = t.size
 let stats t = t.stats
@@ -1273,30 +1234,8 @@ let of_view ?(latency = Latency.zero) s =
       d.taint <- None
   | None -> ());
   let d =
-    {
-      size = Sbuf.length s.s_buf;
-      latest = s.s_buf;
-      durable = s.s_buf;
-      lines = Hashtbl.create 64;
-      drain = [];
-      latency;
-      stats = Stats.create ();
-      now_ns = 0;
-      fence_hook = None;
-      in_fence = false;
-      faults = None;
-      ecc = [||];
-      gen = 0;
-      hstate = H_off;
-      base_hash = 0L;
-      attached = None;
-      retained = [];
-      taint = Some (Hashtbl.create 64);
-      tracer = None;
-      metrics = None;
-      rl = rlock_create ();
-      shared = false;
-    }
+    assemble ~latency ~lines:64 ~taint:(Some (Hashtbl.create 64)) s.s_buf
+      s.s_buf
   in
   s.s_borrow <- Some d;
   d

@@ -25,8 +25,7 @@ type t
 
 val sparse_threshold : int
 (** Device size (bytes) above which {!create} defaults to sparse
-    backing — also the "large volume" threshold callers use to pick
-    scalable volatile structures (e.g. the indexed allocator). *)
+    backing. *)
 
 exception Media_error of { off : int; len : int }
 (** Raised by bulk {!read} when an active fault plan injects a transient

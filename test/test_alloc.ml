@@ -1,8 +1,7 @@
-(* Unit and property tests for the volatile allocators: the legacy
-   list representation (with the floor-mod cpu-hint and steal-rotation
-   fixes) and the indexed run representation behind large sparse
-   volumes (O(1) population, reservation, contiguous/aligned extents,
-   domain-safety). *)
+(* Unit and property tests for the volatile run-index allocator:
+   O(1) population, reservation, contiguous/aligned extents, the
+   per-CPU freed-page stacks (with the floor-mod cpu-hint and
+   steal-rotation fixes) and domain-safety. *)
 
 module Alloc = Squirrelfs.Alloc
 module Geometry = Layout.Geometry
@@ -10,39 +9,46 @@ module Geometry = Layout.Geometry
 let geo_small = Geometry.compute ~device_size:(2 * 1024 * 1024)
 let geo_big = Geometry.compute ~device_size:(8 * 1024 * 1024)
 
+(* An allocator whose run map is used up: every later allocation comes
+   from the per-CPU freed-page stacks, so the steal path runs. *)
+let exhausted ~cpus =
+  let t = Alloc.populated ~cpus geo_small in
+  let rec drain () =
+    match Alloc.alloc_page t with Some _ -> drain () | None -> ()
+  in
+  drain ();
+  t
+
 (* {1 cpu-hint normalization (regression: negative hints raised)} *)
 
 let test_negative_cpu_hint () =
-  List.iter
-    (fun t ->
-      (match Alloc.alloc_page ~cpu:(-1) t with
-      | Some p -> Alloc.free_page ~cpu:(-5) t p
-      | None -> Alcotest.fail "alloc_page ~cpu:(-1) returned None");
-      match Alloc.alloc_page ~cpu:(-7) t with
-      | Some _ -> ()
-      | None -> Alcotest.fail "alloc_page ~cpu:(-7) returned None")
-    [
-      Alloc.populated ~cpus:4 geo_small;
-      Alloc.indexed_populated ~cpus:4 geo_small;
-    ]
+  let t = Alloc.populated ~cpus:4 geo_small in
+  (match Alloc.alloc_page ~cpu:(-1) t with
+  | Some p -> Alloc.free_page ~cpu:(-5) t p
+  | None -> Alcotest.fail "alloc_page ~cpu:(-1) returned None");
+  match Alloc.alloc_page ~cpu:(-7) t with
+  | Some _ -> ()
+  | None -> Alcotest.fail "alloc_page ~cpu:(-7) returned None"
 
 let test_negative_hint_floor_mod () =
-  (* -1 mod 4 must select pool 3 (floor), not pool -1 (truncation). *)
-  let t = Alloc.create ~cpus:4 geo_small in
-  (* round-robin population: pages 0..3 land in pools 0..3 *)
-  List.iter (Alloc.add_free_page t) [ 0; 1; 2; 3 ];
-  Alcotest.(check (option int)) "cpu -1 is pool 3" (Some 3)
-    (Alloc.alloc_page ~cpu:(-1) t)
+  (* -1 mod 4 must select stack 3 (floor), not stack -1 (truncation). *)
+  let t = exhausted ~cpus:4 in
+  List.iter (fun c -> Alloc.free_page ~cpu:c t c) [ 0; 1; 2; 3 ];
+  Alcotest.(check (option int)) "cpu -1 is stack 3" (Some 3)
+    (Alloc.alloc_page ~cpu:(-1) t);
+  Alloc.free_page ~cpu:(-5) t 9;
+  Alcotest.(check (option int)) "free to cpu -5 lands on stack 3" (Some 9)
+    (Alloc.alloc_page ~cpu:3 t)
 
-(* {1 Steal rotation (regression: steals always drained pool 0 first)} *)
+(* {1 Steal rotation (regression: steals always drained stack 0 first)} *)
 
 let test_steal_starts_after_requester () =
-  let t = Alloc.create ~cpus:3 geo_small in
-  (* pools: 0 -> [10], 1 -> [11], 2 -> [12] *)
-  List.iter (Alloc.add_free_page t) [ 10; 11; 12 ];
-  Alcotest.(check (option int)) "own pool first" (Some 11)
+  let t = exhausted ~cpus:3 in
+  (* stacks: 0 -> [10], 1 -> [11], 2 -> [12] *)
+  List.iteri (fun c p -> Alloc.free_page ~cpu:c t p) [ 10; 11; 12 ];
+  Alcotest.(check (option int)) "own stack first" (Some 11)
     (Alloc.alloc_page ~cpu:1 t);
-  Alcotest.(check (option int)) "steal from the pool after the requester"
+  Alcotest.(check (option int)) "steal from the stack after the requester"
     (Some 12)
     (Alloc.alloc_page ~cpu:1 t);
   Alcotest.(check (option int)) "then wrap around" (Some 10)
@@ -50,54 +56,41 @@ let test_steal_starts_after_requester () =
   Alcotest.(check (option int)) "exhausted" None (Alloc.alloc_page ~cpu:1 t)
 
 let test_steal_fairness () =
-  (* Each requester drains its successor first: after every CPU's own
-     pool is empty, one steal per CPU must touch every pool exactly
-     once — no pool is systematically drained before the others. *)
   let cpus = 4 in
-  let t = Alloc.create ~cpus geo_small in
-  (* two pages per pool: pool c gets pages c and c + 4 *)
-  List.iter (Alloc.add_free_page t) [ 0; 1; 2; 3; 4; 5; 6; 7 ];
-  (* drain every pool's own stock *)
+  let t = exhausted ~cpus in
+  (* one page per stack: every CPU is served from its own stack first *)
   for c = 0 to cpus - 1 do
-    ignore (Alloc.alloc_page ~cpu:c t);
-    ignore (Alloc.alloc_page ~cpu:c t)
+    Alloc.free_page ~cpu:c t (100 + c)
   done;
-  Alcotest.(check int) "all gone" 0 (Alloc.free_page_count t);
-  (* refill one page per pool, then let each CPU steal once with its own
-     pool kept empty: requester c must get pool (c+1) mod cpus back *)
-  List.iter (Alloc.add_free_page t) [ 100; 101; 102; 103 ];
-  let got =
-    List.init cpus (fun c ->
-        (* empty the requester's own pool first so the alloc must steal *)
-        match Alloc.alloc_page ~cpu:c t with
-        | Some p -> p
-        | None -> Alcotest.fail "steal failed")
-  in
-  (* c's own pool still held its refill page (100+c), so the first call
-     returns it; what matters is that across requesters nothing skews
-     toward pool 0. Now force actual steals: pools are empty except a
-     single survivor. *)
-  Alcotest.(check (list int)) "own pools served first" [ 100; 101; 102; 103 ]
-    got;
-  Alloc.add_free_page t 200 (* lands in pool round-robin; find it by steal *);
-  (match Alloc.alloc_page ~cpu:2 t with
-  | Some p -> Alcotest.(check int) "rotating steal finds the survivor" 200 p
-  | None -> Alcotest.fail "rotating steal failed");
-  Alcotest.(check int) "empty again" 0 (Alloc.free_page_count t)
+  Alcotest.(check (list (option int))) "own stacks served first"
+    (List.init cpus (fun c -> Some (100 + c)))
+    (List.init cpus (fun c -> Alloc.alloc_page ~cpu:c t));
+  (* With its own stack empty and every other stack holding one page,
+     requester c steals from (c+1) mod cpus first and then rotates — no
+     stack is systematically drained before the others. *)
+  for c = 0 to cpus - 1 do
+    for d = 0 to cpus - 1 do
+      if d <> c then Alloc.free_page ~cpu:d t (200 + d)
+    done;
+    Alcotest.(check (list (option int)))
+      (Printf.sprintf "requester %d rotates from its successor" c)
+      (List.init (cpus - 1) (fun k -> Some (200 + ((c + 1 + k) mod cpus))))
+      (List.init (cpus - 1) (fun _ -> Alloc.alloc_page ~cpu:c t));
+    Alcotest.(check int) "empty again" 0 (Alloc.free_page_count t)
+  done
 
-(* {1 Indexed mode: population, reservation, extents} *)
+(* {1 Population, reservation, extents} *)
 
-let test_indexed_counts_match_legacy () =
-  let a = Alloc.populated ~cpus:4 geo_big in
-  let b = Alloc.indexed_populated ~cpus:4 geo_big in
-  Alcotest.(check int) "free inodes equal" (Alloc.free_inode_count a)
-    (Alloc.free_inode_count b);
-  Alcotest.(check int) "free pages equal" (Alloc.free_page_count a)
-    (Alloc.free_page_count b)
+let test_counts_match_geometry () =
+  let t = Alloc.populated ~cpus:4 geo_big in
+  Alcotest.(check int) "every inode but the root" (geo_big.inode_count - 1)
+    (Alloc.free_inode_count t);
+  Alcotest.(check int) "every page" geo_big.page_count
+    (Alloc.free_page_count t)
 
 let test_indexed_inode_order () =
-  (* ascending from 2 (root excluded), like the legacy list *)
-  let t = Alloc.indexed_populated ~cpus:2 geo_small in
+  (* ascending from 2 (root excluded) *)
+  let t = Alloc.populated ~cpus:2 geo_small in
   Alcotest.(check (option int)) "first" (Some 2) (Alloc.alloc_inode t);
   Alcotest.(check (option int)) "second" (Some 3) (Alloc.alloc_inode t);
   Alloc.free_inode t 2;
@@ -105,7 +98,7 @@ let test_indexed_inode_order () =
     (Alloc.alloc_inode t)
 
 let test_reserve_splits_runs () =
-  let t = Alloc.indexed_populated ~cpus:2 geo_small in
+  let t = Alloc.populated ~cpus:2 geo_small in
   let n0 = Alloc.free_page_count t in
   Alloc.reserve_page t 10;
   Alcotest.(check int) "one fewer" (n0 - 1) (Alloc.free_page_count t);
@@ -121,39 +114,18 @@ let test_reserve_splits_runs () =
       Alloc.reserve_inode t 5)
 
 let test_extent_contiguous_and_aligned () =
-  let t = Alloc.indexed_populated ~cpus:2 geo_big in
+  let t = Alloc.populated ~cpus:2 geo_big in
   (match Alloc.alloc_extent t 8 with
   | Some (start, len) ->
       Alcotest.(check int) "length as asked" 8 len;
       ignore start
-  | None -> Alcotest.fail "extent on a fresh indexed allocator");
-  (match Alloc.alloc_extent ~align:16 t 8 with
-  | Some (start, _) ->
-      Alcotest.(check int) "aligned start" 0 (start mod 16)
-  | None -> Alcotest.fail "aligned extent");
-  (* legacy never returns extents: callers fall back *)
-  let l = Alloc.populated ~cpus:2 geo_big in
-  Alcotest.(check bool) "legacy extent is None" true
-    (Alloc.alloc_extent l 8 = None)
-
-let test_extent_free_coalesces () =
-  let t = Alloc.indexed_populated ~cpus:2 geo_small in
-  let total = Alloc.free_page_count t in
-  match Alloc.alloc_extent t 64 with
-  | None -> Alcotest.fail "extent"
-  | Some (start, len) ->
-      Alcotest.(check int) "taken" (total - 64) (Alloc.free_page_count t);
-      (* free in two halves: they must coalesce back into one run big
-         enough to satisfy the same extent again at the same place *)
-      Alloc.free_extent t ~start:(start + 32) ~len:(len - 32);
-      Alloc.free_extent t ~start ~len:32;
-      Alcotest.(check int) "conserved" total (Alloc.free_page_count t);
-      (match Alloc.alloc_extent t 64 with
-      | Some (s2, _) -> Alcotest.(check int) "same placement" start s2
-      | None -> Alcotest.fail "coalesced extent lost")
+  | None -> Alcotest.fail "extent on a fresh allocator");
+  match Alloc.alloc_extent ~align:16 t 8 with
+  | Some (start, _) -> Alcotest.(check int) "aligned start" 0 (start mod 16)
+  | None -> Alcotest.fail "aligned extent"
 
 let test_alloc_pages_hugepage_alignment () =
-  let t = Alloc.indexed_populated ~cpus:2 geo_big in
+  let t = Alloc.populated ~cpus:2 geo_big in
   (* skew the run map so an unaligned prefix exists *)
   Alloc.reserve_page t 0;
   let n = Alloc.hugepage_pages in
@@ -174,7 +146,7 @@ let prop_parallel_conserves =
     ~name:"parallel alloc/free: conserved count, no double allocation"
     QCheck.(pair (int_range 1 48) (int_range 2 4))
     (fun (per_domain, nd) ->
-      let t = Alloc.indexed_populated ~cpus:nd geo_big in
+      let t = Alloc.populated ~cpus:nd geo_big in
       let total = Alloc.free_page_count t in
       let worker id =
         Domain.spawn (fun () ->
@@ -208,7 +180,10 @@ let prop_parallel_conserves =
         (fun (singles, ext) ->
           List.iter (Alloc.free_page t) singles;
           match ext with
-          | Some (s, l) -> Alloc.free_extent t ~start:s ~len:l
+          | Some (s, l) ->
+              for p = s to s + l - 1 do
+                Alloc.free_page t p
+              done
           | None -> ())
         results;
       no_dups && count_ok && Alloc.free_page_count t = total)
@@ -217,7 +192,7 @@ let prop_extents_disjoint =
   QCheck.Test.make ~count:25 ~name:"extent allocations are pairwise disjoint"
     QCheck.(list_of_size Gen.(1 -- 12) (int_range 1 32))
     (fun sizes ->
-      let t = Alloc.indexed_populated ~cpus:2 geo_big in
+      let t = Alloc.populated ~cpus:2 geo_big in
       let exts = List.filter_map (fun n -> Alloc.alloc_extent t n) sizes in
       let pages =
         List.concat_map (fun (s, l) -> List.init l (fun i -> s + i)) exts
@@ -230,11 +205,10 @@ let unit_tests =
     ("negative hint is floor-mod", `Quick, test_negative_hint_floor_mod);
     ("steal starts after requester", `Quick, test_steal_starts_after_requester);
     ("steal rotation fairness", `Quick, test_steal_fairness);
-    ("indexed counts match legacy", `Quick, test_indexed_counts_match_legacy);
+    ("counts match geometry", `Quick, test_counts_match_geometry);
     ("indexed inode order", `Quick, test_indexed_inode_order);
     ("reserve splits runs", `Quick, test_reserve_splits_runs);
     ("extents contiguous and aligned", `Quick, test_extent_contiguous_and_aligned);
-    ("freed extents coalesce", `Quick, test_extent_free_coalesces);
     ("hugepage-aligned alloc_pages", `Quick, test_alloc_pages_hugepage_alignment);
   ]
 

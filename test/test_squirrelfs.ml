@@ -113,13 +113,8 @@ let test_append_small_uses_one_fence () =
   ignore (ok "w0" (Sq.Ops.write ctx ~ino ~off:0 "seed"));
   let before = fences dev in
   ignore (ok "append" (Sq.Ops.write ctx ~ino ~off:4 "more"));
-  (* coalesced in-place write: data and inode drain under one fence *)
-  Alcotest.(check int) "small append = 1 fence" 1 (fences dev - before);
-  (* legacy schedule (the ablation baseline): data fence + inode fence *)
-  ctx.Sq.Fsctx.coalesce <- false;
-  let before = fences dev in
-  ignore (ok "append2" (Sq.Ops.write ctx ~ino ~off:8 "more"));
-  Alcotest.(check int) "legacy small append = 2 fences" 2 (fences dev - before)
+  (* in-place write: data and inode drain under one fence *)
+  Alcotest.(check int) "small append = 1 fence" 1 (fences dev - before)
 
 let test_allocating_write_uses_two_fences () =
   let dev, ctx = fresh () in
@@ -128,14 +123,7 @@ let test_allocating_write_uses_two_fences () =
   ignore (ok "write" (Sq.Ops.write ctx ~ino ~off:0 (String.make 4096 'a')));
   (* staged relink commit: fill+backptr flip under one fence, size under
      the second *)
-  Alcotest.(check int) "allocating write = 2 fences" 2 (fences dev - before);
-  (* legacy schedule: fill fence, backptr fence, size fence *)
-  ctx.Sq.Fsctx.coalesce <- false;
-  let before = fences dev in
-  ignore
-    (ok "write2" (Sq.Ops.write ctx ~ino ~off:4096 (String.make 4096 'b')));
-  Alcotest.(check int) "legacy allocating write = 3 fences" 3
-    (fences dev - before)
+  Alcotest.(check int) "allocating write = 2 fences" 2 (fences dev - before)
 
 (* {1 Mount rebuild} *)
 
