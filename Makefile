@@ -77,28 +77,21 @@ tab2-smoke: build
 	@echo "== bench tab2 (mount-time shape) =="
 	dune exec bench/main.exe -- tab2
 
-# Large-sparse-volume smoke: mkfs + mount + a 100k-file create/stat
-# sweep on a 4 GiB lazily-backed volume, gated on near-constant mkfs
-# and empty-mount wall time and on resident memory staying a small
-# fraction of the volume (exit 2 if the dense scalability wall is
-# back). A sparse fuzz leg cross-checks that forcing the sparse
-# representation on the fuzzing volume stays violation-free.
+# Large-volume smoke: mkfs + mount + a 100k-file create/stat sweep on
+# a 4 GiB lazily-backed volume, gated on near-constant mkfs and
+# empty-mount wall time and on resident memory staying a small
+# fraction of the volume (exit 2 if cost scales with volume size).
 # `bench largevol-full` is the 18 GiB / 1M-file version (EXPERIMENTS.md).
 largevol-smoke: build
-	@echo "== bench largevol (4 GiB sparse volume, 100k files) =="
+	@echo "== bench largevol (4 GiB volume, 100k files) =="
 	dune exec bench/main.exe -- largevol
-	@echo "== fuzz --sparse (clean) =="
-	dune exec bin/fuzz.exe -- --seed 1 --iters 12 --op-budget 6 \
-	  --buggy-rate 0 --sparse
-	@echo "== fuzz --enum --sparse =="
-	dune exec bin/fuzz.exe -- --enum --sparse
 
 # Snapshot smoke: three clean snapshot/rollback workloads crash-checked
 # through the full delta-view probe (every enumerated image must pass
 # both the crash oracle and the SSU trace checker), the torn-commit
 # snapshot mutant flagged by both checkers, then the snapshot latency
 # gauges written into BENCH_fuzz.json — exit 2 if snapshot creation on
-# the 4 GiB sparse volume exceeds 10 ms or scales with volume size
+# the 4 GiB volume exceeds 10 ms or scales with volume size
 # instead of the dirty set, or if the scrubber misreads an intact pin.
 snap-smoke: build
 	@echo "== fuzz --snap-smoke =="

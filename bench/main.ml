@@ -638,23 +638,21 @@ let faults () =
       Printf.printf "detection:        degraded remount failed: %s\n"
         (Vfs.Errno.to_string e))
 
-(* {1 Large sparse volumes: mkfs/mount/create scaling (the dense wall)}
+(* {1 Large volumes: mkfs/mount/create scaling}
 
    A multi-GB simulated volume must cost what is *touched*, not what is
    formatted: mkfs and an empty mount are near-constant (lazy chunk
    backing plus the run allocator, populated from geometry in
    O(1)), a populated mount scans only backed spans, and resident
    memory tracks touched lines rather than volume size. The section
-   times a sharded create/stat sweep on a volume above the sparse
-   threshold and gates on (a) the volume actually being sparse, (b)
-   near-constant mkfs + empty mount, and (c) residency staying a small
-   fraction of the volume. Wall-clock numbers, deliberately: the claim
-   under test is host cost, not simulated PM latency. *)
+   times a sharded create/stat sweep on a multi-GB volume and gates on
+   (a) near-constant mkfs + empty mount and (b) residency staying a
+   small fraction of the volume. Wall-clock numbers, deliberately: the
+   claim under test is host cost, not simulated PM latency. *)
 
 type largevol = {
   lv_size : int;
   lv_files : int;
-  lv_sparse : bool;
   lv_mkfs_ms : float;
   lv_mount_empty_ms : float;
   lv_mount_full_ms : float;  (** remount after the create sweep *)
@@ -696,7 +694,6 @@ let measure_largevol ~size ~files () =
   {
     lv_size = size;
     lv_files = files;
-    lv_sparse = Device.is_sparse dev;
     lv_mkfs_ms = mkfs_ms;
     lv_mount_empty_ms = mount_empty_ms;
     lv_mount_full_ms = mount_full_ms;
@@ -706,30 +703,28 @@ let measure_largevol ~size ~files () =
   }
 
 (* The acceptance bar. mkfs and the empty mount must not scale with the
-   volume (generous absolute bounds — CI hosts vary), and the backing
-   must stay sparse: resident bytes under a quarter of the volume even
-   after the sweep (in practice it is a few percent). *)
+   volume (generous absolute bounds — CI hosts vary), and resident bytes
+   must stay under a quarter of the volume even after the sweep (in
+   practice it is a few percent). *)
 let largevol_ok l =
-  l.lv_sparse
-  && l.lv_mkfs_ms < 2000.
+  l.lv_mkfs_ms < 2000.
   && l.lv_mount_empty_ms < 2000.
   && l.lv_resident_bytes < l.lv_size / 4
 
 let largevol_json l =
   Printf.sprintf
-    "{ \"volume_bytes\": %d, \"files\": %d, \"sparse\": %b, \
+    "{ \"volume_bytes\": %d, \"files\": %d, \
      \"mkfs_ms\": %.2f, \"mount_empty_ms\": %.2f, \"mount_full_ms\": %.2f, \
      \"creates_per_sec\": %.0f, \"stats_per_sec\": %.0f, \
      \"resident_bytes\": %d, \"resident_fraction\": %.6f, \"ok\": %b }"
-    l.lv_size l.lv_files l.lv_sparse l.lv_mkfs_ms l.lv_mount_empty_ms
+    l.lv_size l.lv_files l.lv_mkfs_ms l.lv_mount_empty_ms
     l.lv_mount_full_ms l.lv_creates_per_sec l.lv_stats_per_sec
     l.lv_resident_bytes
     (float_of_int l.lv_resident_bytes /. float_of_int l.lv_size)
     (largevol_ok l)
 
 let largevol_report l =
-  Printf.printf "volume: %d MiB (%s), %d files\n" (l.lv_size / 1024 / 1024)
-    (if l.lv_sparse then "sparse" else "dense")
+  Printf.printf "volume: %d MiB, %d files\n" (l.lv_size / 1024 / 1024)
     l.lv_files;
   Printf.printf "mkfs %.1f ms; mount empty %.1f ms; remount full %.1f ms\n"
     l.lv_mkfs_ms l.lv_mount_empty_ms l.lv_mount_full_ms;
@@ -743,7 +738,7 @@ let largevol_run ~size ~files () =
   let l = measure_largevol ~size ~files () in
   largevol_report l;
   if not (largevol_ok l) then begin
-    Printf.printf "LARGEVOL REGRESSION (dense wall is back)\n";
+    Printf.printf "LARGEVOL REGRESSION (cost scales with volume size)\n";
     exit 2
   end
 
@@ -751,11 +746,11 @@ let largevol_run ~size ~files () =
    [largevol-full]: the EXPERIMENTS.md headline run — 1M files on a
    volume sized to hold them (one inode per 16.4 KiB group). *)
 let largevol () =
-  section "Large sparse volume: 4 GiB, 100k files";
+  section "Large volume: 4 GiB, 100k files";
   largevol_run ~size:(4 * 1024 * 1024 * 1024) ~files:100_000 ()
 
 let largevol_full () =
-  section "Large sparse volume (full): 18 GiB, 1M files";
+  section "Large volume (full): 18 GiB, 1M files";
   largevol_run ~size:(18 * 1024 * 1024 * 1024) ~files:1_000_000 ()
 
 (* {1 Bechamel: one wall-clock benchmark per table/figure} *)
@@ -999,9 +994,9 @@ let fuzz_json_common ~mode ~mb ~iters ~op_budget ~jiters_per_job () =
   (* Split-data-path gauges: exact fence counts and handle-vs-path
      throughput, gated below like the sharding/enum invariants. *)
   let dp = measure_datapath () in
-  (* Large-volume gauges: sparse backing + run allocator scaling
-     (quick keeps the volume just above the sparse threshold so `make
-     check` stays fast; full runs the 4 GiB smoke configuration). *)
+  (* Large-volume gauges: lazy backing + run allocator scaling (quick
+     runs a 256 MiB volume so `make check` stays fast; full runs the
+     4 GiB smoke configuration). *)
   let lv =
     if mode = "full" then
       measure_largevol ~size:(4 * 1024 * 1024 * 1024) ~files:100_000 ()
@@ -1057,7 +1052,7 @@ let fuzz_json_common ~mode ~mb ~iters ~op_budget ~jiters_per_job () =
     exit 2
   end;
   if not (largevol_ok lv) then begin
-    Printf.printf "BENCH_fuzz: LARGE-VOLUME REGRESSION (dense wall is back)\n";
+    Printf.printf "BENCH_fuzz: LARGE-VOLUME REGRESSION (cost scales with volume size)\n";
     exit 2
   end;
   (* Scaling gate: -j N slower than -j 1 on the same work is the
@@ -1200,8 +1195,8 @@ let serve_json_quick () =
 (* {1 BENCH_fuzz.json "snapshot" object: snapshot-path gauges}
 
    [snap-json] merges a "snapshot" object into BENCH_fuzz.json:
-   snapshot-create latency on a small dense volume and on a 4 GiB
-   sparse one, clone-mount latency, and scrub throughput. The exit-2
+   snapshot-create latency on a 64 MiB volume and on a 4 GiB one,
+   clone-mount latency, and scrub throughput. The exit-2
    gates hold the tentpole claim — creation cost is O(dirty lines), not
    O(volume): the 4 GiB create must stay under 10 ms absolute and
    within a small factor of the 64 MiB create, and the pin must retain
@@ -1325,7 +1320,7 @@ let snap_json () =
   Printf.printf "snapshot: %s\nmerged into %s\n" obj file;
   if big_ns > 10_000_000 then begin
     Printf.printf
-      "BENCH_snap: SNAPSHOT CREATE NOT O(dirty): %.3f ms on 4 GiB sparse \
+      "BENCH_snap: SNAPSHOT CREATE NOT O(dirty): %.3f ms on 4 GiB \
        (gate: 10 ms)\n"
       (float_of_int big_ns /. 1e6);
     exit 2

@@ -19,10 +19,10 @@ let latency_of optane = if optane then Some Pmem.Latency.optane else None
    alongside the outcome. Used for --trace and the --expect-buggy
    trace-checker leg; tracing never perturbs the outcome, so the re-run
    reproduces exactly what the fuzzing run saw. *)
-let traced_run ?(faults = Faults.none) ?sparse ~device_kib ~images ~optane ops =
+let traced_run ?(faults = Faults.none) ~device_kib ~images ~optane ops =
   let r = Obs.Recorder.create () in
   let out =
-    Fuzzer.Exec.run ~device_size:(device_kib * 1024) ?sparse
+    Fuzzer.Exec.run ~device_size:(device_kib * 1024)
       ~max_images_per_fence:images
       ~faults ?latency:(latency_of optane) ~trace:r ops
   in
@@ -39,13 +39,13 @@ let dump_trace file events =
       | Some e -> Format.printf "  offending event: %a@." Obs.Event.pp e
       | None -> ())
 
-let replay_cmd line faults images device_kib sparse optane trace =
+let replay_cmd line faults images device_kib optane trace =
   match Fuzzer.Repro.of_cli line with
   | Error msg ->
       prerr_endline ("replay: " ^ msg);
       exit 1
   | Ok ops -> (
-      let res, events = traced_run ~faults ?sparse ~device_kib ~images ~optane ops in
+      let res, events = traced_run ~faults ~device_kib ~images ~optane ops in
       Format.printf "%a@." Crashcheck.Harness.pp_report res.Fuzzer.Exec.o_report;
       (match trace with Some file -> dump_trace file events | None -> ());
       match res.Fuzzer.Exec.o_fail with
@@ -106,7 +106,7 @@ let interleaved_cmd seed pairs max_inter expect_buggy =
    --expect-buggy the alphabet is widened with the three Buggy_* mutants
    and each must be flagged by BOTH the crash oracle (with a <= 3-op
    shrunk reproducer) and the SSU trace checker. *)
-let enum_cmd jobs images device_kib sparse no_shrink depth coverage_out
+let enum_cmd jobs images device_kib no_shrink depth coverage_out
     expect_buggy =
   let cfg =
     {
@@ -115,7 +115,6 @@ let enum_cmd jobs images device_kib sparse no_shrink depth coverage_out
       buggy = expect_buggy;
       max_images = images;
       device_size = device_kib * 1024;
-      sparse;
       shrink = not no_shrink;
     }
   in
@@ -227,13 +226,12 @@ let snap_smoke_cmd () =
     (if s then "flagged" else "MISSED");
   exit (if !ok then 0 else 2)
 
-let run seed iters op_budget images buggy_rate device_kib sparse_flag flips torn stuck
+let run seed iters op_budget images buggy_rate device_kib flips torn stuck
     optane no_shrink jobs replay expect_buggy trace metrics interleaved pairs max_inter
     enum depth coverage_out snap_smoke =
-  let sparse = if sparse_flag then Some true else None in
   if snap_smoke then snap_smoke_cmd ();
   if enum then
-    enum_cmd jobs images device_kib sparse no_shrink depth coverage_out
+    enum_cmd jobs images device_kib no_shrink depth coverage_out
       expect_buggy;
   if interleaved then interleaved_cmd seed pairs max_inter expect_buggy;
   let faults =
@@ -247,7 +245,7 @@ let run seed iters op_budget images buggy_rate device_kib sparse_flag flips torn
         exit 2
   in
   match replay with
-  | Some line -> replay_cmd line faults images device_kib sparse optane trace
+  | Some line -> replay_cmd line faults images device_kib optane trace
   | None ->
       let cfg =
         {
@@ -258,7 +256,6 @@ let run seed iters op_budget images buggy_rate device_kib sparse_flag flips torn
           buggy_rate;
           max_images = images;
           device_size = device_kib * 1024;
-          sparse;
           faults;
           latency = latency_of optane;
           shrink = not no_shrink;
@@ -288,7 +285,7 @@ let run seed iters op_budget images buggy_rate device_kib sparse_flag flips torn
                 let rng = Random.State.make [| 0x5EED; seed; 0 |] in
                 Fuzzer.Gen.sequence rng { Fuzzer.Gen.op_budget; buggy_rate }
           in
-          let _, events = traced_run ~faults ?sparse ~device_kib ~images ~optane ops in
+          let _, events = traced_run ~faults ~device_kib ~images ~optane ops in
           dump_trace file events);
       if expect_buggy then begin
         (* acceptance: every mutant re-discovered, every reproducer small *)
@@ -321,7 +318,7 @@ let run seed iters op_budget images buggy_rate device_kib sparse_flag flips torn
             let fresh = List.filter (fun k -> not (List.mem k !flagged)) kinds in
             if fresh <> [] then begin
               let _, events =
-                traced_run ~faults ?sparse ~device_kib ~images ~optane f.Fuzzer.fd_min
+                traced_run ~faults ~device_kib ~images ~optane f.Fuzzer.fd_min
               in
               match Obs.Ssu.check events with
               | Error v ->
@@ -382,17 +379,6 @@ let () =
   in
   let device_kib =
     Arg.(value & opt int 256 & info [ "device-kib" ] ~doc:"Device size in KiB")
-  in
-  let sparse =
-    Arg.(
-      value & flag
-      & info [ "sparse" ]
-          ~doc:
-            "Force the simulated device onto the sparse (lazily backed) \
-             representation regardless of size. Coverage-equivalent to a \
-             dense run: same ops, fences, violations and unique crash \
-             states (duplicate-image counts may differ, since provably \
-             no-op zero stores are pruned)")
   in
   let flips =
     Arg.(
@@ -531,6 +517,6 @@ let () =
           (Cmd.info "fuzz" ~doc:"Crash-state fuzzing of SquirrelFS with a differential oracle")
           Term.(
             const run $ seed $ iters $ op_budget $ images $ buggy_rate $ device_kib
-            $ sparse $ flips $ torn $ stuck $ optane $ no_shrink $ jobs $ replay $ expect_buggy
+            $ flips $ torn $ stuck $ optane $ no_shrink $ jobs $ replay $ expect_buggy
             $ trace $ metrics $ interleaved $ pairs $ max_inter $ enum $ depth
             $ coverage_out $ snap_smoke)))

@@ -80,26 +80,23 @@ let load_image img =
   Unix.close fd;
   Device.of_spans ~size:len (List.rev !spans)
 
+(* Commands are synchronous, so the device is quiescent here and the
+   visible content equals the durable content. Write only the backed
+   spans and seek over the holes — the host file stays sparse, like the
+   device. *)
 let save_image img dev =
   let oc = open_out_bin img in
-  if Device.is_sparse dev then begin
-    (* Commands are synchronous, so the device is quiescent here and
-       the visible content equals the durable content. Write only the
-       backed spans and seek over the holes — the host file stays
-       sparse, like the device. *)
-    List.iter
-      (fun (off, len) ->
-        seek_out oc off;
-        output_bytes oc (Device.read dev ~off ~len))
-      (Device.backed_spans dev);
-    (* pin the file length even when the volume ends in a hole *)
-    let size = Device.size dev in
-    if out_channel_length oc < size then begin
-      seek_out oc (size - 1);
-      output_char oc '\000'
-    end
-  end
-  else output_bytes oc (Device.image_durable dev);
+  List.iter
+    (fun (off, len) ->
+      seek_out oc off;
+      output_bytes oc (Device.read dev ~off ~len))
+    (Device.backed_spans dev);
+  (* pin the file length even when the volume ends in a hole *)
+  let size = Device.size dev in
+  if out_channel_length oc < size then begin
+    seek_out oc (size - 1);
+    output_char oc '\000'
+  end;
   close_out oc
 
 (* {2 Snapshot sidecars}

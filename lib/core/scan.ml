@@ -10,9 +10,8 @@ module Geometry = Layout.Geometry
    sizes divide the chunk size and both tables start record-aligned), so
    each record lies inside exactly one span and the ascending, disjoint
    span list visits every backed record exactly once, in index order.
-   A dense device reports a single whole-device span, which reproduces
-   the historical full-table [for] loop exactly — same indices, same
-   order, same simulated-clock charges. *)
+   A scan therefore costs O(backed records) at every volume size: an
+   unbacked record is never read, so it charges no simulated time. *)
 let iter_objects dev ~table_off ~obj_size ~first ~last f =
   if last >= first then begin
     let table_end = table_off + ((last - first + 1) * obj_size) in

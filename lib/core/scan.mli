@@ -2,10 +2,8 @@
 
     Offsets outside {!Pmem.Device.backed_spans} are durably zero, so
     records there can be skipped by any scan looking for allocated
-    state. On a dense device the single whole-device span makes these
-    iterate every index ascending — bit-identical to the historical
-    full-table loops; on a sparse device the cost is proportional to
-    backed (touched) space, not volume size. *)
+    state. The cost is proportional to backed (touched) space, not
+    volume size. *)
 
 val iter_objects :
   Pmem.Device.t ->

@@ -14,10 +14,6 @@ type cfg = {
   max_images : int;
   media_images : int;
   device_size : int;
-  sparse : bool option;
-      (** force the device's backing representation; [None] is the
-          size-based default. Coverage-equivalent either way (see
-          {!Exec.run}). *)
   faults : Faults.Plan.t;
   latency : Pmem.Latency.t option;
   shrink : bool;
@@ -36,7 +32,6 @@ let default_cfg =
     max_images = 8;
     media_images = 4;
     device_size = 256 * 1024;
-    sparse = None;
     faults = Faults.none;
     latency = None;
     shrink = true;
@@ -66,7 +61,7 @@ type report = {
 }
 
 let exec ?pool ?metrics cfg ops =
-  Exec.run ~device_size:cfg.device_size ?sparse:cfg.sparse
+  Exec.run ~device_size:cfg.device_size
     ~max_images_per_fence:cfg.max_images
     ~media_images_per_fence:cfg.media_images ~faults:cfg.faults ?latency:cfg.latency
     ?pool ?metrics ops

@@ -55,14 +55,12 @@ type cfg = {
   ssu : bool;  (** trace every sequence and run {!Obs.Ssu.check} on it *)
   max_images : int;
   device_size : int;
-  sparse : bool option;  (** force the backing representation; [None] =
-                             size-based default *)
   shrink : bool;
 }
 
 let default_cfg =
   { depth = 2; buggy = false; ssu = true; max_images = 8;
-    device_size = 256 * 1024; sparse = None; shrink = true }
+    device_size = 256 * 1024; shrink = true }
 
 (* Mutant extension of the canonical alphabet: one representative per
    [Buggy_*] kind, phrased on the same universe. [Buggy_create] targets a
@@ -258,7 +256,7 @@ let run_shard ?on_done ~next cfg (work : W.op list array) =
   let acc = ref shard_empty in
   let exec ?trace ops =
     let o =
-      Exec.run ~device_size:cfg.device_size ?sparse:cfg.sparse
+      Exec.run ~device_size:cfg.device_size
         ~max_images_per_fence:cfg.max_images ~pool ?trace ops
     in
     acc :=

@@ -301,7 +301,6 @@ module Pool = struct
     k_size : int;
     k_csum : bool;
     k_latency : Pmem.Latency.t option;
-    k_sparse : bool option; (* None = Device.create's size-based default *)
   }
 
   type t = { mutable slot : (key * entry) option; memo : memo }
@@ -311,10 +310,8 @@ module Pool = struct
   (* A ready-to-mount formatted device: template-blit on reuse, real mkfs
      only on first acquisition (or when the configuration changes, which
      also invalidates the content-hash-keyed memo). *)
-  let acquire p ~size ~csum ~latency ~sparse =
-    let key =
-      { k_size = size; k_csum = csum; k_latency = latency; k_sparse = sparse }
-    in
+  let acquire p ~size ~csum ~latency =
+    let key = { k_size = size; k_csum = csum; k_latency = latency } in
     match p.slot with
     | Some (k, e) when k = key ->
         let hash =
@@ -336,7 +333,7 @@ module Pool = struct
           Hashtbl.reset p.memo.m_states;
           Hashtbl.reset p.memo.m_media
         end;
-        let dev = Device.create ?latency ?sparse ~size () in
+        let dev = Device.create ?latency ~size () in
         Sq.Mount.mkfs ~csum dev;
         p.slot <-
           Some
@@ -455,7 +452,7 @@ let phase_b ~(plan : Faults.Plan.t) ~fail fs dev =
   end;
   (!detected, !quarantined, !eio)
 
-let run ?(device_size = 256 * 1024) ?sparse ?(max_images_per_fence = 8)
+let run ?(device_size = 256 * 1024) ?(max_images_per_fence = 8)
     ?(media_images_per_fence = 4) ?(faults = Faults.none) ?latency ?pool ?trace ?metrics
     ops =
   (* Media faults only make sense on a volume that can detect them: fault
@@ -470,9 +467,9 @@ let run ?(device_size = 256 * 1024) ?sparse ?(max_images_per_fence = 8)
   let opsa = Array.of_list ops in
   let dev =
     match pool with
-    | Some p -> Pool.acquire p ~size:device_size ~csum ~latency ~sparse
+    | Some p -> Pool.acquire p ~size:device_size ~csum ~latency
     | None ->
-        let dev = Device.create ?latency ?sparse ~size:device_size () in
+        let dev = Device.create ?latency ~size:device_size () in
         Sq.Mount.mkfs ~csum dev;
         dev
   in

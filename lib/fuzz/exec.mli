@@ -91,7 +91,6 @@ val apply_sq : Squirrelfs.Fsctx.t -> Crashcheck.Workload.op -> (unit, Vfs.Errno.
 
 val run :
   ?device_size:int ->
-  ?sparse:bool ->
   ?max_images_per_fence:int ->
   ?media_images_per_fence:int ->
   ?faults:Faults.Plan.t ->
@@ -103,12 +102,7 @@ val run :
   outcome
 (** Defaults: 256 KiB device, 8 crash images per fence, 4 media images
     per fence, [Faults.none], zero latency, no pool (fresh device + mkfs
-    per call). [?sparse] forces the device's
-    backing representation (default: {!Pmem.Device.create}'s size-based
-    choice). A sparse run is coverage-equivalent to a dense one —
-    identical ops, fences, violations and {e unique} crash states — but
-    may probe fewer duplicate images, because a sparse device prunes
-    provably-no-op pending stores (zeroing a never-touched line). [?trace] records the workload's
+    per call). [?trace] records the workload's
     store/flush/fence stream (opened with a geometry + durable-state
     preamble, see {!Squirrelfs.Tracing}); [?metrics] counts device and
     token traffic and op latencies. Neither perturbs the outcome: a traced

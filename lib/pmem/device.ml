@@ -27,16 +27,6 @@ type rlock = {
 
 let rlock_create () = { rl_m = Mutex.create (); rl_owner = -1; rl_depth = 0 }
 
-(* Per-line content-hash state. Dense volumes keep the historical flat
-   array; sparse volumes keep only the lines whose hash differs from the
-   all-zero line's (absent entry = zero-line hash, computable in O(1) by
-   the FNV power identity below), so enabling hashing costs O(backed),
-   not O(volume). *)
-type hstate =
-  | H_off
-  | H_dense of int64 array
-  | H_sparse of (int, int64) Hashtbl.t
-
 (* A retained view pins the durable image as it stood at capture time.
    Capture is O(1): nothing is copied up front. Instead, whenever a line
    of the durable image is about to change (fence drain, bit flip), its
@@ -67,7 +57,11 @@ type t = {
   mutable faults : Faults.State.t option;
   mutable ecc : int array; (* per-line CRC of durable content; [||] = off *)
   mutable gen : int; (* bumped whenever durable content changes *)
-  mutable hstate : hstate; (* per-line content hash; [H_off] = off *)
+  mutable hlines : (int, int64) Hashtbl.t option;
+      (* per-line content hash of the lines whose hash differs from the
+         all-zero line's (an absent line has the zero-line hash, O(1) by
+         the FNV power identity below), so enabling hashing costs
+         O(backed lines), not O(volume); [None] = hashing off *)
   mutable base_hash : int64; (* xor of line hashes: hash of durable image *)
   mutable attached : scratch option; (* scratch kept in sync across fences *)
   mutable retained : retained list; (* live pinned views, newest first *)
@@ -93,11 +87,6 @@ and scratch = {
   mutable s_borrow : t option; (* outstanding [of_view] device, if any *)
 }
 
-(* Volumes above this threshold go sparse automatically; below it the
-   dense representation is kept so every historical observable (hashes,
-   traces) stays bit-identical. *)
-let sparse_threshold = 64 * 1024 * 1024
-
 (* The one record literal behind every constructor: a quiescent device
    over [latest]/[durable] with an empty line table, a zero clock and
    every optional subsystem off. *)
@@ -116,7 +105,7 @@ let assemble ~latency ~lines ~taint latest durable =
     faults = None;
     ecc = [||];
     gen = 0;
-    hstate = H_off;
+    hlines = None;
     base_hash = 0L;
     attached = None;
     retained = [];
@@ -127,26 +116,16 @@ let assemble ~latency ~lines ~taint latest durable =
     shared = false;
   }
 
-let create ?(latency = Latency.zero) ?sparse ~size () =
-  let sparse =
-    match sparse with Some b -> b | None -> size > sparse_threshold
-  in
-  assemble ~latency ~lines:256 ~taint:None (Sbuf.create ~sparse ~size)
-    (Sbuf.create ~sparse ~size)
+let create ?(latency = Latency.zero) ~size () =
+  assemble ~latency ~lines:256 ~taint:None (Sbuf.create ~size)
+    (Sbuf.create ~size)
 
+(* Loading backs only the image's nonzero chunks, so a multi-GB volume
+   file costs its content, not its size. *)
 let of_image ?(latency = Latency.zero) image =
-  (* same size policy as [create]: large images go sparse, so loading a
-     multi-GB volume file backs only its nonzero chunks *)
-  let size = Bytes.length image in
-  let load () =
-    if size > sparse_threshold then begin
-      let b = Sbuf.create ~sparse:true ~size in
-      Sbuf.load_bytes b image;
-      b
-    end
-    else Sbuf.of_bytes (Bytes.copy image)
-  in
-  assemble ~latency ~lines:256 ~taint:None (load ()) (load ())
+  let durable = Sbuf.create ~size:(Bytes.length image) in
+  Sbuf.load_bytes durable image;
+  assemble ~latency ~lines:256 ~taint:None (Sbuf.copy durable) durable
 
 (* Quiescent device from [(off, payload)] spans over an otherwise-zero
    volume. Content-equivalent to [of_image] on the expanded image, but
@@ -154,20 +133,18 @@ let of_image ?(latency = Latency.zero) image =
    host-sparse volume file costs only its nonzero spans. Callers should
    omit all-zero spans; including one merely backs chunks needlessly. *)
 let of_spans ?(latency = Latency.zero) ~size spans =
-  let sparse = size > sparse_threshold in
-  let load () =
-    let b = Sbuf.create ~sparse ~size in
-    List.iter (fun (off, s) -> Sbuf.blit_string s b off) spans;
-    b
-  in
-  assemble ~latency ~lines:256 ~taint:None (load ()) (load ())
+  let durable = Sbuf.create ~size in
+  List.iter (fun (off, s) -> Sbuf.blit_string s durable off) spans;
+  assemble ~latency ~lines:256 ~taint:None (Sbuf.copy durable) durable
 
 let size t = t.size
 let stats t = t.stats
 let now_ns t = t.now_ns
 let charge t ns = t.now_ns <- t.now_ns + ns
 let set_fence_hook t hook = t.fence_hook <- hook
-let is_sparse t = Sbuf.is_sparse t.latest
+(* Every device is lazily backed; the predicate stays for callers that
+   assert it. *)
+let is_sparse _ = true
 
 let resident_bytes t =
   Sbuf.resident_bytes t.latest + Sbuf.resident_bytes t.durable
@@ -205,17 +182,19 @@ let emit t k =
 let count t name =
   match t.metrics with None -> () | Some m -> Obs.Metrics.incr m name 1
 
+(* [len > size - off] rather than [off + len > size]: the sum wraps
+   around for [len] near [max_int]. *)
 let check_range t off len =
-  if off < 0 || len < 0 || off + len > t.size then
+  if off < 0 || len < 0 || len > t.size - off then
     invalid_arg
-      (Printf.sprintf "Pmem.Device: range [%d,%d) outside device of size %d"
-         off (off + len) t.size)
+      (Printf.sprintf "Pmem.Device: range off=%d len=%d outside device of size %d"
+         off len t.size)
 
 let line_count t = (t.size + line_size - 1) / line_size
 
 let line_span t idx =
   let off = idx * line_size in
-  (off, min line_size (t.size - off))
+  (off, Int.min line_size (t.size - off))
 
 (* {1 Content hashing}
 
@@ -256,7 +235,7 @@ let hash_line_content idx b =
 (* Hashing a zero byte multiplies the accumulator by the FNV prime
    ((h xor 0) * p = h * p), so an all-zero line's digest is the salted
    seed times p^len — O(1) per line via this power table. That identity
-   is what lets a sparse volume's hash state skip unbacked lines. *)
+   is what lets the hash state skip unbacked and all-zero lines. *)
 let pow_prime =
   let a = Array.make (line_size + 1) 1L in
   for i = 1 to line_size do
@@ -296,59 +275,48 @@ let hash_line_of t buf idx =
   | Some (b, boff) -> fnv_bytes (fnv_int fnv_offset idx) b ~off:boff ~len
 
 let line_hash_get t idx =
-  match t.hstate with
-  | H_off -> 0L
-  | H_dense a -> a.(idx)
-  | H_sparse tbl -> (
+  match t.hlines with
+  | None -> 0L
+  | Some tbl -> (
       match Hashtbl.find_opt tbl idx with
       | Some h -> h
-      | None ->
-          let _, len = line_span t idx in
-          zero_line_hash idx len)
+      | None -> zero_line_hash idx (snd (line_span t idx)))
+
+(* Every line index inside the buffer's backed spans, ascending: the
+   only lines whose content can differ from zero. *)
+let iter_backed_lines buf f =
+  List.iter
+    (fun (off, len) ->
+      for idx = off / line_size to (off + len - 1) / line_size do
+        f idx
+      done)
+    (Sbuf.backed_spans buf)
 
 let enable_content_hash t =
-  match t.hstate with
-  | H_dense _ | H_sparse _ -> ()
-  | H_off ->
-      if not (Sbuf.is_sparse t.durable) then begin
-        let lh = Array.init (line_count t) (hash_line_of t t.durable) in
-        t.hstate <- H_dense lh;
-        t.base_hash <- Array.fold_left Int64.logxor 0L lh
-      end
-      else begin
-        let tbl = Hashtbl.create 1024 in
-        let base = ref (zero_base ~size:t.size) in
-        List.iter
-          (fun (off, len) ->
-            let first = off / line_size
-            and last = (off + len - 1) / line_size in
-            for idx = first to last do
-              let h = hash_line_of t t.durable idx in
-              let _, llen = line_span t idx in
-              let z = zero_line_hash idx llen in
-              if not (Int64.equal h z) then begin
-                Hashtbl.replace tbl idx h;
-                base := Int64.logxor !base (Int64.logxor z h)
-              end
-            done)
-          (Sbuf.backed_spans t.durable);
-        t.hstate <- H_sparse tbl;
-        t.base_hash <- !base
-      end
+  match t.hlines with
+  | Some _ -> ()
+  | None ->
+      let tbl = Hashtbl.create 1024 in
+      let base = ref (zero_base ~size:t.size) in
+      iter_backed_lines t.durable (fun idx ->
+          let h = hash_line_of t t.durable idx in
+          let z = zero_line_hash idx (snd (line_span t idx)) in
+          if not (Int64.equal h z) then begin
+            Hashtbl.replace tbl idx h;
+            base := Int64.logxor !base (Int64.logxor z h)
+          end);
+      t.hlines <- Some tbl;
+      t.base_hash <- !base
 
 let refresh_line_hash t idx =
-  match t.hstate with
-  | H_off -> ()
-  | H_dense a ->
-      let h = hash_line_of t t.durable idx in
-      t.base_hash <- Int64.logxor t.base_hash (Int64.logxor a.(idx) h);
-      a.(idx) <- h
-  | H_sparse tbl ->
+  match t.hlines with
+  | None -> ()
+  | Some tbl ->
       let old = line_hash_get t idx in
       let h = hash_line_of t t.durable idx in
       t.base_hash <- Int64.logxor t.base_hash (Int64.logxor old h);
-      let _, len = line_span t idx in
-      if Int64.equal h (zero_line_hash idx len) then Hashtbl.remove tbl idx
+      if Int64.equal h (zero_line_hash idx (snd (line_span t idx))) then
+        Hashtbl.remove tbl idx
       else Hashtbl.replace tbl idx h
 
 let durable_hash t =
@@ -564,7 +532,7 @@ let store_aux t ~cost_ns ~off data =
   while !pos < len do
     let abs = off + !pos in
     let room_in_word = word_size - (abs mod word_size) in
-    let chunk = min room_in_word (len - !pos) in
+    let chunk = Int.min room_in_word (len - !pos) in
     add_record t ~cost_ns abs (String.sub data !pos chunk);
     pos := !pos + chunk
   done
@@ -616,7 +584,7 @@ let store_coarse t ~off data =
   while !pos < len do
     let abs = off + !pos in
     let room = line_size - (abs mod line_size) in
-    let chunk = min room (len - !pos) in
+    let chunk = Int.min room (len - !pos) in
     add_record t ~cost_ns:t.latency.nt_store_ns abs (String.sub data !pos chunk);
     pos := !pos + chunk
   done;
@@ -650,9 +618,9 @@ let zeros_line = String.make line_size '\000'
    same records, stats, charges, events — but O(touched lines) in
    transient memory instead of O(len) (the historical implementation
    built a [String.make len] up front, a multi-MB spike for a large
-   truncate). On sparse volumes, chunks unbacked in both images are
-   provably zero with no in-flight stores, so their lines need no
-   records at all and the range skips them wholesale. *)
+   truncate). Chunks unbacked in both images are provably zero with no
+   in-flight stores, so their lines need no records at all and the
+   range skips them wholesale. *)
 let zero t ~off ~len =
   check_range t off len;
   if len > 0 then begin
@@ -667,14 +635,14 @@ let zero t ~off ~len =
     let pos = ref off in
     while !pos < stop do
       let chunk_end =
-        min stop (((!pos / Sbuf.chunk_bytes) + 1) * Sbuf.chunk_bytes)
+        Int.min stop (((!pos / Sbuf.chunk_bytes) + 1) * Sbuf.chunk_bytes)
       in
       if Sbuf.chunk_unbacked t.latest !pos && Sbuf.chunk_unbacked t.durable !pos
       then pos := chunk_end
       else
         while !pos < chunk_end do
           let room = line_size - (!pos mod line_size) in
-          let c = min room (chunk_end - !pos) in
+          let c = Int.min room (chunk_end - !pos) in
           add_record t ~cost_ns:t.latency.nt_store_ns !pos
             (if c = line_size then zeros_line else String.sub zeros_line 0 c);
           pos := !pos + c
@@ -1152,15 +1120,16 @@ let retained_spans t r =
 (* {1 Pooled reuse}
 
    [reset] rewinds a device to the state of a fresh [of_image image]
-   device without reallocating its buffers: the two full-device reloads
-   replace the allocation + zeroing of [create] and the simulated mkfs
-   that produced [image] in the first place. Everything observable —
+   device without reallocating its buffers: reloading the durable image
+   from [image] (backing its nonzero chunks) and syncing the visible one
+   from it replaces [create] and the simulated mkfs that produced
+   [image] in the first place. Everything observable —
    stats, clock, pending stores, fault machinery, hooks — is restored to
    the fresh state, so a pooled device is indistinguishable from a new
    one. The content-hash state is the one exception by default (it is
    dropped and lazily re-enabled, exactly like a fresh device); callers
    that reset to the same template many times pass [?hash] — computed
-   once with [image_hash_state] — to skip the O(device) rehash. *)
+   once with [image_hash_state] — to skip rehashing the backed lines. *)
 
 let image_hash_state image =
   let n = (Bytes.length image + line_size - 1) / line_size in
@@ -1176,7 +1145,7 @@ let reset ?hash t ~image =
   if Bytes.length image <> t.size then
     invalid_arg "Pmem.Device.reset: image size mismatch";
   Sbuf.load_bytes t.durable image;
-  Sbuf.load_bytes t.latest image;
+  Sbuf.sync ~src:t.durable ~dst:t.latest;
   Hashtbl.reset t.lines;
   t.drain <- [];
   Stats.reset t.stats;
@@ -1197,13 +1166,23 @@ let reset ?hash t ~image =
   | Some (lh, base) ->
       if Array.length lh <> line_count t then
         invalid_arg "Pmem.Device.reset: hash state size mismatch";
-      (match t.hstate with
-      | H_dense a when Array.length a = Array.length lh ->
-          Array.blit lh 0 a 0 (Array.length lh)
-      | H_dense _ | H_sparse _ | H_off -> t.hstate <- H_dense (Array.copy lh));
+      let tbl =
+        match t.hlines with
+        | Some tbl ->
+            Hashtbl.clear tbl;
+            tbl
+        | None -> Hashtbl.create 1024
+      in
+      (* lines outside the backed chunks are zero in [image], so their
+         entries in [lh] are the zero-line hash the table elides *)
+      iter_backed_lines t.durable (fun idx ->
+          let h = lh.(idx) in
+          if not (Int64.equal h (zero_line_hash idx (snd (line_span t idx))))
+          then Hashtbl.replace tbl idx h);
+      t.hlines <- Some tbl;
       t.base_hash <- base
   | None ->
-      t.hstate <- H_off;
+      t.hlines <- None;
       t.base_hash <- 0L);
   (* Keep the attached scratch (if any) mirroring the new base, so a
      pooled device's scratch survives resets without reallocation. *)

@@ -23,32 +23,25 @@
 
 type t
 
-val sparse_threshold : int
-(** Device size (bytes) above which {!create} defaults to sparse
-    backing. *)
-
 exception Media_error of { off : int; len : int }
 (** Raised by bulk {!read} when an active fault plan injects a transient
     read error. Callers are expected to retry and surface [EIO] if the
     error persists — never to let the exception escape a syscall. *)
 
-val create : ?latency:Latency.t -> ?sparse:bool -> size:int -> unit -> t
+val create : ?latency:Latency.t -> size:int -> unit -> t
 (** Fresh zeroed device of [size] bytes. Default latency is {!Latency.zero}
     (functional-test profile); benchmarks pass {!Latency.optane}.
 
-    [sparse] selects the backing representation: dense (one [Bytes.t]
-    per image, the historical layout — every observable bit-identical)
-    or sparse (chunks backed on first touch; an untouched chunk is
-    durably zero by definition, and resident memory tracks touched
-    chunks rather than volume size). Defaults to sparse above 64 MiB —
-    multi-GB volumes become practical — and dense below it. *)
+    Both images are lazily backed {!Sbuf} chunk tables: creation costs
+    O(size / 1 MiB), a chunk is backed on first store, an untouched
+    chunk is durably zero by definition, and resident memory tracks
+    touched chunks rather than volume size. *)
 
 val of_image : ?latency:Latency.t -> Bytes.t -> t
 (** Quiescent device whose durable and visible contents are [image]
-    (crash-image remount path). The image is copied — twice; prefer the
-    zero-copy {!of_view} when probing many crash states. Images above
-    {!sparse_threshold} load into sparse backing (only nonzero chunks
-    are retained), like {!create}. *)
+    (crash-image remount path). The image's nonzero chunks are copied
+    — twice, once per image; prefer the zero-copy {!of_view} when
+    probing many crash states. *)
 
 val of_spans : ?latency:Latency.t -> size:int -> (int * string) list -> t
 (** Quiescent device from [(off, payload)] spans over an otherwise-zero
@@ -60,19 +53,17 @@ val of_spans : ?latency:Latency.t -> size:int -> (int * string) list -> t
 val size : t -> int
 
 val is_sparse : t -> bool
-(** Whether the device uses sparse (lazily backed) storage. *)
+(** Always [true]: every device is lazily backed. *)
 
 val backed_spans : t -> (int * int) list
 (** Merged ascending [(off, len)] byte spans ever touched through either
     the visible or the durable image. Any offset outside every span is
     durably zero with no in-flight stores, so scans (mount, fsck,
-    rebuild) may skip it wholesale. A dense device reports one span
-    covering the whole volume. *)
+    rebuild) may skip it wholesale. *)
 
 val resident_bytes : t -> int
-(** Approximate resident payload of the device images: proportional to
-    touched chunks on a sparse device, twice the volume size on a dense
-    one. *)
+(** Resident payload of the two device images: their backed chunks
+    times {!Sbuf.chunk_bytes}. *)
 
 val set_shared : t -> bool -> unit
 (** Shared (multi-domain) mode, off by default. When on, every public
@@ -370,16 +361,17 @@ val reset : ?hash:int64 array * int64 -> t -> image:Bytes.t -> unit
     is identical to a fresh device with the same contents.
 
     By default the content-hash state is dropped and lazily re-enabled
-    like on a fresh device (an O(device) pass on first use). Callers
-    resetting to the same template repeatedly should precompute
-    [?hash = image_hash_state image] once and pass it to make [reset]
-    O(device-blit) with no rehash. Not meaningful on borrowed
-    ({!of_view}) devices. *)
+    like on a fresh device (a pass over the backed lines on first use).
+    Callers resetting to the same template repeatedly should precompute
+    [?hash = image_hash_state image] once and pass it: [reset] then
+    builds the zero-elided line table from it over the backed lines,
+    with no rehash. Not meaningful on borrowed ({!of_view}) devices. *)
 
 val image_hash_state : Bytes.t -> int64 array * int64
 (** Per-line content-hash state of an image, as consumed by
-    [reset ~hash]: equals the [(line_hash, base_hash)] a device whose
-    durable image is [image] would maintain. *)
+    [reset ~hash]: every line's hash and their xor, the {!durable_hash}
+    of a device whose durable image is [image]. A whole-image fold that
+    shares no state with the device's incremental hash. *)
 
 val of_view : ?latency:Latency.t -> scratch -> t
 (** Zero-copy mount of the scratch's current contents: the returned

@@ -1,314 +1,273 @@
 (* Chunked storage buffer backing the simulated device images.
 
-   Two representations behind one interface:
-
-   - [Dense]: a plain [Bytes.t], byte-for-byte what the device always
-     used. Small volumes stay on this path so every existing behaviour
-     (allocation pattern, hashing walk order, image round-trips) is
-     bit-identical.
-   - [Sparse]: a chunk table keyed by chunk index. A chunk is backed on
-     first store; an absent chunk reads as zeroes. Resident memory is
-     proportional to touched chunks, never to volume size — the property
-     that lets a simulated multi-GB device exist in a small heap.
+   One representation at every size: a two-level table. The spine holds
+   one leaf per [leaf_chunks] chunks (1 MiB of buffer); a leaf holds one
+   [chunk_bytes] chunk per slot. Leaves and chunks are allocated on the
+   first store into them. Until then a spine slot points at the shared
+   [zero_leaf] and a leaf slot at the shared [zero_chunk], so every read
+   is two array loads — no hashing, no option boxes — and an unbacked
+   chunk is recognized by physical equality with [zero_chunk]. Creating
+   a buffer costs O(size / 1 MiB); resident memory tracks touched chunks,
+   never volume size.
 
    Invariants the device layer relies on:
    - [chunk_bytes] is a multiple of the device line size (64), so a
      cache line never straddles two chunks ([line_view] can hand out a
      zero-copy window into one chunk).
-   - Aliasing a [Sparse] value shares the chunk table: mutations through
-     either alias are visible to both, exactly like aliasing a
-     [Bytes.t] (the [of_view] borrowed-device trick depends on this).
-   - An unbacked chunk is definitionally all-zero. Backing a chunk with
-     zero content is allowed (it just wastes a little memory); dropping
-     a backed all-zero chunk is an optimization, never required. *)
+   - Aliasing a value shares the table: mutations through either alias
+     are visible to both, exactly like aliasing a [Bytes.t] (the
+     [of_view] borrowed-device trick depends on this).
+   - An unbacked chunk is definitionally all-zero. The two sentinels are
+     never written: every mutation of a chunk goes through [chunk_rw],
+     which backs the slot first. Backing a chunk with zero content is
+     allowed; [load_bytes] backs exactly the chunks holding a nonzero
+     byte. *)
 
 let chunk_bytes = 4096
+let chunk_shift = 12
+let leaf_bits = 8
+let leaf_chunks = 1 lsl leaf_bits
+let zero_chunk = Bytes.make chunk_bytes '\000'
+let zero_leaf = Array.make leaf_chunks zero_chunk
 
-type t =
-  | Dense of Bytes.t
-  | Sparse of { size : int; chunks : (int, Bytes.t) Hashtbl.t }
+type t = {
+  size : int;
+  spine : Bytes.t array array;
+  mutable backed : int; (* chunks not pointing at [zero_chunk] *)
+}
 
-let create ~sparse ~size =
-  if sparse then Sparse { size; chunks = Hashtbl.create 64 }
-  else Dense (Bytes.make size '\000')
+let create ~size =
+  let chunks = (size + chunk_bytes - 1) / chunk_bytes in
+  {
+    size;
+    spine = Array.make ((chunks + leaf_chunks - 1) / leaf_chunks) zero_leaf;
+    backed = 0;
+  }
 
-let of_bytes b = Dense b
-let length = function Dense b -> Bytes.length b | Sparse { size; _ } -> size
-let is_sparse = function Dense _ -> false | Sparse _ -> true
+let length t = t.size
 
+(* [len > size - off] rather than [off + len > size]: the sum wraps
+   around for [len] near [max_int]. *)
 let check t off len =
-  let size = length t in
-  if off < 0 || len < 0 || off + len > size then
+  if off < 0 || len < 0 || len > t.size - off then
     invalid_arg
-      (Printf.sprintf "Pmem.Sbuf: range [%d,%d) outside buffer of size %d" off
-         (off + len) size)
+      (Printf.sprintf "Pmem.Sbuf: range off=%d len=%d outside buffer of size %d"
+         off len t.size)
 
-(* Chunk holding byte [off], backing it on demand. *)
-let chunk_rw chunks off =
-  let ci = off / chunk_bytes in
-  match Hashtbl.find_opt chunks ci with
-  | Some c -> c
-  | None ->
-      let c = Bytes.make chunk_bytes '\000' in
-      Hashtbl.replace chunks ci c;
-      c
+(* Chunk [ci] for reading: [zero_chunk] when unbacked. *)
+let chunk t ci = t.spine.(ci lsr leaf_bits).(ci land (leaf_chunks - 1))
+
+(* Leaf [li] for writing, allocated on demand. *)
+let leaf_rw t li =
+  let l = t.spine.(li) in
+  if l != zero_leaf then l
+  else begin
+    let l = Array.make leaf_chunks zero_chunk in
+    t.spine.(li) <- l;
+    l
+  end
+
+(* Chunk [ci] for writing, backing its leaf and itself on demand. *)
+let chunk_rw t ci =
+  let leaf = leaf_rw t (ci lsr leaf_bits) in
+  let i = ci land (leaf_chunks - 1) in
+  let c = leaf.(i) in
+  if c != zero_chunk then c
+  else begin
+    let c = Bytes.make chunk_bytes '\000' in
+    leaf.(i) <- c;
+    t.backed <- t.backed + 1;
+    c
+  end
 
 let get t off =
   check t off 1;
-  match t with
-  | Dense b -> Bytes.get b off
-  | Sparse { chunks; _ } -> (
-      match Hashtbl.find_opt chunks (off / chunk_bytes) with
-      | None -> '\000'
-      | Some c -> Bytes.get c (off mod chunk_bytes))
+  Bytes.get (chunk t (off lsr chunk_shift)) (off land (chunk_bytes - 1))
 
 let set t off v =
   check t off 1;
-  match t with
-  | Dense b -> Bytes.set b off v
-  | Sparse { chunks; _ } ->
-      Bytes.set (chunk_rw chunks off) (off mod chunk_bytes) v
+  Bytes.set (chunk_rw t (off lsr chunk_shift)) (off land (chunk_bytes - 1)) v
 
 (* Little-endian multi-byte reads. The aligned case (the only one the
    device layer produces) sits inside one chunk because [chunk_bytes] is
    a multiple of 8; the straddling case falls back to byte assembly. *)
 let get_int64_le t off =
   check t off 8;
-  match t with
-  | Dense b -> Bytes.get_int64_le b off
-  | Sparse { chunks; _ } ->
-      let i = off mod chunk_bytes in
-      if i <= chunk_bytes - 8 then
-        match Hashtbl.find_opt chunks (off / chunk_bytes) with
-        | None -> 0L
-        | Some c -> Bytes.get_int64_le c i
-      else begin
-        let v = ref 0L in
-        for k = 7 downto 0 do
-          v :=
-            Int64.logor (Int64.shift_left !v 8)
-              (Int64.of_int (Char.code (get t (off + k))))
-        done;
-        !v
-      end
+  let i = off land (chunk_bytes - 1) in
+  if i <= chunk_bytes - 8 then
+    Bytes.get_int64_le (chunk t (off lsr chunk_shift)) i
+  else begin
+    let v = ref 0L in
+    for k = 7 downto 0 do
+      v :=
+        Int64.logor (Int64.shift_left !v 8)
+          (Int64.of_int (Char.code (get t (off + k))))
+    done;
+    !v
+  end
 
 let get_int32_le t off =
   check t off 4;
-  match t with
-  | Dense b -> Bytes.get_int32_le b off
-  | Sparse { chunks; _ } ->
-      let i = off mod chunk_bytes in
-      if i <= chunk_bytes - 4 then
-        match Hashtbl.find_opt chunks (off / chunk_bytes) with
-        | None -> 0l
-        | Some c -> Bytes.get_int32_le c i
-      else begin
-        let v = ref 0l in
-        for k = 3 downto 0 do
-          v :=
-            Int32.logor (Int32.shift_left !v 8)
-              (Int32.of_int (Char.code (get t (off + k))))
-        done;
-        !v
-      end
+  let i = off land (chunk_bytes - 1) in
+  if i <= chunk_bytes - 4 then
+    Bytes.get_int32_le (chunk t (off lsr chunk_shift)) i
+  else begin
+    let v = ref 0l in
+    for k = 3 downto 0 do
+      v :=
+        Int32.logor (Int32.shift_left !v 8)
+          (Int32.of_int (Char.code (get t (off + k))))
+    done;
+    !v
+  end
 
-(* Copy out [len] bytes as fresh [Bytes.t], zero-filling unbacked gaps. *)
+(* Copy out [len] bytes as fresh [Bytes.t]; unbacked gaps copy from the
+   zero sentinel. *)
 let sub t ~off ~len =
   check t off len;
-  match t with
-  | Dense b -> Bytes.sub b off len
-  | Sparse { chunks; _ } ->
-      let out = Bytes.make len '\000' in
-      let pos = ref off in
-      while !pos < off + len do
-        let ci = !pos / chunk_bytes in
-        let i = !pos mod chunk_bytes in
-        let n = min (chunk_bytes - i) (off + len - !pos) in
-        (match Hashtbl.find_opt chunks ci with
-        | Some c -> Bytes.blit c i out (!pos - off) n
-        | None -> ());
-        pos := !pos + n
-      done;
-      out
+  let out = Bytes.create len in
+  let pos = ref off in
+  while !pos < off + len do
+    let i = !pos land (chunk_bytes - 1) in
+    let n = Int.min (chunk_bytes - i) (off + len - !pos) in
+    Bytes.blit (chunk t (!pos lsr chunk_shift)) i out (!pos - off) n;
+    pos := !pos + n
+  done;
+  out
 
 let blit_string data t off =
   let len = String.length data in
   check t off len;
-  match t with
-  | Dense b -> Bytes.blit_string data 0 b off len
-  | Sparse { chunks; _ } ->
-      let pos = ref 0 in
-      while !pos < len do
-        let abs = off + !pos in
-        let i = abs mod chunk_bytes in
-        let n = min (chunk_bytes - i) (len - !pos) in
-        Bytes.blit_string data !pos (chunk_rw chunks abs) i n;
-        pos := !pos + n
-      done
-
-let blit_to_bytes t ~off dst ~dst_off ~len =
-  check t off len;
-  match t with
-  | Dense b -> Bytes.blit b off dst dst_off len
-  | Sparse { chunks; _ } ->
-      Bytes.fill dst dst_off len '\000';
-      let pos = ref off in
-      while !pos < off + len do
-        let ci = !pos / chunk_bytes in
-        let i = !pos mod chunk_bytes in
-        let n = min (chunk_bytes - i) (off + len - !pos) in
-        (match Hashtbl.find_opt chunks ci with
-        | Some c -> Bytes.blit c i dst (dst_off + (!pos - off)) n
-        | None -> ());
-        pos := !pos + n
-      done
+  let pos = ref 0 in
+  while !pos < len do
+    let abs = off + !pos in
+    let i = abs land (chunk_bytes - 1) in
+    let n = Int.min (chunk_bytes - i) (len - !pos) in
+    Bytes.blit_string data !pos (chunk_rw t (abs lsr chunk_shift)) i n;
+    pos := !pos + n
+  done
 
 (* Buffer-to-buffer copy. Where [src] is unbacked the destination range
-   is zeroed (backing it only if it was already backed: writing zeroes
-   into an unbacked dst chunk would back it for nothing). *)
+   is zeroed, backing it only if it was already backed: writing zeroes
+   into an unbacked dst chunk would back it for nothing. *)
 let blit ~src ~src_off ~dst ~dst_off ~len =
   check src src_off len;
   check dst dst_off len;
-  match (src, dst) with
-  | Dense sb, Dense db -> Bytes.blit sb src_off db dst_off len
-  | _ ->
-      let pos = ref 0 in
-      while !pos < len do
-        let s = src_off + !pos and d = dst_off + !pos in
-        (* step bounded by both chunk geometries *)
-        let n =
-          min
-            (min
-               (chunk_bytes - (s mod chunk_bytes))
-               (chunk_bytes - (d mod chunk_bytes)))
-            (len - !pos)
-        in
-        let src_backed =
-          match src with
-          | Dense _ -> true
-          | Sparse { chunks; _ } -> Hashtbl.mem chunks (s / chunk_bytes)
-        in
-        (match (src_backed, dst) with
-        | true, Dense db -> blit_to_bytes src ~off:s db ~dst_off:d ~len:n
-        | true, Sparse { chunks; _ } ->
-            let c = chunk_rw chunks d in
-            blit_to_bytes src ~off:s c ~dst_off:(d mod chunk_bytes) ~len:n
-        | false, Dense db -> Bytes.fill db d n '\000'
-        | false, Sparse { chunks; _ } -> (
-            match Hashtbl.find_opt chunks (d / chunk_bytes) with
-            | Some c -> Bytes.fill c (d mod chunk_bytes) n '\000'
-            | None -> ()));
-        pos := !pos + n
-      done
+  let pos = ref 0 in
+  while !pos < len do
+    let s = src_off + !pos and d = dst_off + !pos in
+    let si = s land (chunk_bytes - 1) and di = d land (chunk_bytes - 1) in
+    let n = Int.min (Int.min (chunk_bytes - si) (chunk_bytes - di)) (len - !pos) in
+    let sc = chunk src (s lsr chunk_shift) in
+    (if sc != zero_chunk then
+       Bytes.blit sc si (chunk_rw dst (d lsr chunk_shift)) di n
+     else
+       let dc = chunk dst (d lsr chunk_shift) in
+       if dc != zero_chunk then Bytes.fill dc di n '\000');
+    pos := !pos + n
+  done
 
-(* Make [dst] content-equal to [src], in place: the chunk table object
-   survives (aliases stay valid). O(backed chunks), not O(size). *)
+(* Make [dst] content-equal to [src] with the same backed chunks, in
+   place: the table object survives (aliases stay valid) and [dst]'s
+   chunk buffers are reused where both sides are backed. O(size / 1 MiB
+   + backed chunks). *)
 let sync ~src ~dst =
-  if length src <> length dst then invalid_arg "Pmem.Sbuf.sync: size mismatch";
-  match (src, dst) with
-  | Dense sb, Dense db -> Bytes.blit sb 0 db 0 (Bytes.length sb)
-  | Sparse s, Sparse d ->
-      Hashtbl.reset d.chunks;
-      Hashtbl.iter (fun ci c -> Hashtbl.replace d.chunks ci (Bytes.copy c)) s.chunks
-  | _ -> blit ~src ~src_off:0 ~dst ~dst_off:0 ~len:(length src)
+  if src.size <> dst.size then invalid_arg "Pmem.Sbuf.sync: size mismatch";
+  Array.iteri
+    (fun li sl ->
+      if sl == zero_leaf then dst.spine.(li) <- zero_leaf
+      else begin
+        let dl = leaf_rw dst li in
+        Array.iteri
+          (fun i sc ->
+            if sc == zero_chunk then dl.(i) <- zero_chunk
+            else if dl.(i) != zero_chunk then
+              Bytes.blit sc 0 dl.(i) 0 chunk_bytes
+            else dl.(i) <- Bytes.copy sc)
+          sl
+      end)
+    src.spine;
+  dst.backed <- src.backed
 
-(* Reload from a dense image (the [Device.reset] path): clear and re-back
-   only the chunks that carry nonzero content. *)
+(* Does [img] hold a nonzero byte in [pos, pos + n)? Word-wise: chunk
+   starts are 8-aligned, so only a short tail is read byte by byte. *)
+let nonzero img pos n =
+  let word_stop = pos + (n land lnot 7) and stop = pos + n in
+  let rec words i =
+    if i >= word_stop then bytes i
+    else Bytes.get_int64_le img i <> 0L || words (i + 8)
+  and bytes i = i < stop && (Bytes.get img i <> '\000' || bytes (i + 1)) in
+  words pos
+
+(* Reload from a dense image of the same size (the [Device.reset] path),
+   backing exactly the chunks that hold a nonzero byte. Already-backed
+   chunks are refilled in place rather than reallocated. *)
 let load_bytes t img =
-  if Bytes.length img <> length t then
+  if Bytes.length img <> t.size then
     invalid_arg "Pmem.Sbuf.load_bytes: size mismatch";
-  match t with
-  | Dense b -> Bytes.blit img 0 b 0 (Bytes.length img)
-  | Sparse { size; chunks } ->
-      Hashtbl.reset chunks;
-      let pos = ref 0 in
-      while !pos < size do
-        let n = min chunk_bytes (size - !pos) in
-        let nonzero = ref false in
-        (* word-wise scan: chunk starts are 8-aligned, so this reads the
-           image a machine word at a time and only falls back to bytes
-           for a short tail *)
-        (let stop = !pos + n in
-         let word_stop = !pos + (n land lnot 7) in
-         let i = ref !pos in
-         while (not !nonzero) && !i < word_stop do
-           if Bytes.get_int64_le img !i <> 0L then nonzero := true;
-           i := !i + 8
-         done;
-         if !nonzero then ()
-         else
-           while (not !nonzero) && !i < stop do
-             if Bytes.get img !i <> '\000' then nonzero := true;
-             incr i
-           done);
-        if !nonzero then begin
-          let c = Bytes.make chunk_bytes '\000' in
-          Bytes.blit img !pos c 0 n;
-          Hashtbl.replace chunks (!pos / chunk_bytes) c
-        end;
-        pos := !pos + n
-      done
+  let pos = ref 0 and ci = ref 0 in
+  while !pos < t.size do
+    let n = Int.min chunk_bytes (t.size - !pos) in
+    (if nonzero img !pos n then begin
+       let c = chunk_rw t !ci in
+       Bytes.blit img !pos c 0 n
+     end
+     else if chunk t !ci != zero_chunk then begin
+       t.spine.(!ci lsr leaf_bits).(!ci land (leaf_chunks - 1)) <- zero_chunk;
+       t.backed <- t.backed - 1
+     end);
+    pos := !pos + n;
+    incr ci
+  done
 
-let copy = function
-  | Dense b -> Dense (Bytes.copy b)
-  | Sparse { size; chunks } ->
-      let c2 = Hashtbl.create (max 64 (Hashtbl.length chunks)) in
-      Hashtbl.iter (fun ci c -> Hashtbl.replace c2 ci (Bytes.copy c)) chunks;
-      Sparse { size; chunks = c2 }
+let copy t =
+  {
+    t with
+    spine =
+      Array.map
+        (fun l ->
+          if l == zero_leaf then l
+          else Array.map (fun c -> if c == zero_chunk then c else Bytes.copy c) l)
+        t.spine;
+  }
 
-let to_bytes t =
-  match t with
-  | Dense b -> Bytes.copy b
-  | Sparse { size; _ } -> sub t ~off:0 ~len:size
+let to_bytes t = sub t ~off:0 ~len:t.size
 
 (* Zero-copy window over a range that cannot straddle chunks (device
    cache lines, 64 B aligned). [None] = unbacked, i.e. provably zero. *)
 let line_view t ~off ~len =
   check t off len;
-  match t with
-  | Dense b -> Some (b, off)
-  | Sparse { chunks; _ } ->
-      if off / chunk_bytes <> (off + len - 1) / chunk_bytes then
-        invalid_arg "Pmem.Sbuf.line_view: range straddles chunks";
-      (match Hashtbl.find_opt chunks (off / chunk_bytes) with
-      | None -> None
-      | Some c -> Some (c, off mod chunk_bytes))
+  let ci = off lsr chunk_shift in
+  if ci <> (off + len - 1) lsr chunk_shift then
+    invalid_arg "Pmem.Sbuf.line_view: range straddles chunks";
+  let c = chunk t ci in
+  if c == zero_chunk then None else Some (c, off land (chunk_bytes - 1))
 
-let chunk_unbacked t off =
-  match t with
-  | Dense _ -> false
-  | Sparse { chunks; _ } -> not (Hashtbl.mem chunks (off / chunk_bytes))
+let chunk_unbacked t off = chunk t (off lsr chunk_shift) == zero_chunk
 
-let backed_chunk_set t =
-  match t with
-  | Dense _ -> None
-  | Sparse { chunks; _ } ->
-      Some (Hashtbl.fold (fun ci _ acc -> ci :: acc) chunks [])
-
-(* Merged ascending byte spans of backed content. Dense = everything. *)
+(* Merged ascending byte spans of backed content: one pass over the
+   spine, entering only allocated leaves. *)
 let backed_spans t =
-  match t with
-  | Dense b -> [ (0, Bytes.length b) ]
-  | Sparse { size; chunks } ->
-      let cis =
-        Hashtbl.fold (fun ci _ acc -> ci :: acc) chunks []
-        |> List.sort_uniq compare
-      in
-      let rec merge = function
-        | [] -> []
-        | ci :: rest ->
-            let rec run last = function
-              | x :: tl when x = last + 1 -> run x tl
-              | tl -> (last, tl)
-            in
-            let last, tl = run ci rest in
-            let off = ci * chunk_bytes in
-            let stop = min size ((last + 1) * chunk_bytes) in
-            (off, stop - off) :: merge tl
-      in
-      merge cis
+  let spans = ref [] and run = ref (-1) in
+  (* [!run] = first chunk of the open run of backed chunks, or -1 *)
+  let close ci =
+    if !run >= 0 then begin
+      let off = !run * chunk_bytes in
+      spans := (off, Int.min t.size (ci * chunk_bytes) - off) :: !spans;
+      run := -1
+    end
+  in
+  Array.iteri
+    (fun li l ->
+      if l == zero_leaf then close (li * leaf_chunks)
+      else
+        Array.iteri
+          (fun i c ->
+            let ci = (li * leaf_chunks) + i in
+            if c == zero_chunk then close ci else if !run < 0 then run := ci)
+          l)
+    t.spine;
+  close (Array.length t.spine * leaf_chunks);
+  List.rev !spans
 
-let resident_bytes t =
-  match t with
-  | Dense b -> Bytes.length b
-  | Sparse { chunks; _ } -> Hashtbl.length chunks * chunk_bytes
+let resident_bytes t = t.backed * chunk_bytes

@@ -1,11 +1,10 @@
 (** Chunked storage buffer backing the simulated device images.
 
-    A value is either [Dense] (a plain [Bytes.t] — small volumes, kept
-    bit-identical to the historical representation) or sparse (a chunk
-    table; unbacked chunks read as zero, chunks are backed on first
-    store, resident memory tracks touched chunks rather than volume
-    size). Aliasing a sparse value shares the chunk table, like
-    aliasing a [Bytes.t]. *)
+    A two-level chunk table at every size: chunks are backed on first
+    store, unbacked chunks read as zero, and resident memory tracks
+    touched chunks rather than volume size. Every access is two array
+    loads. Aliasing a value shares the table, like aliasing a
+    [Bytes.t]. *)
 
 type t
 
@@ -13,14 +12,10 @@ val chunk_bytes : int
 (** Chunk granularity; a multiple of the 64-byte device line size, so a
     cache line never straddles two chunks. *)
 
-val create : sparse:bool -> size:int -> t
-(** All-zero buffer. [sparse:false] allocates densely up front. *)
-
-val of_bytes : Bytes.t -> t
-(** Dense view over [b] — no copy; mutations are shared. *)
+val create : size:int -> t
+(** All-zero buffer with nothing backed: O(size / 1 MiB). *)
 
 val length : t -> int
-val is_sparse : t -> bool
 
 val get : t -> int -> char
 val set : t -> int -> char -> unit
@@ -35,22 +30,22 @@ val blit_string : string -> t -> int -> unit
 (** Store the whole string at the given offset, backing chunks as
     needed. *)
 
-val blit_to_bytes : t -> off:int -> Bytes.t -> dst_off:int -> len:int -> unit
-
 val blit : src:t -> src_off:int -> dst:t -> dst_off:int -> len:int -> unit
-(** Buffer-to-buffer copy; where [src] is unbacked the destination
-    range is zeroed (without backing fresh destination chunks). *)
+(** Buffer-to-buffer copy between distinct buffers; where [src] is
+    unbacked the destination range is zeroed (without backing fresh
+    destination chunks). *)
 
 val sync : src:t -> dst:t -> unit
-(** Make [dst] content-equal to [src] in place (the chunk table object
-    survives, so aliases remain valid). O(backed chunks). *)
+(** Make [dst] content-equal to [src], with the same backed chunks, in
+    place (the table object survives, so aliases remain valid).
+    O(size / 1 MiB + backed chunks). *)
 
 val load_bytes : t -> Bytes.t -> unit
-(** Reload from a dense image of the same size; on a sparse buffer only
-    nonzero chunks are re-backed. *)
+(** Reload from a dense image of the same size, backing exactly the
+    chunks that hold a nonzero byte. *)
 
 val copy : t -> t
-(** Deep copy, preserving representation. *)
+(** Deep copy with the same backed chunks. *)
 
 val to_bytes : t -> Bytes.t
 (** Materialize as a fresh dense image — O(size). *)
@@ -59,20 +54,13 @@ val line_view : t -> off:int -> len:int -> (Bytes.t * int) option
 (** Zero-copy window over a range that must not straddle chunks (device
     cache lines). [Some (buf, off)] gives the backing bytes and the
     range's offset within them; [None] means unbacked, i.e. the range
-    is provably all-zero. Dense buffers always return [Some]. *)
+    is provably all-zero. *)
 
 val chunk_unbacked : t -> int -> bool
-(** Is the chunk containing this offset unbacked (provably zero)?
-    Always [false] on dense buffers. *)
-
-val backed_chunk_set : t -> int list option
-(** [None] on dense buffers (everything backed); otherwise the unsorted
-    backed chunk indices. *)
+(** Is the chunk containing this offset unbacked (provably zero)? *)
 
 val backed_spans : t -> (int * int) list
-(** Merged ascending [(off, len)] byte spans of backed content. Dense
-    buffers report one span covering the whole buffer. *)
+(** Merged ascending [(off, len)] byte spans of backed chunks. *)
 
 val resident_bytes : t -> int
-(** Approximate resident payload: full size when dense, backed chunks
-    times [chunk_bytes] when sparse. *)
+(** Resident payload: backed chunks times [chunk_bytes]. *)

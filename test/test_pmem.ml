@@ -384,49 +384,92 @@ let test_reset_drops_undrained_flushes () =
     (Device.image_durable dev);
   Alcotest.(check bool) "quiescent" true (Device.is_quiescent dev)
 
-(* {1 Sparse backing}
+(* {1 Lazy backing}
 
-   A lazily-backed device must be observably identical to a dense one —
-   same reads, durable hashes, crash-state enumeration and stats for the
-   same store traffic — while backing only the chunks actually touched.
-   The one sanctioned divergence: [zero] over never-touched chunks emits
-   no line records at all on a sparse device (they are provably zero
-   durably with nothing in flight), so drain counters may come out lower
-   there; durable content still matches. *)
+   Every device backs its images with the [Sbuf] chunk table: a chunk is
+   backed on first store and an unbacked chunk is durably zero. The
+   tests below check devices against plain [Bytes.t] references. The one
+   sanctioned divergence from a store-by-store model: [zero] over chunks
+   no store ever touched emits no line records at all (they are durably
+   zero with nothing in flight), so the store and drain counters count
+   only records over touched chunks. *)
 
-let test_sparse_matches_dense () =
-  let ops dev =
-    Device.store dev ~off:100 "hello";
-    Device.persist dev ~off:100 ~len:5;
-    Device.store_u64 dev 8192 0xAB;
-    Device.store dev ~off:12300 "pending"
+(* Zero-filled image of [size] bytes with [stores] applied in order. *)
+let bytes_image size stores =
+  let b = Bytes.make size '\000' in
+  List.iter
+    (fun (off, s) -> Bytes.blit_string s 0 b off (String.length s))
+    stores;
+  b
+
+(* Merged ascending spans of the chunks [backed] marks, clipped to
+   [size]: what [backed_spans] must report for that chunk set. *)
+let chunk_spans ~size backed =
+  let spans = ref [] in
+  Array.iteri
+    (fun ci b ->
+      if b then begin
+        let off = ci * Sbuf.chunk_bytes in
+        let stop = min size (off + Sbuf.chunk_bytes) in
+        spans :=
+          match !spans with
+          | (o, l) :: rest when o + l = off -> (o, stop - o) :: rest
+          | sp -> (off, stop - off) :: sp
+      end)
+    backed;
+  List.rev !spans
+
+(* The chunks of [img] holding a nonzero byte. *)
+let nonzero_chunks img =
+  let size = Bytes.length img in
+  Array.init
+    ((size + Sbuf.chunk_bytes - 1) / Sbuf.chunk_bytes)
+    (fun ci ->
+      let off = ci * Sbuf.chunk_bytes in
+      let len = min Sbuf.chunk_bytes (size - off) in
+      not (Bytes.equal (Bytes.sub img off len) (Bytes.make len '\000')))
+
+let test_matches_bytes_reference () =
+  let size = 16384 in
+  let dev = Device.create ~size () in
+  Device.store dev ~off:100 "hello";
+  Device.persist dev ~off:100 ~len:5;
+  Device.store_u64 dev 8192 0xAB;
+  (* two records in one line: "pend" up to the word boundary, "ing" *)
+  Device.store dev ~off:12300 "pending";
+  let u64 = "\xab\000\000\000\000\000\000\000" in
+  let durable = bytes_image size [ (100, "hello") ] in
+  let latest = bytes_image size [ (100, "hello"); (8192, u64); (12300, "pending") ] in
+  Alcotest.(check bytes_eq) "durable image" durable (Device.image_durable dev);
+  Alcotest.(check bytes_eq) "latest image" latest (Device.image_latest dev);
+  Alcotest.(check bytes_eq) "read across a chunk boundary"
+    (Bytes.sub latest 8000 600)
+    (Device.read dev ~off:8000 ~len:600);
+  Alcotest.(check bool) "durable hash = whole-image fold" true
+    (Device.durable_hash dev = snd (Device.image_hash_state durable));
+  (* every per-line prefix combination over the durable reference *)
+  let expected =
+    List.concat_map
+      (fun k1 ->
+        List.map
+          (fun k2 ->
+            let stores =
+              (if k1 then [ (8192, u64) ] else [])
+              @ (if k2 >= 1 then [ (12300, "pend") ] else [])
+              @ if k2 >= 2 then [ (12304, "ing") ] else []
+            in
+            Bytes.to_string (bytes_image size ((100, "hello") :: stores)))
+          [ 0; 1; 2 ])
+      [ false; true ]
   in
-  let sparse = Device.create ~sparse:true ~size:16384 () in
-  let dense = Device.create ~sparse:false ~size:16384 () in
-  Alcotest.(check (pair bool bool)) "representations as forced" (true, false)
-    (Device.is_sparse sparse, Device.is_sparse dense);
-  ops sparse;
-  ops dense;
-  Alcotest.(check string) "reads equal" (read_str dense 100 5)
-    (read_str sparse 100 5);
-  Alcotest.(check bool) "stats equal" true
-    (Device.stats sparse = Device.stats dense);
-  Alcotest.(check bool) "durable hash equal" true
-    (Device.durable_hash sparse = Device.durable_hash dense);
-  let imgs d = List.map Bytes.to_string (Device.crash_images d) in
-  Alcotest.(check (list string)) "same crash-state enumeration" (imgs dense)
-    (imgs sparse);
-  Alcotest.(check bytes_eq) "durable images equal"
-    (Device.image_durable dense)
-    (Device.image_durable sparse)
+  Alcotest.(check (list string)) "crash states = reference prefixes"
+    (List.sort compare expected)
+    (List.sort compare (List.map Bytes.to_string (Device.crash_images dev)))
 
 let test_of_spans_matches_of_image () =
   let size = 16384 in
   let spans = [ (100, "hello"); (8192, "world") ] in
-  let img = Bytes.make size '\000' in
-  List.iter
-    (fun (off, s) -> Bytes.blit_string s 0 img off (String.length s))
-    spans;
+  let img = bytes_image size spans in
   let a = Device.of_spans ~size spans in
   let b = Device.of_image img in
   Alcotest.(check bytes_eq) "durable images equal" (Device.image_durable b)
@@ -435,31 +478,64 @@ let test_of_spans_matches_of_image () =
     (Device.durable_hash a = Device.durable_hash b);
   Alcotest.(check bool) "quiescent" true (Device.is_quiescent a)
 
-let test_sparse_default_by_size () =
-  let small = Device.create ~size:4096 () in
-  Alcotest.(check bool) "small defaults dense" false (Device.is_sparse small);
-  let big = Device.create ~size:(Device.sparse_threshold + 4096) () in
-  Alcotest.(check bool) "above threshold defaults sparse" true
-    (Device.is_sparse big)
+let test_lazily_backed_at_every_size () =
+  List.iter
+    (fun size ->
+      let dev = Device.create ~size () in
+      Alcotest.(check int) "fresh: nothing resident" 0
+        (Device.resident_bytes dev);
+      Alcotest.(check (list (pair int int))) "fresh: no spans" []
+        (Device.backed_spans dev);
+      Device.store dev ~off:(size - 1) "x";
+      Device.persist dev ~off:(size - 1) ~len:1;
+      Alcotest.(check int) "one chunk per image" (2 * Sbuf.chunk_bytes)
+        (Device.resident_bytes dev);
+      let last = (size - 1) / Sbuf.chunk_bytes * Sbuf.chunk_bytes in
+      Alcotest.(check (list (pair int int))) "last chunk, clipped to size"
+        [ (last, size - last) ]
+        (Device.backed_spans dev))
+    [ 4096; 16384 + 100; (64 * 1024 * 1024) + 4096; 1 lsl 30 ]
 
 let test_backed_spans () =
-  let dense = Device.create ~sparse:false ~size:16384 () in
-  Alcotest.(check (list (pair int int))) "dense: one full span" [ (0, 16384) ]
-    (Device.backed_spans dense);
-  let sparse = Device.create ~sparse:true ~size:16384 () in
-  Alcotest.(check (list (pair int int))) "untouched sparse: no spans" []
-    (Device.backed_spans sparse);
-  Device.store sparse ~off:5000 "x";
+  let dev = Device.create ~size:16384 () in
+  Alcotest.(check (list (pair int int))) "untouched: no spans" []
+    (Device.backed_spans dev);
+  Device.store dev ~off:5000 "x";
   Alcotest.(check (list (pair int int))) "store backs its chunk"
     [ (4096, 4096) ]
-    (Device.backed_spans sparse);
-  Device.store sparse ~off:0 "y";
+    (Device.backed_spans dev);
+  Device.store dev ~off:0 "y";
   Alcotest.(check (list (pair int int))) "adjacent chunks merge, ascending"
     [ (0, 8192) ]
-    (Device.backed_spans sparse)
+    (Device.backed_spans dev);
+  (* loading a Bytes reference backs exactly its nonzero chunks: the
+     zero store at 9000 leaves chunk 2 unbacked *)
+  let img = bytes_image 16384 [ (5000, "x"); (9000, "\000"); (16000, "z") ] in
+  Alcotest.(check (list (pair int int))) "of_image: nonzero chunks only"
+    (chunk_spans ~size:16384 (nonzero_chunks img))
+    (Device.backed_spans (Device.of_image img))
+
+let test_range_overflow_rejected () =
+  let dev = mk () in
+  let rejects name prefix f =
+    Alcotest.(check bool) name true
+      (try
+         f ();
+         false
+       with Invalid_argument msg -> String.starts_with ~prefix msg)
+  in
+  let dev_range = "Pmem.Device: range" in
+  rejects "read" dev_range (fun () ->
+      ignore (Device.read dev ~off:8 ~len:max_int));
+  rejects "flush" dev_range (fun () -> Device.flush dev ~off:8 ~len:max_int);
+  rejects "zero" dev_range (fun () -> Device.zero dev ~off:8 ~len:max_int);
+  rejects "persist" dev_range (fun () ->
+      Device.persist dev ~off:8 ~len:max_int);
+  rejects "sbuf sub" "Pmem.Sbuf: range" (fun () ->
+      ignore (Sbuf.sub (Sbuf.create ~size:4096) ~off:8 ~len:max_int))
 
 let test_sparse_zero_untouched_is_free () =
-  let dev = Device.create ~sparse:true ~size:65536 () in
+  let dev = Device.create ~size:65536 () in
   Device.zero dev ~off:0 ~len:65536;
   (* no chunk was ever backed: the zero leaves nothing in flight and
      allocates nothing *)
@@ -474,7 +550,7 @@ let test_sparse_zero_untouched_is_free () =
     (Bytes.sub_string (Device.image_durable dev) 128 5)
 
 let test_sparse_resident_tracks_touch () =
-  let dev = Device.create ~sparse:true ~size:(1024 * 1024) () in
+  let dev = Device.create ~size:(1024 * 1024) () in
   Alcotest.(check int) "fresh: zero resident" 0 (Device.resident_bytes dev);
   Device.store dev ~off:0 "a";
   Device.persist dev ~off:0 ~len:1;
@@ -487,9 +563,9 @@ let test_sparse_resident_tracks_touch () =
   Alcotest.(check bool) "residency grows with touch, not size" true
     (r2 > r1 && r2 < 1024 * 1024 / 4)
 
-(* The pool contract extended to sparse backing: a sparse device dirtied
-   and template-reset must be indistinguishable from a fresh dense
-   [of_image] of the same template under the same subsequent ops. *)
+(* The pool contract over lazy backing: a [create]d device dirtied and
+   template-reset must be indistinguishable from a fresh [of_image] of
+   the same template under the same subsequent ops. *)
 let test_sparse_reset_indistinguishable_from_fresh () =
   let template =
     let d = Device.create ~size:4096 () in
@@ -499,11 +575,14 @@ let test_sparse_reset_indistinguishable_from_fresh () =
   in
   let ops dev =
     Device.store_u64 dev 128 0xAB;
-    Device.persist dev ~off:128 ~len:8;
+    (* rewrite the template's one nonzero line: its hash entry must come
+       from the [?hash] state [reset] was given *)
+    Device.store dev ~off:0 "TEMPLATE";
+    Device.persist dev ~off:0 ~len:136;
     Device.store dev ~off:256 "pending";
     Device.store_u64 dev 320 0xCD
   in
-  let pooled = Device.create ~latency:Latency.optane ~sparse:true ~size:4096 () in
+  let pooled = Device.create ~latency:Latency.optane ~size:4096 () in
   Device.store pooled ~off:512 "garbage";
   Device.persist pooled ~off:512 ~len:7;
   Device.store pooled ~off:1024 "dangling";
@@ -513,8 +592,6 @@ let test_sparse_reset_indistinguishable_from_fresh () =
   ops pooled;
   let fresh = Device.of_image ~latency:Latency.optane template in
   ops fresh;
-  Alcotest.(check bool) "still sparse after reset" true
-    (Device.is_sparse pooled);
   Alcotest.(check bool) "stats equal" true
     (Device.stats pooled = Device.stats fresh);
   Alcotest.(check int) "clock equal" (Device.now_ns fresh)
@@ -566,22 +643,175 @@ let prop_crash_images_bounded_by_latest_and_durable =
           !ok)
         images)
 
-let prop_sparse_dense_equivalent =
+let prop_matches_bytes_model =
   QCheck.Test.make ~count:100
-    ~name:"sparse and dense devices agree under random store traffic"
+    ~name:"device agrees with a Bytes model under random store traffic"
     QCheck.(list (pair (int_bound 2000) (string_of_size Gen.(1 -- 16))))
     (fun ops ->
-      let run sparse =
-        let dev = Device.create ~sparse ~size:16384 () in
-        List.iter
-          (fun (off, data) ->
-            let off = off mod (16384 - 16) in
-            Device.store dev ~off data)
-          ops;
-        Device.persist dev ~off:0 ~len:16384;
-        (Device.image_durable dev, Device.durable_hash dev, Device.stats dev)
+      let size = 16384 in
+      let stores = List.map (fun (off, data) -> (off mod (size - 16), data)) ops in
+      let dev = Device.create ~size () in
+      List.iter (fun (off, data) -> Device.store dev ~off data) stores;
+      let latest = bytes_image size stores in
+      let before = Device.image_latest dev in
+      Device.persist dev ~off:0 ~len:size;
+      Bytes.equal before latest
+      && Bytes.equal (Device.image_durable dev) latest
+      && Device.durable_hash dev = snd (Device.image_hash_state latest)
+      && (Device.stats dev).Pmem.Stats.stores
+         = List.fold_left
+             (fun n (off, data) ->
+               (* one record per 8-byte word the store touches *)
+               n + ((off + String.length data - 1) / 8) - (off / 8) + 1)
+             0 stores)
+
+(* {2 [Sbuf] against a [Bytes.t] model}
+
+   Two buffers and their plain-[Bytes] models under random traffic. The
+   size crosses two 1 MiB leaf boundaries and ends in a partial chunk.
+   Besides content, the model tracks which chunks each buffer backs —
+   stores back what they touch, [blit] backs a destination chunk only
+   where the source is backed, [sync] and [copy] carry the source's
+   backing, and [load_bytes] backs exactly the chunks holding a nonzero
+   byte (zero pruning relies on that for a pooled reset to match a fresh
+   [of_image]) — and checks it through [backed_spans] and
+   [resident_bytes] after every op. *)
+
+let sb_size = (2 * 1024 * 1024) + 4096 + 100
+
+type sop =
+  | S_set of int * int * char (* buffer, offset, value *)
+  | S_blit_string of int * int * string
+  | S_get of int * int
+  | S_get64 of int * int
+  | S_sub of int * int * int
+  | S_blit of int * int * int * int (* source buffer, src off, dst off, len *)
+  | S_sync of int (* source buffer; the other is the destination *)
+  | S_load of int (* reload this buffer from the other's content *)
+  | S_copy of int (* replace the other buffer by a copy of this one *)
+
+let pp_sop = function
+  | S_set (w, o, c) -> Printf.sprintf "set %d %d %C" w o c
+  | S_blit_string (w, o, s) ->
+      Printf.sprintf "blit_string %d %d [%d]" w o (String.length s)
+  | S_get (w, o) -> Printf.sprintf "get %d %d" w o
+  | S_get64 (w, o) -> Printf.sprintf "get64 %d %d" w o
+  | S_sub (w, o, n) -> Printf.sprintf "sub %d %d+%d" w o n
+  | S_blit (w, so, d, n) -> Printf.sprintf "blit %d %d -> %d+%d" w so d n
+  | S_sync w -> Printf.sprintf "sync from %d" w
+  | S_load w -> Printf.sprintf "load %d" w
+  | S_copy w -> Printf.sprintf "copy %d" w
+
+let sop_gen =
+  let open QCheck.Gen in
+  (* offsets cluster around chunk, leaf and end-of-buffer boundaries *)
+  let off room =
+    let hi = sb_size - room in
+    map
+      (fun o -> max 0 (min hi o))
+      (frequency
+         [
+           (1, int_bound hi);
+           ( 3,
+             map2 ( + )
+               (oneofl [ 0; 4096; 1 lsl 20; 2 lsl 20; sb_size - 100; sb_size ])
+               (int_range (-40) 40) );
+         ])
+  in
+  let len = frequency [ (3, 0 -- 64); (1, 4000 -- 9000) ] in
+  let w = int_bound 1 in
+  frequency
+    [
+      (3, map3 (fun w o c -> S_set (w, o, c)) w (off 1)
+            (frequency [ (1, return '\000'); (2, char_range 'a' 'z') ]));
+      ( 3,
+        w >>= fun w ->
+        len >>= fun n ->
+        map2 (fun o s -> S_blit_string (w, o, s)) (off n)
+          (string_size ~gen:(char_range 'a' 'z') (return n)) );
+      (2, map2 (fun w o -> S_get (w, o)) w (off 1));
+      (2, map2 (fun w o -> S_get64 (w, o)) w (off 8));
+      (1, w >>= fun w -> len >>= fun n -> map (fun o -> S_sub (w, o, n)) (off n));
+      ( 2,
+        w >>= fun w ->
+        len >>= fun n -> map2 (fun so d -> S_blit (w, so, d, n)) (off n) (off n) );
+      (1, map (fun w -> S_sync w) w);
+      (1, map (fun w -> S_load w) w);
+      (1, map (fun w -> S_copy w) w);
+    ]
+
+let prop_sbuf_matches_bytes_model =
+  QCheck.Test.make ~count:100
+    ~name:"Sbuf agrees with a Bytes model, backing included"
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map pp_sop ops))
+       QCheck.Gen.(list_size (1 -- 30) sop_gen))
+    (fun ops ->
+      let chunks = (sb_size + Sbuf.chunk_bytes - 1) / Sbuf.chunk_bytes in
+      let bufs = Array.init 2 (fun _ -> Sbuf.create ~size:sb_size) in
+      let imgs = Array.init 2 (fun _ -> Bytes.make sb_size '\000') in
+      let backed = Array.init 2 (fun _ -> Array.make chunks false) in
+      let back w off len =
+        if len > 0 then
+        for ci = off / Sbuf.chunk_bytes to (off + len - 1) / Sbuf.chunk_bytes do
+          backed.(w).(ci) <- true
+        done
       in
-      run true = run false)
+      let fail i what =
+        QCheck.Test.fail_reportf "after op %d (%s): %s diverges" i
+          (pp_sop (List.nth ops i)) what
+      in
+      List.iteri
+        (fun i op ->
+          (match op with
+          | S_set (w, o, c) ->
+              Sbuf.set bufs.(w) o c;
+              Bytes.set imgs.(w) o c;
+              back w o 1
+          | S_blit_string (w, o, s) ->
+              Sbuf.blit_string s bufs.(w) o;
+              Bytes.blit_string s 0 imgs.(w) o (String.length s);
+              back w o (String.length s)
+          | S_get (w, o) ->
+              if Sbuf.get bufs.(w) o <> Bytes.get imgs.(w) o then fail i "get"
+          | S_get64 (w, o) ->
+              if Sbuf.get_int64_le bufs.(w) o <> Bytes.get_int64_le imgs.(w) o
+              then fail i "get_int64_le"
+          | S_sub (w, o, n) ->
+              let got = Sbuf.sub bufs.(w) ~off:o ~len:n in
+              if not (Bytes.equal got (Bytes.sub imgs.(w) o n)) then fail i "sub"
+          | S_blit (w, so, d, n) ->
+              let v = 1 - w in
+              Sbuf.blit ~src:bufs.(w) ~src_off:so ~dst:bufs.(v) ~dst_off:d ~len:n;
+              Bytes.blit imgs.(w) so imgs.(v) d n;
+              for k = 0 to n - 1 do
+                if backed.(w).((so + k) / Sbuf.chunk_bytes) then
+                  backed.(v).((d + k) / Sbuf.chunk_bytes) <- true
+              done
+          | S_sync w ->
+              let v = 1 - w in
+              Sbuf.sync ~src:bufs.(w) ~dst:bufs.(v);
+              imgs.(v) <- Bytes.copy imgs.(w);
+              backed.(v) <- Array.copy backed.(w)
+          | S_load w ->
+              let img = Bytes.copy imgs.(1 - w) in
+              Sbuf.load_bytes bufs.(w) img;
+              imgs.(w) <- img;
+              backed.(w) <- nonzero_chunks img
+          | S_copy w ->
+              let v = 1 - w in
+              bufs.(v) <- Sbuf.copy bufs.(w);
+              imgs.(v) <- Bytes.copy imgs.(w);
+              backed.(v) <- Array.copy backed.(w));
+          for w = 0 to 1 do
+            if Sbuf.backed_spans bufs.(w) <> chunk_spans ~size:sb_size backed.(w)
+            then fail i (Printf.sprintf "buffer %d backed_spans" w);
+            let n = Array.fold_left (fun n b -> if b then n + 1 else n) 0 backed.(w) in
+            if Sbuf.resident_bytes bufs.(w) <> n * Sbuf.chunk_bytes then
+              fail i (Printf.sprintf "buffer %d resident_bytes" w)
+          done)
+        ops;
+      Array.for_all2 (fun b img -> Bytes.equal (Sbuf.to_bytes b) img) bufs imgs)
 
 (* {2 Fence drain against a per-line reference model}
 
@@ -605,18 +835,16 @@ let pp_dop = function
   | D_fence -> "fence"
 
 type model = {
-  m_sparse : bool;
   m_durable : Bytes.t;
   m_pending : (int * string) list array; (* per line, oldest first *)
   m_flushed : int array;
-  m_touched : (int, unit) Hashtbl.t; (* sparse chunks holding a record *)
+  m_touched : (int, unit) Hashtbl.t; (* chunks holding a record *)
   m_stats : Pmem.Stats.t;
 }
 
-let model_create ~sparse ~size =
+let model_create ~size =
   let lines = size / Device.line_size in
   {
-    m_sparse = sparse;
     m_durable = Bytes.make size '\000';
     m_pending = Array.make lines [];
     m_flushed = Array.make lines 0;
@@ -650,15 +878,15 @@ let model_flush m off len =
       end
     done
 
-(* line-sized zero records, none in a sparse chunk no record ever
-   touched (it is durably zero with nothing in flight), then a flush *)
+(* line-sized zero records, none in a chunk no record ever touched (it
+   is durably zero with nothing in flight), then a flush *)
 let model_zero m off len =
   let stop = off + len in
   let pos = ref off in
   while !pos < stop do
     let ci = !pos / Sbuf.chunk_bytes in
     let chunk_end = min stop ((ci + 1) * Sbuf.chunk_bytes) in
-    if m.m_sparse && not (Hashtbl.mem m.m_touched ci) then pos := chunk_end
+    if not (Hashtbl.mem m.m_touched ci) then pos := chunk_end
     else
       while !pos < chunk_end do
         let room = Device.line_size - (!pos mod Device.line_size) in
@@ -712,22 +940,19 @@ let dop_gen ~size =
 
 let prop_drain_matches_model =
   QCheck.Test.make ~count:200
-    ~name:"fence drain matches a per-line model on dense and sparse devices"
+    ~name:"fence drain matches a per-line model, zero pruning included"
     (QCheck.make
-       ~print:(fun (sparse, ops) ->
-         Printf.sprintf "%s: %s"
-           (if sparse then "sparse" else "dense")
+       ~print:(fun (size, ops) ->
+         Printf.sprintf "%d B: %s" size
            (String.concat "; " (List.map pp_dop ops)))
        QCheck.Gen.(
-         bool >>= fun sparse ->
-         let size = if sparse then 16384 else 2048 in
-         map (fun ops -> (sparse, ops)) (list_size (1 -- 60) (dop_gen ~size))))
-    (fun (sparse, ops) ->
-      let size = if sparse then 16384 else 2048 in
-      let dev = Device.create ~sparse ~size () in
+         oneofl [ 2048; 16384 ] >>= fun size ->
+         map (fun ops -> (size, ops)) (list_size (1 -- 60) (dop_gen ~size))))
+    (fun (size, ops) ->
+      let dev = Device.create ~size () in
       (* hash from the start, so every drain updates it incrementally *)
       ignore (Device.durable_hash dev);
-      let m = model_create ~sparse ~size in
+      let m = model_create ~size in
       let check_after_fence i =
         let expect what ok =
           if not ok then
@@ -735,9 +960,10 @@ let prop_drain_matches_model =
         in
         expect "durable image"
           (Bytes.equal (Device.image_durable dev) m.m_durable);
+        (* a whole-image fold, sharing no state with the incremental hash *)
         expect "durable hash"
           (Device.durable_hash dev
-          = Device.durable_hash (Device.of_image m.m_durable));
+          = snd (Device.image_hash_state m.m_durable));
         expect "stats" (Device.stats dev = m.m_stats);
         expect "crash image count"
           (Device.crash_image_count dev = model_crash_images m);
@@ -810,10 +1036,11 @@ let unit_tests =
     ( "reset drops flushed, undrained lines",
       `Quick,
       test_reset_drops_undrained_flushes );
-    ("sparse matches dense", `Quick, test_sparse_matches_dense);
+    ("matches a Bytes reference", `Quick, test_matches_bytes_reference);
     ("of_spans matches of_image", `Quick, test_of_spans_matches_of_image);
-    ("sparse default by size", `Quick, test_sparse_default_by_size);
+    ("lazily backed at every size", `Quick, test_lazily_backed_at_every_size);
     ("backed spans", `Quick, test_backed_spans);
+    ("range overflow rejected", `Quick, test_range_overflow_rejected);
     ( "sparse zero of untouched space is free",
       `Quick,
       test_sparse_zero_untouched_is_free );
@@ -830,7 +1057,8 @@ let prop_tests =
     [
       prop_persist_all_makes_durable;
       prop_crash_images_bounded_by_latest_and_durable;
-      prop_sparse_dense_equivalent;
+      prop_matches_bytes_model;
+      prop_sbuf_matches_bytes_model;
       prop_drain_matches_model;
       prop_store_read_roundtrip;
     ]
