@@ -1,9 +1,10 @@
-.PHONY: all build check test faultcheck-smoke fuzz-smoke serve-smoke enum-smoke datapath-smoke tab2-smoke largevol-smoke snap-smoke perfbench-smoke bench bench-json bench-json-quick serve-json serve-json-quick clean
+.PHONY: all build check test faultcheck-smoke fuzz-smoke serve-smoke enum-smoke datapath-smoke tab2-smoke largevol-smoke snap-smoke perfbench-smoke bench scaling bench-history clean
 
 all: build
 
-# Tier-1 gate: full build plus the complete test suite, then the fuzzer
-# smoke matrix and a quick states/sec trajectory point (BENCH_fuzz.json).
+# Tier-1 gate: full build plus the complete test suite, then the smoke
+# legs: fuzzing, faults, enumeration, serving, the bench gates and the
+# repository benchmark.
 check:
 	dune build && dune runtest
 	$(MAKE) fuzz-smoke
@@ -13,9 +14,7 @@ check:
 	$(MAKE) datapath-smoke
 	$(MAKE) tab2-smoke
 	$(MAKE) largevol-smoke
-	$(MAKE) bench-json-quick
 	$(MAKE) snap-smoke
-	$(MAKE) serve-json-quick
 	$(MAKE) perfbench-smoke
 
 build:
@@ -90,14 +89,14 @@ largevol-smoke: build
 # through the full delta-view probe (every enumerated image must pass
 # both the crash oracle and the SSU trace checker), the torn-commit
 # snapshot mutant flagged by both checkers, then the snapshot latency
-# gauges written into BENCH_fuzz.json — exit 2 if snapshot creation on
-# the 4 GiB volume exceeds 10 ms or scales with volume size
-# instead of the dirty set, or if the scrubber misreads an intact pin.
+# gates — exit 2 if snapshot creation on the 4 GiB volume exceeds 10 ms
+# or scales with volume size instead of the dirty set, if the pin keeps
+# lines at capture, or if the scrubber misreads an intact pin.
 snap-smoke: build
 	@echo "== fuzz --snap-smoke =="
 	dune exec bin/fuzz.exe -- --snap-smoke
-	@echo "== bench snap-json (snapshot latency gates) =="
-	dune exec bench/main.exe -- snap-json
+	@echo "== bench snap (snapshot latency gates) =="
+	dune exec bench/main.exe -- snap
 
 # Repository benchmark smoke: one 1-second run of each BENCHMARK.json
 # workload. Every run fails on its own correctness checks: identical
@@ -122,29 +121,29 @@ faultcheck-smoke: build
 bench: build
 	dune exec bench/main.exe
 
-# States/sec perf trajectory, machine-readable: crash-state throughput on
-# a 32 MB volume plus the -j scaling section (work-stealing scheduler; iteration
-# count scales with the job count; reports speedup, parallel_efficiency =
-# speedup/jobs, host_cores, and per-shard iter/chunk/wall stats), written
-# to BENCH_fuzz.json. Both variants warn loudly when -j N is slower than
-# -j 1 on the same work; the full variant additionally exits non-zero —
-# but only on hosts with >1 core, where a speedup is physically possible.
-# The quick variant is part of `make check`.
-bench-json: build
-	dune exec bench/main.exe -- fuzz-json
+# Parallel scaling gates, not part of `make check`: the fuzzer (mutants,
+# default volume, 6 sequences per job, -j min(4, cores)) and the server
+# (1000 clients x 50 ops, -j 4) against -j 1 on the same work. Exit 2 if
+# the -j N fuzz report differs from -j 1 or two -j 1 serve runs differ;
+# then exit 3 if either -j N leg is slower than -j 1 on a host with more
+# than one core.
+scaling: build
+	dune exec bench/main.exe -- scaling
 
-bench-json-quick: build
-	dune exec bench/main.exe -- fuzz-json-quick
-
-# Multi-client serving trajectory, machine-readable: ops/sec, per-op
-# latency quantiles, fairness, lock retries/fallbacks, and the -j 1
-# determinism cross-check (exit 2 on mismatch), written to
-# BENCH_serve.json. Same host_cores > 1 gating as bench-json.
-serve-json: build
-	dune exec bench/main.exe -- serve-json
-
-serve-json-quick: build
-	dune exec bench/main.exe -- serve-json-quick
+# Committed perf trajectory, not part of `make check`: one 20 s run of
+# each BENCHMARK.json workload, appended to BENCH_history.jsonl as one
+# line per workload with the commit (`-dirty` marks uncommitted changes
+# on top of it), seed, seconds, host cores and run.py's result line.
+bench-history: build
+	@c=$$(git describe --always --dirty); n=$$(nproc); \
+	for w in crash-fuzz serve-zipf paper-fs bigvol; do \
+	  echo "== perfbench $$w (20 s) =="; \
+	  out=$$(python3 perfbench/run.py --workload $$w --seed 1 --seconds 20 \
+	    --trace 0) || exit 2; \
+	  printf '{"commit": "%s", "workload": "%s", "seed": 1, "seconds": 20, "host_cores": %s, "result": %s}\n' \
+	    "$$c" "$$w" "$$n" "$$(printf '%s\n' "$$out" | tail -n 1)" \
+	    >> BENCH_history.jsonl; \
+	done
 
 clean:
 	dune clean

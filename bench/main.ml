@@ -1,12 +1,16 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (§5) against the four file systems. Times are simulated
-   nanoseconds from the PM device model (deterministic, machine-
-   independent); the Bechamel section additionally wall-clock-benchmarks
-   one driver per table/figure.
+   evaluation (§5) against the four file systems, and holds the repo's
+   own performance gates. Times are simulated nanoseconds from the PM
+   device model (deterministic, machine-independent) unless a section
+   says wall. Output is plain text; the exit code is the only
+   machine-readable result: 0 pass, 2 a failed gate or an unknown
+   section name, 3 a parallel slowdown (scaling only).
 
-   Usage: main.exe [section ...]
-   Sections: fig5a fig5b fig5c fig5d git tab2 tab3 model crash bugs mem
-             ablate bechamel all (default: all) *)
+   Usage: main.exe [section ...] [--trace FILE]
+   Sections run by default (or by `all`): fig5a fig5b fig5c fig5d git
+             tab2 tab3 model crash bugs mem ablate datapath faults fuzz
+   Sections run only when named: largevol largevol-full scaling snap
+             trace *)
 
 module Device = Pmem.Device
 module Latency = Pmem.Latency
@@ -28,6 +32,12 @@ let section title = Printf.printf "\n==== %s ====\n%!" title
 let ok = function
   | Ok v -> v
   | Error e -> failwith ("bench: " ^ Vfs.Errno.to_string e)
+
+(* [f ()] and its host wall time in seconds *)
+let timed f =
+  let t0 = Unix.gettimeofday () in
+  let v = f () in
+  (v, Unix.gettimeofday () -. t0)
 
 (* {1 Figure 5(a): microbenchmark latency} *)
 
@@ -451,16 +461,8 @@ let ablate () =
    equivalents on a deep path. Everything is simulated time and exact
    fence counts, so the numbers are deterministic and gate-able. *)
 
-type datapath = {
-  dp_inplace : float;  (** fences per in-place 4K overwrite *)
-  dp_extend : float;  (** fences per one-page extending append *)
-  dp_append_path : float;  (** path-resolving appends per simulated sec *)
-  dp_append_h : float;  (** handle appends per simulated sec *)
-  dp_read_path : float;
-  dp_read_h : float;
-}
-
-let measure_datapath () =
+let datapath () =
+  section "Split data path: fence schedule and open-handle throughput";
   let fences_per_op ~inplace =
     let dev = device ~mb:8 () in
     Squirrelfs.mkfs dev;
@@ -477,88 +479,54 @@ let measure_datapath () =
     float_of_int ((Device.stats dev).Pmem.Stats.fences - f0)
     /. float_of_int n
   in
+  let inplace = fences_per_op ~inplace:true in
+  let extend = fences_per_op ~inplace:false in
   (* handle vs path ops on a deep path: the handle pays neither the
      per-component resolution charge nor per-page index queries *)
-  let ops_per_sim_sec () =
-    let dev = device ~mb:8 () in
-    Squirrelfs.mkfs dev;
-    let fs = ok (Squirrelfs.mount dev) in
-    ok (Squirrelfs.mkdir fs "/d1");
-    ok (Squirrelfs.mkdir fs "/d1/d2");
-    ok (Squirrelfs.mkdir fs "/d1/d2/d3");
-    let p = "/d1/d2/d3/f" in
-    ok (Squirrelfs.create fs p);
-    ignore (ok (Squirrelfs.write fs p ~off:0 (String.make 4096 'w')));
-    ok (Squirrelfs.open_file fs "h" p);
+  let dev = device ~mb:8 () in
+  Squirrelfs.mkfs dev;
+  let fs = ok (Squirrelfs.mount dev) in
+  ok (Squirrelfs.mkdir fs "/d1");
+  ok (Squirrelfs.mkdir fs "/d1/d2");
+  ok (Squirrelfs.mkdir fs "/d1/d2/d3");
+  let p = "/d1/d2/d3/f" in
+  ok (Squirrelfs.create fs p);
+  ignore (ok (Squirrelfs.write fs p ~off:0 (String.make 4096 'w')));
+  ok (Squirrelfs.open_file fs "h" p);
+  let rate f =
     let n = 200 in
-    let rate f =
-      let t0 = Device.now_ns dev in
-      for i = 1 to n do
-        f i
-      done;
-      float_of_int n *. 1e9 /. float_of_int (Device.now_ns dev - t0)
-    in
-    let data = String.make 1024 'd' in
-    let append_path =
-      rate (fun _ -> ignore (ok (Squirrelfs.write fs p ~off:0 data)))
-    in
-    let append_h =
-      rate (fun _ -> ignore (ok (Squirrelfs.write_h fs "h" ~off:0 data)))
-    in
-    let read_path =
-      rate (fun _ -> ignore (ok (Squirrelfs.read fs p ~off:0 ~len:1024)))
-    in
-    let read_h =
-      rate (fun _ -> ignore (ok (Squirrelfs.read_h fs "h" ~off:0 ~len:1024)))
-    in
-    (append_path, append_h, read_path, read_h)
+    let t0 = Device.now_ns dev in
+    for _ = 1 to n do
+      f ()
+    done;
+    float_of_int n *. 1e9 /. float_of_int (Device.now_ns dev - t0)
   in
-  let dp_append_path, dp_append_h, dp_read_path, dp_read_h =
-    ops_per_sim_sec ()
+  let data = String.make 1024 'd' in
+  let append_path =
+    rate (fun () -> ignore (ok (Squirrelfs.write fs p ~off:0 data)))
   in
-  {
-    dp_inplace = fences_per_op ~inplace:true;
-    dp_extend = fences_per_op ~inplace:false;
-    dp_append_path;
-    dp_append_h;
-    dp_read_path;
-    dp_read_h;
-  }
-
-(* The acceptance bar: in-place = exactly 1 fence, extending append
-   within 2; handle ops at least match their path equivalents. *)
-let datapath_ok d =
-  d.dp_inplace = 1.0
-  && d.dp_extend <= 2.0
-  && d.dp_append_h >= d.dp_append_path
-  && d.dp_read_h >= d.dp_read_path
-
-let datapath_json d =
-  Printf.sprintf
-    "{ \"inplace_fences_per_op\": %.2f, \"extend_fences_per_op\": %.2f, \
-     \"appends_per_sim_s_path\": %.1f, \"appends_per_sim_s_handle\": %.1f, \
-     \"reads_per_sim_s_path\": %.1f, \"reads_per_sim_s_handle\": %.1f, \
-     \"handle_append_speedup\": %.3f, \"handle_read_speedup\": %.3f, \
-     \"ok\": %b }"
-    d.dp_inplace d.dp_extend d.dp_append_path d.dp_append_h d.dp_read_path
-    d.dp_read_h
-    (d.dp_append_h /. d.dp_append_path)
-    (d.dp_read_h /. d.dp_read_path)
-    (datapath_ok d)
-
-let datapath () =
-  section "Split data path: fence schedule and open-handle throughput";
-  let d = measure_datapath () in
-  Printf.printf "fences/op:   in-place %.2f, extend %.2f\n" d.dp_inplace
-    d.dp_extend;
+  let append_h =
+    rate (fun () -> ignore (ok (Squirrelfs.write_h fs "h" ~off:0 data)))
+  in
+  let read_path =
+    rate (fun () -> ignore (ok (Squirrelfs.read fs p ~off:0 ~len:1024)))
+  in
+  let read_h =
+    rate (fun () -> ignore (ok (Squirrelfs.read_h fs "h" ~off:0 ~len:1024)))
+  in
+  Printf.printf "fences/op:   in-place %.2f, extend %.2f\n" inplace extend;
   Printf.printf
     "appends/sim-s: path %.0f, handle %.0f (%.2fx); reads/sim-s: path %.0f, \
      handle %.0f (%.2fx)\n"
-    d.dp_append_path d.dp_append_h
-    (d.dp_append_h /. d.dp_append_path)
-    d.dp_read_path d.dp_read_h
-    (d.dp_read_h /. d.dp_read_path);
-  if not (datapath_ok d) then begin
+    append_path append_h (append_h /. append_path) read_path read_h
+    (read_h /. read_path);
+  (* The acceptance bar: in-place = exactly 1 fence, extending append
+     within 2; handle ops at least match their path equivalents. *)
+  if
+    not
+      (inplace = 1.0 && extend <= 2.0 && append_h >= append_path
+     && read_h >= read_path)
+  then begin
     Printf.printf "DATAPATH REGRESSION\n";
     exit 2
   end
@@ -650,32 +618,20 @@ let faults () =
    small fraction of the volume. Wall-clock numbers, deliberately: the
    claim under test is host cost, not simulated PM latency. *)
 
-type largevol = {
-  lv_size : int;
-  lv_files : int;
-  lv_mkfs_ms : float;
-  lv_mount_empty_ms : float;
-  lv_mount_full_ms : float;  (** remount after the create sweep *)
-  lv_creates_per_sec : float;
-  lv_stats_per_sec : float;
-  lv_resident_bytes : int;
-}
-
-let measure_largevol ~size ~files () =
-  let wall f =
-    let t0 = Unix.gettimeofday () in
-    let v = f () in
-    (v, (Unix.gettimeofday () -. t0) *. 1000.)
+let largevol_run ~size ~files () =
+  let wall_ms f =
+    let v, s = timed f in
+    (v, s *. 1000.)
   in
-  let dev, _ = wall (fun () -> Device.create ~size ()) in
-  let (), mkfs_ms = wall (fun () -> Squirrelfs.mkfs dev) in
-  let fs, mount_empty_ms = wall (fun () -> ok (Squirrelfs.mount dev)) in
+  let dev = Device.create ~size () in
+  let (), mkfs_ms = wall_ms (fun () -> Squirrelfs.mkfs dev) in
+  let fs, mount_empty_ms = wall_ms (fun () -> ok (Squirrelfs.mount dev)) in
   (* ~500 files per directory: keeps dentry pages per dir bounded so the
      sweep measures create cost, not directory scans *)
   let per_dir = 500 in
   let path i = Printf.sprintf "/d%d/f%d" (i / per_dir) i in
   let (), create_ms =
-    wall (fun () ->
+    wall_ms (fun () ->
         for i = 0 to files - 1 do
           if i mod per_dir = 0 then
             ok (Squirrelfs.mkdir fs (Printf.sprintf "/d%d" (i / per_dir)));
@@ -683,61 +639,30 @@ let measure_largevol ~size ~files () =
         done)
   in
   let (), stat_ms =
-    wall (fun () ->
+    wall_ms (fun () ->
         for i = 0 to files - 1 do
           ignore (ok (Squirrelfs.stat fs (path i)))
         done)
   in
   Squirrelfs.unmount fs;
-  let fs, mount_full_ms = wall (fun () -> ok (Squirrelfs.mount dev)) in
+  let fs, mount_full_ms = wall_ms (fun () -> ok (Squirrelfs.mount dev)) in
   Squirrelfs.unmount fs;
-  {
-    lv_size = size;
-    lv_files = files;
-    lv_mkfs_ms = mkfs_ms;
-    lv_mount_empty_ms = mount_empty_ms;
-    lv_mount_full_ms = mount_full_ms;
-    lv_creates_per_sec = float_of_int files /. create_ms *. 1000.;
-    lv_stats_per_sec = float_of_int files /. stat_ms *. 1000.;
-    lv_resident_bytes = Device.resident_bytes dev;
-  }
-
-(* The acceptance bar. mkfs and the empty mount must not scale with the
-   volume (generous absolute bounds — CI hosts vary), and resident bytes
-   must stay under a quarter of the volume even after the sweep (in
-   practice it is a few percent). *)
-let largevol_ok l =
-  l.lv_mkfs_ms < 2000.
-  && l.lv_mount_empty_ms < 2000.
-  && l.lv_resident_bytes < l.lv_size / 4
-
-let largevol_json l =
-  Printf.sprintf
-    "{ \"volume_bytes\": %d, \"files\": %d, \
-     \"mkfs_ms\": %.2f, \"mount_empty_ms\": %.2f, \"mount_full_ms\": %.2f, \
-     \"creates_per_sec\": %.0f, \"stats_per_sec\": %.0f, \
-     \"resident_bytes\": %d, \"resident_fraction\": %.6f, \"ok\": %b }"
-    l.lv_size l.lv_files l.lv_mkfs_ms l.lv_mount_empty_ms
-    l.lv_mount_full_ms l.lv_creates_per_sec l.lv_stats_per_sec
-    l.lv_resident_bytes
-    (float_of_int l.lv_resident_bytes /. float_of_int l.lv_size)
-    (largevol_ok l)
-
-let largevol_report l =
-  Printf.printf "volume: %d MiB, %d files\n" (l.lv_size / 1024 / 1024)
-    l.lv_files;
+  let resident = Device.resident_bytes dev in
+  Printf.printf "volume: %d MiB, %d files\n" (size / 1024 / 1024) files;
   Printf.printf "mkfs %.1f ms; mount empty %.1f ms; remount full %.1f ms\n"
-    l.lv_mkfs_ms l.lv_mount_empty_ms l.lv_mount_full_ms;
-  Printf.printf "creates/s %.0f; stats/s %.0f\n" l.lv_creates_per_sec
-    l.lv_stats_per_sec;
+    mkfs_ms mount_empty_ms mount_full_ms;
+  Printf.printf "creates/s %.0f; stats/s %.0f\n"
+    (float_of_int files /. create_ms *. 1000.)
+    (float_of_int files /. stat_ms *. 1000.);
   Printf.printf "resident %.1f MiB (%.2f%% of volume)\n"
-    (float_of_int l.lv_resident_bytes /. 1024. /. 1024.)
-    (float_of_int l.lv_resident_bytes /. float_of_int l.lv_size *. 100.)
-
-let largevol_run ~size ~files () =
-  let l = measure_largevol ~size ~files () in
-  largevol_report l;
-  if not (largevol_ok l) then begin
+    (float_of_int resident /. 1024. /. 1024.)
+    (float_of_int resident /. float_of_int size *. 100.);
+  (* The acceptance bar. mkfs and the empty mount must not scale with the
+     volume (generous absolute bounds — CI hosts vary), and resident bytes
+     must stay under a quarter of the volume even after the sweep (in
+     practice it is a few percent). *)
+  if not (mkfs_ms < 2000. && mount_empty_ms < 2000. && resident < size / 4)
+  then begin
     Printf.printf "LARGEVOL REGRESSION (cost scales with volume size)\n";
     exit 2
   end
@@ -753,88 +678,12 @@ let largevol_full () =
   section "Large volume (full): 18 GiB, 1M files";
   largevol_run ~size:(18 * 1024 * 1024 * 1024) ~files:1_000_000 ()
 
-(* {1 Bechamel: one wall-clock benchmark per table/figure} *)
-
-let bechamel () =
-  section "Bechamel wall-clock benchmarks (one Test.make per table/figure)";
-  let open Bechamel in
-  let open Toolkit in
-  let small_device () =
-    Device.create ~latency:Latency.optane ~size:(4 * 1024 * 1024) ()
-  in
-  let stage = Staged.stage in
-  let tests =
-    Test.make_grouped ~name:"paper"
-      [
-        Test.make ~name:"fig5a-micro"
-          (stage (fun () ->
-               ignore
-                 (W.Micro.run (module Squirrelfs) ~device:small_device
-                    ~trials:1 ~reps:4 ())));
-        Test.make ~name:"fig5b-filebench"
-          (stage (fun () ->
-               ignore
-                 (W.Filebench.run (module Squirrelfs) ~device:small_device
-                    ~nfiles:20 ~ops:100 W.Filebench.Fileserver)));
-        Test.make ~name:"fig5c-ycsb"
-          (stage (fun () ->
-               ignore
-                 (W.Ycsb.run (module Squirrelfs) ~device:small_device
-                    ~records:50 ~operations:50 W.Ycsb.Run_a)));
-        Test.make ~name:"fig5d-lmdb"
-          (stage (fun () ->
-               ignore
-                 (W.Lmdb_sim.run (module Squirrelfs) ~device:small_device
-                    ~keys:100 "fillseqbatch")));
-        Test.make ~name:"git-checkout"
-          (stage (fun () ->
-               ignore
-                 (W.Gitbench.run (module Squirrelfs) ~device:small_device
-                    ~files:40 ~versions:1 ())));
-        Test.make ~name:"tab2-mount"
-          (stage (fun () ->
-               let dev = small_device () in
-               Squirrelfs.mkfs dev;
-               ignore (ok (Squirrelfs.Mount.mount_recover dev))));
-        Test.make ~name:"tab3-modelcheck"
-          (stage (fun () ->
-               ignore (Model.Explore.run (List.hd Model.Scenarios.correct))));
-        Test.make ~name:"s57-crashcheck"
-          (stage (fun () ->
-               ignore
-                 (Fuzzer.Exec.run
-                    Crashcheck.Workload.[ Create "/a"; Rename ("/a", "/b") ])));
-      ]
-  in
-  let cfg = Benchmark.cfg ~limit:50 ~quota:(Time.second 0.3) ~kde:None () in
-  let raw = Benchmark.all cfg [ Instance.monotonic_clock ] tests in
-  let ols =
-    Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let rows = Hashtbl.fold (fun k v acc -> (k, v) :: acc) results [] in
-  List.iter
-    (fun (name, o) ->
-      match Analyze.OLS.estimates o with
-      | Some (e :: _) -> Printf.printf "%-34s %12.3f ms/run\n" name (e /. 1e6)
-      | Some [] | None -> Printf.printf "%-34s (no estimate)\n" name)
-    (List.sort compare rows)
-
 (* {1 Crash-state fuzzer throughput (the Chipmunk role, §5.7)}
 
    States/sec is the fuzzing north-star metric: how fast the differential
    oracle explores recovered crash states (views patched into one scratch
    buffer, [of_view] mounts, memoized fsck verdicts) — measured on a
    32 MB volume, where any per-state whole-device copy would show. *)
-
-type fuzz_measure = {
-  fm_states : int;
-  fm_deduped : int;
-  fm_sim_ns : int;
-  fm_wall : float;
-  fm_report : Fuzzer.report;
-  fm_shards : Fuzzer.Parallel.shard_stat list;
-}
 
 let fuzz_cfg ?(seed = 7) ?(buggy_rate = 0.) ~mb ~iters ~op_budget () =
   {
@@ -848,37 +697,26 @@ let fuzz_cfg ?(seed = 7) ?(buggy_rate = 0.) ~mb ~iters ~op_budget () =
     shrink = false;
   }
 
-let measure_fuzz ?(jobs = 1) cfg =
-  let t0 = Unix.gettimeofday () in
-  let r, shards = Fuzzer.Parallel.run_stats ~jobs cfg in
-  let wall = Unix.gettimeofday () -. t0 in
-  let h = r.Fuzzer.r_harness in
-  {
-    fm_states =
-      h.Crashcheck.Harness.crash_states + h.Crashcheck.Harness.media_states;
-    fm_deduped = h.Crashcheck.Harness.states_deduped;
-    fm_sim_ns = r.Fuzzer.r_sim_ns;
-    fm_wall = wall;
-    fm_report = r;
-    fm_shards = shards;
-  }
-
-let states_per_wall m =
-  if m.fm_wall > 0. then float_of_int m.fm_states /. m.fm_wall else 0.
-
 let fuzz () =
   section "Crash-state fuzzer throughput (32 MB volume)";
-  let m = measure_fuzz (fuzz_cfg ~mb:32 ~iters:2 ~op_budget:5 ()) in
+  let r, wall =
+    timed (fun () ->
+        Fuzzer.Parallel.run (fuzz_cfg ~mb:32 ~iters:2 ~op_budget:5 ()))
+  in
+  let h = r.Fuzzer.r_harness in
+  let states =
+    h.Crashcheck.Harness.crash_states + h.Crashcheck.Harness.media_states
+  in
   Printf.printf "%12s %9s %9s %16s\n" "crash-states" "deduped" "wall (s)" "states/wall-sec";
-  Printf.printf "%12d %9d %9.2f %16.0f\n" m.fm_states m.fm_deduped m.fm_wall
-    (states_per_wall m);
+  Printf.printf "%12d %9d %9.2f %16.0f\n" states
+    h.Crashcheck.Harness.states_deduped wall
+    (if wall > 0. then float_of_int states /. wall else 0.);
   let r =
-    (measure_fuzz
-       { (fuzz_cfg ~mb:0 ~iters:12 ~op_budget:6 ()) with
-         Fuzzer.device_size = Fuzzer.default_cfg.Fuzzer.device_size;
-         shrink = true;
-       })
-      .fm_report
+    Fuzzer.Parallel.run
+      { (fuzz_cfg ~mb:0 ~iters:12 ~op_budget:6 ()) with
+        Fuzzer.device_size = Fuzzer.default_cfg.Fuzzer.device_size;
+        shrink = true;
+      }
   in
   let h = r.Fuzzer.r_harness in
   Printf.printf
@@ -892,320 +730,117 @@ let fuzz () =
   | Some s -> Printf.printf "crash states / simulated second:  %.0f\n" s
   | None -> ())
 
-(* {1 BENCH_fuzz.json: machine-readable perf trajectory}
+(* {1 Parallel scaling: the fuzzer and the server at -j N against -j 1}
 
-   [fuzz-json] (full: 32 MB volume + -j sharding check) and
-   [fuzz-json-quick] (small volume, wired into `make check`) write the
-   same JSON shape so CI can track states/sec from PR to PR. *)
+   Each leg runs the same work at -j 1 and at -j N. The fuzz leg runs
+   mutants with shrinking on the default volume, 6 iterations per job so
+   that every domain has real work; -j N must reproduce the
+   canonicalized -j 1 report bit-for-bit. The serve leg replays the same
+   Zipf sessions; two -j 1 runs must agree on the durable hash, replies
+   and latency histograms (its determinism witness). Exit 2 on either
+   mismatch. Only then, exit 3 if either -j N leg is slower than its
+   -j 1 run on a host with more than one core: domains that time-slice
+   a single core cannot show a speedup. *)
 
-let fuzz_json_common ~mode ~mb ~iters ~op_budget ~jiters_per_job () =
-  (* More domains than cores only time-slice, so the scaling check runs
-     at most one domain per core; the JSON keeps both counts. *)
-  let requested_jobs = 4 in
+let scaling () =
   let host_cores = Domain.recommended_domain_count () in
-  let jobs = min requested_jobs host_cores in
+  let one_core =
+    if host_cores <= 1 then
+      Printf.sprintf " [host has %d core: parallel speedup impossible]"
+        host_cores
+    else ""
+  in
+  (* more domains than cores only time-slice, so the fuzz leg runs at
+     most one domain per core *)
+  let jobs = min 4 host_cores in
   section
-    (Printf.sprintf
-       "BENCH_fuzz.json (%s: %d MB volume, %d iters, -j %d of %d requested)"
-       mode mb iters jobs requested_jobs);
-  let delta = measure_fuzz (fuzz_cfg ~mb ~iters ~op_budget ()) in
-  (* Scaling check on the default volume with mutants on: -j N must
-     reproduce the -j 1 report (both canonicalized by [run_stats])
-     bit-for-bit, and its wall clock is compared against -j 1 over the
-     SAME total iteration count. The count scales with the job count
-     ([jiters_per_job] iterations per requested job) so every domain has
-     real work — a fixed count smaller than [jobs] would spawn idle
-     domains and bill their spawn/join cost to the parallel run. *)
-  let jiters = jiters_per_job * jobs in
-  let jcfg =
+    (Printf.sprintf "Scaling: fuzz -j %d vs -j 1 (%d sequences, %d host cores)"
+       jobs (6 * jobs) host_cores);
+  let cfg =
     {
-      (fuzz_cfg ~seed:1 ~buggy_rate:0.15 ~mb:0 ~iters:jiters ~op_budget:6 ())
+      (fuzz_cfg ~seed:1 ~buggy_rate:0.15 ~mb:0 ~iters:(6 * jobs) ~op_budget:6
+         ())
       with
       Fuzzer.device_size = Fuzzer.default_cfg.Fuzzer.device_size;
       shrink = true;
     }
   in
-  let j1 = measure_fuzz ~jobs:1 jcfg in
-  let jn = measure_fuzz ~jobs jcfg in
-  let jobs_equiv = j1.fm_report = jn.fm_report in
-  let speedup = if jn.fm_wall > 0. then j1.fm_wall /. jn.fm_wall else 0. in
-  let parallel_efficiency = speedup /. float_of_int jobs in
-  let states_per_sim m =
-    if m.fm_sim_ns > 0 then
-      float_of_int m.fm_states *. 1e9 /. float_of_int m.fm_sim_ns
-    else 0.
-  in
-  let dedup_ratio m =
-    if m.fm_states > 0 then float_of_int m.fm_deduped /. float_of_int m.fm_states
-    else 0.
-  in
-  let delta_json m =
-    Printf.sprintf
-      "{ \"crash_states\": %d, \"states_deduped\": %d, \"dedup_ratio\": %.4f, \
-       \"wall_s\": %.4f, \"states_per_wall_s\": %.1f, \
-       \"states_per_sim_s\": %.1f }"
-      m.fm_states m.fm_deduped (dedup_ratio m) m.fm_wall (states_per_wall m)
-      (states_per_sim m)
-  in
-  let shards_json =
-    String.concat ",\n"
-      (List.map
-         (fun (s : Fuzzer.Parallel.shard_stat) ->
-           Printf.sprintf
-             "    { \"shard\": %d, \"iters\": %d, \"chunks\": %d, \
-              \"wall_s\": %.4f }"
-             s.Fuzzer.Parallel.ss_shard s.Fuzzer.Parallel.ss_iters
-             s.Fuzzer.Parallel.ss_chunks s.Fuzzer.Parallel.ss_wall_s)
-         jn.fm_shards)
-  in
-  (* Bounded enumeration throughput: the full clean seq-2 sweep (it is
-     small by construction — |alphabet|² sequences — so even "quick"
-     runs the whole tier and the numbers are comparable across modes,
-     modulo the crash-image cap). *)
-  let ecfg =
-    {
-      Fuzzer.Enum.default_cfg with
-      Fuzzer.Enum.max_images = (if mode = "full" then 8 else 4);
-    }
-  in
-  let et0 = Unix.gettimeofday () in
-  let er = Fuzzer.Enum.run ecfg in
-  let e_wall = Unix.gettimeofday () -. et0 in
-  let e_states = er.Fuzzer.Enum.e_harness.Crashcheck.Harness.crash_states in
-  let enum_json =
-    Printf.sprintf
-      "{ \"alphabet\": %d, \"depth\": %d, \"total\": %d, \"skipped\": %d, \
-       \"enumerated\": %d, \"executed\": %d, \"distinct_state_traces\": %d, \
-       \"deduped_sequences\": %d, \"crash_states\": %d, \"wall_s\": %.4f, \
-       \"states_per_wall_s\": %.1f, \"reconciles\": %b, \"quiet\": %b }"
-      er.Fuzzer.Enum.e_alphabet er.Fuzzer.Enum.e_depth er.Fuzzer.Enum.e_total
-      er.Fuzzer.Enum.e_skipped er.Fuzzer.Enum.e_enumerated
-      er.Fuzzer.Enum.e_executed er.Fuzzer.Enum.e_distinct
-      er.Fuzzer.Enum.e_deduped e_states e_wall
-      (if e_wall > 0. then float_of_int e_states /. e_wall else 0.)
-      (Fuzzer.Enum.reconciles er)
-      (er.Fuzzer.Enum.e_found = [] && er.Fuzzer.Enum.e_ssu_found = [])
-  in
-  let enum_ok =
-    Fuzzer.Enum.reconciles er
-    && er.Fuzzer.Enum.e_found = []
-    && er.Fuzzer.Enum.e_ssu_found = []
-  in
-  (* Split-data-path gauges: exact fence counts and handle-vs-path
-     throughput, gated below like the sharding/enum invariants. *)
-  let dp = measure_datapath () in
-  (* Large-volume gauges: lazy backing + run allocator scaling (quick
-     runs a 256 MiB volume so `make check` stays fast; full runs the
-     4 GiB smoke configuration). *)
-  let lv =
-    if mode = "full" then
-      measure_largevol ~size:(4 * 1024 * 1024 * 1024) ~files:100_000 ()
-    else
-      (* geometry provisions one inode per ~16.4 KiB, so 256 MiB holds
-         ~16k inodes — 10k files + directories fits with headroom *)
-      measure_largevol ~size:(256 * 1024 * 1024) ~files:10_000 ()
-  in
-  let json =
-    Printf.sprintf
-      "{\n\
-      \  \"mode\": \"%s\",\n\
-      \  \"volume_mb\": %d,\n\
-      \  \"iters\": %d,\n\
-      \  \"op_budget\": %d,\n\
-      \  \"delta\": %s,\n\
-      \  \"enum\": %s,\n\
-      \  \"datapath\": %s,\n\
-      \  \"large_volume\": %s,\n\
-      \  \"jobs\": {\n\
-      \    \"requested\": %d,\n\
-      \    \"n\": %d,\n\
-      \    \"host_cores\": %d,\n\
-      \    \"iters\": %d,\n\
-      \    \"j1_wall_s\": %.4f,\n\
-      \    \"jn_wall_s\": %.4f,\n\
-      \    \"speedup\": %.3f,\n\
-      \    \"parallel_efficiency\": %.3f,\n\
-      \    \"identical_reports\": %b,\n\
-      \    \"shards\": [\n%s\n    ]\n\
-      \  }\n\
-       }\n"
-      mode mb iters op_budget (delta_json delta) enum_json (datapath_json dp)
-      (largevol_json lv)
-      requested_jobs jobs host_cores jiters j1.fm_wall jn.fm_wall speedup
-      parallel_efficiency jobs_equiv shards_json
-  in
-  let oc = open_out "BENCH_fuzz.json" in
-  output_string oc json;
-  close_out oc;
-  print_string json;
-  Printf.printf "wrote BENCH_fuzz.json\n";
-  if not jobs_equiv then begin
-    Printf.printf "BENCH_fuzz: SHARDING MISMATCH\n";
-    exit 2
-  end;
-  if not enum_ok then begin
-    Printf.printf "BENCH_fuzz: ENUMERATION NOT CLEAN OR NOT RECONCILING\n";
-    exit 2
-  end;
-  if not (datapath_ok dp) then begin
-    Printf.printf "BENCH_fuzz: DATAPATH REGRESSION\n";
-    exit 2
-  end;
-  if not (largevol_ok lv) then begin
-    Printf.printf "BENCH_fuzz: LARGE-VOLUME REGRESSION (cost scales with volume size)\n";
-    exit 2
-  end;
-  (* Scaling gate: -j N slower than -j 1 on the same work is the
-     regression this section exists to catch. On a single-core host the
-     comparison cannot show a speedup (domains time-slice one CPU), so
-     the gate only fails the build when the host actually has the cores
-     to scale with. *)
-  if jn.fm_wall > j1.fm_wall then begin
-    Printf.printf
-      "BENCH_fuzz: WARNING: -j %d wall (%.3fs) exceeds -j 1 wall (%.3fs)%s\n"
-      jobs jn.fm_wall j1.fm_wall
-      (if host_cores <= 1 then
-         Printf.sprintf " [host has %d core: parallel speedup impossible]"
-           host_cores
-       else "");
-    if mode = "full" && host_cores > 1 then begin
-      Printf.printf "BENCH_fuzz: PARALLEL SCALING REGRESSION\n";
-      exit 3
-    end
-  end
-
-let fuzz_json () =
-  fuzz_json_common ~mode:"full" ~mb:32 ~iters:2 ~op_budget:5
-    ~jiters_per_job:6 ()
-
-let fuzz_json_quick () =
-  fuzz_json_common ~mode:"quick" ~mb:2 ~iters:2 ~op_budget:4
-    ~jiters_per_job:2 ()
-
-(* {1 BENCH_serve.json: request-frontend throughput and latency}
-
-   [serve-json] (full) and [serve-json-quick] (wired into `make check`)
-   replay the Zipf session load through the concurrent server and write
-   ops/sec, per-op latency quantiles, lock-protocol stats and the -j 1
-   determinism witness. The -j N leg reruns the same traffic on worker
-   domains; like BENCH_fuzz, the scaling gate only fails on hosts that
-   actually have the cores to scale with (PR 5's 1-CPU-container
-   caveat, see EXPERIMENTS.md). *)
-
-let serve_json_common ~mode ~clients ~ops ~jobs () =
+  let f1, f1_wall = timed (fun () -> Fuzzer.Parallel.run ~jobs:1 cfg) in
+  let fn, fn_wall = timed (fun () -> Fuzzer.Parallel.run ~jobs cfg) in
+  let reports_equal = f1 = fn in
+  Printf.printf "-j 1 %.3f s; -j %d %.3f s (%.2fx); reports %s\n" f1_wall jobs
+    fn_wall
+    (if fn_wall > 0. then f1_wall /. fn_wall else 0.)
+    (if reports_equal then "identical" else "DIFFER");
+  let serve_jobs = 4 in
   section
-    (Printf.sprintf "BENCH_serve.json (%s: %d clients x %d ops, -j %d)" mode
-       clients ops jobs);
-  let cfg j =
-    {
-      Serve.Loadgen.default with
-      Serve.Loadgen.clients;
-      ops_per_client = ops;
-      jobs = j;
-      seed = 1;
-    }
+    (Printf.sprintf "Scaling: serve 1000 clients x 50 ops, -j %d vs -j 1"
+       serve_jobs);
+  let serve jobs =
+    Serve.Loadgen.run
+      {
+        Serve.Loadgen.default with
+        Serve.Loadgen.clients = 1000;
+        ops_per_client = 50;
+        jobs;
+        seed = 1;
+      }
   in
-  let j1 = Serve.Loadgen.run (cfg 1) in
-  let j1b = Serve.Loadgen.run (cfg 1) in
+  let s1 = serve 1 in
+  let s1b = serve 1 in
   let deterministic =
-    j1.Serve.Loadgen.r_durable_hash = j1b.Serve.Loadgen.r_durable_hash
-    && j1.Serve.Loadgen.r_oks = j1b.Serve.Loadgen.r_oks
-    && j1.Serve.Loadgen.r_errs = j1b.Serve.Loadgen.r_errs
-    && Obs.Metrics.equal j1.Serve.Loadgen.r_metrics j1b.Serve.Loadgen.r_metrics
+    s1.Serve.Loadgen.r_durable_hash = s1b.Serve.Loadgen.r_durable_hash
+    && s1.Serve.Loadgen.r_oks = s1b.Serve.Loadgen.r_oks
+    && s1.Serve.Loadgen.r_errs = s1b.Serve.Loadgen.r_errs
+    && Obs.Metrics.equal s1.Serve.Loadgen.r_metrics s1b.Serve.Loadgen.r_metrics
   in
-  let jn = Serve.Loadgen.run (cfg jobs) in
-  let host_cores = Domain.recommended_domain_count () in
+  let sn = serve serve_jobs in
   let speedup =
-    if j1.Serve.Loadgen.r_ops_per_sec > 0. then
-      jn.Serve.Loadgen.r_ops_per_sec /. j1.Serve.Loadgen.r_ops_per_sec
+    if s1.Serve.Loadgen.r_ops_per_sec > 0. then
+      sn.Serve.Loadgen.r_ops_per_sec /. s1.Serve.Loadgen.r_ops_per_sec
     else 0.
   in
-  let lat (r : Serve.Loadgen.report) name =
-    match Obs.Metrics.hist r.Serve.Loadgen.r_metrics ("srv." ^ name) with
-    | Some h ->
-        Printf.sprintf
-          "{ \"p50_ns\": %d, \"p99_ns\": %d }"
-          (Obs.Metrics.quantile h 0.5)
-          (Obs.Metrics.quantile h 0.99)
-    | None -> "null"
-  in
-  let leg (r : Serve.Loadgen.report) =
-    Printf.sprintf
-      "{ \"jobs\": %d, \"ops\": %d, \"oks\": %d, \"wall_s\": %.4f, \
-       \"ops_per_sec\": %.1f, \"sim_ms\": %d, \"retries\": %d, \
-       \"fallbacks\": %d, \"fair_min\": %d, \"fair_max\": %d,\n\
-      \    \"lat\": { \"write\": %s, \"read\": %s, \"stat\": %s, \
-       \"create\": %s, \"rename\": %s } }"
-      r.Serve.Loadgen.r_cfg.Serve.Loadgen.jobs r.Serve.Loadgen.r_ops
-      r.Serve.Loadgen.r_oks r.Serve.Loadgen.r_wall_s
-      r.Serve.Loadgen.r_ops_per_sec
-      (r.Serve.Loadgen.r_sim_ns / 1_000_000)
-      r.Serve.Loadgen.r_retries r.Serve.Loadgen.r_fallbacks
-      r.Serve.Loadgen.r_fair_min r.Serve.Loadgen.r_fair_max (lat r "write")
-      (lat r "read") (lat r "stat") (lat r "create") (lat r "rename")
-  in
-  let json =
-    Printf.sprintf
-      "{\n\
-      \  \"mode\": \"%s\",\n\
-      \  \"clients\": %d,\n\
-      \  \"ops_per_client\": %d,\n\
-      \  \"host_cores\": %d,\n\
-      \  \"j1_deterministic\": %b,\n\
-      \  \"j1_durable_hash\": \"%Lx\",\n\
-      \  \"j1\": %s,\n\
-      \  \"jn\": %s,\n\
-      \  \"speedup\": %.3f,\n\
-      \  \"parallel_efficiency\": %.3f\n\
-       }\n"
-      mode clients ops host_cores deterministic
-      j1.Serve.Loadgen.r_durable_hash (leg j1) (leg jn) speedup
-      (speedup /. float_of_int jobs)
-  in
-  let oc = open_out "BENCH_serve.json" in
-  output_string oc json;
-  close_out oc;
-  print_string json;
-  Printf.printf "wrote BENCH_serve.json\n";
-  if not deterministic then begin
-    Printf.printf "BENCH_serve: -j 1 NON-DETERMINISTIC\n";
+  Format.printf "@[<v>%a@,%a@]@." Serve.Loadgen.pp_report s1
+    Serve.Loadgen.pp_report sn;
+  Printf.printf "-j %d throughput %.2fx -j 1; -j 1 runs %s\n" serve_jobs
+    speedup
+    (if deterministic then "deterministic" else "DIFFER");
+  if not reports_equal then begin
+    Printf.printf "SCALING: FUZZ -j %d REPORT DIFFERS FROM -j 1\n" jobs;
     exit 2
   end;
-  if speedup < 1.0 then begin
+  if not deterministic then begin
+    Printf.printf "SCALING: SERVE -j 1 NON-DETERMINISTIC\n";
+    exit 2
+  end;
+  let fuzz_slow = fn_wall > f1_wall and serve_slow = speedup < 1.0 in
+  if fuzz_slow then
     Printf.printf
-      "BENCH_serve: WARNING: -j %d throughput (%.0f ops/s) below -j 1 \
+      "SCALING: WARNING: fuzz -j %d wall (%.3fs) exceeds -j 1 wall (%.3fs)%s\n"
+      jobs fn_wall f1_wall one_core;
+  if serve_slow then
+    Printf.printf
+      "SCALING: WARNING: serve -j %d throughput (%.0f ops/s) below -j 1 \
        (%.0f ops/s)%s\n"
-      jobs jn.Serve.Loadgen.r_ops_per_sec j1.Serve.Loadgen.r_ops_per_sec
-      (if host_cores <= 1 then
-         Printf.sprintf " [host has %d core: parallel speedup impossible]"
-           host_cores
-       else "");
-    if mode = "full" && host_cores > 1 then begin
-      Printf.printf "BENCH_serve: PARALLEL SCALING REGRESSION\n";
-      exit 3
-    end
+      serve_jobs sn.Serve.Loadgen.r_ops_per_sec s1.Serve.Loadgen.r_ops_per_sec
+      one_core;
+  if (fuzz_slow || serve_slow) && host_cores > 1 then begin
+    Printf.printf "SCALING: PARALLEL SCALING REGRESSION\n";
+    exit 3
   end
 
-let serve_json () =
-  serve_json_common ~mode:"full" ~clients:1000 ~ops:50 ~jobs:4 ()
+(* {1 Snapshot path: create, clone and scrub latency}
 
-let serve_json_quick () =
-  serve_json_common ~mode:"quick" ~clients:100 ~ops:20 ~jobs:2 ()
-
-(* {1 BENCH_fuzz.json "snapshot" object: snapshot-path gauges}
-
-   [snap-json] merges a "snapshot" object into BENCH_fuzz.json:
-   snapshot-create latency on a 64 MiB volume and on a 4 GiB one,
-   clone-mount latency, and scrub throughput. The exit-2
-   gates hold the tentpole claim — creation cost is O(dirty lines), not
+   Snapshot-create latency on a 64 MiB volume and on a 4 GiB one,
+   clone-mount latency, and scrub throughput, in wall time. The exit-2
+   gates hold the claim that creation cost is O(dirty lines), not
    O(volume): the 4 GiB create must stay under 10 ms absolute and
    within a small factor of the 64 MiB create, and the pin must retain
    only the delta (0 lines immediately after a quiesced capture). *)
 
 let time_ns f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  (r, int_of_float ((Unix.gettimeofday () -. t0) *. 1e9))
+  let r, s = timed f in
+  (r, int_of_float (s *. 1e9))
 
 let median l =
   let a = List.sort compare l in
@@ -1232,8 +867,8 @@ let creates_ns fs =
       in
       ns)
 
-let snap_json () =
-  section "BENCH_fuzz.json snapshot object (create/clone/scrub gauges)";
+let snap () =
+  section "Snapshots: create, clone and scrub latency (wall)";
   let small = snap_volume (64 * 1024 * 1024) in
   let small_ns = median (creates_ns small) in
   let big = snap_volume (4 * 1024 * 1024 * 1024) in
@@ -1269,65 +904,22 @@ let snap_json () =
       /. (float_of_int scrub_ns /. 1e9)
     else 0.
   in
-  let obj =
-    Printf.sprintf
-      "{ \"create_ns_64mb\": %d, \"create_ns_4gb\": %d, \
-       \"create_big_over_small\": %.2f, \"delta_lines_at_capture\": %d, \
-       \"clone_mount_ns\": %d, \"scrub_mb_s\": %.1f, \"scrub_intact\": %b }"
-      small_ns big_ns
-      (if small_ns > 0 then float_of_int big_ns /. float_of_int small_ns
-       else 0.)
-      delta_lines clone_ns scrub_mb_s scrub_ok
-  in
-  (* merge into BENCH_fuzz.json: replace a previous "snapshot" object
-     or splice before the closing brace; standalone file if absent *)
-  let file = "BENCH_fuzz.json" in
-  let prev =
-    if Sys.file_exists file then (
-      let ic = open_in_bin file in
-      let s = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      s)
-    else "{\n}\n"
-  in
-  let prefix =
-    let marker = "\n  \"snapshot\":" in
-    let mlen = String.length marker in
-    let rec find i =
-      if i + mlen > String.length prev then None
-      else if String.sub prev i mlen = marker then Some i
-      else find (i + 1)
-    in
-    let cut =
-      match find 0 with
-      | Some i -> i
-      | None -> (
-          match String.rindex_opt prev '}' with
-          | Some i -> i
-          | None -> String.length prev)
-    in
-    let p = String.trim (String.sub prev 0 cut) in
-    (* drop a trailing comma left by a replaced previous object *)
-    if p <> "" && p.[String.length p - 1] = ',' then
-      String.sub p 0 (String.length p - 1)
-    else p
-  in
-  let sep = if prefix = "{" then "" else "," in
-  let json = Printf.sprintf "%s%s\n  \"snapshot\": %s\n}\n" prefix sep obj in
-  let oc = open_out file in
-  output_string oc json;
-  close_out oc;
-  Printf.printf "snapshot: %s\nmerged into %s\n" obj file;
+  Printf.printf "create: 64 MiB %d ns, 4 GiB %d ns (%.2fx)\n" small_ns big_ns
+    (if small_ns > 0 then float_of_int big_ns /. float_of_int small_ns
+     else 0.);
+  Printf.printf "pin delta lines at capture: %d\n" delta_lines;
+  Printf.printf "clone mount: %d ns\n" clone_ns;
+  Printf.printf "scrub: %.1f MB/s over %d pins, intact=%b\n" scrub_mb_s
+    (List.length scrub_res) scrub_ok;
   if big_ns > 10_000_000 then begin
     Printf.printf
-      "BENCH_snap: SNAPSHOT CREATE NOT O(dirty): %.3f ms on 4 GiB \
-       (gate: 10 ms)\n"
+      "SNAP: SNAPSHOT CREATE NOT O(dirty): %.3f ms on 4 GiB (gate: 10 ms)\n"
       (float_of_int big_ns /. 1e6);
     exit 2
   end;
   if delta_lines <> 0 then begin
     Printf.printf
-      "BENCH_snap: PIN RETAINS %d LINES AT CAPTURE (gate: 0 — delta only)\n"
+      "SNAP: PIN RETAINS %d LINES AT CAPTURE (gate: 0 — delta only)\n"
       delta_lines;
     exit 2
   end;
@@ -1336,12 +928,12 @@ let snap_json () =
        64x larger volume; an O(dirty) one is scale-free (the factor
        allows 1-CPU container timing noise) *)
     Printf.printf
-      "BENCH_snap: CREATE SCALES WITH VOLUME (%.2fx from 64 MiB to 4 GiB)\n"
+      "SNAP: CREATE SCALES WITH VOLUME (%.2fx from 64 MiB to 4 GiB)\n"
       (float_of_int big_ns /. float_of_int small_ns);
     exit 2
   end;
   if not scrub_ok then begin
-    Printf.printf "BENCH_snap: SCRUB REPORTS CORRUPTION ON A CLEAN VOLUME\n";
+    Printf.printf "SNAP: SCRUB REPORTS CORRUPTION ON A CLEAN VOLUME\n";
     exit 2
   end
 
@@ -1372,6 +964,7 @@ let trace_section () =
         | Ok () -> "SSU checker: clean"
         | Error v -> Format.asprintf "SSU checker: %a" Obs.Ssu.pp_violation v)
 
+
 let sections =
   [
     ("fig5a", fig5a);
@@ -1391,14 +984,14 @@ let sections =
     ("fuzz", fuzz);
     ("largevol", largevol);
     ("largevol-full", largevol_full);
-    ("fuzz-json", fuzz_json);
-    ("fuzz-json-quick", fuzz_json_quick);
-    ("serve-json", serve_json);
-    ("serve-json-quick", serve_json_quick);
-    ("snap-json", snap_json);
+    ("scaling", scaling);
+    ("snap", snap);
     ("trace", trace_section);
-    ("bechamel", bechamel);
   ]
+
+(* Sections that run only when named: they gate on host wall time or
+   take long (largevol*, scaling, snap), or write a file (trace). *)
+let named_only = [ "largevol"; "largevol-full"; "scaling"; "snap"; "trace" ]
 
 let () =
   (* [--trace FILE] selects the trace section and redirects its output *)
@@ -1412,26 +1005,21 @@ let () =
   let args =
     match parse_trace [] (Array.to_list Sys.argv) with
     | _ :: [] | [ _; "all" ] ->
-        (* the fuzz-json* sections are CI artifacts (and fuzz-json repeats
-           the measurement fuzz already runs); trace writes a file:
-           all of them are explicit-only, keeping default output stable *)
         List.filter
-          (fun n ->
-            (not (String.starts_with ~prefix:"fuzz-json" n))
-            && (not (String.starts_with ~prefix:"serve-json" n))
-            && (not (String.starts_with ~prefix:"largevol" n))
-            && n <> "snap-json" && n <> "trace")
+          (fun n -> not (List.mem n named_only))
           (List.map fst sections)
     | _ :: rest -> rest
     | [] -> []
   in
+  (* a misspelt or deleted section name must fail before anything runs,
+     not pass as a no-op *)
+  (match List.filter (fun n -> not (List.mem_assoc n sections)) args with
+  | [] -> ()
+  | unknown ->
+      Printf.printf "unknown section %s (have: %s)\n"
+        (String.concat " " unknown)
+        (String.concat " " (List.map fst sections));
+      exit 2);
   Printf.printf
     "SquirrelFS reproduction benchmarks (simulated Optane latencies)\n";
-  List.iter
-    (fun name ->
-      match List.assoc_opt name sections with
-      | Some f -> f ()
-      | None ->
-          Printf.printf "unknown section %s (have: %s)\n" name
-            (String.concat " " (List.map fst sections)))
-    args
+  List.iter (fun name -> (List.assoc name sections) ()) args

@@ -31,7 +31,9 @@ let () =
     (Some
        (fun d ->
          incr fence_no;
-         let images = Device.crash_images ~max_images:16 d in
+         let images =
+           List.map (Device.materialize d) (Device.crash_views ~max_images:16 d)
+         in
          Printf.printf "fence %d: %d possible crash states\n" !fence_no
            (List.length images);
          List.iter

@@ -975,20 +975,12 @@ let crash_views_faulty ?(max_images = 16) t =
             in
             { v_recs = recs })
 
-(* {1 Materialized crash images (legacy wrappers)} *)
-
 let materialize t (v : view) =
   let img = Sbuf.to_bytes t.durable in
   List.iter
     (fun r -> Bytes.blit_string r.data 0 img r.off (String.length r.data))
     v.v_recs;
   img
-
-let crash_images ?rng ?max_images t =
-  List.map (materialize t) (crash_views ?rng ?max_images t)
-
-let crash_images_faulty ?max_images t =
-  List.map (materialize t) (crash_views_faulty ?max_images t)
 
 (* {1 Scratch API} *)
 

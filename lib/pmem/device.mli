@@ -13,8 +13,8 @@
     (cache lines may be evicted spontaneously, in any order across lines,
     but stores to the same line drain in order). {!crash_views} enumerates
     or samples that space as {e delta views} — per-line record prefixes
-    over the shared durable base — and {!crash_images} is the legacy
-    materializing wrapper around it.
+    over the shared durable base — and {!materialize} turns a view into
+    a byte image.
 
     The device also keeps a simulated clock: every store, flush, fence and
     read advances it per the {!Latency} model, and file systems charge
@@ -382,11 +382,6 @@ val of_view : ?latency:Latency.t -> scratch -> t
     for remount/recovery/fsck probing of a crash state; pending-store
     crash semantics of the borrowed device are not meaningful. *)
 
-(** {2 Materialized crash images (legacy wrappers)} *)
-
-val crash_images : ?rng:Random.State.t -> ?max_images:int -> t -> Bytes.t list
-(** [List.map (materialize t) (crash_views ?rng ?max_images t)]. *)
-
 (** {1 Fault injection}
 
     A fault plan ({!Faults.Plan.t}) turns the device into a misbehaving
@@ -422,6 +417,3 @@ val scrub : t -> int list
     offsets of corrupted lines (empty without an active plan). Charges
     the simulated clock like a full-device read and updates
     [scrubbed_lines]/[scrub_errors]. *)
-
-val crash_images_faulty : ?max_images:int -> t -> Bytes.t list
-(** [List.map (materialize t) (crash_views_faulty ?max_images t)]. *)

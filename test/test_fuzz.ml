@@ -304,7 +304,7 @@ let torn_data_images ops =
         if not (List.exists (Vfs.Logical.equal ~compare_data:true got) !legal) then incr torn
   in
   Pmem.Device.set_fence_hook dev
-    (Some (fun d -> List.iter check (Pmem.Device.crash_images ~max_images:12 d)));
+    (Some (fun d -> List.iter check (Images.crash_images ~max_images:12 d)));
   ignore
     (List.fold_left
        (fun m op ->
@@ -471,7 +471,7 @@ let test_generator_deterministic () =
   in
   Alcotest.(check bool) "sequences identical" true (gen () = gen ())
 
-(* A media-fault fuzzing run (torn/stuck sampling via crash_images_faulty)
+(* A media-fault fuzzing run (torn/stuck sampling via crash_views_faulty)
    is deterministic as well and checks media images gracefully. *)
 let test_fuzzer_with_media_faults () =
   let cfg =

@@ -86,7 +86,7 @@ let test_u64_atomic_in_crash () =
   Device.store_u64 dev 0 0x1111111111111111;
   Device.persist dev ~off:0 ~len:8;
   Device.store_u64 dev 0 0x2222222222222222;
-  let images = Device.crash_images dev in
+  let images = Images.crash_images dev in
   List.iter
     (fun img ->
       let d = Device.of_image img in
@@ -106,7 +106,7 @@ let test_large_store_can_tear () =
   let dev = mk () in
   (* A 16-byte store spans two 8-byte words: it may tear between them. *)
   Device.store dev ~off:0 "AAAAAAAABBBBBBBB";
-  let images = Device.crash_images dev in
+  let images = Images.crash_images dev in
   Alcotest.(check int) "three crash states (0, 1 or 2 words)" 3
     (List.length images);
   let strings =
@@ -128,7 +128,7 @@ let test_cross_line_independent () =
   (* Two stores to different lines may persist in either order. *)
   Device.store_u64 dev 0 1;
   Device.store_u64 dev 64 2;
-  let images = Device.crash_images dev in
+  let images = Images.crash_images dev in
   Alcotest.(check int) "2x2 crash states" 4 (List.length images);
   let exists f = List.exists f images in
   let v img off = Int64.to_int (Bytes.get_int64_le img off) in
@@ -141,7 +141,7 @@ let test_same_word_ordered () =
      "without" the first (it overwrites it). Prefixes: none, first, both. *)
   Device.store_u64 dev 0 1;
   Device.store_u64 dev 0 2;
-  let images = Device.crash_images dev in
+  let images = Images.crash_images dev in
   let vals =
     List.map (fun img -> Int64.to_int (Bytes.get_int64_le img 0)) images
     |> List.sort_uniq compare
@@ -227,7 +227,7 @@ let test_crash_image_count_quiescent () =
   let dev = mk () in
   Alcotest.(check int) "quiescent: one image" 1 (Device.crash_image_count dev);
   Alcotest.(check int) "one image returned" 1
-    (List.length (Device.crash_images dev))
+    (List.length (Images.crash_images dev))
 
 let test_sampling_cap () =
   let dev = mk ~size:8192 () in
@@ -235,7 +235,7 @@ let test_sampling_cap () =
   for i = 0 to 63 do
     Device.store_u64 dev (i * 64) (i + 1)
   done;
-  let images = Device.crash_images ~max_images:10 dev in
+  let images = Images.crash_images ~max_images:10 dev in
   Alcotest.(check int) "capped" 10 (List.length images);
   (* extremes present: all-zero and all-applied *)
   let zero = Bytes.make 8192 '\000' in
@@ -252,7 +252,7 @@ let test_sampling_distinct () =
   for i = 0 to 6 do
     Device.store_u64 dev (i * 64) (i + 1)
   done;
-  let images = Device.crash_images ~max_images:8 dev in
+  let images = Images.crash_images ~max_images:8 dev in
   Alcotest.(check int) "exactly max_images" 8 (List.length images);
   let distinct =
     List.sort_uniq compare (List.map Bytes.to_string images) |> List.length
@@ -268,7 +268,7 @@ let test_enumeration_sorted () =
      [(both); (high only); (low only); (none)]. *)
   Device.store_u64 dev 512 0xBB;
   Device.store_u64 dev 64 0xAA;
-  let images = Device.crash_images dev in
+  let images = Images.crash_images dev in
   Alcotest.(check int) "2x2 states" 4 (List.length images);
   let v img off = Int64.to_int (Bytes.get_int64_le img off) in
   let nth n = List.nth images n in
@@ -311,7 +311,7 @@ let test_reset_indistinguishable_from_fresh () =
     (Device.now_ns pooled);
   Alcotest.(check bool) "durable hash equal" true
     (Device.durable_hash pooled = Device.durable_hash fresh);
-  let imgs d = List.map Bytes.to_string (Device.crash_images d) in
+  let imgs d = List.map Bytes.to_string (Images.crash_images d) in
   Alcotest.(check (list string)) "same crash-state enumeration" (imgs fresh)
     (imgs pooled)
 
@@ -464,7 +464,7 @@ let test_matches_bytes_reference () =
   in
   Alcotest.(check (list string)) "crash states = reference prefixes"
     (List.sort compare expected)
-    (List.sort compare (List.map Bytes.to_string (Device.crash_images dev)))
+    (List.sort compare (List.map Bytes.to_string (Images.crash_images dev)))
 
 let test_of_spans_matches_of_image () =
   let size = 16384 in
@@ -598,7 +598,7 @@ let test_sparse_reset_indistinguishable_from_fresh () =
     (Device.now_ns pooled);
   Alcotest.(check bool) "durable hash equal" true
     (Device.durable_hash pooled = Device.durable_hash fresh);
-  let imgs d = List.map Bytes.to_string (Device.crash_images d) in
+  let imgs d = List.map Bytes.to_string (Images.crash_images d) in
   Alcotest.(check (list string)) "same crash-state enumeration" (imgs fresh)
     (imgs pooled)
 
@@ -632,7 +632,7 @@ let prop_crash_images_bounded_by_latest_and_durable =
           Device.store_u64 dev (word * 8) v;
           history.(word) <- v :: history.(word))
         ops;
-      let images = Device.crash_images ~max_images:128 dev in
+      let images = Images.crash_images ~max_images:128 dev in
       List.for_all
         (fun img ->
           let ok = ref true in

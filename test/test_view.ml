@@ -50,7 +50,7 @@ let apply_op dev = function
 
 (* The satellite property: crash_views materialized through apply_view
    (one shared scratch, interleaved with fences that resync it) is
-   set-equal as byte images to the legacy crash_images wrapper, and
+   set-equal as byte images to [materialize] over the same views, and
    every apply_view + revert_view round-trips the scratch back to the
    durable base bit-identically. *)
 let prop_views_equal_images =
@@ -60,7 +60,7 @@ let prop_views_equal_images =
       let s = Device.scratch dev in
       let ok = ref true in
       let probe () =
-        let legacy = sorted_strings (Device.crash_images ~max_images:64 dev) in
+        let legacy = sorted_strings (Images.crash_images ~max_images:64 dev) in
         let via_scratch =
           List.map
             (fun v ->
@@ -181,9 +181,8 @@ let test_fence_resyncs_scratch () =
     (Int64.to_int (Bytes.get_int64_le (Device.scratch_image s) 0))
 
 let test_faulty_views_match_faulty_images () =
-  (* crash_views_faulty and the crash_images_faulty wrapper consume the
-     plan RNG identically; two devices running the same program give the
-     same sampled sets. *)
+  (* crash_views_faulty consumes the plan RNG identically on two devices
+     running the same program, so they give the same sampled sets. *)
   let mk () =
     let dev = Device.create ~size () in
     Device.store_u64 dev 0 0x1111;
@@ -195,7 +194,7 @@ let test_faulty_views_match_faulty_images () =
     dev
   in
   let d1 = mk () and d2 = mk () in
-  let imgs = Device.crash_images_faulty ~max_images:12 d1 in
+  let imgs = Images.crash_images_faulty ~max_images:12 d1 in
   let via_views =
     List.map (Device.materialize d2) (Device.crash_views_faulty ~max_images:12 d2)
   in
