@@ -90,12 +90,14 @@ let resolve_any (ctx : Fsctx.t) path =
   in
   if quarantined ctx ino then Error Errno.EIO else Ok ino
 
-(* Parent directory + final name, with the parent fully resolved. *)
+(* Parent directory + final name, with the parent fully resolved. The
+   walk vets every component but its start, so a quarantined root is
+   caught here. *)
 let resolve_parent (ctx : Fsctx.t) path =
   let* parents, name = Vfs.Path.parent_base path in
   charge_op ctx (parents @ [ name ]);
   let* dir = walk_dir ctx Geometry.root_ino parents in
-  Ok (dir, name)
+  if quarantined ctx dir then Error Errno.EIO else Ok (dir, name)
 
 (* Inode numbers on the path from the root to the parent of [path]
    (inclusive): used for the rename-into-own-subtree check. *)

@@ -9,21 +9,21 @@ let check (ctx : Fsctx.t) =
   let degraded = not (Q.is_empty quar) in
   let errs = ref [] in
   let err fmt = Printf.ksprintf (fun s -> errs := s :: !errs) fmt in
+  let dec = Scan.decode dev geo in
 
   (* Inode table. Quarantined objects are excluded from every invariant:
      their persistent metadata is known-corrupt, so nothing useful can be
      checked against it. *)
   let inodes : (int, R.Inode.t) Hashtbl.t = Hashtbl.create 64 in
-  (Scan.inodes dev geo @@ fun ino ->
-   if not (Q.mem_ino quar ino) then
-     let base = Geometry.inode_off geo ~ino in
-     match R.Inode.decode dev ~base with
-     | Some r ->
-         if r.ino <> ino then err "inode %d: ino field says %d" ino r.ino
-         else Hashtbl.replace inodes ino r
-     | None ->
-         if R.Inode.is_allocated dev ~base then
-           err "inode %d: allocated but undecodable (partial init?)" ino);
+  Array.iteri
+    (fun k ino ->
+      if not (Q.mem_ino quar ino) then
+        let r = dec.inodes.(k) in
+        if r == Scan.undecodable_inode then
+          err "inode %d: allocated but undecodable (partial init?)" ino
+        else if r.ino <> ino then err "inode %d: ino field says %d" ino r.ino
+        else Hashtbl.replace inodes ino r)
+    dec.inos;
   (match Hashtbl.find_opt inodes Geometry.root_ino with
   | Some r when r.kind = R.Kind.Dir -> ()
   | Some _ -> err "root inode is not a directory"
@@ -34,41 +34,40 @@ let check (ctx : Fsctx.t) =
   let pages_of : (int, (R.Desc.page_kind * int * int) list ref) Hashtbl.t =
     Hashtbl.create 64
   in
-  (Scan.pages dev geo @@ fun page ->
-   let base = Geometry.desc_off geo ~page in
-   if Q.mem_page quar page then ()
-   else
-   match R.Desc.decode dev ~base with
-   | Some { ino; kind; offset; replaces } when ino <> 0 ->
-        if replaces <> 0 then
-          err "page %d: replace pointer still set (interrupted COW write)"
-            page;
-        (match Hashtbl.find_opt inodes ino with
-        | None ->
-            if not (Q.mem_ino quar ino) then
-              err "page %d: backpointer to free/invalid inode %d" page ino
-        | Some r -> (
-            match (kind, r.kind) with
-            | R.Desc.Dirpage, R.Kind.Dir | R.Desc.Data, R.Kind.File
-            | R.Desc.Data, R.Kind.Symlink ->
-                ()
-            | R.Desc.Dirpage, (R.Kind.File | R.Kind.Symlink) ->
-                err "page %d: dir page owned by non-directory %d" page ino
-            | R.Desc.Data, R.Kind.Dir ->
-                err "page %d: data page owned by directory %d" page ino));
-        let l =
-          match Hashtbl.find_opt pages_of ino with
-          | Some l -> l
-          | None ->
-              let l = ref [] in
-              Hashtbl.replace pages_of ino l;
-              l
-        in
-        l := (kind, offset, page) :: !l
-   | Some _ -> err "page %d: descriptor allocated but unowned" page
-   | None ->
-       if R.Desc.is_allocated dev ~base then
-         err "page %d: descriptor allocated but undecodable" page);
+  Array.iteri
+    (fun k page ->
+      if not (Q.mem_page quar page) then
+        match dec.descs.(k) with
+        | d when d == Scan.undecodable_desc ->
+            err "page %d: descriptor allocated but undecodable" page
+        | { ino; kind; offset; replaces } when ino <> 0 ->
+            if replaces <> 0 then
+              err "page %d: replace pointer still set (interrupted COW write)"
+                page;
+            (match Hashtbl.find_opt inodes ino with
+            | None ->
+                if not (Q.mem_ino quar ino) then
+                  err "page %d: backpointer to free/invalid inode %d" page ino
+            | Some r -> (
+                match (kind, r.kind) with
+                | R.Desc.Dirpage, R.Kind.Dir | R.Desc.Data, R.Kind.File
+                | R.Desc.Data, R.Kind.Symlink ->
+                    ()
+                | R.Desc.Dirpage, (R.Kind.File | R.Kind.Symlink) ->
+                    err "page %d: dir page owned by non-directory %d" page ino
+                | R.Desc.Data, R.Kind.Dir ->
+                    err "page %d: data page owned by directory %d" page ino));
+            let l =
+              match Hashtbl.find_opt pages_of ino with
+              | Some l -> l
+              | None ->
+                  let l = ref [] in
+                  Hashtbl.replace pages_of ino l;
+                  l
+            in
+            l := (kind, offset, page) :: !l
+        | _ -> err "page %d: descriptor allocated but unowned" page)
+    dec.pages;
 
   (* File sizes must be fully covered by owned pages (a size made visible
      before its pages' backpointers were fenced is the §4.2 write bug). *)
@@ -132,43 +131,40 @@ let check (ctx : Fsctx.t) =
           List.iter
             (function
               | R.Desc.Dirpage, _, page ->
-                  for slot = 0 to Geometry.dentries_per_page - 1 do
-                    let base = Geometry.dentry_off geo ~page ~slot in
-                    match R.Dentry.decode dev ~base with
-                    | None -> ()
-                    | Some { name; ino; rename_ptr } ->
-                        if rename_ptr <> 0 then
-                          err "dentry %s (page %d slot %d): rename pointer set"
-                            name page slot;
-                        if ino <> 0 then begin
-                          if not (Vfs.Path.valid_name name) then
-                            err "dir %d: committed dentry with invalid name %S"
-                              dir name;
-                          if not (Hashtbl.mem inodes ino) then begin
-                            if not (Q.mem_ino quar ino) then
-                              err "dentry %s: points at free inode %d" name ino
-                          end
-                          else begin
-                            if Hashtbl.mem entries (dir, name) then
-                              err "dir %d: duplicate name %s" dir name;
-                            Hashtbl.replace entries (dir, name) ino;
-                            let l =
-                              match Hashtbl.find_opt children dir with
-                              | Some l -> l
-                              | None ->
-                                  let l = ref [] in
-                                  Hashtbl.replace children dir l;
-                                  l
-                            in
-                            l := ino :: !l
-                          end
+                  Scan.iter_dentries dec ~page (fun j ->
+                      let slot = dec.dent_slots.(j) and name = dec.dent_names.(j) in
+                      let ino = dec.dent_inos.(j) in
+                      if dec.dent_rptrs.(j) <> 0 then
+                        err "dentry %s (page %d slot %d): rename pointer set"
+                          name page slot;
+                      if ino <> 0 then begin
+                        if not (Vfs.Path.valid_name name) then
+                          err "dir %d: committed dentry with invalid name %S"
+                            dir name;
+                        if not (Hashtbl.mem inodes ino) then begin
+                          if not (Q.mem_ino quar ino) then
+                            err "dentry %s: points at free inode %d" name ino
                         end
-                        else
-                          err
-                            "dir %d: allocated but uncommitted dentry (page \
-                             %d slot %d)"
-                            dir page slot
-                  done
+                        else begin
+                          if Hashtbl.mem entries (dir, name) then
+                            err "dir %d: duplicate name %s" dir name;
+                          Hashtbl.replace entries (dir, name) ino;
+                          let l =
+                            match Hashtbl.find_opt children dir with
+                            | Some l -> l
+                            | None ->
+                                let l = ref [] in
+                                Hashtbl.replace children dir l;
+                                l
+                          in
+                          l := ino :: !l
+                        end
+                      end
+                      else
+                        err
+                          "dir %d: allocated but uncommitted dentry (page %d \
+                           slot %d)"
+                          dir page slot)
               | R.Desc.Data, _, _ -> ())
             !l
       | Some _ | None -> ())
@@ -279,75 +275,64 @@ type raw_dentry = {
 let check_raw_body dev (geo : Geometry.t) =
   let errs = ref [] in
   let err fmt = Printf.ksprintf (fun s -> errs := s :: !errs) fmt in
+  let dec = Scan.decode dev geo in
   let inodes : (int, R.Inode.t) Hashtbl.t = Hashtbl.create 64 in
-  (Scan.inodes dev geo @@ fun ino ->
-   match R.Inode.decode dev ~base:(Geometry.inode_off geo ~ino) with
-   | Some r when r.ino = ino -> Hashtbl.replace inodes ino r
-   | Some _ | None -> ());
+  Array.iteri
+    (fun k ino ->
+      let r = dec.inodes.(k) in
+      if r.ino = ino then Hashtbl.replace inodes ino r)
+    dec.inos;
   let pages_of : (int, (R.Desc.page_kind * int) list ref) Hashtbl.t =
     Hashtbl.create 64
   in
-  (* committed COW replacements supersede the pages they point at *)
+  (* committed COW replacements supersede the pages they point at (an
+     undecodable descriptor reads as ino 0 and owns nothing) *)
   let superseded : (int, unit) Hashtbl.t = Hashtbl.create 8 in
-  (Scan.pages dev geo @@ fun page ->
-   match R.Desc.decode dev ~base:(Geometry.desc_off geo ~page) with
-   | Some { ino; replaces; _ }
-     when ino <> 0 && replaces <> 0 && replaces - 1 < geo.page_count ->
-       Hashtbl.replace superseded (replaces - 1) ()
-   | Some _ | None -> ());
-  (Scan.pages dev geo @@ fun page ->
-   if Hashtbl.mem superseded page then ()
-   else
-   match R.Desc.decode dev ~base:(Geometry.desc_off geo ~page) with
-   | Some { ino; kind; offset; replaces = _ } when ino <> 0 ->
-       if not (Hashtbl.mem inodes ino) then
-         err "page %d: backpointer to uninitialized inode %d" page ino
-       else begin
-         let l =
-           match Hashtbl.find_opt pages_of ino with
-           | Some l -> l
-           | None ->
-               let l = ref [] in
-               Hashtbl.replace pages_of ino l;
-               l
-         in
-         l := (kind, offset) :: !l
-       end
-   | Some _ | None -> ());
-  (* dentries *)
+  Array.iter
+    (fun { R.Desc.ino; replaces; _ } ->
+      if ino <> 0 && replaces <> 0 && replaces - 1 < geo.page_count then
+        Hashtbl.replace superseded (replaces - 1) ())
+    dec.descs;
+  Array.iteri
+    (fun k page ->
+      match dec.descs.(k) with
+      | { ino; kind; offset; replaces = _ }
+        when ino <> 0 && not (Hashtbl.mem superseded page) ->
+          if not (Hashtbl.mem inodes ino) then
+            err "page %d: backpointer to uninitialized inode %d" page ino
+          else begin
+            let l =
+              match Hashtbl.find_opt pages_of ino with
+              | Some l -> l
+              | None ->
+                  let l = ref [] in
+                  Hashtbl.replace pages_of ino l;
+                  l
+            in
+            l := (kind, offset) :: !l
+          end
+      | _ -> ())
+    dec.pages;
+  (* dentries: every directory page's, superseded or not *)
   let raw = ref [] in
-  Hashtbl.iter
-    (fun dir l ->
-      match Hashtbl.find_opt inodes dir with
-      | Some r when r.kind = R.Kind.Dir ->
-          List.iter
-            (function
-              | R.Desc.Dirpage, _ ->
-                  () (* offsets don't locate pages here; see below *)
-              | R.Desc.Data, _ -> ())
-            !l
-      | Some _ | None -> ())
-    pages_of;
-  (Scan.pages dev geo @@ fun page ->
-   match R.Desc.decode dev ~base:(Geometry.desc_off geo ~page) with
-   | Some { ino = dir; kind = R.Desc.Dirpage; _ } when dir <> 0 ->
-       for slot = 0 to Geometry.dentries_per_page - 1 do
-         let base = Geometry.dentry_off geo ~page ~slot in
-         match R.Dentry.decode dev ~base with
-         | Some { name; ino; rename_ptr } when ino <> 0 || rename_ptr <> 0 ->
-             raw :=
-               {
-                 rw_dir = dir;
-                 rw_page = page;
-                 rw_slot = slot;
-                 rw_ino = ino;
-                 rw_rptr = rename_ptr;
-                 rw_name = name;
-               }
-               :: !raw
-         | Some _ | None -> ()
-       done
-   | Some _ | None -> ());
+  Array.iteri
+    (fun k page ->
+      match dec.descs.(k) with
+      | { ino = dir; kind = R.Desc.Dirpage; _ } when dir <> 0 ->
+          Scan.iter_dentries dec ~page (fun j ->
+              if dec.dent_inos.(j) <> 0 || dec.dent_rptrs.(j) <> 0 then
+                raw :=
+                  {
+                    rw_dir = dir;
+                    rw_page = page;
+                    rw_slot = dec.dent_slots.(j);
+                    rw_ino = dec.dent_inos.(j);
+                    rw_rptr = dec.dent_rptrs.(j);
+                    rw_name = dec.dent_names.(j);
+                  }
+                  :: !raw)
+      | _ -> ())
+    dec.pages;
   let raw = !raw in
   (* rename-pointer discipline: at most one pointer per target, no
      cycles; a committed destination's source is logically dead *)
@@ -377,7 +362,7 @@ let check_raw_body dev (geo : Geometry.t) =
             Hashtbl.replace rptr_targets (sp, ss) ();
             (if d.rw_ino <> 0 then
                let sbase = Geometry.dentry_off geo ~page:sp ~slot:ss in
-               let src_ino = Device.read_u64 dev (sbase + R.Dentry.f_ino) in
+               let src_ino = Scan.word dev (sbase + R.Dentry.f_ino) in
                if src_ino = d.rw_ino || src_ino = 0 then
                  Hashtbl.replace killed (sp, ss) ());
             (* cycle: the target points back *)

@@ -64,17 +64,6 @@ let mkfs ?(csum = false) dev =
   Device.persist dev ~off:b ~len:Geometry.inode_size;
   R.Superblock.write ~csum dev geo ~clean:true
 
-(* {1 Scan data} *)
-
-type raw_dentry = {
-  rd_dir : int;
-  rd_page : int;
-  rd_slot : int;
-  rd_name : string;
-  rd_ino : int;
-  rd_rptr : int;
-}
-
 let dentry_base geo ~page ~slot = Geometry.dentry_off geo ~page ~slot
 let page_units size = (size + Geometry.page_size - 1) / Geometry.page_size
 
@@ -98,59 +87,135 @@ let dentry_loc_opt (geo : Geometry.t) off =
   then Some (Geometry.dentry_loc_of_off geo off)
   else None
 
-(* Rebuild all volatile state; if [recover], also repair the volume. *)
-let rebuild (ctx : Fsctx.t) ~recover =
+(* {1 Read ledger}
+
+   Mount reads the tables through one uncharged decode ([Scan.decode])
+   but bills the simulated reads of a record-at-a-time scan, in closed
+   form: per record, a u64 read of each field word it inspects, a
+   whole-record read for each allocation test, a name read per dentry.
+   Each pass charges where it runs. Table 2 is computed from these
+   figures, and test_remount pins them. *)
+
+(* [meta] u64 reads plus, for each [(n, len)], [n] reads of [len]-byte
+   records that start on a cache line. *)
+let bill dev ~meta records =
+  let bulk, lines, bytes =
+    List.fold_left
+      (fun (b, l, y) (n, len) ->
+        (b + n, l + (n * ((len + Device.line_size - 1) / Device.line_size)), y + (n * len)))
+      (0, 0, 0) records
+  in
+  Device.charge_reads dev ~meta ~bulk ~lines ~bytes
+
+(* Quarantined slots that are backed but all zero (a snapshot scrub can
+   quarantine any line): the scan visits them, the decoder lists only
+   nonzero records. *)
+let quarantined_free (quar : Q.t) (dec : Scan.t) =
+  List.fold_left
+    (fun (inos, pages) (e : Q.entry) ->
+      match e.obj with
+      | Q.Ino i when Scan.inode_backed dec i && not (Scan.inode_allocated dec i) ->
+          (i :: inos, pages)
+      | Q.Page p when Scan.page_backed dec p && not (Scan.page_allocated dec p) ->
+          (inos, pages + 1)
+      | Q.Ino _ | Q.Page _ | Q.Superblock -> (inos, pages))
+    ([], 0) (Q.to_list quar)
+
+(* Rebuild all volatile state from one decode; if [recover], also repair
+   the volume. *)
+let rebuild_decoded (ctx : Fsctx.t) (dec : Scan.t) ~recover =
   let dev = ctx.dev and geo = ctx.geo in
   let st = ref { empty_stats with recovered = recover } in
   let bump f = st := f !st in
+  (* what the allocator pass at the end needs, so that the decode itself
+     is garbage once the index is built *)
+  let inos = dec.inos and pages = dec.pages in
+  let inode_slots = Scan.inode_slots dec and desc_slots = Scan.desc_slots dec in
+  let root_backed = Scan.inode_backed dec Geometry.root_ino in
+  let q_free_inos, q_free_pages = quarantined_free ctx.quar dec in
+  (* Recovery's frees, remembered so the allocator pass reserves what is
+     still allocated without reading the tables again. *)
+  let freed_inodes = Hashtbl.create 8 and freed_pages = Hashtbl.create 8 in
+  let zero_inode ino =
+    zero_persist dev ~off:(Geometry.inode_off geo ~ino) ~len:Geometry.inode_size;
+    Hashtbl.replace freed_inodes ino ();
+    bump (fun s -> { s with orphan_inodes = s.orphan_inodes + 1 })
+  in
+  let zero_desc page =
+    zero_persist dev ~off:(Geometry.desc_off geo ~page) ~len:Geometry.desc_size;
+    Hashtbl.replace freed_pages page ();
+    bump (fun s -> { s with orphan_pages = s.orphan_pages + 1 })
+  in
 
   (* Pass 1: inode table. A quarantined inode's record is untrustworthy:
      keep it visible (so lookups resolve and return EIO) but never treat
-     it as garbage; synthesize attrs if the record no longer decodes. *)
-  let attrs : (int, R.Inode.t) Hashtbl.t = Hashtbl.create 1024 in
+     it as garbage; synthesize attrs if the record no longer decodes.
+     Ledger: every backed slot's ino word, its kind word when the ino is
+     nonzero, its 8 other fields when it decodes, and an allocation test
+     unless it decodes with its own ino or is quarantined. *)
+  let attrs : (int, R.Inode.t) Hashtbl.t = Hashtbl.create (Array.length inos) in
+  let synthesized ino =
+    {
+      R.Inode.ino;
+      kind = R.Kind.File;
+      links = 1;
+      size = 0;
+      atime = 0;
+      mtime = 0;
+      ctime = 0;
+      mode = 0o644;
+      uid = 0;
+      gid = 0;
+    }
+  in
   let garbage_inodes = ref [] in
-  (Scan.inodes dev geo @@ fun ino ->
-   let base = Geometry.inode_off geo ~ino in
-   match R.Inode.decode dev ~base with
-   | Some r when r.ino = ino -> Hashtbl.replace attrs ino r
-   | (Some _ | None) when Q.mem_ino ctx.quar ino ->
-       Hashtbl.replace attrs ino
-         {
-           R.Inode.ino;
-           kind = R.Kind.File;
-           links = 1;
-           size = 0;
-           atime = 0;
-           mtime = 0;
-           ctime = 0;
-           mode = 0o644;
-           uid = 0;
-           gid = 0;
-         }
-   | Some _ | None ->
-       if R.Inode.is_allocated dev ~base then
-         garbage_inodes := ino :: !garbage_inodes);
+  let meta = ref inode_slots and tests = ref inode_slots in
+  Array.iteri
+    (fun k ino ->
+      let r = dec.inodes.(k) in
+      if dec.ino_words.(k) <> 0 then incr meta;
+      if r != Scan.undecodable_inode then meta := !meta + 8;
+      if r.ino = ino then begin
+        Hashtbl.replace attrs ino r;
+        decr tests
+      end
+      else if Q.mem_ino ctx.quar ino then begin
+        Hashtbl.replace attrs ino (synthesized ino);
+        decr tests
+      end
+      else garbage_inodes := ino :: !garbage_inodes)
+    inos;
+  List.iter
+    (fun ino ->
+      Hashtbl.replace attrs ino (synthesized ino);
+      decr tests)
+    q_free_inos;
+  bill dev ~meta:!meta [ (!tests, Geometry.inode_size) ];
 
-  (* Pass 2: page descriptor table. Only backed pages are decoded — an
-     unbacked descriptor is durably zero (neither allocated nor
-     garbage), so skipping it changes nothing. *)
-  let desc_pages_rev = ref [] in
-  let desc_raw : (int, R.Desc.t) Hashtbl.t = Hashtbl.create 1024 in
-  (Scan.pages dev geo @@ fun page ->
-   desc_pages_rev := page :: !desc_pages_rev;
-   match R.Desc.decode dev ~base:(Geometry.desc_off geo ~page) with
-   | Some d -> Hashtbl.replace desc_raw page d
-   | None -> ());
-  let desc_pages = List.rev !desc_pages_rev in
+  (* Pass 2: page descriptor table. Ledger: every backed slot's
+     allocation test; its kind word, and its other three when it
+     decodes; and a second allocation test of every slot that does not
+     decode, unless quarantined. *)
+  let meta = ref 0 and retests = ref (desc_slots - Array.length pages - q_free_pages) in
+  Array.iteri
+    (fun k page ->
+      if dec.descs.(k) == Scan.undecodable_desc then begin
+        incr meta;
+        if not (Q.mem_page ctx.quar page) then incr retests
+      end
+      else meta := !meta + 4)
+    pages;
+  bill dev ~meta:!meta [ (desc_slots, Geometry.desc_size) ];
   (* Resolve replace pointers (crash-atomic COW data writes): a committed
      replacement supersedes the page it points at; recovery frees the old
      page and clears the pointer. An uncommitted replacement (ino = 0)
-     falls into the garbage path below and is rolled back. *)
+     falls into the garbage path below and is rolled back. An
+     undecodable descriptor reads as ino 0. *)
   let killed_pages : (int, unit) Hashtbl.t = Hashtbl.create 8 in
-  List.iter
-    (fun page ->
-      match Hashtbl.find_opt desc_raw page with
-      | Some { R.Desc.ino; replaces; _ }
+  Array.iteri
+    (fun k page ->
+      match dec.descs.(k) with
+      | { R.Desc.ino; replaces; _ }
         when ino <> 0
              && replaces <> 0
              && replaces - 1 < geo.page_count
@@ -158,28 +223,29 @@ let rebuild (ctx : Fsctx.t) ~recover =
           let old = replaces - 1 in
           Hashtbl.replace killed_pages old ();
           if recover then begin
-            zero_persist dev
-              ~off:(Geometry.desc_off geo ~page:old)
-              ~len:Geometry.desc_size;
+            zero_desc old;
             persist_u64 dev
               (Geometry.desc_off geo ~page + R.Desc.f_replaces)
-              0;
-            bump (fun s -> { s with orphan_pages = s.orphan_pages + 1 })
+              0
           end
-      | Some _ | None -> ())
-    desc_pages;
+      | _ -> ())
+    pages;
+  bill dev ~meta:0 [ (!retests, Geometry.desc_size) ];
   let owned : (int, (R.Desc.page_kind * int * int) list ref) Hashtbl.t =
-    Hashtbl.create 1024
+    Hashtbl.create (Array.length inos)
   in
   (* owner ino -> (kind, offset, page) list *)
   let garbage_descs = ref [] in
-  List.iter
-    (fun page ->
-      let base = Geometry.desc_off geo ~page in
+  Array.iteri
+    (fun k page ->
       if Q.mem_page ctx.quar page then () (* neither owned nor garbage *)
       else
-        match Hashtbl.find_opt desc_raw page with
-        | Some { ino; kind; offset; replaces = _ }
+        match dec.descs.(k) with
+        | d when d == Scan.undecodable_desc ->
+            (* garbage, unless the replacement pass just zeroed it *)
+            if not (Hashtbl.mem freed_pages page) then
+              garbage_descs := page :: !garbage_descs
+        | { ino; kind; offset; replaces = _ }
           when ino <> 0 && not (Hashtbl.mem killed_pages page) ->
             let l =
               match Hashtbl.find_opt owned ino with
@@ -190,17 +256,19 @@ let rebuild (ctx : Fsctx.t) ~recover =
                   l
             in
             l := (kind, offset, page) :: !l
-        | Some { ino; _ } when ino <> 0 -> () (* superseded by a replacer *)
-        | Some _ -> garbage_descs := page :: !garbage_descs
-        | None ->
-            if R.Desc.is_allocated dev ~base then
-              garbage_descs := page :: !garbage_descs)
-    desc_pages;
+        | { ino; _ } when ino <> 0 -> () (* superseded by a replacer *)
+        | _ -> garbage_descs := page :: !garbage_descs)
+    pages;
 
-  (* Pass 3: directory pages -> raw dentries. *)
-  let raw : raw_dentry list ref = ref [] in
-  let dir_pages_of : (int, (int * int) list) Hashtbl.t = Hashtbl.create 256 in
+  (* Pass 3: directory pages -> raw dentries. A raw dentry is an index
+     [j] into the decode; [dir_of.(j)] is its directory, or -1 if its
+     page is not a directory page of a valid, unquarantined directory.
+     Ledger: every slot of every page read, and each nonzero slot's name
+     and two words. *)
+  let dir_of = Array.make (Array.length dec.dent_inos) (-1) in
+  let dir_pages_of : (int, (int * int) list) Hashtbl.t = Hashtbl.create 16 in
   (* dir ino -> (offset, page) list *)
+  let pages_read = ref 0 and names_read = ref 0 in
   Hashtbl.iter
     (fun ino l ->
       match Hashtbl.find_opt attrs ino with
@@ -215,68 +283,65 @@ let rebuild (ctx : Fsctx.t) ~recover =
           Hashtbl.replace dir_pages_of ino pages;
           List.iter
             (fun (_, page) ->
-              for slot = 0 to Geometry.dentries_per_page - 1 do
-                let base = dentry_base geo ~page ~slot in
-                match R.Dentry.decode dev ~base with
-                | None -> ()
-                | Some { name; ino = target; rename_ptr } ->
-                    raw :=
-                      {
-                        rd_dir = ino;
-                        rd_page = page;
-                        rd_slot = slot;
-                        rd_name = name;
-                        rd_ino = target;
-                        rd_rptr = rename_ptr;
-                      }
-                      :: !raw
-              done)
+              incr pages_read;
+              Scan.iter_dentries dec ~page (fun j ->
+                  incr names_read;
+                  dir_of.(j) <- ino))
             pages
       | Some _ | None -> ())
     owned;
+  bill dev ~meta:(2 * !names_read)
+    [
+      (Geometry.dentries_per_page * !pages_read, Geometry.dentry_size);
+      (!names_read, Geometry.name_max);
+    ];
+  let base j = dentry_base geo ~page:dec.dent_pages.(j) ~slot:dec.dent_slots.(j) in
+  (* Raw dentries in the order the index receives them: pages
+     ascending, slots descending within a page (readdir lists a hash
+     bucket in reverse insertion order, so this keeps listings stable
+     across remounts). *)
+  let iter_raw f =
+    let n = Array.length dir_of in
+    let j = ref 0 in
+    while !j < n do
+      let hi = ref !j in
+      while !hi + 1 < n && dec.dent_pages.(!hi + 1) = dec.dent_pages.(!j) do
+        incr hi
+      done;
+      for k = !hi downto !j do
+        if dir_of.(k) >= 0 then f k
+      done;
+      j := !hi + 1
+    done
+  in
 
   if recover then begin
     (* orphan-tracking and link-count structures (§5.5) *)
     Device.charge dev (Hashtbl.length attrs * recovery_obj_ns);
-    Device.charge dev (List.length !raw * recovery_obj_ns)
+    Device.charge dev (!names_read * recovery_obj_ns);
+    (* an extra scan pass over directory pages looking for rename
+       pointers (Table 2 attributes recovery-mount cost partly to this) *)
+    bill dev ~meta:(Geometry.dentries_per_page * !pages_read) []
   end;
-
-  (* Recovery: an extra scan pass over directory pages looking for rename
-     pointers (Table 2 attributes recovery-mount cost partly to this). *)
-  if recover then
-    Hashtbl.iter
-      (fun _ pages ->
-        List.iter
-          (fun (_, page) ->
-            for slot = 0 to Geometry.dentries_per_page - 1 do
-              ignore
-                (Device.read_u64 dev
-                   (dentry_base geo ~page ~slot + R.Dentry.f_rename_ptr))
-            done)
-          pages)
-      dir_pages_of;
 
   (* Pass 3b: resolve rename pointers. A committed dentry with a rename
      pointer logically invalidates the source it points at; recovery
      completes the rename physically. An uncommitted dentry is rolled
-     back. *)
+     back. The source is read from the device: recovery may already
+     have written it. *)
   let killed : (int * int, unit) Hashtbl.t = Hashtbl.create 8 in
-  List.iter
-    (fun d ->
-      if d.rd_ino <> 0 && d.rd_rptr <> 0 then begin
-        match dentry_loc_opt geo d.rd_rptr with
+  iter_raw (fun j ->
+      let ino = dec.dent_inos.(j) and rptr = dec.dent_rptrs.(j) in
+      if ino <> 0 && rptr <> 0 then begin
+        match dentry_loc_opt geo rptr with
         | None ->
             (* garbage pointer (torn/corrupt record): never a legal crash
                state, so just clear it when repairing *)
-            if recover then
-              persist_u64 dev
-                (dentry_base geo ~page:d.rd_page ~slot:d.rd_slot
-                + R.Dentry.f_rename_ptr)
-                0
+            if recover then persist_u64 dev (base j + R.Dentry.f_rename_ptr) 0
         | Some (sp, ss) ->
         let sbase = dentry_base geo ~page:sp ~slot:ss in
         let src_ino = Device.read_u64 dev (sbase + R.Dentry.f_ino) in
-        let committed = src_ino = d.rd_ino || src_ino = 0 in
+        let committed = src_ino = ino || src_ino = 0 in
         (* For a destination replacing an existing entry, the atomic point
            is its ino changing to the source's: before that it still holds
            the old target and the source stays live. *)
@@ -286,64 +351,38 @@ let rebuild (ctx : Fsctx.t) ~recover =
             (* complete: invalidate + zero src, then clear the pointer *)
             if src_ino <> 0 then persist_u64 dev (sbase + R.Dentry.f_ino) 0;
             zero_persist dev ~off:sbase ~len:Geometry.dentry_size;
-            persist_u64 dev
-              (dentry_base geo ~page:d.rd_page ~slot:d.rd_slot
-              + R.Dentry.f_rename_ptr)
-              0;
+            persist_u64 dev (base j + R.Dentry.f_rename_ptr) 0;
             bump (fun s ->
                 { s with completed_renames = s.completed_renames + 1 })
           end
           else begin
             (* pre-commit overwrite: roll back by clearing the pointer *)
-            persist_u64 dev
-              (dentry_base geo ~page:d.rd_page ~slot:d.rd_slot
-              + R.Dentry.f_rename_ptr)
-              0;
+            persist_u64 dev (base j + R.Dentry.f_rename_ptr) 0;
             bump (fun s ->
                 { s with rolled_back_renames = s.rolled_back_renames + 1 })
           end
-      end)
-    !raw;
-  let uncommitted, committed =
-    List.partition
-      (fun d -> d.rd_ino = 0 || not (Vfs.Path.valid_name d.rd_name))
-      !raw
-  in
-  let committed =
-    List.filter (fun d -> not (Hashtbl.mem killed (d.rd_page, d.rd_slot)))
-      committed
-  in
-  if recover then
-    List.iter
-      (fun d ->
-        (* crash mid-create or a rolled-back rename destination *)
-        zero_persist dev
-          ~off:(dentry_base geo ~page:d.rd_page ~slot:d.rd_slot)
-          ~len:Geometry.dentry_size;
-        if d.rd_rptr <> 0 then
-          bump (fun s ->
-              { s with rolled_back_renames = s.rolled_back_renames + 1 })
-        else
-          bump (fun s -> { s with orphan_dentries = s.orphan_dentries + 1 }))
-      uncommitted;
+      end);
+  (* A raw dentry is committed if it names an inode with a valid name
+     and no committed rename killed it; the others are crash remnants. *)
+  let committed = Bytes.make (Array.length dir_of) '\000' in
+  iter_raw (fun j ->
+      if dec.dent_inos.(j) = 0 || not (Vfs.Path.valid_name dec.dent_names.(j)) then begin
+        if recover then begin
+          (* crash mid-create or a rolled-back rename destination *)
+          zero_persist dev ~off:(base j) ~len:Geometry.dentry_size;
+          if dec.dent_rptrs.(j) <> 0 then
+            bump (fun s ->
+                { s with rolled_back_renames = s.rolled_back_renames + 1 })
+          else
+            bump (fun s -> { s with orphan_dentries = s.orphan_dentries + 1 })
+        end
+      end
+      else if not (Hashtbl.mem killed (dec.dent_pages.(j), dec.dent_slots.(j)))
+      then Bytes.set committed j '\001');
+  let iter_committed f = iter_raw (fun j -> if Bytes.get committed j <> '\000' then f j) in
 
   (* Pass 3c: reachability from the root. *)
-  let entries_of_dir : (int, raw_dentry list ref) Hashtbl.t =
-    Hashtbl.create 256
-  in
-  List.iter
-    (fun d ->
-      let l =
-        match Hashtbl.find_opt entries_of_dir d.rd_dir with
-        | Some l -> l
-        | None ->
-            let l = ref [] in
-            Hashtbl.replace entries_of_dir d.rd_dir l;
-            l
-      in
-      l := d :: !l)
-    committed;
-  let reachable : (int, unit) Hashtbl.t = Hashtbl.create 1024 in
+  let reachable : (int, unit) Hashtbl.t = Hashtbl.create (Hashtbl.length attrs) in
   let queue = Queue.create () in
   if Hashtbl.mem attrs Geometry.root_ino then begin
     Hashtbl.replace reachable Geometry.root_ino ();
@@ -351,19 +390,22 @@ let rebuild (ctx : Fsctx.t) ~recover =
   end;
   while not (Queue.is_empty queue) do
     let dir = Queue.pop queue in
-    match Hashtbl.find_opt entries_of_dir dir with
+    match Hashtbl.find_opt dir_pages_of dir with
     | None -> ()
-    | Some l ->
+    | Some pages ->
         List.iter
-          (fun d ->
-            match Hashtbl.find_opt attrs d.rd_ino with
-            | None -> () (* dangling: recovery's link fix won't index it *)
-            | Some r ->
-                if not (Hashtbl.mem reachable d.rd_ino) then begin
-                  Hashtbl.replace reachable d.rd_ino ();
-                  if r.kind = R.Kind.Dir then Queue.push d.rd_ino queue
-                end)
-          !l
+          (fun (_, page) ->
+            Scan.iter_dentries dec ~page (fun j ->
+                if Bytes.get committed j <> '\000' then
+                  let ino = dec.dent_inos.(j) in
+                  match Hashtbl.find_opt attrs ino with
+                  | None -> () (* dangling: recovery's link fix won't index it *)
+                  | Some r ->
+                      if not (Hashtbl.mem reachable ino) then begin
+                        Hashtbl.replace reachable ino ();
+                        if r.kind = R.Kind.Dir then Queue.push ino queue
+                      end))
+          pages
   done;
 
   (* Trim pages owned by reachable files beyond their size (space leaked
@@ -382,12 +424,8 @@ let rebuild (ctx : Fsctx.t) ~recover =
                 (function
                   | R.Desc.Data, offset, page
                     when offset >= keep || Hashtbl.mem seen offset ->
-                      zero_persist dev
-                        ~off:(Geometry.desc_off geo ~page)
-                        ~len:Geometry.desc_size;
-                      Hashtbl.replace trimmed (ino, page) ();
-                      bump (fun s ->
-                          { s with orphan_pages = s.orphan_pages + 1 })
+                      zero_desc page;
+                      Hashtbl.replace trimmed (ino, page) ()
                   | R.Desc.Data, offset, _ -> Hashtbl.replace seen offset ()
                   | R.Desc.Dirpage, _, _ -> ())
                 (List.sort compare !l))
@@ -395,18 +433,6 @@ let rebuild (ctx : Fsctx.t) ~recover =
 
   (* Recovery: free orphans. *)
   if recover then begin
-    let zero_inode ino =
-      zero_persist dev
-        ~off:(Geometry.inode_off geo ~ino)
-        ~len:Geometry.inode_size;
-      bump (fun s -> { s with orphan_inodes = s.orphan_inodes + 1 })
-    in
-    let zero_desc page =
-      zero_persist dev
-        ~off:(Geometry.desc_off geo ~page)
-        ~len:Geometry.desc_size;
-      bump (fun s -> { s with orphan_pages = s.orphan_pages + 1 })
-    in
     List.iter zero_inode !garbage_inodes;
     List.iter zero_desc !garbage_descs;
     let unreachable =
@@ -424,7 +450,8 @@ let rebuild (ctx : Fsctx.t) ~recover =
         zero_inode ino;
         Hashtbl.remove attrs ino)
       unreachable;
-    (* pages owned by inos that are not valid at all *)
+    (* pages owned by inos that are not valid at all; read from the
+       device, since the frees above may have zeroed them already *)
     Hashtbl.iter
       (fun ino l ->
         if not (Hashtbl.mem attrs ino) || not (Hashtbl.mem reachable ino) then
@@ -441,7 +468,9 @@ let rebuild (ctx : Fsctx.t) ~recover =
 
   (* Recovery: recompute link counts. *)
   if recover then begin
-    let true_links : (int, int) Hashtbl.t = Hashtbl.create 256 in
+    let true_links : (int, int) Hashtbl.t =
+      Hashtbl.create (Hashtbl.length reachable)
+    in
     let add ino n =
       Hashtbl.replace true_links ino
         ((match Hashtbl.find_opt true_links ino with Some c -> c | None -> 0)
@@ -449,16 +478,15 @@ let rebuild (ctx : Fsctx.t) ~recover =
     in
     Hashtbl.iter (fun ino _ -> add ino 0) reachable;
     add Geometry.root_ino 2;
-    List.iter
-      (fun d ->
-        if Hashtbl.mem reachable d.rd_ino then
-          match Hashtbl.find_opt attrs d.rd_ino with
+    iter_committed (fun j ->
+        let ino = dec.dent_inos.(j) in
+        if Hashtbl.mem reachable ino then
+          match Hashtbl.find_opt attrs ino with
           | Some r when r.kind = R.Kind.Dir ->
-              add d.rd_ino 2;
-              add d.rd_dir 1
-          | Some _ -> add d.rd_ino 1
-          | None -> ())
-      committed;
+              add ino 2;
+              add dir_of.(j) 1
+          | Some _ -> add ino 1
+          | None -> ());
     Hashtbl.iter
       (fun ino want ->
         match Hashtbl.find_opt attrs ino with
@@ -509,37 +537,46 @@ let rebuild (ctx : Fsctx.t) ~recover =
                   !l)
       end)
     attrs;
-  List.iter
-    (fun d ->
-      if Hashtbl.mem reachable d.rd_dir && Hashtbl.mem reachable d.rd_ino then begin
+  iter_committed (fun j ->
+      let ino = dec.dent_inos.(j) in
+      if Hashtbl.mem reachable dir_of.(j) && Hashtbl.mem reachable ino then begin
         incr inserts;
-        Index.insert_dentry ctx.index ~dir:d.rd_dir d.rd_name ~ino:d.rd_ino
-          { Index.page = d.rd_page; slot = d.rd_slot }
-      end)
-    committed;
+        Index.insert_dentry ctx.index ~dir:dir_of.(j) dec.dent_names.(j) ~ino
+          { Index.page = dec.dent_pages.(j); slot = dec.dent_slots.(j) }
+      end);
   Device.charge dev (!inserts * index_insert_ns);
 
   (* Allocators: anything with a fully-zero record is free. The
      allocator starts fully free (one run, O(1)) and {e reserves} the
-     live objects the scan finds, so this step — like the scan passes
-     above — costs time proportional to utilization, not volume size
-     (the paper's §5 near-constant mount). *)
+     decoded records recovery left allocated, so this step — like the
+     passes above — costs time proportional to utilization, not volume
+     size (the paper's §5 near-constant mount). Ledger: the allocation
+     test of every backed slot but the root's. *)
+  bill dev ~meta:0
+    [
+      (inode_slots - Bool.to_int root_backed, Geometry.inode_size);
+      (desc_slots, Geometry.desc_size);
+    ];
   let reserved = ref 0 in
-  (Scan.inodes dev geo @@ fun ino ->
-   if
-     ino <> Geometry.root_ino
-     && R.Inode.is_allocated dev ~base:(Geometry.inode_off geo ~ino)
-   then begin
-     Alloc.reserve_inode ctx.alloc ino;
-     incr reserved
-   end);
-  (Scan.pages dev geo @@ fun page ->
-   if R.Desc.is_allocated dev ~base:(Geometry.desc_off geo ~page) then begin
-     Alloc.reserve_page ctx.alloc page;
-     incr reserved
-   end);
+  Array.iter
+    (fun ino ->
+      if ino <> Geometry.root_ino && not (Hashtbl.mem freed_inodes ino) then begin
+        Alloc.reserve_inode ctx.alloc ino;
+        incr reserved
+      end)
+    inos;
+  Array.iter
+    (fun page ->
+      if not (Hashtbl.mem freed_pages page) then begin
+        Alloc.reserve_page ctx.alloc page;
+        incr reserved
+      end)
+    pages;
   Device.charge dev (!reserved * 40);
   set_stats !st
+
+let rebuild (ctx : Fsctx.t) ~recover =
+  rebuild_decoded ctx (Scan.decode ctx.dev ctx.geo) ~recover
 
 (* {1 Snapshot recovery}
 
@@ -599,59 +636,80 @@ let snap_recover dev geo =
 (* Media pre-pass (csum volumes only): verify record checksums before
    any recovery decision. Corrupt committed records are quarantined; the
    volume then mounts degraded, meaning {e no} destructive recovery runs
-   — a repair pass working from corrupt metadata could free live data. *)
+   — a repair pass working from corrupt metadata could free live data.
+   The CRC checks read the device; the reads that find the records are
+   billed through the ledger. *)
 let media_prepass (ctx : Fsctx.t) =
   let dev = ctx.dev and geo = ctx.geo in
+  let dec = Scan.decode dev geo in
   (* Inode suspects: allocated records whose sealed-field CRC fails.
-     Unbacked records are durably zero — unallocated — so the CRC scans
-     only walk backed spans. *)
+     Ledger: an allocation test per backed slot. *)
+  bill dev ~meta:0 [ (Scan.inode_slots dec, Geometry.inode_size) ];
   let suspects = ref [] in
-  (Scan.inodes dev geo @@ fun ino ->
-   let base = Geometry.inode_off geo ~ino in
-   if R.Inode.is_allocated dev ~base && not (R.Inode.verify dev ~base) then
-     suspects := ino :: !suspects);
+  Array.iter
+    (fun ino ->
+      if not (R.Inode.verify dev ~base:(Geometry.inode_off geo ~ino)) then
+        suspects := ino :: !suspects)
+    dec.inos;
   (* Committed page descriptors with a bad CRC: kind/offset can no longer
-     be trusted, so quarantine the page and the file that owns it. *)
-  (Scan.pages dev geo @@ fun page ->
-   let base = Geometry.desc_off geo ~page in
-   let ino = Device.read_u64 dev (base + R.Desc.f_ino) in
-   if ino <> 0 && not (R.Desc.verify dev ~base) then begin
-     Q.add ctx.quar ~reason:"page descriptor CRC mismatch" (Q.Page page);
-     if ino >= 1 && ino <= geo.inode_count then
-       Q.add ctx.quar ~reason:"owns page with corrupt descriptor" (Q.Ino ino)
-   end);
+     be trusted, so quarantine the page and the file that owns it.
+     Ledger: the ino word of every backed slot. *)
+  bill dev ~meta:(Scan.desc_slots dec) [];
+  Array.iteri
+    (fun k page ->
+      let ino = dec.desc_words.(k) in
+      if ino <> 0 && not (R.Desc.verify dev ~base:(Geometry.desc_off geo ~page))
+      then begin
+        Q.add ctx.quar ~reason:"page descriptor CRC mismatch" (Q.Page page);
+        if ino >= 1 && ino <= geo.inode_count then
+          Q.add ctx.quar ~reason:"owns page with corrupt descriptor" (Q.Ino ino)
+      end)
+    dec.pages;
   (* A suspect inode is quarantined only if a committed dentry (or being
      the root) references it: an unreferenced suspect is indistinguishable
      from a half-initialized crash orphan, and the ordinary garbage path
-     already handles those without data loss. *)
+     already handles those without data loss. Ledger: the ino word of
+     every backed descriptor; each committed, unquarantined one read and
+     decoded; and the ino word of every slot of its page if it is a
+     directory page. *)
   match !suspects with
   | [] -> ()
   | suspects ->
       let suspect = Hashtbl.create 8 in
       List.iter (fun i -> Hashtbl.replace suspect i ()) suspects;
       let referenced = Hashtbl.create 8 in
-      (Scan.pages dev geo @@ fun page ->
-       let base = Geometry.desc_off geo ~page in
-       if
-         Device.read_u64 dev (base + R.Desc.f_ino) <> 0
-         && not (Q.mem_page ctx.quar page)
-       then
-         match R.Desc.decode dev ~base with
-         | Some { kind = R.Desc.Dirpage; _ } ->
-             for slot = 0 to Geometry.dentries_per_page - 1 do
-               let target =
-                 Device.read_u64 dev
-                   (dentry_base geo ~page ~slot + R.Dentry.f_ino)
-               in
-               if Hashtbl.mem suspect target then
-                 Hashtbl.replace referenced target ()
-             done
-         | Some _ | None -> ());
+      let meta = ref (Scan.desc_slots dec) and reads = ref 0 in
+      Array.iteri
+        (fun k page ->
+          if dec.desc_words.(k) <> 0 && not (Q.mem_page ctx.quar page) then begin
+            incr reads;
+            match dec.descs.(k) with
+            | d when d == Scan.undecodable_desc -> incr meta
+            | { kind = R.Desc.Dirpage; _ } ->
+                meta := !meta + 4 + Geometry.dentries_per_page;
+                Scan.iter_dentries dec ~page (fun j ->
+                    let target = dec.dent_inos.(j) in
+                    if Hashtbl.mem suspect target then
+                      Hashtbl.replace referenced target ())
+            | { kind = R.Desc.Data; _ } -> meta := !meta + 4
+          end)
+        dec.pages;
+      bill dev ~meta:!meta [ (!reads, Geometry.desc_size) ];
       List.iter
         (fun ino ->
           if ino = Geometry.root_ino || Hashtbl.mem referenced ino then
             Q.add ctx.quar ~reason:"inode CRC mismatch" (Q.Ino ino))
         suspects
+
+(* The root must decode as a directory with its own ino, or the index
+   has nothing to hang the tree on; a root the media pre-pass
+   quarantined is the exception (the degraded mount answers EIO). *)
+let root_ok (ctx : Fsctx.t) (dec : Scan.t) =
+  Q.mem_ino ctx.quar Geometry.root_ino
+  || Array.length dec.inos > 0
+     && dec.inos.(0) = Geometry.root_ino
+     && dec.inodes.(0).ino = Geometry.root_ino
+     && dec.inodes.(0).kind = R.Kind.Dir
 
 let do_mount ~cpus ~force_recover dev =
   match R.Superblock.read dev with
@@ -662,26 +720,31 @@ let do_mount ~cpus ~force_recover dev =
         let ctx = Fsctx.make ~csum ~dev ~geo ~cpus () in
         if (not clean) || force_recover then snap_recover dev geo;
         if csum then media_prepass ctx;
-        let degraded = not (Q.is_empty ctx.quar) in
-        rebuild ctx ~recover:(((not clean) || force_recover) && not degraded);
-        let qi, qp =
-          List.fold_left
-            (fun (i, p) (e : Q.entry) ->
-              match e.obj with
-              | Q.Ino _ -> (i + 1, p)
-              | Q.Page _ -> (i, p + 1)
-              | Q.Superblock -> (i, p))
-            (0, 0) (Q.to_list ctx.quar)
-        in
-        set_stats
-          {
-            (last_stats ()) with
-            quarantined_inodes = qi;
-            quarantined_pages = qp;
-            degraded;
-          };
-        R.Superblock.set_clean dev false;
-        Ok ctx
+        let dec = Scan.decode dev geo in
+        if not (root_ok ctx dec) then Error Vfs.Errno.EINVAL
+        else begin
+          let degraded = not (Q.is_empty ctx.quar) in
+          rebuild_decoded ctx dec
+            ~recover:(((not clean) || force_recover) && not degraded);
+          let qi, qp =
+            List.fold_left
+              (fun (i, p) (e : Q.entry) ->
+                match e.obj with
+                | Q.Ino _ -> (i + 1, p)
+                | Q.Page _ -> (i, p + 1)
+                | Q.Superblock -> (i, p))
+              (0, 0) (Q.to_list ctx.quar)
+          in
+          set_stats
+            {
+              (last_stats ()) with
+              quarantined_inodes = qi;
+              quarantined_pages = qp;
+              degraded;
+            };
+          R.Superblock.set_clean dev false;
+          Ok ctx
+        end
       end
 
 let mount ?(cpus = 4) dev = do_mount ~cpus ~force_recover:false dev

@@ -3,7 +3,10 @@
 
     SquirrelFS persists no allocation or index structures: a mount scans
     the inode table, the page descriptor table and all directory pages to
-    rebuild the DRAM indexes and free lists. If the superblock says the
+    rebuild the DRAM indexes and free lists. The scan is one
+    {!Scan.decode}; mount bills the simulated reads of a
+    record-at-a-time scan for it in closed form, so mount times are those
+    of reading every record field by field. If the superblock says the
     volume was not cleanly unmounted, the mount additionally runs
     recovery: it completes or rolls back interrupted renames via rename
     pointers, frees orphaned inodes, dentries and pages, and corrects
@@ -38,8 +41,10 @@ val mkfs : ?csum:bool -> Pmem.Device.t -> unit
 
 val mount : ?cpus:int -> Pmem.Device.t -> (Fsctx.t, Vfs.Errno.t) result
 (** Rebuild volatile state; run recovery if the clean flag is unset; mark
-    the volume mounted (dirty). [EINVAL] if the superblock is invalid;
-    [EIO] if a csum volume's superblock fails its own checksum. *)
+    the volume mounted (dirty). [EINVAL] if the superblock is invalid,
+    or if the root inode does not decode as a directory with ino 1 and
+    is not quarantined (checked before recovery writes anything); [EIO]
+    if a csum volume's superblock fails its own checksum. *)
 
 val mount_recover : ?cpus:int -> Pmem.Device.t -> (Fsctx.t, Vfs.Errno.t) result
 (** Like [mount] but always runs the recovery passes (used to measure

@@ -1,25 +1,80 @@
-(** Span-driven scans of the on-PM object tables.
+(** The one decoder of the on-PM object tables.
 
-    Offsets outside {!Pmem.Device.backed_spans} are durably zero, so
-    records there can be skipped by any scan looking for allocated
-    state. The cost is proportional to backed (touched) space, not
-    volume size. *)
+    [decode] reads every backed inode record, page descriptor and
+    committed directory page once, through uncharged zero-copy windows
+    on the device's visible image ({!Pmem.Device.record_view}), and
+    returns the typed records with their slot indices. Offsets outside
+    {!Pmem.Device.backed_spans} are durably zero, so a decode costs
+    O(backed records), not O(volume size).
 
-val iter_objects :
-  Pmem.Device.t ->
-  table_off:int ->
-  obj_size:int ->
-  first:int ->
-  last:int ->
-  (int -> unit) ->
-  unit
-(** Visit, ascending and exactly once, every index [i] in
-    [first..last] whose record at [table_off + (i - first) * obj_size]
-    intersects a backed span. Records must not straddle backing
-    chunks (all table record sizes divide {!Pmem.Sbuf.chunk_bytes}). *)
+    Each consumer ([Fsck.check_raw], [Mount.media_prepass],
+    [Mount.rebuild], [Fsck.check]) decodes once and keeps its own logic;
+    no decoded value is handed from one to the next, so every checker
+    still derives its state from the media. A decode charges no
+    simulated time: mount bills the reads it models with
+    {!Pmem.Device.charge_reads}. *)
 
-val inodes : Pmem.Device.t -> Layout.Geometry.t -> (int -> unit) -> unit
-(** Backed inode indices [1..inode_count]. *)
+type t = {
+  inode_runs : int array;
+      (** backed inode slots as ascending [lo; hi] pairs of inode numbers *)
+  inos : int array;
+      (** inode number of every nonzero (allocated) backed inode record,
+          ascending *)
+  ino_words : int array;  (** its raw [f_ino] word *)
+  inodes : Layout.Records.Inode.t array;
+      (** its decoded fields, or {!undecodable_inode} when [f_ino] is
+          zero or [f_kind] names no kind *)
+  page_runs : int array;  (** backed descriptor slots, like [inode_runs] *)
+  pages : int array;
+      (** page index of every nonzero backed descriptor, ascending *)
+  desc_words : int array;  (** its raw [f_ino] word *)
+  descs : Layout.Records.Desc.t array;
+      (** its decoded fields, or {!undecodable_desc} when [f_kind] names
+          no page kind *)
+  dent_pages : int array;
+      (** page of every nonzero dentry in a directory page — one whose
+          descriptor decodes as a [Dirpage] with nonzero [ino] — ascending
+          by page, then slot *)
+  dent_slots : int array;  (** its slot within the page *)
+  dent_names : string array;
+  dent_inos : int array;
+  dent_rptrs : int array;
+      (** its decoded {!Layout.Records.Dentry.t} fields, as parallel
+          arrays: a decode keeps no per-dentry block, so on a large
+          volume the names that mount hands to the index are all that
+          outlives it *)
+}
 
-val pages : Pmem.Device.t -> Layout.Geometry.t -> (int -> unit) -> unit
-(** Backed page indices [0..page_count-1]. *)
+val decode : Pmem.Device.t -> Layout.Geometry.t -> t
+(** Never raises on any table contents; charges nothing. *)
+
+val undecodable_inode : Layout.Records.Inode.t
+(** Placeholder, compared with [==], for a nonzero inode record that
+    does not decode. Its [ino] is 0, so it matches no slot. *)
+
+val undecodable_desc : Layout.Records.Desc.t
+(** Placeholder, compared with [==], for a nonzero descriptor that does
+    not decode. Its [ino] is 0, so it owns nothing. *)
+
+val inode_slots : t -> int
+(** Backed inode slots, allocated or not. *)
+
+val desc_slots : t -> int
+(** Backed descriptor slots, allocated or not. *)
+
+val inode_backed : t -> int -> bool
+(** Does the slot of this inode number lie in a backed span? *)
+
+val page_backed : t -> int -> bool
+
+val inode_allocated : t -> int -> bool
+(** Is this inode number's record nonzero (listed in [inos])? *)
+
+val page_allocated : t -> int -> bool
+
+val iter_dentries : t -> page:int -> (int -> unit) -> unit
+(** [f k] for the index [k] of every decoded dentry of [page], by
+    ascending slot. *)
+
+val word : Pmem.Device.t -> int -> int
+(** One u64 of the visible image, read through a window: uncharged. *)

@@ -10,6 +10,7 @@ module Alloc = Alloc
 module Index = Index
 module Objects = Objects
 module Ops = Ops
+module Scan = Scan
 module Mount = Mount
 module Fsck = Fsck
 module Tracing = Tracing

@@ -22,6 +22,20 @@ let any_nonzero dev base len =
   let rec go i = i < len && (Bytes.get b i <> '\000' || go (i + 1)) in
   go 0
 
+(* {1 Record windows}
+
+   [Pmem.Device.record_view] lends a zero-copy window on a record; the
+   [of_window] parsers below decode one exactly as the device readers
+   do, without reading the device, so they charge nothing. [pos] is the
+   record's offset within the window's buffer. *)
+
+let word buf pos = Int64.to_int (Bytes.get_int64_le buf pos)
+
+(* Record sizes are multiples of 8, so a word-wise test covers them. *)
+let window_nonzero buf pos len =
+  let rec go i = i < len && (Bytes.get_int64_le buf (pos + i) <> 0L || go (i + 8)) in
+  go 0
+
 (* {1 Record checksums}
 
    Only fields that are immutable once the record is initialized are
@@ -93,6 +107,27 @@ module Inode = struct
               gid = Device.read_u64 dev (base + f_gid);
             }
 
+  let of_window buf pos =
+    let ino = word buf (pos + f_ino) in
+    if ino = 0 then None
+    else
+      match Kind.of_int (word buf (pos + f_kind)) with
+      | None -> None
+      | Some kind ->
+          Some
+            {
+              ino;
+              kind;
+              links = word buf (pos + f_links);
+              size = word buf (pos + f_size);
+              atime = word buf (pos + f_atime);
+              mtime = word buf (pos + f_mtime);
+              ctime = word buf (pos + f_ctime);
+              mode = word buf (pos + f_mode);
+              uid = word buf (pos + f_uid);
+              gid = word buf (pos + f_gid);
+            }
+
   let is_allocated dev ~base = any_nonzero dev base Geometry.inode_size
 
   let seal dev ~base =
@@ -132,6 +167,21 @@ module Dentry = struct
           rename_ptr = Device.read_u64 dev (base + f_rename_ptr);
         }
 
+  let of_window buf pos =
+    if not (window_nonzero buf pos Geometry.dentry_size) then None
+    else
+      let rec len i =
+        if i < Geometry.name_max && Bytes.get buf (pos + f_name + i) <> '\000'
+        then len (i + 1)
+        else i
+      in
+      Some
+        {
+          name = Bytes.sub_string buf (pos + f_name) (len 0);
+          ino = word buf (pos + f_ino);
+          rename_ptr = word buf (pos + f_rename_ptr);
+        }
+
   let is_allocated dev ~base = any_nonzero dev base Geometry.dentry_size
 end
 
@@ -165,6 +215,20 @@ module Desc = struct
               kind;
               offset = Device.read_u64 dev (base + f_offset);
               replaces = Device.read_u64 dev (base + f_replaces);
+            }
+
+  let of_window buf pos =
+    if not (window_nonzero buf pos Geometry.desc_size) then None
+    else
+      match kind_of_int (word buf (pos + f_kind)) with
+      | None -> None
+      | Some kind ->
+          Some
+            {
+              ino = word buf (pos + f_ino);
+              kind;
+              offset = word buf (pos + f_offset);
+              replaces = word buf (pos + f_replaces);
             }
 
   let is_allocated dev ~base = any_nonzero dev base Geometry.desc_size

@@ -28,6 +28,20 @@ val any_nonzero : Pmem.Device.t -> int -> int -> bool
 (** [any_nonzero dev base len]: is any byte of [base, base+len) nonzero
     (i.e. is a record at [base] allocated)? *)
 
+(** {1 Record windows}
+
+    Parsers over a zero-copy window [(buf, pos)] on a record (see
+    {!Pmem.Device.record_view}): each [of_window] decodes exactly what
+    the matching [decode] reads from the device, but touches no device
+    and charges nothing. *)
+
+val word : Bytes.t -> int -> int
+(** The little-endian u64 at [pos], as {!Pmem.Device.read_u64} reads it. *)
+
+val window_nonzero : Bytes.t -> int -> int -> bool
+(** [window_nonzero buf pos len]: is any byte of the [len]-byte record at
+    [pos] nonzero? [len] must be a multiple of 8. *)
+
 val crc_ns : int
 (** Simulated software cost of computing one record checksum. *)
 
@@ -65,6 +79,9 @@ module Inode : sig
   val decode : Pmem.Device.t -> base:int -> t option
   (** [None] if the record is free (ino field zero) or malformed. *)
 
+  val of_window : Bytes.t -> int -> t option
+  (** {!decode} over a record window. *)
+
   val is_allocated : Pmem.Device.t -> base:int -> bool
   (** Any byte non-zero. *)
 
@@ -87,6 +104,9 @@ module Dentry : sig
   val decode : Pmem.Device.t -> base:int -> t option
   (** [None] if the record is entirely free (all bytes zero); otherwise
       the decoded entry, which may still be invalid ([ino = 0]). *)
+
+  val of_window : Bytes.t -> int -> t option
+  (** {!decode} over a record window. *)
 
   val is_allocated : Pmem.Device.t -> base:int -> bool
 end
@@ -114,6 +134,9 @@ module Desc : sig
   (** [None] if free; entries with [ino = 0] but non-zero metadata decode
       to [Some { ino = 0; _ }] so the mount scan can treat them as
       allocated-but-invalid. *)
+
+  val of_window : Bytes.t -> int -> t option
+  (** {!decode} over a record window. *)
 
   val is_allocated : Pmem.Device.t -> base:int -> bool
   val kind_to_int : page_kind -> int

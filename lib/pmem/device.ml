@@ -153,16 +153,20 @@ let resident_bytes t =
    offset outside every span is durably zero AND has no in-flight
    stores — scans (mount, fsck) may skip it wholesale. *)
 let backed_spans t =
-  let spans =
-    List.sort compare (Sbuf.backed_spans t.latest @ Sbuf.backed_spans t.durable)
+  (* both lists ascend: merge them, coalescing overlapping or adjacent
+     spans *)
+  let rec merge acc a b =
+    match (a, b) with
+    | ((o1, _) as s) :: a', (o2, _) :: _ when o1 <= o2 -> merge (push s acc) a' b
+    | _, s :: b' -> merge (push s acc) a b'
+    | s :: a', [] -> merge (push s acc) a' []
+    | [], [] -> List.rev acc
+  and push ((o2, l2) as s) = function
+    | (o1, l1) :: acc when o2 <= o1 + l1 -> (o1, Int.max l1 (o2 + l2 - o1)) :: acc
+    | acc -> s :: acc
   in
-  let rec merge = function
-    | (o1, l1) :: (o2, l2) :: rest when o2 <= o1 + l1 ->
-        merge ((o1, max l1 (o2 + l2 - o1)) :: rest)
-    | s :: rest -> s :: merge rest
-    | [] -> []
-  in
-  merge spans
+  if t.latest == t.durable then Sbuf.backed_spans t.latest
+  else merge [] (Sbuf.backed_spans t.latest) (Sbuf.backed_spans t.durable)
 
 (* {1 Observability}
 
@@ -493,6 +497,23 @@ let read_byte t off =
   t.stats.bytes_read <- t.stats.bytes_read + 1;
   charge t t.latency.read_meta_ns;
   Char.code (Sbuf.get t.latest off)
+
+(* The table decoder's entry points. A record window, like [read_meta],
+   charges nothing, touches no stats and injects no fault; the decoder
+   copies what it needs out of it at once. [charge_reads] then bills, in
+   one call, exactly what the equivalent [read_u64]/[read] calls would
+   have billed. *)
+let record_view t ~off ~len =
+  check_range t off len;
+  Sbuf.line_view t.latest ~off ~len
+
+let charge_reads t ~meta ~bulk ~lines ~bytes =
+  t.stats.reads <- t.stats.reads + meta + bulk;
+  t.stats.bytes_read <- t.stats.bytes_read + (8 * meta) + bytes;
+  charge t
+    ((meta * t.latency.read_meta_ns)
+    + (bulk * t.latency.read_base_ns)
+    + (lines * t.latency.read_line_ns))
 
 (* Observability peeks at the *durable* image: free of charge (no stats,
    no simulated latency, no fault injection), so a tracer can snapshot
@@ -1262,6 +1283,10 @@ let read_meta t ~off ~len = with_lock t (fun () -> read_meta t ~off ~len)
 let read_u64 t off = with_lock t (fun () -> read_u64 t off)
 let read_u32 t off = with_lock t (fun () -> read_u32 t off)
 let read_byte t off = with_lock t (fun () -> read_byte t off)
+let record_view t ~off ~len = with_lock t (fun () -> record_view t ~off ~len)
+
+let charge_reads t ~meta ~bulk ~lines ~bytes =
+  with_lock t (fun () -> charge_reads t ~meta ~bulk ~lines ~bytes)
 let durable_hash t = with_lock t (fun () -> durable_hash t)
 let retain t = with_lock t (fun () -> retain t)
 let retain_at t ~hash ~saved = with_lock t (fun () -> retain_at t ~hash ~saved)

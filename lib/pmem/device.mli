@@ -110,6 +110,21 @@ val read_u64 : t -> int -> int
 val read_u32 : t -> int -> int
 val read_byte : t -> int -> int
 
+val record_view : t -> off:int -> len:int -> (Bytes.t * int) option
+(** Zero-copy window on the visible (latest) image over a range that
+    lies inside one {!Sbuf.chunk_bytes} chunk (every table record and
+    directory page does). [Some (buf, pos)]: the range is
+    [buf.[pos .. pos + len - 1]]; [None]: the chunk is unbacked, so the
+    range is zero. Like {!read_meta} it injects no fault, and unlike it
+    it charges nothing and counts in no {!Stats}. The window aliases
+    live storage: copy out what you need before the next store. *)
+
+val charge_reads : t -> meta:int -> bulk:int -> lines:int -> bytes:int -> unit
+(** Bill, in closed form, [meta] {!read_u64} calls plus [bulk] {!read}
+    calls covering [lines] cache lines and [bytes] bytes in all:
+    [stats.reads], [stats.bytes_read] and the clock advance exactly as
+    those calls would advance them. *)
+
 val peek : t -> off:int -> len:int -> Bytes.t
 (** Observability read of the {e durable} image: no stats, no simulated
     latency, no fault injection. Used to snapshot durable state for a

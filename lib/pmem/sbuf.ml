@@ -257,17 +257,17 @@ let backed_spans t =
       run := -1
     end
   in
-  Array.iteri
-    (fun li l ->
-      if l == zero_leaf then close (li * leaf_chunks)
-      else
-        Array.iteri
-          (fun i c ->
-            let ci = (li * leaf_chunks) + i in
-            if c == zero_chunk then close ci else if !run < 0 then run := ci)
-          l)
-    t.spine;
-  close (Array.length t.spine * leaf_chunks);
+  let chunks = (t.size + chunk_bytes - 1) / chunk_bytes in
+  for li = 0 to Array.length t.spine - 1 do
+    let l = t.spine.(li) in
+    if l == zero_leaf then close (li * leaf_chunks)
+    else
+      for i = 0 to Int.min leaf_chunks (chunks - (li * leaf_chunks)) - 1 do
+        if l.(i) == zero_chunk then close ((li * leaf_chunks) + i)
+        else if !run < 0 then run := (li * leaf_chunks) + i
+      done
+  done;
+  close chunks;
   List.rev !spans
 
 let resident_bytes t = t.backed * chunk_bytes

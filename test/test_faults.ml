@@ -322,6 +322,96 @@ let test_scrub_detects_all_injected_flips () =
           off bit line)
     flips
 
+(* {1 A root that is not a directory}
+
+   Mount refuses a volume whose root inode does not decode as a
+   directory with ino 1, before recovery touches the media; a root the
+   checksum pre-pass quarantined mounts degraded instead, and root-level
+   operations answer EIO. No VFS operation may raise on any of these. *)
+
+let root_images () =
+  let populated ~csum ~clean =
+    let dev = Device.create ~size:(1024 * 1024) () in
+    Sq.Mount.mkfs ~csum dev;
+    let fs = ok (Sq.mount dev) in
+    ok (Sq.create fs "/a");
+    ignore (ok (Sq.write fs "/a" ~off:0 "data") : int);
+    ok (Sq.mkdir fs "/d");
+    ok (Sq.create fs "/d/f");
+    if clean then Sq.unmount fs;
+    (dev, G.inode_off fs.Sq.Fsctx.geo ~ino:G.root_ino)
+  in
+  let word ~clean field v () =
+    let dev, root = populated ~csum:false ~clean in
+    Device.store_u64 dev (root + field) v;
+    Device.persist dev ~off:(root + field) ~len:8;
+    dev
+  in
+  let rotted_mode () =
+    let dev, root = populated ~csum:true ~clean:true in
+    Device.flip_bit dev ~off:(root + R.Inode.f_mode) ~bit:1;
+    dev
+  in
+  [
+    ("kind file", word ~clean:true R.Inode.f_kind 1, `Einval);
+    ("kind symlink", word ~clean:true R.Inode.f_kind 3, `Einval);
+    ("kind 9", word ~clean:true R.Inode.f_kind 9, `Einval);
+    ("ino 7", word ~clean:true R.Inode.f_ino 7, `Einval);
+    ("ino 0", word ~clean:true R.Inode.f_ino 0, `Einval);
+    ("csum: rotted mode", rotted_mode, `Degraded);
+    ("unclean: ino 7", word ~clean:false R.Inode.f_ino 7, `Einval);
+  ]
+
+let test_root_not_a_directory () =
+  List.iter
+    (fun (what, image, want) ->
+      let dev = image () in
+      let before = Device.image_durable dev in
+      match (Sq.mount dev, want) with
+      | Error Vfs.Errno.EINVAL, `Einval ->
+          if not (Bytes.equal before (Device.image_durable dev)) then
+            Alcotest.failf "%s: refused mount wrote the media" what
+      | Ok fs, `Degraded ->
+          Alcotest.(check bool) (what ^ ": degraded") true
+            (Sq.Mount.last_stats ()).Sq.Mount.degraded;
+          let ops =
+            [
+              ("create /b", fun () -> Sq.create fs "/b");
+              ("mkdir /c", fun () -> Sq.mkdir fs "/c");
+              ("symlink /s", fun () -> Sq.symlink fs "/a" "/s");
+              ("link /l", fun () -> Sq.link fs "/a" "/l");
+              ("unlink /a", fun () -> Sq.unlink fs "/a");
+              ("rmdir /d", fun () -> Sq.rmdir fs "/d");
+              ("rename /a /z", fun () -> Sq.rename fs "/a" "/z");
+              ("write /a", fun () -> Result.map ignore (Sq.write fs "/a" ~off:0 "x"));
+              ("read /a", fun () -> Result.map ignore (Sq.read fs "/a" ~off:0 ~len:4));
+              ("stat /", fun () -> Result.map ignore (Sq.stat fs "/"));
+              ("readdir /", fun () -> Result.map ignore (Sq.readdir fs "/"));
+            ]
+          in
+          List.iter
+            (fun (op, f) ->
+              match f () with
+              | exception e ->
+                  Alcotest.failf "%s: %s raised %s" what op (Printexc.to_string e)
+              | Ok () | Error _ -> ())
+            ops;
+          List.iter
+            (fun (op, f) ->
+              match f () with
+              | Error Vfs.Errno.EIO -> ()
+              | Ok () -> Alcotest.failf "%s: %s succeeded" what op
+              | Error e ->
+                  Alcotest.failf "%s: %s: %s, want EIO" what op (Vfs.Errno.to_string e))
+            [
+              ("create /b", fun () -> Sq.create fs "/b");
+              ("mkdir /c", fun () -> Sq.mkdir fs "/c");
+            ]
+      | Ok _, `Einval -> Alcotest.failf "%s: mounted, want EINVAL" what
+      | Error e, _ -> Alcotest.failf "%s: mount %s" what (Vfs.Errno.to_string e)
+      | exception e -> Alcotest.failf "%s: mount raised %s" what (Printexc.to_string e))
+    (root_images ())
+
 let () =
   Alcotest.run "faults"
     [
@@ -357,6 +447,8 @@ let () =
             test_read_errors_surface_as_eio;
           Alcotest.test_case "read-fault accounting" `Quick
             test_read_fault_accounting;
+          Alcotest.test_case "root not a directory" `Quick
+            test_root_not_a_directory;
         ] );
       ( "harness",
         [

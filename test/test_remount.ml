@@ -131,6 +131,102 @@ let test_of_image_stats_fresh () =
   Alcotest.(check int) "source unchanged by the probe" src_stores
     (Device.stats dev).Pmem.Stats.stores
 
+(* {1 Mount's simulated charges}
+
+   Mount charges simulated reads for the records it decodes. The figures
+   below were measured on the Table 2 scenario ([bench tab2]: a 64 MiB
+   Optane volume, empty and then filled with 12 KiB files in 500-entry
+   directories until an allocator runs out) and on a checksummed volume
+   whose media pre-pass runs every ledger branch, including the
+   suspect-inode reference scan a corrupt inode triggers. Any change to
+   how mount reads the tables must keep every delta exact: Table 2 is
+   computed from them. *)
+
+type charge = { ns : int; reads : int; bytes : int }
+
+let measure dev f =
+  let st = Device.stats dev in
+  let ns0 = Device.now_ns dev and r0 = st.Pmem.Stats.reads
+  and b0 = st.Pmem.Stats.bytes_read in
+  let fs = ok (f dev) in
+  ( fs,
+    {
+      ns = Device.now_ns dev - ns0;
+      reads = st.Pmem.Stats.reads - r0;
+      bytes = st.Pmem.Stats.bytes_read - b0;
+    } )
+
+let check_charge what want got =
+  if got <> want then
+    Alcotest.failf "%s: got %d ns, %d reads, %d bytes; want %d ns, %d reads, %d bytes"
+      what got.ns got.reads got.bytes want.ns want.reads want.bytes
+
+(* [bench tab2]'s fill: 12 KiB files, 500 entries per directory, until
+   the volume is out of inodes or pages. *)
+let fill fs ~max_files =
+  let files = ref 0 and dir = ref 0 in
+  let data = String.make 12288 'f' in
+  ok (Sq.mkdir fs "/d0");
+  (try
+     while !files < max_files do
+       if !files mod 500 = 499 then begin
+         incr dir;
+         ok (Sq.mkdir fs (Printf.sprintf "/d%d" !dir))
+       end;
+       let p = Printf.sprintf "/d%d/f%d" !dir !files in
+       (match Sq.create fs p with Ok () -> () | Error _ -> raise Exit);
+       (match Sq.write fs p ~off:0 data with Ok _ -> () | Error _ -> raise Exit);
+       incr files
+     done
+   with Exit -> ());
+  !files
+
+let test_tab2_mount_charges () =
+  let dev = Device.create ~latency:Pmem.Latency.optane ~size:(64 lsl 20) () in
+  Sq.mkfs dev;
+  let fs, c = measure dev Sq.Mount.mount in
+  check_charge "normal, empty" { ns = 10_483; reads = 112; bytes = 8_336 } c;
+  Sq.unmount fs;
+  let fs, c = measure dev Sq.Mount.mount_recover in
+  check_charge "recovery, empty" { ns = 14_983; reads = 162; bytes = 11_736 } c;
+  Alcotest.(check int) "files" 3_992 (fill fs ~max_files:max_int);
+  Sq.unmount fs;
+  let fs, c = measure dev Sq.Mount.mount in
+  check_charge "normal, full"
+    { ns = 22_809_255; reads = 132_936; bytes = 3_811_512 } c;
+  Sq.unmount fs;
+  let _, c = measure dev Sq.Mount.mount_recover in
+  check_charge "recovery, full"
+    { ns = 26_178_875; reads = 137_114; bytes = 3_847_936 } c
+
+let test_csum_mount_charges () =
+  let dev = Device.create ~latency:Pmem.Latency.optane ~size:(64 lsl 20) () in
+  Sq.Mount.mkfs ~csum:true dev;
+  let fs, c = measure dev Sq.Mount.mount in
+  check_charge "csum normal, empty"
+    { ns = 15_183; reads = 151; bytes = 12_596 } c;
+  Alcotest.(check int) "files" 600 (fill fs ~max_files:600);
+  ok (Sq.rename fs "/d0/f0" "/d1/g0");
+  Sq.unmount fs;
+  let fs, c = measure dev Sq.Mount.mount in
+  check_charge "csum normal, filled"
+    { ns = 4_615_239; reads = 32_324; bytes = 819_848 } c;
+  Sq.unmount fs;
+  let fs, c = measure dev Sq.Mount.mount_recover in
+  check_charge "csum recovery, filled"
+    { ns = 5_128_219; reads = 33_046; bytes = 828_624 } c;
+  (* Rot one sealed field of a referenced inode: the pre-pass scans the
+     directory pages for references and the mount comes up degraded. *)
+  let ino = (ok (Sq.stat fs "/d1/f550")).Vfs.Fs.ino in
+  Sq.unmount fs;
+  Device.flip_bit dev
+    ~off:(Layout.Geometry.inode_off fs.Sq.Fsctx.geo ~ino + Layout.Records.Inode.f_mode)
+    ~bit:1;
+  let _, c = measure dev Sq.Mount.mount in
+  Alcotest.(check bool) "degraded" true (Sq.Mount.last_stats ()).Sq.Mount.degraded;
+  check_charge "csum degraded"
+    { ns = 5_209_491; reads = 43_955; bytes = 1_014_872 } c
+
 let () =
   Alcotest.run "remount"
     [
@@ -144,5 +240,10 @@ let () =
           Alcotest.test_case "counters accumulate (no reset on remount)" `Quick
             test_stats_accumulate_across_mounts;
           Alcotest.test_case "of_image starts fresh" `Quick test_of_image_stats_fresh;
+        ] );
+      ( "charges",
+        [
+          Alcotest.test_case "Table 2 mount charges" `Quick test_tab2_mount_charges;
+          Alcotest.test_case "csum mount charges" `Quick test_csum_mount_charges;
         ] );
     ]

@@ -179,6 +179,141 @@ let prop_token_distinct_ids_independent =
       Token.check reg tb;
       true)
 
+(* {1 The table decoder}
+
+   [Scan.decode] must agree, on every backed slot, with the per-field
+   device readers it replaces: [Inode.decode]/[is_allocated],
+   [Desc.decode]/[is_allocated] and [Dentry.decode]. Inputs are crash
+   images of short op sequences, then random overwrites of their table
+   records, biased towards what a hostile or torn image holds: ino/slot
+   mismatches, invalid kinds, names with no NUL in all 110 bytes. *)
+
+module Device = Pmem.Device
+module Scan = Squirrelfs.Scan
+
+let decoder_images =
+  lazy
+    (let images = ref [] in
+     List.iter
+       (fun ops ->
+         let dev = Device.create ~size:(256 * 1024) () in
+         Squirrelfs.Mount.mkfs dev;
+         let fs = ok (Squirrelfs.mount dev) in
+         Device.set_fence_hook dev
+           (Some (fun d -> images := Images.crash_images ~max_images:4 d @ !images));
+         List.iter (fun op -> ignore (op fs : (unit, Vfs.Errno.t) result)) ops;
+         Device.set_fence_hook dev None)
+       [
+         [
+           (fun fs -> Squirrelfs.mkdir fs "/d");
+           (fun fs -> Squirrelfs.create fs "/d/f");
+           (fun fs -> Result.map ignore (Squirrelfs.write fs "/d/f" ~off:0 (String.make 5000 'x')));
+           (fun fs -> Squirrelfs.rename fs "/d/f" "/g");
+         ];
+         [
+           (fun fs -> Squirrelfs.create fs "/a");
+           (fun fs -> Squirrelfs.link fs "/a" "/b");
+           (fun fs -> Squirrelfs.unlink fs "/a");
+           (fun fs -> Squirrelfs.mkdir fs "/e");
+           (fun fs -> Squirrelfs.rmdir fs "/e");
+         ];
+       ];
+     Array.of_list !images)
+
+(* Overwrite [n] table records of [img] in place, drawing from [rng]. *)
+let scribble rng (g : G.t) img n =
+  let set64 off v = Bytes.set_int64_le img off (Int64.of_int v) in
+  let int = Random.State.int rng in
+  for _ = 1 to n do
+    let inode = G.inode_off g ~ino:(1 + int g.inode_count) in
+    let desc = G.desc_off g ~page:(int (min 16 g.page_count)) in
+    let dentry = G.dentry_off g ~page:(int (min 16 g.page_count)) ~slot:(int 32) in
+    match int 8 with
+    | 0 -> set64 (inode + R.Inode.f_ino) (int 24)
+    | 1 -> set64 (inode + R.Inode.f_kind) (int 6)
+    | 2 -> set64 (desc + R.Desc.f_kind) (int 4)
+    | 3 -> set64 (desc + R.Desc.f_ino) (int 24)
+    | 4 -> Bytes.fill img (dentry + R.Dentry.f_name) G.name_max 'n'
+    | 5 -> set64 (dentry + R.Dentry.f_ino) (int 24)
+    | _ ->
+        let base = [| inode; desc; dentry |].(int 3) in
+        for _ = 1 to 1 + int 8 do
+          Bytes.set img (base + int 64) (Char.chr (int 256))
+        done
+  done
+
+let decoder_agrees dev =
+  let g = (Option.get (R.Superblock.read dev)).R.Superblock.geometry in
+  let dec = Scan.decode dev g in
+  let backed off len =
+    List.exists (fun (o, l) -> off >= o && off + len <= o + l) (Device.backed_spans dev)
+  in
+  let fail fmt = Printf.ksprintf (fun s -> QCheck.Test.fail_report s) fmt in
+  let k = ref 0 in
+  for ino = 1 to g.inode_count do
+    let base = G.inode_off g ~ino in
+    if backed base G.inode_size <> Scan.inode_backed dec ino then fail "inode %d: backed" ino;
+    if backed base G.inode_size && R.Inode.is_allocated dev ~base then begin
+      if !k >= Array.length dec.inos || dec.inos.(!k) <> ino then fail "inode %d: not listed" ino;
+      let got = dec.inodes.(!k) in
+      (match R.Inode.decode dev ~base with
+      | Some r -> if got <> r then fail "inode %d: fields differ" ino
+      | None -> if got != Scan.undecodable_inode then fail "inode %d: decoded" ino);
+      if dec.ino_words.(!k) <> Device.read_u64 dev (base + R.Inode.f_ino) then
+        fail "inode %d: ino word" ino;
+      incr k
+    end
+  done;
+  if !k <> Array.length dec.inos then fail "extra inode records";
+  let k = ref 0 and dentries = ref 0 in
+  for page = 0 to g.page_count - 1 do
+    let base = G.desc_off g ~page in
+    if backed base G.desc_size <> Scan.page_backed dec page then fail "page %d: backed" page;
+    if backed base G.desc_size && R.Desc.is_allocated dev ~base then begin
+      if !k >= Array.length dec.pages || dec.pages.(!k) <> page then fail "page %d: not listed" page;
+      let got = dec.descs.(!k) in
+      (match R.Desc.decode dev ~base with
+      | Some d -> (
+          if got <> d then fail "page %d: fields differ" page;
+          if d.ino <> 0 && d.kind = R.Desc.Dirpage then
+            let listed = ref [] in
+            Scan.iter_dentries dec ~page (fun j -> listed := j :: !listed);
+            let listed = List.rev !listed in
+            dentries := !dentries + List.length listed;
+            let want =
+              List.filter_map
+                (fun slot ->
+                  Option.map (fun e -> (slot, e))
+                    (R.Dentry.decode dev ~base:(G.dentry_off g ~page ~slot)))
+                (List.init G.dentries_per_page Fun.id)
+            in
+            let got j =
+              ( dec.dent_slots.(j),
+                { R.Dentry.name = dec.dent_names.(j); ino = dec.dent_inos.(j);
+                  rename_ptr = dec.dent_rptrs.(j) } )
+            in
+            if List.map got listed <> want
+            then fail "page %d: dentries differ" page)
+      | None -> if got != Scan.undecodable_desc then fail "page %d: decoded" page);
+      if dec.desc_words.(!k) <> Device.read_u64 dev (base + R.Desc.f_ino) then
+        fail "page %d: ino word" page;
+      incr k
+    end
+  done;
+  if !k <> Array.length dec.pages then fail "extra descriptors";
+  !dentries = Array.length dec.dent_inos || fail "extra dentries"
+
+let prop_decoder_matches_readers =
+  QCheck.Test.make ~count:300 ~name:"Scan.decode agrees with the field readers"
+    QCheck.(pair small_nat (int_bound 6))
+    (fun (seed, n) ->
+      let images = Lazy.force decoder_images in
+      let img = Bytes.copy images.(seed mod Array.length images) in
+      let rng = Random.State.make [| seed; n |] in
+      let g = G.compute ~device_size:(Bytes.length img) in
+      scribble rng g img n;
+      decoder_agrees (Device.of_image img))
+
 let () =
   Alcotest.run "units"
     [
@@ -200,6 +335,7 @@ let () =
           ("inode roundtrip", `Quick, test_inode_record_roundtrip);
           ("dentry roundtrip", `Quick, test_dentry_record_roundtrip);
           ("superblock roundtrip", `Quick, test_superblock_roundtrip);
+          QCheck_alcotest.to_alcotest prop_decoder_matches_readers;
         ] );
       ( "tokens",
         [
