@@ -699,10 +699,7 @@ let fuzz_cfg ?(seed = 7) ?(buggy_rate = 0.) ~mb ~iters ~op_budget () =
 
 let fuzz () =
   section "Crash-state fuzzer throughput (32 MB volume)";
-  let r, wall =
-    timed (fun () ->
-        Fuzzer.Parallel.run (fuzz_cfg ~mb:32 ~iters:2 ~op_budget:5 ()))
-  in
+  let r, wall = timed (fun () -> Fuzzer.run (fuzz_cfg ~mb:32 ~iters:2 ~op_budget:5 ())) in
   let h = r.Fuzzer.r_harness in
   let states =
     h.Crashcheck.Harness.crash_states + h.Crashcheck.Harness.media_states
@@ -712,7 +709,7 @@ let fuzz () =
     h.Crashcheck.Harness.states_deduped wall
     (if wall > 0. then float_of_int states /. wall else 0.);
   let r =
-    Fuzzer.Parallel.run
+    Fuzzer.run
       { (fuzz_cfg ~mb:0 ~iters:12 ~op_budget:6 ()) with
         Fuzzer.device_size = Fuzzer.default_cfg.Fuzzer.device_size;
         shrink = true;
@@ -734,13 +731,13 @@ let fuzz () =
 
    Each leg runs the same work at -j 1 and at -j N. The fuzz leg runs
    mutants with shrinking on the default volume, 6 iterations per job so
-   that every domain has real work; -j N must reproduce the
-   canonicalized -j 1 report bit-for-bit. The serve leg replays the same
-   Zipf sessions; two -j 1 runs must agree on the durable hash, replies
-   and latency histograms (its determinism witness). Exit 2 on either
-   mismatch. Only then, exit 3 if either -j N leg is slower than its
-   -j 1 run on a host with more than one core: domains that time-slice
-   a single core cannot show a speedup. *)
+   that every domain has real work; -j N must reproduce the -j 1 report
+   bit-for-bit. The serve leg replays the same Zipf sessions; two -j 1
+   runs must agree on the durable hash, replies and latency histograms
+   (its determinism witness). Exit 2 on either mismatch. Only then,
+   exit 3 if either -j N leg is slower than its -j 1 run on a host with
+   more than one core: domains that time-slice a single core cannot
+   show a speedup. *)
 
 let scaling () =
   let host_cores = Domain.recommended_domain_count () in
@@ -765,8 +762,8 @@ let scaling () =
       shrink = true;
     }
   in
-  let f1, f1_wall = timed (fun () -> Fuzzer.Parallel.run ~jobs:1 cfg) in
-  let fn, fn_wall = timed (fun () -> Fuzzer.Parallel.run ~jobs cfg) in
+  let f1, f1_wall = timed (fun () -> Fuzzer.run ~jobs:1 cfg) in
+  let fn, fn_wall = timed (fun () -> Fuzzer.run ~jobs cfg) in
   let reports_equal = f1 = fn in
   Printf.printf "-j 1 %.3f s; -j %d %.3f s (%.2fx); reports %s\n" f1_wall jobs
     fn_wall

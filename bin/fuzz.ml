@@ -110,7 +110,6 @@ let enum_cmd jobs images device_kib no_shrink depth coverage_out
     expect_buggy =
   let cfg =
     {
-      Fuzzer.Enum.default_cfg with
       Fuzzer.Enum.depth;
       buggy = expect_buggy;
       max_images = images;
@@ -134,7 +133,7 @@ let enum_cmd jobs images device_kib no_shrink depth coverage_out
     print_endline "enum: coverage accounting does NOT reconcile"
   end;
   if expect_buggy then begin
-    let okinds = Fuzzer.Enum.kinds_found r in
+    let okinds = Fuzzer.kinds_found r.Fuzzer.Enum.e_found in
     let skinds = Fuzzer.Enum.ssu_kinds_found r in
     List.iter
       (fun k ->
@@ -147,18 +146,16 @@ let enum_cmd jobs images device_kib no_shrink depth coverage_out
       Fuzzer.all_buggy_kinds;
     List.iter
       (fun f ->
-        if List.length f.Fuzzer.Enum.fd_min > 3 then begin
+        if List.length f.Fuzzer.fd_min > 3 then begin
           ok := false;
           Printf.printf "enum reproducer of %d ops exceeds the 3-op bound\n"
-            (List.length f.Fuzzer.Enum.fd_min)
+            (List.length f.Fuzzer.fd_min)
         end;
-        if
-          not
-            (List.exists (fun op -> Fuzzer.buggy_kind_of_op op <> None) f.Fuzzer.Enum.fd_min)
+        if not (List.exists (fun op -> Fuzzer.buggy_kind_of_op op <> None) f.Fuzzer.fd_min)
         then begin
           ok := false;
           Printf.printf "enum: mutant-free sequence failed the oracle: %s\n"
-            f.Fuzzer.Enum.fd_detail
+            f.Fuzzer.fd_detail
         end)
       r.Fuzzer.Enum.e_found
   end
@@ -249,8 +246,7 @@ let run seed iters op_budget images buggy_rate device_kib flips torn stuck
   | None ->
       let cfg =
         {
-          Fuzzer.default_cfg with
-          seed;
+          Fuzzer.seed;
           iters;
           op_budget;
           buggy_rate;
@@ -269,10 +265,9 @@ let run seed iters op_budget images buggy_rate device_kib flips torn stuck
            domains will time-slice\n\
            %!"
           jobs cores;
-      let r, shards = Fuzzer.Parallel.run_stats ~jobs cfg in
+      let r, shards = Fuzzer.run_stats ~jobs cfg in
       Format.printf "%a@." Fuzzer.pp_report r;
-      if jobs > 1 then
-        Format.printf "%a@." Fuzzer.Parallel.pp_shard_stats shards;
+      if jobs > 1 then Format.printf "%a@." Fuzzer.pp_shard_stats shards;
       (match trace with
       | None -> ()
       | Some file ->
@@ -289,7 +284,7 @@ let run seed iters op_budget images buggy_rate device_kib flips torn stuck
           dump_trace file events);
       if expect_buggy then begin
         (* acceptance: every mutant re-discovered, every reproducer small *)
-        let kinds = Fuzzer.kinds_found r in
+        let kinds = Fuzzer.kinds_found r.Fuzzer.r_found in
         let ok = ref true in
         List.iter
           (fun k ->
@@ -407,14 +402,23 @@ let () =
   in
   let no_shrink = Arg.(value & flag & info [ "no-shrink" ] ~doc:"Skip shrinking") in
   let jobs =
+    let positive =
+      Arg.conv
+        ( (fun s ->
+            match int_of_string_opt s with
+            | Some n when n >= 1 -> Ok n
+            | _ -> Error (`Msg (Printf.sprintf "invalid value '%s', expected an integer >= 1" s))),
+          Format.pp_print_int )
+    in
     Arg.(
-      value & opt int 1
+      value & opt positive 1
       & info [ "j"; "jobs" ] ~docv:"N"
           ~doc:
-            "Run iterations on N domains via a chunked work-stealing \
-             scheduler (clamped to the iteration count); the merged report \
-             is bit-identical to -j 1 after canonicalization, and per-shard \
-             iteration/chunk/wall stats are printed")
+            "Run sequences (random iterations or --enum's enumeration) on N \
+             domains that each claim one sequence at a time from a shared \
+             cursor (clamped to the sequence count). The report is \
+             bit-identical to -j 1's; without --enum, per-shard \
+             sequence counts and wall times are printed too")
   in
   let replay =
     Arg.(
@@ -489,7 +493,8 @@ let () =
   in
   let depth =
     Arg.(
-      value & opt int 2
+      value
+      & opt (enum [ ("2", 2); ("3", 3) ]) 2
       & info [ "depth" ] ~docv:"D"
           ~doc:"Enumeration depth (with --enum): 2, or 3 for the frontier tier")
   in

@@ -1,22 +1,19 @@
 (* Volatile allocators (paper §3.4).
 
    Free space is a map of maximal runs (start -> len) with a by-length
-   index, per-CPU LIFO stacks for recently freed singles, and the same
-   run structure for inode numbers. Population is O(1) from geometry
-   (one run covering everything), single-page alloc and reservation are
-   O(log runs), and contiguous extents — optionally alignment-constrained,
-   WineFS-style — are carved straight from the run index. Mount rebuild
-   starts from the fully-free state and *reserves* the allocated objects
-   it discovers, so its allocator cost is proportional to live data,
-   never to volume size. *)
+   index, one LIFO stack for freed singles, and the same run structure
+   for inode numbers. Population is O(1) from geometry (one run covering
+   everything), single-page alloc and reservation are O(log runs), and
+   contiguous extents — optionally alignment-constrained, WineFS-style —
+   are carved straight from the run index. Mount rebuild starts from the
+   fully-free state and *reserves* the allocated objects it discovers,
+   so its allocator cost is proportional to live data, never to volume
+   size. *)
 
 module Imap = Map.Make (Int)
 module Iset = Set.Make (Int)
 
-let floor_mod a b = ((a mod b) + b) mod b
-
 type t = {
-  cpus : int;
   (* inode space: freed numbers reallocate LIFO, then the untouched
      run-set ascending *)
   mutable ino_stack : int list;
@@ -26,19 +23,17 @@ type t = {
   mutable runs : int Imap.t; (* start -> len, maximal free runs *)
   mutable by_len : Iset.t Imap.t; (* len -> set of run starts *)
   mutable run_pages : int;
-  stacks : int list array; (* per-CPU freed singles, LIFO *)
-  stack_sizes : int array;
-  region : int; (* pages per CPU placement region *)
+  mutable stack : int list; (* freed singles, LIFO *)
+  mutable stack_size : int;
   lock : Mutex.t;
 }
 
 (* Fully-free allocator in O(1): one inode run [2, inode_count], one
    page run [0, page_count). The mount rebuild starts here and carves
    out the live objects it discovers with [reserve_*]. *)
-let populated ~cpus (g : Layout.Geometry.t) =
+let populated (g : Layout.Geometry.t) =
   let n_ino = max 0 (g.inode_count - 1) and n_pages = g.page_count in
   {
-    cpus;
     ino_stack = [];
     ino_runs = (if n_ino > 0 then Imap.singleton 2 n_ino else Imap.empty);
     ino_free = n_ino;
@@ -47,9 +42,8 @@ let populated ~cpus (g : Layout.Geometry.t) =
       (if n_pages > 0 then Imap.singleton n_pages (Iset.singleton 0)
        else Imap.empty);
     run_pages = n_pages;
-    stacks = Array.make cpus [];
-    stack_sizes = Array.make cpus 0;
-    region = (n_pages + cpus - 1) / cpus;
+    stack = [];
+    stack_size = 0;
     lock = Mutex.create ();
   }
 
@@ -124,51 +118,24 @@ let reserve_inode t ino =
 
 (* {1 Pages} *)
 
-let pop_stack t cpu =
-  match t.stacks.(cpu) with
-  | [] -> None
+(* Freed pages first (LIFO), then the lowest page of the run map. *)
+let alloc_page t =
+  match t.stack with
   | p :: rest ->
-      t.stacks.(cpu) <- rest;
-      t.stack_sizes.(cpu) <- t.stack_sizes.(cpu) - 1;
+      t.stack <- rest;
+      t.stack_size <- t.stack_size - 1;
       Some p
+  | [] ->
+      if t.run_pages = 0 then None
+      else begin
+        let start, len = Imap.min_binding t.runs in
+        run_carve t ~start ~len ~want:start ~n:1;
+        Some start
+      end
 
-(* Carve one page from the run map, preferring the requesting CPU's
-   placement region so independent CPUs spread across the volume. *)
-let carve_single t cpu =
-  if t.run_pages = 0 then None
-  else begin
-    let start, len =
-      match Imap.find_first_opt (fun s -> s >= cpu * t.region) t.runs with
-      | Some (s, l) -> (s, l)
-      | None -> Imap.min_binding t.runs
-    in
-    run_carve t ~start ~len ~want:start ~n:1;
-    Some start
-  end
-
-let alloc_page ?(cpu = 0) t =
-  let cpu = floor_mod cpu t.cpus in
-  match pop_stack t cpu with
-  | Some p -> Some p
-  | None -> (
-      match carve_single t cpu with
-      | Some p -> Some p
-      | None ->
-          (* Steal, scanning from the stack after the requester and
-             rotating — not always from stack 0, which would drain
-             low-index stacks first and skew per-CPU locality. *)
-          let rec steal k =
-            if k = t.cpus then None
-            else
-              let i = (cpu + 1 + k) mod t.cpus in
-              if t.stack_sizes.(i) > 0 then pop_stack t i else steal (k + 1)
-          in
-          steal 0)
-
-let free_page ?(cpu = 0) t page =
-  let cpu = floor_mod cpu t.cpus in
-  t.stacks.(cpu) <- page :: t.stacks.(cpu);
-  t.stack_sizes.(cpu) <- t.stack_sizes.(cpu) + 1
+let free_page t page =
+  t.stack <- page :: t.stack;
+  t.stack_size <- t.stack_size + 1
 
 (* Remove one specific page from whatever run contains it. *)
 let reserve_page t page =
@@ -176,7 +143,7 @@ let reserve_page t page =
   | Some (s, l) when page < s + l -> run_carve t ~start:s ~len:l ~want:page ~n:1
   | _ -> invalid_arg "Core.Alloc.reserve_page: page is not free"
 
-let free_page_count t = t.run_pages + Array.fold_left ( + ) 0 t.stack_sizes
+let free_page_count t = t.run_pages + t.stack_size
 let free_inode_count t = t.ino_free
 
 (* 2 MiB of 4 KiB pages: the alignment unit for huge allocations. *)
@@ -212,7 +179,7 @@ let alloc_extent ?(align = 1) t n =
       run_carve t ~start ~len ~want ~n;
       Some (want, n)
 
-let alloc_pages ?(cpu = 0) t n =
+let alloc_pages t n =
   if free_page_count t < n then None
   else begin
     (* Prefer one contiguous extent — ascending physical pages, so large
@@ -238,7 +205,7 @@ let alloc_pages ?(cpu = 0) t n =
         let rec go acc k =
           if k = 0 then Some acc
           else
-            match alloc_page ~cpu t with
+            match alloc_page t with
             | Some p -> go (p :: acc) (k - 1)
             | None -> (* cannot happen: we checked the total *) None
         in
@@ -249,9 +216,8 @@ let alloc_pages ?(cpu = 0) t n =
 
 (* {1 Concurrency}
 
-   The inode free structures and the page stacks/runs are shared by
-   every domain executing ops under the [Serve] engine (stealing crosses
-   the stacks, so per-stack locks would not be enough). Each public
+   The inode free structures and the page stack/runs are shared by
+   every domain executing ops under the [Serve] engine. Each public
    entry point takes one short critical section on the instance's own
    lock; the wrappers shadow the lock-free bodies above, which keep
    calling each other directly ([alloc_pages] -> [alloc_page] stays on
@@ -266,9 +232,9 @@ let alloc_inode t = locked t (fun () -> alloc_inode t)
 let free_inode t ino = locked t (fun () -> free_inode t ino)
 let reserve_inode t ino = locked t (fun () -> reserve_inode t ino)
 let reserve_page t page = locked t (fun () -> reserve_page t page)
-let alloc_page ?cpu t = locked t (fun () -> alloc_page ?cpu t)
-let free_page ?cpu t page = locked t (fun () -> free_page ?cpu t page)
+let alloc_page t = locked t (fun () -> alloc_page t)
+let free_page t page = locked t (fun () -> free_page t page)
 let alloc_extent ?align t n = locked t (fun () -> alloc_extent ?align t n)
 let free_page_count t = locked t (fun () -> free_page_count t)
 let free_inode_count t = locked t (fun () -> free_inode_count t)
-let alloc_pages ?cpu t n = locked t (fun () -> alloc_pages ?cpu t n)
+let alloc_pages t n = locked t (fun () -> alloc_pages t n)

@@ -1,19 +1,20 @@
 (** Volatile allocators (paper §3.4).
 
     Allocation state is not persisted: it is rebuilt from the on-PM
-    tables at mount. SquirrelFS uses a per-CPU page allocator and a
-    single shared inode allocator.
+    tables at mount. One page allocator and one inode allocator serve
+    the whole volume; the paper's per-CPU page allocators are not
+    modelled.
 
     Free space is kept as maximal runs with a by-length index:
     population is O(1) from geometry, single-page allocation and
     {!reserve_page}/{!reserve_inode} are O(log runs), and contiguous
     (optionally aligned) extents are carved directly from the run
-    index. Freed pages go to per-CPU LIFO stacks; freed inode numbers
-    to one LIFO stack. *)
+    index. Freed pages go to one LIFO stack, freed inode numbers to
+    another. *)
 
 type t
 
-val populated : cpus:int -> Layout.Geometry.t -> t
+val populated : Layout.Geometry.t -> t
 (** Allocator with every inode (except the root) and every page free,
     in O(1): one run each. Carve out live objects with
     {!reserve_inode}/{!reserve_page}. *)
@@ -29,20 +30,16 @@ val alloc_inode : t -> int option
 
 val free_inode : t -> int -> unit
 
-val alloc_page : ?cpu:int -> t -> int option
-(** Takes from the given CPU's freed-page stack, then the run map
-    (preferring that CPU's placement region), stealing from other
-    CPUs' stacks when both are empty. The steal scan starts at the
-    stack after the requesting CPU and rotates, so no stack drains
-    first systematically. Negative [cpu] hints are floor-normalized
-    into range. *)
+val alloc_page : t -> int option
+(** Takes the most recently freed page, then the lowest free page of
+    the run map. *)
 
-val alloc_pages : ?cpu:int -> t -> int -> int list option
+val alloc_pages : t -> int -> int list option
 (** [n] pages or nothing (no partial allocation). Prefers one
     physically contiguous ascending extent, falling back to
     page-at-a-time under fragmentation. *)
 
-val free_page : ?cpu:int -> t -> int -> unit
+val free_page : t -> int -> unit
 
 val hugepage_pages : int
 (** Pages per 2 MiB hugepage — the alignment {!alloc_pages} requests

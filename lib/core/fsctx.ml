@@ -34,7 +34,6 @@ type t = {
   mutable alloc : Alloc.t;
   mutable index : Index.t;
   next_range_id : int Atomic.t;
-  cpus : int;
   mutable share_fences : bool;
   csum : bool;
   quar : Faults.Quarantine.t;
@@ -45,15 +44,14 @@ type t = {
   mutable on_fence : (unit -> unit) option;
 }
 
-let make ?(csum = false) ~dev ~geo ~cpus () =
+let make ?(csum = false) ~dev ~geo () =
   {
     dev;
     geo;
     reg = Typestate.Token.create_registry ();
-    alloc = Alloc.populated ~cpus geo;
+    alloc = Alloc.populated geo;
     index = Index.create ();
     next_range_id = Atomic.make 0;
-    cpus;
     share_fences = true;
     csum;
     quar = Faults.Quarantine.create ();
@@ -66,7 +64,7 @@ let make ?(csum = false) ~dev ~geo ~cpus () =
 
 (* Fresh allocator: rollback rebuilds the volatile state wholesale
    after flipping the durable image. *)
-let fresh_alloc t = Alloc.populated ~cpus:t.cpus t.geo
+let fresh_alloc t = Alloc.populated t.geo
 
 let fence t =
   Pmem.Device.fence t.dev;

@@ -41,7 +41,6 @@ type t = {
   next_range_id : int Atomic.t;
       (** ids for page-range handles in the token registry (atomic:
           handed out from concurrent server domains) *)
-  cpus : int;  (** parallelism hint [make] was given (allocator striping) *)
   mutable share_fences : bool;
       (** when false, [after_fence] transitions issue their own [sfence]
           instead of reusing a shared one — the ablation of the paper's
@@ -73,11 +72,11 @@ type t = {
 }
 
 val make :
-  ?csum:bool -> dev:Pmem.Device.t -> geo:Layout.Geometry.t -> cpus:int -> unit -> t
+  ?csum:bool -> dev:Pmem.Device.t -> geo:Layout.Geometry.t -> unit -> t
 
 val fresh_alloc : t -> Alloc.t
-(** A fresh, fully-free allocator for this context's geometry and CPU
-    count. Rollback swaps it in before re-running the mount rebuild. *)
+(** A fresh, fully-free allocator for this context's geometry.
+    Rollback swaps it in before re-running the mount rebuild. *)
 
 val fence : t -> unit
 (** Issue an [sfence] and advance the fence epoch used by shared-fence

@@ -711,13 +711,13 @@ let root_ok (ctx : Fsctx.t) (dec : Scan.t) =
      && dec.inodes.(0).ino = Geometry.root_ino
      && dec.inodes.(0).kind = R.Kind.Dir
 
-let do_mount ~cpus ~force_recover dev =
+let do_mount ~force_recover dev =
   match R.Superblock.read dev with
   | None -> Error Vfs.Errno.EINVAL
   | Some { geometry = geo; clean; csum } ->
       if csum && not (R.Superblock.verify dev) then Error Vfs.Errno.EIO
       else begin
-        let ctx = Fsctx.make ~csum ~dev ~geo ~cpus () in
+        let ctx = Fsctx.make ~csum ~dev ~geo () in
         if (not clean) || force_recover then snap_recover dev geo;
         if csum then media_prepass ctx;
         let dec = Scan.decode dev geo in
@@ -747,7 +747,7 @@ let do_mount ~cpus ~force_recover dev =
         end
       end
 
-let mount ?(cpus = 4) dev = do_mount ~cpus ~force_recover:false dev
-let mount_recover ?(cpus = 4) dev = do_mount ~cpus ~force_recover:true dev
+let mount dev = do_mount ~force_recover:false dev
+let mount_recover dev = do_mount ~force_recover:true dev
 
 let unmount (ctx : Fsctx.t) = R.Superblock.set_clean ctx.dev true

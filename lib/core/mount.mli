@@ -39,14 +39,14 @@ val mkfs : ?csum:bool -> Pmem.Device.t -> unit
     records; the default image is byte-identical to pre-checksum
     builds. *)
 
-val mount : ?cpus:int -> Pmem.Device.t -> (Fsctx.t, Vfs.Errno.t) result
+val mount : Pmem.Device.t -> (Fsctx.t, Vfs.Errno.t) result
 (** Rebuild volatile state; run recovery if the clean flag is unset; mark
     the volume mounted (dirty). [EINVAL] if the superblock is invalid,
     or if the root inode does not decode as a directory with ino 1 and
     is not quarantined (checked before recovery writes anything); [EIO]
     if a csum volume's superblock fails its own checksum. *)
 
-val mount_recover : ?cpus:int -> Pmem.Device.t -> (Fsctx.t, Vfs.Errno.t) result
+val mount_recover : Pmem.Device.t -> (Fsctx.t, Vfs.Errno.t) result
 (** Like [mount] but always runs the recovery passes (used to measure
     recovery-mount cost on a cleanly-unmounted volume, as in Table 2). *)
 

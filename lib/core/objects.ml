@@ -73,10 +73,10 @@ module Prange = struct
   (* CPU cost of the volatile allocators (free-list pop + bookkeeping) *)
   let alloc_ns = 150
 
-  let alloc ?(cpu = 0) (ctx : Fsctx.t) ~ino ~kind ~offsets =
+  let alloc (ctx : Fsctx.t) ~ino ~kind ~offsets =
     let n = List.length offsets in
     Device.charge ctx.dev alloc_ns;
-    match Alloc.alloc_pages ~cpu ctx.alloc n with
+    match Alloc.alloc_pages ctx.alloc n with
     | None -> Error Vfs.Errno.ENOSPC
     | Some ps ->
         let rid = Fsctx.range_oid ctx in
@@ -663,11 +663,11 @@ module Preplace = struct
       tok;
     }
 
-  let stage ?(cpu = 0) (ctx : Fsctx.t) ~ino ~offset ~old_page ~content =
+  let stage (ctx : Fsctx.t) ~ino ~offset ~old_page ~content =
     if String.length content > Geometry.page_size then
       invalid_arg "Preplace.stage: content larger than a page";
     Device.charge ctx.dev 150;
-    match Alloc.alloc_page ~cpu ctx.alloc with
+    match Alloc.alloc_page ctx.alloc with
     | None -> Error Vfs.Errno.ENOSPC
     | Some newp ->
         let rid = Fsctx.range_oid ctx in

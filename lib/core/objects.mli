@@ -57,7 +57,6 @@ module Prange : sig
   val ino : (_, _) t -> int
 
   val alloc :
-    ?cpu:int ->
     Fsctx.t ->
     ino:int ->
     kind:Layout.Records.Desc.page_kind ->
@@ -330,7 +329,6 @@ module Preplace : sig
   val old_page : (_, _) t -> int
 
   val stage :
-    ?cpu:int ->
     Fsctx.t ->
     ino:int ->
     offset:int ->

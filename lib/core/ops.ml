@@ -479,7 +479,7 @@ let commit_fresh (ctx : Fsctx.t) rng =
   let rng = Prange.fence ctx (Prange.flush ctx rng) in
   Prange.owned_evidence ctx rng
 
-let write ?(cpu = 0) (ctx : Fsctx.t) ~ino ~off data =
+let write (ctx : Fsctx.t) ~ino ~off data =
   span ctx "core.write" @@ fun () ->
   if off < 0 then Error Vfs.Errno.EINVAL
   else if quarantined ctx ino then Error Vfs.Errno.EIO
@@ -511,7 +511,7 @@ let write ?(cpu = 0) (ctx : Fsctx.t) ~ino ~off data =
         | [] -> Ok None
         | _ :: _ ->
             Result.map Option.some
-              (Prange.alloc ~cpu ctx ~ino ~kind:R.Desc.Data ~offsets:missing)
+              (Prange.alloc ctx ~ino ~kind:R.Desc.Data ~offsets:missing)
       in
       match fresh with
       | Error _ -> Error Vfs.Errno.ENOSPC
@@ -571,9 +571,8 @@ let write ?(cpu = 0) (ctx : Fsctx.t) ~ino ~off data =
           Ok len
   end
 
-let truncate ?(cpu = 0) (ctx : Fsctx.t) ~ino new_size =
+let truncate (ctx : Fsctx.t) ~ino new_size =
   span ctx "core.truncate" @@ fun () ->
-  ignore cpu;
   if new_size < 0 then Error Vfs.Errno.EINVAL
   else if quarantined ctx ino then Error Vfs.Errno.EIO
   else begin
@@ -660,8 +659,8 @@ let truncate ?(cpu = 0) (ctx : Fsctx.t) ~ino new_size =
 module Preplace = Objects.Preplace
 
 (* Copy-on-write page replacement path for crash-atomic data updates. *)
-let replace_page ?(cpu = 0) (ctx : Fsctx.t) ~ino ~offset ~old_page ~content =
-  match Preplace.stage ~cpu ctx ~ino ~offset ~old_page ~content with
+let replace_page (ctx : Fsctx.t) ~ino ~offset ~old_page ~content =
+  match Preplace.stage ctx ~ino ~offset ~old_page ~content with
   | Error e -> Error e
   | Ok h ->
       let h = Preplace.fence ctx (Preplace.flush ctx h) in
@@ -679,7 +678,7 @@ let replace_page ?(cpu = 0) (ctx : Fsctx.t) ~ino ~offset ~old_page ~content =
       Alloc.free_page ctx.alloc (Preplace.old_page h);
       Ok ()
 
-let write_atomic ?(cpu = 0) (ctx : Fsctx.t) ~ino ~off data =
+let write_atomic (ctx : Fsctx.t) ~ino ~off data =
   if off < 0 then Error Vfs.Errno.EINVAL
   else if quarantined ctx ino then Error Vfs.Errno.EIO
   else if String.length data = 0 then Ok 0
@@ -719,7 +718,7 @@ let write_atomic ?(cpu = 0) (ctx : Fsctx.t) ~ino ~off data =
               in
               Bytes.blit_string data (lo - off) old (lo - pstart) (hi - lo);
               (match
-                 replace_page ~cpu ctx ~ino ~offset:o ~old_page
+                 replace_page ctx ~ino ~offset:o ~old_page
                    ~content:(Bytes.to_string old)
                with
               | Ok () -> ()
@@ -734,7 +733,7 @@ let write_atomic ?(cpu = 0) (ctx : Fsctx.t) ~ino ~off data =
             | [] -> Ok (None, [])
             | _ :: _ -> (
                 match
-                  Prange.alloc ~cpu ctx ~ino ~kind:R.Desc.Data ~offsets:missing
+                  Prange.alloc ctx ~ino ~kind:R.Desc.Data ~offsets:missing
                 with
                 | Error _ -> Error Vfs.Errno.ENOSPC
                 | Ok rng ->
@@ -783,7 +782,7 @@ let reserve_batch = 8
 (* Pop [n] staging pages from the handle's reserve, topping it up from
    the volatile allocator in batches of [reserve_batch] so steady-state
    appends never touch the allocator. [None] = ENOSPC (nothing taken). *)
-let stage_pages ?(cpu = 0) (ctx : Fsctx.t) (e : Fsctx.oft_entry) n =
+let stage_pages (ctx : Fsctx.t) (e : Fsctx.oft_entry) n =
   if n = 0 then Some []
   else begin
     let have = List.length e.Fsctx.oh_reserve in
@@ -791,13 +790,13 @@ let stage_pages ?(cpu = 0) (ctx : Fsctx.t) (e : Fsctx.oft_entry) n =
       have >= n
       || begin
            Device.charge ctx.dev stage_alloc_ns;
-           match Alloc.alloc_pages ~cpu ctx.alloc (n - have + reserve_batch) with
+           match Alloc.alloc_pages ctx.alloc (n - have + reserve_batch) with
            | Some pl ->
                e.Fsctx.oh_reserve <- e.Fsctx.oh_reserve @ pl;
                true
            | None -> (
                (* batch won't fit; take exactly what this write needs *)
-               match Alloc.alloc_pages ~cpu ctx.alloc (n - have) with
+               match Alloc.alloc_pages ctx.alloc (n - have) with
                | Some pl ->
                    e.Fsctx.oh_reserve <- e.Fsctx.oh_reserve @ pl;
                    true
@@ -852,7 +851,7 @@ let read_h (ctx : Fsctx.t) ~tag ~off ~len =
       end
     end
 
-let write_h ?(cpu = 0) (ctx : Fsctx.t) ~tag ~off data =
+let write_h (ctx : Fsctx.t) ~tag ~off data =
   span ctx "core.write_h" @@ fun () ->
   if off < 0 then Error Vfs.Errno.EINVAL
   else
@@ -875,7 +874,7 @@ let write_h ?(cpu = 0) (ctx : Fsctx.t) ~tag ~off data =
         if epage o < 0 then missing := o :: !missing
       done;
       let missing = !missing in
-      match stage_pages ~cpu ctx e (List.length missing) with
+      match stage_pages ctx e (List.length missing) with
       | None -> Error Vfs.Errno.ENOSPC
       | Some fresh ->
           (* Stale tail of the old boundary page (see [write]). *)

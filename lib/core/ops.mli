@@ -46,13 +46,13 @@ val rename :
     directory sources, fresh and existing destinations, and cross-parent
     directory moves with their link-count updates. *)
 
-val write : ?cpu:int -> Fsctx.t -> ino:int -> off:int -> string -> int r
+val write : Fsctx.t -> ino:int -> off:int -> string -> int r
 (** Fence schedule: in-place writes issue one fence (the coarse data
     stores drain in the final inode group); extending writes issue two
     (relink group — fill and backpointers flushed and fenced together —
     then the size group gated on the post-fence ownership evidence). *)
 
-val write_atomic : ?cpu:int -> Fsctx.t -> ino:int -> off:int -> string -> int r
+val write_atomic : Fsctx.t -> ino:int -> off:int -> string -> int r
 (** Copy-on-write data write (the paper's §3.4 extension): overwrites of
     existing pages go through {!Objects.Preplace}, so each page's update
     is crash-atomic (old or new content, never torn); writes that only
@@ -61,7 +61,7 @@ val write_atomic : ?cpu:int -> Fsctx.t -> ino:int -> off:int -> string -> int r
 
 val read : Fsctx.t -> ino:int -> off:int -> len:int -> string r
 val readlink : Fsctx.t -> ino:int -> string r
-val truncate : ?cpu:int -> Fsctx.t -> ino:int -> int -> unit r
+val truncate : Fsctx.t -> ino:int -> int -> unit r
 
 (** {1 Split data path (open handles)}
 
@@ -74,7 +74,7 @@ val truncate : ?cpu:int -> Fsctx.t -> ino:int -> int -> unit r
 
 val read_h : Fsctx.t -> tag:string -> off:int -> len:int -> string r
 
-val write_h : ?cpu:int -> Fsctx.t -> tag:string -> off:int -> string -> int r
+val write_h : Fsctx.t -> tag:string -> off:int -> string -> int r
 (** Same fence schedule and durability contract as {!write}; fresh pages
     come from the handle's staging reserve (topped up from the volatile
     allocator in batches) instead of a per-call allocation. *)

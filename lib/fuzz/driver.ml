@@ -1,10 +1,16 @@
-(* Top-level fuzzing loop: generate → execute → (on failure) shrink →
-   emit reproducer. Every iteration reseeds its own [Random.State] from
-   (seed, iteration), and nothing in the library reads the wall clock, so
-   a (cfg) value fully determines the report. *)
+(* The one fuzz sweep, and the random fuzzer built on it.
+
+   [sweep] runs sequences [0 .. count-1] of a caller-given function from
+   index to op list through {!Exec.run}: the random fuzzer's sequences
+   come from [Gen.sequence], [Enum]'s from its enumeration order. Each
+   primary run that fails is shrunk; with [~traced] every primary run also
+   records its store/flush/fence stream for {!Obs.Ssu.check}. Nothing in
+   the library reads the wall clock for a report, so the arguments fully
+   determine it. *)
 
 module W = Crashcheck.Workload
 module H = Crashcheck.Harness
+module I64Set = Set.Make (Int64)
 
 type cfg = {
   seed : int;
@@ -12,7 +18,6 @@ type cfg = {
   op_budget : int;
   buggy_rate : float;  (** probability an op slot emits a [Buggy_*] mutant *)
   max_images : int;
-  media_images : int;
   device_size : int;
   faults : Faults.Plan.t;
   latency : Pmem.Latency.t option;
@@ -30,7 +35,6 @@ let default_cfg =
     op_budget = 8;
     buggy_rate = 0.15;
     max_images = 8;
-    media_images = 4;
     device_size = 256 * 1024;
     faults = Faults.none;
     latency = None;
@@ -39,13 +43,178 @@ let default_cfg =
   }
 
 type found = {
-  fd_iter : int;
+  fd_iter : int;  (** sweep index: fuzz iteration or enumeration position *)
   fd_ops : W.op list;  (** original failing sequence *)
   fd_min : W.op list;  (** shrunk reproducer *)
   fd_crash : Exec.crash_point;  (** crash point in the shrunk sequence *)
   fd_detail : string;
   fd_shrink_runs : int;
 }
+
+type ssu_found = {
+  sf_iter : int;  (** sweep index of the offending sequence *)
+  sf_ops : W.op list;  (** the full sequence *)
+  sf_event : int;  (** index of the offending event in the trace *)
+  sf_detail : string;
+}
+
+(* {2 The sweep}
+
+   Domains claim one index at a time from a shared atomic cursor, so a
+   sequence that pays for shrinking (dozens of re-executions) never
+   strands the others idle behind a static stripe; a sequence costs far
+   more than the claim. Each domain owns one {!Exec.Pool} (device,
+   scratch buffer and verdict memo, reused across every run it makes) and
+   folds its outcomes into one [shard].
+
+   Determinism: a sequence depends only on its index, never on which
+   domain claimed it, so the domains together run exactly the [-j 1]
+   work. [merge] is associative and commutative on everything but list
+   order, and [canonicalize] sorts the lists, so the merged shard is
+   identical at every [jobs]. The memo a domain carries only skips
+   recomputing content-determined verdicts, and the dedup counters are
+   run-local in [Exec], so no count depends on the partition. Only the
+   primary run of a sequence adds a state signature: shrink re-runs
+   would make the distinct count depend on who found what. *)
+
+type shard = {
+  s_harness : H.report;  (** every run, shrink re-runs included *)
+  s_divergences : int;
+  s_sim_ns : int;
+  s_shrink_runs : int;
+  s_executed : int;  (** primary runs *)
+  s_ssu_checked : int;  (** primary runs whose trace went through {!Obs.Ssu} *)
+  s_sigs : I64Set.t;  (** crash-state-trace signatures of the primary runs *)
+  s_found : found list;
+  s_ssu_found : ssu_found list;
+  s_metrics : Obs.Metrics.t option;  (** present iff [cfg.collect_metrics] *)
+}
+
+let merge a b =
+  {
+    s_harness = H.merge a.s_harness b.s_harness;
+    s_divergences = a.s_divergences + b.s_divergences;
+    s_sim_ns = a.s_sim_ns + b.s_sim_ns;
+    s_shrink_runs = a.s_shrink_runs + b.s_shrink_runs;
+    s_executed = a.s_executed + b.s_executed;
+    s_ssu_checked = a.s_ssu_checked + b.s_ssu_checked;
+    s_sigs = I64Set.union a.s_sigs b.s_sigs;
+    s_found = a.s_found @ b.s_found;
+    s_ssu_found = a.s_ssu_found @ b.s_ssu_found;
+    s_metrics =
+      (match (a.s_metrics, b.s_metrics) with
+      | Some ma, Some mb -> Some (Obs.Metrics.merge ma mb)
+      | m, None | None, m -> m);
+  }
+
+let canonicalize s =
+  {
+    s with
+    s_found = List.sort (fun a b -> compare a.fd_iter b.fd_iter) s.s_found;
+    s_ssu_found = List.sort (fun a b -> compare a.sf_iter b.sf_iter) s.s_ssu_found;
+    s_harness = { s.s_harness with H.violations = List.sort compare s.s_harness.H.violations };
+  }
+
+(* One domain's share: claims indexes from [next] until it runs dry. *)
+let run_shard ~traced cfg ~next seq =
+  let pool = Exec.Pool.create () in
+  let metrics = if cfg.collect_metrics then Some (Obs.Metrics.create ()) else None in
+  let s =
+    ref
+      { s_harness = H.empty; s_divergences = 0; s_sim_ns = 0; s_shrink_runs = 0;
+        s_executed = 0; s_ssu_checked = 0; s_sigs = I64Set.empty; s_found = [];
+        s_ssu_found = []; s_metrics = metrics }
+  in
+  (* shrinker re-executions are accounted like any other run *)
+  let exec ?trace ops =
+    let o =
+      Exec.run ~device_size:cfg.device_size ~max_images_per_fence:cfg.max_images
+        ~faults:cfg.faults ?latency:cfg.latency ~pool ?metrics ?trace ops
+    in
+    s :=
+      { !s with
+        s_harness = H.merge !s.s_harness o.Exec.o_report;
+        s_divergences = !s.s_divergences + o.Exec.o_divergences;
+        s_sim_ns = !s.s_sim_ns + o.Exec.o_sim_ns };
+    o
+  in
+  let rec loop () =
+    match next () with
+    | None -> !s
+    | Some i ->
+        let ops = seq i in
+        let trace = if traced then Some (Obs.Recorder.create ()) else None in
+        let o = exec ?trace ops in
+        s :=
+          { !s with
+            s_executed = !s.s_executed + 1;
+            s_sigs = I64Set.add o.Exec.o_state_sig !s.s_sigs };
+        (match o.Exec.o_fail with
+        | None -> ()
+        | Some ((cp, detail) as fail) ->
+            let min_ops, det, mcp, sruns =
+              if cfg.shrink then Shrink.reproduce ~exec ops fail
+              else (ops, detail, cp, 0)
+            in
+            s :=
+              { !s with
+                s_shrink_runs = !s.s_shrink_runs + sruns;
+                s_found =
+                  { fd_iter = i; fd_ops = ops; fd_min = min_ops; fd_crash = mcp;
+                    fd_detail = det; fd_shrink_runs = sruns }
+                  :: !s.s_found });
+        (match trace with
+        | None -> ()
+        | Some r ->
+            s := { !s with s_ssu_checked = !s.s_ssu_checked + 1 };
+            (match Obs.Ssu.check (Obs.Recorder.to_list r) with
+            | Ok () -> ()
+            | Error v ->
+                s :=
+                  { !s with
+                    s_ssu_found =
+                      { sf_iter = i; sf_ops = ops; sf_event = v.Obs.Ssu.v_index;
+                        sf_detail = Format.asprintf "%a" Obs.Ssu.pp_violation v }
+                      :: !s.s_ssu_found }));
+        loop ()
+  in
+  loop ()
+
+type shard_stat = {
+  ss_shard : int;  (** 0 = the calling domain *)
+  ss_iters : int;  (** sequences this domain claimed *)
+  ss_wall_s : float;  (** wall-clock seconds of its loop (side band only) *)
+}
+
+let pp_shard_stats ppf stats =
+  Format.fprintf ppf "shard  iters   wall_s";
+  List.iter
+    (fun s -> Format.fprintf ppf "@.%5d  %5d  %7.3f" s.ss_shard s.ss_iters s.ss_wall_s)
+    stats
+
+(* [sweep ~jobs ~traced cfg count seq]: the canonical shard over
+   sequences [seq 0 .. seq (count-1)], plus one stat per domain. [jobs] is
+   clamped to [count], so no domain is spawned without work; the calling
+   domain is shard 0. *)
+let sweep ~jobs ~traced cfg count seq =
+  if jobs < 1 then invalid_arg "Fuzzer.sweep: jobs < 1";
+  let jobs = min jobs (max 1 count) in
+  let cursor = Atomic.make 0 in
+  let next () =
+    let i = Atomic.fetch_and_add cursor 1 in
+    if i < count then Some i else None
+  in
+  let worker k =
+    let t0 = Unix.gettimeofday () in
+    let s = run_shard ~traced cfg ~next seq in
+    (s, { ss_shard = k; ss_iters = s.s_executed; ss_wall_s = Unix.gettimeofday () -. t0 })
+  in
+  let others = List.init (jobs - 1) (fun k -> Domain.spawn (fun () -> worker (k + 1))) in
+  let s0, st0 = worker 0 in
+  let rest = List.map Domain.join others in
+  (canonicalize (List.fold_left (fun acc (s, _) -> merge acc s) s0 rest), st0 :: List.map snd rest)
+
+(* {2 The random fuzzer} *)
 
 type report = {
   r_seed : int;
@@ -60,98 +229,29 @@ type report = {
       (** present iff [cfg.collect_metrics]; shards merge associatively *)
 }
 
-let exec ?pool ?metrics cfg ops =
-  Exec.run ~device_size:cfg.device_size
-    ~max_images_per_fence:cfg.max_images
-    ~media_images_per_fence:cfg.media_images ~faults:cfg.faults ?latency:cfg.latency
-    ?pool ?metrics ops
+(* Iteration [i] runs the sequence seeded by (0x5EED, seed, i), untraced,
+   so the report is the same at every [jobs] (default 1). *)
+let run_stats ?(jobs = 1) cfg =
+  let seq i =
+    Gen.sequence
+      (Random.State.make [| 0x5EED; cfg.seed; i |])
+      { Gen.op_budget = cfg.op_budget; buggy_rate = cfg.buggy_rate }
+  in
+  let s, stats = sweep ~jobs ~traced:false cfg cfg.iters seq in
+  ( {
+      r_seed = cfg.seed;
+      r_iters = cfg.iters;
+      r_op_budget = cfg.op_budget;
+      r_harness = s.s_harness;
+      r_divergences = s.s_divergences;
+      r_shrink_runs = s.s_shrink_runs;
+      r_sim_ns = s.s_sim_ns;
+      r_found = s.s_found;
+      r_metrics = s.s_metrics;
+    },
+    stats )
 
-(* Scheduler-driven core: [next] hands out iteration indexes (a plain
-   counter for the sequential [run] below, chunks claimed from a shared
-   atomic cursor in [Parallel]); every iteration still reseeds from
-   (0x5EED, seed, iter), so the set of indexes [next] yields — never who
-   yields them or in what order — determines the report. Each call owns
-   one {!Exec.Pool}: the device, scratch buffer and verdict memo
-   are reused across every iteration (and shrinker re-execution) this
-   call runs, which is what makes handing out small chunks cheap. *)
-let run_sched ?on_iter_start ?on_iter_done ~next cfg =
-  let pool = Exec.Pool.create () in
-  let metrics = if cfg.collect_metrics then Some (Obs.Metrics.create ()) else None in
-  let harness = ref H.empty in
-  let divergences = ref 0 and sim_ns = ref 0 and shrink_runs = ref 0 in
-  let found = ref [] in
-  let account (o : Exec.outcome) =
-    harness := H.merge !harness o.Exec.o_report;
-    divergences := !divergences + o.Exec.o_divergences;
-    sim_ns := !sim_ns + o.Exec.o_sim_ns
-  in
-  (* shrinker re-executions accounted like any other run *)
-  let exec_acc ops =
-    let o = exec ~pool ?metrics cfg ops in
-    account o;
-    o
-  in
-  let continue = ref true in
-  while !continue do
-   match next () with
-   | None -> continue := false
-   | Some iter ->
-    (match on_iter_start with Some f -> f iter | None -> ());
-    let rng = Random.State.make [| 0x5EED; cfg.seed; iter |] in
-    let ops = Gen.sequence rng { Gen.op_budget = cfg.op_budget; buggy_rate = cfg.buggy_rate } in
-    let res = exec_acc ops in
-    (match res.Exec.o_fail with
-    | None -> ()
-    | Some ((cp, detail) as fail) ->
-        let min_ops, det, mcp, sruns =
-          if cfg.shrink then Shrink.reproduce ~exec:exec_acc ops fail else (ops, detail, cp, 0)
-        in
-        shrink_runs := !shrink_runs + sruns;
-        found :=
-          {
-            fd_iter = iter;
-            fd_ops = ops;
-            fd_min = min_ops;
-            fd_crash = mcp;
-            fd_detail = det;
-            fd_shrink_runs = sruns;
-          }
-          :: !found);
-    (match on_iter_done with Some f -> f iter | None -> ())
-  done;
-  {
-    r_seed = cfg.seed;
-    r_iters = cfg.iters;
-    r_op_budget = cfg.op_budget;
-    r_harness = !harness;
-    r_divergences = !divergences;
-    r_shrink_runs = !shrink_runs;
-    r_sim_ns = !sim_ns;
-    r_found = List.rev !found;
-    r_metrics = metrics;
-  }
-
-(* [iter_offset]/[iter_stride] statically shard the iteration space:
-   the shard owns iterations {iter_offset, iter_offset + iter_stride,
-   ...} < cfg.iters. Kept as the simple sequential entry point (and for
-   static-sharding comparisons); the domain-parallel runner schedules
-   through [run_sched] directly. [progress] keeps its historical
-   pre-iteration (iter, total) semantics. *)
-let run ?progress ?(iter_offset = 0) ?(iter_stride = 1) cfg =
-  if iter_stride < 1 then invalid_arg "Fuzzer.run: iter_stride < 1";
-  let next_iter = ref iter_offset in
-  let next () =
-    if !next_iter < cfg.iters then begin
-      let v = !next_iter in
-      next_iter := v + iter_stride;
-      Some v
-    end
-    else None
-  in
-  run_sched
-    ?on_iter_start:
-      (Option.map (fun f -> fun iter -> f iter cfg.iters) progress)
-    ~next cfg
+let run ?jobs cfg = fst (run_stats ?jobs cfg)
 
 (* {2 Buggy-mutant accounting: the fuzzer's own acceptance test} *)
 
@@ -172,9 +272,9 @@ let buggy_kind_of_op : W.op -> buggy_kind option = function
 
 (* Kinds are read off the *shrunk* reproducers: a buggy op the shrinker
    could remove would mean the violation did not come from it. *)
-let kinds_found r =
+let kinds_found (found : found list) =
   List.sort_uniq compare
-    (List.concat_map (fun f -> List.filter_map buggy_kind_of_op f.fd_min) r.r_found)
+    (List.concat_map (fun f -> List.filter_map buggy_kind_of_op f.fd_min) found)
 
 let states_per_sim_sec r =
   if r.r_sim_ns = 0 then None

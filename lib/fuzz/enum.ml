@@ -41,26 +41,24 @@
    recomputation of content-determined verdicts; legality/prefix
    consistency is re-checked per occurrence). The dedup {e count} is
    derived from [Exec.outcome.o_state_sig] — a deterministic fingerprint
-   of the sequence's crash-state trace — collected into a set and merged
+   of the sequence's crash-state trace — which the sweep the random
+   fuzzer also runs on ([Driver.sweep]) collects into a set and merges
    across shards by union, so [-j N] reports are bit-identical to
    [-j 1]. *)
 
 module W = Crashcheck.Workload
 module H = Crashcheck.Harness
-module I64Set = Set.Make (Int64)
 
 type cfg = {
   depth : int;  (** 2 = seq-1 + seq-2 (complete); 3 adds the frontier tier *)
   buggy : bool;  (** widen the alphabet with the three [Buggy_*] mutants *)
-  ssu : bool;  (** trace every sequence and run {!Obs.Ssu.check} on it *)
   max_images : int;
   device_size : int;
   shrink : bool;
 }
 
 let default_cfg =
-  { depth = 2; buggy = false; ssu = true; max_images = 8;
-    device_size = 256 * 1024; shrink = true }
+  { depth = 2; buggy = false; max_images = 8; device_size = 256 * 1024; shrink = true }
 
 (* Mutant extension of the canonical alphabet: one representative per
    [Buggy_*] kind, phrased on the same universe. [Buggy_create] targets a
@@ -81,22 +79,6 @@ type tier = {
   t_enumerated : int;  (** sequences handed to the executor *)
 }
 
-type found = {
-  fd_index : int;  (** position in the deterministic enumeration order *)
-  fd_ops : W.op list;  (** full failing sequence (setup included) *)
-  fd_min : W.op list;  (** shrunk reproducer *)
-  fd_crash : Exec.crash_point;
-  fd_detail : string;
-  fd_shrink_runs : int;
-}
-
-type ssu_found = {
-  sf_index : int;  (** enumeration index of the offending sequence *)
-  sf_ops : W.op list;  (** full sequence (setup included) *)
-  sf_event : int;  (** index of the offending event in the trace *)
-  sf_detail : string;
-}
-
 type report = {
   e_alphabet : int;
   e_depth : int;
@@ -113,8 +95,8 @@ type report = {
   e_divergences : int;
   e_shrink_runs : int;
   e_sim_ns : int;
-  e_found : found list;
-  e_ssu_found : ssu_found list;
+  e_found : Driver.found list;
+  e_ssu_found : Driver.ssu_found list;
 }
 
 let reconciles r =
@@ -160,6 +142,7 @@ let related prefix_targets op =
    closed-form tier accounts alongside; [build] is pure, so every shard
    (and every [-j]) sees the identical array. *)
 let build cfg =
+  if cfg.depth <> 2 && cfg.depth <> 3 then invalid_arg "Fuzzer.Enum: depth must be 2 or 3";
   let ops = Array.of_list (alphabet cfg) in
   let n = Array.length ops in
   let m0 = model0 () in
@@ -187,7 +170,7 @@ let build cfg =
   in
   let tiers = ref [ tier1; tier2 ] in
   (* seq-3: effective prefixes only, third op gated by relatedness. *)
-  if cfg.depth >= 3 then begin
+  if cfg.depth = 3 then begin
     let skip3 = ref 0 and frontier3 = ref 0 and enum3 = ref 0 in
     for i = 0 to n - 1 do
       if not (ok1 i) then skip3 := !skip3 + (n * n)
@@ -217,145 +200,19 @@ let build cfg =
 
 (* {2 Execution} *)
 
-type shard = {
-  s_harness : H.report;
-  s_divergences : int;
-  s_sim_ns : int;
-  s_shrink_runs : int;
-  s_executed : int;
-  s_ssu_checked : int;
-  s_sigs : I64Set.t;
-  s_found : found list;
-  s_ssu_found : ssu_found list;
-}
-
-let shard_empty =
-  { s_harness = H.empty; s_divergences = 0; s_sim_ns = 0; s_shrink_runs = 0; s_executed = 0;
-    s_ssu_checked = 0; s_sigs = I64Set.empty; s_found = []; s_ssu_found = [] }
-
-let shard_merge a b =
-  {
-    s_harness = H.merge a.s_harness b.s_harness;
-    s_divergences = a.s_divergences + b.s_divergences;
-    s_sim_ns = a.s_sim_ns + b.s_sim_ns;
-    s_shrink_runs = a.s_shrink_runs + b.s_shrink_runs;
-    s_executed = a.s_executed + b.s_executed;
-    s_ssu_checked = a.s_ssu_checked + b.s_ssu_checked;
-    s_sigs = I64Set.union a.s_sigs b.s_sigs;
-    s_found = a.s_found @ b.s_found;
-    s_ssu_found = a.s_ssu_found @ b.s_ssu_found;
-  }
-
-(* One shard: claims enumeration indexes from [next], owns one
-   [Exec.Pool] across all its sequences and shrink re-executions. Only
-   the primary run of each sequence contributes a signature (shrink
-   re-runs would otherwise make the dedup count depend on which shard
-   found what). *)
-let run_shard ?on_done ~next cfg (work : W.op list array) =
-  let pool = Exec.Pool.create () in
-  let acc = ref shard_empty in
-  let exec ?trace ops =
-    let o =
-      Exec.run ~device_size:cfg.device_size
-        ~max_images_per_fence:cfg.max_images ~pool ?trace ops
-    in
-    acc :=
-      { !acc with
-        s_harness = H.merge !acc.s_harness o.Exec.o_report;
-        s_divergences = !acc.s_divergences + o.Exec.o_divergences;
-        s_sim_ns = !acc.s_sim_ns + o.Exec.o_sim_ns };
-    o
-  in
-  let continue = ref true in
-  while !continue do
-    match next () with
-    | None -> continue := false
-    | Some idx ->
-        let ops = W.setup @ work.(idx) in
-        let trace = if cfg.ssu then Some (Obs.Recorder.create ()) else None in
-        let o = exec ?trace ops in
-        acc :=
-          { !acc with
-            s_executed = !acc.s_executed + 1;
-            s_sigs = I64Set.add o.Exec.o_state_sig !acc.s_sigs };
-        (match o.Exec.o_fail with
-        | None -> ()
-        | Some ((cp, detail) as fail) ->
-            let min_ops, det, mcp, sruns =
-              if cfg.shrink then Shrink.reproduce ~exec ops fail else (ops, detail, cp, 0)
-            in
-            acc :=
-              { !acc with
-                s_shrink_runs = !acc.s_shrink_runs + sruns;
-                s_found =
-                  { fd_index = idx; fd_ops = ops; fd_min = min_ops; fd_crash = mcp;
-                    fd_detail = det; fd_shrink_runs = sruns }
-                  :: !acc.s_found });
-        (match trace with
-        | None -> ()
-        | Some r ->
-            acc := { !acc with s_ssu_checked = !acc.s_ssu_checked + 1 };
-            (match Obs.Ssu.check (Obs.Recorder.to_list r) with
-            | Ok () -> ()
-            | Error v ->
-                acc :=
-                  { !acc with
-                    s_ssu_found =
-                      { sf_index = idx; sf_ops = ops; sf_event = v.Obs.Ssu.v_index;
-                        sf_detail = Format.asprintf "%a" Obs.Ssu.pp_violation v }
-                      :: !acc.s_ssu_found }));
-        (match on_done with Some f -> f idx | None -> ())
-  done;
-  !acc
-
-(* {2 Deterministic parallel sweep} *)
-
-let canonicalize s =
-  {
-    s with
-    s_found = List.sort (fun a b -> compare a.fd_index b.fd_index) s.s_found;
-    s_ssu_found = List.sort (fun a b -> compare a.sf_index b.sf_index) s.s_ssu_found;
-    s_harness = { s.s_harness with H.violations = List.sort compare s.s_harness.H.violations };
-  }
-
-let run ?(jobs = 1) ?(chunk = 8) ?progress cfg =
+(* The sweep runs every enumerated sequence behind the setup prefix, each
+   primary run traced for the SSU checker. *)
+let run ?(jobs = 1) cfg =
   let tiers, work = build cfg in
-  let total_work = Array.length work in
-  let jobs = max 1 (min jobs (max 1 total_work)) in
-  let cursor = Atomic.make 0 in
-  let done_ = Atomic.make 0 in
-  let on_done _ =
-    let d = 1 + Atomic.fetch_and_add done_ 1 in
-    match progress with Some f -> f d total_work | None -> ()
+  let run_cfg =
+    { Driver.default_cfg with
+      Driver.max_images = cfg.max_images; device_size = cfg.device_size; shrink = cfg.shrink }
   in
-  let worker () =
-    let buf = ref [] in
-    let next () =
-      match !buf with
-      | i :: rest ->
-          buf := rest;
-          Some i
-      | [] ->
-          let lo = Atomic.fetch_and_add cursor chunk in
-          if lo >= total_work then None
-          else begin
-            let hi = min (lo + chunk) total_work in
-            buf := List.init (hi - lo - 1) (fun k -> lo + 1 + k);
-            Some lo
-          end
-    in
-    run_shard ~on_done ~next cfg work
+  let s, _ =
+    Driver.sweep ~jobs ~traced:true run_cfg (Array.length work) (fun i -> W.setup @ work.(i))
   in
-  let merged =
-    if jobs = 1 then worker ()
-    else begin
-      let doms = List.init (jobs - 1) (fun _ -> Domain.spawn worker) in
-      let mine = worker () in
-      List.fold_left (fun acc d -> shard_merge acc (Domain.join d)) mine doms
-    end
-  in
-  let s = canonicalize merged in
   let sum f = List.fold_left (fun a t -> a + f t) 0 tiers in
+  let distinct = Driver.I64Set.cardinal s.Driver.s_sigs in
   {
     e_alphabet = List.length (alphabet cfg);
     e_depth = cfg.depth;
@@ -365,8 +222,8 @@ let run ?(jobs = 1) ?(chunk = 8) ?progress cfg =
     e_frontier = sum (fun t -> t.t_frontier);
     e_enumerated = sum (fun t -> t.t_enumerated);
     e_executed = s.s_executed;
-    e_distinct = I64Set.cardinal s.s_sigs;
-    e_deduped = s.s_executed - I64Set.cardinal s.s_sigs;
+    e_distinct = distinct;
+    e_deduped = s.s_executed - distinct;
     e_ssu_checked = s.s_ssu_checked;
     e_harness = s.s_harness;
     e_divergences = s.s_divergences;
@@ -378,13 +235,11 @@ let run ?(jobs = 1) ?(chunk = 8) ?progress cfg =
 
 (* {2 Mutant accounting and rendering} *)
 
-let kinds_found r =
-  List.sort_uniq compare
-    (List.concat_map (fun f -> List.filter_map Driver.buggy_kind_of_op f.fd_min) r.e_found)
-
 let ssu_kinds_found r =
   List.sort_uniq compare
-    (List.concat_map (fun f -> List.filter_map Driver.buggy_kind_of_op f.sf_ops) r.e_ssu_found)
+    (List.concat_map
+       (fun f -> List.filter_map Driver.buggy_kind_of_op f.Driver.sf_ops)
+       r.e_ssu_found)
 
 let pp_report ppf r =
   let open Format in
@@ -411,13 +266,13 @@ let pp_report ppf r =
   let cap = 5 in
   List.iter
     (fun f ->
-      fprintf ppf "@,  [#%d] %d ops -> %d min: %s" f.fd_index (List.length f.fd_ops)
+      fprintf ppf "@,  [#%d] %d ops -> %d min: %s" f.Driver.fd_iter (List.length f.fd_ops)
         (List.length f.fd_min) f.fd_detail)
     (List.filteri (fun i _ -> i < cap) r.e_found);
   if List.length r.e_found > cap then
     fprintf ppf "@,  ... and %d more oracle failures" (List.length r.e_found - cap);
   List.iter
-    (fun f -> fprintf ppf "@,  [ssu #%d] event %d: %s" f.sf_index f.sf_event f.sf_detail)
+    (fun f -> fprintf ppf "@,  [ssu #%d] event %d: %s" f.Driver.sf_iter f.sf_event f.sf_detail)
     (List.filteri (fun i _ -> i < cap) r.e_ssu_found);
   if List.length r.e_ssu_found > cap then
     fprintf ppf "@,  ... and %d more trace-checker violations"

@@ -250,7 +250,11 @@ let memoized p ~seen ~memo check v =
       Hashtbl.replace memo h verdict;
       verdict
 
-let probe p ~max_images ~media_images ~legal ~fail =
+(* Torn/stuck media views probed per fence on a run with a torn or stuck
+   line rate. *)
+let media_images_per_fence = 4
+
+let probe p ~max_images ~media ~legal ~fail =
   List.iteri
     (fun image v ->
       p.p_states <- p.p_states + 1;
@@ -265,16 +269,14 @@ let probe p ~max_images ~media_images ~legal ~fail =
                   model; got %a"
                  Logical.pp got))
     (Device.crash_views ~max_images p.p_dev);
-  match media_images with
-  | None -> ()
-  | Some max_images ->
-      List.iteri
-        (fun image v ->
-          p.p_media_states <- p.p_media_states + 1;
-          match memoized p ~seen:p.p_seen_media ~memo:p.p_memo.m_media check_media_state v with
-          | Some detail -> fail ~image detail
-          | None -> ())
-        (Device.crash_views_faulty ~max_images p.p_dev)
+  if media then
+    List.iteri
+      (fun image v ->
+        p.p_media_states <- p.p_media_states + 1;
+        match memoized p ~seen:p.p_seen_media ~memo:p.p_memo.m_media check_media_state v with
+        | Some detail -> fail ~image detail
+        | None -> ())
+      (Device.crash_views_faulty ~max_images:media_images_per_fence p.p_dev)
 
 (* {2 Per-domain resource pool}
 
@@ -452,16 +454,13 @@ let phase_b ~(plan : Faults.Plan.t) ~fail fs dev =
   end;
   (!detected, !quarantined, !eio)
 
-let run ?(device_size = 256 * 1024) ?(max_images_per_fence = 8)
-    ?(media_images_per_fence = 4) ?(faults = Faults.none) ?latency ?pool ?trace ?metrics
-    ops =
+let run ?(device_size = 256 * 1024) ?(max_images_per_fence = 8) ?(faults = Faults.none)
+    ?latency ?pool ?trace ?metrics ops =
   (* Media faults only make sense on a volume that can detect them: fault
      runs format with checksummed metadata records. *)
   let csum = not (Faults.is_none faults) in
-  let media_images =
-    if faults.Faults.Plan.torn_line_rate > 0. || faults.Faults.Plan.stuck_line_rate > 0. then
-      Some media_images_per_fence
-    else None
+  let media =
+    faults.Faults.Plan.torn_line_rate > 0. || faults.Faults.Plan.stuck_line_rate > 0.
   in
   let n = List.length ops in
   let opsa = Array.of_list ops in
@@ -517,7 +516,7 @@ let run ?(device_size = 256 * 1024) ?(max_images_per_fence = 8)
   let pr = prober ~memo ~csum dev in
   let on_fence _ =
     incr fences;
-    probe pr ~max_images:max_images_per_fence ~media_images ~legal:!legal ~fail:violate
+    probe pr ~max_images:max_images_per_fence ~media ~legal:!legal ~fail:violate
   in
   (try
      Device.set_fence_hook dev (Some on_fence);

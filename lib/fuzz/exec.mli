@@ -58,12 +58,12 @@ val prober : memo:memo -> csum:bool -> Pmem.Device.t -> prober
 val probe :
   prober ->
   max_images:int ->
-  media_images:int option ->
+  media:bool ->
   legal:Vfs.Logical.t list ->
   fail:(image:int -> string -> unit) ->
   unit
 (** Probe the current fence of the prober's device: up to [max_images] crash
-    views, then (with [Some n]) up to [n] torn/stuck views. The
+    views, then (with [~media:true]) up to 4 torn/stuck views. The
     first failing view is reported through [fail] with its index, which
     is expected to raise. *)
 
@@ -92,7 +92,6 @@ val apply_sq : Squirrelfs.Fsctx.t -> Crashcheck.Workload.op -> (unit, Vfs.Errno.
 val run :
   ?device_size:int ->
   ?max_images_per_fence:int ->
-  ?media_images_per_fence:int ->
   ?faults:Faults.Plan.t ->
   ?latency:Pmem.Latency.t ->
   ?pool:Pool.t ->
@@ -100,17 +99,16 @@ val run :
   ?metrics:Obs.Metrics.t ->
   Crashcheck.Workload.op list ->
   outcome
-(** Defaults: 256 KiB device, 8 crash images per fence, 4 media images
-    per fence, [Faults.none], zero latency, no pool (fresh device + mkfs
-    per call). [?trace] records the workload's
+(** Defaults: 256 KiB device, 8 crash images per fence, [Faults.none],
+    zero latency, no pool (fresh device + mkfs per call). [?trace] records the workload's
     store/flush/fence stream (opened with a geometry + durable-state
     preamble, see {!Squirrelfs.Tracing}); [?metrics] counts device and
     token traffic and op latencies. Neither perturbs the outcome: a traced
     run is bit-identical to an untraced one. With a
     non-trivial [?faults] plan the volume is formatted [~csum:true], the
-    plan is installed, and torn/stuck media images (from
-    [crash_views_faulty]) get the graceful-handling check on top of the
-    pure crash images. With [bit_flips > 0] a sequence that passed ends
+    plan is installed, and with a torn or stuck line rate up to 4
+    torn/stuck media images per fence (from [crash_views_faulty]) get
+    the graceful-handling check on top of the pure crash images. With [bit_flips > 0] a sequence that passed ends
     with Phase B: seeded flips in up to [bit_flips] committed inode
     records, then scrub, degraded remount, quarantine and [EIO] checks,
     which fill [faults_detected], [faults_quarantined] and [eio_checks]

@@ -9,7 +9,6 @@ module Gen = Gen
 module Exec = Exec
 module Shrink = Shrink
 module Repro = Repro
-module Parallel = Parallel
 module Interleave = Interleave
 module Enum = Enum
 include Driver

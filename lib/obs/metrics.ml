@@ -1,8 +1,8 @@
 (* Metrics registry: named counters and log2-bucketed latency histograms.
 
    [merge] is pure, associative and commutative, so per-shard registries
-   from [Fuzzer.Parallel] combine into the same totals regardless of how
-   the work-stealing scheduler carved up the iteration space. *)
+   from the fuzz sweep ([Fuzzer.sweep]) combine into the same totals
+   regardless of how its domains carved up the sequences. *)
 
 let nbuckets = 64
 

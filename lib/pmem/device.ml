@@ -353,8 +353,6 @@ let set_fault_plan t plan =
     t.ecc <- Array.init (line_count t) (ecc_of_line t)
   end
 
-let fault_state t = t.faults
-
 let fault_events t =
   match t.faults with None -> [] | Some st -> Faults.State.events st
 
@@ -491,13 +489,6 @@ let read_u32 t off =
   charge t t.latency.read_meta_ns;
   Int32.to_int (Sbuf.get_int32_le t.latest off) land 0xFFFFFFFF
 
-let read_byte t off =
-  check_range t off 1;
-  t.stats.reads <- t.stats.reads + 1;
-  t.stats.bytes_read <- t.stats.bytes_read + 1;
-  charge t t.latency.read_meta_ns;
-  Char.code (Sbuf.get t.latest off)
-
 (* The table decoder's entry points. A record window, like [read_meta],
    charges nothing, touches no stats and injects no fault; the decoder
    copies what it needs out of it at once. [charge_reads] then bills, in
@@ -628,8 +619,6 @@ let store_u32 t off v =
   let b = Bytes.create 4 in
   Bytes.set_int32_le b 0 (Int32.of_int v);
   store t ~off (Bytes.to_string b)
-
-let store_byte t off v = store t ~off (String.make 1 (Char.chr (v land 0xFF)))
 
 (* Shared zero-content record payloads: [zero] below never materializes
    the full range, only line-sized (or smaller) views of this string. *)
@@ -871,7 +860,7 @@ let view_hash t v =
       else Int64.logxor h (Int64.logxor lh hc))
     t.base_hash (patched_line_contents t v)
 
-let crash_views ?rng ?(max_images = 64) t =
+let crash_views ?(max_images = 64) t =
   let lines = dirty_line_assoc t in
   let counts = List.map (fun (_, recs) -> List.length recs) lines in
   let total = crash_image_count t in
@@ -901,9 +890,7 @@ let crash_views ?rng ?(max_images = 64) t =
     !views
   end
   else begin
-    let rng =
-      match rng with Some r -> r | None -> Random.State.make [| 0x5eed |]
-    in
+    let rng = Random.State.make [| 0x5eed |] in
     (* Sampled: the two extreme images plus random prefix vectors,
        deduplicated by content so RNG collisions (with each other or
        with the extremes) cannot silently shrink coverage; top up to
@@ -1092,7 +1079,6 @@ let release t r =
 
 let retained_hash r = r.r_hash
 let retained_dead r = r.r_dead
-let retained_line_count r = Hashtbl.length r.r_saved
 
 (* Saved pre-image lines, ascending. The [Bytes.t] values are shared
    with other retained views — treat them as immutable. *)
@@ -1266,11 +1252,9 @@ let with_lock t f =
   end
 
 let set_shared t b = t.shared <- b
-let shared t = t.shared
 let store t ~off data = with_lock t (fun () -> store t ~off data)
 let store_u64 t off v = with_lock t (fun () -> store_u64 t off v)
 let store_u32 t off v = with_lock t (fun () -> store_u32 t off v)
-let store_byte t off v = with_lock t (fun () -> store_byte t off v)
 let store_nt t ~off data = with_lock t (fun () -> store_nt t ~off data)
 let store_coarse t ~off data = with_lock t (fun () -> store_coarse t ~off data)
 let zero t ~off ~len = with_lock t (fun () -> zero t ~off ~len)
@@ -1282,7 +1266,6 @@ let read t ~off ~len = with_lock t (fun () -> read t ~off ~len)
 let read_meta t ~off ~len = with_lock t (fun () -> read_meta t ~off ~len)
 let read_u64 t off = with_lock t (fun () -> read_u64 t off)
 let read_u32 t off = with_lock t (fun () -> read_u32 t off)
-let read_byte t off = with_lock t (fun () -> read_byte t off)
 let record_view t ~off ~len = with_lock t (fun () -> record_view t ~off ~len)
 
 let charge_reads t ~meta ~bulk ~lines ~bytes =

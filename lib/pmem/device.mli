@@ -74,8 +74,6 @@ val set_shared : t -> bool -> unit
     mode existed. Fence hooks, crash-view enumeration and tracers are
     single-domain machinery and must not be combined with shared mode. *)
 
-val shared : t -> bool
-
 val line_size : int
 (** Cache-line size in bytes (64): the granularity of flush, of crash-time
     line effects, and of the device ECC table. *)
@@ -108,7 +106,6 @@ val read_meta : t -> off:int -> len:int -> Bytes.t
 
 val read_u64 : t -> int -> int
 val read_u32 : t -> int -> int
-val read_byte : t -> int -> int
 
 val record_view : t -> off:int -> len:int -> (Bytes.t * int) option
 (** Zero-copy window on the visible (latest) image over a range that
@@ -142,7 +139,6 @@ val store_u64 : t -> int -> int -> unit
     [Invalid_argument] if [off] is not 8-byte aligned. *)
 
 val store_u32 : t -> int -> int -> unit
-val store_byte : t -> int -> int -> unit
 
 val store_nt : t -> off:int -> string -> unit
 (** Non-temporal store: bypasses the cache (modelled as store + flush of
@@ -235,11 +231,10 @@ type view
 val view_patch_count : view -> int
 (** Number of surviving pending records the view patches in. *)
 
-val crash_views : ?rng:Random.State.t -> ?max_images:int -> t -> view list
+val crash_views : ?max_images:int -> t -> view list
 (** All legal crash states as views if there are at most [max_images]
     (default 64) of them; otherwise the two extreme views plus random
-    samples drawn from [rng] (default: a fixed seed for
-    reproducibility), deduplicated by content and topped up to
+    samples drawn from a fixed seed (for reproducibility), deduplicated by content and topped up to
     [max_images] distinct states within a bounded retry budget. Dirty
     lines are enumerated in ascending line-index order, so the result —
     and the RNG consumption of the sampling branch — is stable by
@@ -342,10 +337,6 @@ val retained_hash : retained -> int64
 val retained_dead : retained -> bool
 (** True once released, or invalidated wholesale by {!reset}. *)
 
-val retained_line_count : retained -> int
-(** Number of pre-image lines this view holds — the measure of snapshot
-    memory cost (O(dirty lines), the bench gate). *)
-
 val retained_saved : retained -> (int * Bytes.t) list
 (** Saved [(line_idx, pre_image)] pairs, ascending. The payloads are
     shared across views: treat as immutable. *)
@@ -412,7 +403,6 @@ val set_fault_plan : t -> Faults.Plan.t -> unit
 (** Install [plan]; {!Faults.Plan.none} removes any active plan. The ECC
     baseline is (re)computed from the current durable image. *)
 
-val fault_state : t -> Faults.State.t option
 val fault_events : t -> Faults.Trace.event list
 (** Injected-fault trace, oldest first; [[]] without a plan. *)
 

@@ -1,7 +1,7 @@
 (** Synthetic traffic driver: replays thousands of simulated client
     sessions against one [Engine] over a shared device.
 
-    Parallel model (mirrors [Fuzzer.Parallel]): worker domains claim
+    Parallel model (mirrors [Fuzzer.sweep]): worker domains claim
     whole sessions from an atomic cursor and run each claimed session's
     request stream in batches through {!Engine.submit_batch}. Because
     each session's stream depends only on [(seed, client id)] and the

@@ -359,7 +359,7 @@ let clone ?locks (ctx : Fsctx.t) name =
       else
         let spans = Device.retained_spans ctx.dev p.Fsctx.sp_view in
         let cdev = Device.of_spans ~size:(Device.size ctx.dev) spans in
-        Squirrelfs.Mount.mount ~cpus:ctx.cpus cdev
+        Squirrelfs.Mount.mount cdev
 
 (* {1 Rollback}
 
@@ -462,7 +462,7 @@ let rollback ?locks (ctx : Fsctx.t) name =
             Device.of_spans ~size:(Device.size dev)
               (Device.retained_spans dev r)
           in
-          match Squirrelfs.Mount.mount ~cpus:1 vdev with
+          match Squirrelfs.Mount.mount vdev with
           | Error _ -> false
           | Ok vctx -> Squirrelfs.Fsck.check vctx = []
         in

@@ -5,8 +5,8 @@
 
 module Device = Pmem.Device
 
-let crash_images ?rng ?max_images dev =
-  List.map (Device.materialize dev) (Device.crash_views ?rng ?max_images dev)
+let crash_images ?max_images dev =
+  List.map (Device.materialize dev) (Device.crash_views ?max_images dev)
 
 let crash_images_faulty ?max_images dev =
   List.map (Device.materialize dev) (Device.crash_views_faulty ?max_images dev)

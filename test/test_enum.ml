@@ -10,8 +10,9 @@
      SSU trace checker;
    - the mutant sweep rediscovers all three Buggy_* kinds through BOTH
      checkers, with shrunk reproducers of at most 3 ops;
-   - [-j N] reports are bit-identical to [-j 1] (QCheck over jobs and
-     chunk sizes). *)
+   - [-j N] reports are bit-identical to [-j 1] (QCheck over jobs);
+   - a depth other than 2 or 3 is refused, so the coverage record
+     cannot misreport its depth. *)
 
 module W = Crashcheck.Workload
 module E = Fuzzer.Enum
@@ -126,17 +127,17 @@ let test_mutant_rediscovery () =
   Alcotest.(check (list string))
     "oracle rediscovers all mutants"
     (names Fuzzer.all_buggy_kinds)
-    (names (E.kinds_found r));
+    (names (Fuzzer.kinds_found r.E.e_found));
   Alcotest.(check (list string))
     "trace checker rediscovers all mutants"
     (names Fuzzer.all_buggy_kinds)
     (names (E.ssu_kinds_found r));
   List.iter
     (fun f ->
-      Alcotest.(check bool) "reproducer at most 3 ops" true (List.length f.E.fd_min <= 3);
+      Alcotest.(check bool) "reproducer at most 3 ops" true (List.length f.Fuzzer.fd_min <= 3);
       Alcotest.(check bool)
         "reproducer contains a mutant op" true
-        (List.exists (fun op -> Fuzzer.buggy_kind_of_op op <> None) f.E.fd_min))
+        (List.exists (fun op -> Fuzzer.buggy_kind_of_op op <> None) f.Fuzzer.fd_min))
     r.E.e_found
 
 (* {2 Sharding determinism} *)
@@ -144,10 +145,17 @@ let test_mutant_rediscovery () =
 let prop_jobs_identity =
   let reference = lazy (E.run ~jobs:1 test_cfg) in
   QCheck.Test.make ~name:"enum -j N bit-identical to -j 1" ~count:3
-    (QCheck.make
-       ~print:(fun (j, c) -> Printf.sprintf "jobs=%d chunk=%d" j c)
-       QCheck.Gen.(pair (int_range 2 4) (int_range 1 32)))
-    (fun (jobs, chunk) -> E.run ~jobs ~chunk test_cfg = Lazy.force reference)
+    (QCheck.make ~print:(Printf.sprintf "jobs=%d") QCheck.Gen.(int_range 2 4))
+    (fun jobs -> E.run ~jobs test_cfg = Lazy.force reference)
+
+let test_depth_guard () =
+  List.iter
+    (fun depth ->
+      Alcotest.check_raises
+        (Printf.sprintf "depth %d refused" depth)
+        (Invalid_argument "Fuzzer.Enum: depth must be 2 or 3")
+        (fun () -> ignore (E.run { test_cfg with E.depth })))
+    [ 0; 1; 4 ]
 
 let () =
   Alcotest.run "enum"
@@ -165,4 +173,5 @@ let () =
             test_mutant_rediscovery;
         ] );
       ("sharding", [ QCheck_alcotest.to_alcotest prop_jobs_identity ]);
+      ("depth", [ Alcotest.test_case "depth other than 2 or 3 refused" `Quick test_depth_guard ]);
     ]

@@ -422,7 +422,7 @@ let rediscovery = lazy (F.run rediscovery_cfg)
 
 let test_rediscovers_all_mutants () =
   let r = Lazy.force rediscovery in
-  let kinds = F.kinds_found r in
+  let kinds = F.kinds_found r.F.r_found in
   List.iter
     (fun k ->
       if not (List.mem k kinds) then
@@ -493,16 +493,53 @@ let test_fuzzer_with_media_faults () =
        r1.F.r_harness.Crashcheck.Harness.violations);
   Alcotest.(check bool) "deterministic" true (r1 = r2)
 
+(* {1 Pinned counts}
+
+   The counts [make fuzz-smoke] reaches, at -j 1 and -j 2: a change to
+   the sweep, the generator or the prober that moves which crash states
+   the random fuzzer probes fails here, not only in the smoke's exit
+   codes. *)
+
+let test_pinned_counts () =
+  let counts r =
+    let h = r.F.r_harness in
+    Crashcheck.Harness.
+      [ h.ops_run; h.fences_probed; h.crash_states; h.states_deduped; List.length h.violations ]
+  in
+  let clean seed = { F.default_cfg with seed; iters = 12; op_budget = 6; buggy_rate = 0. } in
+  List.iter
+    (fun jobs ->
+      List.iter
+        (fun (seed, want) ->
+          Alcotest.(check (list int))
+            (Printf.sprintf "clean seed %d at -j %d" seed jobs)
+            want
+            (counts (F.run ~jobs (clean seed))))
+        [
+          (1, [ 132; 330; 1295; 369; 0 ]);
+          (2, [ 132; 348; 1362; 422; 0 ]);
+          (3, [ 132; 322; 1302; 382; 0 ]);
+        ];
+      let r =
+        if jobs = 1 then Lazy.force rediscovery else F.run ~jobs rediscovery_cfg
+      in
+      Alcotest.(check (list int))
+        (Printf.sprintf "mutant leg at -j %d" jobs)
+        [ 458; 1847; 5397; 20441; 5791; 181; 418; 16 ]
+        (r.F.r_harness.Crashcheck.Harness.workloads :: counts r
+        @ [ r.F.r_shrink_runs; r.F.r_divergences ]))
+    [ 1; 2 ]
+
 (* {1 Parallel sharding} *)
 
 (* Sharding the seed space across domains is invisible in the merged,
-   canonicalized report: -j 3 == -j 1, bit for bit. *)
+   canonical report: -j 3 == -j 1, bit for bit. *)
 let test_parallel_matches_sequential () =
   let cfg =
     { F.default_cfg with seed = 13; iters = 9; op_budget = 6; buggy_rate = 0.3 }
   in
-  let r1 = F.Parallel.canonicalize (F.Parallel.run ~jobs:1 cfg) in
-  let r3 = F.Parallel.canonicalize (F.Parallel.run ~jobs:3 cfg) in
+  let r1 = F.run ~jobs:1 cfg in
+  let r3 = F.run ~jobs:3 cfg in
   Alcotest.(check int) "same iters" r1.F.r_iters r3.F.r_iters;
   Alcotest.(check (list int)) "same found iterations"
     (List.map (fun f -> f.F.fd_iter) r1.F.r_found)
@@ -520,26 +557,26 @@ let test_parallel_matches_sequential () =
   Alcotest.(check bool) "same merged counters" true (counters r1 = counters r3);
   Alcotest.(check int) "same sim time" r1.F.r_sim_ns r3.F.r_sim_ns
 
-(* {1 Work-stealing scheduler} *)
+(* {1 The sweep's scheduler} *)
 
 (* jobs is clamped to the iteration count: -j 8 over 3 iterations must
    run exactly 3 shards (no domain spawned idle), execute every iteration
-   once, and still produce the canonicalized -j 1 report. *)
+   once, and still produce the -j 1 report. *)
 let test_jobs_clamped_to_work () =
   let cfg =
     { F.default_cfg with seed = 17; iters = 3; op_budget = 5; buggy_rate = 0.2 }
   in
-  let r8, stats = F.Parallel.run_stats ~jobs:8 cfg in
+  let r8, stats = F.run_stats ~jobs:8 cfg in
   Alcotest.(check int) "shards spawned" 3 (List.length stats);
   Alcotest.(check int) "every iteration ran exactly once" 3
-    (List.fold_left (fun acc s -> acc + s.F.Parallel.ss_iters) 0 stats);
-  let r1, stats1 = F.Parallel.run_stats ~jobs:1 cfg in
+    (List.fold_left (fun acc s -> acc + s.F.ss_iters) 0 stats);
+  let r1, stats1 = F.run_stats ~jobs:1 cfg in
   Alcotest.(check int) "-j 1 is one shard" 1 (List.length stats1);
   Alcotest.(check bool) "report == -j 1" true (r8 = r1)
 
-(* -j N == -j 1 (both post-canonicalize) across seeds and a media-fault
-   plan: the work-stealing partition, the per-shard device pools and the
-   carried memo tables are all invisible in the report. *)
+(* -j N == -j 1 across seeds and a media-fault plan: the partition of
+   the sequences, the per-shard device pools and the carried memo tables
+   are all invisible in the report. *)
 let test_parallel_determinism_matrix () =
   let base seed = { F.default_cfg with seed; iters = 6; op_budget = 5; buggy_rate = 0.25 } in
   let cfgs =
@@ -557,29 +594,10 @@ let test_parallel_determinism_matrix () =
   in
   List.iter
     (fun (name, cfg) ->
-      let r1 = F.Parallel.run ~jobs:1 cfg in
-      let rn = F.Parallel.run ~jobs:4 cfg in
+      let r1 = F.run ~jobs:1 cfg in
+      let rn = F.run ~jobs:4 cfg in
       if r1 <> rn then Alcotest.failf "%s: -j 4 diverged from -j 1" name)
     cfgs
-
-(* ?progress is global: the shared atomic counter reports every completed
-   count 1..iters exactly once with total = iters, whichever domain
-   finished the iteration (the old striding scheduler only reported
-   shard 0's slice). The callback is serialized by the scheduler's mutex,
-   so appending to a plain ref is safe. *)
-let test_global_progress () =
-  let cfg =
-    { F.default_cfg with seed = 9; iters = 7; op_budget = 4; buggy_rate = 0.1 }
-  in
-  let seen = ref [] in
-  let progress c total = seen := (c, total) :: !seen in
-  ignore (F.Parallel.run ~jobs:3 ~progress cfg);
-  Alcotest.(check (list int))
-    "each completed count reported exactly once"
-    (List.init cfg.F.iters (fun i -> i + 1))
-    (List.sort compare (List.map fst !seen));
-  Alcotest.(check bool) "total is always cfg.iters" true
-    (List.for_all (fun (_, t) -> t = cfg.F.iters) !seen)
 
 (* Pooling is invisible in outcomes: a warm pooled run (the device was
    dirtied by a previous workload, then template-reset; memo tables
@@ -680,6 +698,8 @@ let () =
           Alcotest.test_case "generator" `Quick test_generator_deterministic;
           Alcotest.test_case "media faults deterministic" `Quick
             test_fuzzer_with_media_faults;
+          Alcotest.test_case "fuzz-smoke and mutant-leg counts pinned" `Quick
+            test_pinned_counts;
         ] );
       ( "parallel",
         [
@@ -692,8 +712,6 @@ let () =
             test_jobs_clamped_to_work;
           Alcotest.test_case "-j 4 == -j 1 across seeds and faults" `Slow
             test_parallel_determinism_matrix;
-          Alcotest.test_case "global progress counter" `Quick
-            test_global_progress;
           Alcotest.test_case "device pool transparent" `Quick
             test_pool_transparent;
         ] );
