@@ -78,11 +78,11 @@ let chunk_window dev off =
   let c = off - (off mod Pmem.Sbuf.chunk_bytes) in
   Device.record_view dev ~off:c ~len:(min Pmem.Sbuf.chunk_bytes (Device.size dev - c))
 
-(* [f i buf pos] for every slot [i] in [runs] whose record is nonzero,
-   with its window. One window per chunk; an unbacked chunk of the
-   visible image is all zero. *)
-let iter_records dev runs ~table_off ~size ~first f =
-  let cur = ref (-1) and win = ref None in
+(* [f s i buf pos] for the [s]-th slot in [runs], numbered [i], with
+   its record's window. One window per chunk; the slots of a chunk
+   unbacked in the visible image are zero, and skipped. *)
+let iter_slots dev runs ~table_off ~size ~first f =
+  let cur = ref (-1) and win = ref None and s = ref 0 in
   for r = 0 to (Array.length runs / 2) - 1 do
     for i = runs.(2 * r) to runs.((2 * r) + 1) do
       let off = table_off + ((i - first) * size) in
@@ -91,29 +91,35 @@ let iter_records dev runs ~table_off ~size ~first f =
         cur := c;
         win := chunk_window dev off
       end;
-      match !win with
-      | Some (buf, base) ->
-          let pos = base + (off mod Pmem.Sbuf.chunk_bytes) in
-          if R.window_nonzero buf pos size then f i buf pos
-      | None -> ()
+      (match !win with
+      | Some (buf, base) -> f !s i buf (base + (off mod Pmem.Sbuf.chunk_bytes))
+      | None -> ());
+      incr s
     done
   done
 
-let decode dev (geo : Geometry.t) =
+let decode_media dev (geo : Geometry.t) =
   let spans = Device.backed_spans dev in
-  (* each table is read twice: once to size the arrays, once to fill
-     them, so the result holds no list or option boxes *)
+  (* each table is read twice: once to zero-test every slot and size
+     the arrays, once to fill them from the slots that test nonzero, so
+     the result holds no list or option boxes *)
   let table runs ~table_off ~size ~first ~none parse =
-    let n = ref 0 in
-    iter_records dev runs ~table_off ~size ~first (fun _ _ _ -> incr n);
+    let nonzero = Bytes.make (slots runs) '\000' and n = ref 0 in
+    iter_slots dev runs ~table_off ~size ~first (fun s _ buf pos ->
+        if R.window_nonzero buf pos size then begin
+          Bytes.set nonzero s '\001';
+          incr n
+        end);
     let slot = Array.make !n 0 and word = Array.make !n 0 in
     let recs = Array.make !n none and k = ref 0 in
-    iter_records dev runs ~table_off ~size ~first (fun i buf pos ->
-        slot.(!k) <- i;
-        (* [f_ino] is the first word of both table records *)
-        word.(!k) <- R.word buf pos;
-        (match parse buf pos with Some r -> recs.(!k) <- r | None -> ());
-        incr k);
+    iter_slots dev runs ~table_off ~size ~first (fun s i buf pos ->
+        if Bytes.get nonzero s <> '\000' then begin
+          slot.(!k) <- i;
+          (* [f_ino] is the first word of both table records *)
+          word.(!k) <- R.word buf pos;
+          (match parse buf pos with Some r -> recs.(!k) <- r | None -> ());
+          incr k
+        end);
     (slot, word, recs)
   in
   let inode_runs =
@@ -133,39 +139,47 @@ let decode dev (geo : Geometry.t) =
       ~first:0 ~none:undecodable_desc R.Desc.of_window
   in
   (* dentries of every committed directory page (the undecodable
-     placeholder has ino 0) *)
-  let dir_page k = descs.(k).ino <> 0 && descs.(k).kind = R.Desc.Dirpage in
-  let iter_dentries f =
-    Array.iteri
-      (fun k page ->
-        if dir_page k then
-          let off = Geometry.page_off geo ~page in
-          match chunk_window dev off with
-          | Some (buf, base) ->
-              for slot = 0 to Geometry.dentries_per_page - 1 do
-                let pos = base + (slot * Geometry.dentry_size) in
-                if R.window_nonzero buf pos Geometry.dentry_size then
-                  f page slot buf pos
-              done
-          | None -> ())
-      pages
-  in
-  let n = ref 0 in
-  iter_dentries (fun _ _ _ _ -> incr n);
+     placeholder has ino 0): each slot is zero-tested once, into a mask
+     of the page's nonzero slots, and the fill pass parses the set bits *)
+  let masks = Array.make (Array.length pages) 0 and n = ref 0 in
+  Array.iteri
+    (fun k page ->
+      if descs.(k).ino <> 0 && descs.(k).kind = R.Desc.Dirpage then
+        match chunk_window dev (Geometry.page_off geo ~page) with
+        | Some (buf, base) ->
+            let m = ref 0 in
+            for slot = 0 to Geometry.dentries_per_page - 1 do
+              let pos = base + (slot * Geometry.dentry_size) in
+              if R.window_nonzero buf pos Geometry.dentry_size then begin
+                m := !m lor (1 lsl slot);
+                incr n
+              end
+            done;
+            masks.(k) <- !m
+        | None -> ())
+    pages;
   let dent_pages = Array.make !n 0 and dent_slots = Array.make !n 0 in
   let dent_names = Array.make !n "" and dent_inos = Array.make !n 0 in
-  let dent_rptrs = Array.make !n 0 and k = ref 0 in
-  iter_dentries (fun page slot buf pos ->
-      dent_pages.(!k) <- page;
-      dent_slots.(!k) <- slot;
-      (* a nonzero record always decodes *)
-      (match R.Dentry.of_window buf pos with
-      | Some e ->
-          dent_names.(!k) <- e.name;
-          dent_inos.(!k) <- e.ino;
-          dent_rptrs.(!k) <- e.rename_ptr
-      | None -> ());
-      incr k);
+  let dent_rptrs = Array.make !n 0 and j = ref 0 in
+  Array.iteri
+    (fun k page ->
+      let m = masks.(k) in
+      if m <> 0 then
+        match chunk_window dev (Geometry.page_off geo ~page) with
+        | Some (buf, base) ->
+            for slot = 0 to Geometry.dentries_per_page - 1 do
+              if m land (1 lsl slot) <> 0 then begin
+                let pos = base + (slot * Geometry.dentry_size) in
+                dent_pages.(!j) <- page;
+                dent_slots.(!j) <- slot;
+                dent_names.(!j) <- R.Dentry.name_of_window buf pos;
+                dent_inos.(!j) <- R.word buf (pos + R.Dentry.f_ino);
+                dent_rptrs.(!j) <- R.word buf (pos + R.Dentry.f_rename_ptr);
+                incr j
+              end
+            done
+        | None -> ())
+    pages;
   {
     inode_runs;
     inos;
@@ -181,6 +195,28 @@ let decode dev (geo : Geometry.t) =
     dent_inos;
     dent_rptrs;
   }
+
+(* The last decode of a borrowed ([of_view]) device, per domain: the
+   crash prober's [check_raw] and mount decode the same pre-recovery
+   view, and the second is served from here. The key is the device
+   itself, its content version (any store, such as recovery's, misses)
+   and the geometry. A live volume is never remembered: its decode
+   would outlive the mount that built its index (on a large volume,
+   tens of MiB of names). *)
+type last = { l_dev : Device.t; l_version : int; l_geo : Geometry.t; l_dec : t }
+
+let last_key : last option ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref None)
+
+let decode dev geo =
+  if not (Device.is_view dev) then decode_media dev geo
+  else
+    let last = Domain.DLS.get last_key and version = Device.content_version dev in
+    match !last with
+    | Some l when l.l_dev == dev && l.l_version = version && l.l_geo = geo -> l.l_dec
+    | Some _ | None ->
+        let dec = decode_media dev geo in
+        last := Some { l_dev = dev; l_version = version; l_geo = geo; l_dec = dec };
+        dec
 
 (* First index of an ascending array whose element is >= [x]. *)
 let lower a x =

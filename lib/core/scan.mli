@@ -7,11 +7,23 @@
     {!Pmem.Device.backed_spans} are durably zero, so a decode costs
     O(backed records), not O(volume size).
 
-    Each consumer ([Fsck.check_raw], [Mount.media_prepass],
-    [Mount.rebuild], [Fsck.check]) decodes once and keeps its own logic;
-    no decoded value is handed from one to the next, so every checker
-    still derives its state from the media. A decode charges no
-    simulated time: mount bills the reads it models with
+    One decode before recovery, one after. Each consumer
+    ([Fsck.check_raw], [Mount.media_prepass], [Mount.rebuild],
+    [Fsck.check]) calls [decode] and keeps its own logic, but [decode]
+    remembers, per domain, its last decode of a borrowed
+    ({!Pmem.Device.of_view}) device, keyed by the device itself ([==]),
+    its {!Pmem.Device.content_version} and the geometry (compared
+    structurally). So a crash view's [check_raw] and mount share one
+    decode of the pre-recovery bytes, while any store in between (a
+    recovery write, mount's closing clean-flag store) makes the next
+    decode fresh: [Fsck.check] still derives its state from the
+    post-recovery media. A remembered decode is shared by its
+    consumers: its arrays must not be mutated. Live volumes are never
+    remembered, since their decode would outlive the mount that indexed
+    it (on a large volume, tens of MiB of names).
+
+    A decode zero-tests each backed slot once and charges no simulated
+    time: mount bills the reads it models with
     {!Pmem.Device.charge_reads}. *)
 
 type t = {
@@ -46,7 +58,9 @@ type t = {
 }
 
 val decode : Pmem.Device.t -> Layout.Geometry.t -> t
-(** Never raises on any table contents; charges nothing. *)
+(** Never raises on any table contents; charges nothing. On a borrowed
+    device, returns the remembered decode ([==]) while the key above
+    still matches. *)
 
 val undecodable_inode : Layout.Records.Inode.t
 (** Placeholder, compared with [==], for a nonzero inode record that

@@ -17,10 +17,7 @@ module Kind = struct
     | Symlink -> Format.pp_print_string ppf "symlink"
 end
 
-let any_nonzero dev base len =
-  let b = Device.read dev ~off:base ~len in
-  let rec go i = i < len && (Bytes.get b i <> '\000' || go (i + 1)) in
-  go 0
+let any_nonzero dev base len = Device.read_nonzero dev ~off:base ~len
 
 (* {1 Record windows}
 
@@ -31,10 +28,18 @@ let any_nonzero dev base len =
 
 let word buf pos = Int64.to_int (Bytes.get_int64_le buf pos)
 
-(* Record sizes are multiples of 8, so a word-wise test covers them. *)
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+
+(* Record sizes are multiples of 8, so a word-wise test covers them:
+   one bounds check, then the or of the words, unchecked. *)
 let window_nonzero buf pos len =
-  let rec go i = i < len && (Bytes.get_int64_le buf (pos + i) <> 0L || go (i + 8)) in
-  go 0
+  if pos < 0 || len < 0 || len land 7 <> 0 || len > Bytes.length buf - pos then
+    invalid_arg "Layout.Records.window_nonzero";
+  let acc = ref 0L in
+  for i = 0 to (len lsr 3) - 1 do
+    acc := Int64.logor !acc (get64u buf (pos + (i lsl 3)))
+  done;
+  !acc <> 0L
 
 (* {1 Record checksums}
 
@@ -167,20 +172,12 @@ module Dentry = struct
           rename_ptr = Device.read_u64 dev (base + f_rename_ptr);
         }
 
-  let of_window buf pos =
-    if not (window_nonzero buf pos Geometry.dentry_size) then None
-    else
-      let rec len i =
-        if i < Geometry.name_max && Bytes.get buf (pos + f_name + i) <> '\000'
-        then len (i + 1)
-        else i
-      in
-      Some
-        {
-          name = Bytes.sub_string buf (pos + f_name) (len 0);
-          ino = word buf (pos + f_ino);
-          rename_ptr = word buf (pos + f_rename_ptr);
-        }
+  let name_of_window buf pos =
+    let len = ref 0 in
+    while !len < Geometry.name_max && Bytes.get buf (pos + f_name + !len) <> '\000' do
+      incr len
+    done;
+    Bytes.sub_string buf (pos + f_name) !len
 
   let is_allocated dev ~base = any_nonzero dev base Geometry.dentry_size
 end
@@ -217,19 +214,19 @@ module Desc = struct
               replaces = Device.read_u64 dev (base + f_replaces);
             }
 
+  (* a free (all-zero) record has kind 0, so the kind test alone
+     answers [None] for it as [decode]'s allocation test does *)
   let of_window buf pos =
-    if not (window_nonzero buf pos Geometry.desc_size) then None
-    else
-      match kind_of_int (word buf (pos + f_kind)) with
-      | None -> None
-      | Some kind ->
-          Some
-            {
-              ino = word buf (pos + f_ino);
-              kind;
-              offset = word buf (pos + f_offset);
-              replaces = word buf (pos + f_replaces);
-            }
+    match kind_of_int (word buf (pos + f_kind)) with
+    | None -> None
+    | Some kind ->
+        Some
+          {
+            ino = word buf (pos + f_ino);
+            kind;
+            offset = word buf (pos + f_offset);
+            replaces = word buf (pos + f_replaces);
+          }
 
   let is_allocated dev ~base = any_nonzero dev base Geometry.desc_size
 

@@ -26,7 +26,8 @@ end
 
 val any_nonzero : Pmem.Device.t -> int -> int -> bool
 (** [any_nonzero dev base len]: is any byte of [base, base+len) nonzero
-    (i.e. is a record at [base] allocated)? *)
+    (i.e. is a record at [base] allocated)? {!Pmem.Device.read_nonzero}:
+    billed as one read, never faulted, never copied. *)
 
 (** {1 Record windows}
 
@@ -40,7 +41,8 @@ val word : Bytes.t -> int -> int
 
 val window_nonzero : Bytes.t -> int -> int -> bool
 (** [window_nonzero buf pos len]: is any byte of the [len]-byte record at
-    [pos] nonzero? [len] must be a multiple of 8. *)
+    [pos] nonzero? [len] must be a multiple of 8. Raises
+    [Invalid_argument] if it is not, or if the window leaves [buf]. *)
 
 val crc_ns : int
 (** Simulated software cost of computing one record checksum. *)
@@ -105,8 +107,9 @@ module Dentry : sig
   (** [None] if the record is entirely free (all bytes zero); otherwise
       the decoded entry, which may still be invalid ([ino = 0]). *)
 
-  val of_window : Bytes.t -> int -> t option
-  (** {!decode} over a record window. *)
+  val name_of_window : Bytes.t -> int -> string
+  (** The [name] {!decode} reads, over the window of an allocated
+      record. *)
 
   val is_allocated : Pmem.Device.t -> base:int -> bool
 end

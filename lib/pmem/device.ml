@@ -57,6 +57,11 @@ type t = {
   mutable faults : Faults.State.t option;
   mutable ecc : int array; (* per-line CRC of durable content; [||] = off *)
   mutable gen : int; (* bumped whenever durable content changes *)
+  mutable version : int;
+      (* bumped whenever visible content may change: every stored record,
+         every draining fence, [flip_bit], [reset], and the release of a
+         borrowed device's lines by its scratch *)
+  view : bool; (* made by [of_view] *)
   mutable hlines : (int, int64) Hashtbl.t option;
       (* per-line content hash of the lines whose hash differs from the
          all-zero line's (an absent line has the zero-line hash, O(1) by
@@ -89,7 +94,7 @@ and scratch = {
 
 (* The one record literal behind every constructor: a quiescent device
    over [latest]/[durable] with an empty line table, a zero clock and
-   every optional subsystem off. *)
+   every optional subsystem off. Only [of_view] passes a taint table. *)
 let assemble ~latency ~lines ~taint latest durable =
   {
     size = Sbuf.length latest;
@@ -105,6 +110,8 @@ let assemble ~latency ~lines ~taint latest durable =
     faults = None;
     ecc = [||];
     gen = 0;
+    version = 0;
+    view = Option.is_some taint;
     hlines = None;
     base_hash = 0L;
     attached = None;
@@ -138,6 +145,8 @@ let of_spans ?(latency = Latency.zero) ~size spans =
   assemble ~latency ~lines:256 ~taint:None (Sbuf.copy durable) durable
 
 let size t = t.size
+let content_version t = t.version
+let is_view t = t.view
 let stats t = t.stats
 let now_ns t = t.now_ns
 let charge t ns = t.now_ns <- t.now_ns + ns
@@ -391,6 +400,7 @@ let flip_bit t ~off ~bit =
   flip t.durable;
   flip t.latest;
   t.gen <- t.gen + 1;
+  t.version <- t.version + 1;
   refresh_line_hash t (off / line_size);
   taint_line t (off / line_size);
   t.stats.bitflips <- t.stats.bitflips + 1;
@@ -445,6 +455,16 @@ let maybe_read_fault t ~off ~len =
       end
   | None -> ()
 
+(* What one successful bulk read of the range bills: one read, [len]
+   bytes, and a base cost plus one per cache line touched. *)
+let bill_read t ~off ~len =
+  let first = off / line_size and last = (off + len - 1) / line_size in
+  let lines = if len = 0 then 0 else last - first + 1 in
+  t.stats.reads <- t.stats.reads + 1;
+  t.stats.bytes_read <- t.stats.bytes_read + len;
+  if lines > 0 then
+    charge t (t.latency.read_base_ns + (lines * t.latency.read_line_ns))
+
 (* A faulted read transfers nothing: the controller aborts the
    transaction before any data (or time) moves, so it neither charges
    latency nor counts in [reads]/[bytes_read]; only [read_faults] is
@@ -452,12 +472,7 @@ let maybe_read_fault t ~off ~len =
 let read t ~off ~len =
   check_range t off len;
   maybe_read_fault t ~off ~len;
-  let first = off / line_size and last = (off + len - 1) / line_size in
-  let lines = if len = 0 then 0 else last - first + 1 in
-  t.stats.reads <- t.stats.reads + 1;
-  t.stats.bytes_read <- t.stats.bytes_read + len;
-  if lines > 0 then
-    charge t (t.latency.read_base_ns + (lines * t.latency.read_line_ns));
+  bill_read t ~off ~len;
   Sbuf.sub t.latest ~off ~len
 
 (* Metadata read path used by the checksum layer: same cost and
@@ -467,13 +482,15 @@ let read t ~off ~len =
    corruption *detection* itself flaky and non-deterministic). *)
 let read_meta t ~off ~len =
   check_range t off len;
-  let first = off / line_size and last = (off + len - 1) / line_size in
-  let lines = if len = 0 then 0 else last - first + 1 in
-  t.stats.reads <- t.stats.reads + 1;
-  t.stats.bytes_read <- t.stats.bytes_read + len;
-  if lines > 0 then
-    charge t (t.latency.read_base_ns + (lines * t.latency.read_line_ns));
+  bill_read t ~off ~len;
   Sbuf.sub t.latest ~off ~len
+
+(* An allocation test: billed and fault-free like [read_meta], but the
+   bytes are tested where they lie instead of being copied out. *)
+let read_nonzero t ~off ~len =
+  check_range t off len;
+  bill_read t ~off ~len;
+  Sbuf.range_nonzero t.latest ~off ~len
 
 let read_u64 t off =
   check_range t off 8;
@@ -529,6 +546,7 @@ let get_line t idx =
 
 let add_record t ~cost_ns off data =
   Sbuf.blit_string data t.latest off;
+  t.version <- t.version + 1;
   let l = get_line t (off / line_size) in
   l.pending <- { off; data } :: l.pending;
   taint_line t (off / line_size);
@@ -692,16 +710,25 @@ let scratch_dirty_lines s =
   in
   List.rev_append borrowed s.s_patched
 
+(* A borrowed device whose lines the scratch takes back: its visible
+   content changes under it. *)
+let scratch_unborrow s =
+  match s.s_borrow with
+  | Some d ->
+      d.taint <- None;
+      d.version <- d.version + 1
+  | None -> ()
+
 let scratch_release s =
   scratch_restore_lines s (scratch_dirty_lines s);
-  (match s.s_borrow with Some d -> d.taint <- None | None -> ());
+  scratch_unborrow s;
   s.s_borrow <- None;
   s.s_patched <- []
 
 (* Drop view/borrow bookkeeping without touching the buffer (used when
    the buffer is about to be rebuilt wholesale). *)
 let scratch_forget s =
-  (match s.s_borrow with Some d -> d.taint <- None | None -> ());
+  scratch_unborrow s;
   s.s_borrow <- None;
   s.s_patched <- []
 
@@ -750,6 +777,9 @@ let fence t =
   if drained > 0 then begin
     let old_gen = t.gen in
     t.gen <- old_gen + 1;
+    (* a borrowed device's images alias, so a drain can rewrite a
+       visible byte that a newer, unflushed record had stored *)
+    t.version <- t.version + 1;
     (* Keep the attached scratch mirroring the new durable image: restore
        the drained lines plus whatever the outstanding view/borrow
        touched — all from the just-updated durable base. *)
@@ -832,18 +862,28 @@ let patched_line_contents t v =
       (idx, b))
     (group_by_line v.v_recs)
 
-(* Content hash of a view relative to the current durable base only:
-   xor of salted digests of the patched lines that actually differ from
-   the base. Canonical within one (device, generation) — two views with
-   the same resulting image hash equally — but not comparable across
-   fences. Needs no precomputed state. *)
-let view_local_hash t v =
-  List.fold_left
-    (fun h (idx, b) ->
-      let off, len = line_span t idx in
-      if Bytes.equal b (Sbuf.sub t.durable ~off ~len) then h
-      else Int64.logxor h (hash_line_content idx b))
-    0L (patched_line_contents t v)
+(* Per dirty line, the digest of each record prefix: entry [k] of line
+   [i] is the salted digest of the line with its first [k] records
+   applied, or 0 when that leaves the line equal to its durable content.
+   The xor of one entry per line is then a content hash of a view
+   relative to the current durable base: canonical within one (device,
+   generation), so two prefix vectors denoting the same image hash
+   equally, but not comparable across fences. *)
+let prefix_digests t lines =
+  Array.of_list
+    (List.map
+       (fun (idx, recs) ->
+         let off, len = line_span t idx in
+         let base = Sbuf.sub t.durable ~off ~len in
+         let b = Bytes.copy base in
+         let d = Array.make (List.length recs + 1) 0L in
+         List.iteri
+           (fun k r ->
+             Bytes.blit_string r.data 0 b (r.off - off) (String.length r.data);
+             if not (Bytes.equal b base) then d.(k + 1) <- hash_line_content idx b)
+           recs;
+         d)
+       lines)
 
 (* Full-content hash of the crash image a view denotes: the durable
    image's rolling hash with the patched lines' digests swapped out.
@@ -894,26 +934,33 @@ let crash_views ?(max_images = 64) t =
     (* Sampled: the two extreme images plus random prefix vectors,
        deduplicated by content so RNG collisions (with each other or
        with the extremes) cannot silently shrink coverage; top up to
-       [max_images] distinct states within a bounded retry budget. *)
+       [max_images] distinct states within a bounded retry budget. A
+       candidate's content hash is one digest lookup per line, and only
+       accepted candidates become views. *)
+    let digests = prefix_digests t lines in
+    let maxes = Array.of_list counts in
+    let ks = Array.make (Array.length maxes) 0 in
     let seen = Hashtbl.create 64 in
     let out = ref [] in
     let n_out = ref 0 in
-    let add v =
-      let h = view_local_hash t v in
-      if not (Hashtbl.mem seen h) then begin
-        Hashtbl.replace seen h ();
-        out := v :: !out;
+    let add () =
+      let h = ref 0L in
+      Array.iteri (fun i k -> h := Int64.logxor !h digests.(i).(k)) ks;
+      if not (Hashtbl.mem seen !h) then begin
+        Hashtbl.replace seen !h ();
+        out := build_view lines (Array.to_list ks) :: !out;
         incr n_out
       end
     in
-    add (build_view lines (List.map (fun _ -> 0) counts));
-    add (build_view lines counts);
+    add ();
+    Array.blit maxes 0 ks 0 (Array.length ks);
+    add ();
     let budget = ref (16 * max_images) in
     while !n_out < max_images && !budget > 0 do
       decr budget;
-      add
-        (build_view lines
-           (List.map (fun c -> Random.State.int rng (c + 1)) counts))
+      (* drawn line by line, in ascending line order *)
+      Array.iteri (fun i c -> ks.(i) <- Random.State.int rng (c + 1)) maxes;
+      add ()
     done;
     List.rev !out
   end
@@ -1154,6 +1201,7 @@ let reset ?hash t ~image =
   t.faults <- None;
   t.ecc <- [||];
   t.gen <- t.gen + 1;
+  t.version <- t.version + 1;
   t.taint <- None;
   (* Retained views pin the {e old} content; a wholesale reload cannot
      honour them, so they are invalidated rather than silently aliased. *)
@@ -1199,18 +1247,15 @@ let of_view ?(latency = Latency.zero) s =
      meaningful for remount/check flows and only until the next
      [apply_view]/[revert_view]/[fence] on the owning scratch. *)
   (match s.s_borrow with
-  | Some d ->
+  | Some { taint = Some tbl; _ } ->
       (* fold the previous borrow's mutations into the patched set *)
-      (match d.taint with
-      | Some tbl ->
-          Hashtbl.iter
-            (fun idx () ->
-              if not (List.mem idx s.s_patched) then
-                s.s_patched <- idx :: s.s_patched)
-            tbl
-      | None -> ());
-      d.taint <- None
-  | None -> ());
+      Hashtbl.iter
+        (fun idx () ->
+          if not (List.mem idx s.s_patched) then
+            s.s_patched <- idx :: s.s_patched)
+        tbl
+  | Some _ | None -> ());
+  scratch_unborrow s;
   let d =
     assemble ~latency ~lines:64 ~taint:(Some (Hashtbl.create 64)) s.s_buf
       s.s_buf
@@ -1264,6 +1309,7 @@ let persist t ~off ~len = with_lock t (fun () -> persist t ~off ~len)
 let charge t ns = with_lock t (fun () -> charge t ns)
 let read t ~off ~len = with_lock t (fun () -> read t ~off ~len)
 let read_meta t ~off ~len = with_lock t (fun () -> read_meta t ~off ~len)
+let read_nonzero t ~off ~len = with_lock t (fun () -> read_nonzero t ~off ~len)
 let read_u64 t off = with_lock t (fun () -> read_u64 t off)
 let read_u32 t off = with_lock t (fun () -> read_u32 t off)
 let record_view t ~off ~len = with_lock t (fun () -> record_view t ~off ~len)

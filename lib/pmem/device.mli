@@ -52,6 +52,20 @@ val of_spans : ?latency:Latency.t -> size:int -> (int * string) list -> t
 
 val size : t -> int
 
+val content_version : t -> int
+(** Version of the visible content, for callers that cache what they
+    derive from it. It increases on every stored record, on every
+    {!fence} that drains a line, on {!flip_bit} and on {!reset}; so two
+    reads of one device (the same value, compared with [==]) that return
+    the same version saw the same visible content. A fresh device starts
+    at 0, so a version says nothing across devices. A borrowed
+    ({!of_view}) device is valid only until its scratch takes its lines
+    back or lends them to a newer borrow; that increases its version
+    once, and the version of an invalid device means nothing. *)
+
+val is_view : t -> bool
+(** Was the device made by {!of_view}? *)
+
 val is_sparse : t -> bool
 (** Always [true]: every device is lazily backed. *)
 
@@ -103,6 +117,13 @@ val read_meta : t -> off:int -> len:int -> Bytes.t
     path) but never injects transient read faults: the metadata-checksum
     layer retries media fetches, so corruption detection itself stays
     deterministic. *)
+
+val read_nonzero : t -> off:int -> len:int -> bool
+(** Does the range hold a nonzero byte (is a record there allocated)?
+    Billed exactly like {!read_meta} on the same range — one read, [len]
+    bytes, base cost plus one line cost per cache line — and, like it,
+    never injects a transient fault; but the visible bytes are tested in
+    place, with no copy. *)
 
 val read_u64 : t -> int -> int
 val read_u32 : t -> int -> int
@@ -234,11 +255,13 @@ val view_patch_count : view -> int
 val crash_views : ?max_images:int -> t -> view list
 (** All legal crash states as views if there are at most [max_images]
     (default 64) of them; otherwise the two extreme views plus random
-    samples drawn from a fixed seed (for reproducibility), deduplicated by content and topped up to
-    [max_images] distinct states within a bounded retry budget. Dirty
-    lines are enumerated in ascending line-index order, so the result —
-    and the RNG consumption of the sampling branch — is stable by
-    construction. *)
+    samples drawn from a fixed seed (for reproducibility), deduplicated by
+    content and topped up to [max_images] distinct states within a
+    bounded retry budget. The content test digests every record prefix
+    of every dirty line once per call; a candidate then costs one lookup
+    per line, and only accepted candidates are built. Dirty lines are
+    enumerated in ascending line-index order, so the result — and the
+    RNG consumption of the sampling branch — is stable by construction. *)
 
 val crash_views_faulty : ?max_images:int -> t -> view list
 (** Sampled crash views (default 16) where dirty lines may additionally
@@ -386,7 +409,10 @@ val of_view : ?latency:Latency.t -> scratch -> t
     per line and undone by the next {!apply_view}/{!revert_view} on the
     owning scratch, which also invalidates the borrowed device. Intended
     for remount/recovery/fsck probing of a crash state; pending-store
-    crash semantics of the borrowed device are not meaningful. *)
+    crash semantics of the borrowed device are not meaningful. The
+    device answers [true] to {!is_view}; each call returns a new device,
+    so a cache keyed on the device and its {!content_version} never
+    serves one crash view's content for another. *)
 
 (** {1 Fault injection}
 

@@ -189,15 +189,33 @@ let sync ~src ~dst =
     src.spine;
   dst.backed <- src.backed
 
-(* Does [img] hold a nonzero byte in [pos, pos + n)? Word-wise: chunk
-   starts are 8-aligned, so only a short tail is read byte by byte. *)
+(* Does [img] hold a nonzero byte in [pos, pos + n)? Word-wise, then a
+   short tail byte by byte; no closure. *)
 let nonzero img pos n =
   let word_stop = pos + (n land lnot 7) and stop = pos + n in
-  let rec words i =
-    if i >= word_stop then bytes i
-    else Bytes.get_int64_le img i <> 0L || words (i + 8)
-  and bytes i = i < stop && (Bytes.get img i <> '\000' || bytes (i + 1)) in
-  words pos
+  let i = ref pos in
+  while !i < word_stop && Bytes.get_int64_le img !i = 0L do
+    i := !i + 8
+  done;
+  if !i >= word_stop then
+    while !i < stop && Bytes.get img !i = '\000' do
+      incr i
+    done;
+  !i < stop
+
+(* The same test in place over a buffer range, chunk by chunk; an
+   unbacked chunk is zero. *)
+let range_nonzero t ~off ~len =
+  check t off len;
+  let stop = off + len and pos = ref off and found = ref false in
+  while (not !found) && !pos < stop do
+    let i = !pos land (chunk_bytes - 1) in
+    let n = Int.min (chunk_bytes - i) (stop - !pos) in
+    let c = chunk t (!pos lsr chunk_shift) in
+    found := c != zero_chunk && nonzero c i n;
+    pos := !pos + n
+  done;
+  !found
 
 (* Reload from a dense image of the same size (the [Device.reset] path),
    backing exactly the chunks that hold a nonzero byte. Already-backed

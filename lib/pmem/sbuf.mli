@@ -26,6 +26,10 @@ val get_int32_le : t -> int -> int32
 val sub : t -> off:int -> len:int -> Bytes.t
 (** Fresh dense copy of the range (unbacked gaps read as zero). *)
 
+val range_nonzero : t -> off:int -> len:int -> bool
+(** Does the range hold a nonzero byte? Tested in place, chunk by
+    chunk, with no copy; an unbacked chunk counts as zero. *)
+
 val blit_string : string -> t -> int -> unit
 (** Store the whole string at the given offset, backing chunks as
     needed. *)

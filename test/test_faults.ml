@@ -193,6 +193,53 @@ let test_read_errors_surface_as_eio () =
   Alcotest.(check string) "recovers once faults clear" "qqqq"
     (ok (Sq.read fs "/f" ~off:0 ~len:4))
 
+(* Mount and fsck read metadata only, and metadata reads never draw a
+   transient fault: under read errors a volume that was not unmounted
+   (so mount runs snapshot recovery) mounts on every seed, checks
+   without raising, and serves operations that answer with results. *)
+let test_read_errors_spare_mount_and_fsck () =
+  List.iter
+    (fun csum ->
+      let dev = Device.create ~size:(256 * 1024) () in
+      Sq.Mount.mkfs ~csum dev;
+      let fs = ok (Sq.mount dev) in
+      ok (Sq.create fs "/a");
+      ignore (ok (Sq.write fs "/a" ~off:0 (String.make 5000 'a')) : int);
+      ok (Sq.mkdir fs "/d");
+      let image = Device.image_durable dev in
+      let mounted ~seed ~rate =
+        let d = Device.of_image image in
+        Device.set_fault_plan d (Plan.make ~seed ~read_error_rate:rate ());
+        let what = Printf.sprintf "csum=%b seed %d rate %g" csum seed rate in
+        match Sq.mount d with
+        | exception e -> Alcotest.failf "%s: mount raised %s" what (Printexc.to_string e)
+        | Error e -> Alcotest.failf "%s: mount %s" what (Vfs.Errno.to_string e)
+        | Ok fs -> (
+            match Sq.Fsck.check fs with
+            | exception e -> Alcotest.failf "%s: fsck raised %s" what (Printexc.to_string e)
+            | errs ->
+                Alcotest.(check (list string)) (what ^ ": fsck") [] errs;
+                (what, fs))
+      in
+      for seed = 1 to 30 do
+        let what, fs = mounted ~seed ~rate:0.05 in
+        let step name f =
+          match f () with
+          | exception e -> Alcotest.failf "%s: %s raised %s" what name (Printexc.to_string e)
+          | () -> ()
+        in
+        step "stat" (fun () -> ignore (Sq.stat fs "/a"));
+        step "read" (fun () -> ignore (Sq.read fs "/a" ~off:0 ~len:5000));
+        step "readdir" (fun () -> ignore (Sq.readdir fs "/"));
+        step "create" (fun () -> ignore (Sq.create fs "/b"));
+        step "write" (fun () -> ignore (Sq.write fs "/b" ~off:0 (String.make 300 'b')));
+        step "unlink" (fun () -> ignore (Sq.unlink fs "/a"));
+        step "capture" (fun () ->
+            ignore (Vfs.Logical.capture (module Squirrelfs) fs : Vfs.Logical.t))
+      done;
+      ignore (mounted ~seed:1 ~rate:1.0))
+    [ false; true ]
+
 (* A faulted read models the controller aborting before any data moves:
    no latency charged, no reads/bytes_read counted — only read_faults.
    read_meta never faults and charges in full. Pins the accounting
@@ -447,6 +494,8 @@ let () =
             test_read_errors_surface_as_eio;
           Alcotest.test_case "read-fault accounting" `Quick
             test_read_fault_accounting;
+          Alcotest.test_case "read errors spare mount and fsck" `Quick
+            test_read_errors_spare_mount_and_fsck;
           Alcotest.test_case "root not a directory" `Quick
             test_root_not_a_directory;
         ] );

@@ -530,6 +530,29 @@ let test_pinned_counts () =
         @ [ r.F.r_shrink_runs; r.F.r_divergences ]))
     [ 1; 2 ]
 
+(* {1 Pinned crash images}
+
+   The counts above say how many crash images the fuzzer probes; these
+   fingerprints say which. Each folds the [o_state_sig] of twelve
+   generated sequences run through one pool, so a change that probes
+   other images in the same numbers fails here. *)
+
+let test_pinned_fingerprint seed want () =
+  let pool = F.Exec.Pool.create () in
+  let acc = ref 0L in
+  for i = 0 to 11 do
+    let ops =
+      F.Gen.sequence
+        (Random.State.make [| 0x5EED; seed; i |])
+        { F.Gen.op_budget = 6; buggy_rate = 0. }
+    in
+    let o = F.Exec.run ~device_size:(256 * 1024) ~max_images_per_fence:8 ~pool ops in
+    acc := Int64.add (Int64.mul !acc 31L) o.F.Exec.o_state_sig
+  done;
+  Alcotest.(check string)
+    (Printf.sprintf "seed %d fingerprint" seed)
+    (Printf.sprintf "%#Lx" want) (Printf.sprintf "%#Lx" !acc)
+
 (* {1 Parallel sharding} *)
 
 (* Sharding the seed space across domains is invisible in the merged,
@@ -700,6 +723,12 @@ let () =
             test_fuzzer_with_media_faults;
           Alcotest.test_case "fuzz-smoke and mutant-leg counts pinned" `Quick
             test_pinned_counts;
+          Alcotest.test_case "crash images pinned, seed 1" `Quick
+            (test_pinned_fingerprint 1 0x7f450bc80a75d5d5L);
+          Alcotest.test_case "crash images pinned, seed 2" `Quick
+            (test_pinned_fingerprint 2 0x9006ae2a65e9ca18L);
+          Alcotest.test_case "crash images pinned, seed 3" `Quick
+            (test_pinned_fingerprint 3 0xad1dd7622071f78cL);
         ] );
       ( "parallel",
         [

@@ -999,6 +999,42 @@ let prop_store_read_roundtrip =
       Device.store dev ~off data;
       Bytes.to_string (Device.read dev ~off ~len:(String.length data)) = data)
 
+(* [read_nonzero] bills exactly what [read_meta] bills on the same
+   range and answers whether the range holds a nonzero byte — on
+   unbacked, backed and straddling ranges — and never faults. *)
+let test_read_nonzero_bills_like_read_meta () =
+  let c = Pmem.Sbuf.chunk_bytes in
+  let dev = Device.create ~latency:Pmem.Latency.optane ~size:(4 * c) () in
+  Device.store dev ~off:(c + 100) "x";
+  Device.store dev ~off:((3 * c) + 8) "y";
+  let cost f =
+    let st = Pmem.Stats.copy (Device.stats dev) and t = Device.now_ns dev in
+    let r = f () in
+    let st' = Device.stats dev in
+    ( r,
+      [ st'.Pmem.Stats.reads - st.Pmem.Stats.reads;
+        st'.Pmem.Stats.bytes_read - st.Pmem.Stats.bytes_read;
+        Device.now_ns dev - t ] )
+  in
+  List.iter
+    (fun (what, off, len, want) ->
+      let b, meta = cost (fun () -> Device.read_meta dev ~off ~len) in
+      let nz, bill = cost (fun () -> Device.read_nonzero dev ~off ~len) in
+      Alcotest.(check (list int)) (what ^ ": reads, bytes, ns") meta bill;
+      Alcotest.(check bool) (what ^ ": as read_meta's bytes") (Bytes.exists (( <> ) '\000') b) nz;
+      Alcotest.(check bool) (what ^ ": result") want nz)
+    [
+      ("unbacked", 64, 128, false);
+      ("backed, nonzero", c, 128, true);
+      ("backed, zero", c + 256, 128, false);
+      ("backed then unbacked, zero", (2 * c) - 64, 128, false);
+      ("unbacked then backed, nonzero", (3 * c) - 64, 128, true);
+      ("three chunks", c + 200, 2 * c, true);
+    ];
+  Device.set_fault_plan dev (Faults.Plan.make ~seed:9 ~read_error_rate:1.0 ());
+  Alcotest.(check bool) "no fault at read_error_rate 1.0" true
+    (Device.read_nonzero dev ~off:c ~len:128)
+
 let unit_tests =
   [
     ("store visible", `Quick, test_store_visible);
@@ -1040,6 +1076,7 @@ let unit_tests =
     ("of_spans matches of_image", `Quick, test_of_spans_matches_of_image);
     ("lazily backed at every size", `Quick, test_lazily_backed_at_every_size);
     ("backed spans", `Quick, test_backed_spans);
+    ("read_nonzero bills like read_meta", `Quick, test_read_nonzero_bills_like_read_meta);
     ("range overflow rejected", `Quick, test_range_overflow_rejected);
     ( "sparse zero of untouched space is free",
       `Quick,

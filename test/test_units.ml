@@ -314,6 +314,59 @@ let prop_decoder_matches_readers =
       scribble rng g img n;
       decoder_agrees (Device.of_image img))
 
+(* A borrowed device's decode is remembered until its content changes;
+   a live device's never is. *)
+let test_decode_shared_on_views () =
+  let dev = Device.create ~size:(256 * 1024) () in
+  Squirrelfs.Mount.mkfs dev;
+  let g = (Option.get (R.Superblock.read dev)).R.Superblock.geometry in
+  let s = Device.scratch dev in
+  Device.apply_view s (List.hd (Device.crash_views dev));
+  let d = Device.of_view s in
+  let first = Scan.decode d g in
+  Alcotest.(check bool) "no store between: the same decode" true (Scan.decode d g == first);
+  Device.store_u64 d (G.inode_off g ~ino:5 + R.Inode.f_ino) 5;
+  let after = Scan.decode d g in
+  Alcotest.(check bool) "after a store: a fresh decode" true (after != first);
+  Alcotest.(check (pair bool bool)) "the fresh decode shows the store" (false, true)
+    (Scan.inode_allocated first 5, Scan.inode_allocated after 5);
+  Alcotest.(check bool) "another borrow: a fresh decode" true
+    (Scan.decode (Device.of_view s) g != after);
+  Alcotest.(check bool) "a live device: never shared" true
+    (Scan.decode dev g != Scan.decode dev g)
+
+let prop_window_nonzero =
+  let gen =
+    QCheck.Gen.(
+      int_range 8 256 >>= fun size ->
+      list_size (int_bound 3) (pair (int_bound (size - 1)) (int_range 1 255)) >>= fun sets ->
+      int_bound size >>= fun pos ->
+      int_bound ((size - pos) / 8) >>= fun words -> return (size, sets, pos, 8 * words))
+  in
+  let print (size, sets, pos, len) =
+    Printf.sprintf "size %d, nonzero at [%s], window %d+%d" size
+      (String.concat "; " (List.map (fun (i, c) -> Printf.sprintf "%d=%d" i c) sets))
+      pos len
+  in
+  QCheck.Test.make ~count:1000 ~name:"window_nonzero agrees with a byte loop"
+    (QCheck.make ~print gen)
+    (fun (size, sets, pos, len) ->
+      let buf = Bytes.make size '\000' in
+      List.iter (fun (i, c) -> Bytes.set buf i (Char.chr c)) sets;
+      let want = ref false in
+      for i = pos to pos + len - 1 do
+        if Bytes.get buf i <> '\000' then want := true
+      done;
+      R.window_nonzero buf pos len = !want)
+
+let test_window_nonzero_bounds () =
+  let buf = Bytes.make 64 '\001' in
+  List.iter
+    (fun (what, pos, len) ->
+      Alcotest.check_raises what (Invalid_argument "Layout.Records.window_nonzero")
+        (fun () -> ignore (R.window_nonzero buf pos len : bool)))
+    [ ("past the end", 8, 64); ("negative offset", -8, 8); ("not whole words", 0, 12) ]
+
 let () =
   Alcotest.run "units"
     [
@@ -336,6 +389,9 @@ let () =
           ("dentry roundtrip", `Quick, test_dentry_record_roundtrip);
           ("superblock roundtrip", `Quick, test_superblock_roundtrip);
           QCheck_alcotest.to_alcotest prop_decoder_matches_readers;
+          ("decode shared on views", `Quick, test_decode_shared_on_views);
+          QCheck_alcotest.to_alcotest prop_window_nonzero;
+          ("window_nonzero bounds", `Quick, test_window_nonzero_bounds);
         ] );
       ( "tokens",
         [

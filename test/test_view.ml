@@ -203,6 +203,31 @@ let test_faulty_views_match_faulty_images () =
     (List.map Bytes.to_string imgs)
     (List.map Bytes.to_string via_views)
 
+(* The sampled branch: 3 dirty lines of 4 pending records each are 125
+   crash images, more than the 8 asked for, so the two extremes come
+   first and then distinct samples. Line 1's first record rewrites its
+   durable value, so two of its prefixes denote one image. *)
+let test_sampled_views_distinct () =
+  let dev = Device.create ~size () in
+  Device.store_u64 dev 72 0x5A;
+  Device.persist dev ~off:72 ~len:8;
+  List.iter
+    (fun (off, v) -> Device.store_u64 dev off v)
+    [ (0, 1); (8, 2); (16, 3); (24, 4); (72, 0x5A); (64, 5); (80, 6); (88, 7);
+      (128, 8); (136, 9); (144, 10); (152, 11) ];
+  Alcotest.(check int) "125 crash images" 125 (Device.crash_image_count dev);
+  let views = Device.crash_views ~max_images:8 dev in
+  Alcotest.(check int) "8 views" 8 (List.length views);
+  Alcotest.(check int) "pairwise distinct hashes" 8
+    (List.length (List.sort_uniq compare (List.map (Device.view_hash dev) views)));
+  match views with
+  | durable :: latest :: _ ->
+      Alcotest.(check bool) "first: the durable image" true
+        (Bytes.equal (Device.materialize dev durable) (Device.image_durable dev));
+      Alcotest.(check bool) "second: the all-applied image" true
+        (Bytes.equal (Device.materialize dev latest) (Device.image_latest dev))
+  | _ -> Alcotest.fail "fewer than two views"
+
 let unit_tests =
   [
     ("hash stable across fence", `Quick, test_hash_stable_across_fence);
@@ -210,6 +235,7 @@ let unit_tests =
     ("of_view zero-copy + revert", `Quick, test_of_view_zero_copy_and_revert);
     ("fence resyncs scratch", `Quick, test_fence_resyncs_scratch);
     ("faulty views == faulty images", `Quick, test_faulty_views_match_faulty_images);
+    ("sampled views distinct", `Quick, test_sampled_views_distinct);
   ]
 
 let prop_tests =
