@@ -491,7 +491,8 @@ struct
           | None -> Error Errno.ENOSPC
           | Some b ->
               let off = L.block_off t.lay ~block:b in
-              Device.store_coarse t.dev ~off target;
+              Device.store_coarse t.dev ~off ~pos:0
+                ~len:(String.length target) target;
               Device.zero t.dev
                 ~off:(off + String.length target)
                 ~len:(bs - String.length target);
@@ -718,25 +719,23 @@ struct
                 if hi > lo then
                   Device.store_coarse t.dev
                     ~off:(L.block_off t.lay ~block:b + (lo - bstart))
-                    (String.sub data (lo - off) (hi - lo))
+                    ~pos:(lo - off) ~len:(hi - lo) data
             | None -> (
                 match alloc_raw_block t ~near:!prev_blk with
                 | None -> err := Some Errno.ENOSPC
                 | Some b -> (
                     prev_blk := b;
                     let boff = L.block_off t.lay ~block:b in
-                    let content =
-                      if hi <= lo then ""
-                      else
-                        String.make (lo - bstart) '\000'
-                        ^ String.sub data (lo - off) (hi - lo)
+                    let stored =
+                      if hi <= lo then 0
+                      else begin
+                        Device.store_coarse t.dev ~off:boff ~lead:(lo - bstart)
+                          ~pos:(lo - off) ~len:(hi - lo) data;
+                        hi - bstart
+                      end
                     in
-                    if content <> "" then
-                      Device.store_coarse t.dev ~off:boff content;
-                    if String.length content < bs then
-                      Device.zero t.dev
-                        ~off:(boff + String.length content)
-                        ~len:(bs - String.length content);
+                    if stored < bs then
+                      Device.zero t.dev ~off:(boff + stored) ~len:(bs - stored);
                     match set_block t ~ino ~idx b with
                     | Ok () -> ()
                     | Error e -> err := Some e))

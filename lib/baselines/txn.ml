@@ -72,7 +72,8 @@ let write_payload t =
         ^ u64 (List.length targets)
         ^ String.concat "" (List.map u64 targets)
       in
-      Device.store_coarse t.dev ~off:joff header;
+      Device.store_coarse t.dev ~off:joff ~pos:0 ~len:(String.length header)
+        header;
       Device.charge t.dev t.prof.Profile.journal_io_ns;
       let pos = ref (joff + Blayout.block_size) in
       List.iter
@@ -90,7 +91,8 @@ let write_payload t =
               if hi > lo then
                 Bytes.blit_string data (lo - off) img (lo - boff) (hi - lo))
             (List.rev t.staged);
-          Device.store_coarse t.dev ~off:!pos (Bytes.to_string img);
+          Device.store_coarse t.dev ~off:!pos ~pos:0 ~len:(Bytes.length img)
+            (Bytes.to_string img);
           Device.charge t.dev t.prof.Profile.journal_io_ns;
           if !pos + (2 * Blayout.block_size) > journal_limit t then
             failwith "Txn: journal overflow";
@@ -115,7 +117,8 @@ let write_payload t =
       let payload = Buffer.contents buf in
       if joff + String.length payload + 16 > journal_limit t then
         failwith "Txn: journal overflow";
-      Device.store_coarse t.dev ~off:joff payload;
+      Device.store_coarse t.dev ~off:joff ~pos:0 ~len:(String.length payload)
+        payload;
       joff + ((String.length payload + 7) / 8 * 8)
 
 let commit t =
@@ -183,8 +186,8 @@ let replay dev (lay : Blayout.t) =
                     ~off:(joff + ((1 + i) * Blayout.block_size))
                     ~len:Blayout.block_size
                 in
-                Device.store_coarse dev ~off:(b * Blayout.block_size)
-                  (Bytes.to_string img))
+                Device.store_coarse dev ~off:(b * Blayout.block_size) ~pos:0
+                  ~len:(Bytes.length img) (Bytes.to_string img))
               targets;
             Device.fence dev;
             Device.store_u64 dev Blayout.s_jseq seq;

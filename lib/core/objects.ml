@@ -97,18 +97,28 @@ module Prange = struct
     let rid = Fsctx.range_oid ctx in
     { rid; r_ino = ino; kind; r_pages = pages; tok = Token.mint ctx.reg ~id:rid }
 
-  let fill (ctx : Fsctx.t) h ~contents =
+  let fill (ctx : Fsctx.t) h ~off ~data =
     let tok = Token.use ctx.reg h.tok in
-    List.iteri
-      (fun i (page, file_off) ->
-        let body = contents i in
-        let len = String.length body in
-        if len > Geometry.page_size then
-          invalid_arg "Prange.fill: page content too large";
-        let off = Geometry.page_off ctx.geo ~page in
-        if len > 0 then Device.store_coarse ctx.dev ~off body;
-        if len < Geometry.page_size then
-          Device.zero ctx.dev ~off:(off + len) ~len:(Geometry.page_size - len);
+    let ps = Geometry.page_size in
+    List.iter
+      (fun (page, file_off) ->
+        (* The page holds [data]'s bytes in [lo, hi), stored straight from
+           [data] after explicit zeroes from the page start; [Device.zero]
+           clears the tail. *)
+        let pstart = file_off * ps in
+        let lo = max pstart off
+        and hi = min (pstart + ps) (off + String.length data) in
+        let poff = Geometry.page_off ctx.geo ~page in
+        let stored =
+          if hi <= lo then 0
+          else begin
+            Device.store_coarse ctx.dev ~off:poff ~lead:(lo - pstart)
+              ~pos:(lo - off) ~len:(hi - lo) data;
+            hi - pstart
+          end
+        in
+        if stored < ps then
+          Device.zero ctx.dev ~off:(poff + stored) ~len:(ps - stored);
         let d = Geometry.desc_off ctx.geo ~page in
         Device.store_u64 ctx.dev (d + R.Desc.f_kind) (R.Desc.kind_to_int h.kind);
         Device.store_u64 ctx.dev (d + R.Desc.f_offset) file_off;
@@ -470,7 +480,7 @@ module Dentry = struct
     match Prange.alloc ctx ~ino:dir ~kind:R.Desc.Dirpage ~offsets:[ seq ] with
     | Error e -> Error e
     | Ok r ->
-        let r = Prange.fill ctx r ~contents:(fun _ -> "") in
+        let r = Prange.fill ctx r ~off:0 ~data:"" in
         let r = Prange.fence ctx (Prange.flush ctx r) in
         let r = Prange.set_backptrs ctx r in
         let r = Prange.fence ctx (Prange.flush ctx r) in
@@ -672,7 +682,9 @@ module Preplace = struct
     | Some newp ->
         let rid = Fsctx.range_oid ctx in
         let poff = Geometry.page_off ctx.geo ~page:newp in
-        if content <> "" then Device.store_coarse ctx.dev ~off:poff content;
+        if content <> "" then
+          Device.store_coarse ctx.dev ~off:poff ~pos:0
+            ~len:(String.length content) content;
         if String.length content < Geometry.page_size then
           Device.zero ctx.dev
             ~off:(poff + String.length content)

@@ -66,11 +66,14 @@ module Prange : sig
       pages will belong to [ino] at the given file-page offsets. *)
 
   val fill :
-    Fsctx.t -> (clean, free) t -> contents:(int -> string) -> (dirty, dataful) t
-  (** Write each page's initial contents ([contents i] for the [i]-th page
-      of the range, at most a page; the remainder is zeroed) and the
-      descriptor's kind and offset fields. The descriptor's ino field — the
-      commit point — is {e not} written. *)
+    Fsctx.t -> (clean, free) t -> off:int -> data:string -> (dirty, dataful) t
+  (** Write each page's initial contents and the descriptor's kind and
+      offset fields. A page at file-page offset [o] receives the bytes of
+      [data], written at file byte offset [off], that fall inside
+      [[o * page_size, (o + 1) * page_size)], stored straight from [data]
+      behind explicit zeroes from the page start; the rest of the page is
+      zeroed. [~off:0 ~data:""] zero-fills. The descriptor's ino field —
+      the commit point — is {e not} written. *)
 
   val adopt :
     Fsctx.t ->

@@ -112,7 +112,7 @@ let symlink (ctx : Fsctx.t) ~dir ~name ~target =
               Inode.init_symlink ctx ih ~mode:0o777 ~uid:0 ~gid:0
                 ~target_len:(String.length target)
             in
-            let rng = Prange.fill ctx rng ~contents:(fun _ -> target) in
+            let rng = Prange.fill ctx rng ~off:0 ~data:target in
             let dh = Dentry.set_name ctx dh name in
             let ih = Inode.flush ctx ih in
             let rng = Prange.flush ctx rng in
@@ -421,11 +421,32 @@ exception Media_eio
 
 (* A transient device read error is retried once; a persistent one
    surfaces as a clean [EIO] result, never as an exception. *)
-let read_retry dev ~off ~len =
-  try Device.read dev ~off ~len
+let read_retry dev ~off ~len buf pos =
+  try Device.read_into dev ~off ~len buf pos
   with Device.Media_error _ -> (
-    try Device.read dev ~off ~len
+    try Device.read_into dev ~off ~len buf pos
     with Device.Media_error _ -> raise Media_eio)
+
+(* Assemble [len] file bytes from [off] in one buffer: each owned page
+   ([page_of] the file-page offset, or [None]) is read into place and each
+   hole is zeroed there. The buffer is returned without a copy. *)
+let read_pages (ctx : Fsctx.t) ~page_of ~off ~len =
+  let buf = Bytes.create len in
+  try
+    let pos = ref off in
+    while !pos < off + len do
+      let in_page = !pos mod ps in
+      let chunk = min (ps - in_page) (off + len - !pos) in
+      (match page_of (!pos / ps) with
+      | Some page ->
+          read_retry ctx.dev
+            ~off:(Geometry.page_off ctx.geo ~page + in_page)
+            ~len:chunk buf (!pos - off)
+      | None -> Bytes.fill buf (!pos - off) chunk '\000');
+      pos := !pos + chunk
+    done;
+    Ok (Bytes.unsafe_to_string buf)
+  with Media_eio -> Error Vfs.Errno.EIO
 
 let read (ctx : Fsctx.t) ~ino ~off ~len =
   if off < 0 || len < 0 then Error Vfs.Errno.EINVAL
@@ -434,41 +455,15 @@ let read (ctx : Fsctx.t) ~ino ~off ~len =
     let ih = Inode.get ctx ino in
     let size = Inode.size ctx ih in
     if off >= size then Ok ""
-    else begin
-      let len = min len (size - off) in
-      let buf = Buffer.create len in
-      try
-        let pos = ref off in
-        while !pos < off + len do
-          let page_idx = !pos / ps in
-          let in_page = !pos mod ps in
-          let chunk = min (ps - in_page) (off + len - !pos) in
-          (match Index.file_page ctx.index ~ino ~offset:page_idx with
-          | Some page ->
-              let doff = Geometry.page_off ctx.geo ~page + in_page in
-              Buffer.add_bytes buf (read_retry ctx.dev ~off:doff ~len:chunk)
-          | None -> Buffer.add_string buf (String.make chunk '\000'));
-          pos := !pos + chunk
-        done;
-        Ok (Buffer.contents buf)
-      with Media_eio -> Error Vfs.Errno.EIO
-    end
+    else
+      read_pages ctx ~off ~len:(min len (size - off)) ~page_of:(fun o ->
+          Index.file_page ctx.index ~ino ~offset:o)
   end
 
 let readlink (ctx : Fsctx.t) ~ino =
   match read ctx ~ino ~off:0 ~len:ps with
   | Ok s -> Ok s
   | Error e -> Error e
-
-(* Content of a fresh page at file-page [o] for a write of [data] at
-   [off]: the written slice, preceded by explicit zeroes (the tail is
-   zeroed by [Prange.fill]). *)
-let fresh_page_content ~off ~data o =
-  let pstart = o * ps in
-  let dlen = String.length data in
-  let lo = max pstart off and hi = min (pstart + ps) (off + dlen) in
-  if hi <= lo then ""
-  else String.make (lo - pstart) '\000' ^ String.sub data (lo - off) (hi - lo)
 
 (* Commit a freshly filled range: make the pages durably owned and mint
    the evidence that unlocks the size store. This is the SplitFS-style
@@ -536,8 +531,8 @@ let write (ctx : Fsctx.t) ~ino ~off data =
                 let lo = max pstart off
                 and hi = min (pstart + ps) (off + len) in
                 let doff = Geometry.page_off ctx.geo ~page + (lo - pstart) in
-                Device.store_coarse ctx.dev ~off:doff
-                  (String.sub data (lo - off) (hi - lo))
+                Device.store_coarse ctx.dev ~off:doff ~pos:(lo - off)
+                  ~len:(hi - lo) data
           done;
           (* Fresh pages: fill and commit ({!commit_fresh}). An in-place
              write has no fence before the final inode group (the coarse
@@ -547,12 +542,7 @@ let write (ctx : Fsctx.t) ~ino ~off data =
             match fresh with
             | None -> (None, [])
             | Some rng ->
-                let marr = Array.of_list missing in
-                let rng =
-                  Prange.fill ctx rng
-                    ~contents:(fun i -> fresh_page_content ~off ~data marr.(i))
-                in
-                let rng, ev = commit_fresh ctx rng in
+                let rng, ev = commit_fresh ctx (Prange.fill ctx rng ~off ~data) in
                 (Some ev, Prange.pages rng)
           in
           (* Size/mtime update, fenced last. *)
@@ -633,7 +623,7 @@ let truncate (ctx : Fsctx.t) ~ino new_size =
             match Prange.alloc ctx ~ino ~kind:R.Desc.Data ~offsets:ms with
             | Error e -> (ignore e : unit); (None, []) (* handled below *)
             | Ok rng ->
-                let rng = Prange.fill ctx rng ~contents:(fun _ -> "") in
+                let rng = Prange.fill ctx rng ~off:0 ~data:"" in
                 let rng = Prange.fence ctx (Prange.flush ctx rng) in
                 fenced := true;
                 let rng = Prange.set_backptrs ctx rng in
@@ -709,17 +699,17 @@ let write_atomic (ctx : Fsctx.t) ~ino ~off data =
           | Some old_page ->
               let pstart = o * ps in
               let lo = max pstart off and hi = min (pstart + ps) (off + len) in
-              let old =
-                Bytes.of_string
-                  (Bytes.to_string
-                     (Device.read ctx.dev
-                        ~off:(Geometry.page_off ctx.geo ~page:old_page)
-                        ~len:ps))
+              (* the fresh buffer [Device.read] returns is patched and
+                 handed over as the page's content: nothing else holds it *)
+              let page =
+                Device.read ctx.dev
+                  ~off:(Geometry.page_off ctx.geo ~page:old_page)
+                  ~len:ps
               in
-              Bytes.blit_string data (lo - off) old (lo - pstart) (hi - lo);
+              Bytes.blit_string data (lo - off) page (lo - pstart) (hi - lo);
               (match
                  replace_page ctx ~ino ~offset:o ~old_page
-                   ~content:(Bytes.to_string old)
+                   ~content:(Bytes.unsafe_to_string page)
                with
               | Ok () -> ()
               | Error e -> err := Some e)
@@ -737,12 +727,9 @@ let write_atomic (ctx : Fsctx.t) ~ino ~off data =
                 with
                 | Error _ -> Error Vfs.Errno.ENOSPC
                 | Ok rng ->
-                    let marr = Array.of_list missing in
-                    let rng =
-                      Prange.fill ctx rng ~contents:(fun i ->
-                          fresh_page_content ~off ~data marr.(i))
+                    let rng, ev =
+                      commit_fresh ctx (Prange.fill ctx rng ~off ~data)
                     in
-                    let rng, ev = commit_fresh ctx rng in
                     Ok (Some ev, Prange.pages rng))
           in
           match fresh with
@@ -828,27 +815,10 @@ let read_h (ctx : Fsctx.t) ~tag ~off ~len =
       let ih = Inode.get ctx ino in
       let size = Inode.size ctx ih in
       if off >= size then Ok ""
-      else begin
-        let len = min len (size - off) in
+      else
         let ext = e.Fsctx.oh_extents in
-        let nall = Array.length ext in
-        let buf = Buffer.create len in
-        try
-          let pos = ref off in
-          while !pos < off + len do
-            let page_idx = !pos / ps in
-            let in_page = !pos mod ps in
-            let chunk = min (ps - in_page) (off + len - !pos) in
-            let page = if page_idx < nall then ext.(page_idx) else -1 in
-            (if page >= 0 then
-               let doff = Geometry.page_off ctx.geo ~page + in_page in
-               Buffer.add_bytes buf (read_retry ctx.dev ~off:doff ~len:chunk)
-             else Buffer.add_string buf (String.make chunk '\000'));
-            pos := !pos + chunk
-          done;
-          Ok (Buffer.contents buf)
-        with Media_eio -> Error Vfs.Errno.EIO
-      end
+        read_pages ctx ~off ~len:(min len (size - off)) ~page_of:(fun o ->
+            if o < Array.length ext && ext.(o) >= 0 then Some ext.(o) else None)
     end
 
 let write_h (ctx : Fsctx.t) ~tag ~off data =
@@ -894,8 +864,8 @@ let write_h (ctx : Fsctx.t) ~tag ~off data =
               let pstart = o * ps in
               let lo = max pstart off and hi = min (pstart + ps) (off + len) in
               let doff = Geometry.page_off ctx.geo ~page + (lo - pstart) in
-              Device.store_coarse ctx.dev ~off:doff
-                (String.sub data (lo - off) (hi - lo))
+              Device.store_coarse ctx.dev ~off:doff ~pos:(lo - off)
+                ~len:(hi - lo) data
             end
           done;
           (* Staged append: adopt reserve pages and relink-commit them. *)
@@ -903,14 +873,9 @@ let write_h (ctx : Fsctx.t) ~tag ~off data =
             match missing with
             | [] -> (None, [])
             | _ :: _ ->
-                let marr = Array.of_list missing in
                 let pairs = List.combine fresh missing in
                 let rng = Prange.adopt ctx ~ino ~kind:R.Desc.Data ~pages:pairs in
-                let rng =
-                  Prange.fill ctx rng
-                    ~contents:(fun i -> fresh_page_content ~off ~data marr.(i))
-                in
-                let rng, ev = commit_fresh ctx rng in
+                let rng, ev = commit_fresh ctx (Prange.fill ctx rng ~off ~data) in
                 (Some ev, Prange.pages rng)
           in
           let now = Fsctx.now ctx in

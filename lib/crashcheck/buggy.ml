@@ -115,7 +115,8 @@ let write_append (ctx : Fsctx.t) ~ino data =
   Device.store_u64 dev (ibase + R.Inode.f_size) new_size;
   persist dev ~off:(ibase + R.Inode.f_size) ~len:8;
   (* ...page contents and ownership second *)
-  Device.store_coarse dev ~off:(Geometry.page_off geo ~page) data;
+  Device.store_coarse dev ~off:(Geometry.page_off geo ~page) ~pos:0
+    ~len:(String.length data) data;
   let dsc = Geometry.desc_off geo ~page in
   Device.store_u64 dev (dsc + R.Desc.f_kind) (R.Desc.kind_to_int R.Desc.Data);
   Device.store_u64 dev (dsc + R.Desc.f_offset) offset;

@@ -1,15 +1,94 @@
 let line_size = 64
 let word_size = 8
 
-(* A record is a single store of at most [word_size] bytes that does not
-   cross an 8-byte-aligned boundary, hence crash-atomic. *)
-type record = { off : int; data : string }
+(* A record is one crash-atomic store: [len] bytes at [off], a slice of
+   the caller's string [src] from [pos]. A regular store's records are at
+   most [word_size] bytes and never cross an 8-byte-aligned boundary; a
+   coarse store's are cache-line pieces. The slice is not copied, so the
+   record holds [src] until it drains. *)
+type record = { off : int; src : string; pos : int; len : int }
 
 type line = {
   idx : int;
   mutable pending : record list; (* newest first *)
+  mutable count : int; (* [List.length pending] *)
   mutable flushed : int; (* #oldest pending records covered by clwb *)
+  mutable next : line; (* the next line in its chain of [Lines] *)
 }
+
+(* The dirty-line table: a hash table keyed by line index whose chains
+   run through the lines' own [next] fields, ended by [none]. A lookup
+   is one array load and a walk comparing ints; adding a line allocates
+   nothing but the line. [Hashtbl.Make] over int costs about twice as
+   much per stored line: a bucket cell per entry, calls through the
+   functor's hash and equality, and an exception per miss. *)
+module Lines = struct
+  let rec none = { idx = -1; pending = []; count = 0; flushed = 0; next = none }
+
+  type t = { mutable chains : line array; mutable size : int; initial : int }
+
+  let create n =
+    let rec pow2 k = if k >= n then k else pow2 (2 * k) in
+    let n = pow2 16 in
+    { chains = Array.make n none; size = 0; initial = n }
+
+  let length t = t.size
+  let rec walk idx l = if l == none || l.idx = idx then l else walk idx l.next
+
+  (* The line at [idx], or [none]. *)
+  let find t idx = walk idx t.chains.(idx land (Array.length t.chains - 1))
+
+  (* [f] may relink the line it is given. *)
+  let iter_chains f chains =
+    let rec chain l =
+      if l != none then begin
+        let next = l.next in
+        f l;
+        chain next
+      end
+    in
+    Array.iter chain chains
+
+  let iter f t = iter_chains f t.chains
+
+  let fold f t acc =
+    let acc = ref acc in
+    iter (fun l -> acc := f l !acc) t;
+    !acc
+
+  let link chains l =
+    let i = l.idx land (Array.length chains - 1) in
+    l.next <- chains.(i);
+    chains.(i) <- l
+
+  (* [l] must not be in the table. Chains stay short: the array doubles
+     once there are more than two lines per chain. *)
+  let add t l =
+    link t.chains l;
+    t.size <- t.size + 1;
+    if t.size > 2 * Array.length t.chains then begin
+      let old = t.chains in
+      t.chains <- Array.make (2 * Array.length old) none;
+      iter_chains (link t.chains) old
+    end
+
+  let rec unlink l p =
+    if p == none then invalid_arg "Pmem.Device: line not in the table"
+    else if p.next == l then p.next <- l.next
+    else unlink l p.next
+
+  (* [l] must be in the table. *)
+  let remove t l =
+    let i = l.idx land (Array.length t.chains - 1) in
+    if t.chains.(i) == l then t.chains.(i) <- l.next else unlink l t.chains.(i);
+    t.size <- t.size - 1
+
+  (* Empty the table, shrinking it back to its initial size. *)
+  let reset t =
+    if Array.length t.chains > t.initial then t.chains <- Array.make t.initial none
+    else Array.fill t.chains 0 (Array.length t.chains) none;
+    t.size <- 0
+end
 
 exception Media_error of { off : int; len : int }
 
@@ -46,7 +125,7 @@ type t = {
   size : int;
   latest : Sbuf.t;
   durable : Sbuf.t;
-  lines : (int, line) Hashtbl.t; (* dirty lines only *)
+  lines : Lines.t; (* dirty lines only *)
   mutable drain : line list;
       (* the lines [fence] will drain: each line with [flushed > 0], once *)
   latency : Latency.t;
@@ -100,7 +179,7 @@ let assemble ~latency ~lines ~taint latest durable =
     size = Sbuf.length latest;
     latest;
     durable;
-    lines = Hashtbl.create lines;
+    lines = Lines.create lines;
     drain = [];
     latency;
     stats = Stats.create ();
@@ -141,7 +220,9 @@ let of_image ?(latency = Latency.zero) image =
    omit all-zero spans; including one merely backs chunks needlessly. *)
 let of_spans ?(latency = Latency.zero) ~size spans =
   let durable = Sbuf.create ~size in
-  List.iter (fun (off, s) -> Sbuf.blit_string s durable off) spans;
+  List.iter
+    (fun (off, s) -> Sbuf.blit_string s ~pos:0 ~len:(String.length s) durable off)
+    spans;
   assemble ~latency ~lines:256 ~taint:None (Sbuf.copy durable) durable
 
 let size t = t.size
@@ -469,11 +550,20 @@ let bill_read t ~off ~len =
    transaction before any data (or time) moves, so it neither charges
    latency nor counts in [reads]/[bytes_read]; only [read_faults] is
    incremented (inside [maybe_read_fault]). *)
-let read t ~off ~len =
+let read_into t ~off ~len buf pos =
   check_range t off len;
+  if pos < 0 || len > Bytes.length buf - pos then
+    invalid_arg "Pmem.Device.read_into: buffer range";
   maybe_read_fault t ~off ~len;
   bill_read t ~off ~len;
-  Sbuf.sub t.latest ~off ~len
+  Sbuf.blit_to_bytes t.latest ~off ~len buf pos
+
+(* The range is checked before the buffer is sized from it. *)
+let read t ~off ~len =
+  check_range t off len;
+  let buf = Bytes.create len in
+  read_into t ~off ~len buf 0;
+  buf
 
 (* Metadata read path used by the checksum layer: same cost and
    accounting model as a successful [read], but transient read faults are
@@ -536,34 +626,40 @@ let peek_u64 t off =
 
 (* {1 Stores} *)
 
-let get_line t idx =
-  match Hashtbl.find_opt t.lines idx with
-  | Some l -> l
-  | None ->
-      let l = { idx; pending = []; flushed = 0 } in
-      Hashtbl.replace t.lines idx l;
-      l
-
-let add_record t ~cost_ns off data =
-  Sbuf.blit_string data t.latest off;
+(* Log a record whose bytes the caller has already written to [latest]
+   (one copy per store call, not per record). One lookup per record:
+   the line's entry, added if the line was clean. Returns the line. *)
+let add_record t ~cost_ns off src pos len =
   t.version <- t.version + 1;
-  let l = get_line t (off / line_size) in
-  l.pending <- { off; data } :: l.pending;
-  taint_line t (off / line_size);
+  let idx = off / line_size in
+  let l =
+    let l = Lines.find t.lines idx in
+    if l != Lines.none then l
+    else begin
+      let l = { idx; pending = []; count = 0; flushed = 0; next = Lines.none } in
+      Lines.add t.lines l;
+      l
+    end
+  in
+  l.pending <- { off; src; pos; len } :: l.pending;
+  l.count <- l.count + 1;
+  taint_line t idx;
   t.stats.stores <- t.stats.stores + 1;
-  t.stats.bytes_stored <- t.stats.bytes_stored + String.length data;
-  charge t cost_ns
+  t.stats.bytes_stored <- t.stats.bytes_stored + len;
+  charge t cost_ns;
+  l
 
 (* Split [data] into records that never cross an 8-byte-aligned boundary. *)
 let store_aux t ~cost_ns ~off data =
   check_range t off (String.length data);
   let len = String.length data in
+  Sbuf.blit_string data ~pos:0 ~len t.latest off;
   let pos = ref 0 in
   while !pos < len do
     let abs = off + !pos in
     let room_in_word = word_size - (abs mod word_size) in
     let chunk = Int.min room_in_word (len - !pos) in
-    add_record t ~cost_ns abs (String.sub data !pos chunk);
+    ignore (add_record t ~cost_ns abs data !pos chunk : line);
     pos := !pos + chunk
   done
 
@@ -572,53 +668,98 @@ let store t ~off data =
   count t "pm.stores";
   store_aux t ~cost_ns:t.latency.store_ns ~off data
 
+(* [clwb] of one dirty line: all its pending records are now flushed.
+   A line in the table always has pending records, so this is the one
+   place [flushed] goes from 0 to positive. *)
+let mark_flushed t l =
+  if l.flushed = 0 then t.drain <- l :: t.drain;
+  l.flushed <- l.count
+
+(* The event, counters and bill of a flush of a nonempty range that
+   marked [n] lines. Nothing is charged while a flush marks, so the
+   event carries the time the flush began. *)
+let end_flush t ~off ~len n =
+  emit t (Obs.Event.Flush { off; len });
+  count t "pm.flushes";
+  t.stats.flushes <- t.stats.flushes + n;
+  charge t (n * t.latency.flush_ns)
+
 let flush t ~off ~len =
   check_range t off len;
   if len > 0 then begin
-    emit t (Obs.Event.Flush { off; len });
-    count t "pm.flushes";
     let first = off / line_size and last = (off + len - 1) / line_size in
+    let n = ref 0 in
     let mark l =
-      (* a line in the table always has pending records, so this is the
-         one place [flushed] goes from 0 to positive *)
-      if l.flushed = 0 then t.drain <- l :: t.drain;
-      l.flushed <- List.length l.pending;
-      t.stats.flushes <- t.stats.flushes + 1;
-      charge t t.latency.flush_ns
+      mark_flushed t l;
+      incr n
     in
     (* For huge ranges over a mostly-clean table (large truncate/mkfs
        zeroing), walk the dirty-line table instead of every index in the
        range; per-line effects are independent and commutative, so the
        two walks are observably identical. *)
-    if last - first + 1 > 4 * (Hashtbl.length t.lines + 1) then
-      Hashtbl.iter
-        (fun idx l -> if idx >= first && idx <= last then mark l)
-        t.lines
+    if last - first + 1 > 4 * (Lines.length t.lines + 1) then
+      Lines.iter (fun l -> if l.idx >= first && l.idx <= last then mark l) t.lines
     else
       for idx = first to last do
-        match Hashtbl.find_opt t.lines idx with
-        | None -> ()
-        | Some l -> mark l
-      done
+        let l = Lines.find t.lines idx in
+        if l != Lines.none then mark l
+      done;
+    end_flush t ~off ~len !n
   end
 
-(* Bulk store with cache-line-sized records: used only for zeroing freshly
-   allocated or deallocated regions, where intra-line tearing of uniform
-   content is acceptable. Keeps the pending-store log small. *)
-let store_coarse t ~off data =
-  check_range t off (String.length data);
-  emit t (Obs.Event.Store { off; data; nt = true; coarse = true });
+(* Shared zero-content record payloads: [zero] and a coarse store's
+   leading zeroes never materialize their range, only line-sized (or
+   smaller) slices of this string. *)
+let zeros_line = String.make line_size '\000'
+
+(* Bulk store with cache-line-sized records: [lead] zero bytes, then the
+   [len] bytes of [src] from [pos]. The records are the ones a store of
+   the concatenated string would make, one per line piece: pieces in the
+   zeroes slice [zeros_line], pieces in the data slice [src], and only
+   the one piece that mixes them is built. The slice reaches [latest] in
+   one copy, the zeroes piece by piece. The flush that follows needs no
+   lookups: the dirty lines in the range are exactly the lines just
+   given a record, one each, so each is marked as it is stored. *)
+let store_coarse t ~off ?(lead = 0) ~pos ~len src =
+  if lead < 0 || pos < 0 || len < 0 || len > String.length src - pos then
+    invalid_arg "Pmem.Device.store_coarse: source range";
+  let total = lead + len in
+  check_range t off total;
+  (match t.tracer with
+  | None -> ()
+  | Some r ->
+      let data =
+        if lead = 0 && pos = 0 && len = String.length src then src
+        else String.make lead '\000' ^ String.sub src pos len
+      in
+      Obs.Recorder.emit r ~ts:t.now_ns
+        (Obs.Event.Store { off; data; nt = true; coarse = true }));
   count t "pm.stores";
-  let len = String.length data in
-  let pos = ref 0 in
-  while !pos < len do
-    let abs = off + !pos in
-    let room = line_size - (abs mod line_size) in
-    let chunk = Int.min room (len - !pos) in
-    add_record t ~cost_ns:t.latency.nt_store_ns abs (String.sub data !pos chunk);
-    pos := !pos + chunk
+  let cost_ns = t.latency.nt_store_ns in
+  Sbuf.blit_string src ~pos ~len t.latest (off + lead);
+  let k = ref 0 and n = ref 0 in
+  while !k < total do
+    let abs = off + !k in
+    let c = Int.min (line_size - (abs mod line_size)) (total - !k) in
+    let l =
+      if !k >= lead then add_record t ~cost_ns abs src (pos + !k - lead) c
+      else if !k + c <= lead then begin
+        Sbuf.blit_string zeros_line ~pos:0 ~len:c t.latest abs;
+        add_record t ~cost_ns abs zeros_line 0 c
+      end
+      else begin
+        let z = lead - !k in
+        let b = Bytes.make c '\000' in
+        Bytes.blit_string src pos b z (c - z);
+        Sbuf.blit_string zeros_line ~pos:0 ~len:z t.latest abs;
+        add_record t ~cost_ns abs (Bytes.unsafe_to_string b) 0 c
+      end
+    in
+    mark_flushed t l;
+    incr n;
+    k := !k + c
   done;
-  flush t ~off ~len
+  if total > 0 then end_flush t ~off ~len:total !n
 
 let store_nt t ~off data =
   emit t (Obs.Event.Store { off; data; nt = true; coarse = false });
@@ -626,21 +767,18 @@ let store_nt t ~off data =
   store_aux t ~cost_ns:t.latency.nt_store_ns ~off data;
   flush t ~off ~len:(String.length data)
 
+(* The word buffer is handed over uncopied: nothing else holds it. *)
 let store_u64 t off v =
   if off mod 8 <> 0 then invalid_arg "Pmem.Device.store_u64: unaligned";
   let b = Bytes.create 8 in
   Bytes.set_int64_le b 0 (Int64.of_int v);
-  store t ~off (Bytes.to_string b)
+  store t ~off (Bytes.unsafe_to_string b)
 
 let store_u32 t off v =
   if off mod 4 <> 0 then invalid_arg "Pmem.Device.store_u32: unaligned";
   let b = Bytes.create 4 in
   Bytes.set_int32_le b 0 (Int32.of_int v);
-  store t ~off (Bytes.to_string b)
-
-(* Shared zero-content record payloads: [zero] below never materializes
-   the full range, only line-sized (or smaller) views of this string. *)
-let zeros_line = String.make line_size '\000'
+  store t ~off (Bytes.unsafe_to_string b)
 
 (* Zero a range. Equivalent to [store_coarse] of an all-zero string —
    same records, stats, charges, events — but O(touched lines) in
@@ -648,7 +786,8 @@ let zeros_line = String.make line_size '\000'
    built a [String.make len] up front, a multi-MB spike for a large
    truncate). Chunks unbacked in both images are provably zero with no
    in-flight stores, so their lines need no records at all and the
-   range skips them wholesale. *)
+   range skips them wholesale; as in [store_coarse], every line the
+   range leaves dirty was just given its record, and is marked then. *)
 let zero t ~off ~len =
   check_range t off len;
   if len > 0 then begin
@@ -660,7 +799,7 @@ let zero t ~off ~len =
              { off; data = String.make len '\000'; nt = true; coarse = true }));
     count t "pm.stores";
     let stop = off + len in
-    let pos = ref off in
+    let pos = ref off and n = ref 0 in
     while !pos < stop do
       let chunk_end =
         Int.min stop (((!pos / Sbuf.chunk_bytes) + 1) * Sbuf.chunk_bytes)
@@ -671,12 +810,14 @@ let zero t ~off ~len =
         while !pos < chunk_end do
           let room = line_size - (!pos mod line_size) in
           let c = Int.min room (chunk_end - !pos) in
-          add_record t ~cost_ns:t.latency.nt_store_ns !pos
-            (if c = line_size then zeros_line else String.sub zeros_line 0 c);
+          Sbuf.blit_string zeros_line ~pos:0 ~len:c t.latest !pos;
+          mark_flushed t
+            (add_record t ~cost_ns:t.latency.nt_store_ns !pos zeros_line 0 c);
+          incr n;
           pos := !pos + c
         done
     done;
-    flush t ~off ~len
+    end_flush t ~off ~len !n
   end
 
 (* {1 Scratch maintenance}
@@ -734,7 +875,7 @@ let scratch_forget s =
 
 (* {1 Fence} *)
 
-let apply_record durable { off; data } = Sbuf.blit_string data durable off
+let apply_record buf { off; src; pos; len } = Sbuf.blit_string src ~pos ~len buf off
 
 let fence t =
   emit t Obs.Event.Fence;
@@ -750,28 +891,43 @@ let fence t =
      [retained_save], the ECC entry and the scratch restore are per line
      and independent, and the content hash is an xor. In shared mode the
      list is touched only under the device lock that wraps [flush] and
-     [fence]. *)
+     [fence].
+
+     A line whose every pending record is flushed drains by copying it
+     from [latest]. That is exact because [latest] always equals
+     [durable] with every pending record applied: each store writes
+     [latest] and appends its record, a drain applies a prefix of a
+     line's records to [durable], and [flip_bit] and [reset] change both
+     images alike. When the images alias ([of_view]) the copy is a
+     no-op. *)
   let drain = t.drain in
   t.drain <- [];
   List.iter
     (fun l ->
       let idx = l.idx in
-      (* Apply the oldest [l.flushed] records to the durable image; the
-         rest stay pending ([l.pending] is newest-first). *)
       retained_save t idx;
-      let oldest_first = List.rev l.pending in
-      let rec take n = function
-        | r :: rest when n > 0 ->
-            apply_record t.durable r;
-            take (n - 1) rest
-        | rest -> rest
-      in
-      let remaining_oldest_first = take l.flushed oldest_first in
-      l.pending <- List.rev remaining_oldest_first;
+      if l.flushed = l.count then begin
+        if t.latest != t.durable then begin
+          let off, len = line_span t idx in
+          Sbuf.blit ~src:t.latest ~src_off:off ~dst:t.durable ~dst_off:off ~len
+        end;
+        Lines.remove t.lines l
+      end
+      else begin
+        (* Apply the oldest [l.flushed] records to the durable image; the
+           rest stay pending ([l.pending] is newest-first). *)
+        let rec take n = function
+          | r :: rest when n > 0 ->
+              apply_record t.durable r;
+              take (n - 1) rest
+          | rest -> rest
+        in
+        l.pending <- List.rev (take l.flushed (List.rev l.pending));
+        l.count <- l.count - l.flushed
+      end;
       l.flushed <- 0;
       if Array.length t.ecc > 0 then t.ecc.(idx) <- ecc_of_line t idx;
-      refresh_line_hash t idx;
-      if l.pending = [] then Hashtbl.remove t.lines idx)
+      refresh_line_hash t idx)
     drain;
   let drained = List.length drain in
   if drained > 0 then begin
@@ -800,8 +956,8 @@ let persist t ~off ~len =
 
 (* {1 Crash views} *)
 
-let is_quiescent t = Hashtbl.length t.lines = 0
-let pending_line_count t = Hashtbl.length t.lines
+let is_quiescent t = Lines.length t.lines = 0
+let pending_line_count t = Lines.length t.lines
 
 let image_durable t = Sbuf.to_bytes t.durable
 let image_latest t = Sbuf.to_bytes t.latest
@@ -810,7 +966,7 @@ let image_latest t = Sbuf.to_bytes t.latest
    index so enumeration — and therefore sampled-image RNG consumption —
    is stable by construction, independent of hash-table history. *)
 let dirty_line_assoc t =
-  Hashtbl.fold (fun idx l acc -> (idx, List.rev l.pending) :: acc) t.lines []
+  Lines.fold (fun l acc -> (l.idx, List.rev l.pending) :: acc) t.lines []
   |> List.sort (fun (a, _) (b, _) -> compare (a : int) b)
 
 let dirty_lines t = List.map snd (dirty_line_assoc t)
@@ -855,10 +1011,7 @@ let patched_line_contents t v =
     (fun (idx, recs) ->
       let off, len = line_span t idx in
       let b = Sbuf.sub t.durable ~off ~len in
-      List.iter
-        (fun r ->
-          Bytes.blit_string r.data 0 b (r.off - off) (String.length r.data))
-        recs;
+      List.iter (fun r -> Bytes.blit_string r.src r.pos b (r.off - off) r.len) recs;
       (idx, b))
     (group_by_line v.v_recs)
 
@@ -879,7 +1032,7 @@ let prefix_digests t lines =
          let d = Array.make (List.length recs + 1) 0L in
          List.iteri
            (fun k r ->
-             Bytes.blit_string r.data 0 b (r.off - off) (String.length r.data);
+             Bytes.blit_string r.src r.pos b (r.off - off) r.len;
              if not (Bytes.equal b base) then d.(k + 1) <- hash_line_content idx b)
            recs;
          d)
@@ -1014,14 +1167,7 @@ let crash_views_faulty ?(max_images = 16) t =
                               ignore
                                 (Faults.State.record st Faults.Trace.Torn_line
                                    ~off:r.off ~bit:0);
-                              [
-                                {
-                                  r with
-                                  data =
-                                    String.sub r.data 0
-                                      (String.length r.data / 2);
-                                };
-                              ]
+                              [ { r with len = r.len / 2 } ]
                           | _ -> []
                         in
                         go 0 recs
@@ -1032,9 +1178,7 @@ let crash_views_faulty ?(max_images = 16) t =
 
 let materialize t (v : view) =
   let img = Sbuf.to_bytes t.durable in
-  List.iter
-    (fun r -> Bytes.blit_string r.data 0 img r.off (String.length r.data))
-    v.v_recs;
+  List.iter (fun r -> Bytes.blit_string r.src r.pos img r.off r.len) v.v_recs;
   img
 
 (* {1 Scratch API} *)
@@ -1068,7 +1212,7 @@ let apply_view s (v : view) =
     (fun r ->
       let idx = r.off / line_size in
       if not (List.mem idx s.s_patched) then s.s_patched <- idx :: s.s_patched;
-      Sbuf.blit_string r.data s.s_buf r.off)
+      apply_record s.s_buf r)
     v.v_recs
 
 let revert_view s =
@@ -1140,7 +1284,9 @@ let view_of_retained t r =
   {
     v_recs =
       List.map
-        (fun (idx, b) -> { off = idx * line_size; data = Bytes.to_string b })
+        (fun (idx, b) ->
+          let src = Bytes.to_string b in
+          { off = idx * line_size; src; pos = 0; len = String.length src })
         (retained_saved r);
   }
 
@@ -1192,7 +1338,7 @@ let reset ?hash t ~image =
     invalid_arg "Pmem.Device.reset: image size mismatch";
   Sbuf.load_bytes t.durable image;
   Sbuf.sync ~src:t.durable ~dst:t.latest;
-  Hashtbl.reset t.lines;
+  Lines.reset t.lines;
   t.drain <- [];
   Stats.reset t.stats;
   t.now_ns <- 0;
@@ -1301,12 +1447,15 @@ let store t ~off data = with_lock t (fun () -> store t ~off data)
 let store_u64 t off v = with_lock t (fun () -> store_u64 t off v)
 let store_u32 t off v = with_lock t (fun () -> store_u32 t off v)
 let store_nt t ~off data = with_lock t (fun () -> store_nt t ~off data)
-let store_coarse t ~off data = with_lock t (fun () -> store_coarse t ~off data)
+let store_coarse t ~off ?lead ~pos ~len src =
+  with_lock t (fun () -> store_coarse t ~off ?lead ~pos ~len src)
 let zero t ~off ~len = with_lock t (fun () -> zero t ~off ~len)
 let flush t ~off ~len = with_lock t (fun () -> flush t ~off ~len)
 let fence t = with_lock t (fun () -> fence t)
 let persist t ~off ~len = with_lock t (fun () -> persist t ~off ~len)
 let charge t ns = with_lock t (fun () -> charge t ns)
+let read_into t ~off ~len buf pos =
+  with_lock t (fun () -> read_into t ~off ~len buf pos)
 let read t ~off ~len = with_lock t (fun () -> read t ~off ~len)
 let read_meta t ~off ~len = with_lock t (fun () -> read_meta t ~off ~len)
 let read_nonzero t ~off ~len = with_lock t (fun () -> read_nonzero t ~off ~len)

@@ -19,7 +19,14 @@
     The device also keeps a simulated clock: every store, flush, fence and
     read advances it per the {!Latency} model, and file systems charge
     their own software overhead with [charge]. Benchmarks report simulated
-    time, which makes results deterministic and machine-independent. *)
+    time, which makes results deterministic and machine-independent.
+
+    {b Pending records are slices.} A store does not copy its payload into
+    the pending-store log: each pending record names a slice of the
+    string the caller passed, and holds that string until the record
+    drains at a fence. Callers must therefore never mutate a string
+    after storing it, for instance through a [Bytes.unsafe_to_string]
+    alias of a buffer they keep writing. *)
 
 type t
 
@@ -103,14 +110,22 @@ val charge : t -> int -> unit
 (** {1 Access} *)
 
 val read : t -> off:int -> len:int -> Bytes.t
-(** Read the CPU-visible (latest) contents. Under an active fault plan
-    with a non-zero read-error rate this call may raise {!Media_error}.
+(** Read the CPU-visible (latest) contents into a fresh buffer: {!read_into}
+    on a new [Bytes.t] of [len] bytes. *)
+
+val read_into : t -> off:int -> len:int -> Bytes.t -> int -> unit
+(** [read_into t ~off ~len buf pos] reads the CPU-visible (latest)
+    contents of the range into [buf] from [pos], so a caller assembling
+    several ranges copies each byte once. Under an active fault plan with
+    a non-zero read-error rate this call may raise {!Media_error}, and
+    then [buf] is untouched.
 
     Fault accounting: a faulted read models the controller aborting the
     transaction {e before any data moves}, so it charges no latency and
     does not count in [stats.reads]/[bytes_read]; only
     [stats.read_faults] is incremented. A successful read (including
-    every {!read_meta}) charges and counts in full. *)
+    every {!read_meta}) charges and counts in full. Raises
+    [Invalid_argument] if the range lies outside the device or [buf]. *)
 
 val read_meta : t -> off:int -> len:int -> Bytes.t
 (** Like {!read} (same cost and accounting model for the successful
@@ -165,11 +180,21 @@ val store_nt : t -> off:int -> string -> unit
 (** Non-temporal store: bypasses the cache (modelled as store + flush of
     the covered lines); still requires a fence for durability. *)
 
-val store_coarse : t -> off:int -> string -> unit
-(** Bulk store split at cache-line rather than 8-byte granularity, and
-    flushed immediately (non-temporal). Only for zeroing/bulk-initializing
-    regions whose intermediate crash states are uniform; keeps the pending
-    log small. Still requires a fence for durability. *)
+val store_coarse :
+  t -> off:int -> ?lead:int -> pos:int -> len:int -> string -> unit
+(** [store_coarse t ~off ?lead ~pos ~len src] stores [lead] (default 0)
+    zero bytes followed by the [len] bytes of [src] from [pos], at [off].
+    A bulk store split at cache-line rather than 8-byte granularity, and
+    flushed immediately (non-temporal); still requires a fence for
+    durability. For data pages and bulk-initialized regions, where a torn
+    line is acceptable; keeps the pending log small.
+
+    The records are exactly those a store of the concatenated string
+    would make, one per line piece, but only the piece that mixes the
+    leading zeroes with data is built: the others are slices of [src] or
+    of a shared zero line. The trace's [Store] event carries the
+    concatenated bytes. Raises [Invalid_argument] if the slice lies
+    outside [src] or the range outside the device. *)
 
 val zero : t -> off:int -> len:int -> unit
 (** Coarse-store zeroes over the range (flushed, not fenced). *)

@@ -121,30 +121,37 @@ let get_int32_le t off =
     !v
   end
 
-(* Copy out [len] bytes as fresh [Bytes.t]; unbacked gaps copy from the
-   zero sentinel. *)
-let sub t ~off ~len =
+(* Copy [len] bytes out into [dst] at [dst_pos]; unbacked gaps copy from
+   the zero sentinel. *)
+let blit_to_bytes t ~off ~len dst dst_pos =
   check t off len;
-  let out = Bytes.create len in
+  if dst_pos < 0 || len > Bytes.length dst - dst_pos then
+    invalid_arg "Pmem.Sbuf.blit_to_bytes: destination range";
   let pos = ref off in
   while !pos < off + len do
     let i = !pos land (chunk_bytes - 1) in
     let n = Int.min (chunk_bytes - i) (off + len - !pos) in
-    Bytes.blit (chunk t (!pos lsr chunk_shift)) i out (!pos - off) n;
+    Bytes.blit (chunk t (!pos lsr chunk_shift)) i dst (dst_pos + !pos - off) n;
     pos := !pos + n
-  done;
+  done
+
+let sub t ~off ~len =
+  check t off len;
+  let out = Bytes.create len in
+  blit_to_bytes t ~off ~len out 0;
   out
 
-let blit_string data t off =
-  let len = String.length data in
+let blit_string src ~pos ~len t off =
   check t off len;
-  let pos = ref 0 in
-  while !pos < len do
-    let abs = off + !pos in
+  if pos < 0 || len > String.length src - pos then
+    invalid_arg "Pmem.Sbuf.blit_string: source range";
+  let k = ref 0 in
+  while !k < len do
+    let abs = off + !k in
     let i = abs land (chunk_bytes - 1) in
-    let n = Int.min (chunk_bytes - i) (len - !pos) in
-    Bytes.blit_string data !pos (chunk_rw t (abs lsr chunk_shift)) i n;
-    pos := !pos + n
+    let n = Int.min (chunk_bytes - i) (len - !k) in
+    Bytes.blit_string src (pos + !k) (chunk_rw t (abs lsr chunk_shift)) i n;
+    k := !k + n
   done
 
 (* Buffer-to-buffer copy. Where [src] is unbacked the destination range

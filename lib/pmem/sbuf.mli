@@ -26,13 +26,17 @@ val get_int32_le : t -> int -> int32
 val sub : t -> off:int -> len:int -> Bytes.t
 (** Fresh dense copy of the range (unbacked gaps read as zero). *)
 
+val blit_to_bytes : t -> off:int -> len:int -> Bytes.t -> int -> unit
+(** [blit_to_bytes t ~off ~len dst pos] copies the range into [dst] from
+    [pos], as {!sub} would have returned it. *)
+
 val range_nonzero : t -> off:int -> len:int -> bool
 (** Does the range hold a nonzero byte? Tested in place, chunk by
     chunk, with no copy; an unbacked chunk counts as zero. *)
 
-val blit_string : string -> t -> int -> unit
-(** Store the whole string at the given offset, backing chunks as
-    needed. *)
+val blit_string : string -> pos:int -> len:int -> t -> int -> unit
+(** [blit_string src ~pos ~len t off] stores the [len] bytes of [src]
+    from [pos] at [off], backing chunks as needed. *)
 
 val blit : src:t -> src_off:int -> dst:t -> dst_off:int -> len:int -> unit
 (** Buffer-to-buffer copy between distinct buffers; where [src] is

@@ -153,27 +153,30 @@ let run (cfg : cfg) : report =
   if jobs > 1 then Device.set_shared dev true;
   let sim0 = Device.now_ns dev in
   let wall0 = Unix.gettimeofday () in
-  let cursor = Atomic.make 0 in
-  let worker () =
+  (* Worker [i] runs client [i] first and then claims the rest one at a
+     time, so every worker gets a client even when the others would
+     drain the cursor before the OS first schedules it. One worker runs
+     the clients in order. *)
+  let cursor = Atomic.make jobs in
+  let worker i () =
     let acc = fresh_acc () in
-    let rec loop () =
-      let c = Atomic.fetch_and_add cursor 1 in
+    let rec loop c =
       if c < cfg.clients then begin
         run_session eng acc
           (Session.create scfg ~id:c)
           ~batch:cfg.batch ~ops:cfg.ops_per_client;
-        loop ()
+        loop (Atomic.fetch_and_add cursor 1)
       end
     in
-    loop ();
+    loop i;
     acc
   in
   let accs =
-    if jobs = 1 then [ worker () ]
+    if jobs = 1 then [ worker 0 () ]
     else
       Array.to_list
         (Array.map Domain.join
-           (Array.init jobs (fun _ -> Domain.spawn worker)))
+           (Array.init jobs (fun i -> Domain.spawn (worker i))))
   in
   let wall_s = Unix.gettimeofday () -. wall0 in
   Device.set_shared dev false;

@@ -161,7 +161,9 @@ module Make (F : Vfs.Fs.S) = struct
   let commit t =
     List.iter
       (fun (page, node) ->
-        Device.store_coarse t.dev ~off:(page_addr t page) (encode node))
+        let page_img = encode node in
+        Device.store_coarse t.dev ~off:(page_addr t page) ~pos:0
+          ~len:(String.length page_img) page_img)
       (List.rev t.dirty);
     t.dirty <- [];
     Device.fence t.dev;
@@ -169,7 +171,8 @@ module Make (F : Vfs.Fs.S) = struct
       u64 0x4C4D4442 ^ u64 t.txn_id ^ u64 t.root ^ u64 t.next_page
       ^ String.make 32 '\000'
     in
-    Device.store_coarse t.dev ~off:(page_addr t 0) meta;
+    Device.store_coarse t.dev ~off:(page_addr t 0) ~pos:0
+      ~len:(String.length meta) meta;
     Device.fence t.dev;
     ok (F.fsync t.fs t.path);
     t.txn_id <- t.txn_id + 1;

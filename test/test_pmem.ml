@@ -769,7 +769,7 @@ let prop_sbuf_matches_bytes_model =
               Bytes.set imgs.(w) o c;
               back w o 1
           | S_blit_string (w, o, s) ->
-              Sbuf.blit_string s bufs.(w) o;
+              Sbuf.blit_string s ~pos:0 ~len:(String.length s) bufs.(w) o;
               Bytes.blit_string s 0 imgs.(w) o (String.length s);
               back w o (String.length s)
           | S_get (w, o) ->
@@ -820,16 +820,24 @@ let prop_sbuf_matches_bytes_model =
    in plain arrays and drains by scanning all of them, so any line the
    device's queue misses or repeats shows up as a divergence in the
    durable image, the content hash, the counters or the crash-state
-   count. *)
+   count. It also replays every pending record onto its durable image
+   to get the visible image, which the device's line-copy drain relies
+   on, and enumerates the crash images record by record. *)
 
 type dop =
   | D_store of int * string
+  | D_coarse of int * int * string * int * int
+      (* off, leading zeroes, and a slice (src, pos, len) of a longer
+         string *)
   | D_flush of int * int
   | D_zero of int * int
   | D_fence
 
 let pp_dop = function
   | D_store (off, s) -> Printf.sprintf "store %d [%d]" off (String.length s)
+  | D_coarse (off, lead, src, pos, len) ->
+      Printf.sprintf "coarse %d lead %d [%d] %d+%d" off lead (String.length src)
+        pos len
   | D_flush (off, len) -> Printf.sprintf "flush %d+%d" off len
   | D_zero (off, len) -> Printf.sprintf "zero %d+%d" off len
   | D_fence -> "fence"
@@ -877,6 +885,53 @@ let model_flush m off len =
         m.m_stats.flushes <- m.m_stats.flushes + 1
       end
     done
+
+(* the leading zeroes and the slice as one string, split at line
+   boundaries, then a flush *)
+let model_coarse m off lead src pos len =
+  let data = String.make lead '\000' ^ String.sub src pos len in
+  let total = String.length data in
+  let k = ref 0 in
+  while !k < total do
+    let c = min (Device.line_size - ((off + !k) mod Device.line_size)) (total - !k) in
+    model_record m (off + !k) (String.sub data !k c);
+    k := !k + c
+  done;
+  model_flush m off total
+
+(* the durable image with the first [ks idx] pending records of every
+   line [idx] applied *)
+let model_apply m ks =
+  let img = Bytes.copy m.m_durable in
+  Array.iteri
+    (fun idx p ->
+      List.iteri
+        (fun i (off, data) ->
+          if i < ks idx then Bytes.blit_string data 0 img off (String.length data))
+        p)
+    m.m_pending;
+  img
+
+let model_latest m = model_apply m (fun idx -> List.length m.m_pending.(idx))
+
+(* every crash image, one per vector of per-line record prefixes *)
+let model_crash_image_list m =
+  let dirty =
+    List.filter (fun idx -> m.m_pending.(idx) <> [])
+      (List.init (Array.length m.m_pending) Fun.id)
+  in
+  let ks = Array.make (Array.length m.m_pending) 0 in
+  let rec go acc = function
+    | [] -> Bytes.to_string (model_apply m (Array.get ks)) :: acc
+    | idx :: rest ->
+        List.fold_left
+          (fun acc k ->
+            ks.(idx) <- k;
+            go acc rest)
+          acc
+          (List.init (List.length m.m_pending.(idx) + 1) Fun.id)
+  in
+  go [] dirty
 
 (* line-sized zero records, none in a chunk no record ever touched (it
    is durably zero with nothing in flight), then a flush *)
@@ -933,6 +988,26 @@ let dop_gen ~size =
           (fun o s -> D_store (o, s))
           off
           (string_size ~gen:(char_range 'a' 'z') (1 -- 16)) );
+      ( 2,
+        frequency [ (2, return 0); (1, 0 -- 100) ] >>= fun lead ->
+        frequency
+          [
+            ( 4,
+              string_size ~gen:(char_range 'a' 'z') (1 -- 200) >>= fun src ->
+              0 -- String.length src >>= fun pos ->
+              0 -- (String.length src - pos) >>= fun len -> return (src, pos, len) );
+            (* now and then a slice over most of the device: on 64 KiB it
+               leaves more lines dirty than the line table's initial 256
+               chains hold two to a chain, so the table grows *)
+            ( 1,
+              string_size ~gen:(char_range 'a' 'z') ((size * 5 / 8) -- (size - 200))
+              >>= fun src ->
+              0 -- 64 >>= fun pos -> return (src, pos, String.length src - pos) );
+          ]
+        >>= fun (src, pos, len) ->
+        let room = size - lead - len in
+        frequency [ (3, int_bound (min 511 room)); (1, int_bound room) ]
+        >>= fun o -> return (D_coarse (o, lead, src, pos, len)) );
       (3, map2 (fun o n -> D_flush (o, n)) off (1 -- 256));
       (1, map2 (fun o n -> D_zero (o, n)) off (1 -- 300));
       (2, return D_fence);
@@ -946,7 +1021,7 @@ let prop_drain_matches_model =
          Printf.sprintf "%d B: %s" size
            (String.concat "; " (List.map pp_dop ops)))
        QCheck.Gen.(
-         oneofl [ 2048; 16384 ] >>= fun size ->
+         oneofl [ 2048; 16384; 65536 ] >>= fun size ->
          map (fun ops -> (size, ops)) (list_size (1 -- 60) (dop_gen ~size))))
     (fun (size, ops) ->
       let dev = Device.create ~size () in
@@ -969,7 +1044,15 @@ let prop_drain_matches_model =
           (Device.crash_image_count dev = model_crash_images m);
         expect "quiescence"
           (Device.is_quiescent dev
-          = Array.for_all (fun p -> p = []) m.m_pending)
+          = Array.for_all (fun p -> p = []) m.m_pending);
+        expect "visible image" (Bytes.equal (Device.image_latest dev) (model_latest m));
+        if Device.crash_image_count dev <= 64 then
+          expect "crash images"
+            (List.sort compare
+               (List.map
+                  (fun v -> Bytes.to_string (Device.materialize dev v))
+                  (Device.crash_views dev))
+            = List.sort compare (model_crash_image_list m))
       in
       List.iteri
         (fun i op ->
@@ -977,6 +1060,9 @@ let prop_drain_matches_model =
           | D_store (off, data) ->
               Device.store dev ~off data;
               model_store m off data
+          | D_coarse (off, lead, src, pos, len) ->
+              Device.store_coarse dev ~off ~lead ~pos ~len src;
+              model_coarse m off lead src pos len
           | D_flush (off, len) ->
               Device.flush dev ~off ~len;
               model_flush m off len
