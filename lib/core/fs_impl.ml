@@ -59,20 +59,17 @@ let observed (ctx : Fsctx.t) name f =
           | None -> ())
         f
 
-(* Quarantined objects (metadata corrupt, degraded mount) surface as a
-   clean [EIO] at resolution time, never as an exception. *)
-let quarantined (ctx : Fsctx.t) ino =
-  Faults.Quarantine.mem_ino ctx.Fsctx.quar ino
-
 (* Walk directory components. Symlinks are not followed (SquirrelFS's VFS
-   layer would resolve them above the file system). *)
+   layer would resolve them above the file system). Quarantined objects
+   (metadata corrupt, degraded mount) surface as a clean [EIO] at
+   resolution time, never as an exception. *)
 let rec walk_dir (ctx : Fsctx.t) dir = function
   | [] -> Ok dir
   | c :: rest -> (
       match Index.lookup ctx.index ~dir c with
       | None -> Error Errno.ENOENT
       | Some (ino, _) ->
-          if quarantined ctx ino then Error Errno.EIO
+          if Ops.quarantined ctx ino then Error Errno.EIO
           else if Index.is_dir ctx.index ino then walk_dir ctx ino rest
           else Error Errno.ENOTDIR)
 
@@ -88,7 +85,7 @@ let resolve_any (ctx : Fsctx.t) path =
         | None -> Error Errno.ENOENT
         | Some (ino, _) -> Ok ino)
   in
-  if quarantined ctx ino then Error Errno.EIO else Ok ino
+  if Ops.quarantined ctx ino then Error Errno.EIO else Ok ino
 
 (* Parent directory + final name, with the parent fully resolved. The
    walk vets every component but its start, so a quarantined root is
@@ -97,7 +94,7 @@ let resolve_parent (ctx : Fsctx.t) path =
   let* parents, name = Vfs.Path.parent_base path in
   charge_op ctx (parents @ [ name ]);
   let* dir = walk_dir ctx Geometry.root_ino parents in
-  if quarantined ctx dir then Error Errno.EIO else Ok (dir, name)
+  if Ops.quarantined ctx dir then Error Errno.EIO else Ok (dir, name)
 
 (* Inode numbers on the path from the root to the parent of [path]
    (inclusive): used for the rename-into-own-subtree check. *)
@@ -109,7 +106,7 @@ let parent_chain (ctx : Fsctx.t) path =
         match Index.lookup ctx.index ~dir c with
         | None -> Error Errno.ENOENT
         | Some (ino, _) ->
-            if quarantined ctx ino then Error Errno.EIO
+            if Ops.quarantined ctx ino then Error Errno.EIO
             else if Index.is_dir ctx.index ino then go ino (dir :: acc) rest
             else Error Errno.ENOTDIR)
   in
@@ -158,7 +155,7 @@ let unlink (ctx : t) path =
   match Index.lookup ctx.index ~dir name with
   | None -> Error Errno.ENOENT
   | Some (ino, _) ->
-      if quarantined ctx ino then Error Errno.EIO
+      if Ops.quarantined ctx ino then Error Errno.EIO
       else if Index.is_dir ctx.index ino then Error Errno.EISDIR
       else Ops.unlink ctx ~dir ~name
 
@@ -171,7 +168,7 @@ let rmdir (ctx : t) path =
     match Index.lookup ctx.index ~dir:parent name with
     | None -> Error Errno.ENOENT
     | Some (ino, _) ->
-        if quarantined ctx ino then Error Errno.EIO
+        if Ops.quarantined ctx ino then Error Errno.EIO
         else if not (Index.is_dir ctx.index ino) then Error Errno.ENOTDIR
         else Ops.rmdir ctx ~parent ~name
 
@@ -180,7 +177,7 @@ let rename (ctx : t) src dst =
   let* src_dir, src_name = resolve_parent ctx src in
   match Index.lookup ctx.index ~dir:src_dir src_name with
   | None -> Error Errno.ENOENT
-  | Some (sino, _) when quarantined ctx sino -> Error Errno.EIO
+  | Some (sino, _) when Ops.quarantined ctx sino -> Error Errno.EIO
   | Some (sino, _) -> (
       let* dst_dir, dst_name = resolve_parent ctx dst in
       let src_is_dir = Index.is_dir ctx.index sino in
@@ -193,7 +190,7 @@ let rename (ctx : t) src dst =
       in
       match Index.lookup ctx.index ~dir:dst_dir dst_name with
       | Some (dino, _) when dino = sino -> Ok () (* same file: no-op *)
-      | Some (dino, _) when quarantined ctx dino -> Error Errno.EIO
+      | Some (dino, _) when Ops.quarantined ctx dino -> Error Errno.EIO
       | Some (dino, _) ->
           let dst_is_dir = Index.is_dir ctx.index dino in
           if src_is_dir && not dst_is_dir then Error Errno.ENOTDIR
@@ -218,29 +215,29 @@ let kind_of (ctx : t) ino =
 
 (* Data-plane calls address regular files only: a symlink cannot be
    opened for I/O (the VFS would have followed it). *)
+let resolve_file (ctx : t) path =
+  match resolve_any ctx path with
+  | Error _ as e -> e
+  | Ok ino as file -> (
+      match kind_of ctx ino with
+      | R.Kind.File -> file
+      | R.Kind.Dir -> Error Errno.EISDIR
+      | R.Kind.Symlink -> Error Errno.EINVAL)
+
 let write (ctx : t) path ~off data =
   observed ctx "write" @@ fun () ->
-  let* ino = resolve_any ctx path in
-  match kind_of ctx ino with
-  | R.Kind.Dir -> Error Errno.EISDIR
-  | R.Kind.Symlink -> Error Errno.EINVAL
-  | R.Kind.File -> Ops.write ctx ~ino ~off data
+  let* ino = resolve_file ctx path in
+  Ops.write ctx ~ino ~off data
 
 let read (ctx : t) path ~off ~len =
   observed ctx "read" @@ fun () ->
-  let* ino = resolve_any ctx path in
-  match kind_of ctx ino with
-  | R.Kind.Dir -> Error Errno.EISDIR
-  | R.Kind.Symlink -> Error Errno.EINVAL
-  | R.Kind.File -> Ops.read ctx ~ino ~off ~len
+  let* ino = resolve_file ctx path in
+  Ops.read ctx ~ino ~off ~len
 
 let truncate (ctx : t) path len =
   observed ctx "truncate" @@ fun () ->
-  let* ino = resolve_any ctx path in
-  match kind_of ctx ino with
-  | R.Kind.Dir -> Error Errno.EISDIR
-  | R.Kind.Symlink -> Error Errno.EINVAL
-  | R.Kind.File -> Ops.truncate ctx ~ino len
+  let* ino = resolve_file ctx path in
+  Ops.truncate ctx ~ino len
 
 let readlink (ctx : t) path =
   observed ctx "readlink" @@ fun () ->
@@ -313,11 +310,8 @@ let tmpfile (ctx : t) tag =
 
 let open_file (ctx : t) tag path =
   observed ctx "open" @@ fun () ->
-  let* ino = resolve_any ctx path in
-  match kind_of ctx ino with
-  | R.Kind.Dir -> Error Errno.EISDIR
-  | R.Kind.Symlink -> Error Errno.EINVAL
-  | R.Kind.File -> Fsctx.oft_open ctx tag ino
+  let* ino = resolve_file ctx path in
+  Fsctx.oft_open ctx tag ino
 
 let close_file (ctx : t) tag =
   observed ctx "close" @@ fun () ->

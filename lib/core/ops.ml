@@ -417,6 +417,11 @@ let page_units size = (size + ps - 1) / ps
    {!Mount}) fail cleanly with [EIO] instead of trusting its records. *)
 let quarantined (ctx : Fsctx.t) ino = Faults.Quarantine.mem_ino ctx.quar ino
 
+(* File-page lookups: the index, or an open handle's extent snapshot. *)
+let index_page (ctx : Fsctx.t) ~ino o = Index.file_page ctx.index ~ino ~offset:o
+let extent_page ext o =
+  if o < Array.length ext && ext.(o) >= 0 then Some ext.(o) else None
+
 exception Media_eio
 
 (* A transient device read error is retried once; a persistent one
@@ -456,14 +461,32 @@ let read (ctx : Fsctx.t) ~ino ~off ~len =
     let size = Inode.size ctx ih in
     if off >= size then Ok ""
     else
-      read_pages ctx ~off ~len:(min len (size - off)) ~page_of:(fun o ->
-          Index.file_page ctx.index ~ino ~offset:o)
+      read_pages ctx ~off ~len:(min len (size - off))
+        ~page_of:(index_page ctx ~ino)
   end
 
-let readlink (ctx : Fsctx.t) ~ino =
-  match read ctx ~ino ~off:0 ~len:ps with
-  | Ok s -> Ok s
-  | Error e -> Error e
+let readlink (ctx : Fsctx.t) ~ino = read ctx ~ino ~off:0 ~len:ps
+
+(* File-page offsets in [from, upto] that [page_of] finds no page for,
+   ascending. *)
+let missing_pages ~page_of ~from ~upto =
+  let missing = ref [] in
+  for o = upto downto from do
+    if page_of o = None then missing := o :: !missing
+  done;
+  !missing
+
+(* Zero the stale bytes a shrink may have left past the size: those of
+   the page holding byte [size], from [size] up to [upto]. *)
+let zero_stale_tail (ctx : Fsctx.t) ~page_of ~size ~upto =
+  if size mod ps <> 0 then
+    match page_of (size / ps) with
+    | None -> ()
+    | Some page ->
+        let in_page = size mod ps in
+        Device.zero ctx.dev
+          ~off:(Geometry.page_off ctx.geo ~page + in_page)
+          ~len:(min (ps - in_page) (upto - size))
 
 (* Commit a freshly filled range: make the pages durably owned and mint
    the evidence that unlocks the size store. This is the SplitFS-style
@@ -473,178 +496,6 @@ let commit_fresh (ctx : Fsctx.t) rng =
   let rng = Prange.relink ctx rng in
   let rng = Prange.fence ctx (Prange.flush ctx rng) in
   Prange.owned_evidence ctx rng
-
-let write (ctx : Fsctx.t) ~ino ~off data =
-  span ctx "core.write" @@ fun () ->
-  if off < 0 then Error Vfs.Errno.EINVAL
-  else if quarantined ctx ino then Error Vfs.Errno.EIO
-  else if String.length data = 0 then Ok 0
-  else begin
-    let len = String.length data in
-    let ih = Inode.get ctx ino in
-    let cur_size = Inode.size ctx ih in
-    let new_size = max cur_size (off + len) in
-    (* Page offsets the new size requires but the file does not yet own:
-       only the write range and the gap above the current size can be
-       missing (everything below the size is owned by invariant). *)
-    let first = off / ps and last = (off + len - 1) / ps in
-    let scan_from = min first (page_units cur_size) in
-    let missing = ref [] in
-    for o = last downto scan_from do
-      if Index.file_page ctx.index ~ino ~offset:o = None then
-        missing := o :: !missing
-    done;
-    let missing = !missing in
-    if List.length missing > Alloc.free_page_count ctx.alloc then
-      Error Vfs.Errno.ENOSPC
-    else
-      (* Take the fresh pages before the first store: another domain may
-         allocate between the count above and this call, and losing that
-         race must leave the volume untouched. *)
-      let fresh =
-        match missing with
-        | [] -> Ok None
-        | _ :: _ ->
-            Result.map Option.some
-              (Prange.alloc ctx ~ino ~kind:R.Desc.Data ~offsets:missing)
-      in
-      match fresh with
-      | Error _ -> Error Vfs.Errno.ENOSPC
-      | Ok fresh ->
-          (* Zero the stale tail of the old boundary page when writing past
-             the current size (a shrink may have left stale bytes there). *)
-          (if off > cur_size then
-             match Index.file_page ctx.index ~ino ~offset:(cur_size / ps) with
-             | Some page when cur_size mod ps <> 0 ->
-                 let in_page = cur_size mod ps in
-                 let zlen = min (ps - in_page) (off - cur_size) in
-                 Device.zero ctx.dev
-                   ~off:(Geometry.page_off ctx.geo ~page + in_page)
-                   ~len:zlen
-             | Some _ | None -> ());
-          (* In-place writes to already-owned pages. *)
-          for o = first to last do
-            match Index.file_page ctx.index ~ino ~offset:o with
-            | None -> ()
-            | Some page ->
-                let pstart = o * ps in
-                let lo = max pstart off
-                and hi = min (pstart + ps) (off + len) in
-                let doff = Geometry.page_off ctx.geo ~page + (lo - pstart) in
-                Device.store_coarse ctx.dev ~off:doff ~pos:(lo - off)
-                  ~len:(hi - lo) data
-          done;
-          (* Fresh pages: fill and commit ({!commit_fresh}). An in-place
-             write has no fence before the final inode group (the coarse
-             data stores drain there) and an extending write has exactly
-             one. *)
-          let owned_ev, new_pages =
-            match fresh with
-            | None -> (None, [])
-            | Some rng ->
-                let rng, ev = commit_fresh ctx (Prange.fill ctx rng ~off ~data) in
-                (Some ev, Prange.pages rng)
-          in
-          (* Size/mtime update, fenced last. *)
-          let now = Fsctx.now ctx in
-          let ih =
-            if new_size > cur_size || owned_ev <> None then
-              Inode.set_size ctx ih ~size:new_size ~mtime:now
-                ~owned:owned_ev ()
-            else Inode.set_times ctx ih ~mtime:now ()
-          in
-          let _ih : (_, _) Inode.t = Inode.fence ctx (Inode.flush ctx ih) in
-          List.iter
-            (fun (page, o) ->
-              Index.add_file_page ctx.index ~ino ~offset:o page)
-            new_pages;
-          Ok len
-  end
-
-let truncate (ctx : Fsctx.t) ~ino new_size =
-  span ctx "core.truncate" @@ fun () ->
-  if new_size < 0 then Error Vfs.Errno.EINVAL
-  else if quarantined ctx ino then Error Vfs.Errno.EIO
-  else begin
-    let ih = Inode.get ctx ino in
-    let cur_size = Inode.size ctx ih in
-    let now = Fsctx.now ctx in
-    if new_size = cur_size then begin
-      let ih = Inode.set_times ctx ih ~mtime:now () in
-      let _ih : (_, _) Inode.t = Inode.fence ctx (Inode.flush ctx ih) in
-      Ok ()
-    end
-    else if new_size < cur_size then begin
-      (* Shrink: size first (visible), then reclaim dropped pages. *)
-      let ih = Inode.set_size ctx ih ~size:new_size ~mtime:now ~owned:None () in
-      let _ih : (_, _) Inode.t = Inode.fence ctx (Inode.flush ctx ih) in
-      let keep = page_units new_size in
-      let dropped =
-        List.filter (fun (o, _) -> o >= keep) (Index.file_pages ctx.index ~ino)
-      in
-      (match dropped with
-      | [] -> ()
-      | _ :: _ ->
-          let pl = List.map (fun (o, p) -> (p, o)) dropped in
-          let rng = Prange.get_owned ctx ~ino ~pages:pl in
-          let rng = Prange.clear_backptrs ctx rng in
-          let rng = Prange.fence ctx (Prange.flush ctx rng) in
-          let rng = Prange.dealloc ctx rng in
-          let rng = Prange.fence ctx (Prange.flush ctx rng) in
-          ignore (Prange.freed_evidence ctx rng : Objects.range_freed_ev);
-          List.iter
-            (fun (o, p) ->
-              Index.remove_file_page ctx.index ~ino ~offset:o;
-              Alloc.free_page ctx.alloc p)
-            dropped);
-      Ok ()
-    end
-    else begin
-      (* Grow: zero the stale tail of the current boundary page, allocate
-         zero pages for the new range, then publish the size. *)
-      let fenced = ref false in
-      (match Index.file_page ctx.index ~ino ~offset:(cur_size / ps) with
-      | Some page when cur_size mod ps <> 0 ->
-          let in_page = cur_size mod ps in
-          let zlen = min (ps - in_page) (new_size - cur_size) in
-          Device.zero ctx.dev
-            ~off:(Geometry.page_off ctx.geo ~page + in_page)
-            ~len:zlen
-      | Some _ | None -> ());
-      let missing = ref [] in
-      for o = page_units new_size - 1 downto page_units cur_size do
-        if Index.file_page ctx.index ~ino ~offset:o = None then
-          missing := o :: !missing
-      done;
-      let owned_ev, new_pages =
-        match !missing with
-        | [] -> (None, [])
-        | ms -> (
-            match Prange.alloc ctx ~ino ~kind:R.Desc.Data ~offsets:ms with
-            | Error e -> (ignore e : unit); (None, []) (* handled below *)
-            | Ok rng ->
-                let rng = Prange.fill ctx rng ~off:0 ~data:"" in
-                let rng = Prange.fence ctx (Prange.flush ctx rng) in
-                fenced := true;
-                let rng = Prange.set_backptrs ctx rng in
-                let rng = Prange.fence ctx (Prange.flush ctx rng) in
-                let rng, ev = Prange.owned_evidence ctx rng in
-                (Some ev, Prange.pages rng))
-      in
-      if !missing <> [] && owned_ev = None then Error Vfs.Errno.ENOSPC
-      else begin
-        if not !fenced then Fsctx.fence ctx;
-        let ih =
-          Inode.set_size ctx ih ~size:new_size ~mtime:now ~owned:owned_ev ()
-        in
-        let _ih : (_, _) Inode.t = Inode.fence ctx (Inode.flush ctx ih) in
-        List.iter
-          (fun (page, o) -> Index.add_file_page ctx.index ~ino ~offset:o page)
-          new_pages;
-        Ok ()
-      end
-    end
-  end
 
 module Preplace = Objects.Preplace
 
@@ -668,101 +519,9 @@ let replace_page (ctx : Fsctx.t) ~ino ~offset ~old_page ~content =
       Alloc.free_page ctx.alloc (Preplace.old_page h);
       Ok ()
 
-let write_atomic (ctx : Fsctx.t) ~ino ~off data =
-  if off < 0 then Error Vfs.Errno.EINVAL
-  else if quarantined ctx ino then Error Vfs.Errno.EIO
-  else if String.length data = 0 then Ok 0
-  else begin
-    let len = String.length data in
-    let ih = Inode.get ctx ino in
-    let cur_size = Inode.size ctx ih in
-    let new_size = max cur_size (off + len) in
-    let first = off / ps and last = (off + len - 1) / ps in
-    let scan_from = min first (page_units cur_size) in
-    let missing = ref [] in
-    for o = last downto scan_from do
-      if Index.file_page ctx.index ~ino ~offset:o = None then
-        missing := o :: !missing
-    done;
-    let missing = !missing in
-    (* each existing page needs one replacement page too *)
-    let existing = first - scan_from + (last - first + 1) - List.length missing in
-    if List.length missing + existing > Alloc.free_page_count ctx.alloc then
-      Error Vfs.Errno.ENOSPC
-    else begin
-      (* COW-replace every existing page the write touches *)
-      let err = ref None in
-      for o = first to last do
-        if !err = None then
-          match Index.file_page ctx.index ~ino ~offset:o with
-          | None -> ()
-          | Some old_page ->
-              let pstart = o * ps in
-              let lo = max pstart off and hi = min (pstart + ps) (off + len) in
-              (* the fresh buffer [Device.read] returns is patched and
-                 handed over as the page's content: nothing else holds it *)
-              let page =
-                Device.read ctx.dev
-                  ~off:(Geometry.page_off ctx.geo ~page:old_page)
-                  ~len:ps
-              in
-              Bytes.blit_string data (lo - off) page (lo - pstart) (hi - lo);
-              (match
-                 replace_page ctx ~ino ~offset:o ~old_page
-                   ~content:(Bytes.unsafe_to_string page)
-               with
-              | Ok () -> ()
-              | Error e -> err := Some e)
-      done;
-      match !err with
-      | Some e -> Error e
-      | None ->
-          (* fresh pages (gap + extension): invisible until committed *)
-          let fresh =
-            match missing with
-            | [] -> Ok (None, [])
-            | _ :: _ -> (
-                match
-                  Prange.alloc ctx ~ino ~kind:R.Desc.Data ~offsets:missing
-                with
-                | Error _ -> Error Vfs.Errno.ENOSPC
-                | Ok rng ->
-                    let rng, ev =
-                      commit_fresh ctx (Prange.fill ctx rng ~off ~data)
-                    in
-                    Ok (Some ev, Prange.pages rng))
-          in
-          match fresh with
-          | Error e -> Error e
-          | Ok (owned_ev, new_pages) ->
-              let now = Fsctx.now ctx in
-              let ih =
-                if new_size > cur_size || owned_ev <> None then
-                  Inode.set_size ctx ih ~size:new_size ~mtime:now
-                    ~owned:owned_ev ()
-                else Inode.set_times ctx ih ~mtime:now ()
-              in
-              let _ih : (_, _) Inode.t = Inode.fence ctx (Inode.flush ctx ih) in
-              List.iter
-                (fun (page, o) ->
-                  Index.add_file_page ctx.index ~ino ~offset:o page)
-                new_pages;
-              Ok len
-    end
-  end
-
-(* {1 Split data path (open handles)}
-
-   The SplitFS-style fast path: an open handle carries a dense extent
-   snapshot ({!Fsctx.oft_entry}), so reads and writes do straight device
-   copies with no path resolution and no per-page index queries, and
-   appends land in the handle's pre-allocated staging reserve and commit
-   via the relink group. The snapshot is kept coherent by the index's
-   per-ino version counter; the staging reserve is volatile (descriptors
-   zero), so a crash simply returns it through the allocator rebuild. *)
-
-(* Allocator cost charged when the reserve has to be topped up (same
-   constant {!Prange.alloc} charges); steady-state appends skip it. *)
+(* Allocator cost charged when an open handle's staging reserve has to
+   be topped up (same constant {!Prange.alloc} charges); steady-state
+   appends skip it. *)
 let stage_alloc_ns = 150
 let reserve_batch = 8
 
@@ -805,6 +564,238 @@ let stage_pages (ctx : Fsctx.t) (e : Fsctx.oft_entry) n =
     end
   end
 
+(* Where a write's fresh pages come from: the volatile allocator, or an
+   open handle's staging reserve. *)
+type fresh = Allocator | Reserve of Fsctx.oft_entry
+
+(* How a write overwrites a page the file already owns: with coarse
+   stores in place, or by a copy-on-write {!replace_page}, which makes
+   that page's update crash-atomic. *)
+type overwrite = In_place | Cow
+
+(* Take the fresh pages for the file-page offsets [missing], or fail
+   with ENOSPC having taken none. From the allocator, [spare] more pages
+   must be free as well, for the COW replacements that follow. *)
+let take_fresh (ctx : Fsctx.t) ~ino ~fresh ~spare missing =
+  match fresh with
+  | Reserve e -> (
+      match stage_pages ctx e (List.length missing) with
+      | None -> Error Vfs.Errno.ENOSPC
+      | Some [] -> Ok None
+      | Some pages ->
+          let pages = List.combine pages missing in
+          Ok (Some (Prange.adopt ctx ~ino ~kind:R.Desc.Data ~pages)))
+  | Allocator
+    when List.length missing + spare > Alloc.free_page_count ctx.alloc ->
+      Error Vfs.Errno.ENOSPC
+  | Allocator -> (
+      match missing with
+      | [] -> Ok None
+      | _ :: _ -> (
+          (* another domain may allocate between the count and this
+             call: losing that race must store nothing *)
+          match Prange.alloc ctx ~ino ~kind:R.Desc.Data ~offsets:missing with
+          | Ok rng -> Ok (Some rng)
+          | Error _ -> Error Vfs.Errno.ENOSPC))
+
+(* Overwrite the owned file page [o], at [page], with the bytes of a
+   write of [data] at [off] that fall in it. A COW buffer also zeroes the
+   stale bytes between [size] and the write, when [o] holds both. *)
+let overwrite_page (ctx : Fsctx.t) ~ino ~overwrite ~size ~off data o page =
+  let pstart = o * ps in
+  let lo = max pstart off and hi = min (pstart + ps) (off + String.length data) in
+  match overwrite with
+  | In_place ->
+      Device.store_coarse ctx.dev
+        ~off:(Geometry.page_off ctx.geo ~page + (lo - pstart))
+        ~pos:(lo - off) ~len:(hi - lo) data;
+      Ok ()
+  | Cow ->
+      (* the fresh buffer [Device.read] returns is patched and handed
+         over as the page's content: nothing else holds it *)
+      let buf =
+        Device.read ctx.dev ~off:(Geometry.page_off ctx.geo ~page) ~len:ps
+      in
+      if pstart <= size && size < lo then
+        Bytes.fill buf (size - pstart) (lo - size) '\000';
+      Bytes.blit_string data (lo - off) buf (lo - pstart) (hi - lo);
+      replace_page ctx ~ino ~offset:o ~old_page:page
+        ~content:(Bytes.unsafe_to_string buf)
+
+(* The one write body behind [write], [write_atomic] and [write_h]
+   ([page_of] finds a page the file owns):
+   - take every fresh page the write needs before the first store, so
+     an ENOSPC leaves the volume untouched;
+   - zero the old boundary page's stale bytes between the size and a
+     write past EOF;
+   - overwrite the owned pages;
+   - fill the fresh pages and commit them in one relink group
+     ({!commit_fresh});
+   - publish the size, gated on the ownership evidence, in the final
+     inode group.
+   The coarse data stores drain in that last group, so an in-place
+   write issues one fence and an extending write two. *)
+let write_pages (ctx : Fsctx.t) ~ino ~page_of ~fresh ~overwrite ~off data =
+  if quarantined ctx ino then Error Vfs.Errno.EIO
+  else if String.length data = 0 then Ok 0
+  else
+    let len = String.length data in
+    let ih = Inode.get ctx ino in
+    let cur_size = Inode.size ctx ih in
+    let first = off / ps and last = (off + len - 1) / ps in
+    (* Only the write range and the gap above the size can lack pages:
+       everything below the size is owned by invariant. *)
+    let scan_from = min first (page_units cur_size) in
+    let missing = missing_pages ~page_of ~from:scan_from ~upto:last in
+    (* a COW overwrite takes one replacement page per owned page *)
+    let spare =
+      match overwrite with
+      | In_place -> 0
+      | Cow -> last - scan_from + 1 - List.length missing
+    in
+    match take_fresh ctx ~ino ~fresh ~spare missing with
+    | Error e -> Error e
+    | Ok rng -> (
+        (* The stale tail is zeroed in place, or, when a COW overwrite
+           replaces the boundary page, in the replacement's buffer. *)
+        if off > cur_size && not (overwrite = Cow && cur_size / ps = first)
+        then zero_stale_tail ctx ~page_of ~size:cur_size ~upto:off;
+        let overwritten = ref (Ok ()) in
+        for o = first to last do
+          match page_of o with
+          | Some page when Result.is_ok !overwritten ->
+              overwritten :=
+                overwrite_page ctx ~ino ~overwrite ~size:cur_size ~off data o page
+          | Some _ | None -> ()
+        done;
+        match !overwritten with
+        | Error e ->
+            (* only a COW replacement fails (an ENOSPC race lost to
+               another domain); the fresh pages hold no stores yet *)
+            let pages = match rng with Some r -> Prange.pages r | None -> [] in
+            List.iter (fun (p, _) -> Alloc.free_page ctx.alloc p) pages;
+            Error e
+        | Ok () ->
+            let owned_ev, new_pages =
+              match rng with
+              | None -> (None, [])
+              | Some r ->
+                  let r, ev = commit_fresh ctx (Prange.fill ctx r ~off ~data) in
+                  (Some ev, Prange.pages r)
+            in
+            let new_size = max cur_size (off + len) in
+            let now = Fsctx.now ctx in
+            let ih =
+              if new_size > cur_size || owned_ev <> None then
+                Inode.set_size ctx ih ~size:new_size ~mtime:now ~owned:owned_ev ()
+              else Inode.set_times ctx ih ~mtime:now ()
+            in
+            let _ih : (_, _) Inode.t = Inode.fence ctx (Inode.flush ctx ih) in
+            List.iter
+              (fun (page, o) -> Index.add_file_page ctx.index ~ino ~offset:o page)
+              new_pages;
+            (match fresh with
+            | Reserve e when new_pages <> [] -> Fsctx.oft_resync ctx e
+            | Reserve _ | Allocator -> ());
+            Ok len)
+
+let write (ctx : Fsctx.t) ~ino ~off data =
+  span ctx "core.write" @@ fun () ->
+  if off < 0 then Error Vfs.Errno.EINVAL
+  else
+    write_pages ctx ~ino ~page_of:(index_page ctx ~ino) ~fresh:Allocator
+      ~overwrite:In_place ~off data
+
+let write_atomic (ctx : Fsctx.t) ~ino ~off data =
+  if off < 0 then Error Vfs.Errno.EINVAL
+  else
+    write_pages ctx ~ino ~page_of:(index_page ctx ~ino) ~fresh:Allocator
+      ~overwrite:Cow ~off data
+
+let truncate (ctx : Fsctx.t) ~ino new_size =
+  span ctx "core.truncate" @@ fun () ->
+  if new_size < 0 then Error Vfs.Errno.EINVAL
+  else if quarantined ctx ino then Error Vfs.Errno.EIO
+  else begin
+    let ih = Inode.get ctx ino in
+    let cur_size = Inode.size ctx ih in
+    let now = Fsctx.now ctx in
+    if new_size = cur_size then begin
+      let ih = Inode.set_times ctx ih ~mtime:now () in
+      let _ih : (_, _) Inode.t = Inode.fence ctx (Inode.flush ctx ih) in
+      Ok ()
+    end
+    else if new_size < cur_size then begin
+      (* Shrink: size first (visible), then reclaim dropped pages. *)
+      let ih = Inode.set_size ctx ih ~size:new_size ~mtime:now ~owned:None () in
+      let _ih : (_, _) Inode.t = Inode.fence ctx (Inode.flush ctx ih) in
+      let keep = page_units new_size in
+      let dropped =
+        List.filter (fun (o, _) -> o >= keep) (Index.file_pages ctx.index ~ino)
+      in
+      (match dropped with
+      | [] -> ()
+      | _ :: _ ->
+          let pl = List.map (fun (o, p) -> (p, o)) dropped in
+          let rng = Prange.get_owned ctx ~ino ~pages:pl in
+          let rng = Prange.clear_backptrs ctx rng in
+          let rng = Prange.fence ctx (Prange.flush ctx rng) in
+          let rng = Prange.dealloc ctx rng in
+          let rng = Prange.fence ctx (Prange.flush ctx rng) in
+          ignore (Prange.freed_evidence ctx rng : Objects.range_freed_ev);
+          List.iter
+            (fun (o, p) ->
+              Index.remove_file_page ctx.index ~ino ~offset:o;
+              Alloc.free_page ctx.alloc p)
+            dropped);
+      Ok ()
+    end
+    else begin
+      (* Grow: zero the stale tail of the current boundary page, allocate
+         zero pages for the new range, then publish the size. *)
+      let page_of = index_page ctx ~ino in
+      zero_stale_tail ctx ~page_of ~size:cur_size ~upto:new_size;
+      let missing =
+        missing_pages ~page_of ~from:(page_units cur_size)
+          ~upto:(page_units new_size - 1)
+      in
+      let* owned_ev, new_pages =
+        match missing with
+        | [] ->
+            (* the zeroed tail drains before the size store *)
+            Fsctx.fence ctx;
+            Ok (None, [])
+        | _ :: _ ->
+            let* rng = Prange.alloc ctx ~ino ~kind:R.Desc.Data ~offsets:missing in
+            let rng = Prange.fill ctx rng ~off:0 ~data:"" in
+            let rng = Prange.fence ctx (Prange.flush ctx rng) in
+            let rng = Prange.set_backptrs ctx rng in
+            let rng = Prange.fence ctx (Prange.flush ctx rng) in
+            let rng, ev = Prange.owned_evidence ctx rng in
+            Ok (Some ev, Prange.pages rng)
+      in
+      let ih =
+        Inode.set_size ctx ih ~size:new_size ~mtime:now ~owned:owned_ev ()
+      in
+      let _ih : (_, _) Inode.t = Inode.fence ctx (Inode.flush ctx ih) in
+      List.iter
+        (fun (page, o) -> Index.add_file_page ctx.index ~ino ~offset:o page)
+        new_pages;
+      Ok ()
+    end
+  end
+
+(* {1 Split data path (open handles)}
+
+   The SplitFS-style fast path: an open handle carries a dense extent
+   snapshot ({!Fsctx.oft_entry}), so reads and writes do straight device
+   copies with no path resolution and no per-page index queries, and
+   appends land in the handle's pre-allocated staging reserve
+   ({!stage_pages}) and commit via the relink group. The snapshot is
+   kept coherent by the index's per-ino version counter; the staging
+   reserve is volatile (descriptors zero), so a crash simply returns it
+   through the allocator rebuild. *)
+
 let read_h (ctx : Fsctx.t) ~tag ~off ~len =
   if off < 0 || len < 0 then Error Vfs.Errno.EINVAL
   else
@@ -816,9 +807,8 @@ let read_h (ctx : Fsctx.t) ~tag ~off ~len =
       let size = Inode.size ctx ih in
       if off >= size then Ok ""
       else
-        let ext = e.Fsctx.oh_extents in
-        read_pages ctx ~off ~len:(min len (size - off)) ~page_of:(fun o ->
-            if o < Array.length ext && ext.(o) >= 0 then Some ext.(o) else None)
+        read_pages ctx ~off ~len:(min len (size - off))
+          ~page_of:(extent_page e.Fsctx.oh_extents)
     end
 
 let write_h (ctx : Fsctx.t) ~tag ~off data =
@@ -826,68 +816,5 @@ let write_h (ctx : Fsctx.t) ~tag ~off data =
   if off < 0 then Error Vfs.Errno.EINVAL
   else
     let* e = Fsctx.oft_entry ctx tag in
-    let ino = e.Fsctx.oh_ino in
-    if quarantined ctx ino then Error Vfs.Errno.EIO
-    else if String.length data = 0 then Ok 0
-    else begin
-      let len = String.length data in
-      let ih = Inode.get ctx ino in
-      let cur_size = Inode.size ctx ih in
-      let new_size = max cur_size (off + len) in
-      let ext = e.Fsctx.oh_extents in
-      let nall = Array.length ext in
-      let epage o = if o < nall then ext.(o) else -1 in
-      let first = off / ps and last = (off + len - 1) / ps in
-      let scan_from = min first (page_units cur_size) in
-      let missing = ref [] in
-      for o = last downto scan_from do
-        if epage o < 0 then missing := o :: !missing
-      done;
-      let missing = !missing in
-      match stage_pages ctx e (List.length missing) with
-      | None -> Error Vfs.Errno.ENOSPC
-      | Some fresh ->
-          (* Stale tail of the old boundary page (see [write]). *)
-          (if off > cur_size && cur_size mod ps <> 0 then
-             let page = epage (cur_size / ps) in
-             if page >= 0 then begin
-               let in_page = cur_size mod ps in
-               let zlen = min (ps - in_page) (off - cur_size) in
-               Device.zero ctx.dev
-                 ~off:(Geometry.page_off ctx.geo ~page + in_page)
-                 ~len:zlen
-             end);
-          (* In-place stores straight from the extent snapshot. *)
-          for o = first to last do
-            let page = epage o in
-            if page >= 0 then begin
-              let pstart = o * ps in
-              let lo = max pstart off and hi = min (pstart + ps) (off + len) in
-              let doff = Geometry.page_off ctx.geo ~page + (lo - pstart) in
-              Device.store_coarse ctx.dev ~off:doff ~pos:(lo - off)
-                ~len:(hi - lo) data
-            end
-          done;
-          (* Staged append: adopt reserve pages and relink-commit them. *)
-          let owned_ev, new_pages =
-            match missing with
-            | [] -> (None, [])
-            | _ :: _ ->
-                let pairs = List.combine fresh missing in
-                let rng = Prange.adopt ctx ~ino ~kind:R.Desc.Data ~pages:pairs in
-                let rng, ev = commit_fresh ctx (Prange.fill ctx rng ~off ~data) in
-                (Some ev, Prange.pages rng)
-          in
-          let now = Fsctx.now ctx in
-          let ih =
-            if new_size > cur_size || owned_ev <> None then
-              Inode.set_size ctx ih ~size:new_size ~mtime:now ~owned:owned_ev ()
-            else Inode.set_times ctx ih ~mtime:now ()
-          in
-          let _ih : (_, _) Inode.t = Inode.fence ctx (Inode.flush ctx ih) in
-          List.iter
-            (fun (page, o) -> Index.add_file_page ctx.index ~ino ~offset:o page)
-            new_pages;
-          if new_pages <> [] then Fsctx.oft_resync ctx e;
-          Ok len
-    end
+    write_pages ctx ~ino:e.Fsctx.oh_ino ~page_of:(extent_page e.Fsctx.oh_extents)
+      ~fresh:(Reserve e) ~overwrite:In_place ~off data

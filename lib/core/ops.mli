@@ -47,7 +47,11 @@ val rename :
     directory moves with their link-count updates. *)
 
 val write : Fsctx.t -> ino:int -> off:int -> string -> int r
-(** Fence schedule: in-place writes issue one fence (the coarse data
+(** [ENOSPC] is decided before any store: every fresh page the write
+    needs is taken first, so a failed write leaves the volume untouched.
+    A write that starts past EOF zeroes the stale bytes a shrink may have
+    left between the size and the write, so they read back as zeroes.
+    Fence schedule: in-place writes issue one fence (the coarse data
     stores drain in the final inode group); extending writes issue two
     (relink group — fill and backpointers flushed and fenced together —
     then the size group gated on the post-fence ownership evidence). *)
@@ -57,7 +61,15 @@ val write_atomic : Fsctx.t -> ino:int -> off:int -> string -> int r
     existing pages go through {!Objects.Preplace}, so each page's update
     is crash-atomic (old or new content, never torn); writes that only
     touch fresh pages are atomic already via the backpointer-commit order.
-    Writes contained in one page are therefore fully atomic. *)
+    Writes contained in one page are therefore fully atomic. Shares
+    {!write}'s body: [ENOSPC] is decided before any store, counting one
+    replacement page per overwritten page, and stale bytes past EOF are
+    zeroed — inside the replacement page when the write starts in the
+    old boundary page, so the zeroing adds no store. *)
+
+val quarantined : Fsctx.t -> int -> bool
+(** Whether the inode is quarantined (its metadata known corrupt, see
+    {!Mount}): every operation on it fails with [EIO]. *)
 
 val read : Fsctx.t -> ino:int -> off:int -> len:int -> string r
 val readlink : Fsctx.t -> ino:int -> string r
@@ -75,6 +87,8 @@ val truncate : Fsctx.t -> ino:int -> int -> unit r
 val read_h : Fsctx.t -> tag:string -> off:int -> len:int -> string r
 
 val write_h : Fsctx.t -> tag:string -> off:int -> string -> int r
-(** Same fence schedule and durability contract as {!write}; fresh pages
-    come from the handle's staging reserve (topped up from the volatile
-    allocator in batches) instead of a per-call allocation. *)
+(** {!write}'s body, fence schedule and durability contract ([ENOSPC]
+    before any store, stale bytes past EOF zeroed); pages are found in
+    the handle's extent snapshot, and fresh pages come from its staging
+    reserve (topped up from the volatile allocator in batches) instead
+    of a per-call allocation. *)

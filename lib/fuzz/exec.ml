@@ -8,7 +8,9 @@
    recovered tree to be one of the two — SquirrelFS metadata ops are
    synchronous and crash-atomic, so anything else is an SSU ordering bug.
    Op return values are compared too (same errno, same success), and the
-   final durable state must equal the final model state exactly.
+   final durable state must equal the final model state exactly, file
+   contents included (crash images compare without them: plain data
+   writes are not crash-atomic).
 
    The model has no capacity limits, so a SquirrelFS [ENOSPC]/[EMLINK]
    against a model success is benign: the model is rolled back and the
@@ -254,19 +256,24 @@ let memoized p ~seen ~memo check v =
    line rate. *)
 let media_images_per_fence = 4
 
-let probe p ~max_images ~media ~legal ~fail =
+let probe p ~max_images ~media ~compare_data ~legal ~fail =
   List.iteri
     (fun image v ->
       p.p_states <- p.p_states + 1;
       match memoized p ~seen:p.p_seen ~memo:p.p_memo.m_states check_state v with
       | Error detail -> fail ~image detail
       | Ok got ->
-          if not (List.exists (fun st -> Logical.equal ~compare_data:false got st) legal)
+          if not (List.exists (fun st -> Logical.equal ~compare_data got st) legal)
           then
+            (* [Logical.pp] prints no file contents: name a data-only
+               mismatch *)
+            let data_only =
+              List.exists (fun st -> Logical.equal ~compare_data:false got st) legal
+            in
             fail ~image
-              (Format.asprintf
-                 "recovered state is not prefix-consistent with the reference \
-                  model; got %a"
+              (Format.asprintf "recovered state %s the reference model; got %a"
+                 (if data_only then "has file contents differing from"
+                  else "is not prefix-consistent with")
                  Logical.pp got))
     (Device.crash_views ~max_images p.p_dev);
   if media then
@@ -514,12 +521,13 @@ let run ?(device_size = 256 * 1024) ?(max_images_per_fence = 8) ?(faults = Fault
   in
   let memo = match pool with Some p -> p.Pool.memo | None -> memo_create () in
   let pr = prober ~memo ~csum dev in
-  let on_fence _ =
+  let on_fence ~compare_data _ =
     incr fences;
-    probe pr ~max_images:max_images_per_fence ~media ~legal:!legal ~fail:violate
+    probe pr ~max_images:max_images_per_fence ~media ~compare_data ~legal:!legal
+      ~fail:violate
   in
   (try
-     Device.set_fence_hook dev (Some on_fence);
+     Device.set_fence_hook dev (Some (on_fence ~compare_data:false));
      let model = ref Ref_fs.empty in
      let cap_prev = ref (Ref_fs.capture Ref_fs.empty) in
      for i = 0 to n - 1 do
@@ -553,8 +561,9 @@ let run ?(device_size = 256 * 1024) ?(max_images_per_fence = 8) ?(faults = Fault
      done;
      cur_op := n;
      legal := [ !cap_prev ];
-     (* final durable state must equal the final model state exactly *)
-     on_fence dev;
+     (* final durable state must equal the final model state exactly,
+        file contents included *)
+     on_fence ~compare_data:true dev;
      Device.set_fence_hook dev None;
      match Sq.Fsck.check fs with
      | [] -> ()

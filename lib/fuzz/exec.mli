@@ -59,13 +59,18 @@ val probe :
   prober ->
   max_images:int ->
   media:bool ->
+  compare_data:bool ->
   legal:Vfs.Logical.t list ->
   fail:(image:int -> string -> unit) ->
   unit
 (** Probe the current fence of the prober's device: up to [max_images] crash
     views, then (with [~media:true]) up to 4 torn/stuck views. The
-    first failing view is reported through [fail] with its index, which
-    is expected to raise. *)
+    recovered tree is compared with the legal states by
+    {!Vfs.Logical.equal} [~compare_data]: [false] for crash images,
+    since plain data writes are not crash-atomic; [true] for a quiescent
+    device, whose one view is the durable state. The first failing view
+    is reported through [fail] with its index, which is expected to
+    raise. *)
 
 val states : prober -> int
 val deduped : prober -> int

@@ -183,7 +183,7 @@ let run_schedule pool ~legal ~final ~(ops : W.op array) ~prefix =
      four subset states (or the final state, for the closing probe) *)
   let pr = Exec.prober ~memo:pool.p_memo ~csum:false dev in
   let probe _ =
-    Exec.probe pr ~max_images:8 ~media:false ~legal:!legal
+    Exec.probe pr ~max_images:8 ~media:false ~compare_data:false ~legal:!legal
       ~fail:(fun ~image:_ detail -> raise (Stop detail))
   in
   let nf = Array.length ops in

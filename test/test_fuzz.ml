@@ -327,6 +327,17 @@ let test_atomic_write_survives_data_compare () =
            Write_atomic ("/a", 0, String.make 4096 'o');
            Write_atomic ("/a", 0, String.make 4096 'n');
            Write_atomic ("/a", 1000, "patch");
+         ]);
+  (* past a shrunk EOF: the bytes the shrink left in the boundary page
+     must read back as zeroes, in every crash image too *)
+  Alcotest.(check int) "torn images past a shrunk EOF" 0
+    (torn_data_images
+       W.
+         [
+           Create "/b";
+           Write ("/b", 0, String.make 1299 'z');
+           Truncate ("/b", 1);
+           Write_atomic ("/b", 1381, "z");
          ])
 
 (* the control: plain overwrites MUST tear under data comparison *)
@@ -336,7 +347,10 @@ let test_regular_write_is_not_atomic () =
        W.[ Create "/a"; Write ("/a", 0, String.make 4096 'o'); Write ("/a", 0, String.make 4096 'n') ]
     > 0)
 
-(* under the metadata oracle COW-write workloads are as clean as the rest *)
+(* under the metadata oracle COW-write workloads are as clean as the rest;
+   the executor's final check compares file contents, so a COW write past
+   a shrunk EOF must zero the stale bytes between the size and the write,
+   whether it starts in the old boundary page or above it *)
 let test_atomic_write_metadata_clean () =
   check_clean_all "atomic writes"
     W.
@@ -347,6 +361,18 @@ let test_atomic_write_metadata_clean () =
           Write ("/a", 0, String.make 8192 'i');
           Write_atomic ("/a", 2048, String.make 4096 'j');
           Unlink "/a";
+        ];
+        [
+          Create "/b";
+          Write ("/b", 0, String.make 1299 'z');
+          Truncate ("/b", 1);
+          Write_atomic ("/b", 1381, "z");
+        ];
+        [
+          Create "/a";
+          Write ("/a", 0, String.make 4096 'z');
+          Truncate ("/a", 100);
+          Write_atomic ("/a", 5000, "hello");
         ];
       ]
 
