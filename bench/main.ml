@@ -590,7 +590,6 @@ let faults () =
   let caught = List.length (Device.scrub dev) in
   (match Squirrelfs.mount (Device.of_image (Device.image_durable dev)) with
   | Ok fs2 ->
-      let ms = Squirrelfs.Mount.last_stats () in
       let eio =
         List.length
           (List.filter
@@ -600,8 +599,8 @@ let faults () =
       Printf.printf
         "detection:        %d/%d flips scrub-flagged; remount degraded=%b, \
          %d inodes quarantined, %d/%d paths EIO\n"
-        caught flips ms.Squirrelfs.Mount.degraded
-        ms.Squirrelfs.Mount.quarantined_inodes eio flips
+        caught flips (Squirrelfs.Mount.degraded fs2)
+        (fst (Squirrelfs.Mount.quarantined fs2)) eio flips
   | Error e ->
       Printf.printf "detection:        degraded remount failed: %s\n"
         (Vfs.Errno.to_string e))

@@ -264,7 +264,7 @@ let cmd_info =
   let run img trace =
     with_fs ?trace img (fun dev fs ->
         let geo = fs.Squirrelfs.Fsctx.geo in
-        let st = Squirrelfs.Mount.last_stats () in
+        let st = fs.Squirrelfs.Fsctx.recovery in
         Printf.printf "device        %d bytes\n" (Device.size dev);
         Printf.printf "inodes        %d (%d free)\n" geo.Layout.Geometry.inode_count
           (Squirrelfs.Alloc.free_inode_count fs.Squirrelfs.Fsctx.alloc);
@@ -272,15 +272,15 @@ let cmd_info =
           (Squirrelfs.Alloc.free_page_count fs.Squirrelfs.Fsctx.alloc);
         Printf.printf "index memory  %d bytes\n"
           (Squirrelfs.Index.footprint_bytes fs.Squirrelfs.Fsctx.index);
-        if st.Squirrelfs.Mount.recovered then
+        if st.Squirrelfs.Fsctx.recovered then
           Printf.printf
             "recovery      ran (orphan inodes %d, pages %d, dentries %d; \
              renames completed %d, rolled back %d; link counts fixed %d)\n"
-            st.Squirrelfs.Mount.orphan_inodes st.Squirrelfs.Mount.orphan_pages
-            st.Squirrelfs.Mount.orphan_dentries
-            st.Squirrelfs.Mount.completed_renames
-            st.Squirrelfs.Mount.rolled_back_renames
-            st.Squirrelfs.Mount.fixed_link_counts
+            st.Squirrelfs.Fsctx.orphan_inodes st.Squirrelfs.Fsctx.orphan_pages
+            st.Squirrelfs.Fsctx.orphan_dentries
+            st.Squirrelfs.Fsctx.completed_renames
+            st.Squirrelfs.Fsctx.rolled_back_renames
+            st.Squirrelfs.Fsctx.fixed_link_counts
         else Printf.printf "recovery      not needed (clean unmount)\n")
   in
   Cmd.v (Cmd.info "info" ~doc:"Volume geometry and utilization")

@@ -51,10 +51,10 @@ let () =
   Printf.printf "simulating a crash (no unmount)...\n";
   let crashed = Device.of_image (Device.image_durable dev) in
   let fs2 = ok (Squirrelfs.mount crashed) in
-  let st = Squirrelfs.Mount.last_stats () in
+  let st = fs2.Squirrelfs.Fsctx.recovery in
   Printf.printf "  recovery ran: %b (orphans freed: %d, renames completed: %d)\n"
-    st.Squirrelfs.Mount.recovered st.Squirrelfs.Mount.orphan_inodes
-    st.Squirrelfs.Mount.completed_renames;
+    st.Squirrelfs.Fsctx.recovered st.Squirrelfs.Fsctx.orphan_inodes
+    st.Squirrelfs.Fsctx.completed_renames;
   Printf.printf "  tree intact: /projects = [%s]\n"
     (String.concat ", " (ok (Squirrelfs.readdir fs2 "/projects")));
   (match Squirrelfs.Fsck.check fs2 with

@@ -338,20 +338,12 @@ let check_raw_body dev (geo : Geometry.t) =
      cycles; a committed destination's source is logically dead *)
   let killed : (int * int, unit) Hashtbl.t = Hashtbl.create 8 in
   let rptr_targets : (int * int, unit) Hashtbl.t = Hashtbl.create 8 in
-  (* validate before dereferencing: a torn/corrupt pointer must produce a
-     report, not an exception *)
-  let loc_opt off =
-    if
-      off >= geo.data_off
-      && off < geo.data_off + (geo.page_count * Geometry.page_size)
-      && (off - geo.data_off) mod Geometry.dentry_size = 0
-    then Some (Geometry.dentry_loc_of_off geo off)
-    else None
-  in
   List.iter
     (fun d ->
       if d.rw_rptr <> 0 then
-        match loc_opt d.rw_rptr with
+        (* validated before dereferencing: a torn/corrupt pointer must
+           produce a report, not an exception *)
+        match Geometry.dentry_loc_opt geo d.rw_rptr with
         | None ->
             err "dentry (page %d, slot %d): garbage rename pointer %#x"
               d.rw_page d.rw_slot d.rw_rptr
@@ -369,7 +361,7 @@ let check_raw_body dev (geo : Geometry.t) =
             List.iter
               (fun d2 ->
                 if d2.rw_page = sp && d2.rw_slot = ss && d2.rw_rptr <> 0 then
-                  match loc_opt d2.rw_rptr with
+                  match Geometry.dentry_loc_opt geo d2.rw_rptr with
                   | Some (tp, ts) when tp = d.rw_page && ts = d.rw_slot ->
                       err
                         "rename pointer cycle between (page %d slot %d) and \

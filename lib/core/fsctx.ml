@@ -27,6 +27,28 @@ type snap_pin = {
   mutable sp_quarantined : bool; (* scrub found the pin diverged *)
 }
 
+(* What the last mount-time rebuild's recovery passes did. *)
+type recovery = {
+  recovered : bool;
+  completed_renames : int;
+  rolled_back_renames : int;
+  orphan_inodes : int;
+  orphan_pages : int;
+  orphan_dentries : int;
+  fixed_link_counts : int;
+}
+
+let no_recovery =
+  {
+    recovered = false;
+    completed_renames = 0;
+    rolled_back_renames = 0;
+    orphan_inodes = 0;
+    orphan_pages = 0;
+    orphan_dentries = 0;
+    fixed_link_counts = 0;
+  }
+
 type t = {
   dev : Pmem.Device.t;
   geo : Layout.Geometry.t;
@@ -42,6 +64,7 @@ type t = {
   oft_lock : Mutex.t;
   snaps : (string, snap_pin) Hashtbl.t;
   mutable on_fence : (unit -> unit) option;
+  mutable recovery : recovery;
 }
 
 let make ?(csum = false) ~dev ~geo () =
@@ -60,6 +83,7 @@ let make ?(csum = false) ~dev ~geo () =
     oft_lock = Mutex.create ();
     snaps = Hashtbl.create 4;
     on_fence = None;
+    recovery = no_recovery;
   }
 
 (* Fresh allocator: rollback rebuilds the volatile state wholesale

@@ -32,6 +32,22 @@ type snap_pin = {
     do not survive remount — the on-volume table does, and remounted
     snapshots list as unpinned. *)
 
+type recovery = {
+  recovered : bool;  (** the recovery passes ran *)
+  completed_renames : int;
+  rolled_back_renames : int;
+  orphan_inodes : int;  (** unreachable or garbage inodes zeroed *)
+  orphan_pages : int;  (** descriptors zeroed (unowned / beyond size) *)
+  orphan_dentries : int;  (** allocated-but-uncommitted dentries zeroed *)
+  fixed_link_counts : int;
+}
+(** What a mount-time rebuild's recovery passes did to the volume. A
+    degraded mount is not recorded here: the quarantine ([quar]) says
+    so ([Mount.degraded]). *)
+
+val no_recovery : recovery
+(** All counters zero, [recovered = false]. *)
+
 type t = {
   dev : Pmem.Device.t;
   geo : Layout.Geometry.t;
@@ -69,6 +85,9 @@ type t = {
           is already clear, so a suspended op resumed later may fence
           again and still be probed. [None] (the default) costs one
           branch per fence. Single-domain use only. *)
+  mutable recovery : recovery;
+      (** this context's last rebuild ([Mount.mount], or [Mount.rebuild]
+          after a snapshot rollback); {!no_recovery} until then *)
 }
 
 val make :

@@ -89,7 +89,6 @@ let is_dir t ino = Hashtbl.mem t.dirs ino
 
 let mark_slot_used t loc = slot_add t loc.page loc.slot
 let mark_slot_free t loc = slot_remove t loc.page loc.slot
-let slot_used t loc = Hashtbl.mem t.used_slots (loc.page, loc.slot)
 
 let free_slot t ~dir =
   let d = dir_exn t dir in
@@ -214,7 +213,6 @@ let dentry_count t ~dir = locked t (fun () -> dentry_count t ~dir)
 let is_dir t ino = locked t (fun () -> is_dir t ino)
 let mark_slot_used t loc = locked t (fun () -> mark_slot_used t loc)
 let mark_slot_free t loc = locked t (fun () -> mark_slot_free t loc)
-let slot_used t loc = locked t (fun () -> slot_used t loc)
 let free_slot t ~dir = locked t (fun () -> free_slot t ~dir)
 let remove_dir t ino = locked t (fun () -> remove_dir t ino)
 let add_file t ino = locked t (fun () -> add_file t ino)

@@ -34,7 +34,6 @@ val free_slot : t -> dir:int -> dentry_loc option
 
 val mark_slot_used : t -> dentry_loc -> unit
 val mark_slot_free : t -> dentry_loc -> unit
-val slot_used : t -> dentry_loc -> bool
 
 val remove_dir : t -> int -> unit
 

@@ -2,40 +2,6 @@ module Device = Pmem.Device
 module Geometry = Layout.Geometry
 module R = Layout.Records
 
-type recovery_stats = {
-  recovered : bool;
-  completed_renames : int;
-  rolled_back_renames : int;
-  orphan_inodes : int;
-  orphan_pages : int;
-  orphan_dentries : int;
-  fixed_link_counts : int;
-  quarantined_inodes : int;
-  quarantined_pages : int;
-  degraded : bool;
-}
-
-let empty_stats =
-  {
-    recovered = false;
-    completed_renames = 0;
-    rolled_back_renames = 0;
-    orphan_inodes = 0;
-    orphan_pages = 0;
-    orphan_dentries = 0;
-    fixed_link_counts = 0;
-    quarantined_inodes = 0;
-    quarantined_pages = 0;
-    degraded = false;
-  }
-
-(* Domain-local: each domain of the parallel fuzz runner mounts on its
-   own private device, so "the last mount's stats" is a per-domain
-   notion — a plain global ref would race across domains. *)
-let stats_key = Domain.DLS.new_key (fun () -> ref empty_stats)
-let last_stats () = !(Domain.DLS.get stats_key)
-let set_stats s = Domain.DLS.get stats_key := s
-
 (* DRAM-index maintenance cost per inserted entry (RB-tree/hashtable
    insert plus allocation), charged to the simulated clock so mount time
    scales with utilization — the paper attributes most of a full mount to
@@ -77,16 +43,6 @@ let zero_persist dev ~off ~len =
 
 module Q = Faults.Quarantine
 
-(* A rename pointer read from a possibly-corrupt/torn record: validate
-   before trusting it to locate a dentry. *)
-let dentry_loc_opt (geo : Geometry.t) off =
-  if
-    off >= geo.data_off
-    && off < geo.data_off + (geo.page_count * Geometry.page_size)
-    && (off - geo.data_off) mod Geometry.dentry_size = 0
-  then Some (Geometry.dentry_loc_of_off geo off)
-  else None
-
 (* {1 Read ledger}
 
    Mount reads the tables through one uncharged decode ([Scan.decode])
@@ -125,7 +81,7 @@ let quarantined_free (quar : Q.t) (dec : Scan.t) =
    the volume. *)
 let rebuild_decoded (ctx : Fsctx.t) (dec : Scan.t) ~recover =
   let dev = ctx.dev and geo = ctx.geo in
-  let st = ref { empty_stats with recovered = recover } in
+  let st = ref Fsctx.{ no_recovery with recovered = recover } in
   let bump f = st := f !st in
   (* what the allocator pass at the end needs, so that the decode itself
      is garbage once the index is built *)
@@ -139,12 +95,12 @@ let rebuild_decoded (ctx : Fsctx.t) (dec : Scan.t) ~recover =
   let zero_inode ino =
     zero_persist dev ~off:(Geometry.inode_off geo ~ino) ~len:Geometry.inode_size;
     Hashtbl.replace freed_inodes ino ();
-    bump (fun s -> { s with orphan_inodes = s.orphan_inodes + 1 })
+    bump (fun s -> Fsctx.{ s with orphan_inodes = s.orphan_inodes + 1 })
   in
   let zero_desc page =
     zero_persist dev ~off:(Geometry.desc_off geo ~page) ~len:Geometry.desc_size;
     Hashtbl.replace freed_pages page ();
-    bump (fun s -> { s with orphan_pages = s.orphan_pages + 1 })
+    bump (fun s -> Fsctx.{ s with orphan_pages = s.orphan_pages + 1 })
   in
 
   (* Pass 1: inode table. A quarantined inode's record is untrustworthy:
@@ -333,7 +289,7 @@ let rebuild_decoded (ctx : Fsctx.t) (dec : Scan.t) ~recover =
   iter_raw (fun j ->
       let ino = dec.dent_inos.(j) and rptr = dec.dent_rptrs.(j) in
       if ino <> 0 && rptr <> 0 then begin
-        match dentry_loc_opt geo rptr with
+        match Geometry.dentry_loc_opt geo rptr with
         | None ->
             (* garbage pointer (torn/corrupt record): never a legal crash
                state, so just clear it when repairing *)
@@ -353,13 +309,13 @@ let rebuild_decoded (ctx : Fsctx.t) (dec : Scan.t) ~recover =
             zero_persist dev ~off:sbase ~len:Geometry.dentry_size;
             persist_u64 dev (base j + R.Dentry.f_rename_ptr) 0;
             bump (fun s ->
-                { s with completed_renames = s.completed_renames + 1 })
+                Fsctx.{ s with completed_renames = s.completed_renames + 1 })
           end
           else begin
             (* pre-commit overwrite: roll back by clearing the pointer *)
             persist_u64 dev (base j + R.Dentry.f_rename_ptr) 0;
             bump (fun s ->
-                { s with rolled_back_renames = s.rolled_back_renames + 1 })
+                Fsctx.{ s with rolled_back_renames = s.rolled_back_renames + 1 })
           end
       end);
   (* A raw dentry is committed if it names an inode with a valid name
@@ -372,9 +328,9 @@ let rebuild_decoded (ctx : Fsctx.t) (dec : Scan.t) ~recover =
           zero_persist dev ~off:(base j) ~len:Geometry.dentry_size;
           if dec.dent_rptrs.(j) <> 0 then
             bump (fun s ->
-                { s with rolled_back_renames = s.rolled_back_renames + 1 })
+                Fsctx.{ s with rolled_back_renames = s.rolled_back_renames + 1 })
           else
-            bump (fun s -> { s with orphan_dentries = s.orphan_dentries + 1 })
+            bump (fun s -> Fsctx.{ s with orphan_dentries = s.orphan_dentries + 1 })
         end
       end
       else if not (Hashtbl.mem killed (dec.dent_pages.(j), dec.dent_slots.(j)))
@@ -495,7 +451,7 @@ let rebuild_decoded (ctx : Fsctx.t) (dec : Scan.t) ~recover =
               (Geometry.inode_off geo ~ino + R.Inode.f_links)
               want;
             bump (fun s ->
-                { s with fixed_link_counts = s.fixed_link_counts + 1 })
+                Fsctx.{ s with fixed_link_counts = s.fixed_link_counts + 1 })
         | Some _ | None -> ())
       true_links
   end;
@@ -573,7 +529,7 @@ let rebuild_decoded (ctx : Fsctx.t) (dec : Scan.t) ~recover =
       end)
     pages;
   Device.charge dev (!reserved * 40);
-  set_stats !st
+  ctx.recovery <- !st
 
 let rebuild (ctx : Fsctx.t) ~recover =
   rebuild_decoded ctx (Scan.decode ctx.dev ctx.geo) ~recover
@@ -711,6 +667,17 @@ let root_ok (ctx : Fsctx.t) (dec : Scan.t) =
      && dec.inodes.(0).ino = Geometry.root_ino
      && dec.inodes.(0).kind = R.Kind.Dir
 
+let degraded (ctx : Fsctx.t) = not (Q.is_empty ctx.quar)
+
+let quarantined (ctx : Fsctx.t) =
+  List.fold_left
+    (fun (i, p) (e : Q.entry) ->
+      match e.obj with
+      | Q.Ino _ -> (i + 1, p)
+      | Q.Page _ -> (i, p + 1)
+      | Q.Superblock -> (i, p))
+    (0, 0) (Q.to_list ctx.quar)
+
 let do_mount ~force_recover dev =
   match R.Superblock.read dev with
   | None -> Error Vfs.Errno.EINVAL
@@ -723,25 +690,8 @@ let do_mount ~force_recover dev =
         let dec = Scan.decode dev geo in
         if not (root_ok ctx dec) then Error Vfs.Errno.EINVAL
         else begin
-          let degraded = not (Q.is_empty ctx.quar) in
           rebuild_decoded ctx dec
-            ~recover:(((not clean) || force_recover) && not degraded);
-          let qi, qp =
-            List.fold_left
-              (fun (i, p) (e : Q.entry) ->
-                match e.obj with
-                | Q.Ino _ -> (i + 1, p)
-                | Q.Page _ -> (i, p + 1)
-                | Q.Superblock -> (i, p))
-              (0, 0) (Q.to_list ctx.quar)
-          in
-          set_stats
-            {
-              (last_stats ()) with
-              quarantined_inodes = qi;
-              quarantined_pages = qp;
-              degraded;
-            };
+            ~recover:(((not clean) || force_recover) && not (degraded ctx));
           R.Superblock.set_clean dev false;
           Ok ctx
         end

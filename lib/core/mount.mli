@@ -19,19 +19,6 @@
     metadata could free live data) and operations touching quarantined
     objects return [EIO]. *)
 
-type recovery_stats = {
-  recovered : bool;
-  completed_renames : int;
-  rolled_back_renames : int;
-  orphan_inodes : int;  (** unreachable or garbage inodes zeroed *)
-  orphan_pages : int;  (** descriptors zeroed (unowned / beyond size) *)
-  orphan_dentries : int;  (** allocated-but-uncommitted dentries zeroed *)
-  fixed_link_counts : int;
-  quarantined_inodes : int;  (** inodes with corrupt metadata (csum) *)
-  quarantined_pages : int;  (** pages with corrupt descriptors (csum) *)
-  degraded : bool;  (** quarantine non-empty: recovery was suppressed *)
-}
-
 val mkfs : ?csum:bool -> Pmem.Device.t -> unit
 (** Zero the metadata tables, create the root directory, write the
     superblock (marked clean). Durable on return. With [~csum:true]
@@ -53,12 +40,20 @@ val mount_recover : Pmem.Device.t -> (Fsctx.t, Vfs.Errno.t) result
 val rebuild : Fsctx.t -> recover:bool -> unit
 (** Re-run the volatile-state rebuild (index + allocator population,
     optional recovery passes) against the context's {e current} [index]
-    and [alloc] fields, which must be freshly created. Snapshot rollback
-    swaps in a fresh pair and calls this after flipping the volume. *)
+    and [alloc] fields, which must be freshly created, and record what
+    recovery did in [ctx.recovery] (as every mount does). Snapshot
+    rollback swaps in a fresh pair and calls this after flipping the
+    volume. *)
 
 val unmount : Fsctx.t -> unit
 (** Mark the volume cleanly unmounted. All operations are synchronous, so
     there is nothing to write back. *)
 
-val last_stats : unit -> recovery_stats
-(** Statistics of the most recent mount performed by this module. *)
+val degraded : Fsctx.t -> bool
+(** The volume has quarantined objects (read off [ctx.quar]): the mount
+    skipped recovery's destructive passes, and operations touching a
+    quarantined object return [EIO]. What recovery did is in
+    [ctx.recovery]. *)
+
+val quarantined : Fsctx.t -> int * int
+(** Quarantined (inodes, pages), read off [ctx.quar]. *)

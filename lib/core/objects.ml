@@ -31,23 +31,65 @@ let consume_rf ev =
   if ev.rf_used then failwith "Objects: range_freed evidence reused";
   ev.rf_used <- true
 
-(* Mirror a typestate [in_flight -> clean] transition into the trace (if
-   one is attached), so the trace-driven checker can re-verify the claim
-   dynamically: every covered line must actually be drained. *)
-let claim (ctx : Fsctx.t) what ranges =
-  match Device.tracer ctx.Fsctx.dev with
+(* The persistence typestate (dirty -> in_flight -> clean), written once:
+   each object kind supplies only [ranges ctx h], the (offset, length)
+   byte ranges handle [h] covers, and both steps consume the handle's
+   token and return its successor. [flushed] writes the ranges back and
+   records the flush epoch. [fenced ~sfence:true] ([fence]) runs the
+   sfence itself; [~sfence:false] ([after_fence]) relies on one run
+   through another handle since the flush — the paper's fence sharing —
+   unless the [share_fences] ablation is off. Either way a fence must have
+   followed the flush, or the token raises [Stale_handle]. Untraced
+   runs compute a handle's ranges once, at the flush. *)
+
+(* a loop: [List.iter] would allocate a closure over [dev] per flush *)
+let rec flush_each dev = function
+  | [] -> ()
+  | (off, len) :: rest ->
+      Device.flush dev ~off ~len;
+      flush_each dev rest
+
+let flushed (ctx : Fsctx.t) ranges h tok =
+  flush_each ctx.dev (ranges ctx h);
+  Token.flushed_at ctx.reg tok
+
+(* Mirror the [in_flight -> clean] claim into the trace (if one is
+   attached), so the trace-driven checker can re-verify it dynamically:
+   every covered line must actually be drained. *)
+let claim (ctx : Fsctx.t) what ranges h =
+  match Device.tracer ctx.dev with
   | None -> ()
   | Some _ ->
       List.iter
         (fun (off, len) ->
-          Device.emit ctx.Fsctx.dev (Obs.Event.Claim_clean { what; off; len }))
-        ranges
+          Device.emit ctx.dev (Obs.Event.Claim_clean { what; off; len }))
+        (ranges ctx h)
+
+let fenced ~sfence (ctx : Fsctx.t) what ranges h tok =
+  if sfence || not ctx.share_fences then Fsctx.fence ctx;
+  let tok = Token.assert_fenced ctx.reg tok in
+  claim ctx what ranges h;
+  tok
+
+(* Fill the fresh page at device offset [poff]: [len] bytes of [src] from
+   [pos] behind [lead] explicit zeroes, then zeroes to the page end. *)
+let fill_page (ctx : Fsctx.t) ~poff ~lead ~pos ~len src =
+  let stored =
+    if len <= 0 then 0
+    else begin
+      Device.store_coarse ctx.dev ~off:poff ~lead ~pos ~len src;
+      lead + len
+    end
+  in
+  if stored < Geometry.page_size then
+    Device.zero ctx.dev ~off:(poff + stored) ~len:(Geometry.page_size - stored)
 
 (* NOTE on typing: transition functions rebuild the handle record from
    scratch ([remake]) rather than using [{ h with ... }], because a record
    update would unify the result's phantom parameters with the input's.
    The module signature (objects.mli) then pins each transition to its
-   legal source and target states. *)
+   legal source and target states — also where two names share one body
+   ([let relink = set_backptrs]), each typed at its own states. *)
 
 module Prange = struct
   type free = |
@@ -70,6 +112,10 @@ module Prange = struct
   let remake h tok =
     { rid = h.rid; r_ino = h.r_ino; kind = h.kind; r_pages = h.r_pages; tok }
 
+  let mk (ctx : Fsctx.t) ~ino ~kind ~pages =
+    let rid = Fsctx.range_oid ctx in
+    { rid; r_ino = ino; kind; r_pages = pages; tok = Token.mint ctx.reg ~id:rid }
+
   (* CPU cost of the volatile allocators (free-list pop + bookkeeping) *)
   let alloc_ns = 150
 
@@ -78,47 +124,26 @@ module Prange = struct
     Device.charge ctx.dev alloc_ns;
     match Alloc.alloc_pages ctx.alloc n with
     | None -> Error Vfs.Errno.ENOSPC
-    | Some ps ->
-        let rid = Fsctx.range_oid ctx in
-        Ok
-          {
-            rid;
-            r_ino = ino;
-            kind;
-            r_pages = List.combine ps offsets;
-            tok = Token.mint ctx.reg ~id:rid;
-          }
+    | Some ps -> Ok (mk ctx ~ino ~kind ~pages:(List.combine ps offsets))
 
   (* Handle on pages taken from the allocator earlier (an open handle's
      pre-allocated staging reserve): device-side they are identical to
      freshly allocated pages — descriptor fully zero — so the handle
      starts in the same [free] state [alloc] produces. *)
-  let adopt (ctx : Fsctx.t) ~ino ~kind ~pages =
-    let rid = Fsctx.range_oid ctx in
-    { rid; r_ino = ino; kind; r_pages = pages; tok = Token.mint ctx.reg ~id:rid }
+  let adopt = mk
 
   let fill (ctx : Fsctx.t) h ~off ~data =
     let tok = Token.use ctx.reg h.tok in
     let ps = Geometry.page_size in
     List.iter
       (fun (page, file_off) ->
-        (* The page holds [data]'s bytes in [lo, hi), stored straight from
-           [data] after explicit zeroes from the page start; [Device.zero]
-           clears the tail. *)
+        (* The page holds [data]'s bytes in [lo, hi). *)
         let pstart = file_off * ps in
         let lo = max pstart off
         and hi = min (pstart + ps) (off + String.length data) in
-        let poff = Geometry.page_off ctx.geo ~page in
-        let stored =
-          if hi <= lo then 0
-          else begin
-            Device.store_coarse ctx.dev ~off:poff ~lead:(lo - pstart)
-              ~pos:(lo - off) ~len:(hi - lo) data;
-            hi - pstart
-          end
-        in
-        if stored < ps then
-          Device.zero ctx.dev ~off:(poff + stored) ~len:(ps - stored);
+        fill_page ctx
+          ~poff:(Geometry.page_off ctx.geo ~page)
+          ~lead:(lo - pstart) ~pos:(lo - off) ~len:(hi - lo) data;
         let d = Geometry.desc_off ctx.geo ~page in
         Device.store_u64 ctx.dev (d + R.Desc.f_kind) (R.Desc.kind_to_int h.kind);
         Device.store_u64 ctx.dev (d + R.Desc.f_offset) file_off;
@@ -126,14 +151,16 @@ module Prange = struct
       h.r_pages;
     remake h tok
 
-  let set_backptrs (ctx : Fsctx.t) h =
+  let store_backptrs (ctx : Fsctx.t) h v =
     let tok = Token.use ctx.reg h.tok in
     List.iter
       (fun (page, _) ->
         let d = Geometry.desc_off ctx.geo ~page in
-        Device.store_u64 ctx.dev (d + R.Desc.f_ino) h.r_ino)
+        Device.store_u64 ctx.dev (d + R.Desc.f_ino) v)
       h.r_pages;
     remake h tok
+
+  let set_backptrs ctx h = store_backptrs ctx h h.r_ino
 
   (* SplitFS-style relink commit: set the backpointers while the fill's
      descriptor stores are still dirty, so one flush+fence group makes
@@ -147,14 +174,7 @@ module Prange = struct
      rule orders descriptor fields against each other at store time, and
      the [owned] evidence that gates the size store is still only
      mintable from the post-fence [clean] handle. *)
-  let relink (ctx : Fsctx.t) h =
-    let tok = Token.use ctx.reg h.tok in
-    List.iter
-      (fun (page, _) ->
-        let d = Geometry.desc_off ctx.geo ~page in
-        Device.store_u64 ctx.dev (d + R.Desc.f_ino) h.r_ino)
-      h.r_pages;
-    remake h tok
+  let relink = set_backptrs
 
   let get_owned ?(kind = R.Desc.Data) (ctx : Fsctx.t) ~ino ~pages =
     List.iter
@@ -166,23 +186,9 @@ module Prange = struct
             (Printf.sprintf "Prange.get_owned: page %d owned by %d, not %d"
                page owner ino))
       pages;
-    let rid = Fsctx.range_oid ctx in
-    {
-      rid;
-      r_ino = ino;
-      kind;
-      r_pages = pages;
-      tok = Token.mint ctx.reg ~id:rid;
-    }
+    mk ctx ~ino ~kind ~pages
 
-  let clear_backptrs (ctx : Fsctx.t) h =
-    let tok = Token.use ctx.reg h.tok in
-    List.iter
-      (fun (page, _) ->
-        let d = Geometry.desc_off ctx.geo ~page in
-        Device.store_u64 ctx.dev (d + R.Desc.f_ino) 0)
-      h.r_pages;
-    remake h tok
+  let clear_backptrs ctx h = store_backptrs ctx h 0
 
   let dealloc (ctx : Fsctx.t) h =
     let tok = Token.use ctx.reg h.tok in
@@ -193,32 +199,14 @@ module Prange = struct
       h.r_pages;
     remake h tok
 
-  let flush (ctx : Fsctx.t) h =
-    List.iter
-      (fun (page, _) ->
-        Device.flush ctx.dev
-          ~off:(Geometry.desc_off ctx.geo ~page)
-          ~len:Geometry.desc_size)
-      h.r_pages;
-    remake h (Token.flushed_at ctx.reg h.tok)
-
-  let claim_ranges (ctx : Fsctx.t) h =
+  let ranges (ctx : Fsctx.t) h =
     List.map
-      (fun (page, _) ->
-        (Geometry.desc_off ctx.Fsctx.geo ~page, Geometry.desc_size))
+      (fun (page, _) -> (Geometry.desc_off ctx.geo ~page, Geometry.desc_size))
       h.r_pages
 
-  let fence (ctx : Fsctx.t) h =
-    Fsctx.fence ctx;
-    let tok = Token.assert_fenced ctx.reg h.tok in
-    claim ctx "prange" (claim_ranges ctx h);
-    remake h tok
-
-  let after_fence (ctx : Fsctx.t) h =
-    if not ctx.share_fences then Fsctx.fence ctx;
-    let tok = Token.assert_fenced ctx.reg h.tok in
-    claim ctx "prange" (claim_ranges ctx h);
-    remake h tok
+  let flush ctx h = remake h (flushed ctx ranges h h.tok)
+  let fence ctx h = remake h (fenced ~sfence:true ctx "prange" ranges h h.tok)
+  let after_fence ctx h = remake h (fenced ~sfence:false ctx "prange" ranges h h.tok)
 
   let owned_evidence (ctx : Fsctx.t) h =
     let h' = remake h (Token.use ctx.reg h.tok) in
@@ -263,11 +251,7 @@ module Inode = struct
       failwith (Printf.sprintf "Inode.get: inode %d is free" ino);
     { i_ino = ino; tok = Token.mint ctx.reg ~id:(Fsctx.inode_oid ino) }
 
-  let get_init (ctx : Fsctx.t) ino =
-    let b = Geometry.inode_off ctx.geo ~ino in
-    if Device.read_u64 ctx.dev (b + R.Inode.f_ino) = 0 then
-      failwith (Printf.sprintf "Inode.get_init: inode %d is free" ino);
-    { i_ino = ino; tok = Token.mint ctx.reg ~id:(Fsctx.inode_oid ino) }
+  let get_init = get
 
   let init_common (ctx : Fsctx.t) h ~kind ~links ~mode ~uid ~gid =
     let tok = Token.use ctx.reg h.tok in
@@ -311,33 +295,26 @@ module Inode = struct
     Device.store_u64 ctx.dev (field ctx h R.Inode.f_links) (cur + 1);
     remake h tok
 
-  let dec_link (ctx : Fsctx.t) h ~cleared =
-    if cleared.target_ino <> h.i_ino then
+  (* Lower the link count on evidence whose [named] inode (the cleared
+     dentry's target, or the directory it lived in) is this handle's. *)
+  let drop_link what (ctx : Fsctx.t) h ~named ~cleared =
+    if named <> h.i_ino then
       failwith
-        (Printf.sprintf
-           "Inode.dec_link: evidence targets inode %d, handle is %d"
-           cleared.target_ino h.i_ino);
+        (Printf.sprintf "Inode.%s: evidence names inode %d, handle is %d" what
+           named h.i_ino);
     consume_dc cleared;
     let cur = Device.read_u64 ctx.dev (field ctx h R.Inode.f_links) in
-    if cur = 0 then failwith "Inode.dec_link: link count already zero";
+    if cur = 0 then failwith ("Inode." ^ what ^ ": link count already zero");
     let tok = Token.use ctx.reg h.tok in
     Device.store_u64 ctx.dev (field ctx h R.Inode.f_links) (cur - 1);
     remake h tok
 
-  let dec_link_parent (ctx : Fsctx.t) h ~cleared =
-    if cleared.parent_dir <> h.i_ino then
-      failwith
-        (Printf.sprintf
-           "Inode.dec_link_parent: evidence is for parent %d, handle is %d"
-           cleared.parent_dir h.i_ino);
-    consume_dc cleared;
-    let cur = Device.read_u64 ctx.dev (field ctx h R.Inode.f_links) in
-    if cur = 0 then failwith "Inode.dec_link_parent: link count already zero";
-    let tok = Token.use ctx.reg h.tok in
-    Device.store_u64 ctx.dev (field ctx h R.Inode.f_links) (cur - 1);
-    remake h tok
+  let dec_link ctx h ~cleared =
+    drop_link "dec_link" ctx h ~named:cleared.target_ino ~cleared
 
-  let settle_inc (ctx : Fsctx.t) h = remake h (Token.use ctx.reg h.tok)
+  let dec_link_parent ctx h ~cleared =
+    drop_link "dec_link_parent" ctx h ~named:cleared.parent_dir ~cleared
+
   let settle_dec (ctx : Fsctx.t) h = remake h (Token.use ctx.reg h.tok)
 
   let page_units size = (size + Geometry.page_size - 1) / Geometry.page_size
@@ -414,21 +391,10 @@ module Inode = struct
     zero_record ctx h;
     remake h tok
 
-  let flush (ctx : Fsctx.t) h =
-    Device.flush ctx.dev ~off:(base ctx h) ~len:Geometry.inode_size;
-    remake h (Token.flushed_at ctx.reg h.tok)
-
-  let fence (ctx : Fsctx.t) h =
-    Fsctx.fence ctx;
-    let tok = Token.assert_fenced ctx.reg h.tok in
-    claim ctx "inode" [ (base ctx h, Geometry.inode_size) ];
-    remake h tok
-
-  let after_fence (ctx : Fsctx.t) h =
-    if not ctx.share_fences then Fsctx.fence ctx;
-    let tok = Token.assert_fenced ctx.reg h.tok in
-    claim ctx "inode" [ (base ctx h, Geometry.inode_size) ];
-    remake h tok
+  let ranges ctx h = [ (base ctx h, Geometry.inode_size) ]
+  let flush ctx h = remake h (flushed ctx ranges h h.tok)
+  let fence ctx h = remake h (fenced ~sfence:true ctx "inode" ranges h h.tok)
+  let after_fence ctx h = remake h (fenced ~sfence:false ctx "inode" ranges h h.tok)
 end
 
 module Dentry = struct
@@ -537,21 +503,12 @@ module Dentry = struct
     store_ino ctx h (Inode.ino inode);
     (remake ~info:(Inode.ino inode) h tok, Inode.remake inode itok)
 
-  let commit_dir (ctx : Fsctx.t) h ~(inode : (_, _) Inode.t)
-      ~(parent : (_, _) Inode.t) =
-    let tok = Token.use ctx.reg h.tok in
-    let itok = Token.use ctx.reg inode.Inode.tok in
+  let commit_dir (ctx : Fsctx.t) h ~inode ~(parent : (_, _) Inode.t) =
     let ptok = Token.use ctx.reg parent.Inode.tok in
-    store_ino ctx h (Inode.ino inode);
-    ( remake ~info:(Inode.ino inode) h tok,
-      Inode.remake inode itok,
-      Inode.remake parent ptok )
+    let d, i = commit ctx h ~inode in
+    (d, i, Inode.remake parent ptok)
 
-  let commit_link (ctx : Fsctx.t) h ~(inode : (_, _) Inode.t) =
-    let tok = Token.use ctx.reg h.tok in
-    let itok = Token.use ctx.reg inode.Inode.tok in
-    store_ino ctx h (Inode.ino inode);
-    (remake ~info:(Inode.ino inode) h tok, Inode.remake inode itok)
+  let commit_link = commit
 
   let clear_ino (ctx : Fsctx.t) h =
     let target =
@@ -577,11 +534,7 @@ module Dentry = struct
     store_rptr ctx h (byte_off ctx src.d_loc);
     (remake h tok, remake src stok)
 
-  let set_rptr_over (ctx : Fsctx.t) h ~src =
-    let tok = Token.use ctx.reg h.tok in
-    let stok = Token.use ctx.reg src.tok in
-    store_rptr ctx h (byte_off ctx src.d_loc);
-    (remake h tok, remake src stok)
+  let set_rptr_over = set_rptr
 
   let do_commit_rename (ctx : Fsctx.t) h ~src ~old_target =
     let tok = Token.use ctx.reg h.tok in
@@ -626,22 +579,10 @@ module Dentry = struct
     store_rptr ctx dst 0;
     (remake dst tok, remake src stok)
 
-  let flush (ctx : Fsctx.t) h =
-    let off = byte_off ctx h.d_loc in
-    Device.flush ctx.dev ~off ~len:Geometry.dentry_size;
-    remake h (Token.flushed_at ctx.reg h.tok)
-
-  let fence (ctx : Fsctx.t) h =
-    Fsctx.fence ctx;
-    let tok = Token.assert_fenced ctx.reg h.tok in
-    claim ctx "dentry" [ (byte_off ctx h.d_loc, Geometry.dentry_size) ];
-    remake h tok
-
-  let after_fence (ctx : Fsctx.t) h =
-    if not ctx.share_fences then Fsctx.fence ctx;
-    let tok = Token.assert_fenced ctx.reg h.tok in
-    claim ctx "dentry" [ (byte_off ctx h.d_loc, Geometry.dentry_size) ];
-    remake h tok
+  let ranges ctx h = [ (byte_off ctx h.d_loc, Geometry.dentry_size) ]
+  let flush ctx h = remake h (flushed ctx ranges h h.tok)
+  let fence ctx h = remake h (fenced ~sfence:true ctx "dentry" ranges h h.tok)
+  let after_fence ctx h = remake h (fenced ~sfence:false ctx "dentry" ranges h h.tok)
 end
 
 module Preplace = struct
@@ -681,14 +622,9 @@ module Preplace = struct
     | None -> Error Vfs.Errno.ENOSPC
     | Some newp ->
         let rid = Fsctx.range_oid ctx in
-        let poff = Geometry.page_off ctx.geo ~page:newp in
-        if content <> "" then
-          Device.store_coarse ctx.dev ~off:poff ~pos:0
-            ~len:(String.length content) content;
-        if String.length content < Geometry.page_size then
-          Device.zero ctx.dev
-            ~off:(poff + String.length content)
-            ~len:(Geometry.page_size - String.length content);
+        fill_page ctx
+          ~poff:(Geometry.page_off ctx.geo ~page:newp)
+          ~lead:0 ~pos:0 ~len:(String.length content) content;
         let d = Geometry.desc_off ctx.geo ~page:newp in
         Device.store_u64 ctx.dev (d + R.Desc.f_kind)
           (R.Desc.kind_to_int R.Desc.Data);
@@ -705,19 +641,13 @@ module Preplace = struct
             tok = Token.mint ctx.reg ~id:rid;
           }
 
-  let commit (ctx : Fsctx.t) h =
+  let store_desc (ctx : Fsctx.t) h ~page f v =
     let tok = Token.use ctx.reg h.tok in
-    Device.store_u64 ctx.dev
-      (Geometry.desc_off ctx.geo ~page:h.newp + R.Desc.f_ino)
-      h.p_ino;
+    Device.store_u64 ctx.dev (Geometry.desc_off ctx.geo ~page + f) v;
     remake h tok
 
-  let clear_old (ctx : Fsctx.t) h =
-    let tok = Token.use ctx.reg h.tok in
-    Device.store_u64 ctx.dev
-      (Geometry.desc_off ctx.geo ~page:h.oldp + R.Desc.f_ino)
-      0;
-    remake h tok
+  let commit ctx h = store_desc ctx h ~page:h.newp R.Desc.f_ino h.p_ino
+  let clear_old ctx h = store_desc ctx h ~page:h.oldp R.Desc.f_ino 0
 
   let free_old (ctx : Fsctx.t) h =
     let tok = Token.use ctx.reg h.tok in
@@ -726,37 +656,15 @@ module Preplace = struct
       ~len:Geometry.desc_size;
     remake h tok
 
-  let settle (ctx : Fsctx.t) h =
-    let tok = Token.use ctx.reg h.tok in
-    Device.store_u64 ctx.dev
-      (Geometry.desc_off ctx.geo ~page:h.newp + R.Desc.f_replaces)
-      0;
-    remake h tok
+  let settle ctx h = store_desc ctx h ~page:h.newp R.Desc.f_replaces 0
 
-  let flush (ctx : Fsctx.t) h =
-    Device.flush ctx.dev
-      ~off:(Geometry.desc_off ctx.geo ~page:h.newp)
-      ~len:Geometry.desc_size;
-    Device.flush ctx.dev
-      ~off:(Geometry.desc_off ctx.geo ~page:h.oldp)
-      ~len:Geometry.desc_size;
-    remake h (Token.flushed_at ctx.reg h.tok)
-
-  let claim_ranges (ctx : Fsctx.t) h =
+  let ranges (ctx : Fsctx.t) h =
     [
-      (Geometry.desc_off ctx.Fsctx.geo ~page:h.newp, Geometry.desc_size);
-      (Geometry.desc_off ctx.Fsctx.geo ~page:h.oldp, Geometry.desc_size);
+      (Geometry.desc_off ctx.geo ~page:h.newp, Geometry.desc_size);
+      (Geometry.desc_off ctx.geo ~page:h.oldp, Geometry.desc_size);
     ]
 
-  let fence (ctx : Fsctx.t) h =
-    Fsctx.fence ctx;
-    let tok = Token.assert_fenced ctx.reg h.tok in
-    claim ctx "preplace" (claim_ranges ctx h);
-    remake h tok
-
-  let after_fence (ctx : Fsctx.t) h =
-    if not ctx.share_fences then Fsctx.fence ctx;
-    let tok = Token.assert_fenced ctx.reg h.tok in
-    claim ctx "preplace" (claim_ranges ctx h);
-    remake h tok
+  let flush ctx h = remake h (flushed ctx ranges h h.tok)
+  let fence ctx h = remake h (fenced ~sfence:true ctx "preplace" ranges h h.tok)
+  let after_fence ctx h = remake h (fenced ~sfence:false ctx "preplace" ranges h h.tok)
 end

@@ -21,10 +21,15 @@
       object mints an unforgeable single-use evidence value, obtainable
       only from a [clean] handle in the right state.
 
-    Fences: [fence] issues a real [sfence]; [after_fence] re-types an
+    Fences: every object kind follows one persistence protocol, written
+    once in the implementation, over the byte ranges the handle covers.
+    [flush] writes them back and records the token registry's fence
+    epoch; [fence] runs a real [sfence]; [after_fence] re-types an
     [in_flight] handle whose flush is covered by a fence issued through
-    {e some} other handle since — this is the paper's "multiple updates
-    share a single fence" optimization, checked via fence epochs. *)
+    {e some} other handle since — the paper's "multiple updates share a
+    single fence" optimization. Both raise [Stale_handle] unless the
+    epoch moved past the flush. With [Fsctx.share_fences] off (the
+    fence-sharing ablation) [after_fence] runs its own [sfence]. *)
 
 open Typestate.States
 
@@ -175,7 +180,6 @@ module Inode : sig
       subdirectory count dropped; the evidence must come from a dentry
       cleared in that parent. *)
 
-  val settle_inc : Fsctx.t -> (clean, inc_link) t -> (clean, complete) t
   val settle_dec : Fsctx.t -> (clean, dec_link) t -> (clean, complete) t
   (** Pure re-labelling once the dependent operation is finished. *)
 

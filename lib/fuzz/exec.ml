@@ -216,7 +216,7 @@ let check_state p v =
                  media pre-pass: SSU orders every seal before its
                  record's commit, so quarantine here means a code path
                  published an unsealed record. *)
-              if p.p_csum && (Sq.Mount.last_stats ()).Sq.Mount.degraded then
+              if p.p_csum && Sq.Mount.degraded fs2 then
                 Error
                   "media quarantine on a pure crash image (committed record \
                    without a valid checksum)"
@@ -436,9 +436,9 @@ let phase_b ~(plan : Faults.Plan.t) ~fail fs dev =
     | exception e -> fail ("damaged volume: mount raised " ^ Printexc.to_string e)
     | Error e -> fail ("damaged volume fails to mount degraded: " ^ Errno.to_string e)
     | Ok fs3 -> (
-        let ms = Sq.Mount.last_stats () in
-        if not ms.Sq.Mount.degraded then fail "remount after metadata corruption is not degraded";
-        quarantined := ms.Sq.Mount.quarantined_inodes + ms.Sq.Mount.quarantined_pages;
+        if not (Sq.Mount.degraded fs3) then fail "remount after metadata corruption is not degraded";
+        (let qi, qp = Sq.Mount.quarantined fs3 in
+         quarantined := qi + qp);
         List.iter
           (fun (path, ino, _) ->
             if Faults.Quarantine.mem_ino fs3.Sq.Fsctx.quar ino then incr detected

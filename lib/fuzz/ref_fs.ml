@@ -403,11 +403,6 @@ let rollback t name =
           snap_next = t.snap_next;
         }
 
-let snap_delete t name =
-  match SMap.find_opt name t.snaps with
-  | None -> Error Errno.ENOENT
-  | Some _ -> Ok { t with snaps = SMap.remove name t.snaps }
-
 let snap_list t =
   List.map
     (fun (n, e) -> (n, e.e_id, e.e_pin <> None))

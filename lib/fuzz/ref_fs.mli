@@ -29,10 +29,6 @@ val snap_list : t -> (string * int * bool) list
     unpinned entry is one resurrected by rolling back past its deletion
     — it lists, but rolling back to it yields [EIO]. *)
 
-val snap_delete : t -> string -> (t, Vfs.Errno.t) result
-(** Drop a table entry ([ENOENT] when absent) — the model side of
-    [Snap.delete], used by the scenario runner. *)
-
 val kind : t -> string -> [ `File | `Dir | `Symlink ] option
 val size : t -> string -> int option
 val read : t -> string -> off:int -> len:int -> (string, Vfs.Errno.t) result

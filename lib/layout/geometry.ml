@@ -68,3 +68,11 @@ let dentry_loc_of_off t off =
     invalid_arg "Layout.Geometry.dentry_loc_of_off: not a dentry offset";
   let rel = off - t.data_off in
   (rel / page_size, rel mod page_size / dentry_size)
+
+let dentry_loc_opt t off =
+  if
+    off >= t.data_off
+    && off < t.data_off + (t.page_count * page_size)
+    && (off - t.data_off) mod dentry_size = 0
+  then Some (dentry_loc_of_off t off)
+  else None

@@ -40,5 +40,11 @@ val dentry_loc_of_off : t -> int -> int * int
 (** Inverse of [dentry_off]: page and slot of a dentry's byte offset (used
     to follow rename pointers). *)
 
+val dentry_loc_opt : t -> int -> (int * int) option
+(** [dentry_loc_of_off] for a rename pointer read from a possibly torn or
+    corrupt record: [None] unless the offset is a dentry boundary inside
+    the data area, so a bad pointer is reported or repaired, never
+    dereferenced. *)
+
 val root_ino : int
 (** The root directory inode number (1). *)

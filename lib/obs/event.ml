@@ -81,9 +81,4 @@ let canonical (e : t) = Format.asprintf "%a" pp_kind e.k
 
 let pp ppf (e : t) = Format.fprintf ppf "[%10d] %a" e.ts pp_kind e.k
 
-let to_text events =
-  let b = Buffer.create 4096 in
-  List.iter (fun e -> Buffer.add_string b (Format.asprintf "%a@." pp e)) events;
-  Buffer.contents b
-
 let equal (a : t) (b : t) = a.ts = b.ts && a.k = b.k

@@ -22,18 +22,4 @@ let emit r ~ts k =
   r.len <- r.len + 1
 
 let length r = r.len
-let clear r = r.len <- 0
 let to_list r = Array.to_list (Array.sub r.evs 0 r.len)
-
-let iter f r =
-  for i = 0 to r.len - 1 do
-    f r.evs.(i)
-  done
-
-(* Bracket [f] with span events. [ts] is read lazily so the end timestamp
-   reflects the simulated time consumed by [f]. *)
-let span r ~ts name f =
-  emit r ~ts:(ts ()) (Event.Span_begin name);
-  Fun.protect
-    ~finally:(fun () -> emit r ~ts:(ts ()) (Event.Span_end name))
-    f

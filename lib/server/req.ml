@@ -68,33 +68,3 @@ let name = function
   | Write_h _ -> "write-h"
   | Read_h _ -> "read-h"
   | Snapshot _ -> "snapshot"
-
-let pp_req ppf r =
-  match r with
-  | Create p | Mkdir p | Unlink p | Rmdir p | Readlink p | Stat p
-  | Readdir p | Fsync p ->
-      Fmt.pf ppf "%s %s" (name r) p
-  | Symlink (a, b) | Link (a, b) | Rename (a, b) ->
-      Fmt.pf ppf "%s %s %s" (name r) a b
-  | Write (p, off, data) ->
-      Fmt.pf ppf "write %s off=%d len=%d" p off (String.length data)
-  | Read (p, off, len) -> Fmt.pf ppf "read %s off=%d len=%d" p off len
-  | Truncate (p, n) -> Fmt.pf ppf "truncate %s %d" p n
-  | Open (tag, p) -> Fmt.pf ppf "open %s %s" tag p
-  | Close tag -> Fmt.pf ppf "close %s" tag
-  | Write_h (tag, off, data) ->
-      Fmt.pf ppf "write-h %s off=%d len=%d" tag off (String.length data)
-  | Read_h (tag, off, len) -> Fmt.pf ppf "read-h %s off=%d len=%d" tag off len
-  | Snapshot name -> Fmt.pf ppf "snapshot %s" name
-
-let pp_payload ppf = function
-  | Unit -> Fmt.string ppf "()"
-  | Wrote n -> Fmt.pf ppf "wrote %d" n
-  | Data s -> Fmt.pf ppf "data[%d]" (String.length s)
-  | Names l -> Fmt.pf ppf "names[%d]" (List.length l)
-  | Attr st -> Fmt.pf ppf "attr ino=%d" st.Vfs.Fs.ino
-
-let pp_reply ppf r =
-  Fmt.pf ppf "c%d#%d @%d %a" r.rp_client r.rp_seq r.rp_stamp
-    (Fmt.result ~ok:pp_payload ~error:Vfs.Errno.pp)
-    r.rp_result

@@ -230,21 +230,6 @@ let quarantine_pin (ctx : Fsctx.t) name (p : Fsctx.snap_pin) =
   | [] -> Q.add ctx.quar ~reason Q.Superblock
   | offs -> List.iter (fun off -> Q.add ctx.quar ~reason (obj_of_off ctx.geo off)) offs
 
-(* Verify one pinned snapshot; [false] quarantines. Already-quarantined
-   or dead pins report [false] without re-adding quarantine entries. *)
-let scrub_one ?locks (ctx : Fsctx.t) name =
-  with_global locks @@ fun () ->
-  match Hashtbl.find_opt ctx.snaps name with
-  | None -> None
-  | Some p ->
-      if p.Fsctx.sp_quarantined || Device.retained_dead p.Fsctx.sp_view then
-        Some false
-      else if pin_intact ctx p then Some true
-      else begin
-        quarantine_pin ctx name p;
-        Some false
-      end
-
 (* Full pass over every live pin, in name order (deterministic). *)
 let scrub ?locks (ctx : Fsctx.t) =
   with_global locks @@ fun () ->

@@ -97,5 +97,3 @@ let next t =
       *. Float.pow ((t.eta *. u) -. t.eta +. 1.0) t.alpha
     in
     min (t.n - 1) (int_of_float v)
-
-let uniform t = Random.State.int t.rng t.n

@@ -97,6 +97,54 @@ let _bug (ctx : Squirrelfs.Fsctx.t)
   O.Inode.dec_link ctx ih ~cleared:ev
 |},
       "range_freed_ev" );
+    (* transitions that share one body keep their own types *)
+    ( "hard-link commit of a never-linked (init) inode",
+      {|open Typestate.States
+module O = Squirrelfs.Objects
+
+let _bug (ctx : Squirrelfs.Fsctx.t)
+    (dh : (clean, O.Dentry.named) O.Dentry.t)
+    (ih : (clean, O.Inode.init) O.Inode.t) =
+  O.Dentry.commit_link ctx dh ~inode:ih
+|},
+      "Inode.inc_link" );
+    ( "set backpointers on an unfenced fill",
+      {|open Typestate.States
+module O = Squirrelfs.Objects
+
+let _bug (ctx : Squirrelfs.Fsctx.t)
+    (r : (dirty, O.Prange.dataful) O.Prange.t) =
+  O.Prange.set_backptrs ctx r
+|},
+      "dirty" );
+    ( "rename-over pointer on a fresh (named) destination",
+      {|open Typestate.States
+module O = Squirrelfs.Objects
+
+let _bug (ctx : Squirrelfs.Fsctx.t)
+    (dst : (clean, O.Dentry.named) O.Dentry.t)
+    (src : (clean, O.Dentry.committed) O.Dentry.t) =
+  O.Dentry.set_rptr_over ctx dst ~src
+|},
+      "Dentry.named" );
+    ( "set the size of an uncommitted (get_init) inode",
+      {|open Typestate.States
+module O = Squirrelfs.Objects
+
+let _bug (ctx : Squirrelfs.Fsctx.t) ino =
+  O.Inode.set_size ctx (O.Inode.get_init ctx ino) ~size:0 ~owned:None ()
+|},
+      "Inode.init" );
+    ( "settle a link increment without its dependent commit",
+      {|open Typestate.States
+module O = Squirrelfs.Objects
+
+let _bug (ctx : Squirrelfs.Fsctx.t)
+    (ih : (clean, O.Inode.complete) O.Inode.t) =
+  let ih = O.Inode.inc_link ctx ih in
+  O.Inode.settle_dec ctx (O.Inode.fence ctx (O.Inode.flush ctx ih))
+|},
+      "Inode.inc_link" );
   ]
 
 (* Locate the built library .cmi directories relative to the test binary:

@@ -132,9 +132,8 @@ let test_degraded_mount_quarantine () =
   Device.flip_bit dev ~off:(base + R.Inode.f_kind) ~bit:0;
   let d2 = Device.of_image (Device.image_durable dev) in
   let fs2 = ok (Sq.mount d2) in
-  let ms = Sq.Mount.last_stats () in
-  Alcotest.(check bool) "degraded" true ms.Sq.Mount.degraded;
-  Alcotest.(check int) "one inode quarantined" 1 ms.Sq.Mount.quarantined_inodes;
+  Alcotest.(check bool) "degraded" true (Sq.Mount.degraded fs2);
+  Alcotest.(check int) "one inode quarantined" 1 (fst (Sq.Mount.quarantined fs2));
   Alcotest.(check bool) "quarantine table has it" true
     (Faults.Quarantine.mem_ino fs2.Sq.Fsctx.quar bad_ino);
   (* EIO as a clean result, never an exception, via the VFS API. *)
@@ -162,6 +161,30 @@ let test_degraded_mount_quarantine () =
     (List.sort compare (ok (Sq.readdir fs2 "/")) = [ "bad"; "good" ]);
   (* Degraded fsck accepts the quarantined volume. *)
   Alcotest.(check (list string)) "fsck clean (degraded)" [] (Sq.Fsck.check fs2)
+
+(* Recovery stats belong to the mounted context: a snapshot rollback's
+   rebuild records that recovery ran, and the degraded verdict still
+   reads the quarantine the degraded mount left in place. *)
+let test_rollback_keeps_degraded () =
+  let dev, fs = mkfs_csum_mounted () in
+  ok (Sq.create fs "/bad");
+  ignore (ok (Sq.write fs "/bad" ~off:0 "doomed") : int);
+  let bad_ino = (ok (Sq.stat fs "/bad")).Vfs.Fs.ino in
+  Device.set_fault_plan dev (Plan.make ~seed:1 ());
+  Device.flip_bit dev
+    ~off:(G.inode_off fs.Sq.Fsctx.geo ~ino:bad_ino + R.Inode.f_kind)
+    ~bit:0;
+  let fs2 = ok (Sq.mount (Device.of_image (Device.image_durable dev))) in
+  Alcotest.(check bool) "degraded mount skips recovery" false
+    fs2.Sq.Fsctx.recovery.Sq.Fsctx.recovered;
+  ok (Sq.create fs2 "/later");
+  ignore (ok (Snap.snapshot fs2 "s0") : Snap.info);
+  ok (Snap.rollback fs2 "s0");
+  Alcotest.(check bool) "rollback ran recovery" true
+    fs2.Sq.Fsctx.recovery.Sq.Fsctx.recovered;
+  Alcotest.(check bool) "still degraded" true (Sq.Mount.degraded fs2);
+  Alcotest.(check (pair int int)) "quarantine kept" (1, 0)
+    (Sq.Mount.quarantined fs2)
 
 (* A corrupt superblock is refused outright with EIO. *)
 let test_superblock_corruption_refuses_mount () =
@@ -420,7 +443,7 @@ let test_root_not_a_directory () =
             Alcotest.failf "%s: refused mount wrote the media" what
       | Ok fs, `Degraded ->
           Alcotest.(check bool) (what ^ ": degraded") true
-            (Sq.Mount.last_stats ()).Sq.Mount.degraded;
+            (Sq.Mount.degraded fs);
           let ops =
             [
               ("create /b", fun () -> Sq.create fs "/b");
@@ -498,6 +521,8 @@ let () =
             test_read_errors_spare_mount_and_fsck;
           Alcotest.test_case "root not a directory" `Quick
             test_root_not_a_directory;
+          Alcotest.test_case "rollback keeps the degraded verdict" `Quick
+            test_rollback_keeps_degraded;
         ] );
       ( "harness",
         [

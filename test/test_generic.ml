@@ -138,7 +138,7 @@ let test_eio_after_quarantine () =
   Device.set_fault_plan dev (Faults.Plan.make ~seed:1 ());
   Device.flip_bit dev ~off:(Layout.Geometry.inode_off fs.Sq.Fsctx.geo ~ino:vino + 1) ~bit:3;
   let fs = ok (Sq.mount dev) in
-  Alcotest.(check bool) "mount degraded" true (Sq.Mount.last_stats ()).Sq.Mount.degraded;
+  Alcotest.(check bool) "mount degraded" true (Sq.Mount.degraded fs);
   (* quarantined path: clean EIO on every class of operation *)
   let expect_eio what = function
     | Error Vfs.Errno.EIO -> ()

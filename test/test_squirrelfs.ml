@@ -91,6 +91,85 @@ let test_set_size_requires_owned_pages () =
 
 let fences dev = (Device.stats dev).Pmem.Stats.fences
 
+(* The one persistence protocol, for every object kind: each entry
+   flushes a fresh handle of that kind and returns a thunk running its
+   [after_fence]. *)
+let flushed =
+  let module O = Sq.Objects in
+  [
+    ( "inode",
+      fun ctx ->
+        let ih = ok "alloc" (O.Inode.alloc ctx) in
+        let ih = O.Inode.init_file ctx ih ~mode:0 ~uid:0 ~gid:0 in
+        let ih = O.Inode.flush ctx ih in
+        fun () -> ignore (O.Inode.after_fence ctx ih) );
+    ( "prange",
+      fun ctx ->
+        let r =
+          ok "alloc"
+            (O.Prange.alloc ctx ~ino:1 ~kind:Layout.Records.Desc.Data
+               ~offsets:[ 0 ])
+        in
+        let r = O.Prange.flush ctx (O.Prange.fill ctx r ~off:0 ~data:"x") in
+        fun () -> ignore (O.Prange.after_fence ctx r) );
+    ( "dentry",
+      fun ctx ->
+        let dh = ok "alloc" (O.Dentry.alloc ctx ~dir:1) in
+        let dh = O.Dentry.flush ctx (O.Dentry.set_name ctx dh "n") in
+        fun () -> ignore (O.Dentry.after_fence ctx dh) );
+    ( "preplace",
+      fun ctx ->
+        let ino = ok "create" (Sq.Ops.create_file ctx ~dir:1 ~name:"f") in
+        ignore (ok "write" (Sq.Ops.write ctx ~ino ~off:0 "old"));
+        let old_page =
+          match Sq.Index.file_pages ctx.Sq.Fsctx.index ~ino with
+          | (_, page) :: _ -> page
+          | [] -> Alcotest.fail "written file owns no page"
+        in
+        let ph =
+          ok "stage"
+            (O.Preplace.stage ctx ~ino ~offset:0 ~old_page ~content:"new")
+        in
+        let ph = O.Preplace.flush ctx ph in
+        fun () -> ignore (O.Preplace.after_fence ctx ph) );
+  ]
+
+let test_after_fence_needs_a_fence () =
+  List.iter
+    (fun (kind, flushed) ->
+      let _dev, ctx = fresh () in
+      let after_fence = flushed ctx in
+      Alcotest.(check bool) (kind ^ ": no fence since the flush raises") true
+        (try
+           after_fence ();
+           false
+         with Token.Stale_handle _ -> true))
+    flushed
+
+let test_after_fence_shares_a_fence () =
+  List.iter
+    (fun (kind, flushed) ->
+      let dev, ctx = fresh () in
+      let after_fence = flushed ctx in
+      Sq.Fsctx.fence ctx;
+      let before = fences dev in
+      after_fence ();
+      Alcotest.(check int) (kind ^ ": no sfence of its own") 0
+        (fences dev - before))
+    flushed
+
+let test_after_fence_unshared () =
+  List.iter
+    (fun (kind, flushed) ->
+      let dev, ctx = fresh () in
+      ctx.Sq.Fsctx.share_fences <- false;
+      let after_fence = flushed ctx in
+      let before = fences dev in
+      after_fence ();
+      Alcotest.(check int) (kind ^ ": exactly one sfence") 1
+        (fences dev - before))
+    flushed
+
 let test_create_uses_two_fences () =
   let dev, ctx = fresh () in
   (* warm up: the first op in a fresh root allocates the first dir page *)
@@ -181,9 +260,9 @@ let test_recovery_mount_clean_volume () =
   ignore (ok "create" (Sq.create fs "/a"));
   Sq.unmount fs;
   let fs2 = ok "recovery mount" (Sq.Mount.mount_recover dev) in
-  let st = Sq.Mount.last_stats () in
-  Alcotest.(check bool) "recovery ran" true st.Sq.Mount.recovered;
-  Alcotest.(check int) "no orphans on clean volume" 0 st.Sq.Mount.orphan_inodes;
+  let st = fs2.Sq.Fsctx.recovery in
+  Alcotest.(check bool) "recovery ran" true st.Sq.Fsctx.recovered;
+  Alcotest.(check int) "no orphans on clean volume" 0 st.Sq.Fsctx.orphan_inodes;
   ignore (ok "still works" (Sq.stat fs2 "/a"))
 
 let test_crash_no_unmount_triggers_recovery () =
@@ -192,9 +271,8 @@ let test_crash_no_unmount_triggers_recovery () =
   (* no unmount: clean flag still 0 *)
   let img = crash_image dev in
   let dev2 = Device.of_image img in
-  let _fs2 = ok "mount" (Sq.mount dev2) in
-  let st = Sq.Mount.last_stats () in
-  Alcotest.(check bool) "recovery ran" true st.Sq.Mount.recovered
+  let fs2 = ok "mount" (Sq.mount dev2) in
+  Alcotest.(check bool) "recovery ran" true fs2.Sq.Fsctx.recovery.Sq.Fsctx.recovered
 
 let test_recovery_frees_orphan_inode () =
   let dev, ctx = fresh () in
@@ -205,8 +283,7 @@ let test_recovery_frees_orphan_inode () =
   let _ih = Sq.Objects.Inode.fence ctx (Sq.Objects.Inode.flush ctx ih) in
   let dev2 = Device.of_image (crash_image dev) in
   let fs2 = ok "mount" (Sq.mount dev2) in
-  let st = Sq.Mount.last_stats () in
-  Alcotest.(check int) "orphan freed" 1 st.Sq.Mount.orphan_inodes;
+  Alcotest.(check int) "orphan freed" 1 fs2.Sq.Fsctx.recovery.Sq.Fsctx.orphan_inodes;
   (* the slot is reusable again *)
   ignore (ok "create" (Sq.create fs2 "/new"));
   ignore (ok "stat" (Sq.stat fs2 "/new"))
@@ -221,8 +298,8 @@ let test_recovery_fixes_link_count () =
   Device.persist dev ~off:base ~len:8;
   let dev2 = Device.of_image (crash_image dev) in
   let fs2 = ok "mount" (Sq.mount dev2) in
-  let st = Sq.Mount.last_stats () in
-  Alcotest.(check int) "one fixed link count" 1 st.Sq.Mount.fixed_link_counts;
+  Alcotest.(check int) "one fixed link count" 1
+    fs2.Sq.Fsctx.recovery.Sq.Fsctx.fixed_link_counts;
   let s = ok "stat" (Sq.stat fs2 "/a") in
   Alcotest.(check int) "links corrected" 1 s.Vfs.Fs.links
 
@@ -253,6 +330,9 @@ let squirrelfs_tests =
     ("recovery frees orphan inode", `Quick, test_recovery_frees_orphan_inode);
     ("recovery fixes link count", `Quick, test_recovery_fixes_link_count);
     ("memory footprint reported", `Quick, test_mem_footprint_reported);
+    ("after_fence needs a fence, every kind", `Quick, test_after_fence_needs_a_fence);
+    ("after_fence shares a fence, every kind", `Quick, test_after_fence_shares_a_fence);
+    ("unshared after_fence fences once, every kind", `Quick, test_after_fence_unshared);
   ]
 
 let () =
