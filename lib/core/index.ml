@@ -1,58 +1,61 @@
 type dentry_loc = { page : int; slot : int }
 
+(* [Int.hash] is [Hashtbl.hash]: these tables fold in the polymorphic
+   tables' order, which page numbers depend on (see index.mli). *)
+module Itbl = Hashtbl.Make (Int)
+
 type dir_index = {
   names : (string, int * dentry_loc) Hashtbl.t;
   mutable pages : int list;
 }
 
+(* A file's offset -> page table is made at its first page. *)
+type file_map = No_pages | Pages of int Itbl.t
+
 type t = {
-  dirs : (int, dir_index) Hashtbl.t;
-  files : (int, (int, int) Hashtbl.t) Hashtbl.t; (* ino -> offset -> page *)
-  used_slots : (int * int, unit) Hashtbl.t; (* (page, slot) *)
-  page_used : (int, int) Hashtbl.t; (* page -> #used slots, for free_slot *)
-  versions : (int, int) Hashtbl.t; (* ino -> extent-map version *)
-  deaths : (int, int) Hashtbl.t; (* ino -> #times removed as a file *)
+  dirs : dir_index Itbl.t;
+  files : file_map Itbl.t; (* ino -> offset -> page *)
+  slots : int Itbl.t; (* dir page -> mask of used slots; absent = none *)
+  versions : int Itbl.t; (* ino -> extent-map version *)
+  deaths : int Itbl.t; (* ino -> #times removed as a file *)
   lock : Mutex.t; (* guards the tables; see the wrappers below *)
 }
 
 let create () =
   {
-    dirs = Hashtbl.create 64;
-    files = Hashtbl.create 64;
-    used_slots = Hashtbl.create 256;
-    page_used = Hashtbl.create 256;
-    versions = Hashtbl.create 64;
-    deaths = Hashtbl.create 64;
+    dirs = Itbl.create 64;
+    files = Itbl.create 64;
+    slots = Itbl.create 256;
+    versions = Itbl.create 64;
+    deaths = Itbl.create 64;
     lock = Mutex.create ();
   }
 
-(* [used_slots] maintenance goes through these so the per-page counters
-   stay in sync: [free_slot] uses them to skip full pages in O(1)
-   instead of probing every slot. *)
+let per_page = Layout.Geometry.dentries_per_page
+let full_mask = (1 lsl per_page) - 1
+let () = assert (per_page < Sys.int_size)
+
+let slot_mask t page =
+  match Itbl.find_opt t.slots page with Some m -> m | None -> 0
+
 let slot_add t page slot =
-  if not (Hashtbl.mem t.used_slots (page, slot)) then begin
-    Hashtbl.replace t.used_slots (page, slot) ();
-    Hashtbl.replace t.page_used page
-      (1 + (match Hashtbl.find_opt t.page_used page with Some n -> n | None -> 0))
-  end
+  Itbl.replace t.slots page (slot_mask t page lor (1 lsl slot))
 
 let slot_remove t page slot =
-  if Hashtbl.mem t.used_slots (page, slot) then begin
-    Hashtbl.remove t.used_slots (page, slot);
-    match Hashtbl.find_opt t.page_used page with
-    | Some 1 -> Hashtbl.remove t.page_used page
-    | Some n -> Hashtbl.replace t.page_used page (n - 1)
-    | None -> ()
-  end
+  match Itbl.find_opt t.slots page with
+  | None -> ()
+  | Some m ->
+      let m = m land lnot (1 lsl slot) in
+      if m = 0 then Itbl.remove t.slots page else Itbl.replace t.slots page m
 
 let dir_exn t ino =
-  match Hashtbl.find_opt t.dirs ino with
+  match Itbl.find_opt t.dirs ino with
   | Some d -> d
   | None -> invalid_arg (Printf.sprintf "Index: %d is not an indexed dir" ino)
 
 let add_dir t ino =
-  if not (Hashtbl.mem t.dirs ino) then
-    Hashtbl.replace t.dirs ino { names = Hashtbl.create 8; pages = [] }
+  if not (Itbl.mem t.dirs ino) then
+    Itbl.add t.dirs ino { names = Hashtbl.create 8; pages = [] }
 
 let add_dir_page t ~dir page =
   let d = dir_exn t dir in
@@ -76,7 +79,7 @@ let remove_dentry t ~dir name =
   Hashtbl.remove d.names name
 
 let lookup t ~dir name =
-  match Hashtbl.find_opt t.dirs dir with
+  match Itbl.find_opt t.dirs dir with
   | None -> None
   | Some d -> Hashtbl.find_opt d.names name
 
@@ -85,43 +88,33 @@ let dentries t ~dir =
     (dir_exn t dir).names []
 
 let dentry_count t ~dir = Hashtbl.length (dir_exn t dir).names
-let is_dir t ino = Hashtbl.mem t.dirs ino
+let is_dir t ino = Itbl.mem t.dirs ino
 
 let mark_slot_used t loc = slot_add t loc.page loc.slot
 let mark_slot_free t loc = slot_remove t loc.page loc.slot
 
-let free_slot t ~dir =
-  let d = dir_exn t dir in
-  let per_page = Layout.Geometry.dentries_per_page in
-  let page_full page =
-    match Hashtbl.find_opt t.page_used page with
-    | Some n -> n >= per_page
-    | None -> false
-  in
-  let rec scan_pages = function
-    | [] -> None
-    | page :: rest when page_full page -> scan_pages rest
-    | page :: rest ->
-        let rec scan_slots slot =
-          if slot = per_page then None
-          else if not (Hashtbl.mem t.used_slots (page, slot)) then
-            Some { page; slot }
-          else scan_slots (slot + 1)
-        in
-        (match scan_slots 0 with Some loc -> Some loc | None -> scan_pages rest)
-  in
-  scan_pages d.pages
+let rec lowest_clear mask slot =
+  if mask land (1 lsl slot) = 0 then slot else lowest_clear mask (slot + 1)
 
-let remove_dir t ino = Hashtbl.remove t.dirs ino
+(* The lowest free slot of the first page in [pages] with one. *)
+let rec first_free t = function
+  | [] -> None
+  | page :: rest ->
+      let used = slot_mask t page in
+      if used = full_mask then first_free t rest
+      else Some { page; slot = lowest_clear used 0 }
+
+let free_slot t ~dir = first_free t (dir_exn t dir).pages
+
+let remove_dir t ino = Itbl.remove t.dirs ino
 
 let file_exn t ino =
-  match Hashtbl.find_opt t.files ino with
+  match Itbl.find_opt t.files ino with
   | Some f -> f
   | None -> invalid_arg (Printf.sprintf "Index: %d is not an indexed file" ino)
 
 let add_file t ino =
-  if not (Hashtbl.mem t.files ino) then
-    Hashtbl.replace t.files ino (Hashtbl.create 8)
+  if not (Itbl.mem t.files ino) then Itbl.add t.files ino No_pages
 
 (* Extent-map version: bumped on every change to a file's offset->page
    map (and on the file's removal), so open handles can validate a
@@ -129,51 +122,57 @@ let add_file t ino =
    query. Versions start at 0 for never-indexed inos and never reset —
    inode numbers are reused, so a handle holding a version from a dead
    file's lifetime must still see a mismatch against the new file. *)
-let bump_version t ino =
-  Hashtbl.replace t.versions ino
-    (1 + (match Hashtbl.find_opt t.versions ino with Some v -> v | None -> 0))
-
 let file_version t ino =
-  match Hashtbl.find_opt t.versions ino with Some v -> v | None -> 0
+  match Itbl.find_opt t.versions ino with Some v -> v | None -> 0
+
+let bump_version t ino = Itbl.replace t.versions ino (1 + file_version t ino)
 
 let add_file_page t ~ino ~offset page =
-  Hashtbl.replace (file_exn t ino) offset page;
+  (match file_exn t ino with
+  | Pages f -> Itbl.replace f offset page
+  | No_pages ->
+      let f = Itbl.create 8 in
+      Itbl.replace f offset page;
+      Itbl.replace t.files ino (Pages f));
   bump_version t ino
 
 let remove_file_page t ~ino ~offset =
-  Hashtbl.remove (file_exn t ino) offset;
+  (match file_exn t ino with Pages f -> Itbl.remove f offset | No_pages -> ());
   bump_version t ino
 
 let file_page t ~ino ~offset =
-  match Hashtbl.find_opt t.files ino with
-  | None -> None
-  | Some f -> Hashtbl.find_opt f offset
+  match Itbl.find_opt t.files ino with
+  | Some (Pages f) -> Itbl.find_opt f offset
+  | Some No_pages | None -> None
 
 let file_pages t ~ino =
-  match Hashtbl.find_opt t.files ino with
-  | None -> []
-  | Some f -> Hashtbl.fold (fun off page acc -> (off, page) :: acc) f []
+  match Itbl.find_opt t.files ino with
+  | Some (Pages f) -> Itbl.fold (fun off page acc -> (off, page) :: acc) f []
+  | Some No_pages | None -> []
 
 (* Death counter: how many times [ino] has stopped being a file. Open
    handles capture it at open time; inode numbers are reused, so
    [is_file] alone cannot tell "the file I opened" from "a new file on
    the same number" — a changed death count can. *)
 let file_deaths t ino =
-  match Hashtbl.find_opt t.deaths ino with Some n -> n | None -> 0
+  match Itbl.find_opt t.deaths ino with Some n -> n | None -> 0
 
 let remove_file t ino =
-  Hashtbl.remove t.files ino;
-  Hashtbl.replace t.deaths ino (1 + file_deaths t ino);
+  Itbl.remove t.files ino;
+  Itbl.replace t.deaths ino (1 + file_deaths t ino);
   bump_version t ino
 
-let is_file t ino = Hashtbl.mem t.files ino
+let is_file t ino = Itbl.mem t.files ino
 
 let footprint_bytes t =
   let file_bytes =
-    Hashtbl.fold (fun _ f acc -> acc + 8 + (24 * Hashtbl.length f)) t.files 0
+    Itbl.fold
+      (fun _ f acc ->
+        acc + 8 + (24 * match f with Pages f -> Itbl.length f | No_pages -> 0))
+      t.files 0
   in
   let dir_bytes =
-    Hashtbl.fold
+    Itbl.fold
       (fun _ d acc ->
         acc + 8
         + (24 * List.length d.pages)
@@ -188,18 +187,24 @@ let footprint_bytes t =
    The index is shared by every domain executing ops under the [Serve]
    engine: the per-inode shard locks serialize ops that touch the same
    directory or file, but ops on disjoint inodes still land concurrent
-   [Hashtbl] calls on the shared [dirs]/[files]/[used_slots] tables,
-   which is unsafe (resizes race). Each public entry point therefore
-   takes one short critical section on the instance's own lock; an
-   uncontended lock/unlock is a few tens of nanoseconds, invisible next
-   to the simulated-device work around it, and independent mounts (e.g.
+   [Hashtbl] calls on the shared [dirs]/[files]/[slots] tables, which is
+   unsafe (resizes race). Each public entry point therefore takes one
+   short critical section on the instance's own lock; an uncontended
+   lock/unlock is a few tens of nanoseconds, invisible next to the
+   simulated-device work around it, and independent mounts (e.g.
    parallel fuzzer shards) never contend. The wrappers shadow the
    lock-free bodies above, which keep calling each other directly (no
    nesting, so a plain [Mutex] is enough). *)
 
 let locked t f =
   Mutex.lock t.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
+  match f () with
+  | v ->
+      Mutex.unlock t.lock;
+      v
+  | exception e ->
+      Mutex.unlock t.lock;
+      raise e
 
 let add_dir t ino = locked t (fun () -> add_dir t ino)
 let add_dir_page t ~dir page = locked t (fun () -> add_dir_page t ~dir page)

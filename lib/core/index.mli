@@ -2,9 +2,17 @@
 
     SquirrelFS's persistent layout (backpointers, flat tables) is not
     amenable to fast lookup, so DRAM indexes are built at mount: per
-    directory, a name -> dentry map; per file, an offset -> page map; per
-    directory, the list of directory pages it owns and which dentry slots
-    are in use. *)
+    directory, a name -> dentry map and the list of directory pages it
+    owns; per directory page, one bitmask of the dentry slots in use; per
+    file, an offset -> page map, made at the file's first page.
+
+    The int-keyed tables are [Hashtbl.Make (Int)], whose hash is
+    [Hashtbl.hash]: they fold in the order the polymorphic tables did,
+    and that order matters — {!file_pages} feeds the allocator's
+    free-page stack through truncate and unlink, so a different hash
+    would move every later page number, crash image and pinned report.
+    Every entry point takes the instance's lock for one short critical
+    section. *)
 
 type dentry_loc = { page : int; slot : int }
 
@@ -30,7 +38,8 @@ val is_dir : t -> int -> bool
 
 val free_slot : t -> dir:int -> dentry_loc option
 (** A dir page slot not currently holding an allocated dentry, if any of
-    the directory's pages has one. *)
+    the directory's pages has one: the lowest clear bit of the first
+    page, in {!dir_pages} order, whose mask is not full. *)
 
 val mark_slot_used : t -> dentry_loc -> unit
 val mark_slot_free : t -> dentry_loc -> unit

@@ -44,7 +44,7 @@ let shard_of t key = (key * 0x9E3779B1) lsr 11 land t.mask
 
 (* Ascending, deduplicated shard indexes for a key set. *)
 let shard_set t keys =
-  List.sort_uniq compare (List.map (fun k -> shard_of t k) keys)
+  List.sort_uniq Int.compare (List.map (fun k -> shard_of t k) keys)
 
 let lock_shards t idxs = List.iter (fun i -> Mutex.lock t.shards.(i)) idxs
 
@@ -55,7 +55,13 @@ let unlock_shards t idxs =
 
 let with_shards t idxs f =
   lock_shards t idxs;
-  Fun.protect ~finally:(fun () -> unlock_shards t idxs) f
+  match f () with
+  | v ->
+      unlock_shards t idxs;
+      v
+  | exception e ->
+      unlock_shards t idxs;
+      raise e
 
 let with_keys t keys f = with_shards t (shard_set t keys) f
 

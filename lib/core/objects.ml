@@ -114,7 +114,7 @@ module Prange = struct
 
   let mk (ctx : Fsctx.t) ~ino ~kind ~pages =
     let rid = Fsctx.range_oid ctx in
-    { rid; r_ino = ino; kind; r_pages = pages; tok = Token.mint ctx.reg ~id:rid }
+    { rid; r_ino = ino; kind; r_pages = pages; tok = Token.fresh ctx.reg ~id:rid }
 
   (* CPU cost of the volatile allocators (free-list pop + bookkeeping) *)
   let alloc_ns = 150
@@ -317,31 +317,32 @@ module Inode = struct
 
   let settle_dec (ctx : Fsctx.t) h = remake h (Token.use ctx.reg h.tok)
 
-  let page_units size = (size + Geometry.page_size - 1) / Geometry.page_size
+  (* The lowest page offset, from [expect] up, that an ascending list of
+     offsets lacks. *)
+  let rec first_gap expect = function
+    | off :: rest when off <= expect ->
+        first_gap (if off = expect then expect + 1 else expect) rest
+    | _ -> expect
 
   let set_size (ctx : Fsctx.t) h ~size ?mtime ~owned () =
     (* Every page the new size covers must be durably owned: either already
        indexed or covered by evidence minted after a fence (paper §4.2's
        write-path bug is exactly a violation of this). *)
-    let covered = Hashtbl.create 16 in
-    List.iter
-      (fun (off, _page) -> Hashtbl.replace covered off ())
-      (Index.file_pages ctx.index ~ino:h.i_ino);
-    (match owned with
-    | None -> ()
-    | Some ev ->
-        if ev.ro_ino <> h.i_ino then
-          failwith "Inode.set_size: owned evidence for the wrong inode";
-        consume_ro ev;
-        List.iter
-          (fun (_page, off) -> Hashtbl.replace covered off ())
-          ev.ro_pages);
-    for off = 0 to page_units size - 1 do
-      if not (Hashtbl.mem covered off) then
-        failwith
-          (Printf.sprintf
-             "Inode.set_size: size %d covers unowned page offset %d" size off)
-    done;
+    let covered = List.rev_map fst (Index.file_pages ctx.index ~ino:h.i_ino) in
+    let covered =
+      match owned with
+      | None -> covered
+      | Some ev ->
+          if ev.ro_ino <> h.i_ino then
+            failwith "Inode.set_size: owned evidence for the wrong inode";
+          consume_ro ev;
+          List.rev_append (List.rev_map snd ev.ro_pages) covered
+    in
+    let gap = first_gap 0 (List.sort Int.compare covered) in
+    if gap * Geometry.page_size < size then
+      failwith
+        (Printf.sprintf
+           "Inode.set_size: size %d covers unowned page offset %d" size gap);
     let tok = Token.use ctx.reg h.tok in
     Device.store_u64 ctx.dev (field ctx h R.Inode.f_size) size;
     (match mtime with
@@ -638,7 +639,7 @@ module Preplace = struct
             offset;
             newp;
             oldp = old_page;
-            tok = Token.mint ctx.reg ~id:rid;
+            tok = Token.fresh ctx.reg ~id:rid;
           }
 
   let store_desc (ctx : Fsctx.t) h ~page f v =

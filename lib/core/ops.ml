@@ -413,6 +413,11 @@ let rename (ctx : Fsctx.t) ~src_dir ~src_name ~dst_dir ~dst_name =
 
 let page_units size = (size + ps - 1) / ps
 
+(* No file outgrows the volume: a size or a write end past every data
+   page is ENOSPC before any store. [fits] compares without overflow, so
+   an end near [max_int] cannot wrap into range. *)
+let fits (ctx : Fsctx.t) ~off ~len = len <= (ctx.geo.page_count * ps) - off
+
 (* Operations on a quarantined object (metadata known corrupt, see
    {!Mount}) fail cleanly with [EIO] instead of trusting its records. *)
 let quarantined (ctx : Fsctx.t) ino = Faults.Quarantine.mem_ino ctx.quar ino
@@ -638,6 +643,8 @@ let overwrite_page (ctx : Fsctx.t) ~ino ~overwrite ~size ~off data o page =
 let write_pages (ctx : Fsctx.t) ~ino ~page_of ~fresh ~overwrite ~off data =
   if quarantined ctx ino then Error Vfs.Errno.EIO
   else if String.length data = 0 then Ok 0
+  else if not (fits ctx ~off ~len:(String.length data)) then
+    Error Vfs.Errno.ENOSPC
   else
     let len = String.length data in
     let ih = Inode.get ctx ino in
@@ -716,6 +723,7 @@ let truncate (ctx : Fsctx.t) ~ino new_size =
   span ctx "core.truncate" @@ fun () ->
   if new_size < 0 then Error Vfs.Errno.EINVAL
   else if quarantined ctx ino then Error Vfs.Errno.EIO
+  else if not (fits ctx ~off:0 ~len:new_size) then Error Vfs.Errno.ENOSPC
   else begin
     let ih = Inode.get ctx ino in
     let cur_size = Inode.size ctx ih in

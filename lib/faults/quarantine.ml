@@ -12,17 +12,18 @@ type t = { tbl : (obj, entry) Hashtbl.t; mutable order : obj list }
 let create () = { tbl = Hashtbl.create 16; order = [] }
 
 let mem t obj = Hashtbl.mem t.tbl obj
-let mem_ino t ino = mem t (Ino ino)
-let mem_page t pg = mem t (Page pg)
+let count t = Hashtbl.length t.tbl
+let is_empty t = count t = 0
+
+(* asked on every data op: with nothing quarantined, no key is built *)
+let mem_ino t ino = (not (is_empty t)) && mem t (Ino ino)
+let mem_page t pg = (not (is_empty t)) && mem t (Page pg)
 
 let add t ?(reason = "checksum mismatch") obj =
   if not (mem t obj) then begin
     Hashtbl.replace t.tbl obj { obj; reason };
     t.order <- obj :: t.order
   end
-
-let count t = Hashtbl.length t.tbl
-let is_empty t = count t = 0
 
 let to_list t =
   List.rev_map (fun obj -> Hashtbl.find t.tbl obj) t.order

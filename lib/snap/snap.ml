@@ -404,7 +404,9 @@ let rollback ?locks (ctx : Fsctx.t) name =
         Hashtbl.reset ctx.anon;
         ctx.index <- Squirrelfs.Index.create ();
         ctx.alloc <- Fsctx.fresh_alloc ctx;
-        Squirrelfs.Mount.rebuild ctx ~recover:true;
+        (* a degraded volume stays unrepaired, as at mount *)
+        Squirrelfs.Mount.rebuild ctx
+          ~recover:(not (Squirrelfs.Mount.degraded ctx));
         let table = S.list dev in
         let stale =
           Hashtbl.fold

@@ -1,20 +1,25 @@
 exception Stale_handle of string
 
+(* One cell per object, shared by every handle on it: the current
+   generation and the fence epoch of the object's last flush (0 = never
+   flushed; epochs start at 1). *)
+type cell = { mutable cur : int; mutable flush_epoch : int }
+
+module Itbl = Hashtbl.Make (Int)
+
 type registry = {
-  gens : (int, int) Hashtbl.t;
-  flush_epochs : (int, int) Hashtbl.t;
-  mutable epoch : int;
+  cells : cell Itbl.t; (* minted ids only; [fresh] cells never enter it *)
+  epoch : int Atomic.t;
   mutable obs : Obs.Metrics.t option;
-  lock : Mutex.t; (* guards the tables and the epoch; wrappers below *)
+  lock : Mutex.t; (* guards [cells]; taken by [mint] and [tracked] only *)
 }
 
-type t = { oid : int; gen : int }
+type t = { oid : int; gen : int; cell : cell }
 
 let create_registry () =
   {
-    gens = Hashtbl.create 64;
-    flush_epochs = Hashtbl.create 64;
-    epoch = 1;
+    cells = Itbl.create 64;
+    epoch = Atomic.make 1;
     obs = None;
     lock = Mutex.create ();
   }
@@ -24,86 +29,81 @@ let set_metrics reg m = reg.obs <- m
 let tick reg name =
   match reg.obs with None -> () | Some m -> Obs.Metrics.incr m name 1
 
-let current reg oid =
-  match Hashtbl.find_opt reg.gens oid with Some g -> g | None -> 0
-
-let mint reg ~id =
+(* Advance [cell] and return the token of its new generation. *)
+let next reg oid cell =
   tick reg "token.mints";
-  let g = current reg id + 1 in
-  Hashtbl.replace reg.gens id g;
-  { oid = id; gen = g }
+  let g = cell.cur + 1 in
+  cell.cur <- g;
+  { oid; gen = g; cell }
 
-let validate reg t =
-  if current reg t.oid <> t.gen then
+(* The table lookup is the only step that needs the lock: the shard
+   locks hand each object to one domain at a time (DESIGN.md,
+   "Shared-fence soundness"), so its cell is never touched concurrently. *)
+let mint reg ~id =
+  Mutex.lock reg.lock;
+  let cell =
+    match Itbl.find_opt reg.cells id with
+    | Some c -> c
+    | None ->
+        let c = { cur = 0; flush_epoch = 0 } in
+        Itbl.add reg.cells id c;
+        c
+  in
+  Mutex.unlock reg.lock;
+  next reg id cell
+
+let fresh reg ~id = next reg id { cur = 0; flush_epoch = 0 }
+
+let tracked reg =
+  Mutex.lock reg.lock;
+  let n = Itbl.length reg.cells in
+  Mutex.unlock reg.lock;
+  n
+
+let validate t =
+  if t.cell.cur <> t.gen then
     raise
       (Stale_handle
          (Printf.sprintf
             "object %d: handle generation %d is stale (current %d)" t.oid
-            t.gen (current reg t.oid)))
+            t.gen t.cell.cur))
 
 let use reg t =
   tick reg "token.uses";
-  validate reg t;
-  mint reg ~id:t.oid
+  validate t;
+  next reg t.oid t.cell
 
-let check reg t = validate reg t
+let check _reg t = validate t
 
 let release reg t =
   tick reg "token.releases";
-  validate reg t;
-  ignore (mint reg ~id:t.oid)
+  validate t;
+  ignore (next reg t.oid t.cell)
 
 let id t = t.oid
 
-let epoch reg = reg.epoch
+let epoch reg = Atomic.get reg.epoch
 
 let bump_epoch reg =
   tick reg "token.fence_epochs";
-  reg.epoch <- reg.epoch + 1
+  Atomic.incr reg.epoch
 
 let flushed_at reg t =
   let t' = use reg t in
-  Hashtbl.replace reg.flush_epochs t.oid reg.epoch;
+  t.cell.flush_epoch <- Atomic.get reg.epoch;
   t'
 
 let assert_fenced reg t =
-  validate reg t;
-  (match Hashtbl.find_opt reg.flush_epochs t.oid with
-  | None ->
-      raise
-        (Stale_handle
-           (Printf.sprintf "object %d: fenced without a recorded flush" t.oid))
-  | Some fe ->
-      if fe >= reg.epoch then
-        raise
-          (Stale_handle
-             (Printf.sprintf
-                "object %d: no fence since flush (flush epoch %d, current %d)"
-                t.oid fe reg.epoch)));
+  validate t;
+  let fe = t.cell.flush_epoch and cur = Atomic.get reg.epoch in
+  if fe = 0 then
+    raise
+      (Stale_handle
+         (Printf.sprintf "object %d: fenced without a recorded flush" t.oid));
+  if fe >= cur then
+    raise
+      (Stale_handle
+         (Printf.sprintf
+            "object %d: no fence since flush (flush epoch %d, current %d)"
+            t.oid fe cur));
   use reg t
-
-(* {1 Concurrency}
-
-   One registry serves every domain executing ops under the [Serve]
-   engine. Object ids are disjoint across concurrently running ops (the
-   shard locks see to that), but the generation and flush-epoch tables
-   themselves are shared [Hashtbl]s, and [bump_epoch] races with every
-   in-flight transition. Each public entry point below takes one short
-   critical section on the registry's own lock, shadowing the lock-free
-   bodies above (which keep calling each other directly — [use] ->
-   [validate] + [mint] stays on the unlocked bodies, so a plain [Mutex]
-   is enough). Independent registries (parallel fuzzer shards) never
-   contend. *)
-
-let locked reg f =
-  Mutex.lock reg.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock reg.lock) f
-
-let mint reg ~id = locked reg (fun () -> mint reg ~id)
-let use reg t = locked reg (fun () -> use reg t)
-let check reg t = locked reg (fun () -> check reg t)
-let release reg t = locked reg (fun () -> release reg t)
-let epoch reg = locked reg (fun () -> epoch reg)
-let bump_epoch reg = locked reg (fun () -> bump_epoch reg)
-let flushed_at reg t = locked reg (fun () -> flushed_at reg t)
-let assert_fenced reg t = locked reg (fun () -> assert_fenced reg t)

@@ -229,6 +229,43 @@ let test_rename_deadlock_regression () =
   (* both domains completed: no deadlock; tree still sane *)
   Alcotest.(check (list string)) "fsck clean" [] (Sq.Fsck.check (Serve.Engine.(fun t -> t.ctx) eng))
 
+(* {1 Token cells across domains}
+
+   Transitions read and bump per-object token cells without a lock: the
+   shard locks hand each object to one domain at a time. Two domains
+   churning creates, extending writes and unlinks in their own
+   directories on one shared device must never see a [Stale_handle]
+   (it would escape [submit], or [Domain.join]), and the remounted
+   volume must fsck clean. *)
+
+let test_token_cells_two_domains () =
+  let dev, ctx, eng = mk_engine () in
+  ok_ (submit eng (Serve.Req.Mkdir "/w0"));
+  ok_ (submit eng (Serve.Req.Mkdir "/w1"));
+  Device.set_shared dev true;
+  let churn dir () =
+    let file k = Printf.sprintf "%s/f%d" dir (k mod 8) and done_ = ref 0 in
+    for i = 0 to 299 do
+      let go r =
+        match (Serve.Engine.submit eng ~client:0 ~seq:i r).Serve.Req.rp_result with
+        | Ok _ -> incr done_
+        | Error _ -> ()
+      in
+      go (Serve.Req.Create (file i));
+      go (Serve.Req.Write (file i, i mod 3 * 4096, String.make 5000 'x'));
+      go (Serve.Req.Unlink (file (i + 3)))
+    done;
+    !done_
+  in
+  let d1 = Domain.spawn (churn "/w1") in
+  let done0 = churn "/w0" () in
+  let done1 = Domain.join d1 in
+  Device.set_shared dev false;
+  (* all but the first five unlinks, which find no file yet, succeed *)
+  Alcotest.(check (pair int int)) "requests served" (895, 895) (done0, done1);
+  Sq.unmount ctx;
+  Alcotest.(check (list string)) "fsck clean" [] (Sq.Fsck.check (ok (Sq.mount dev)))
+
 (* {1 Load generator} *)
 
 let test_loadgen_deterministic_j1 () =
@@ -333,6 +370,7 @@ let () =
           ("op surface round-trips", `Quick, test_engine_ops);
           ("stamps monotone", `Quick, test_engine_stamps_monotone);
           ("rename deadlock regression", `Quick, test_rename_deadlock_regression);
+          ("token cells across two domains", `Quick, test_token_cells_two_domains);
           QCheck_alcotest.to_alcotest prop_linearizable;
         ] );
       ( "loadgen",

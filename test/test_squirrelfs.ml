@@ -310,6 +310,58 @@ let test_mem_footprint_reported () =
   let bytes = Sq.Index.footprint_bytes fs.Sq.Fsctx.index in
   Alcotest.(check bool) "non-trivial footprint" true (bytes > 250)
 
+(* Page-range handles take fresh token cells that never enter the
+   registry's table: after many allocating writes and freeing truncates
+   it holds one cell per object minted by id, here the root and the two
+   files' inodes and their two dentry slots, not one per range. *)
+let test_token_table_bounded () =
+  let _dev, fs = fresh () in
+  let files = [ "/a"; "/b" ] in
+  List.iter (fun f -> ok "create" (Sq.create fs f)) files;
+  for i = 1 to 1_000 do
+    let f = List.nth files (i mod 2) in
+    if i mod 10 = 0 then ok "truncate" (Sq.truncate fs f (i mod 3 * 100))
+    else begin
+      let size = (ok "stat" (Sq.stat fs f)).Vfs.Fs.size in
+      ignore (ok "write" (Sq.write fs f ~off:size (String.make 1500 'x')) : int)
+    end
+  done;
+  let touched = 3 (* inodes *) + 2 (* dentry slots *) in
+  let tracked = Token.tracked fs.Sq.Fsctx.reg in
+  if tracked > touched then
+    Alcotest.failf "token table holds %d cells, want at most %d" tracked
+      touched;
+  Alcotest.(check (list string)) "fsck clean" [] (Sq.Fsck.check fs)
+
+(* A size or write end past the volume's data pages is ENOSPC before any
+   store: no overflowing page count, no per-page list up to the target,
+   and the file keeps its size. *)
+let test_oversized_sizes_enospc () =
+  let _dev, fs = fresh () in
+  ok "create" (Sq.create fs "/f");
+  let size () = (ok "stat" (Sq.stat fs "/f")).Vfs.Fs.size in
+  let enospc what = function
+    | Error Vfs.Errno.ENOSPC -> ()
+    | Error e -> Alcotest.failf "%s: %s, want ENOSPC" what (Vfs.Errno.to_string e)
+    | Ok _ -> Alcotest.failf "%s succeeded, want ENOSPC" what
+  in
+  let probe want =
+    List.iter
+      (fun n -> enospc (Printf.sprintf "truncate %d" n) (Sq.truncate fs "/f" n))
+      [ max_int; 1 lsl 40; 1 lsl 30 ];
+    List.iter
+      (fun off ->
+        enospc (Printf.sprintf "write at %d" off) (Sq.write fs "/f" ~off "abc"))
+      [ 1 lsl 40; max_int - 10 ];
+    Alcotest.(check int) "size unchanged" want (size ());
+    Alcotest.(check (list string)) "fsck clean" [] (Sq.Fsck.check fs)
+  in
+  probe 0;
+  ignore (ok "write" (Sq.write fs "/f" ~off:0 "abc") : int);
+  probe 3;
+  Alcotest.(check string) "content kept" "abc"
+    (ok "read" (Sq.read fs "/f" ~off:0 ~len:10))
+
 let squirrelfs_tests =
   [
     ("stale handle detected", `Quick, test_stale_handle_detected);
@@ -333,6 +385,8 @@ let squirrelfs_tests =
     ("after_fence needs a fence, every kind", `Quick, test_after_fence_needs_a_fence);
     ("after_fence shares a fence, every kind", `Quick, test_after_fence_shares_a_fence);
     ("unshared after_fence fences once, every kind", `Quick, test_after_fence_unshared);
+    ("token table bounded by objects", `Quick, test_token_table_bounded);
+    ("oversized truncate and write are ENOSPC", `Quick, test_oversized_sizes_enospc);
   ]
 
 let () =

@@ -179,6 +179,293 @@ let prop_token_distinct_ids_independent =
       Token.check reg tb;
       true)
 
+(* Per-object cells against the table semantics they replace: a
+   generation table and a flush-epoch table keyed by object id, every
+   entry point reading them afresh. Random sequences over four minted
+   ids plus fresh range ids (never minted twice, so a fresh cell is the
+   first mint of a new id in the reference) must give the same outcome
+   and the same [Stale_handle] message at every step. *)
+module Ref_token = struct
+  type reg = {
+    gens : (int, int) Hashtbl.t;
+    flush_epochs : (int, int) Hashtbl.t;
+    mutable epoch : int;
+  }
+
+  type t = { oid : int; gen : int }
+
+  let create () =
+    { gens = Hashtbl.create 8; flush_epochs = Hashtbl.create 8; epoch = 1 }
+
+  let current r oid = Option.value (Hashtbl.find_opt r.gens oid) ~default:0
+
+  let mint r ~id =
+    let g = current r id + 1 in
+    Hashtbl.replace r.gens id g;
+    { oid = id; gen = g }
+
+  let validate r t =
+    if current r t.oid <> t.gen then
+      raise
+        (Token.Stale_handle
+           (Printf.sprintf
+              "object %d: handle generation %d is stale (current %d)" t.oid
+              t.gen (current r t.oid)))
+
+  let use r t =
+    validate r t;
+    mint r ~id:t.oid
+
+  let release r t = ignore (use r t)
+
+  let flushed_at r t =
+    let t' = use r t in
+    Hashtbl.replace r.flush_epochs t.oid r.epoch;
+    t'
+
+  let assert_fenced r t =
+    validate r t;
+    (match Hashtbl.find_opt r.flush_epochs t.oid with
+    | None ->
+        raise
+          (Token.Stale_handle
+             (Printf.sprintf "object %d: fenced without a recorded flush"
+                t.oid))
+    | Some fe ->
+        if fe >= r.epoch then
+          raise
+            (Token.Stale_handle
+               (Printf.sprintf
+                  "object %d: no fence since flush (flush epoch %d, current %d)"
+                  t.oid fe r.epoch)));
+    use r t
+end
+
+type token_step =
+  | Mint of int
+  | Fresh
+  | Use of int
+  | Check of int
+  | Release of int
+  | Flushed_at of int
+  | Bump_epoch
+  | Assert_fenced of int
+
+let pp_token_step = function
+  | Mint id -> Printf.sprintf "mint %d" id
+  | Fresh -> "fresh"
+  | Use k -> Printf.sprintf "use #%d" k
+  | Check k -> Printf.sprintf "check #%d" k
+  | Release k -> Printf.sprintf "release #%d" k
+  | Flushed_at k -> Printf.sprintf "flushed_at #%d" k
+  | Bump_epoch -> "bump_epoch"
+  | Assert_fenced k -> Printf.sprintf "assert_fenced #%d" k
+
+let token_steps =
+  let open QCheck.Gen in
+  let k = int_bound 15 in
+  let step =
+    frequency
+      [
+        (3, map (fun id -> Mint id) (int_bound 3));
+        (1, return Fresh);
+        (4, map (fun k -> Use k) k);
+        (2, map (fun k -> Check k) k);
+        (1, map (fun k -> Release k) k);
+        (3, map (fun k -> Flushed_at k) k);
+        (2, return Bump_epoch);
+        (3, map (fun k -> Assert_fenced k) k);
+      ]
+  in
+  QCheck.make
+    ~print:(fun l -> String.concat "; " (List.map pp_token_step l))
+    ~shrink:QCheck.Shrink.list
+    (list_size (int_range 1 60) step)
+
+let prop_token_cells_match_tables =
+  QCheck.Test.make ~count:500 ~name:"token cells match the table semantics"
+    token_steps (fun steps ->
+      let reg = Token.create_registry () and r = Ref_token.create () in
+      (* every token either side handed out, newest first, in step *)
+      let pool = ref [] and next_fresh = ref 100 in
+      let outcome f =
+        match f () with
+        | v -> Ok v
+        | exception Token.Stale_handle msg -> Error msg
+      in
+      let nth k = List.nth_opt !pool (k mod max 1 (List.length !pool)) in
+      let agree what got want =
+        match (got, want) with
+        | Ok t, Ok rt ->
+            if Token.id t <> rt.Ref_token.oid then
+              QCheck.Test.fail_reportf "%s: id %d, want %d" what (Token.id t)
+                rt.Ref_token.oid;
+            pool := (t, rt) :: !pool
+        | Error m, Error m' when m = m' -> ()
+        | _ ->
+            let show = function Ok _ -> "ok" | Error m -> m in
+            QCheck.Test.fail_reportf "%s: %s, want %s" what (show got)
+              (show want)
+      in
+      let on k what f g =
+        match nth k with
+        | None -> ()
+        | Some (t, rt) ->
+            agree what (outcome (fun () -> f t)) (outcome (fun () -> g rt))
+      in
+      let unit f t = f t; t in
+      List.iter
+        (fun step ->
+          let what = pp_token_step step in
+          match step with
+          | Mint id ->
+              agree what
+                (outcome (fun () -> Token.mint reg ~id))
+                (outcome (fun () -> Ref_token.mint r ~id))
+          | Fresh ->
+              let id = !next_fresh in
+              incr next_fresh;
+              agree what
+                (outcome (fun () -> Token.fresh reg ~id))
+                (outcome (fun () -> Ref_token.mint r ~id))
+          | Use k -> on k what (Token.use reg) (Ref_token.use r)
+          | Check k ->
+              on k what
+                (unit (Token.check reg))
+                (unit (Ref_token.validate r))
+          | Release k ->
+              on k what
+                (unit (Token.release reg))
+                (unit (Ref_token.release r))
+          | Flushed_at k ->
+              on k what (Token.flushed_at reg) (Ref_token.flushed_at r)
+          | Assert_fenced k ->
+              on k what (Token.assert_fenced reg) (Ref_token.assert_fenced r)
+          | Bump_epoch ->
+              Token.bump_epoch reg;
+              r.Ref_token.epoch <- r.Ref_token.epoch + 1;
+              if Token.epoch reg <> r.Ref_token.epoch then
+                QCheck.Test.fail_reportf "epoch %d, want %d" (Token.epoch reg)
+                  r.Ref_token.epoch)
+        steps;
+      (* only minted ids have a table entry *)
+      let minted =
+        List.sort_uniq Int.compare
+          (List.filter_map (function Mint id -> Some id | _ -> None) steps)
+      in
+      Token.tracked reg = List.length minted)
+
+(* {1 The volatile index's slot masks}
+
+   Directory-page slot bookkeeping against a model that is a set of
+   (page, slot) pairs: [free_slot] must name the model's lowest free
+   slot on the first page, in [dir_pages] order, that has one. *)
+
+module Index = Squirrelfs.Index
+
+type index_step =
+  | Add_page of int * int (* dir, page *)
+  | Remove_page of int * int
+  | Insert of int * string * int * int (* dir, name, page, slot *)
+  | Remove of int * string
+  | Mark_used of int * int (* page, slot *)
+  | Mark_free of int * int
+  | Fill of int (* every slot of a page, through [mark_slot_used] *)
+
+let pp_index_step = function
+  | Add_page (d, p) -> Printf.sprintf "add_dir_page %d %d" d p
+  | Remove_page (d, p) -> Printf.sprintf "remove_dir_page %d %d" d p
+  | Insert (d, n, p, s) -> Printf.sprintf "insert_dentry %d %s (%d,%d)" d n p s
+  | Remove (d, n) -> Printf.sprintf "remove_dentry %d %s" d n
+  | Mark_used (p, s) -> Printf.sprintf "mark_slot_used (%d,%d)" p s
+  | Mark_free (p, s) -> Printf.sprintf "mark_slot_free (%d,%d)" p s
+  | Fill p -> Printf.sprintf "fill %d" p
+
+let index_steps =
+  let open QCheck.Gen in
+  let dir = int_range 1 2 and page = int_bound 4 in
+  (* slots cluster low, so pages fill up and free slots sit mid-page *)
+  let slot =
+    frequency [ (3, int_bound 3); (1, int_bound (G.dentries_per_page - 1)) ]
+  in
+  let name = map (Printf.sprintf "n%d") (int_bound 5) in
+  let step =
+    frequency
+      [
+        (2, map2 (fun d p -> Add_page (d, p)) dir page);
+        (1, map2 (fun d p -> Remove_page (d, p)) dir page);
+        ( 4,
+          map2
+            (fun (d, n) (p, s) -> Insert (d, n, p, s))
+            (pair dir name) (pair page slot) );
+        (2, map2 (fun d n -> Remove (d, n)) dir name);
+        (3, map2 (fun p s -> Mark_used (p, s)) page slot);
+        (3, map2 (fun p s -> Mark_free (p, s)) page slot);
+        (1, map (fun p -> Fill p) page);
+      ]
+  in
+  QCheck.make
+    ~print:(fun l -> String.concat "; " (List.map pp_index_step l))
+    ~shrink:QCheck.Shrink.list
+    (list_size (int_range 1 80) step)
+
+let prop_index_free_slot_matches_model =
+  QCheck.Test.make ~count:500 ~name:"free_slot matches a (page, slot) set model"
+    index_steps (fun steps ->
+      let idx = Index.create () in
+      Index.add_dir idx 1;
+      Index.add_dir idx 2;
+      let used = Hashtbl.create 64 and names = Hashtbl.create 16 in
+      let expected dir =
+        List.find_map
+          (fun page ->
+            List.find_map
+              (fun slot ->
+                if Hashtbl.mem used (page, slot) then None
+                else Some { Index.page; slot })
+              (List.init G.dentries_per_page Fun.id))
+          (Index.dir_pages idx ~dir)
+      in
+      let mark_used page slot =
+        Index.mark_slot_used idx { Index.page; slot };
+        Hashtbl.replace used (page, slot) ()
+      in
+      List.iter
+        (fun step ->
+          (match step with
+          | Add_page (dir, page) -> Index.add_dir_page idx ~dir page
+          | Remove_page (dir, page) -> Index.remove_dir_page idx ~dir page
+          | Insert (dir, name, page, slot) ->
+              Index.insert_dentry idx ~dir name ~ino:7 { Index.page; slot };
+              Hashtbl.replace names (dir, name) (page, slot);
+              Hashtbl.replace used (page, slot) ()
+          | Remove (dir, name) ->
+              Index.remove_dentry idx ~dir name;
+              Option.iter (Hashtbl.remove used)
+                (Hashtbl.find_opt names (dir, name));
+              Hashtbl.remove names (dir, name)
+          | Mark_used (page, slot) -> mark_used page slot
+          | Mark_free (page, slot) ->
+              Index.mark_slot_free idx { Index.page; slot };
+              Hashtbl.remove used (page, slot)
+          | Fill page ->
+              for slot = 0 to G.dentries_per_page - 1 do
+                mark_used page slot
+              done);
+          List.iter
+            (fun dir ->
+              let got = Index.free_slot idx ~dir and want = expected dir in
+              if got <> want then
+                let show = function
+                  | None -> "none"
+                  | Some l -> Printf.sprintf "(%d,%d)" l.Index.page l.Index.slot
+                in
+                QCheck.Test.fail_reportf "after %s: dir %d free_slot %s, want %s"
+                  (pp_index_step step) dir (show got) (show want))
+            [ 1; 2 ])
+        steps;
+      true)
+
 (* {1 The table decoder}
 
    [Scan.decode] must agree, on every backed slot, with the per-field
@@ -399,5 +686,7 @@ let () =
           ("re-mint invalidates", `Quick, test_token_mint_invalidates);
           ("fence epochs", `Quick, test_token_fence_epochs);
           QCheck_alcotest.to_alcotest prop_token_distinct_ids_independent;
+          QCheck_alcotest.to_alcotest prop_token_cells_match_tables;
         ] );
+      ("index", [ QCheck_alcotest.to_alcotest prop_index_free_slot_matches_model ]);
     ]
