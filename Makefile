@@ -37,16 +37,20 @@ fuzz-smoke: build
 # Bounded-enumeration smoke: the complete clean seq-2 sweep over the
 # canonical universe (must be quiet through both the crash oracle and
 # the SSU trace checker, with exactly-reconciling coverage accounting;
-# writes the machine-readable coverage record for CI), the same sweep on
-# two domains (its record must match byte for byte), then the mutant
-# leg: with the Buggy_* alphabet extension every mutant kind must be
-# flagged by BOTH checkers with a <= 3-op shrunk reproducer.
+# rewrites the committed machine-readable coverage record, which CI
+# diffs), the same sweep on two domains (its record must match byte for
+# byte), the complete clean seq-3 sweep (every third op after each
+# feasible two-op prefix, ~8 s), then the mutant leg: with the Buggy_*
+# alphabet extension every mutant kind must be flagged by BOTH checkers
+# with a <= 3-op shrunk reproducer.
 enum-smoke: build
 	@echo "== fuzz --enum (clean seq-2 sweep) =="
 	dune exec bin/fuzz.exe -- --enum --coverage-out ENUM_coverage.json
 	@echo "== fuzz --enum -j 2 (same sweep, two domains) =="
 	dune exec bin/fuzz.exe -- --enum -j 2 --coverage-out _build/ENUM_coverage.j2.json
 	cmp ENUM_coverage.json _build/ENUM_coverage.j2.json
+	@echo "== fuzz --enum --depth 3 (clean seq-3 sweep) =="
+	dune exec bin/fuzz.exe -- --enum --depth 3
 	@echo "== fuzz --enum --expect-buggy =="
 	dune exec bin/fuzz.exe -- --enum --expect-buggy
 

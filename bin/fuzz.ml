@@ -484,19 +484,21 @@ let () =
       & info [ "enum" ]
           ~doc:
             "Bounded black-box enumeration: deterministically run every \
-             bounded op sequence over the canonical universe (seq-2 \
-             complete, seq-3 behind a relatedness frontier with --depth 3) \
-             through the crash oracle and the SSU trace checker, and print \
-             an exactly-reconciling coverage account. With --expect-buggy \
-             the alphabet gains the Buggy_* mutants and each must be \
-             flagged by both checkers")
+             bounded op sequence over the canonical universe (seq-2, and \
+             seq-3 with --depth 3; only sequences with an infeasible prefix \
+             are skipped) through the crash oracle and the SSU trace \
+             checker, and print an exactly-reconciling coverage account. \
+             With --expect-buggy the alphabet gains the Buggy_* mutants \
+             and each must be flagged by both checkers")
   in
   let depth =
     Arg.(
       value
       & opt (enum [ ("2", 2); ("3", 3) ]) 2
       & info [ "depth" ] ~docv:"D"
-          ~doc:"Enumeration depth (with --enum): 2, or 3 for the frontier tier")
+          ~doc:
+            "Enumeration depth (with --enum): 2, or 3 to add every seq-3 \
+             sequence whose first two ops are feasible")
   in
   let coverage_out =
     Arg.(

@@ -224,9 +224,7 @@ let alloc_pages t n =
    the unlocked bodies, so a plain [Mutex] is enough), and independent
    mounts never contend. *)
 
-let locked t f =
-  Mutex.lock t.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
+let locked t f = Mutex.protect t.lock f
 
 let alloc_inode t = locked t (fun () -> alloc_inode t)
 let free_inode t ino = locked t (fun () -> free_inode t ino)

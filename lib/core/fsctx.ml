@@ -99,10 +99,6 @@ let now t = Pmem.Device.now_ns t.dev + 1_000_000_000
 
 (* {1 Open-file table} *)
 
-let oft_locked t f =
-  Mutex.lock t.oft_lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.oft_lock) f
-
 (* Rebuild the dense extent snapshot from the index. O(pages) — paid
    once per extent-map generation, not once per read page. *)
 let snapshot_extents t ino =
@@ -113,7 +109,7 @@ let snapshot_extents t ino =
   a
 
 let oft_open t tag ino =
-  oft_locked t @@ fun () ->
+  Mutex.protect t.oft_lock @@ fun () ->
   if Hashtbl.mem t.oft tag then Error Vfs.Errno.EEXIST
   else begin
     Hashtbl.replace t.oft tag
@@ -128,7 +124,7 @@ let oft_open t tag ino =
   end
 
 let oft_close t tag =
-  oft_locked t @@ fun () ->
+  Mutex.protect t.oft_lock @@ fun () ->
   match Hashtbl.find_opt t.oft tag with
   | None -> Error Vfs.Errno.EBADF
   | Some e ->
@@ -147,7 +143,7 @@ let oft_close t tag =
    A stale entry stays bound (the tag is busy until [close], like a
    POSIX fd) — only its staging reserve is returned, once. *)
 let oft_entry t tag =
-  oft_locked t @@ fun () ->
+  Mutex.protect t.oft_lock @@ fun () ->
   match Hashtbl.find_opt t.oft tag with
   | None -> Error Vfs.Errno.EBADF
   | Some e ->
@@ -174,12 +170,12 @@ let oft_entry t tag =
 (* After a handle write changed the extent map itself, resync the
    version so the next access does not pointlessly rebuild. *)
 let oft_resync t (e : oft_entry) =
-  oft_locked t @@ fun () ->
+  Mutex.protect t.oft_lock @@ fun () ->
   e.oh_extents <- snapshot_extents t e.oh_ino;
   e.oh_version <- Index.file_version t.index e.oh_ino
 
 let oft_ino t tag =
-  oft_locked t @@ fun () ->
+  Mutex.protect t.oft_lock @@ fun () ->
   match Hashtbl.find_opt t.oft tag with
   | None -> None
   | Some e -> Some e.oh_ino

@@ -196,15 +196,7 @@ let footprint_bytes t =
    lock-free bodies above, which keep calling each other directly (no
    nesting, so a plain [Mutex] is enough). *)
 
-let locked t f =
-  Mutex.lock t.lock;
-  match f () with
-  | v ->
-      Mutex.unlock t.lock;
-      v
-  | exception e ->
-      Mutex.unlock t.lock;
-      raise e
+let locked t f = Mutex.protect t.lock f
 
 let add_dir t ino = locked t (fun () -> add_dir t ino)
 let add_dir_page t ~dir page = locked t (fun () -> add_dir_page t ~dir page)

@@ -1,40 +1,32 @@
 (* Bounded black-box enumeration (the B3/ACE idea, specialized to
    SquirrelFS): instead of sampling random sequences like [Driver], walk
-   {e every} bounded op sequence over a small canonical universe — seq-2
-   exhaustively, seq-3 behind a principled frontier — and run the full
-   crash oracle plus the SSU trace checker at every fence of every
-   sequence. The universe is [Workload.setup] (2 dirs x 2 files worth of
-   namespace once the ops run) with [Workload.alphabet] as the op set,
-   so [Workload.systematic_pairs] is literally this module's seq-2 tier.
+   {e every} bounded op sequence over a small canonical universe — seq-2,
+   and with depth 3 every seq-3 sequence too — and run the full crash
+   oracle plus the SSU trace checker at every fence of every sequence.
+   The universe is [Workload.setup] (2 dirs x 2 files worth of namespace
+   once the ops run) with [Workload.alphabet] as the op set, so
+   [Workload.systematic_pairs] is literally this module's seq-2 tier.
 
    Everything up to execution is pure arithmetic on [Ref_fs] models, so
    the coverage accounting is closed-form and must reconcile exactly:
 
      total(d) = n^d
-     enumerated(d) = total(d) - skipped_infeasible(d) - skipped_frontier(d)
+     enumerated(d) = total(d) - skipped(d)
 
-   Skip rules (and why they are sound):
-
-   - {e infeasible prefix} (exact): a sequence is skipped iff some op
-     before its last fails on the post-setup [Ref_fs] model. A refused
-     op performs no durable stores and no fences (resolution/validation
-     errors return before any allocation is published; volatile cleanup
-     does not touch the device), so the sequence's crash-state set is
-     identical to that of the same sequence with the failing op removed
-     — which is a shorter sequence the sweep already covers. Failures
-     of the {e last} op are not skipped: the final-state probe after a
-     refused op is a real test (refusal must be durable-state neutral).
-   - {e frontier} (seq-3 only, heuristic by design): the third op must
-     be {e related} to the first two — sharing a direct target, or in a
-     strict ancestor/descendant relation with one ([Interleave.targets]
-     / [Interleave.strict_ancestor]; deliberately {e not} the
-     parent-expanded [Interleave.touched], which would relate every
-     root-level op through "/"). This is ACE's relatedness restriction:
-     an unrelated third op commutes with the prefix at the logical
-     level, so its crash behaviour is already exercised by the seq-2
-     tiers containing it. Frontier skips are accounted separately from
-     infeasible skips because they are a pruning {e policy}, not an
-     equivalence.
+   One skip rule, and it is an equivalence, not a policy: a sequence is
+   skipped iff some op before its last fails on the post-setup [Ref_fs]
+   model. A refused op performs no durable stores and no fences
+   (resolution/validation errors return before any allocation is
+   published; volatile cleanup does not touch the device), so the
+   sequence's crash-state set is identical to that of the same sequence
+   with the failing op removed — which is a shorter sequence the sweep
+   already covers. Failures of the {e last} op are not skipped: the
+   final-state probe after a refused op is a real test (refusal must be
+   durable-state neutral). Seq-3 has no relatedness restriction: ACE
+   keeps only third ops that share a path with the prefix, but a
+   whole-volume op (snapshot, rollback) shares none and still interacts
+   with everything before it, so every third op after a feasible prefix
+   runs.
 
    Dedup is counted, never acted on: every enumerated sequence runs the
    full oracle (the content-hash memo inside [Exec] only skips
@@ -50,7 +42,7 @@ module W = Crashcheck.Workload
 module H = Crashcheck.Harness
 
 type cfg = {
-  depth : int;  (** 2 = seq-1 + seq-2 (complete); 3 adds the frontier tier *)
+  depth : int;  (** 2 = seq-1 + seq-2; 3 adds seq-3 *)
   buggy : bool;  (** widen the alphabet with the three [Buggy_*] mutants *)
   max_images : int;
   device_size : int;
@@ -75,7 +67,6 @@ type tier = {
   t_depth : int;
   t_total : int;  (** closed form: |alphabet|^depth *)
   t_skipped : int;  (** infeasible-prefix skips (exact equivalence) *)
-  t_frontier : int;  (** relatedness-pruned (seq-3 policy skips) *)
   t_enumerated : int;  (** sequences handed to the executor *)
 }
 
@@ -85,7 +76,6 @@ type report = {
   e_tiers : tier list;
   e_total : int;
   e_skipped : int;
-  e_frontier : int;
   e_enumerated : int;
   e_executed : int;  (** primary runs performed; must equal [e_enumerated] *)
   e_distinct : int;  (** distinct crash-state-trace signatures *)
@@ -101,15 +91,14 @@ type report = {
 
 let reconciles r =
   let tiers_ok =
-    List.for_all (fun t -> t.t_total = t.t_skipped + t.t_frontier + t.t_enumerated) r.e_tiers
+    List.for_all (fun t -> t.t_total = t.t_skipped + t.t_enumerated) r.e_tiers
   in
   let sum f = List.fold_left (fun a t -> a + f t) 0 r.e_tiers in
   tiers_ok
   && r.e_total = sum (fun t -> t.t_total)
   && r.e_skipped = sum (fun t -> t.t_skipped)
-  && r.e_frontier = sum (fun t -> t.t_frontier)
   && r.e_enumerated = sum (fun t -> t.t_enumerated)
-  && r.e_total = r.e_skipped + r.e_frontier + r.e_enumerated
+  && r.e_total = r.e_skipped + r.e_enumerated
   && r.e_executed = r.e_enumerated
   && r.e_deduped = r.e_executed - r.e_distinct
   && r.e_distinct >= 0 && r.e_deduped >= 0
@@ -126,16 +115,6 @@ let apply_exn m op =
         (Format.asprintf "Enum: setup op %a refused (%s)" W.pp_op op (Vfs.Errno.to_string e))
 
 let model0 () = List.fold_left apply_exn Ref_fs.empty W.setup
-
-(* Third-op relatedness for the seq-3 frontier: direct targets only. *)
-let related prefix_targets op =
-  let ts = Interleave.targets op in
-  List.exists
-    (fun t ->
-      List.exists
-        (fun p -> t = p || Interleave.strict_ancestor t p || Interleave.strict_ancestor p t)
-        prefix_targets)
-    ts
 
 (* Build the deterministic work list: tiers in depth order, sequences in
    lexicographic alphabet-index order within each tier. Returns the
@@ -154,7 +133,7 @@ let build cfg =
   for i = 0 to n - 1 do
     push [ ops.(i) ]
   done;
-  let tier1 = { t_depth = 1; t_total = n; t_skipped = 0; t_frontier = 0; t_enumerated = n } in
+  let tier1 = { t_depth = 1; t_total = n; t_skipped = 0; t_enumerated = n } in
   (* seq-2: complete modulo the exact infeasible-prefix rule. *)
   let skip2 = ref 0 in
   for i = 0 to n - 1 do
@@ -165,36 +144,28 @@ let build cfg =
     else skip2 := !skip2 + n
   done;
   let tier2 =
-    { t_depth = 2; t_total = n * n; t_skipped = !skip2; t_frontier = 0;
-      t_enumerated = (n * n) - !skip2 }
+    { t_depth = 2; t_total = n * n; t_skipped = !skip2; t_enumerated = (n * n) - !skip2 }
   in
   let tiers = ref [ tier1; tier2 ] in
-  (* seq-3: effective prefixes only, third op gated by relatedness. *)
+  (* seq-3: complete modulo the same rule, over the first two ops. *)
   if cfg.depth = 3 then begin
-    let skip3 = ref 0 and frontier3 = ref 0 and enum3 = ref 0 in
+    let skip3 = ref 0 in
     for i = 0 to n - 1 do
       if not (ok1 i) then skip3 := !skip3 + (n * n)
       else
         let mi = fst eff1.(i) in
         for j = 0 to n - 1 do
-          let _, rj = Ref_fs.apply mi ops.(j) in
-          if Result.is_error rj then skip3 := !skip3 + n
-          else begin
-            let pre = Interleave.targets ops.(i) @ Interleave.targets ops.(j) in
+          if Result.is_error (snd (Ref_fs.apply mi ops.(j))) then skip3 := !skip3 + n
+          else
             for k = 0 to n - 1 do
-              if related pre ops.(k) then begin
-                push [ ops.(i); ops.(j); ops.(k) ];
-                incr enum3
-              end
-              else incr frontier3
+              push [ ops.(i); ops.(j); ops.(k) ]
             done
-          end
         done
     done;
     tiers :=
       !tiers
-      @ [ { t_depth = 3; t_total = n * n * n; t_skipped = !skip3; t_frontier = !frontier3;
-            t_enumerated = !enum3 } ]
+      @ [ { t_depth = 3; t_total = n * n * n; t_skipped = !skip3;
+            t_enumerated = (n * n * n) - !skip3 } ]
   end;
   (!tiers, Array.of_list (List.rev !work))
 
@@ -219,7 +190,6 @@ let run ?(jobs = 1) cfg =
     e_tiers = tiers;
     e_total = sum (fun t -> t.t_total);
     e_skipped = sum (fun t -> t.t_skipped);
-    e_frontier = sum (fun t -> t.t_frontier);
     e_enumerated = sum (fun t -> t.t_enumerated);
     e_executed = s.s_executed;
     e_distinct = distinct;
@@ -246,11 +216,11 @@ let pp_report ppf r =
   fprintf ppf "@[<v>enumeration coverage (alphabet %d, depth %d)@," r.e_alphabet r.e_depth;
   List.iter
     (fun t ->
-      fprintf ppf "  seq-%d: total %-6d skipped %-5d frontier %-6d enumerated %d@," t.t_depth
-        t.t_total t.t_skipped t.t_frontier t.t_enumerated)
+      fprintf ppf "  seq-%d: total %-6d skipped %-5d enumerated %d@," t.t_depth t.t_total
+        t.t_skipped t.t_enumerated)
     r.e_tiers;
-  fprintf ppf "  overall: total %d  skipped %d  frontier %d  enumerated %d@," r.e_total
-    r.e_skipped r.e_frontier r.e_enumerated;
+  fprintf ppf "  overall: total %d  skipped %d  enumerated %d@," r.e_total r.e_skipped
+    r.e_enumerated;
   fprintf ppf "  executed %d  distinct state-traces %d  deduped %d@," r.e_executed r.e_distinct
     r.e_deduped;
   fprintf ppf "  reconciles: %s@," (if reconciles r then "yes" else "NO");
@@ -283,15 +253,15 @@ let coverage_json r =
   let b = Buffer.create 512 in
   let tier t =
     Printf.sprintf
-      {|{"depth":%d,"total":%d,"skipped":%d,"frontier":%d,"enumerated":%d}|}
-      t.t_depth t.t_total t.t_skipped t.t_frontier t.t_enumerated
+      {|{"depth":%d,"total":%d,"skipped":%d,"enumerated":%d}|}
+      t.t_depth t.t_total t.t_skipped t.t_enumerated
   in
   Buffer.add_string b
     (Printf.sprintf
-       {|{"alphabet":%d,"depth":%d,"tiers":[%s],"total":%d,"skipped":%d,"frontier":%d,"enumerated":%d,"executed":%d,"distinct":%d,"deduped":%d,"ssu_checked":%d,"ssu_violations":%d,"oracle_failures":%d,"crash_states":%d,"reconciles":%b}|}
+       {|{"alphabet":%d,"depth":%d,"tiers":[%s],"total":%d,"skipped":%d,"enumerated":%d,"executed":%d,"distinct":%d,"deduped":%d,"ssu_checked":%d,"ssu_violations":%d,"oracle_failures":%d,"crash_states":%d,"reconciles":%b}|}
        r.e_alphabet r.e_depth
        (String.concat "," (List.map tier r.e_tiers))
-       r.e_total r.e_skipped r.e_frontier r.e_enumerated r.e_executed r.e_distinct r.e_deduped
+       r.e_total r.e_skipped r.e_enumerated r.e_executed r.e_distinct r.e_deduped
        r.e_ssu_checked
        (List.length r.e_ssu_found)
        (List.length r.e_found)

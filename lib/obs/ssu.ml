@@ -24,10 +24,17 @@
                initialized, its lines quiescent, and — for files and
                symlinks — every page implied by its durable size durably
                owned.  This catches [Buggy_create].
-     R-unlink  lowering a durable link count consumes one piece of durable
-               "dentry cleared/replaced" evidence for that inode (plus one
-               for the owning directory when a directory entry vanishes).
-               This catches [Buggy_unlink].
+     R-unlink  lowering a durable link count consumes one piece of
+               durable "dentry cleared/replaced" evidence for that inode
+               (plus one for the owning directory when a directory entry
+               vanishes).  The rule guards "links >= references" in every
+               crash state, so a drop with no evidence left is a
+               violation only on an inode some dentry references —
+               durably, or through a stored but undrained dentry commit a
+               crash may drain.  An inode no crash state references (an
+               anonymous tmpfile's, reclaimed by recovery) cannot break
+               that invariant whatever its count.  This catches
+               [Buggy_unlink].
      R-write   growing the durable-reachable size of a file requires every
                implied page offset to be durably owned by that inode
                first.  This catches [Buggy_write].
@@ -284,18 +291,30 @@ let check_commit st g ~index ~ts ~page ~slot v =
     end
   end
 
+(* Some stored but undrained dentry commit references [ino]. *)
+let pending_ref st ino =
+  Seq.exists
+    (fun s ->
+      List.exists
+        (fun r -> List.exists (function De_ino (_, _, v) -> v = ino | _ -> false) r.r_sems)
+        s.l_recs)
+    (Hashtbl.to_seq_values st.lines)
+
+(* Every drop consumes a token when one is there, so the evidence
+   account is the same whether or not the drop is judged; only a drop on
+   a referenced inode is a violation without one. *)
 let check_links st ~index ~ts i v =
   if Hashtbl.mem st.init_durable i then begin
     let cur = geti st.i_links i in
     if v < cur then begin
       let ev = geti st.clear_ev i in
-      if ev = 0 then
+      if ev > 0 then Hashtbl.replace st.clear_ev i (ev - 1)
+      else if geti st.nrefs i > 0 || pending_ref st i then
         violate st ~index ~ts "R-unlink"
           (Printf.sprintf
              "link count of inode %d lowered %d -> %d with no durable \
               dentry-clear evidence"
              i cur v)
-      else Hashtbl.replace st.clear_ev i (ev - 1)
     end
   end
 

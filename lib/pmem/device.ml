@@ -92,20 +92,6 @@ end
 
 exception Media_error of { off : int; len : int }
 
-(* Minimal reentrant lock for [shared] mode. Public entry points nest
-   ([persist] -> [flush] + [fence], [store_coarse] -> [flush], ...), and
-   OCaml's [Mutex] is not reentrant, so the lock tracks its owning domain
-   and a nesting depth. Reading [rl_owner] from a non-owner domain is a
-   benign race: the field is a word (no tearing), and only the owner ever
-   sees its own id there. *)
-type rlock = {
-  rl_m : Mutex.t;
-  mutable rl_owner : int; (* (Domain.id :> int); -1 = free *)
-  mutable rl_depth : int;
-}
-
-let rlock_create () = { rl_m = Mutex.create (); rl_owner = -1; rl_depth = 0 }
-
 (* A retained view pins the durable image as it stood at capture time.
    Capture is O(1): nothing is copied up front. Instead, whenever a line
    of the durable image is about to change (fence drain, bit flip), its
@@ -158,9 +144,9 @@ type t = {
          clocks or RNGs and charges nothing, so a traced run is
          bit-identical to an untraced one. *)
   mutable metrics : Obs.Metrics.t option;
-  rl : rlock;
+  lock : Mutex.t;
   mutable shared : bool;
-      (* serialize public access through [rl]: multi-domain (server) mode *)
+      (* serialize public access through [lock]: multi-domain (server) mode *)
 }
 
 and scratch = {
@@ -198,7 +184,7 @@ let assemble ~latency ~lines ~taint latest durable =
     taint;
     tracer = None;
     metrics = None;
-    rl = rlock_create ();
+    lock = Mutex.create ();
     shared = false;
   }
 
@@ -1416,31 +1402,16 @@ let of_view ?(latency = Latency.zero) s =
    timings) is untouched. The server layer flips [set_shared] after
    mount, and from then on the public entry points below — every call
    that mutates or reads the line table, the clock or the stats — run
-   under the device's reentrant lock, so independent operations on
-   separate domains can share one device. Fence hooks and crash-view
-   enumeration are NOT supported in shared mode (the crash probers are
-   single-domain by design); the server installs neither. *)
+   under the device's lock, so independent operations on separate
+   domains can share one device. Each wrapper calls the unlocked body it
+   shadows, and bodies only call bodies ([persist] -> [flush] + [fence]
+   stays unlocked), so the lock never nests and a plain [Mutex] is
+   enough. Fence hooks, tracers and crash-view enumeration — the only
+   ways the device could call back out — are NOT supported in shared
+   mode (the crash probers are single-domain by design); the server
+   installs none of them. *)
 
-let with_lock t f =
-  if not t.shared then f ()
-  else begin
-    let me = (Domain.self () :> int) in
-    if t.rl.rl_owner = me then begin
-      t.rl.rl_depth <- t.rl.rl_depth + 1;
-      Fun.protect ~finally:(fun () -> t.rl.rl_depth <- t.rl.rl_depth - 1) f
-    end
-    else begin
-      Mutex.lock t.rl.rl_m;
-      t.rl.rl_owner <- me;
-      t.rl.rl_depth <- 1;
-      Fun.protect
-        ~finally:(fun () ->
-          t.rl.rl_depth <- 0;
-          t.rl.rl_owner <- -1;
-          Mutex.unlock t.rl.rl_m)
-        f
-    end
-  end
+let with_lock t f = if t.shared then Mutex.protect t.lock f else f ()
 
 let set_shared t b = t.shared <- b
 let store t ~off data = with_lock t (fun () -> store t ~off data)

@@ -89,7 +89,7 @@ val resident_bytes : t -> int
 val set_shared : t -> bool -> unit
 (** Shared (multi-domain) mode, off by default. When on, every public
     store/flush/fence/read/charge entry point runs under an internal
-    reentrant lock, so independent operations on separate OCaml domains
+    lock, so independent operations on separate OCaml domains
     can target one device (the [Serve] engine's configuration). When off
     there is no locking and behaviour is bit-identical to before the
     mode existed. Fence hooks, crash-view enumeration and tracers are

@@ -27,11 +27,11 @@
    commit a crash leaves the pre-rollback volume, after it recovery
    replays the log; no crash point exposes a half-restored volume.
 
-   Locking: every mutating entry point takes an optional [?locks]
-   (the server's shard table). When given, the operation runs under
-   [Squirrelfs.Locks.with_all] — the whole-FS lock — because quiescence
-   means no op may be mid-flight between our fence and our capture.
-   Single-threaded callers (tests, fuzzer, CLI) omit it. *)
+   Locking: none here. Quiescence means no op may be mid-flight between
+   our fence and our capture, so a multi-domain caller serializes every
+   entry point against all other ops itself — the server runs snapshot
+   requests under its whole-FS lock ([Serve.Engine.needs_global]); the
+   CLI, fuzzer, bench and tests are single-domain. *)
 
 module Device = Pmem.Device
 module Geometry = Layout.Geometry
@@ -53,11 +53,6 @@ type info = {
           Differs from [i_label_hash] by exactly the slot commit. *)
   i_quarantined : bool;
 }
-
-let with_global locks f =
-  match locks with
-  | Some l -> Squirrelfs.Locks.with_all l f
-  | None -> f ()
 
 (* The live pin behind a committed slot, if this process still holds
    one matching the slot's id. *)
@@ -89,8 +84,7 @@ let find (ctx : Fsctx.t) name =
 
 (* {1 Creation} *)
 
-let snapshot ?locks (ctx : Fsctx.t) name =
-  with_global locks @@ fun () ->
+let snapshot (ctx : Fsctx.t) name =
   let dev = ctx.dev in
   if not (S.valid_name name) then Error Vfs.Errno.EINVAL
   else if S.find dev name <> None then Error Vfs.Errno.EEXIST
@@ -140,8 +134,7 @@ let snapshot ?locks (ctx : Fsctx.t) name =
    remnant is zeroed — a crash in between leaves a nonzero uncommitted
    slot, which recovery rolls back like an interrupted creation. *)
 
-let delete ?locks (ctx : Fsctx.t) name =
-  with_global locks @@ fun () ->
+let delete (ctx : Fsctx.t) name =
   let dev = ctx.dev in
   match S.find dev name with
   | None -> Error Vfs.Errno.ENOENT
@@ -231,8 +224,7 @@ let quarantine_pin (ctx : Fsctx.t) name (p : Fsctx.snap_pin) =
   | offs -> List.iter (fun off -> Q.add ctx.quar ~reason (obj_of_off ctx.geo off)) offs
 
 (* Full pass over every live pin, in name order (deterministic). *)
-let scrub ?locks (ctx : Fsctx.t) =
-  with_global locks @@ fun () ->
+let scrub (ctx : Fsctx.t) =
   Hashtbl.fold (fun name _ acc -> name :: acc) ctx.snaps []
   |> List.sort compare
   |> List.map (fun name ->
@@ -332,8 +324,7 @@ let apply_diff img d =
    finds at most the orphans that were legitimately in flight (open
    tmpfiles), exactly as if the pinned image were a crash image. *)
 
-let clone ?locks (ctx : Fsctx.t) name =
-  with_global locks @@ fun () ->
+let clone (ctx : Fsctx.t) name =
   match live_pin ctx name with
   | Error e -> Error e
   | Ok p ->
@@ -383,8 +374,7 @@ let line_of_intent idx =
   idx >= S.intent_off / Device.line_size
   && idx < (S.intent_off + S.slot_size) / Device.line_size
 
-let rollback ?locks (ctx : Fsctx.t) name =
-  with_global locks @@ fun () ->
+let rollback (ctx : Fsctx.t) name =
   let dev = ctx.dev and geo = ctx.geo in
   match live_pin ctx name with
   | Error e -> Error e

@@ -95,10 +95,45 @@ let prop_worklist =
         work;
       let sum f = List.fold_left (fun a t -> a + f t) 0 tiers in
       List.for_all
-        (fun t -> t.E.t_total = t.E.t_skipped + t.E.t_frontier + t.E.t_enumerated)
+        (fun t -> t.E.t_total = t.E.t_skipped + t.E.t_enumerated)
         tiers
       && Array.length work = sum (fun t -> t.E.t_enumerated)
       && List.length tiers = cfg.E.depth)
+
+(* Complete seq-3: every third op runs after each of the 285 feasible
+   prefixes, whole-volume ops included — they name no path, and a
+   relatedness restriction over shared paths would skip all of them. *)
+let test_seq3_complete () =
+  let tiers, work = E.build { E.default_cfg with E.depth = 3 } in
+  let t3 = List.find (fun t -> t.E.t_depth = 3) tiers in
+  Alcotest.(check int) "seq-3 enumerated" 7125 t3.E.t_enumerated;
+  Alcotest.(check int) "seq-3 skipped" 8500 t3.E.t_skipped;
+  let seqs = Hashtbl.create (Array.length work) in
+  Array.iter (fun seq -> Hashtbl.replace seqs seq ()) work;
+  let m0 = E.model0 () in
+  let prefixes =
+    List.concat_map
+      (fun a ->
+        let ma, ra = Fuzzer.Ref_fs.apply m0 a in
+        if Result.is_error ra then []
+        else
+          List.filter_map
+            (fun b ->
+              if Result.is_ok (snd (Fuzzer.Ref_fs.apply ma b)) then Some [ a; b ] else None)
+            W.alphabet)
+      W.alphabet
+  in
+  Alcotest.(check int) "feasible prefixes" 285 (List.length prefixes);
+  List.iter
+    (fun prefix ->
+      List.iter
+        (fun op ->
+          Alcotest.(check bool)
+            (Format.asprintf "%a @@ [%a] enumerated" W.pp prefix W.pp_op op)
+            true
+            (Hashtbl.mem seqs (prefix @ [ op ])))
+        [ W.Snapshot "s0"; W.Rollback "s0" ])
+    prefixes
 
 (* {2 Full sweeps} *)
 
@@ -165,6 +200,8 @@ let () =
           Alcotest.test_case "old alphabet pinned as prefix" `Quick test_old_alphabet_pinned;
           Alcotest.test_case "old pair set covered" `Quick test_old_pairs_subset;
           QCheck_alcotest.to_alcotest prop_worklist;
+          Alcotest.test_case "seq-3 complete over feasible prefixes" `Quick
+            test_seq3_complete;
         ] );
       ( "sweep",
         [

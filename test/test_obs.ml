@@ -216,6 +216,76 @@ let prop_checker_accepts_clean =
           QCheck.Test.fail_reportf "clean trace rejected: %a ops:%a"
             Obs.Ssu.pp_violation v W.pp ops)
 
+(* {1 R-unlink scope}
+
+   R-unlink guards "links >= references" in every crash state, so it
+   judges a link-count drop only on an inode that some dentry references,
+   durably or through a stored but undrained commit. *)
+
+(* Rollback's recovery reclaims the inode of a tmpfile that was anonymous
+   at capture: its links drop 1 -> 0 with no dentry ever naming it. *)
+let test_rollback_reclaims_anon_inode () =
+  let _, events =
+    traced_run (W.setup @ [ W.Tmpfile "t0"; W.Snapshot "s0"; W.Rollback "s0" ])
+  in
+  match Obs.Ssu.check events with
+  | Ok () -> ()
+  | Error v -> Alcotest.failf "rollback trace rejected: %a" Obs.Ssu.pp_violation v
+
+(* A hand-built trace on a tiny geometry: root dir (ino 1) with its
+   dirpage (page 0), and an initialized file inode 2 with one link. *)
+let ev k = { Obs.Event.ts = 0; k }
+
+let u64 v =
+  let b = Bytes.create 8 in
+  Bytes.set_int64_le b 0 (Int64.of_int v);
+  Bytes.to_string b
+
+let store off v = ev (Obs.Event.Store { off; data = u64 v; nt = false; coarse = false })
+let links_off ino = 4096 + ((ino - 1) * 128) + 16
+let dentry_ino_off slot = 16384 + (slot * 128) + 112
+
+let preamble =
+  List.map ev
+    Obs.Event.
+      [
+        Meta
+          [
+            ("inode_table_off", 4096);
+            ("inode_count", 8);
+            ("page_desc_off", 8192);
+            ("page_count", 4);
+            ("data_off", 16384);
+          ];
+        Snap_inode { ino = 1; kind = 2; links = 2; size = 0 };
+        Snap_page { page = 0; ino = 1; kind = 2; offset = 0 };
+        Snap_inode { ino = 2; kind = 1; links = 1; size = 0 };
+      ]
+
+let rule events =
+  match Obs.Ssu.check events with Ok () -> "ok" | Error v -> v.Obs.Ssu.v_rule
+
+let test_unlink_synthetic () =
+  let drop = store (links_off 2) 0 in
+  Alcotest.(check string) "unreferenced inode: drop allowed" "ok" (rule (preamble @ [ drop ]));
+  Alcotest.(check string) "only reference stored, not drained" "R-unlink"
+    (rule
+       (preamble
+       @ [
+           store (dentry_ino_off 0) 2;
+           ev (Obs.Event.Flush { off = dentry_ino_off 0; len = 8 });
+           drop;
+         ]));
+  Alcotest.(check string) "durably referenced (Buggy_unlink shape)" "R-unlink"
+    (rule (preamble @ [ ev (Obs.Event.Snap_dentry { page = 0; slot = 0; ino = 2 }); drop ]))
+
+let unlink_scope_cases =
+  [
+    Alcotest.test_case "rollback reclaims an anonymous inode" `Quick
+      test_rollback_reclaims_anon_inode;
+    Alcotest.test_case "synthetic link-count drops" `Quick test_unlink_synthetic;
+  ]
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -232,5 +302,6 @@ let () =
     [
       ("golden traces", golden_cases);
       ("metrics", metrics_cases);
+      ("R-unlink scope", unlink_scope_cases);
       ("properties", qcheck_cases);
     ]
