@@ -302,6 +302,6 @@ let () =
     [
       ("golden traces", golden_cases);
       ("metrics", metrics_cases);
-      ("R-unlink scope", unlink_scope_cases);
+      ("R-unlink", unlink_scope_cases);
       ("properties", qcheck_cases);
     ]
