@@ -40,7 +40,8 @@ fuzz-smoke: build
 # rewrites the committed machine-readable coverage record, which CI
 # diffs), the same sweep on two domains (its record must match byte for
 # byte), the complete clean seq-3 sweep (every third op after each
-# feasible two-op prefix, ~8 s), then the mutant leg: with the Buggy_*
+# feasible two-op prefix, ~8 s; it rewrites its own committed record,
+# which CI diffs too), then the mutant leg: with the Buggy_*
 # alphabet extension every mutant kind must be flagged by BOTH checkers
 # with a <= 3-op shrunk reproducer.
 enum-smoke: build
@@ -50,15 +51,16 @@ enum-smoke: build
 	dune exec bin/fuzz.exe -- --enum -j 2 --coverage-out _build/ENUM_coverage.j2.json
 	cmp ENUM_coverage.json _build/ENUM_coverage.j2.json
 	@echo "== fuzz --enum --depth 3 (clean seq-3 sweep) =="
-	dune exec bin/fuzz.exe -- --enum --depth 3
+	dune exec bin/fuzz.exe -- --enum --depth 3 --coverage-out ENUM_coverage_depth3.json
 	@echo "== fuzz --enum --expect-buggy =="
 	dune exec bin/fuzz.exe -- --enum --expect-buggy
 
 # Concurrent-path smoke: a short Zipf client load through the request
 # frontend (multi-domain, exercising the sharded lock table and the
 # whole-FS fallback), then an interleaved 2-op fuzz batch — every
-# lock-respecting schedule crash-checked clean, and all three Buggy_*
-# mutants flagged by both the oracle and the SSU trace checker.
+# lock-respecting schedule crash-checked clean, and all four Buggy_*
+# mutants (create, unlink, write, snap) flagged by both the oracle and
+# the SSU trace checker.
 # Nonzero exit on any violation.
 serve-smoke: build
 	@echo "== serve: 200 clients x 20 ops, -j 2 =="

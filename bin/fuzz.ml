@@ -4,12 +4,21 @@
      fuzz --seed 1 --iters 60 --expect-buggy   -- must re-find all Buggy_*
      fuzz --buggy-rate 0 --iters 50            -- clean fuzzing: must be quiet
      fuzz -j 4 --seed 1 --iters 200            -- 4 domains, same report
-     fuzz --enum [--expect-buggy]              -- exhaustive seq-2 sweep
      fuzz --buggy-rate 0 --flips 2 --torn 0.2  -- media faults: torn/stuck
                                                   crash images, then flip,
                                                   scrub, degraded remount, EIO
      fuzz --replay "create /a; buggy-write /a 64"
-                                               -- re-run a shrunk reproducer *)
+                                               -- re-run a shrunk reproducer
+
+   and three other modes, at most one per run (two of them, or --replay
+   beside one, is a usage error):
+
+     fuzz --enum [--depth 3] [--expect-buggy]  -- complete seq-2 (or seq-3)
+                                                  sweep of the canonical
+                                                  universe
+     fuzz --interleaved [--expect-buggy]       -- every lock-respecting
+                                                  schedule of 2-op pairs
+     fuzz --snap-smoke                         -- snapshot crash battery *)
 
 open Cmdliner
 
@@ -19,12 +28,10 @@ let latency_of optane = if optane then Some Pmem.Latency.optane else None
    alongside the outcome. Used for --trace and the --expect-buggy
    trace-checker leg; tracing never perturbs the outcome, so the re-run
    reproduces exactly what the fuzzing run saw. *)
-let traced_run ?(faults = Faults.none) ~device_kib ~images ~optane ops =
+let traced_run ?faults ?max_images_per_fence ?(optane = false) ops =
   let r = Obs.Recorder.create () in
   let out =
-    Fuzzer.Exec.run ~device_size:(device_kib * 1024)
-      ~max_images_per_fence:images
-      ~faults ?latency:(latency_of optane) ~trace:r ops
+    Fuzzer.Exec.run ?faults ?max_images_per_fence ?latency:(latency_of optane) ~trace:r ops
   in
   (out, Obs.Recorder.to_list r)
 
@@ -39,13 +46,13 @@ let dump_trace file events =
       | Some e -> Format.printf "  offending event: %a@." Obs.Event.pp e
       | None -> ())
 
-let replay_cmd line faults images device_kib optane trace =
+let replay_cmd line faults optane trace =
   match Fuzzer.Repro.of_cli line with
   | Error msg ->
       prerr_endline ("replay: " ^ msg);
       exit 1
   | Ok ops -> (
-      let res, events = traced_run ~faults ~device_kib ~images ~optane ops in
+      let res, events = traced_run ~faults ~optane ops in
       Format.printf "%a@." Crashcheck.Harness.pp_report res.Fuzzer.Exec.o_report;
       (match trace with Some file -> dump_trace file events | None -> ());
       match res.Fuzzer.Exec.o_fail with
@@ -60,10 +67,11 @@ let replay_cmd line faults images device_kib optane trace =
 (* --interleaved: 2-op pairs, every lock-respecting interleaving run
    through the crash oracle and the SSU trace checker (see
    [Fuzzer.Interleave]). Clean pairs must be quiet; with --expect-buggy,
-   three fixed mutant pairs must each be flagged by BOTH checkers. *)
-let interleaved_cmd seed pairs max_inter expect_buggy =
+   four fixed mutant pairs (create, unlink, write, snap) must each be
+   flagged by BOTH checkers. *)
+let interleaved_cmd seed pairs expect_buggy =
   if expect_buggy then begin
-    let results = Fuzzer.Interleave.run_buggy ~max_interleavings:max_inter () in
+    let results = Fuzzer.Interleave.run_buggy () in
     let ok = ref true in
     List.iter
       (fun b ->
@@ -77,7 +85,7 @@ let interleaved_cmd seed pairs max_inter expect_buggy =
     exit (if !ok then 0 else 2)
   end
   else begin
-    let r = Fuzzer.Interleave.run ~seed ~pairs ~max_interleavings:max_inter () in
+    let r = Fuzzer.Interleave.run ~seed ~pairs () in
     Printf.printf
       "interleaved: %d pairs (%d disjoint, %d overlapping), %d schedules \
        (%d past cap skipped), %d crash states (%d deduped)\n"
@@ -106,18 +114,10 @@ let interleaved_cmd seed pairs max_inter expect_buggy =
    --expect-buggy the alphabet is widened with the three Buggy_* mutants
    and each must be flagged by BOTH the crash oracle (with a <= 3-op
    shrunk reproducer) and the SSU trace checker. *)
-let enum_cmd jobs images device_kib no_shrink depth coverage_out
-    expect_buggy =
-  let cfg =
-    {
-      Fuzzer.Enum.depth;
-      buggy = expect_buggy;
-      max_images = images;
-      device_size = device_kib * 1024;
-      shrink = not no_shrink;
-    }
+let enum_cmd jobs depth coverage_out expect_buggy =
+  let r =
+    Fuzzer.Enum.run ~jobs { Fuzzer.Enum.default_cfg with depth; buggy = expect_buggy }
   in
-  let r = Fuzzer.Enum.run ~jobs cfg in
   Format.printf "%a@." Fuzzer.Enum.pp_report r;
   (match coverage_out with
   | None -> ()
@@ -177,7 +177,7 @@ let snap_smoke_cmd () =
   let module W = Crashcheck.Workload in
   let ok = ref true in
   let smoke name ops =
-    let out, events = traced_run ~device_kib:256 ~images:128 ~optane:false ops in
+    let out, events = traced_run ~max_images_per_fence:128 ops in
     let ssu = Obs.Ssu.check events in
     (match out.Fuzzer.Exec.o_fail with
     | Some (_, d) ->
@@ -214,7 +214,7 @@ let snap_smoke_cmd () =
         Rollback "s0";
       ]);
   let mutant = Fuzzer.Gen.setup @ [ W.Buggy_snap "torn-snapshot-commit-ordering" ] in
-  let out, events = traced_run ~device_kib:256 ~images:128 ~optane:false mutant in
+  let out, events = traced_run ~max_images_per_fence:128 mutant in
   let o = out.Fuzzer.Exec.o_fail <> None in
   let s = match Obs.Ssu.check events with Error _ -> true | Ok () -> false in
   if not (o && s) then ok := false;
@@ -223,14 +223,9 @@ let snap_smoke_cmd () =
     (if s then "flagged" else "MISSED");
   exit (if !ok then 0 else 2)
 
-let run seed iters op_budget images buggy_rate device_kib flips torn stuck
-    optane no_shrink jobs replay expect_buggy trace metrics interleaved pairs max_inter
-    enum depth coverage_out snap_smoke =
-  if snap_smoke then snap_smoke_cmd ();
-  if enum then
-    enum_cmd jobs images device_kib no_shrink depth coverage_out
-      expect_buggy;
-  if interleaved then interleaved_cmd seed pairs max_inter expect_buggy;
+(* The random fuzzer, or with --replay one given sequence. *)
+let fuzz_cmd seed iters op_budget buggy_rate flips torn stuck optane jobs replay expect_buggy
+    trace metrics =
   let faults =
     if flips = 0 && torn = 0. && stuck = 0. then Faults.none
     else
@@ -242,19 +237,17 @@ let run seed iters op_budget images buggy_rate device_kib flips torn stuck
         exit 2
   in
   match replay with
-  | Some line -> replay_cmd line faults images device_kib optane trace
+  | Some line -> replay_cmd line faults optane trace
   | None ->
       let cfg =
         {
-          Fuzzer.seed;
+          Fuzzer.default_cfg with
+          seed;
           iters;
           op_budget;
           buggy_rate;
-          max_images = images;
-          device_size = device_kib * 1024;
           faults;
           latency = latency_of optane;
-          shrink = not no_shrink;
           collect_metrics = metrics;
         }
       in
@@ -280,7 +273,7 @@ let run seed iters op_budget images buggy_rate device_kib flips torn stuck
                 let rng = Random.State.make [| 0x5EED; seed; 0 |] in
                 Fuzzer.Gen.sequence rng { Fuzzer.Gen.op_budget; buggy_rate }
           in
-          let _, events = traced_run ~faults ~device_kib ~images ~optane ops in
+          let _, events = traced_run ~faults ~optane ops in
           dump_trace file events);
       if expect_buggy then begin
         (* acceptance: every mutant re-discovered, every reproducer small *)
@@ -312,9 +305,7 @@ let run seed iters op_budget images buggy_rate device_kib flips torn stuck
             let kinds = List.filter_map Fuzzer.buggy_kind_of_op f.Fuzzer.fd_min in
             let fresh = List.filter (fun k -> not (List.mem k !flagged)) kinds in
             if fresh <> [] then begin
-              let _, events =
-                traced_run ~faults ~device_kib ~images ~optane f.Fuzzer.fd_min
-              in
+              let _, events = traced_run ~faults ~optane f.Fuzzer.fd_min in
               match Obs.Ssu.check events with
               | Error v ->
                   flagged := fresh @ !flagged;
@@ -354,6 +345,16 @@ let run seed iters op_budget images buggy_rate device_kib flips torn stuck
       end
       else exit 0
 
+let run seed iters op_budget buggy_rate flips torn stuck optane jobs (mode, replay)
+    expect_buggy trace metrics pairs depth coverage_out =
+  match mode with
+  | `Snap_smoke -> snap_smoke_cmd ()
+  | `Enum -> enum_cmd jobs depth coverage_out expect_buggy
+  | `Interleaved -> interleaved_cmd seed pairs expect_buggy
+  | `Fuzz ->
+      fuzz_cmd seed iters op_budget buggy_rate flips torn stuck optane jobs replay expect_buggy
+        trace metrics
+
 let () =
   let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"PRNG seed") in
   let iters =
@@ -362,18 +363,12 @@ let () =
   let op_budget =
     Arg.(value & opt int 8 & info [ "op-budget" ] ~docv:"N" ~doc:"Ops per sequence")
   in
-  let images =
-    Arg.(value & opt int 8 & info [ "images" ] ~doc:"Max crash images per fence")
-  in
   let buggy_rate =
     Arg.(
       value
       & opt float 0.15
       & info [ "buggy-rate" ] ~docv:"P"
           ~doc:"Probability an op slot emits a mis-ordered Buggy_* mutant")
-  in
-  let device_kib =
-    Arg.(value & opt int 256 & info [ "device-kib" ] ~doc:"Device size in KiB")
   in
   let flips =
     Arg.(
@@ -400,7 +395,6 @@ let () =
   let optane =
     Arg.(value & flag & info [ "optane" ] ~doc:"Charge Optane-like simulated latency")
   in
-  let no_shrink = Arg.(value & flag & info [ "no-shrink" ] ~doc:"Skip shrinking") in
   let jobs =
     let positive =
       Arg.conv
@@ -454,42 +448,10 @@ let () =
       & info [ "metrics" ]
           ~doc:"Collect and print an op-latency/device-traffic metrics registry")
   in
-  let interleaved =
-    Arg.(
-      value & flag
-      & info [ "interleaved" ]
-          ~doc:
-            "Concurrent mode: generate 2-op pairs, deterministically \
-             enumerate every interleaving the sharded lock table permits \
-             (disjoint pairs interleave at persist points, overlapping pairs \
-             serialize), and run the crash oracle plus the SSU trace checker \
-             over each schedule")
-  in
   let pairs =
     Arg.(
       value & opt int 50
       & info [ "pairs" ] ~docv:"N" ~doc:"Op pairs to generate (with --interleaved)")
-  in
-  let max_inter =
-    Arg.(
-      value & opt int 64
-      & info [ "max-interleavings" ] ~docv:"N"
-          ~doc:
-            "Cap on enumerated schedules per pair (skips are counted and \
-             reported, never silent)")
-  in
-  let enum =
-    Arg.(
-      value & flag
-      & info [ "enum" ]
-          ~doc:
-            "Bounded black-box enumeration: deterministically run every \
-             bounded op sequence over the canonical universe (seq-2, and \
-             seq-3 with --depth 3; only sequences with an infeasible prefix \
-             are skipped) through the crash oracle and the SSU trace \
-             checker, and print an exactly-reconciling coverage account. \
-             With --expect-buggy the alphabet gains the Buggy_* mutants \
-             and each must be flagged by both checkers")
   in
   let depth =
     Arg.(
@@ -507,23 +469,55 @@ let () =
       & info [ "coverage-out" ] ~docv:"FILE"
           ~doc:"Write the enumeration coverage record as JSON to FILE (with --enum)")
   in
-  let snap_smoke =
+  (* One flag of the three at most: cmdliner refuses a second one. *)
+  let mode =
     Arg.(
-      value & flag
-      & info [ "snap-smoke" ]
-          ~doc:
-            "Deterministic snapshot-path smoke: probe every fence-point \
-             crash view of fixed snapshot/rollback sequences with an \
-             exhaustive image budget (old table or sealed new entry, never \
-             torn), then require the mis-ordered creation mutant to be \
-             flagged by both the crash oracle and the SSU trace checker")
+      value
+      & vflag `Fuzz
+          [
+            ( `Enum,
+              info [ "enum" ]
+                ~doc:
+                  "Bounded black-box enumeration: deterministically run every \
+                   bounded op sequence over the canonical universe (seq-2, and \
+                   seq-3 with --depth 3; only sequences with an infeasible \
+                   prefix are skipped) through the crash oracle and the SSU \
+                   trace checker, and print an exactly-reconciling coverage \
+                   account. With --expect-buggy the alphabet gains the Buggy_* \
+                   mutants and each must be flagged by both checkers" );
+            ( `Interleaved,
+              info [ "interleaved" ]
+                ~doc:
+                  "Concurrent mode: generate 2-op pairs, deterministically \
+                   enumerate every interleaving the sharded lock table permits \
+                   (disjoint pairs interleave at persist points, overlapping \
+                   pairs serialize), and run the crash oracle plus the SSU \
+                   trace checker over each schedule" );
+            ( `Snap_smoke,
+              info [ "snap-smoke" ]
+                ~doc:
+                  "Deterministic snapshot-path smoke: probe every fence-point \
+                   crash view of fixed snapshot/rollback sequences with an \
+                   exhaustive image budget (old table or sealed new entry, \
+                   never torn), then require the mis-ordered creation mutant \
+                   to be flagged by both the crash oracle and the SSU trace \
+                   checker" );
+          ])
+  in
+  let mode_replay =
+    let only mode replay =
+      match (mode, replay) with
+      | (`Enum | `Interleaved | `Snap_smoke), Some _ ->
+          `Error (true, "--replay cannot be combined with --enum, --interleaved or --snap-smoke")
+      | _ -> `Ok (mode, replay)
+    in
+    Term.(ret (const only $ mode $ replay))
   in
   exit
     (Cmd.eval
        (Cmd.v
           (Cmd.info "fuzz" ~doc:"Crash-state fuzzing of SquirrelFS with a differential oracle")
           Term.(
-            const run $ seed $ iters $ op_budget $ images $ buggy_rate $ device_kib
-            $ flips $ torn $ stuck $ optane $ no_shrink $ jobs $ replay $ expect_buggy
-            $ trace $ metrics $ interleaved $ pairs $ max_inter $ enum $ depth
-            $ coverage_out $ snap_smoke)))
+            const run $ seed $ iters $ op_budget $ buggy_rate $ flips $ torn $ stuck $ optane
+            $ jobs $ mode_replay $ expect_buggy $ trace $ metrics $ pairs $ depth
+            $ coverage_out)))

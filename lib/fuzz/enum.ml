@@ -45,12 +45,9 @@ type cfg = {
   depth : int;  (** 2 = seq-1 + seq-2; 3 adds seq-3 *)
   buggy : bool;  (** widen the alphabet with the three [Buggy_*] mutants *)
   max_images : int;
-  device_size : int;
-  shrink : bool;
 }
 
-let default_cfg =
-  { depth = 2; buggy = false; max_images = 8; device_size = 256 * 1024; shrink = true }
+let default_cfg = { depth = 2; buggy = false; max_images = 8 }
 
 (* Mutant extension of the canonical alphabet: one representative per
    [Buggy_*] kind, phrased on the same universe. [Buggy_create] targets a
@@ -177,7 +174,7 @@ let run ?(jobs = 1) cfg =
   let tiers, work = build cfg in
   let run_cfg =
     { Driver.default_cfg with
-      Driver.max_images = cfg.max_images; device_size = cfg.device_size; shrink = cfg.shrink }
+      max_images = cfg.max_images }
   in
   let s, _ =
     Driver.sweep ~jobs ~traced:true run_cfg (Array.length work) (fun i -> W.setup @ work.(i))

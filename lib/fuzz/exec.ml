@@ -16,6 +16,10 @@
    against a model success is benign: the model is rolled back and the
    event counted as a divergence, not a violation.
 
+   Everything around the ops (device, observers, probe hook, closing
+   checks) is one run body, which [Interleave]'s coroutine scheduler
+   also runs its schedules through ([run_with]).
+
    A fault plan formats the volume with checksummed records; torn/stuck
    media views then get a never-raise check at every fence, and a plan
    with bit flips ends each clean sequence with Phase B (flip, scrub,
@@ -138,8 +142,8 @@ let apply_sq (ctx : Sq.Fsctx.t) (op : W.op) : (unit, Errno.t) result =
 
 (* {2 The crash-state prober}
 
-   The one verdict every crash view gets, shared by [run] below and by
-   [Interleave]. The content-determined part of a view's verdict —
+   The one verdict every crash view gets, in every run the run body
+   below makes. The content-determined part of a view's verdict —
    superblock, raw invariants, mount (recovery), the csum-degraded
    check, [Fsck] and capture — depends only on the image bytes, so it is
    memoized by full-content view hash. The comparison against the legal
@@ -190,9 +194,6 @@ let prober ~memo ~csum dev =
     p_deduped = 0;
     p_sig = sig_empty;
   }
-
-let states p = p.p_states
-let deduped p = p.p_deduped
 
 let mount_view p v =
   let s = Lazy.force p.p_scr in
@@ -285,24 +286,33 @@ let probe p ~max_images ~media ~compare_data ~legal ~fail =
         | None -> ())
       (Device.crash_views_faulty ~max_images:media_images_per_fence p.p_dev)
 
+let mount_exn dev =
+  match Sq.mount dev with
+  | Ok fs -> fs
+  | Error e -> failwith ("Fuzzer.Exec: mount: " ^ Errno.to_string e)
+
 (* {2 Per-domain resource pool}
 
    Fresh-device fuzzing pays a large constant per iteration: allocate two
    device-sized buffers, simulate mkfs store by store, then copy the
    device again into a new scratch. A pool amortizes all of it across
    the iterations of one driver/shard: the first acquisition formats a
-   device once and snapshots the post-mkfs durable image as a template;
-   every later acquisition blits the template back over the same buffers
+   device once and snapshots its durable image as a template; every
+   later acquisition blits the template back over the same buffers
    ({!Device.reset}), reusing the attached scratch too. The pool also
    carries the prober's verdict memo across iterations, so a state
    revisited in a later iteration skips the remount + fsck entirely.
+
+   A template is the volume after mkfs and, when the key names setup
+   ops, after those ops and a clean unmount: runs that all start from
+   the same prefix then replay only what follows it.
 
    A pool is single-domain state: share one per domain, never across. *)
 module Pool = struct
   type entry = {
     e_dev : Device.t;
-    e_tmpl : Bytes.t;  (* post-mkfs durable image *)
-    e_now : int;  (* post-mkfs clock *)
+    e_tmpl : Bytes.t;  (* the template's durable image *)
+    e_now : int;  (* the template's clock *)
     mutable e_hash : (int64 array * int64) option;  (* lazy template hash *)
   }
 
@@ -310,17 +320,34 @@ module Pool = struct
     k_size : int;
     k_csum : bool;
     k_latency : Pmem.Latency.t option;
+    k_setup : W.op list;
   }
 
   type t = { mutable slot : (key * entry) option; memo : memo }
 
   let create () = { slot = None; memo = memo_create () }
 
-  (* A ready-to-mount formatted device: template-blit on reuse, real mkfs
-     only on first acquisition (or when the configuration changes, which
-     also invalidates the content-hash-keyed memo). *)
-  let acquire p ~size ~csum ~latency =
-    let key = { k_size = size; k_csum = csum; k_latency = latency } in
+  (* A fresh device holding the key's template. *)
+  let format k =
+    let dev = Device.create ?latency:k.k_latency ~size:k.k_size () in
+    Sq.Mount.mkfs ~csum:k.k_csum dev;
+    if k.k_setup <> [] then begin
+      let fs = mount_exn dev in
+      List.iter
+        (fun op ->
+          match apply_sq fs op with
+          | Ok () -> ()
+          | Error e -> failwith ("Fuzzer.Exec: setup op failed: " ^ Errno.to_string e))
+        k.k_setup;
+      Sq.unmount fs
+    end;
+    dev
+
+  (* A ready-to-mount device holding the key's template: template-blit
+     on reuse, real mkfs (and setup) only on first acquisition, or when
+     the configuration changes, which also invalidates the
+     content-hash-keyed memo. *)
+  let acquire p key =
     match p.slot with
     | Some (k, e) when k = key ->
         let hash =
@@ -333,8 +360,8 @@ module Pool = struct
         in
         Device.reset ~hash e.e_dev ~image:e.e_tmpl;
         (* reset zeroes the clock, but a fresh device's clock has run
-           through mkfs (a csum mkfs charges its seals) and inode
-           timestamps read it *)
+           through mkfs (a csum mkfs charges its seals) and the setup ops,
+           and inode timestamps read it *)
         Device.charge e.e_dev e.e_now;
         e.e_dev
     | Some _ | None ->
@@ -342,8 +369,7 @@ module Pool = struct
           Hashtbl.reset p.memo.m_states;
           Hashtbl.reset p.memo.m_media
         end;
-        let dev = Device.create ?latency ~size () in
-        Sq.Mount.mkfs ~csum dev;
+        let dev = format key in
         p.slot <-
           Some
             ( key,
@@ -461,35 +487,91 @@ let phase_b ~(plan : Faults.Plan.t) ~fail fs dev =
   end;
   (!detected, !quarantined, !eio)
 
-let run ?(device_size = 256 * 1024) ?(max_images_per_fence = 8) ?(faults = Faults.none)
-    ?latency ?pool ?trace ?metrics ops =
+(* {2 The run body}
+
+   Every crash-checked run goes through [run_body]: take a formatted
+   device (from the pool, or fresh), mount it, attach the tracer and
+   metrics, install the probe hook, let [drive] run the ops, close with
+   the quiescent data-comparing probe and a live fsck, then detach. On a
+   plan with bit flips a run that passed ends with Phase B.
+
+   [drive] is one of the two ways ops run: [run]'s sequential
+   differential loop, or a caller's scheduler through [run_with]. It
+   keeps [legal] (the states a crash image may recover to) and [cur_op]
+   current as it goes, and returns the one state the quiescent volume
+   must hold. *)
+
+type run_state = {
+  mutable cur_op : int;
+  mutable fences : int;
+  mutable legal : Logical.t list;
+  mutable ops_run : int;
+  mutable divergences : int;
+  mutable fail : (crash_point * string) option;
+}
+
+(* Record the first violation and stop: the crash point it pins down is
+   what the shrinker minimizes, so the run explores no further. *)
+let violate st ~image detail =
+  st.fail <- Some ({ cp_op = st.cur_op; cp_fence = st.fences; cp_image = image }, detail);
+  raise Abort
+
+(* The sequential differential loop: each op against SquirrelFS and the
+   reference model in turn, the legal states fixed before the op runs
+   (the fence hook fires inside it), return values compared after. *)
+let sequential ops st fs =
+  let model = ref Ref_fs.empty in
+  let cap_prev = ref (Ref_fs.capture Ref_fs.empty) in
+  Array.iteri
+    (fun i op ->
+      st.cur_op <- i;
+      let m_next, m_res = Ref_fs.apply !model op in
+      let cap_next = if m_res = Ok () then Ref_fs.capture m_next else !cap_prev in
+      st.legal <- (if m_res = Ok () then [ !cap_prev; cap_next ] else [ !cap_prev ]);
+      let sq_res = apply_sq fs op in
+      st.ops_run <- st.ops_run + 1;
+      match (sq_res, m_res) with
+      | Ok (), Ok () ->
+          model := m_next;
+          cap_prev := cap_next
+      | Error a, Error b when a = b -> ()
+      | Error (Errno.ENOSPC | Errno.EMLINK), Ok () ->
+          (* capacity divergence: roll the model back, keep going *)
+          st.divergences <- st.divergences + 1
+      | Ok (), Error b ->
+          violate st ~image:(-1)
+            (Printf.sprintf "differential: squirrelfs succeeded, model says %s"
+               (Errno.to_string b))
+      | Error a, Ok () ->
+          violate st ~image:(-1)
+            (Printf.sprintf "differential: squirrelfs says %s, model succeeded"
+               (Errno.to_string a))
+      | Error a, Error b ->
+          violate st ~image:(-1)
+            (Printf.sprintf "differential: squirrelfs says %s, model says %s"
+               (Errno.to_string a) (Errno.to_string b)))
+    ops;
+  !cap_prev
+
+let run_body ?(device_size = 256 * 1024) ?(max_images_per_fence = 8) ?(faults = Faults.none)
+    ?latency ?pool ?(setup = []) ?trace ?metrics ops drive =
   (* Media faults only make sense on a volume that can detect them: fault
      runs format with checksummed metadata records. *)
   let csum = not (Faults.is_none faults) in
   let media =
     faults.Faults.Plan.torn_line_rate > 0. || faults.Faults.Plan.stuck_line_rate > 0.
   in
-  let n = List.length ops in
-  let opsa = Array.of_list ops in
-  let dev =
-    match pool with
-    | Some p -> Pool.acquire p ~size:device_size ~csum ~latency
-    | None ->
-        let dev = Device.create ?latency ~size:device_size () in
-        Sq.Mount.mkfs ~csum dev;
-        dev
+  let key =
+    { Pool.k_size = device_size; k_csum = csum; k_latency = latency; k_setup = setup }
   in
-  (* Simulated time is charged from the post-mkfs baseline (0 on a pooled
-     reset), so [o_sim_ns] covers the workload only and is identical
-     whether or not the device came from a pool. *)
+  let dev = match pool with Some p -> Pool.acquire p key | None -> Pool.format key in
+  (* Simulated time is charged from the template's clock, so [o_sim_ns]
+     covers the run's own ops and is identical whether or not the device
+     came from a pool. *)
   let sim_base = Device.now_ns dev in
-  let fs =
-    match Sq.mount dev with
-    | Ok fs -> fs
-    | Error e -> failwith ("Fuzzer.Exec.run: mount: " ^ Errno.to_string e)
-  in
+  let fs = mount_exn dev in
   (* Observability attaches after mount, so the trace opens with the
-     post-mkfs durable snapshot the SSU checker needs; borrowed crash-view
+     template's durable snapshot the SSU checker needs; borrowed crash-view
      devices never inherit the tracer, so fsck probing stays untraced.
      Neither hook charges time or reads RNGs: the outcome (report, sim-ns,
      divergences) is bit-identical to an unobserved run. *)
@@ -500,74 +582,28 @@ let run ?(device_size = 256 * 1024) ?(max_images_per_fence = 8) ?(faults = Fault
       Typestate.Token.set_metrics fs.Sq.Fsctx.reg (Some m)
   | None -> ());
   if csum then Device.set_fault_plan dev faults;
-  let cur_op = ref 0 and fences = ref 0 in
-  let ops_run = ref 0 and divergences = ref 0 in
-  let legal = ref [ Ref_fs.capture Ref_fs.empty ] in
-  let fail = ref None in
-  let violations = ref [] in
-  let violate ~image detail =
-    let cp = { cp_op = !cur_op; cp_fence = !fences; cp_image = image } in
-    fail := Some (cp, detail);
-    violations :=
-      {
-        H.v_op_index = !cur_op;
-        v_op = (if !cur_op < n then Some opsa.(!cur_op) else None);
-        v_detail = detail;
-      }
-      :: !violations;
-    (* first violation wins: the crash point it pins down is what the
-       shrinker minimizes, so stop exploring this sequence *)
-    raise Abort
+  let st =
+    { cur_op = 0; fences = 0; legal = []; ops_run = 0; divergences = 0; fail = None }
   in
   let memo = match pool with Some p -> p.Pool.memo | None -> memo_create () in
   let pr = prober ~memo ~csum dev in
+  let fail = violate st in
   let on_fence ~compare_data _ =
-    incr fences;
-    probe pr ~max_images:max_images_per_fence ~media ~compare_data ~legal:!legal
-      ~fail:violate
+    st.fences <- st.fences + 1;
+    probe pr ~max_images:max_images_per_fence ~media ~compare_data ~legal:st.legal ~fail
   in
   (try
      Device.set_fence_hook dev (Some (on_fence ~compare_data:false));
-     let model = ref Ref_fs.empty in
-     let cap_prev = ref (Ref_fs.capture Ref_fs.empty) in
-     for i = 0 to n - 1 do
-       cur_op := i;
-       let m_next, m_res = Ref_fs.apply !model opsa.(i) in
-       let cap_next = if m_res = Ok () then Ref_fs.capture m_next else !cap_prev in
-       (* fixed before apply_sq: the fence hook fires inside it *)
-       legal := if m_res = Ok () then [ !cap_prev; cap_next ] else [ !cap_prev ];
-       let sq_res = apply_sq fs opsa.(i) in
-       incr ops_run;
-       match (sq_res, m_res) with
-       | Ok (), Ok () ->
-           model := m_next;
-           cap_prev := cap_next
-       | Error a, Error b when a = b -> ()
-       | Error (Errno.ENOSPC | Errno.EMLINK), Ok () ->
-           (* capacity divergence: roll the model back, keep going *)
-           incr divergences
-       | Ok (), Error b ->
-           violate ~image:(-1)
-             (Printf.sprintf "differential: squirrelfs succeeded, model says %s"
-                (Errno.to_string b))
-       | Error a, Ok () ->
-           violate ~image:(-1)
-             (Printf.sprintf "differential: squirrelfs says %s, model succeeded"
-                (Errno.to_string a))
-       | Error a, Error b ->
-           violate ~image:(-1)
-             (Printf.sprintf "differential: squirrelfs says %s, model says %s"
-                (Errno.to_string a) (Errno.to_string b))
-     done;
-     cur_op := n;
-     legal := [ !cap_prev ];
-     (* final durable state must equal the final model state exactly,
-        file contents included *)
+     let final = drive st fs in
+     st.cur_op <- Array.length ops;
+     st.legal <- [ final ];
+     (* the quiescent volume must hold the final state exactly, file
+        contents included *)
      on_fence ~compare_data:true dev;
      Device.set_fence_hook dev None;
      match Sq.Fsck.check fs with
      | [] -> ()
-     | errs -> violate ~image:(-1) ("live fsck after sequence: " ^ String.concat " | " errs)
+     | errs -> violate st ~image:(-1) ("live fsck after sequence: " ^ String.concat " | " errs)
    with Abort -> Device.set_fence_hook dev None);
   if trace <> None then Device.set_tracer dev None;
   if metrics <> None then begin
@@ -578,8 +614,8 @@ let run ?(device_size = 256 * 1024) ?(max_images_per_fence = 8) ?(faults = Fault
      the workload's own cost *)
   let sim_ns = Device.now_ns dev - sim_base in
   let detected, quarantined, eio_checks =
-    if !fail = None && faults.Faults.Plan.bit_flips > 0 then
-      try phase_b ~plan:faults ~fail:(violate ~image:(-1)) fs dev with Abort -> (0, 0, 0)
+    if st.fail = None && faults.Faults.Plan.bit_flips > 0 then
+      try phase_b ~plan:faults ~fail:(violate st ~image:(-1)) fs dev with Abort -> (0, 0, 0)
     else (0, 0, 0)
   in
   let dstats = Device.stats dev in
@@ -587,8 +623,8 @@ let run ?(device_size = 256 * 1024) ?(max_images_per_fence = 8) ?(faults = Fault
     o_report =
       {
         H.workloads = 1;
-        ops_run = !ops_run;
-        fences_probed = !fences;
+        ops_run = st.ops_run;
+        fences_probed = st.fences;
         crash_states = pr.p_states;
         states_deduped = pr.p_deduped;
         media_states = pr.p_media_states;
@@ -598,10 +634,28 @@ let run ?(device_size = 256 * 1024) ?(max_images_per_fence = 8) ?(faults = Fault
         faults_detected = detected;
         faults_quarantined = quarantined;
         eio_checks;
-        violations = List.rev !violations;
+        (* the run stops at its first violation, so it has at most one *)
+        violations =
+          (match st.fail with
+          | None -> []
+          | Some (cp, detail) ->
+              [ { H.v_op_index = cp.cp_op;
+                  v_op = (if cp.cp_op < Array.length ops then Some ops.(cp.cp_op) else None);
+                  v_detail = detail } ]);
       };
-    o_fail = !fail;
-    o_divergences = !divergences;
+    o_fail = st.fail;
+    o_divergences = st.divergences;
     o_sim_ns = sim_ns;
     o_state_sig = pr.p_sig;
   }
+
+let run ?device_size ?max_images_per_fence ?faults ?latency ?pool ?trace ?metrics ops =
+  let ops = Array.of_list ops in
+  run_body ?device_size ?max_images_per_fence ?faults ?latency ?pool ?trace ?metrics ops
+    (sequential ops)
+
+let run_with ~pool ~setup ~trace ~legal ~final drive =
+  run_body ~pool ~setup ~trace [||] (fun st fs ->
+      st.legal <- legal;
+      drive fs;
+      final)

@@ -1,7 +1,12 @@
 (** Differential crash-state executor: one op sequence run against
     SquirrelFS on a simulated PM device and against {!Ref_fs}
     simultaneously, with crash-image enumeration + remount + [Fsck] +
-    prefix-consistency checking at every persist point. *)
+    prefix-consistency checking at every persist point.
+
+    {!run} and {!run_with} are two ways ops run inside one crash-checked
+    run body: a formatted device from the {!Pool} (or a fresh one) is
+    mounted and observed, every fence is probed, and the run closes with
+    the quiescent data-comparing probe and a live fsck. *)
 
 type crash_point = {
   cp_op : int;  (** index of the op being executed when the check failed *)
@@ -21,8 +26,9 @@ type outcome = {
           the unlimited model succeeded; the model is rolled back) *)
   o_sim_ns : int;
       (** simulated ns consumed on the main device by the workload itself
-          (charged from the post-mkfs baseline, so the value is identical
-          whether the device was fresh or pooled) *)
+          (charged from the template's clock, after mkfs and any setup
+          ops, so the value is identical whether the device was fresh or
+          pooled) *)
   o_state_sig : int64;
       (** deterministic fingerprint of the sequence's full crash-state
           trace: an FNV-1a-style fold of every probed crash image's
@@ -32,56 +38,15 @@ type outcome = {
           across [-j] shards. *)
 }
 
-(** {2 The crash-state prober}
-
-    The one check every crash view goes through, shared by {!run} and
-    [Interleave]: patch the view into a scratch buffer and mount it
-    zero-copy with [of_view], then superblock, [check_raw], mount
-    (recovery), the csum-degraded check (on a csum volume a pure crash
-    image must never be quarantined), [Fsck] and capture; the recovered
-    tree must equal one of the legal states. Torn/stuck media views get
-    the never-raise check instead. Content-determined verdicts are
-    memoized by full-content view hash. *)
-
-type memo
-(** Verdict cache keyed by view hash. Sound to share across runs on
-    devices of one size and csum setting; single-domain state. *)
-
-val memo_create : unit -> memo
-
-type prober
-(** One run's probing state: run-local dedup sets, state and dedup
-    counters, and the [o_state_sig] fold. *)
-
-val prober : memo:memo -> csum:bool -> Pmem.Device.t -> prober
-
-val probe :
-  prober ->
-  max_images:int ->
-  media:bool ->
-  compare_data:bool ->
-  legal:Vfs.Logical.t list ->
-  fail:(image:int -> string -> unit) ->
-  unit
-(** Probe the current fence of the prober's device: up to [max_images] crash
-    views, then (with [~media:true]) up to 4 torn/stuck views. The
-    recovered tree is compared with the legal states by
-    {!Vfs.Logical.equal} [~compare_data]: [false] for crash images,
-    since plain data writes are not crash-atomic; [true] for a quiescent
-    device, whose one view is the durable state. The first failing view
-    is reported through [fail] with its index, which is expected to
-    raise. *)
-
-val states : prober -> int
-val deduped : prober -> int
-
 (** Per-domain resource pool: one formatted device (template-blit reset
-    between runs instead of allocate + mkfs), its scratch buffer, and the
-    prober's verdict {!memo}, all carried across the runs that share the
+    between runs instead of allocate + mkfs, and setup ops replayed once
+    for {!run_with}'s template), its scratch buffer, and the crash-state
+    prober's verdict memo, all carried across the runs that share the
     pool. Pooling is invisible in outcomes: reports,
     [states_deduped] and [o_sim_ns] are bit-identical with and without a
-    pool. A pool is single-domain state — share one per domain/shard,
-    never across domains. *)
+    pool. A pool holds one template; a run with another configuration
+    replaces it and clears the memo. A pool is single-domain state —
+    share one per domain/shard, never across domains. *)
 module Pool : sig
   type t
 
@@ -104,7 +69,12 @@ val run :
   ?metrics:Obs.Metrics.t ->
   Crashcheck.Workload.op list ->
   outcome
-(** Defaults: 256 KiB device, 8 crash images per fence, [Faults.none],
+(** The sequential differential run: each op against SquirrelFS and
+    {!Ref_fs} in turn. A crash view must recover to the model's state
+    before or after the op under way, file contents aside (plain data
+    writes are not crash-atomic), and return values must agree.
+
+    Defaults: 256 KiB device, 8 crash images per fence, [Faults.none],
     zero latency, no pool (fresh device + mkfs per call). [?trace] records the workload's
     store/flush/fence stream (opened with a geometry + durable-state
     preamble, see {!Squirrelfs.Tracing}); [?metrics] counts device and
@@ -119,3 +89,21 @@ val run :
     which fill [faults_detected], [faults_quarantined] and [eio_checks]
     ([o_sim_ns] is read before it). Fully deterministic for fixed
     arguments. *)
+
+val run_with :
+  pool:Pool.t ->
+  setup:Crashcheck.Workload.op list ->
+  trace:Obs.Recorder.t ->
+  legal:Vfs.Logical.t list ->
+  final:Vfs.Logical.t ->
+  (Squirrelfs.Fsctx.t -> unit) ->
+  outcome
+(** The same crash-checked run as {!run}, with the caller's scheduler
+    in place of the sequential loop: on a 256 KiB volume formatted, put
+    through [setup] and cleanly unmounted (the pool's template, so the
+    setup runs once per pool), the scheduler runs its ops on the mounted
+    volume while [trace] records them. Every fence probes up to 8 crash
+    views, each of which must recover to one of [legal]; the quiescent
+    volume must then equal [final] exactly, file contents included, and
+    pass a live fsck. Return values are the caller's to check:
+    [o_divergences] and the report's [ops_run] stay 0. *)

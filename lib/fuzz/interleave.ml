@@ -14,15 +14,17 @@
      [Fsctx.fence], and a DFS over the choice points deterministically
      enumerates every fence-granularity interleaving.
 
-   Under every enumerated schedule, the device fence hook probes crash
-   images exactly as [Exec] does: each recovered state must be one of
-   the four legal logical states {setup, A-only, B-only, A∧B} (both ops
-   are crash-atomic, so a crash image may durably contain any subset of
-   the two — but never half of one), and the final durable state must
-   be A∧B (the ops commute; their serial captures are asserted equal
-   before exploration). The run's store/flush/fence trace is then
-   re-checked with the [Obs.Ssu] ordering checker, so both oracles
-   cover every interleaving.
+   Every enumerated schedule is one run of [Exec]'s crash-checked run
+   body ([Exec.run_with]), with this module's scheduler in place of the
+   sequential loop, from a pooled template of the volume after the
+   setup prefix. Each recovered crash state must be one of the four
+   legal logical states {setup, A-only, B-only, A∧B} (both ops are
+   crash-atomic, so a crash image may durably contain any subset of the
+   two — but never half of one), and the final durable state must be
+   A∧B, file contents included (the ops commute; their serial captures
+   are asserted equal before exploration). The run's store/flush/fence
+   trace is then re-checked with the [Obs.Ssu] ordering checker, so both
+   oracles cover every interleaving.
 
    Fence-granularity is lock-granularity here: within one domain an op's
    stores between two persist points are not observable by the crash
@@ -33,7 +35,6 @@
    [(0x5EED, seed, pair index)], DFS order is fixed, and coroutines run
    on a single domain. *)
 
-module Device = Pmem.Device
 module Sq = Squirrelfs
 module W = Crashcheck.Workload
 module Logical = Vfs.Logical
@@ -101,56 +102,14 @@ let overlap a b =
   || List.exists (fun x -> List.exists (strict_ancestor x) tb) (targets a)
   || List.exists (fun x -> List.exists (strict_ancestor x) ta) (targets b)
 
-(* {2 Device pool}
-
-   Same template-blit idea as [Exec.Pool], but the template is the
-   durable image {e after} the setup prefix and a clean unmount, so each
-   enumerated schedule replays only the two ops. The prober's verdict
-   memo is carried across schedules and pairs. *)
-
-type pool = {
-  p_dev : Device.t;
-  p_tmpl : Bytes.t;
-  p_hash : int64 array * int64;
-  p_memo : Exec.memo;
-}
-
-let device_size = 256 * 1024
-
-let make_pool () =
-  let dev = Device.create ~size:device_size () in
-  Sq.Mount.mkfs dev;
-  let ctx =
-    match Sq.mount dev with
-    | Ok ctx -> ctx
-    | Error e -> failwith ("interleave: mount: " ^ Errno.to_string e)
-  in
-  List.iter
-    (fun op ->
-      match Exec.apply_sq ctx op with
-      | Ok () -> ()
-      | Error e ->
-          failwith ("interleave: setup op failed: " ^ Errno.to_string e))
-    Gen.setup;
-  Sq.unmount ctx;
-  let tmpl = Device.image_durable dev in
-  {
-    p_dev = dev;
-    p_tmpl = tmpl;
-    p_hash = Device.image_hash_state tmpl;
-    p_memo = Exec.memo_create ();
-  }
-
 (* {2 The coroutine scheduler} *)
 
 type _ Effect.t += Yield : unit Effect.t
 
 type fiber =
-  | Unstarted of (unit -> (unit, Errno.t) result)
+  | Unstarted of W.op
   | Suspended of (unit, unit) Effect.Deep.continuation
   | Done of (unit, Errno.t) result
-
-exception Stop of string
 
 type sched_out = {
   so_schedule : int list;  (** fiber id chosen at each step *)
@@ -162,42 +121,36 @@ type sched_out = {
   so_results : (unit, Errno.t) result array;  (** per-fiber op results *)
 }
 
+(* One traced, crash-checked run through [Exec]: the oracle's first
+   violation, the SSU checker's verdict on the recorded trace, and the
+   probe counts. *)
+let checked_leg run =
+  let r = Obs.Recorder.create () in
+  let out = run r in
+  let ssu =
+    match Obs.Ssu.check (Obs.Recorder.to_list r) with
+    | Ok () -> None
+    | Error v -> Some (Format.asprintf "%a" Obs.Ssu.pp_violation v)
+  in
+  let h = out.Exec.o_report in
+  (Option.map snd out.Exec.o_fail, ssu, h.Crashcheck.Harness.crash_states,
+   h.Crashcheck.Harness.states_deduped)
+
 (* Run one schedule: follow [prefix]'s choices, then always pick the
    lowest-id runnable fiber, recording each abandoned alternative as a
-   sibling prefix for the DFS driver. The crash oracle runs inside via
-   the device fence hook; the SSU checker runs afterward on the
-   recorded trace. *)
+   sibling prefix for the DFS. The run is [Exec]'s, from the
+   post-setup template: the crash oracle probes every fence against the
+   four subset states, and the quiescent volume must equal [final]. *)
 let run_schedule pool ~legal ~final ~(ops : W.op array) ~prefix =
-  let dev = pool.p_dev in
-  Device.reset ~hash:pool.p_hash dev ~image:pool.p_tmpl;
-  let ctx =
-    match Sq.mount dev with
-    | Ok ctx -> ctx
-    | Error e ->
-        failwith ("interleave: schedule mount: " ^ Errno.to_string e)
-  in
-  let recorder = Obs.Recorder.create () in
-  Sq.Tracing.attach ctx recorder;
-  let fail = ref None in
-  (* the shared crash-state prober, as in [Exec]; the legal set is the
-     four subset states (or the final state, for the closing probe) *)
-  let pr = Exec.prober ~memo:pool.p_memo ~csum:false dev in
-  let probe _ =
-    Exec.probe pr ~max_images:8 ~media:false ~compare_data:false ~legal:!legal
-      ~fail:(fun ~image:_ detail -> raise (Stop detail))
-  in
-  let nf = Array.length ops in
-  let fibers =
-    Array.init nf (fun i -> Unstarted (fun () -> Exec.apply_sq ctx ops.(i)))
-  in
+  let fibers = Array.map (fun op -> Unstarted op) ops in
   let runnable i = match fibers.(i) with Done _ -> false | _ -> true in
-  let step i =
+  let step ctx i =
     match fibers.(i) with
     | Done _ -> assert false
     | Suspended k -> Effect.Deep.continue k ()
-    | Unstarted f ->
+    | Unstarted op ->
         Effect.Deep.match_with
-          (fun () -> fibers.(i) <- Done (f ()))
+          (fun () -> fibers.(i) <- Done (Exec.apply_sq ctx op))
           ()
           {
             retc = Fun.id;
@@ -213,7 +166,7 @@ let run_schedule pool ~legal ~final ~(ops : W.op array) ~prefix =
           }
   in
   let schedule = ref [] and branches = ref [] in
-  let rec drive prefix =
+  let rec drive ctx prefix =
     match List.filter runnable [ 0; 1 ] with
     | [] -> ()
     | runnables ->
@@ -235,60 +188,37 @@ let run_schedule pool ~legal ~final ~(ops : W.op array) ~prefix =
               (c, [])
         in
         schedule := choice :: !schedule;
-        step choice;
-        drive rest
+        step ctx choice;
+        drive ctx rest
   in
-  (* Yield at every persist point of the fiber ops; the hook is not
-     installed during setup (the template predates it). [running]
-     guards the final probe fence below. *)
-  let running = ref true in
-  ctx.Sq.Fsctx.on_fence <-
-    Some (fun () -> if !running then Effect.perform Yield);
-  Device.set_fence_hook dev (Some probe);
-  (try drive prefix with
-  | Stop detail ->
-      fail := Some detail;
-      running := false;
-      (* unwind suspended fibers so their cleanup handlers run *)
-      Array.iter
-        (function
-          | Suspended k -> (
-              try Effect.Deep.discontinue k (Stop detail) with Stop _ -> ())
-          | _ -> ())
-        fibers;
-      Array.iteri
-        (fun i f ->
-          match f with
-          | Done _ -> ()
-          | _ -> fibers.(i) <- Done (Error Errno.EIO))
-        fibers);
-  running := false;
-  ctx.Sq.Fsctx.on_fence <- None;
-  (* final durable state must be the both-ops state exactly (as in
-     [Exec], the probe runs on the quiescent device directly — both ops
-     finished with their own fences, so nothing is pending) *)
-  (if !fail = None then
-     try
-       legal := [ final ];
-       probe dev;
-       match Sq.Fsck.check ctx with
-       | [] -> ()
-       | errs ->
-           fail := Some ("live fsck after schedule: " ^ String.concat " | " errs)
-     with Stop detail -> fail := Some detail);
-  Device.set_fence_hook dev None;
-  Sq.Tracing.detach ctx;
-  let ssu =
-    match Obs.Ssu.check (Obs.Recorder.to_list recorder) with
-    | Ok () -> None
-    | Error v -> Some (Format.asprintf "%a" Obs.Ssu.pp_violation v)
+  (* Yield at every persist point of the fiber ops; the template
+     predates the hook, so the setup never yields. A violation raises
+     out of the fiber that hit it: unwind the suspended one so its
+     cleanup handlers run. *)
+  let run_fibers ctx =
+    ctx.Sq.Fsctx.on_fence <- Some (fun () -> Effect.perform Yield);
+    match drive ctx prefix with
+    | () -> ctx.Sq.Fsctx.on_fence <- None
+    | exception e ->
+        ctx.Sq.Fsctx.on_fence <- None;
+        Array.iter
+          (function
+            | Suspended k -> (
+                try Effect.Deep.discontinue k e with e' when e' == e -> ())
+            | _ -> ())
+          fibers;
+        raise e
+  in
+  let fail, ssu, states, deduped =
+    checked_leg (fun trace ->
+        Exec.run_with ~pool ~setup:Gen.setup ~trace ~legal ~final run_fibers)
   in
   {
     so_schedule = List.rev !schedule;
     so_branches = !branches;
-    so_fail = !fail;
-    so_states = Exec.states pr;
-    so_deduped = Exec.deduped pr;
+    so_fail = fail;
+    so_states = states;
+    so_deduped = deduped;
     so_ssu = ssu;
     so_results = Array.map (function Done r -> r | _ -> Error Errno.EIO) fibers;
   }
@@ -319,9 +249,7 @@ let model_after ops =
 
 (* Explore every lock-respecting interleaving of a disjoint pair via
    DFS over schedule prefixes. *)
-let explore_disjoint pool ~max_interleavings ~(a : W.op) ~(b : W.op) ~caps =
-  let cap0, cap_a, cap_b, cap_ab = caps in
-  let legal = ref [ cap0; cap_a; cap_b; cap_ab ] in
+let explore_disjoint pool ~max_interleavings ~(a : W.op) ~(b : W.op) ~legal ~final =
   let ops = [| a; b |] in
   let stack = ref [ [] ] in
   let n = ref 0 and skipped = ref 0 in
@@ -335,8 +263,7 @@ let explore_disjoint pool ~max_interleavings ~(a : W.op) ~(b : W.op) ~caps =
         if !n >= max_interleavings then incr skipped
         else begin
           incr n;
-          legal := [ cap0; cap_a; cap_b; cap_ab ];
-          let out = run_schedule pool ~legal ~final:cap_ab ~ops ~prefix in
+          let out = run_schedule pool ~legal ~final ~ops ~prefix in
           states := !states + out.so_states;
           deduped := !deduped + out.so_deduped;
           if !oracle_fail = None then oracle_fail := out.so_fail;
@@ -376,20 +303,11 @@ let explore_disjoint pool ~max_interleavings ~(a : W.op) ~(b : W.op) ~caps =
    deterministically miss. *)
 let serial_legs epool ~(a : W.op) ~(b : W.op) =
   let one ops =
-    let r = Obs.Recorder.create () in
-    let out = Exec.run ~pool:epool ~max_images_per_fence:64 ~trace:r ops in
-    let oracle =
-      Option.map (fun (_, detail) -> detail) out.Exec.o_fail
-    in
-    let ssu =
-      match Obs.Ssu.check (Obs.Recorder.to_list r) with
-      | Ok () -> None
-      | Error v -> Some (Format.asprintf "%a" Obs.Ssu.pp_violation v)
-    in
-    (oracle, ssu, out.Exec.o_report.Crashcheck.Harness.crash_states)
+    checked_leg (fun trace -> Exec.run ~pool:epool ~max_images_per_fence:64 ~trace ops)
   in
-  let o1, s1, n1 = one (Gen.setup @ [ a; b ]) in
-  let o2, s2, n2 = one (Gen.setup @ [ b; a ]) in
+  (* the report's dedup count covers disjoint schedules only *)
+  let o1, s1, n1, _ = one (Gen.setup @ [ a; b ]) in
+  let o2, s2, n2, _ = one (Gen.setup @ [ b; a ]) in
   let first x y = if x = None then y else x in
   (2, 0, n1 + n2, 0, first o1 o2, first s1 s2)
 
@@ -432,8 +350,9 @@ let check_pair ~pools:(pool, epool) ~max_interleavings ~index (a, b) =
   let schedules, skipped, states, deduped, oracle_fail, ssu_fail =
     match kind with
     | Disjoint ->
-        explore_disjoint pool ~max_interleavings ~a ~b
-          ~caps:(cap0, Ref_fs.capture ma, Ref_fs.capture mb, Ref_fs.capture mab)
+        let final = Ref_fs.capture mab in
+        explore_disjoint pool ~max_interleavings ~a ~b ~final
+          ~legal:[ cap0; Ref_fs.capture ma; Ref_fs.capture mb; final ]
     | Overlapping -> serial_legs epool ~a ~b
   in
   {
@@ -450,10 +369,10 @@ let check_pair ~pools:(pool, epool) ~max_interleavings ~index (a, b) =
   }
 
 let run ?(seed = 1) ?(pairs = 50) ?(max_interleavings = 64) () =
-  let pool = make_pool () and epool = Exec.Pool.create () in
+  let pools = (Exec.Pool.create (), Exec.Pool.create ()) in
   let results =
     List.init pairs (fun i ->
-        check_pair ~pools:(pool, epool) ~max_interleavings ~index:i
+        check_pair ~pools ~max_interleavings ~index:i
           (gen_pair ~seed i))
   in
   {
@@ -496,7 +415,7 @@ type buggy_result = {
 }
 
 let run_buggy ?(max_interleavings = 64) () =
-  let pools = (make_pool (), Exec.Pool.create ()) in
+  let pools = (Exec.Pool.create (), Exec.Pool.create ()) in
   List.mapi
     (fun i (name, buggy, partner) ->
       let pr = check_pair ~pools ~max_interleavings ~index:i (buggy, partner) in

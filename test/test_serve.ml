@@ -357,6 +357,29 @@ let test_interleave_flags_mutants () =
         b.Fuzzer.Interleave.b_ssu)
     results
 
+(* A schedule's closing probe compares file contents: one disjoint
+   schedule closed against an A∘B state with the same tree but other
+   bytes in /a is flagged, and the true A∘B state passes. *)
+let test_interleave_close_compares_data () =
+  let module W = Crashcheck.Workload in
+  let module I = Fuzzer.Interleave in
+  let a = W.Write ("/a", 0, "xy") and b = W.Create "/e/n" in
+  let cap ops = Fuzzer.Ref_fs.capture (fst (I.model_after (Fuzzer.Gen.setup @ ops))) in
+  let final = cap [ a; b ] in
+  let legal = [ cap []; cap [ a ]; cap [ b ]; final ] in
+  let wrong = cap [ W.Write ("/a", 0, "zz"); b ] in
+  Alcotest.(check bool) "same tree" true (Logical.equal ~compare_data:false final wrong);
+  let schedule final =
+    (I.run_schedule (Fuzzer.Exec.Pool.create ()) ~legal ~final ~ops:[| a; b |] ~prefix:[])
+      .I.so_fail
+  in
+  Alcotest.(check (option string)) "true A∘B passes" None (schedule final);
+  match schedule wrong with
+  | None -> Alcotest.fail "other bytes in /a passed the closing probe"
+  | Some detail ->
+      Alcotest.(check bool) detail true
+        (String.starts_with ~prefix:"recovered state has file contents differing from" detail)
+
 let () =
   Alcotest.run "serve"
     [
@@ -386,5 +409,6 @@ let () =
           ("clean pairs quiet", `Quick, test_interleave_clean);
           ("deterministic", `Quick, test_interleave_deterministic);
           ("flags all mutants", `Quick, test_interleave_flags_mutants);
+          ("close compares file contents", `Quick, test_interleave_close_compares_data);
         ] );
     ]
