@@ -1,4 +1,4 @@
-.PHONY: all build check test faultcheck-smoke fuzz-smoke serve-smoke enum-smoke datapath-smoke tab2-smoke largevol-smoke snap-smoke perfbench-smoke bench scaling bench-history clean
+.PHONY: all build check test faultcheck-smoke fuzz-smoke serve-smoke enum-smoke datapath-smoke tab2-smoke largevol-smoke snap-smoke perfbench-smoke bench scaling bench-history bench-pairs clean
 
 all: build
 
@@ -154,6 +154,16 @@ bench-history: build
 	    "$$c" "$$w" "$$n" "$$(printf '%s\n' "$$out" | tail -n 1)" \
 	    >> BENCH_history.jsonl; \
 	done
+
+# Paired comparison against a reference commit, not part of `make check`:
+# 10 alternating pairs of BENCHMARK.json's run length per workload, the
+# working tree against a temporary local `git worktree` of REF, with
+# medians, quartiles, ratios and pairs won printed and appended to
+# BENCH_history.jsonl. WORKLOAD= picks one workload, SEED= another seed.
+bench-pairs:
+	@test -n "$(REF)" || { echo "usage: make bench-pairs REF=<rev> [WORKLOAD=name] [SEED=n]"; exit 2; }
+	python3 tools/bench_pairs.py --ref "$(REF)" $(if $(WORKLOAD),--workload $(WORKLOAD)) \
+	  $(if $(SEED),--seed $(SEED))
 
 clean:
 	dune clean

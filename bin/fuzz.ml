@@ -11,7 +11,8 @@
                                                -- re-run a shrunk reproducer
 
    and three other modes, at most one per run (two of them, or --replay
-   beside one, is a usage error):
+   beside one, is a usage error, and so is any option the chosen mode
+   does not read):
 
      fuzz --enum [--depth 3] [--expect-buggy]  -- complete seq-2 (or seq-3)
                                                   sweep of the canonical
@@ -345,34 +346,79 @@ let fuzz_cmd seed iters op_budget buggy_rate flips torn stuck optane jobs replay
       end
       else exit 0
 
-let run seed iters op_budget buggy_rate flips torn stuck optane jobs (mode, replay)
-    expect_buggy trace metrics pairs depth coverage_out =
-  match mode with
-  | `Snap_smoke -> snap_smoke_cmd ()
-  | `Enum -> enum_cmd jobs depth coverage_out expect_buggy
-  | `Interleaved -> interleaved_cmd seed pairs expect_buggy
+(* Each mode's name and the options it reads. Any other option beside a
+   mode is a usage error (exit 124), so a mistyped invocation cannot
+   skip the work it names. *)
+let mode_reads = function
   | `Fuzz ->
-      fuzz_cmd seed iters op_budget buggy_rate flips torn stuck optane jobs replay expect_buggy
-        trace metrics
+      ( "the random fuzzer",
+        [ "--seed"; "--iters"; "--op-budget"; "--buggy-rate"; "--flips"; "--torn"; "--stuck";
+          "--optane"; "-j"; "--expect-buggy"; "--trace"; "--metrics" ] )
+  | `Replay ->
+      ("--replay", [ "--seed"; "--flips"; "--torn"; "--stuck"; "--optane"; "--replay"; "--trace" ])
+  | `Enum -> ("--enum", [ "-j"; "--depth"; "--coverage-out"; "--expect-buggy" ])
+  | `Interleaved -> ("--interleaved", [ "--seed"; "--pairs"; "--expect-buggy" ])
+  | `Snap_smoke -> ("--snap-smoke", [])
+
+let run seed iters op_budget buggy_rate flips torn stuck optane jobs mode replay expect_buggy
+    trace metrics pairs depth coverage_out =
+  let mode = match (mode, replay) with `Fuzz, Some _ -> `Replay | m, _ -> m in
+  let name, reads = mode_reads mode in
+  let given name v = Option.map (fun _ -> name) v
+  and set name b = if b then Some name else None in
+  let stray =
+    List.find_opt
+      (fun o -> not (List.mem o reads))
+      (List.filter_map Fun.id
+         [
+           given "--seed" seed; given "--iters" iters; given "--op-budget" op_budget;
+           given "--buggy-rate" buggy_rate; given "--flips" flips; given "--torn" torn;
+           given "--stuck" stuck; set "--optane" optane; given "-j" jobs;
+           given "--replay" replay; set "--expect-buggy" expect_buggy; given "--trace" trace;
+           set "--metrics" metrics; given "--pairs" pairs; given "--depth" depth;
+           given "--coverage-out" coverage_out;
+         ])
+  in
+  match stray with
+  | Some o -> `Error (true, Printf.sprintf "%s is not read by %s" o name)
+  | None -> (
+      let seed = Option.value seed ~default:1 and jobs = Option.value jobs ~default:1 in
+      match mode with
+      | `Snap_smoke -> snap_smoke_cmd ()
+      | `Enum -> enum_cmd jobs (Option.value depth ~default:2) coverage_out expect_buggy
+      | `Interleaved -> interleaved_cmd seed (Option.value pairs ~default:50) expect_buggy
+      | `Fuzz | `Replay ->
+          fuzz_cmd seed (Option.value iters ~default:50) (Option.value op_budget ~default:8)
+            (Option.value buggy_rate ~default:0.15) (Option.value flips ~default:0)
+            (Option.value torn ~default:0.) (Option.value stuck ~default:0.) optane jobs replay
+            expect_buggy trace metrics)
 
 let () =
-  let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"PRNG seed") in
+  let seed =
+    Arg.(value & opt (some int) None & info [ "seed" ] ~docv:"N" ~doc:"PRNG seed (default 1)")
+  in
   let iters =
-    Arg.(value & opt int 50 & info [ "iters" ] ~docv:"N" ~doc:"Sequences to generate")
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ "iters" ] ~docv:"N" ~doc:"Sequences to generate (default 50)")
   in
   let op_budget =
-    Arg.(value & opt int 8 & info [ "op-budget" ] ~docv:"N" ~doc:"Ops per sequence")
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ "op-budget" ] ~docv:"N" ~doc:"Ops per sequence (default 8)")
   in
   let buggy_rate =
     Arg.(
       value
-      & opt float 0.15
+      & opt (some float) None
       & info [ "buggy-rate" ] ~docv:"P"
-          ~doc:"Probability an op slot emits a mis-ordered Buggy_* mutant")
+          ~doc:"Probability an op slot emits a mis-ordered Buggy_* mutant (default 0.15)")
   in
   let flips =
     Arg.(
-      value & opt int 0
+      value & opt (some int) None
       & info [ "flips" ] ~docv:"N"
           ~doc:
             "Media-fault Phase B: after each sequence that passed, flip one \
@@ -384,12 +430,14 @@ let () =
   in
   let torn =
     Arg.(
-      value & opt float 0. & info [ "torn" ] ~docv:"P" ~doc:"Torn-line rate (media images)")
+      value
+      & opt (some float) None
+      & info [ "torn" ] ~docv:"P" ~doc:"Torn-line rate (media images)")
   in
   let stuck =
     Arg.(
       value
-      & opt float 0.
+      & opt (some float) None
       & info [ "stuck" ] ~docv:"P" ~doc:"Stuck-line rate (media images)")
   in
   let optane =
@@ -405,7 +453,7 @@ let () =
           Format.pp_print_int )
     in
     Arg.(
-      value & opt positive 1
+      value & opt (some positive) None
       & info [ "j"; "jobs" ] ~docv:"N"
           ~doc:
             "Run sequences (random iterations or --enum's enumeration) on N \
@@ -450,13 +498,13 @@ let () =
   in
   let pairs =
     Arg.(
-      value & opt int 50
-      & info [ "pairs" ] ~docv:"N" ~doc:"Op pairs to generate (with --interleaved)")
+      value & opt (some int) None
+      & info [ "pairs" ] ~docv:"N" ~doc:"Op pairs to generate (with --interleaved; default 50)")
   in
   let depth =
     Arg.(
       value
-      & opt (enum [ ("2", 2); ("3", 3) ]) 2
+      & opt (some (enum [ ("2", 2); ("3", 3) ])) None
       & info [ "depth" ] ~docv:"D"
           ~doc:
             "Enumeration depth (with --enum): 2, or 3 to add every seq-3 \
@@ -504,20 +552,12 @@ let () =
                    checker" );
           ])
   in
-  let mode_replay =
-    let only mode replay =
-      match (mode, replay) with
-      | (`Enum | `Interleaved | `Snap_smoke), Some _ ->
-          `Error (true, "--replay cannot be combined with --enum, --interleaved or --snap-smoke")
-      | _ -> `Ok (mode, replay)
-    in
-    Term.(ret (const only $ mode $ replay))
-  in
   exit
     (Cmd.eval
        (Cmd.v
           (Cmd.info "fuzz" ~doc:"Crash-state fuzzing of SquirrelFS with a differential oracle")
           Term.(
-            const run $ seed $ iters $ op_budget $ buggy_rate $ flips $ torn $ stuck $ optane
-            $ jobs $ mode_replay $ expect_buggy $ trace $ metrics $ pairs $ depth
-            $ coverage_out)))
+            ret
+              (const run $ seed $ iters $ op_budget $ buggy_rate $ flips $ torn $ stuck
+             $ optane $ jobs $ mode $ replay $ expect_buggy $ trace $ metrics $ pairs $ depth
+             $ coverage_out))))

@@ -305,11 +305,10 @@ let serial_legs epool ~(a : W.op) ~(b : W.op) =
   let one ops =
     checked_leg (fun trace -> Exec.run ~pool:epool ~max_images_per_fence:64 ~trace ops)
   in
-  (* the report's dedup count covers disjoint schedules only *)
-  let o1, s1, n1, _ = one (Gen.setup @ [ a; b ]) in
-  let o2, s2, n2, _ = one (Gen.setup @ [ b; a ]) in
+  let o1, s1, n1, d1 = one (Gen.setup @ [ a; b ]) in
+  let o2, s2, n2, d2 = one (Gen.setup @ [ b; a ]) in
   let first x y = if x = None then y else x in
-  (2, 0, n1 + n2, 0, first o1 o2, first s1 s2)
+  (2, 0, n1 + n2, d1 + d2, first o1 o2, first s1 s2)
 
 type report = {
   i_pairs : int;

@@ -8,6 +8,15 @@ let word_size = 8
    record holds [src] until it drains. *)
 type record = { off : int; src : string; pos : int; len : int }
 
+(* A coarse store left pending whole: [x_lead] zero bytes, then the
+   [x_len] bytes of [x_src] from [x_pos], at [x_off]. See "Pending
+   extents" below. *)
+type extent = { x_off : int; x_lead : int; x_src : string; x_pos : int; x_len : int }
+
+(* Pending extents by first line. They hold disjoint lines, so the ones
+   meeting a line range are found in O(log n + those met). *)
+module Extents = Map.Make (Int)
+
 type line = {
   idx : int;
   mutable pending : record list; (* newest first *)
@@ -114,6 +123,9 @@ type t = {
   lines : Lines.t; (* dirty lines only *)
   mutable drain : line list;
       (* the lines [fence] will drain: each line with [flushed > 0], once *)
+  mutable extents : extent Extents.t;
+      (* coarse stores pending whole: a line is pending in [lines] or in
+         one extent, never both *)
   latency : Latency.t;
   stats : Stats.t;
   mutable now_ns : int;
@@ -167,6 +179,7 @@ let assemble ~latency ~lines ~taint latest durable =
     durable;
     lines = Lines.create lines;
     drain = [];
+    extents = Extents.empty;
     latency;
     stats = Stats.create ();
     now_ns = 0;
@@ -612,11 +625,10 @@ let peek_u64 t off =
 
 (* {1 Stores} *)
 
-(* Log a record whose bytes the caller has already written to [latest]
-   (one copy per store call, not per record). One lookup per record:
-   the line's entry, added if the line was clean. Returns the line. *)
-let add_record t ~cost_ns off src pos len =
-  t.version <- t.version + 1;
+(* Add a record whose bytes the caller has already written to [latest]
+   to its line's pending list, adding the line if it was clean. Returns
+   the line. *)
+let link_record t off src pos len =
   let idx = off / line_size in
   let l =
     let l = Lines.find t.lines idx in
@@ -630,29 +642,15 @@ let add_record t ~cost_ns off src pos len =
   l.pending <- { off; src; pos; len } :: l.pending;
   l.count <- l.count + 1;
   taint_line t idx;
-  t.stats.stores <- t.stats.stores + 1;
-  t.stats.bytes_stored <- t.stats.bytes_stored + len;
-  charge t cost_ns;
   l
 
-(* Split [data] into records that never cross an 8-byte-aligned boundary. *)
-let store_aux t ~cost_ns ~off data =
-  check_range t off (String.length data);
-  let len = String.length data in
-  Sbuf.blit_string data ~pos:0 ~len t.latest off;
-  let pos = ref 0 in
-  while !pos < len do
-    let abs = off + !pos in
-    let room_in_word = word_size - (abs mod word_size) in
-    let chunk = Int.min room_in_word (len - !pos) in
-    ignore (add_record t ~cost_ns abs data !pos chunk : line);
-    pos := !pos + chunk
-  done
-
-let store t ~off data =
-  emit t (Obs.Event.Store { off; data; nt = false; coarse = false });
-  count t "pm.stores";
-  store_aux t ~cost_ns:t.latency.store_ns ~off data
+(* The counters and bill of [n] stored records holding [bytes] bytes in
+   all. Each record may change visible content. *)
+let bill_stores t ~cost_ns n bytes =
+  t.version <- t.version + n;
+  t.stats.stores <- t.stats.stores + n;
+  t.stats.bytes_stored <- t.stats.bytes_stored + bytes;
+  charge t (n * cost_ns)
 
 (* [clwb] of one dirty line: all its pending records are now flushed.
    A line in the table always has pending records, so this is the one
@@ -660,6 +658,146 @@ let store t ~off data =
 let mark_flushed t l =
   if l.flushed = 0 then t.drain <- l :: t.drain;
   l.flushed <- l.count
+
+(* {2 Pending extents}
+
+   A coarse store is flushed as it is stored, so while none of its
+   lines holds another record, each of them drains whole at the next
+   fence, by a copy from [latest] (see [fence]), and has two crash
+   states, the old line and the new one. When nothing reads the
+   device's pending state line by line, such a store over more than one
+   line stays pending as one extent instead of one record per line, and
+   a fence drains it with one copy. A one-line store (a descriptor, an
+   inode, a dentry) saves nothing as an extent and stays a record. A
+   line is pending in [lines] or in one extent, never both. Every
+   reader of per-line state first expands the extents it meets into
+   exactly the records the store would have made: a store or zero that
+   touches one of their lines, crash-state enumeration,
+   [pending_line_count], [is_quiescent], and a fence on a device that
+   has gained a per-line reader. *)
+
+let first_line x = x.x_off / line_size
+let last_line x = (x.x_off + x.x_lead + x.x_len - 1) / line_size
+
+(* Shared zero-content payload: leading zeroes and [zero] never
+   materialize their range, only slices of this string. *)
+let zeros = String.make Sbuf.chunk_bytes '\000'
+
+(* The records of a coarse store: the ones a store of its concatenated
+   bytes would make, one flushed record per line piece. Pieces in the
+   zeroes slice [zeros], pieces in the data slice the source, and only
+   the one piece that mixes them is built. *)
+let expand t x =
+  let lead = x.x_lead and total = x.x_lead + x.x_len in
+  let k = ref 0 in
+  while !k < total do
+    let abs = x.x_off + !k in
+    let c = Int.min (line_size - (abs mod line_size)) (total - !k) in
+    let l =
+      if !k >= lead then link_record t abs x.x_src (x.x_pos + !k - lead) c
+      else if !k + c <= lead then link_record t abs zeros 0 c
+      else begin
+        let z = lead - !k in
+        let b = Bytes.make c '\000' in
+        Bytes.blit_string x.x_src x.x_pos b z (c - z);
+        link_record t abs (Bytes.unsafe_to_string b) 0 c
+      end
+    in
+    mark_flushed t l;
+    k := !k + c
+  done
+
+(* Fold [f] over the pending extents holding a line of [first, last]:
+   the one that starts below [first] and reaches it, if any, then those
+   that start in the range. *)
+let fold_overlapping f t first last acc =
+  if Extents.is_empty t.extents then acc
+  else
+    let acc =
+      match Extents.find_last_opt (fun k -> k < first) t.extents with
+      | Some (_, x) when last_line x >= first -> f x acc
+      | Some _ | None -> acc
+    in
+    let rec from s acc =
+      match s () with
+      | Seq.Cons ((k, x), s) when k <= last -> from s (f x acc)
+      | Seq.Cons _ | Seq.Nil -> acc
+    in
+    from (Extents.to_seq_from first t.extents) acc
+
+(* Expand every extent that holds a line of the nonempty range. *)
+let expand_overlapping t off len =
+  fold_overlapping List.cons t (off / line_size) ((off + len - 1) / line_size) []
+  |> List.iter (fun x ->
+         t.extents <- Extents.remove (first_line x) t.extents;
+         expand t x)
+
+let expand_all t =
+  let xs = t.extents in
+  t.extents <- Extents.empty;
+  Extents.iter (fun _ x -> expand t x) xs
+
+(* Does anything read the device's pending state line by line? The
+   crash checker's fence hook, a borrowed view's taint, a retained
+   view's pre-images, a fault plan's ECC and faulty crash views, and
+   the content hash do, and so does the scratch a fence keeps in sync.
+   A traced device keeps every store's records too. *)
+let per_line t =
+  Option.is_some t.fence_hook || t.view || t.retained <> []
+  || Option.is_some t.faults || Option.is_some t.hlines
+  || Option.is_some t.attached || Option.is_some t.tracer
+
+(* Copy [len] zero bytes to [latest] at [off]. *)
+let blit_zeros t off len =
+  let k = ref 0 in
+  while !k < len do
+    let n = Int.min (String.length zeros) (len - !k) in
+    Sbuf.blit_string zeros ~pos:0 ~len:n t.latest (off + !k);
+    k := !k + n
+  done
+
+(* The body of [store_coarse] and of [zero] over backed chunks, for a
+   nonempty range: [lead] zero bytes then the [len] bytes of [src] from
+   [pos] reach [latest] in one copy, one non-temporal store is billed
+   per line piece, and the pieces stay pending, flushed: as one extent
+   when the range spans several lines, nothing reads the device per
+   line and none of the lines holds a record, else as records at once.
+   Returns the number of lines. *)
+let coarse t ~off ~lead ~pos ~len src =
+  let x = { x_off = off; x_lead = lead; x_src = src; x_pos = pos; x_len = len } in
+  let first = first_line x and last = last_line x in
+  expand_overlapping t off (lead + len);
+  blit_zeros t off lead;
+  Sbuf.blit_string src ~pos ~len t.latest (off + lead);
+  bill_stores t ~cost_ns:t.latency.nt_store_ns (last - first + 1) (lead + len);
+  let rec clean idx =
+    idx > last || (Lines.find t.lines idx == Lines.none && clean (idx + 1))
+  in
+  if first = last || per_line t || not (clean first) then expand t x
+  else t.extents <- Extents.add first x t.extents;
+  last - first + 1
+
+(* Split [data] into records that never cross an 8-byte-aligned boundary. *)
+let store_aux t ~cost_ns ~off data =
+  check_range t off (String.length data);
+  let len = String.length data in
+  if len > 0 then expand_overlapping t off len;
+  Sbuf.blit_string data ~pos:0 ~len t.latest off;
+  let pos = ref 0 and n = ref 0 in
+  while !pos < len do
+    let abs = off + !pos in
+    let room_in_word = word_size - (abs mod word_size) in
+    let chunk = Int.min room_in_word (len - !pos) in
+    ignore (link_record t abs data !pos chunk : line);
+    incr n;
+    pos := !pos + chunk
+  done;
+  bill_stores t ~cost_ns !n len
+
+let store t ~off data =
+  emit t (Obs.Event.Store { off; data; nt = false; coarse = false });
+  count t "pm.stores";
+  store_aux t ~cost_ns:t.latency.store_ns ~off data
 
 (* The event, counters and bill of a flush of a nonempty range that
    marked [n] lines. Nothing is charged while a flush marks, so the
@@ -670,11 +808,18 @@ let end_flush t ~off ~len n =
   t.stats.flushes <- t.stats.flushes + n;
   charge t (n * t.latency.flush_ns)
 
+(* An extent's lines are flushed already: a flush only counts those in
+   its range. *)
 let flush t ~off ~len =
   check_range t off len;
   if len > 0 then begin
     let first = off / line_size and last = (off + len - 1) / line_size in
-    let n = ref 0 in
+    let n =
+      ref
+        (fold_overlapping
+           (fun x n -> n + Int.min last (last_line x) - Int.max first (first_line x) + 1)
+           t first last 0)
+    in
     let mark l =
       mark_flushed t l;
       incr n
@@ -693,19 +838,10 @@ let flush t ~off ~len =
     end_flush t ~off ~len !n
   end
 
-(* Shared zero-content record payloads: [zero] and a coarse store's
-   leading zeroes never materialize their range, only line-sized (or
-   smaller) slices of this string. *)
-let zeros_line = String.make line_size '\000'
-
-(* Bulk store with cache-line-sized records: [lead] zero bytes, then the
-   [len] bytes of [src] from [pos]. The records are the ones a store of
-   the concatenated string would make, one per line piece: pieces in the
-   zeroes slice [zeros_line], pieces in the data slice [src], and only
-   the one piece that mixes them is built. The slice reaches [latest] in
-   one copy, the zeroes piece by piece. The flush that follows needs no
-   lookups: the dirty lines in the range are exactly the lines just
-   given a record, one each, so each is marked as it is stored. *)
+(* Bulk store with cache-line-sized records, [lead] zero bytes then the
+   [len] bytes of [src] from [pos], flushed as it is stored: the flush
+   needs no lookups, because the dirty lines in the range are exactly
+   the lines just stored to. *)
 let store_coarse t ~off ?(lead = 0) ~pos ~len src =
   if lead < 0 || pos < 0 || len < 0 || len > String.length src - pos then
     invalid_arg "Pmem.Device.store_coarse: source range";
@@ -721,31 +857,7 @@ let store_coarse t ~off ?(lead = 0) ~pos ~len src =
       Obs.Recorder.emit r ~ts:t.now_ns
         (Obs.Event.Store { off; data; nt = true; coarse = true }));
   count t "pm.stores";
-  let cost_ns = t.latency.nt_store_ns in
-  Sbuf.blit_string src ~pos ~len t.latest (off + lead);
-  let k = ref 0 and n = ref 0 in
-  while !k < total do
-    let abs = off + !k in
-    let c = Int.min (line_size - (abs mod line_size)) (total - !k) in
-    let l =
-      if !k >= lead then add_record t ~cost_ns abs src (pos + !k - lead) c
-      else if !k + c <= lead then begin
-        Sbuf.blit_string zeros_line ~pos:0 ~len:c t.latest abs;
-        add_record t ~cost_ns abs zeros_line 0 c
-      end
-      else begin
-        let z = lead - !k in
-        let b = Bytes.make c '\000' in
-        Bytes.blit_string src pos b z (c - z);
-        Sbuf.blit_string zeros_line ~pos:0 ~len:z t.latest abs;
-        add_record t ~cost_ns abs (Bytes.unsafe_to_string b) 0 c
-      end
-    in
-    mark_flushed t l;
-    incr n;
-    k := !k + c
-  done;
-  if total > 0 then end_flush t ~off ~len:total !n
+  if total > 0 then end_flush t ~off ~len:total (coarse t ~off ~lead ~pos ~len src)
 
 let store_nt t ~off data =
   emit t (Obs.Event.Store { off; data; nt = true; coarse = false });
@@ -766,14 +878,12 @@ let store_u32 t off v =
   Bytes.set_int32_le b 0 (Int32.of_int v);
   store t ~off (Bytes.unsafe_to_string b)
 
-(* Zero a range. Equivalent to [store_coarse] of an all-zero string —
-   same records, stats, charges, events — but O(touched lines) in
-   transient memory instead of O(len) (the historical implementation
-   built a [String.make len] up front, a multi-MB spike for a large
-   truncate). Chunks unbacked in both images are provably zero with no
-   in-flight stores, so their lines need no records at all and the
-   range skips them wholesale; as in [store_coarse], every line the
-   range leaves dirty was just given its record, and is marked then. *)
+(* Zero a range: [store_coarse] of an all-zero string — same records,
+   stats, charges, events — in O(touched lines) of transient memory.
+   Chunks unbacked in both images are provably zero with no in-flight
+   stores, so their lines need no records at all and the range skips
+   them wholesale; each backed chunk's stretch is one coarse store of
+   leading zeroes. *)
 let zero t ~off ~len =
   check_range t off len;
   if len > 0 then begin
@@ -790,18 +900,9 @@ let zero t ~off ~len =
       let chunk_end =
         Int.min stop (((!pos / Sbuf.chunk_bytes) + 1) * Sbuf.chunk_bytes)
       in
-      if Sbuf.chunk_unbacked t.latest !pos && Sbuf.chunk_unbacked t.durable !pos
-      then pos := chunk_end
-      else
-        while !pos < chunk_end do
-          let room = line_size - (!pos mod line_size) in
-          let c = Int.min room (chunk_end - !pos) in
-          Sbuf.blit_string zeros_line ~pos:0 ~len:c t.latest !pos;
-          mark_flushed t
-            (add_record t ~cost_ns:t.latency.nt_store_ns !pos zeros_line 0 c);
-          incr n;
-          pos := !pos + c
-        done
+      if not (Sbuf.chunk_unbacked t.latest !pos && Sbuf.chunk_unbacked t.durable !pos)
+      then n := !n + coarse t ~off:!pos ~lead:(chunk_end - !pos) ~pos:0 ~len:0 "";
+      pos := chunk_end
     done;
     end_flush t ~off ~len !n
   end
@@ -863,6 +964,15 @@ let scratch_forget s =
 
 let apply_record buf { off; src; pos; len } = Sbuf.blit_string src ~pos ~len buf off
 
+(* Drain an extent's lines, each wholly flushed, by copying them from
+   [latest] as [fence] drains such a line. Returns their number. *)
+let drain_extent t x =
+  let first = first_line x and last = last_line x in
+  let off = first * line_size in
+  let len = Int.min t.size ((last + 1) * line_size) - off in
+  Sbuf.blit ~src:t.latest ~src_off:off ~dst:t.durable ~dst_off:off ~len;
+  last - first + 1
+
 let fence t =
   emit t Obs.Event.Fence;
   count t "pm.fences";
@@ -885,7 +995,15 @@ let fence t =
      [latest] and appends its record, a drain applies a prefix of a
      line's records to [durable], and [flip_bit] and [reset] change both
      images alike. When the images alias ([of_view]) the copy is a
-     no-op. *)
+     no-op.
+
+     The extents drain first, one copy each, unless the device has
+     gained a per-line reader since they were stored (the hook above may
+     have attached a scratch or enabled the content hash): then they
+     drain as the records they expand into. *)
+  if per_line t then expand_all t;
+  let xdrained = Extents.fold (fun _ x n -> n + drain_extent t x) t.extents 0 in
+  t.extents <- Extents.empty;
   let drain = t.drain in
   t.drain <- [];
   List.iter
@@ -915,7 +1033,7 @@ let fence t =
       if Array.length t.ecc > 0 then t.ecc.(idx) <- ecc_of_line t idx;
       refresh_line_hash t idx)
     drain;
-  let drained = List.length drain in
+  let drained = List.length drain + xdrained in
   if drained > 0 then begin
     let old_gen = t.gen in
     t.gen <- old_gen + 1;
@@ -942,8 +1060,11 @@ let persist t ~off ~len =
 
 (* {1 Crash views} *)
 
-let is_quiescent t = Lines.length t.lines = 0
-let pending_line_count t = Lines.length t.lines
+let pending_line_count t =
+  expand_all t;
+  Lines.length t.lines
+
+let is_quiescent t = pending_line_count t = 0
 
 let image_durable t = Sbuf.to_bytes t.durable
 let image_latest t = Sbuf.to_bytes t.latest
@@ -952,6 +1073,7 @@ let image_latest t = Sbuf.to_bytes t.latest
    index so enumeration — and therefore sampled-image RNG consumption —
    is stable by construction, independent of hash-table history. *)
 let dirty_line_assoc t =
+  expand_all t;
   Lines.fold (fun l acc -> (l.idx, List.rev l.pending) :: acc) t.lines []
   |> List.sort (fun (a, _) (b, _) -> compare (a : int) b)
 
@@ -1326,6 +1448,7 @@ let reset ?hash t ~image =
   Sbuf.sync ~src:t.durable ~dst:t.latest;
   Lines.reset t.lines;
   t.drain <- [];
+  t.extents <- Extents.empty;
   Stats.reset t.stats;
   t.now_ns <- 0;
   t.fence_hook <- None;

@@ -189,20 +189,36 @@ val store_coarse :
     durability. For data pages and bulk-initialized regions, where a torn
     line is acceptable; keeps the pending log small.
 
-    The records are exactly those a store of the concatenated string
-    would make, one per line piece, but only the piece that mixes the
-    leading zeroes with data is built: the others are slices of [src] or
-    of a shared zero line. The trace's [Store] event carries the
-    concatenated bytes. Raises [Invalid_argument] if the slice lies
-    outside [src] or the range outside the device. *)
+    The crash states are exactly those of one record per line piece of
+    the concatenated string, each flushed. When the store spans more
+    than one line, none of its lines holds a pending record and nothing
+    reads the device's pending state line by line (no fence hook,
+    {!of_view} taint, retained view, fault plan, content hash, attached
+    scratch or tracer), the store stays pending as one extent: one copy
+    into the visible image, and the stores, bytes and flushes of its
+    lines counted and charged at once. A store or flush finds the
+    extents it meets in O(log extents). Any reader of per-line state ({!crash_views} and the counts
+    built on it, {!pending_line_count}, {!is_quiescent}, a store or
+    {!zero} touching one of its lines, a {!fence} on a device that has
+    gained such a reader) first expands the extent into those records,
+    in the same order; otherwise the records are made at once. Only the
+    piece that mixes the leading zeroes with data is ever built: the
+    others are slices of [src] or of a shared zero string. The trace's
+    [Store] event carries the concatenated bytes. Raises
+    [Invalid_argument] if the slice lies outside [src] or the range
+    outside the device. *)
 
 val zero : t -> off:int -> len:int -> unit
-(** Coarse-store zeroes over the range (flushed, not fenced). *)
+(** Coarse-store zeroes over the range (flushed, not fenced): each
+    backed chunk's stretch is a {!store_coarse} of zeroes, pending as an
+    extent under the same rule. *)
 
 (** {1 Persistence primitives} *)
 
 val flush : t -> off:int -> len:int -> unit
-(** [clwb] every cache line overlapping the range. *)
+(** [clwb] every cache line overlapping the range: each dirty line in
+    it counts one flush, a line of a pending {!store_coarse} extent
+    included (it is flushed already). *)
 
 val fence : t -> unit
 (** [sfence]: all flushed stores become durable. Runs the fence hook (if
@@ -211,7 +227,11 @@ val fence : t -> unit
     new durable base (O(drained + patched lines)), and any view applied
     to it is implicitly reverted. The drain itself visits only the lines
     flushed since the previous fence: O(lines drained), however many
-    lines the device has ever held dirty. *)
+    lines the device has ever held dirty. A pending {!store_coarse}
+    extent drains with one copy of its lines, which count in
+    [lines_drained] and the fence's charge as drained lines; it is
+    expanded into records first if the device has gained a per-line
+    reader since it was stored. *)
 
 val persist : t -> off:int -> len:int -> unit
 (** [flush] then [fence]. *)
@@ -247,9 +267,13 @@ val metrics : t -> Obs.Metrics.t option
 (** {1 Crash states} *)
 
 val is_quiescent : t -> bool
-(** No pending (non-durable) stores. *)
+(** No pending (non-durable) stores. Expands pending extents, like
+    {!pending_line_count}. *)
 
 val pending_line_count : t -> int
+(** Lines holding pending stores. Expands any pending {!store_coarse}
+    extents into their records first, so it counts every line a crash
+    view can patch. *)
 
 val image_durable : t -> Bytes.t
 (** Crash image containing only durable stores. *)

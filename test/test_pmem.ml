@@ -1076,6 +1076,131 @@ let prop_drain_matches_model =
         (ops @ [ D_fence ]);
       true)
 
+(* A device that nothing reads line by line keeps a coarse store pending
+   as one extent; a fence hook, even a no-op one, keeps one record per
+   line. Random steps must look the same on both after every step: the
+   images, counters and clock directly, and the per-line readers on a
+   replay of the plain device's steps so far, because those readers
+   expand its extents and [view_hash] enables the content hash, which
+   keeps every later store per line. A readers step gives both devices
+   per-line readers mid-run, an attached scratch (which enables the
+   content hash) and a retained view, so the plain device's pending
+   extents must then drain as records, and from then on both must also
+   agree on the durable hash, the scratch image and the retained
+   pre-images. *)
+type xop = Dop of dop | X_u64 of int * int | X_views | X_count | X_readers
+
+let pp_xop = function
+  | Dop d -> pp_dop d
+  | X_u64 (off, v) -> Printf.sprintf "u64 %d %d" off v
+  | X_views -> "crash_views"
+  | X_count -> "pending_line_count"
+  | X_readers -> "scratch+retain"
+
+type xdev = { dev : Device.t; mutable readers : (Device.scratch * Device.retained) option }
+
+let xop_gen ~size =
+  QCheck.Gen.(
+    frequency
+      [
+        (12, map (fun d -> Dop d) (dop_gen ~size));
+        ( 3,
+          map2
+            (fun w v -> X_u64 (8 * w, v))
+            (frequency [ (3, int_bound 63); (1, int_bound ((size / 8) - 1)) ])
+            int );
+        (1, return X_views);
+        (1, return X_count);
+        (1, return X_readers);
+      ])
+
+(* Run one step; a probe step returns what it read. *)
+let run_xop ({ dev; _ } as x) = function
+  | Dop (D_store (off, data)) -> Device.store dev ~off data; ""
+  | Dop (D_coarse (off, lead, src, pos, len)) ->
+      Device.store_coarse dev ~off ~lead ~pos ~len src;
+      ""
+  | Dop (D_flush (off, len)) -> Device.flush dev ~off ~len; ""
+  | Dop (D_zero (off, len)) -> Device.zero dev ~off ~len; ""
+  | Dop D_fence -> Device.fence dev; ""
+  | X_u64 (off, v) -> Device.store_u64 dev off v; ""
+  | X_views ->
+      String.concat ","
+        (List.map
+           (fun v -> Digest.to_hex (Digest.bytes (Device.materialize dev v)))
+           (Device.crash_views dev))
+  | X_count -> string_of_int (Device.pending_line_count dev)
+  | X_readers ->
+      x.readers <- Some (Device.scratch dev, Device.retain dev);
+      ""
+
+let reader_state x =
+  Option.map
+    (fun (s, r) ->
+      (Device.durable_hash x.dev, Device.scratch_image s, Device.retained_saved r))
+    x.readers
+
+let per_line_state dev =
+  ( Device.pending_line_count dev,
+    List.map
+      (fun v -> (Bytes.to_string (Device.materialize dev v), Device.view_hash dev v))
+      (Device.crash_views dev) )
+
+let prop_extents_match_records =
+  QCheck.Test.make ~count:150 ~name:"pending extents match per-line records"
+    (QCheck.make
+       ~print:(fun (size, ops) ->
+         Printf.sprintf "%d B: %s" size (String.concat "; " (List.map pp_xop ops)))
+       QCheck.Gen.(
+         oneofl [ 2048; 3 * Sbuf.chunk_bytes ] >>= fun size ->
+         map (fun ops -> (size, ops)) (list_size (1 -- 30) (xop_gen ~size))))
+    (fun (size, ops) ->
+      let fresh () = { dev = Device.create ~latency:Latency.optane ~size (); readers = None } in
+      let plain = fresh () and hooked = fresh () in
+      Device.set_fence_hook hooked.dev (Some ignore);
+      List.iteri
+        (fun i op ->
+          let expect what ok =
+            if not ok then
+              QCheck.Test.fail_reportf "after step %d (%s): %s differs" i (pp_xop op) what
+          in
+          expect "what the step read" (run_xop plain op = run_xop hooked op);
+          let p = plain.dev and h = hooked.dev in
+          expect "visible image" (Bytes.equal (Device.image_latest p) (Device.image_latest h));
+          expect "durable image"
+            (Bytes.equal (Device.image_durable p) (Device.image_durable h));
+          expect "stats" (Device.stats p = Device.stats h);
+          expect "clock" (Device.now_ns p = Device.now_ns h);
+          expect "durable hash, scratch image or retained pre-images"
+            (reader_state plain = reader_state hooked);
+          let replay = fresh () in
+          List.iteri (fun j op -> if j <= i then ignore (run_xop replay op : string)) ops;
+          let count, views = per_line_state replay.dev
+          and count', views' = per_line_state h in
+          expect "pending line count" (count = count');
+          expect "crash-view images and hashes" (views = views'))
+        ops;
+      true)
+
+(* A word stored into a line of a pending extent drains after the
+   extent's piece of that line, as it would after the piece's record. *)
+let test_word_after_extent_piece () =
+  let dev = mk () in
+  Device.store_coarse dev ~off:0 ~pos:0 ~len:128 (String.make 128 'p');
+  Device.store_u64 dev 8 0x0102030405060708;
+  let word = "\x08\x07\x06\x05\x04\x03\x02\x01" in
+  let images = List.map (Device.materialize dev) (Device.crash_views dev) in
+  Alcotest.(check int) "two dirty lines" 2 (Device.pending_line_count dev);
+  Alcotest.(check int) "3 x 2 crash states" 6 (List.length images);
+  let has_word img = Bytes.sub_string img 8 8 = word
+  and has_piece img = Bytes.get img 0 = 'p' in
+  Alcotest.(check bool) "the word only over the piece" true
+    (List.for_all (fun img -> has_piece img || not (has_word img)) images);
+  Alcotest.(check bool) "the piece without the word" true
+    (List.exists (fun img -> has_piece img && not (has_word img)) images);
+  Alcotest.(check bool) "the piece with the word" true
+    (List.exists (fun img -> has_piece img && has_word img) images)
+
 let prop_store_read_roundtrip =
   QCheck.Test.make ~count:200 ~name:"store/read roundtrip"
     QCheck.(pair (int_bound 1000) (string_of_size Gen.(1 -- 64)))
@@ -1164,6 +1289,7 @@ let unit_tests =
     ("backed spans", `Quick, test_backed_spans);
     ("read_nonzero bills like read_meta", `Quick, test_read_nonzero_bills_like_read_meta);
     ("range overflow rejected", `Quick, test_range_overflow_rejected);
+    ("word after an extent's piece", `Quick, test_word_after_extent_piece);
     ( "sparse zero of untouched space is free",
       `Quick,
       test_sparse_zero_untouched_is_free );
@@ -1183,6 +1309,7 @@ let prop_tests =
       prop_matches_bytes_model;
       prop_sbuf_matches_bytes_model;
       prop_drain_matches_model;
+      prop_extents_match_records;
       prop_store_read_roundtrip;
     ]
 

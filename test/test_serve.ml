@@ -380,6 +380,26 @@ let test_interleave_close_compares_data () =
       Alcotest.(check bool) detail true
         (String.starts_with ~prefix:"recovered state has file contents differing from" detail)
 
+(* An overlapping pair runs its two serial orders, and its dedup count
+   is theirs: the run-local duplicate states of both legs. *)
+let test_interleave_serial_dedup () =
+  let module W = Crashcheck.Workload in
+  let module I = Fuzzer.Interleave in
+  let a = W.Write ("/a", 0, "xy") and b = W.Unlink "/a" in
+  let pr =
+    I.check_pair
+      ~pools:(Fuzzer.Exec.Pool.create (), Fuzzer.Exec.Pool.create ())
+      ~max_interleavings:64 ~index:0 (a, b)
+  in
+  Alcotest.(check bool) "overlapping" true (pr.I.pr_kind = I.Overlapping);
+  let leg ops =
+    (Fuzzer.Exec.run ~max_images_per_fence:64 (Fuzzer.Gen.setup @ ops))
+      .Fuzzer.Exec.o_report.Crashcheck.Harness.states_deduped
+  in
+  Alcotest.(check int) "both legs' duplicates" (leg [ a; b ] + leg [ b; a ])
+    pr.I.pr_deduped;
+  Alcotest.(check int) "pinned" 70 pr.I.pr_deduped
+
 let () =
   Alcotest.run "serve"
     [
@@ -410,5 +430,6 @@ let () =
           ("deterministic", `Quick, test_interleave_deterministic);
           ("flags all mutants", `Quick, test_interleave_flags_mutants);
           ("close compares file contents", `Quick, test_interleave_close_compares_data);
+          ("serial legs count duplicates", `Quick, test_interleave_serial_dedup);
         ] );
     ]
