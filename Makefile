@@ -1,4 +1,4 @@
-.PHONY: all build check test faultcheck-smoke fuzz-smoke serve-smoke enum-smoke datapath-smoke tab2-smoke largevol-smoke snap-smoke perfbench-smoke bench scaling bench-history bench-pairs clean
+.PHONY: all build check test faultcheck-smoke fuzz-smoke serve-smoke enum-smoke datapath-smoke tab2-smoke largevol-smoke snap-smoke perfbench-smoke bench scaling bench-pairs clean
 
 all: build
 
@@ -140,23 +140,9 @@ bench: build
 scaling: build
 	dune exec bench/main.exe -- scaling
 
-# Committed perf trajectory, not part of `make check`: one 20 s run of
-# each BENCHMARK.json workload, appended to BENCH_history.jsonl as one
-# line per workload with the commit (`-dirty` marks uncommitted changes
-# on top of it), seed, seconds, host cores and run.py's result line.
-bench-history: build
-	@c=$$(git describe --always --dirty); n=$$(nproc); \
-	for w in crash-fuzz serve-zipf paper-fs bigvol; do \
-	  echo "== perfbench $$w (20 s) =="; \
-	  out=$$(python3 perfbench/run.py --workload $$w --seed 1 --seconds 20 \
-	    --trace 0) || exit 2; \
-	  printf '{"commit": "%s", "workload": "%s", "seed": 1, "seconds": 20, "host_cores": %s, "result": %s}\n' \
-	    "$$c" "$$w" "$$n" "$$(printf '%s\n' "$$out" | tail -n 1)" \
-	    >> BENCH_history.jsonl; \
-	done
-
-# Paired comparison against a reference commit, not part of `make check`:
-# 10 alternating pairs of BENCHMARK.json's run length per workload, the
+# Paired comparison against a reference commit, not part of `make check`,
+# and the one way to append to the committed perf trajectory: 10
+# alternating pairs of BENCHMARK.json's run length per workload, the
 # working tree against a temporary local `git worktree` of REF, with
 # medians, quartiles, ratios and pairs won printed and appended to
 # BENCH_history.jsonl. WORKLOAD= picks one workload, SEED= another seed.

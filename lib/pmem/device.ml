@@ -138,7 +138,6 @@ type t = {
       (* bumped whenever visible content may change: every stored record,
          every draining fence, [flip_bit], [reset], and the release of a
          borrowed device's lines by its scratch *)
-  view : bool; (* made by [of_view] *)
   mutable hlines : (int, int64) Hashtbl.t option;
       (* per-line content hash of the lines whose hash differs from the
          all-zero line's (an absent line has the zero-line hash, O(1) by
@@ -189,7 +188,6 @@ let assemble ~latency ~lines ~taint latest durable =
     ecc = [||];
     gen = 0;
     version = 0;
-    view = Option.is_some taint;
     hlines = None;
     base_hash = 0L;
     attached = None;
@@ -226,7 +224,7 @@ let of_spans ?(latency = Latency.zero) ~size spans =
 
 let size t = t.size
 let content_version t = t.version
-let is_view t = t.view
+let is_view t = t.latest == t.durable
 let stats t = t.stats
 let now_ns t = t.now_ns
 let charge t ns = t.now_ns <- t.now_ns + ns
@@ -445,24 +443,30 @@ let set_fault_plan t plan =
 let fault_events t =
   match t.faults with None -> [] | Some st -> Faults.State.events st
 
-let taint_line t idx =
+let taint_lines t first last =
   match t.taint with
-  | Some tbl -> Hashtbl.replace tbl idx ()
+  | Some tbl ->
+      for idx = first to last do
+        Hashtbl.replace tbl idx ()
+      done
   | None -> ()
 
 (* Copy-on-write hook for retained views: called immediately BEFORE a
-   fence drain changes a durable line. One [Sbuf.sub] per line per
-   change, shared by every live view that still lacks the line. *)
-let retained_save t idx =
+   fence drain changes durable lines [first, last]. One [Sbuf.sub] per
+   line per change, shared by every live view that still lacks the
+   line. *)
+let retained_save t first last =
   match t.retained with
   | [] -> ()
-  | views -> (
-      match List.filter (fun r -> (not r.r_dead) && not (Hashtbl.mem r.r_saved idx)) views with
-      | [] -> ()
-      | missing ->
-          let off, len = line_span t idx in
-          let b = Sbuf.sub t.durable ~off ~len in
-          List.iter (fun r -> Hashtbl.replace r.r_saved idx b) missing)
+  | views ->
+      for idx = first to last do
+        match List.filter (fun r -> (not r.r_dead) && not (Hashtbl.mem r.r_saved idx)) views with
+        | [] -> ()
+        | missing ->
+            let off, len = line_span t idx in
+            let b = Sbuf.sub t.durable ~off ~len in
+            List.iter (fun r -> Hashtbl.replace r.r_saved idx b) missing
+      done
 
 let flip_bit t ~off ~bit =
   check_range t off 1;
@@ -482,7 +486,7 @@ let flip_bit t ~off ~bit =
   t.gen <- t.gen + 1;
   t.version <- t.version + 1;
   refresh_line_hash t (off / line_size);
-  taint_line t (off / line_size);
+  taint_lines t (off / line_size) (off / line_size);
   t.stats.bitflips <- t.stats.bitflips + 1;
   match t.faults with
   | Some st -> ignore (Faults.State.record st Faults.Trace.Bit_flip ~off ~bit)
@@ -628,8 +632,8 @@ let peek_u64 t off =
 (* Add a record whose bytes the caller has already written to [latest]
    to its line's pending list, adding the line if it was clean. Returns
    the line. *)
-let link_record t off src pos len =
-  let idx = off / line_size in
+let link_record t r =
+  let idx = r.off / line_size in
   let l =
     let l = Lines.find t.lines idx in
     if l != Lines.none then l
@@ -639,9 +643,9 @@ let link_record t off src pos len =
       l
     end
   in
-  l.pending <- { off; src; pos; len } :: l.pending;
+  l.pending <- r :: l.pending;
   l.count <- l.count + 1;
-  taint_line t idx;
+  taint_lines t idx idx;
   l
 
 (* The counters and bill of [n] stored records holding [bytes] bytes in
@@ -664,17 +668,15 @@ let mark_flushed t l =
    A coarse store is flushed as it is stored, so while none of its
    lines holds another record, each of them drains whole at the next
    fence, by a copy from [latest] (see [fence]), and has two crash
-   states, the old line and the new one. When nothing reads the
-   device's pending state line by line, such a store over more than one
-   line stays pending as one extent instead of one record per line, and
-   a fence drains it with one copy. A one-line store (a descriptor, an
-   inode, a dentry) saves nothing as an extent and stays a record. A
-   line is pending in [lines] or in one extent, never both. Every
-   reader of per-line state first expands the extents it meets into
-   exactly the records the store would have made: a store or zero that
-   touches one of their lines, crash-state enumeration,
-   [pending_line_count], [is_quiescent], and a fence on a device that
-   has gained a per-line reader. *)
+   states, the old line and the new one. Such a store over more than
+   one line stays pending as one extent instead of one record per
+   line, and a fence drains it with one copy. A one-line store (a
+   descriptor, an inode, a dentry) saves nothing as an extent and stays
+   a record. A line is pending in [lines] or in one extent, never both:
+   a store or zero that touches an extent's line first expands the
+   extent into exactly the records the store would have made. Readers
+   of per-line state ([dirty_line_assoc], [pending_line_count],
+   [is_quiescent]) list an extent's pieces and leave it pending. *)
 
 let first_line x = x.x_off / line_size
 let last_line x = (x.x_off + x.x_lead + x.x_len - 1) / line_size
@@ -683,29 +685,33 @@ let last_line x = (x.x_off + x.x_lead + x.x_len - 1) / line_size
    materialize their range, only slices of this string. *)
 let zeros = String.make Sbuf.chunk_bytes '\000'
 
-(* The records of a coarse store: the ones a store of its concatenated
-   bytes would make, one flushed record per line piece. Pieces in the
-   zeroes slice [zeros], pieces in the data slice the source, and only
-   the one piece that mixes them is built. *)
-let expand t x =
+(* Fold [f] over the records of a coarse store, ascending: the ones a
+   store of its concatenated bytes would make, one per line piece.
+   Pieces in the zeroes slice [zeros], pieces in the data slice the
+   source, and only the one piece that mixes them is built. *)
+let fold_pieces f x acc =
   let lead = x.x_lead and total = x.x_lead + x.x_len in
-  let k = ref 0 in
+  let k = ref 0 and acc = ref acc in
   while !k < total do
-    let abs = x.x_off + !k in
-    let c = Int.min (line_size - (abs mod line_size)) (total - !k) in
-    let l =
-      if !k >= lead then link_record t abs x.x_src (x.x_pos + !k - lead) c
-      else if !k + c <= lead then link_record t abs zeros 0 c
+    let off = x.x_off + !k in
+    let len = Int.min (line_size - (off mod line_size)) (total - !k) in
+    let r =
+      if !k >= lead then { off; src = x.x_src; pos = x.x_pos + !k - lead; len }
+      else if !k + len <= lead then { off; src = zeros; pos = 0; len }
       else begin
         let z = lead - !k in
-        let b = Bytes.make c '\000' in
-        Bytes.blit_string x.x_src x.x_pos b z (c - z);
-        link_record t abs (Bytes.unsafe_to_string b) 0 c
+        let b = Bytes.make len '\000' in
+        Bytes.blit_string x.x_src x.x_pos b z (len - z);
+        { off; src = Bytes.unsafe_to_string b; pos = 0; len }
       end
     in
-    mark_flushed t l;
-    k := !k + c
-  done
+    acc := f r !acc;
+    k := !k + len
+  done;
+  !acc
+
+(* Pend a coarse store as its records, each flushed. *)
+let expand t x = fold_pieces (fun r () -> mark_flushed t (link_record t r)) x ()
 
 (* Fold [f] over the pending extents holding a line of [first, last]:
    the one that starts below [first] and reaches it, if any, then those
@@ -732,21 +738,6 @@ let expand_overlapping t off len =
          t.extents <- Extents.remove (first_line x) t.extents;
          expand t x)
 
-let expand_all t =
-  let xs = t.extents in
-  t.extents <- Extents.empty;
-  Extents.iter (fun _ x -> expand t x) xs
-
-(* Does anything read the device's pending state line by line? The
-   crash checker's fence hook, a borrowed view's taint, a retained
-   view's pre-images, a fault plan's ECC and faulty crash views, and
-   the content hash do, and so does the scratch a fence keeps in sync.
-   A traced device keeps every store's records too. *)
-let per_line t =
-  Option.is_some t.fence_hook || t.view || t.retained <> []
-  || Option.is_some t.faults || Option.is_some t.hlines
-  || Option.is_some t.attached || Option.is_some t.tracer
-
 (* Copy [len] zero bytes to [latest] at [off]. *)
 let blit_zeros t off len =
   let k = ref 0 in
@@ -760,9 +751,10 @@ let blit_zeros t off len =
    nonempty range: [lead] zero bytes then the [len] bytes of [src] from
    [pos] reach [latest] in one copy, one non-temporal store is billed
    per line piece, and the pieces stay pending, flushed: as one extent
-   when the range spans several lines, nothing reads the device per
-   line and none of the lines holds a record, else as records at once.
-   Returns the number of lines. *)
+   when the range spans several lines and none of them holds a record,
+   else as records at once. A borrowed device's scratch learns the
+   extent's lines at once, as it learns a record's. Returns the number
+   of lines. *)
 let coarse t ~off ~lead ~pos ~len src =
   let x = { x_off = off; x_lead = lead; x_src = src; x_pos = pos; x_len = len } in
   let first = first_line x and last = last_line x in
@@ -773,8 +765,11 @@ let coarse t ~off ~lead ~pos ~len src =
   let rec clean idx =
     idx > last || (Lines.find t.lines idx == Lines.none && clean (idx + 1))
   in
-  if first = last || per_line t || not (clean first) then expand t x
-  else t.extents <- Extents.add first x t.extents;
+  if first = last || not (clean first) then expand t x
+  else begin
+    t.extents <- Extents.add first x t.extents;
+    taint_lines t first last
+  end;
   last - first + 1
 
 (* Split [data] into records that never cross an 8-byte-aligned boundary. *)
@@ -788,7 +783,7 @@ let store_aux t ~cost_ns ~off data =
     let abs = off + !pos in
     let room_in_word = word_size - (abs mod word_size) in
     let chunk = Int.min room_in_word (len - !pos) in
-    ignore (link_record t abs data !pos chunk : line);
+    ignore (link_record t { off = abs; src = data; pos = !pos; len = chunk } : line);
     incr n;
     pos := !pos + chunk
   done;
@@ -917,13 +912,11 @@ let zero t ~off ~len =
    copy happens at [scratch] creation; after that, fences keep the
    attached scratch in sync by re-blitting only the lines they drain. *)
 
+let scratch_restore s (off, len) =
+  Sbuf.blit ~src:s.s_dev.durable ~src_off:off ~dst:s.s_buf ~dst_off:off ~len
+
 let scratch_restore_lines s idxs =
-  let t = s.s_dev in
-  List.iter
-    (fun idx ->
-      let off, len = line_span t idx in
-      Sbuf.blit ~src:t.durable ~src_off:off ~dst:s.s_buf ~dst_off:off ~len)
-    idxs
+  List.iter (fun idx -> scratch_restore s (line_span s.s_dev idx)) idxs
 
 (* Lines the current view patched plus lines a borrowed device stored
    to; restoring this set from [durable] returns the buffer to base. *)
@@ -964,13 +957,30 @@ let scratch_forget s =
 
 let apply_record buf { off; src; pos; len } = Sbuf.blit_string src ~pos ~len buf off
 
-(* Drain an extent's lines, each wholly flushed, by copying them from
-   [latest] as [fence] drains such a line. Returns their number. *)
+(* The ECC entries and content hashes of lines [first, last], just
+   drained. *)
+let drained_lines t first last =
+  if Array.length t.ecc > 0 || Option.is_some t.hlines then
+    for idx = first to last do
+      if Array.length t.ecc > 0 then t.ecc.(idx) <- ecc_of_line t idx;
+      refresh_line_hash t idx
+    done
+
+let extent_span t x =
+  let off = first_line x * line_size in
+  (off, Int.min t.size ((last_line x + 1) * line_size) - off)
+
+(* Drain an extent's lines, each wholly flushed, with one copy from
+   [latest], as [fence] drains such a line: each line's pre-image is
+   saved for the retained views before the copy, and its ECC entry and
+   hash are updated after it. Returns the number of lines. *)
 let drain_extent t x =
   let first = first_line x and last = last_line x in
-  let off = first * line_size in
-  let len = Int.min t.size ((last + 1) * line_size) - off in
-  Sbuf.blit ~src:t.latest ~src_off:off ~dst:t.durable ~dst_off:off ~len;
+  retained_save t first last;
+  (if t.latest != t.durable then
+     let off, len = extent_span t x in
+     Sbuf.blit ~src:t.latest ~src_off:off ~dst:t.durable ~dst_off:off ~len);
+  drained_lines t first last;
   last - first + 1
 
 let fence t =
@@ -994,22 +1004,17 @@ let fence t =
      [durable] with every pending record applied: each store writes
      [latest] and appends its record, a drain applies a prefix of a
      line's records to [durable], and [flip_bit] and [reset] change both
-     images alike. When the images alias ([of_view]) the copy is a
-     no-op.
-
-     The extents drain first, one copy each, unless the device has
-     gained a per-line reader since they were stored (the hook above may
-     have attached a scratch or enabled the content hash): then they
-     drain as the records they expand into. *)
-  if per_line t then expand_all t;
-  let xdrained = Extents.fold (fun _ x n -> n + drain_extent t x) t.extents 0 in
+     images alike. When the images alias ([of_view]) the copy is
+     skipped. The extents drain first, one copy each. *)
+  let xs = t.extents in
   t.extents <- Extents.empty;
+  let xdrained = Extents.fold (fun _ x n -> n + drain_extent t x) xs 0 in
   let drain = t.drain in
   t.drain <- [];
   List.iter
     (fun l ->
       let idx = l.idx in
-      retained_save t idx;
+      retained_save t idx idx;
       if l.flushed = l.count then begin
         if t.latest != t.durable then begin
           let off, len = line_span t idx in
@@ -1030,8 +1035,7 @@ let fence t =
         l.count <- l.count - l.flushed
       end;
       l.flushed <- 0;
-      if Array.length t.ecc > 0 then t.ecc.(idx) <- ecc_of_line t idx;
-      refresh_line_hash t idx)
+      drained_lines t idx idx)
     drain;
   let drained = List.length drain + xdrained in
   if drained > 0 then begin
@@ -1041,11 +1045,12 @@ let fence t =
        visible byte that a newer, unflushed record had stored *)
     t.version <- t.version + 1;
     (* Keep the attached scratch mirroring the new durable image: restore
-       the drained lines plus whatever the outstanding view/borrow
-       touched — all from the just-updated durable base. *)
+       the drained lines and extents plus whatever the outstanding
+       view/borrow touched — all from the just-updated durable base. *)
     match t.attached with
     | Some s when s.s_gen = old_gen ->
         scratch_restore_lines s (List.map (fun l -> l.idx) drain);
+        Extents.iter (fun _ x -> scratch_restore s (extent_span t x)) xs;
         scratch_release s;
         s.s_gen <- t.gen
     | Some _ | None -> ()
@@ -1061,31 +1066,33 @@ let persist t ~off ~len =
 (* {1 Crash views} *)
 
 let pending_line_count t =
-  expand_all t;
-  Lines.length t.lines
+  Extents.fold (fun _ x n -> n + last_line x - first_line x + 1) t.extents (Lines.length t.lines)
 
-let is_quiescent t = pending_line_count t = 0
+let is_quiescent t = Lines.length t.lines = 0 && Extents.is_empty t.extents
 
 let image_durable t = Sbuf.to_bytes t.durable
 let image_latest t = Sbuf.to_bytes t.latest
 
 (* Dirty lines with their pending records (oldest first), sorted by line
    index so enumeration — and therefore sampled-image RNG consumption —
-   is stable by construction, independent of hash-table history. *)
+   is stable by construction, independent of hash-table history. An
+   extent's line holds one record, its piece. *)
 let dirty_line_assoc t =
-  expand_all t;
   Lines.fold (fun l acc -> (l.idx, List.rev l.pending) :: acc) t.lines []
+  |> Extents.fold
+       (fun _ -> fold_pieces (fun r acc -> (r.off / line_size, [ r ]) :: acc))
+       t.extents
   |> List.sort (fun (a, _) (b, _) -> compare (a : int) b)
 
-let dirty_lines t = List.map snd (dirty_line_assoc t)
-(* each element: one line's pending records, oldest first *)
+(* Crash images of lines holding [counts] records: the product of each
+   count plus one ([max_int] on overflow). *)
+let image_count counts =
+  List.fold_left
+    (fun acc c -> if acc > max_int / (c + 1) then max_int else acc * (c + 1))
+    1 counts
 
 let crash_image_count t =
-  List.fold_left
-    (fun acc recs ->
-      let n = List.length recs + 1 in
-      if acc > max_int / n then max_int else acc * n)
-    1 (dirty_lines t)
+  image_count (List.map (fun (_, recs) -> List.length recs) (dirty_line_assoc t))
 
 type view = { v_recs : record list }
 (* Line-ascending; oldest-first within a line; torn records arrive
@@ -1164,7 +1171,7 @@ let view_hash t v =
 let crash_views ?(max_images = 64) t =
   let lines = dirty_line_assoc t in
   let counts = List.map (fun (_, recs) -> List.length recs) lines in
-  let total = crash_image_count t in
+  let total = image_count counts in
   if lines = [] then [ { v_recs = [] } ]
   else if total <= max_images then begin
     (* Exhaustive odometer over per-line prefixes. *)

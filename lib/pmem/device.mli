@@ -190,28 +190,22 @@ val store_coarse :
     line is acceptable; keeps the pending log small.
 
     The crash states are exactly those of one record per line piece of
-    the concatenated string, each flushed. When the store spans more
-    than one line, none of its lines holds a pending record and nothing
-    reads the device's pending state line by line (no fence hook,
-    {!of_view} taint, retained view, fault plan, content hash, attached
-    scratch or tracer), the store stays pending as one extent: one copy
-    into the visible image, and the stores, bytes and flushes of its
-    lines counted and charged at once. A store or flush finds the
-    extents it meets in O(log extents). Any reader of per-line state ({!crash_views} and the counts
-    built on it, {!pending_line_count}, {!is_quiescent}, a store or
-    {!zero} touching one of its lines, a {!fence} on a device that has
-    gained such a reader) first expands the extent into those records,
-    in the same order; otherwise the records are made at once. Only the
-    piece that mixes the leading zeroes with data is ever built: the
-    others are slices of [src] or of a shared zero string. The trace's
-    [Store] event carries the concatenated bytes. Raises
-    [Invalid_argument] if the slice lies outside [src] or the range
-    outside the device. *)
+    the concatenated string, each flushed. On every device, a store
+    over more than one line, none of which holds a pending record, stays
+    pending as one extent: one copy into the visible image, and the
+    stores, bytes and flushes of its lines counted and charged at once.
+    The crash-state readers list an extent's pieces and leave it
+    pending; a store or {!zero} touching one of its lines first turns it
+    into its records. Only the piece that mixes the leading zeroes with
+    data is ever built: the others are slices of [src] or of a shared
+    zero string. The trace's [Store] event carries the concatenated
+    bytes. Raises [Invalid_argument] if the slice lies outside [src] or
+    the range outside the device. *)
 
 val zero : t -> off:int -> len:int -> unit
 (** Coarse-store zeroes over the range (flushed, not fenced): each
-    backed chunk's stretch is a {!store_coarse} of zeroes, pending as an
-    extent under the same rule. *)
+    backed chunk's stretch is a {!store_coarse} of zeroes, so a stretch
+    over several clean lines pends as one extent. *)
 
 (** {1 Persistence primitives} *)
 
@@ -229,9 +223,9 @@ val fence : t -> unit
     flushed since the previous fence: O(lines drained), however many
     lines the device has ever held dirty. A pending {!store_coarse}
     extent drains with one copy of its lines, which count in
-    [lines_drained] and the fence's charge as drained lines; it is
-    expanded into records first if the device has gained a per-line
-    reader since it was stored. *)
+    [lines_drained] and the fence's charge as drained lines; each of
+    its lines gets the retained-view save, ECC entry, content hash and
+    scratch resync a drained record line gets. *)
 
 val persist : t -> off:int -> len:int -> unit
 (** [flush] then [fence]. *)
@@ -267,13 +261,12 @@ val metrics : t -> Obs.Metrics.t option
 (** {1 Crash states} *)
 
 val is_quiescent : t -> bool
-(** No pending (non-durable) stores. Expands pending extents, like
-    {!pending_line_count}. *)
+(** No pending (non-durable) stores. *)
 
 val pending_line_count : t -> int
-(** Lines holding pending stores. Expands any pending {!store_coarse}
-    extents into their records first, so it counts every line a crash
-    view can patch. *)
+(** Lines holding pending stores, a pending {!store_coarse} extent's
+    lines included: every line a crash view can patch. No crash-state
+    reader changes how the device stores, drains or charges. *)
 
 val image_durable : t -> Bytes.t
 (** Crash image containing only durable stores. *)

@@ -1013,6 +1013,96 @@ let dop_gen ~size =
       (2, return D_fence);
     ]
 
+(* Observers a device can carry: the content hash, a fence hook, an
+   attached scratch, a view retained mid-run and a fault plan's ECC.
+   None of them may change what the device stores, drains or charges. *)
+type config = Plain | Hashed | Hooked | Scratched | Retained | Ecc
+
+let pp_config = function
+  | Plain -> "plain"
+  | Hashed -> "content hash"
+  | Hooked -> "no-op fence hook"
+  | Scratched -> "attached scratch"
+  | Retained -> "view retained mid-run"
+  | Ecc -> "fault plan, no flips"
+
+(* Run one program under one configuration, checking the device against
+   the model after every fence, and each observer where it has one: the
+   durable hash against a whole-image fold, the scratch against the
+   durable image, the retained view against the durable image at
+   capture, and the scrub against the ECC. *)
+let drain_under config size ops =
+  let dev = Device.create ~size () in
+  let m = model_create ~size in
+  let scratch = if config = Scratched then Some (Device.scratch dev) else None in
+  (match config with
+  | Hashed -> ignore (Device.durable_hash dev)
+  | Hooked -> Device.set_fence_hook dev (Some ignore)
+  | Ecc -> Device.set_fault_plan dev (Faults.Plan.make ())
+  | Plain | Scratched | Retained -> ());
+  let retained = ref None in
+  let check_after_fence i =
+    let expect what ok =
+      if not ok then
+        QCheck.Test.fail_reportf "%s: after op %d (fence): %s diverges"
+          (pp_config config) i what
+    in
+    expect "durable image" (Bytes.equal (Device.image_durable dev) m.m_durable);
+    expect "visible image" (Bytes.equal (Device.image_latest dev) (model_latest m));
+    expect "stats" (Device.stats dev = m.m_stats);
+    expect "crash image count" (Device.crash_image_count dev = model_crash_images m);
+    expect "pending line count"
+      (Device.pending_line_count dev
+      = Array.fold_left (fun n p -> if p = [] then n else n + 1) 0 m.m_pending);
+    expect "quiescence"
+      (Device.is_quiescent dev = Array.for_all (fun p -> p = []) m.m_pending);
+    if Device.crash_image_count dev <= 64 then
+      expect "crash images"
+        (List.sort compare
+           (List.map
+              (fun v -> Bytes.to_string (Device.materialize dev v))
+              (Device.crash_views dev))
+        = List.sort compare (model_crash_image_list m));
+    if config = Hashed || config = Scratched || !retained <> None then
+      (* a whole-image fold, sharing no state with the incremental hash *)
+      expect "durable hash"
+        (Device.durable_hash dev = snd (Device.image_hash_state m.m_durable));
+    Option.iter
+      (fun s -> expect "scratch image" (Bytes.equal (Device.scratch_image s) m.m_durable))
+      scratch;
+    Option.iter
+      (fun (r, img) ->
+        expect "retained view"
+          (Bytes.equal (Device.materialize dev (Device.view_of_retained dev r)) img))
+      !retained;
+    if config = Ecc then begin
+      expect "scrub" (Device.scrub dev = []);
+      m.m_stats.scrubbed_lines <- m.m_stats.scrubbed_lines + (size / Device.line_size)
+    end
+  in
+  List.iteri
+    (fun i op ->
+      if config = Retained && i = List.length ops / 2 then
+        retained := Some (Device.retain dev, Bytes.copy m.m_durable);
+      match op with
+      | D_store (off, data) ->
+          Device.store dev ~off data;
+          model_store m off data
+      | D_coarse (off, lead, src, pos, len) ->
+          Device.store_coarse dev ~off ~lead ~pos ~len src;
+          model_coarse m off lead src pos len
+      | D_flush (off, len) ->
+          Device.flush dev ~off ~len;
+          model_flush m off len
+      | D_zero (off, len) ->
+          Device.zero dev ~off ~len;
+          model_zero m off len
+      | D_fence ->
+          Device.fence dev;
+          model_fence m;
+          check_after_fence i)
+    (ops @ [ D_fence ])
+
 let prop_drain_matches_model =
   QCheck.Test.make ~count:200
     ~name:"fence drain matches a per-line model, zero pruning included"
@@ -1024,77 +1114,23 @@ let prop_drain_matches_model =
          oneofl [ 2048; 16384; 65536 ] >>= fun size ->
          map (fun ops -> (size, ops)) (list_size (1 -- 60) (dop_gen ~size))))
     (fun (size, ops) ->
-      let dev = Device.create ~size () in
-      (* hash from the start, so every drain updates it incrementally *)
-      ignore (Device.durable_hash dev);
-      let m = model_create ~size in
-      let check_after_fence i =
-        let expect what ok =
-          if not ok then
-            QCheck.Test.fail_reportf "after op %d (fence): %s diverges" i what
-        in
-        expect "durable image"
-          (Bytes.equal (Device.image_durable dev) m.m_durable);
-        (* a whole-image fold, sharing no state with the incremental hash *)
-        expect "durable hash"
-          (Device.durable_hash dev
-          = snd (Device.image_hash_state m.m_durable));
-        expect "stats" (Device.stats dev = m.m_stats);
-        expect "crash image count"
-          (Device.crash_image_count dev = model_crash_images m);
-        expect "quiescence"
-          (Device.is_quiescent dev
-          = Array.for_all (fun p -> p = []) m.m_pending);
-        expect "visible image" (Bytes.equal (Device.image_latest dev) (model_latest m));
-        if Device.crash_image_count dev <= 64 then
-          expect "crash images"
-            (List.sort compare
-               (List.map
-                  (fun v -> Bytes.to_string (Device.materialize dev v))
-                  (Device.crash_views dev))
-            = List.sort compare (model_crash_image_list m))
-      in
-      List.iteri
-        (fun i op ->
-          match op with
-          | D_store (off, data) ->
-              Device.store dev ~off data;
-              model_store m off data
-          | D_coarse (off, lead, src, pos, len) ->
-              Device.store_coarse dev ~off ~lead ~pos ~len src;
-              model_coarse m off lead src pos len
-          | D_flush (off, len) ->
-              Device.flush dev ~off ~len;
-              model_flush m off len
-          | D_zero (off, len) ->
-              Device.zero dev ~off ~len;
-              model_zero m off len
-          | D_fence ->
-              Device.fence dev;
-              model_fence m;
-              check_after_fence i)
-        (ops @ [ D_fence ]);
+      List.iter
+        (fun config -> drain_under config size ops)
+        [ Plain; Hashed; Hooked; Scratched; Retained; Ecc ];
       true)
 
-(* A device that nothing reads line by line keeps a coarse store pending
-   as one extent; a fence hook, even a no-op one, keeps one record per
-   line. Random steps must look the same on both after every step: the
-   images, counters and clock directly, and the per-line readers on a
-   replay of the plain device's steps so far, because those readers
-   expand its extents and [view_hash] enables the content hash, which
-   keeps every later store per line. A readers step gives both devices
-   per-line readers mid-run, an attached scratch (which enables the
-   content hash) and a retained view, so the plain device's pending
-   extents must then drain as records, and from then on both must also
-   agree on the durable hash, the scratch image and the retained
-   pre-images. *)
-type xop = Dop of dop | X_u64 of int * int | X_views | X_count | X_readers
+(* Reading never changes what a device does next. Device A runs every
+   crash-state reader after every step, as the crash checker's fence
+   hook does; device B runs none until the end. After every step the two
+   must agree on both images, the counters and the clock, and once a
+   readers step has attached a scratch and retained a view on both, on
+   the durable hash, the scratch image and the retained pre-images too.
+   At the end B's readers must read what A's read last. *)
+type xop = Dop of dop | X_u64 of int * int | X_readers
 
 let pp_xop = function
   | Dop d -> pp_dop d
   | X_u64 (off, v) -> Printf.sprintf "u64 %d %d" off v
-  | X_views -> "crash_views"
-  | X_count -> "pending_line_count"
   | X_readers -> "scratch+retain"
 
 type xdev = { dev : Device.t; mutable readers : (Device.scratch * Device.retained) option }
@@ -1109,30 +1145,18 @@ let xop_gen ~size =
             (fun w v -> X_u64 (8 * w, v))
             (frequency [ (3, int_bound 63); (1, int_bound ((size / 8) - 1)) ])
             int );
-        (1, return X_views);
-        (1, return X_count);
         (1, return X_readers);
       ])
 
-(* Run one step; a probe step returns what it read. *)
 let run_xop ({ dev; _ } as x) = function
-  | Dop (D_store (off, data)) -> Device.store dev ~off data; ""
+  | Dop (D_store (off, data)) -> Device.store dev ~off data
   | Dop (D_coarse (off, lead, src, pos, len)) ->
-      Device.store_coarse dev ~off ~lead ~pos ~len src;
-      ""
-  | Dop (D_flush (off, len)) -> Device.flush dev ~off ~len; ""
-  | Dop (D_zero (off, len)) -> Device.zero dev ~off ~len; ""
-  | Dop D_fence -> Device.fence dev; ""
-  | X_u64 (off, v) -> Device.store_u64 dev off v; ""
-  | X_views ->
-      String.concat ","
-        (List.map
-           (fun v -> Digest.to_hex (Digest.bytes (Device.materialize dev v)))
-           (Device.crash_views dev))
-  | X_count -> string_of_int (Device.pending_line_count dev)
-  | X_readers ->
-      x.readers <- Some (Device.scratch dev, Device.retain dev);
-      ""
+      Device.store_coarse dev ~off ~lead ~pos ~len src
+  | Dop (D_flush (off, len)) -> Device.flush dev ~off ~len
+  | Dop (D_zero (off, len)) -> Device.zero dev ~off ~len
+  | Dop D_fence -> Device.fence dev
+  | X_u64 (off, v) -> Device.store_u64 dev off v
+  | X_readers -> x.readers <- Some (Device.scratch dev, Device.retain dev)
 
 let reader_state x =
   Option.map
@@ -1140,14 +1164,17 @@ let reader_state x =
       (Device.durable_hash x.dev, Device.scratch_image s, Device.retained_saved r))
     x.readers
 
-let per_line_state dev =
+(* Every crash-state reader's output. *)
+let read_all dev =
   ( Device.pending_line_count dev,
+    Device.is_quiescent dev,
+    Device.crash_image_count dev,
     List.map
       (fun v -> (Bytes.to_string (Device.materialize dev v), Device.view_hash dev v))
       (Device.crash_views dev) )
 
-let prop_extents_match_records =
-  QCheck.Test.make ~count:150 ~name:"pending extents match per-line records"
+let prop_reading_changes_nothing =
+  QCheck.Test.make ~count:150 ~name:"reading never changes what a device does next"
     (QCheck.make
        ~print:(fun (size, ops) ->
          Printf.sprintf "%d B: %s" size (String.concat "; " (List.map pp_xop ops)))
@@ -1156,30 +1183,28 @@ let prop_extents_match_records =
          map (fun ops -> (size, ops)) (list_size (1 -- 30) (xop_gen ~size))))
     (fun (size, ops) ->
       let fresh () = { dev = Device.create ~latency:Latency.optane ~size (); readers = None } in
-      let plain = fresh () and hooked = fresh () in
-      Device.set_fence_hook hooked.dev (Some ignore);
+      let a = fresh () and b = fresh () in
+      let last = ref (read_all a.dev) in
       List.iteri
         (fun i op ->
           let expect what ok =
             if not ok then
               QCheck.Test.fail_reportf "after step %d (%s): %s differs" i (pp_xop op) what
           in
-          expect "what the step read" (run_xop plain op = run_xop hooked op);
-          let p = plain.dev and h = hooked.dev in
-          expect "visible image" (Bytes.equal (Device.image_latest p) (Device.image_latest h));
+          run_xop a op;
+          run_xop b op;
+          last := read_all a.dev;
+          let p = a.dev and q = b.dev in
+          expect "visible image" (Bytes.equal (Device.image_latest p) (Device.image_latest q));
           expect "durable image"
-            (Bytes.equal (Device.image_durable p) (Device.image_durable h));
-          expect "stats" (Device.stats p = Device.stats h);
-          expect "clock" (Device.now_ns p = Device.now_ns h);
+            (Bytes.equal (Device.image_durable p) (Device.image_durable q));
+          expect "stats" (Device.stats p = Device.stats q);
+          expect "clock" (Device.now_ns p = Device.now_ns q);
           expect "durable hash, scratch image or retained pre-images"
-            (reader_state plain = reader_state hooked);
-          let replay = fresh () in
-          List.iteri (fun j op -> if j <= i then ignore (run_xop replay op : string)) ops;
-          let count, views = per_line_state replay.dev
-          and count', views' = per_line_state h in
-          expect "pending line count" (count = count');
-          expect "crash-view images and hashes" (views = views'))
+            (reader_state a = reader_state b))
         ops;
+      if read_all b.dev <> !last then
+        QCheck.Test.fail_reportf "at the end: what the readers read differs";
       true)
 
 (* A word stored into a line of a pending extent drains after the
@@ -1200,6 +1225,26 @@ let test_word_after_extent_piece () =
     (List.exists (fun img -> has_piece img && not (has_word img)) images);
   Alcotest.(check bool) "the piece with the word" true
     (List.exists (fun img -> has_piece img && has_word img) images)
+
+(* A multi-line coarse store through a borrowed device pends as an
+   extent and taints its lines, so the owner's scratch takes them back
+   at its next [apply_view], whether or not the borrowed device fenced
+   the store. *)
+let test_borrowed_coarse_store_taints () =
+  List.iter
+    (fun fenced ->
+      let dev = mk () in
+      Device.store_coarse dev ~off:0 ~pos:0 ~len:512 (String.make 512 'o');
+      Device.fence dev;
+      let s = Device.scratch dev in
+      let borrowed = Device.of_view s in
+      Device.store_coarse borrowed ~off:100 ~pos:0 ~len:300 (String.make 300 'b');
+      if fenced then Device.fence borrowed;
+      Device.apply_view s (List.hd (Device.crash_views dev));
+      Alcotest.check bytes_eq
+        (Printf.sprintf "scratch = owner's durable image (fenced: %b)" fenced)
+        (Device.image_durable dev) (Device.scratch_image s))
+    [ false; true ]
 
 let prop_store_read_roundtrip =
   QCheck.Test.make ~count:200 ~name:"store/read roundtrip"
@@ -1290,6 +1335,7 @@ let unit_tests =
     ("read_nonzero bills like read_meta", `Quick, test_read_nonzero_bills_like_read_meta);
     ("range overflow rejected", `Quick, test_range_overflow_rejected);
     ("word after an extent's piece", `Quick, test_word_after_extent_piece);
+    ("borrowed coarse store taints", `Quick, test_borrowed_coarse_store_taints);
     ( "sparse zero of untouched space is free",
       `Quick,
       test_sparse_zero_untouched_is_free );
@@ -1309,7 +1355,7 @@ let prop_tests =
       prop_matches_bytes_model;
       prop_sbuf_matches_bytes_model;
       prop_drain_matches_model;
-      prop_extents_match_records;
+      prop_reading_changes_nothing;
       prop_store_read_roundtrip;
     ]
 
