@@ -23,8 +23,10 @@ build:
 test: check
 
 # Small seed-matrix fuzzing run: a few clean seeds (any violation is an
-# SSU bug) plus one mutant-rediscovery run that must re-find every
-# Buggy_* variant with a <= 6-op shrunk reproducer.
+# SSU bug) plus the random mutant leg: at 64 crash images per fence,
+# both the crash oracle (with <= 6-op shrunk reproducers) and the SSU
+# trace checker must flag every mutant kind (create, unlink, write,
+# snap).
 fuzz-smoke: build
 	@for s in 1 2 3; do \
 	  echo "== fuzz --seed $$s (clean) =="; \
@@ -41,9 +43,9 @@ fuzz-smoke: build
 # diffs), the same sweep on two domains (its record must match byte for
 # byte), the complete clean seq-3 sweep (every third op after each
 # feasible two-op prefix, ~8 s; it rewrites its own committed record,
-# which CI diffs too), then the mutant leg: with the Buggy_*
-# alphabet extension every mutant kind must be flagged by BOTH checkers
-# with a <= 3-op shrunk reproducer.
+# which CI diffs too), then the mutant leg: the alphabet gains one op per
+# mutant kind, and at 64 crash images per fence every kind must be
+# flagged by BOTH checkers with a <= 3-op shrunk reproducer.
 enum-smoke: build
 	@echo "== fuzz --enum (clean seq-2 sweep) =="
 	dune exec bin/fuzz.exe -- --enum --coverage-out ENUM_coverage.json
@@ -58,9 +60,10 @@ enum-smoke: build
 # Concurrent-path smoke: a short Zipf client load through the request
 # frontend (multi-domain, exercising the sharded lock table and the
 # whole-FS fallback), then an interleaved 2-op fuzz batch — every
-# lock-respecting schedule crash-checked clean, and all four Buggy_*
-# mutants (create, unlink, write, snap) flagged by both the oracle and
-# the SSU trace checker.
+# lock-respecting schedule crash-checked clean, and the mutant leg: one
+# pair per mutant kind (create, unlink, write, snap), probed at 64 crash
+# images per fence, each flagged by both the oracle and the SSU trace
+# checker.
 # Nonzero exit on any violation.
 serve-smoke: build
 	@echo "== serve: 200 clients x 20 ops, -j 2 =="
@@ -95,16 +98,12 @@ largevol-smoke: build
 	@echo "== bench largevol (4 GiB volume, 100k files) =="
 	dune exec bench/main.exe -- largevol
 
-# Snapshot smoke: three clean snapshot/rollback workloads crash-checked
-# through the full delta-view probe (every enumerated image must pass
-# both the crash oracle and the SSU trace checker), the torn-commit
-# snapshot mutant flagged by both checkers, then the snapshot latency
-# gates — exit 2 if snapshot creation on the 4 GiB volume exceeds 10 ms
-# or scales with volume size instead of the dirty set, if the pin keeps
-# lines at capture, or if the scrubber misreads an intact pin.
+# Snapshot latency gates — exit 2 if snapshot creation on the 4 GiB
+# volume exceeds 10 ms or scales with volume size instead of the dirty
+# set, if the pin keeps lines at capture, or if the scrubber misreads an
+# intact pin. The snapshot sequences' crash checking is a test
+# (test_snap), and every mutant leg above carries the snapshot mutant.
 snap-smoke: build
-	@echo "== fuzz --snap-smoke =="
-	dune exec bin/fuzz.exe -- --snap-smoke
 	@echo "== bench snap (snapshot latency gates) =="
 	dune exec bench/main.exe -- snap
 

@@ -329,23 +329,24 @@ let bugs () =
                   v.Model.Explore.v_trace)))
     Model.Scenarios.buggy;
   Printf.printf "-- crash oracle on raw mis-ordered implementations --\n";
+  let module W = Crashcheck.Workload in
+  let raw : W.buggy_kind -> W.op list = function
+    | `Create -> [ Mkdir "/d"; Buggy_create "/b" ]
+    | `Unlink -> [ Create "/a"; Write ("/a", 0, "xy"); Buggy_unlink "/a" ]
+    | `Write -> [ Create "/a"; Buggy_write ("/a", String.make 256 'z') ]
+    | `Snap -> [ Buggy_snap W.buggy_snap_name ]
+  in
   List.iter
-    (fun (name, w) ->
-      let o = Fuzzer.Exec.run ~max_images_per_fence:12 w in
-      Printf.printf "%-16s %d crash states -> %s\n" name
+    (fun k ->
+      let o =
+        Fuzzer.Exec.run ~max_images_per_fence:Fuzzer.Exec.exhaustive_images_per_fence (raw k)
+      in
+      Printf.printf "%-16s %d crash states -> %s\n" ("buggy-" ^ W.buggy_kind_name k)
         o.Fuzzer.Exec.o_report.Crashcheck.Harness.crash_states
         (match o.Fuzzer.Exec.o_fail with
         | Some (_, detail) -> "detected: " ^ detail
         | None -> "NOT DETECTED (unexpected!)"))
-    [
-      ("buggy-create", Crashcheck.Workload.[ Mkdir "/d"; Buggy_create "/b" ]);
-      ( "buggy-unlink",
-        Crashcheck.Workload.
-          [ Create "/a"; Write ("/a", 0, "xy"); Buggy_unlink "/a" ] );
-      ( "buggy-write",
-        Crashcheck.Workload.
-          [ Create "/a"; Buggy_write ("/a", String.make 256 'z') ] );
-    ]
+    W.all_buggy_kinds
 
 (* {1 Crash-consistency testing (§5.7)} *)
 

@@ -10,43 +10,51 @@
      fuzz --replay "create /a; buggy-write /a 64"
                                                -- re-run a shrunk reproducer
 
-   and three other modes, at most one per run (two of them, or --replay
-   beside one, is a usage error, and so is any option the chosen mode
-   does not read):
+   and two other modes, at most one per run (both, or --replay beside
+   one, is a usage error, and so is any option the chosen mode does not
+   read):
 
      fuzz --enum [--depth 3] [--expect-buggy]  -- complete seq-2 (or seq-3)
                                                   sweep of the canonical
                                                   universe
      fuzz --interleaved [--expect-buggy]       -- every lock-respecting
                                                   schedule of 2-op pairs
-     fuzz --snap-smoke                         -- snapshot crash battery *)
+
+   With --expect-buggy every mode runs its mutant leg at
+   [Fuzzer.Exec.exhaustive_images_per_fence] and prints one row per
+   mutant kind; it exits 2 unless the crash oracle and the SSU trace
+   checker both flag every kind. *)
 
 open Cmdliner
 
 let latency_of optane = if optane then Some Pmem.Latency.optane else None
 
 (* Re-execute [ops] with a recorder attached and return the event list
-   alongside the outcome. Used for --trace and the --expect-buggy
-   trace-checker leg; tracing never perturbs the outcome, so the re-run
-   reproduces exactly what the fuzzing run saw. *)
-let traced_run ?faults ?max_images_per_fence ?(optane = false) ops =
+   alongside the outcome; tracing never perturbs the outcome, so the
+   re-run reproduces exactly what the fuzzing run saw. *)
+let traced_run ?faults ?(optane = false) ops =
   let r = Obs.Recorder.create () in
-  let out =
-    Fuzzer.Exec.run ?faults ?max_images_per_fence ?latency:(latency_of optane) ~trace:r ops
-  in
+  let out = Fuzzer.Exec.run ?faults ?latency:(latency_of optane) ~trace:r ops in
   (out, Obs.Recorder.to_list r)
 
-let dump_trace file events =
-  Obs.Chrome.to_file file events;
-  Printf.printf "trace: %d events -> %s (chrome://tracing)\n" (List.length events) file;
+(* Print the SSU trace checker's verdict on [events]; true if clean. *)
+let trace_checked events =
   match Obs.Ssu.check events with
-  | Ok () -> print_endline "trace-checker: clean"
+  | Ok () ->
+      print_endline "trace-checker: clean";
+      true
   | Error v ->
       Format.printf "trace-checker: %a@." Obs.Ssu.pp_violation v;
       (match List.nth_opt events v.Obs.Ssu.v_index with
       | Some e -> Format.printf "  offending event: %a@." Obs.Event.pp e
-      | None -> ())
+      | None -> ());
+      false
 
+let write_trace file events =
+  Obs.Chrome.to_file file events;
+  Printf.printf "trace: %d events -> %s (chrome://tracing)\n" (List.length events) file
+
+(* Both checkers judge a replay: it exits 2 if either flags it. *)
 let replay_cmd line faults optane trace =
   match Fuzzer.Repro.of_cli line with
   | Error msg ->
@@ -55,36 +63,37 @@ let replay_cmd line faults optane trace =
   | Ok ops -> (
       let res, events = traced_run ~faults ~optane ops in
       Format.printf "%a@." Crashcheck.Harness.pp_report res.Fuzzer.Exec.o_report;
-      (match trace with Some file -> dump_trace file events | None -> ());
+      Option.iter (fun file -> write_trace file events) trace;
+      let ssu_clean = trace_checked events in
       match res.Fuzzer.Exec.o_fail with
       | Some (cp, detail) ->
           Printf.printf "FAIL at op %d / fence %d / image %d: %s\n" cp.Fuzzer.Exec.cp_op
             cp.Fuzzer.Exec.cp_fence cp.Fuzzer.Exec.cp_image detail;
           exit 2
-      | None ->
+      | None when ssu_clean ->
           print_endline "clean";
-          exit 0)
+          exit 0
+      | None -> exit 2)
+
+(* Every --expect-buggy leg ends here: the account's faults, one row per
+   mutant kind, and exit 2 unless both checkers flagged every kind. *)
+let account_exit leg (a : Fuzzer.account) =
+  List.iter (fun f -> Printf.printf "%s: %s\n" leg f) a.Fuzzer.a_faults;
+  let flag b = if b then "flagged" else "MISSED" in
+  List.iter
+    (fun v ->
+      Printf.printf "%s buggy-%s: oracle=%s trace-checker=%s\n" leg
+        (Fuzzer.buggy_kind_name v.Fuzzer.k_kind) (flag v.Fuzzer.k_oracle)
+        (flag v.Fuzzer.k_trace))
+    a.Fuzzer.a_rows;
+  exit (if Fuzzer.account_ok a then 0 else 2)
 
 (* --interleaved: 2-op pairs, every lock-respecting interleaving run
    through the crash oracle and the SSU trace checker (see
    [Fuzzer.Interleave]). Clean pairs must be quiet; with --expect-buggy,
-   four fixed mutant pairs (create, unlink, write, snap) must each be
-   flagged by BOTH checkers. *)
+   one fixed mutant pair per kind must be flagged by BOTH checkers. *)
 let interleaved_cmd seed pairs expect_buggy =
-  if expect_buggy then begin
-    let results = Fuzzer.Interleave.run_buggy () in
-    let ok = ref true in
-    List.iter
-      (fun b ->
-        let hit = b.Fuzzer.Interleave.b_oracle and ssu = b.Fuzzer.Interleave.b_ssu in
-        if not (hit && ssu) then ok := false;
-        Printf.printf "interleaved buggy-%s: oracle=%s trace-checker=%s\n"
-          b.Fuzzer.Interleave.b_name
-          (if hit then "flagged" else "MISSED")
-          (if ssu then "flagged" else "MISSED"))
-      results;
-    exit (if !ok then 0 else 2)
-  end
+  if expect_buggy then account_exit "interleaved" (Fuzzer.Interleave.run_buggy ())
   else begin
     let r = Fuzzer.Interleave.run ~seed ~pairs () in
     Printf.printf
@@ -112,13 +121,16 @@ let interleaved_cmd seed pairs expect_buggy =
 
 (* --enum: deterministic bounded enumeration (Fuzzer.Enum). Clean runs
    must be quiet and the coverage arithmetic must reconcile exactly; with
-   --expect-buggy the alphabet is widened with the three Buggy_* mutants
-   and each must be flagged by BOTH the crash oracle (with a <= 3-op
-   shrunk reproducer) and the SSU trace checker. *)
+   --expect-buggy the alphabet is widened with one op per mutant kind and
+   the account requires each to be flagged by BOTH the crash oracle (with
+   a <= 3-op shrunk reproducer) and the SSU trace checker. *)
 let enum_cmd jobs depth coverage_out expect_buggy =
-  let r =
-    Fuzzer.Enum.run ~jobs { Fuzzer.Enum.default_cfg with depth; buggy = expect_buggy }
+  let cfg =
+    if expect_buggy then
+      { Fuzzer.Enum.depth; buggy = true; max_images = Fuzzer.Exec.exhaustive_images_per_fence }
+    else { Fuzzer.Enum.default_cfg with depth }
   in
+  let r = Fuzzer.Enum.run ~jobs cfg in
   Format.printf "%a@." Fuzzer.Enum.pp_report r;
   (match coverage_out with
   | None -> ()
@@ -128,101 +140,16 @@ let enum_cmd jobs depth coverage_out expect_buggy =
       output_char oc '\n';
       close_out oc;
       Printf.printf "coverage -> %s\n" file);
-  let ok = ref true in
   if not (Fuzzer.Enum.reconciles r) then begin
-    ok := false;
-    print_endline "enum: coverage accounting does NOT reconcile"
+    print_endline "enum: coverage accounting does NOT reconcile";
+    exit 2
   end;
-  if expect_buggy then begin
-    let okinds = Fuzzer.kinds_found r.Fuzzer.Enum.e_found in
-    let skinds = Fuzzer.Enum.ssu_kinds_found r in
-    List.iter
-      (fun k ->
-        let o = List.mem k okinds and s = List.mem k skinds in
-        if not (o && s) then ok := false;
-        Printf.printf "enum buggy-%s: oracle=%s trace-checker=%s\n"
-          (Fuzzer.buggy_kind_name k)
-          (if o then "flagged" else "MISSED")
-          (if s then "flagged" else "MISSED"))
-      Fuzzer.all_buggy_kinds;
-    List.iter
-      (fun f ->
-        if List.length f.Fuzzer.fd_min > 3 then begin
-          ok := false;
-          Printf.printf "enum reproducer of %d ops exceeds the 3-op bound\n"
-            (List.length f.Fuzzer.fd_min)
-        end;
-        if not (List.exists (fun op -> Fuzzer.buggy_kind_of_op op <> None) f.Fuzzer.fd_min)
-        then begin
-          ok := false;
-          Printf.printf "enum: mutant-free sequence failed the oracle: %s\n"
-            f.Fuzzer.fd_detail
-        end)
-      r.Fuzzer.Enum.e_found
-  end
+  if expect_buggy then account_exit "enum" (Fuzzer.Enum.account cfg r)
   else if r.Fuzzer.Enum.e_found <> [] || r.Fuzzer.Enum.e_ssu_found <> [] then begin
-    ok := false;
-    print_endline "enum: clean sweep reported failures (see above)"
-  end;
-  exit (if !ok then 0 else 2)
-
-(* --snap-smoke: deterministic snapshot-path acceptance. Leg 1 drives
-   fixed snapshot/rollback sequences through the differential executor
-   with an exhaustive per-fence image budget, so EVERY fence-point crash
-   view during snapshot creation and rollback is probed: each must
-   recover to the old table or the fully CRC-sealed new entry — a
-   committed-but-torn entry is a raw-fsck violation the oracle reports.
-   Leg 2 replays the mis-ordered creation mutant and requires BOTH the
-   crash oracle and the SSU trace checker to flag it. *)
-let snap_smoke_cmd () =
-  let module W = Crashcheck.Workload in
-  let ok = ref true in
-  let smoke name ops =
-    let out, events = traced_run ~max_images_per_fence:128 ops in
-    let ssu = Obs.Ssu.check events in
-    (match out.Fuzzer.Exec.o_fail with
-    | Some (_, d) ->
-        ok := false;
-        Printf.printf "snap-smoke %s: oracle FAIL: %s\n" name d
-    | None -> ());
-    (match ssu with
-    | Error v ->
-        ok := false;
-        Format.printf "snap-smoke %s: trace-checker FAIL: %a@." name
-          Obs.Ssu.pp_violation v
-    | Ok () -> ());
-    if out.Fuzzer.Exec.o_fail = None && ssu = Ok () then
-      Printf.printf "snap-smoke %s: clean (%d crash states probed)\n" name
-        out.Fuzzer.Exec.o_report.Crashcheck.Harness.crash_states
-  in
-  smoke "create"
-    (Fuzzer.Gen.setup @ W.[ Snapshot "s0"; Write ("/a", 0, "after"); Snapshot "s1" ]);
-  smoke "rollback"
-    (Fuzzer.Gen.setup
-    @ W.[
-        Snapshot "s0";
-        Write ("/a", 0, String.make 200 'x');
-        Unlink "/d/f";
-        Rollback "s0";
-      ]);
-  smoke "stacked"
-    (Fuzzer.Gen.setup
-    @ W.[
-        Snapshot "s0";
-        Rename ("/a", "/e/a");
-        Snapshot "s1";
-        Rollback "s1";
-        Rollback "s0";
-      ]);
-  let mutant = Fuzzer.Gen.setup @ [ W.Buggy_snap "torn-snapshot-commit-ordering" ] in
-  let out, events = traced_run ~max_images_per_fence:128 mutant in
-  let o = out.Fuzzer.Exec.o_fail <> None in
-  let s = match Obs.Ssu.check events with Error _ -> true | Ok () -> false in
-  if not (o && s) then ok := false;
-  Printf.printf "snap-smoke buggy-snap: oracle=%s trace-checker=%s\n"
-    (if o then "flagged" else "MISSED")
-    (if s then "flagged" else "MISSED");
-  exit (if !ok then 0 else 2)
+    print_endline "enum: clean sweep reported failures (see above)";
+    exit 2
+  end
+  else exit 0
 
 (* The random fuzzer, or with --replay one given sequence. *)
 let fuzz_cmd seed iters op_budget buggy_rate flips torn stuck optane jobs replay expect_buggy
@@ -250,6 +177,9 @@ let fuzz_cmd seed iters op_budget buggy_rate flips torn stuck optane jobs replay
           faults;
           latency = latency_of optane;
           collect_metrics = metrics;
+          max_images =
+            (if expect_buggy then Fuzzer.Exec.exhaustive_images_per_fence
+             else Fuzzer.default_cfg.max_images);
         }
       in
       let cores = Domain.recommended_domain_count () in
@@ -275,61 +205,9 @@ let fuzz_cmd seed iters op_budget buggy_rate flips torn stuck optane jobs replay
                 Fuzzer.Gen.sequence rng { Fuzzer.Gen.op_budget; buggy_rate }
           in
           let _, events = traced_run ~faults ~optane ops in
-          dump_trace file events);
-      if expect_buggy then begin
-        (* acceptance: every mutant re-discovered, every reproducer small *)
-        let kinds = Fuzzer.kinds_found r.Fuzzer.r_found in
-        let ok = ref true in
-        List.iter
-          (fun k ->
-            let hit = List.mem k kinds in
-            if not hit then ok := false;
-            Printf.printf "re-discovered buggy-%s: %s\n" (Fuzzer.buggy_kind_name k)
-              (if hit then "yes" else "NO"))
-          Fuzzer.all_buggy_kinds;
-        List.iter
-          (fun f ->
-            if List.length f.Fuzzer.fd_min > 6 then begin
-              ok := false;
-              Printf.printf "reproducer of %d ops exceeds the 6-op bound\n"
-                (List.length f.Fuzzer.fd_min)
-            end)
-          r.Fuzzer.r_found;
-        (* Second, independent leg: the trace-driven SSU checker must flag
-           every mutant from the recorded store/flush/fence stream alone —
-           no oracle, no crash images, just the persist ordering. Shrunk
-           reproducers carry exactly the buggy ops that caused the
-           violation, so a flagged trace is credited to those kinds. *)
-        let flagged = ref [] in
-        List.iter
-          (fun f ->
-            let kinds = List.filter_map Fuzzer.buggy_kind_of_op f.Fuzzer.fd_min in
-            let fresh = List.filter (fun k -> not (List.mem k !flagged)) kinds in
-            if fresh <> [] then begin
-              let _, events = traced_run ~faults ~optane f.Fuzzer.fd_min in
-              match Obs.Ssu.check events with
-              | Error v ->
-                  flagged := fresh @ !flagged;
-                  List.iter
-                    (fun k ->
-                      Format.printf "trace-checker flags buggy-%s: %a@."
-                        (Fuzzer.buggy_kind_name k) Obs.Ssu.pp_violation v;
-                      match List.nth_opt events v.Obs.Ssu.v_index with
-                      | Some e -> Format.printf "  offending event: %a@." Obs.Event.pp e
-                      | None -> ())
-                    fresh
-              | Ok () -> ()
-            end)
-          r.Fuzzer.r_found;
-        List.iter
-          (fun k ->
-            if not (List.mem k !flagged) then begin
-              ok := false;
-              Printf.printf "trace-checker missed buggy-%s\n" (Fuzzer.buggy_kind_name k)
-            end)
-          Fuzzer.all_buggy_kinds;
-        exit (if !ok then 0 else 2)
-      end
+          write_trace file events;
+          ignore (trace_checked events : bool));
+      if expect_buggy then account_exit "random" (Fuzzer.account ~bound:6 cfg r.Fuzzer.r_found)
       else if buggy_rate = 0. then begin
         (* clean fuzzing: any violation is an SSU bug in the real code,
            and with --flips every flip must have been caught (a run whose
@@ -358,7 +236,6 @@ let mode_reads = function
       ("--replay", [ "--seed"; "--flips"; "--torn"; "--stuck"; "--optane"; "--replay"; "--trace" ])
   | `Enum -> ("--enum", [ "-j"; "--depth"; "--coverage-out"; "--expect-buggy" ])
   | `Interleaved -> ("--interleaved", [ "--seed"; "--pairs"; "--expect-buggy" ])
-  | `Snap_smoke -> ("--snap-smoke", [])
 
 let run seed iters op_budget buggy_rate flips torn stuck optane jobs mode replay expect_buggy
     trace metrics pairs depth coverage_out =
@@ -384,7 +261,6 @@ let run seed iters op_budget buggy_rate flips torn stuck optane jobs mode replay
   | None -> (
       let seed = Option.value seed ~default:1 and jobs = Option.value jobs ~default:1 in
       match mode with
-      | `Snap_smoke -> snap_smoke_cmd ()
       | `Enum -> enum_cmd jobs (Option.value depth ~default:2) coverage_out expect_buggy
       | `Interleaved -> interleaved_cmd seed (Option.value pairs ~default:50) expect_buggy
       | `Fuzz | `Replay ->
@@ -476,9 +352,11 @@ let () =
       value & flag
       & info [ "expect-buggy" ]
           ~doc:
-            "Fail unless all Buggy_* mutants are re-discovered with <= 6-op \
-             reproducers AND the trace-driven SSU checker independently flags \
-             each of them from its recorded persist stream")
+            "Run the mode's mutant leg, probing 64 crash images per fence, \
+             and fail unless every mutant kind (create, unlink, write, snap) \
+             is flagged by the crash oracle, with shrunk reproducers of at \
+             most 6 ops (3 with --enum), AND by the trace-driven SSU checker \
+             from its recorded persist stream")
   in
   let trace =
     Arg.(
@@ -517,7 +395,7 @@ let () =
       & info [ "coverage-out" ] ~docv:"FILE"
           ~doc:"Write the enumeration coverage record as JSON to FILE (with --enum)")
   in
-  (* One flag of the three at most: cmdliner refuses a second one. *)
+  (* One mode flag at most: cmdliner refuses a second one. *)
   let mode =
     Arg.(
       value
@@ -541,15 +419,6 @@ let () =
                    (disjoint pairs interleave at persist points, overlapping \
                    pairs serialize), and run the crash oracle plus the SSU \
                    trace checker over each schedule" );
-            ( `Snap_smoke,
-              info [ "snap-smoke" ]
-                ~doc:
-                  "Deterministic snapshot-path smoke: probe every fence-point \
-                   crash view of fixed snapshot/rollback sequences with an \
-                   exhaustive image budget (old table or sealed new entry, \
-                   never torn), then require the mis-ordered creation mutant \
-                   to be flagged by both the crash oracle and the SSU trace \
-                   checker" );
           ])
   in
   exit

@@ -61,6 +61,35 @@ let pp ppf ops =
        pp_op)
     ops
 
+(* The four mutant kinds, one per [Buggy_*] constructor: every
+   --expect-buggy leg builds its mutants by an exhaustive match over
+   [buggy_kind], so a leg that left one out would not compile. *)
+type buggy_kind = [ `Create | `Unlink | `Write | `Snap ]
+
+let all_buggy_kinds : buggy_kind list = [ `Create; `Unlink; `Write; `Snap ]
+
+let buggy_kind_name : buggy_kind -> string = function
+  | `Create -> "create"
+  | `Unlink -> "unlink"
+  | `Write -> "write"
+  | `Snap -> "snap"
+
+let buggy_kind_of_op : op -> buggy_kind option = function
+  | Buggy_create _ -> Some `Create
+  | Buggy_unlink _ -> Some `Unlink
+  | Buggy_write _ -> Some `Write
+  | Buggy_snap _ -> Some `Snap
+  | _ -> None
+
+(* A snapshot slot spans two cache lines and its name starts at byte
+   40, so only a name longer than 24 bytes puts record bytes in the
+   second line. The mutant stores the commit word before the record is
+   fenced, and its torn crash state drains the commit word's line with
+   the name tail still in flight. A shorter name keeps the whole record
+   in one line, whose stores drain in order, so no crash state holds
+   the commit without the sealed fields. *)
+let buggy_snap_name = "torn-snapshot-commit-ordering"
+
 let setup =
   [ Mkdir "/D"; Create "/A"; Write ("/A", 0, String.make 2000 'a') ]
 

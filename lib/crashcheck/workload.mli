@@ -36,7 +36,20 @@ type op =
           record (and the quiesced base hash) is fenced *)
 
 val pp_op : Format.formatter -> op -> unit
+
 val pp : Format.formatter -> op list -> unit
+
+type buggy_kind = [ `Create | `Unlink | `Write | `Snap ]
+(** The mutant kinds, one per [Buggy_*] constructor. *)
+
+val all_buggy_kinds : buggy_kind list
+val buggy_kind_name : buggy_kind -> string
+val buggy_kind_of_op : op -> buggy_kind option
+
+val buggy_snap_name : string
+(** The name every snapshot mutant is created under: over 24 bytes, so
+    the slot's record spans two cache lines and a crash can drain the
+    commit word's line without the name tail. *)
 
 val setup : op list
 (** Common prefix establishing a small namespace. *)

@@ -253,28 +253,77 @@ let run_stats ?(jobs = 1) cfg =
 
 let run ?jobs cfg = fst (run_stats ?jobs cfg)
 
-(* {2 Buggy-mutant accounting: the fuzzer's own acceptance test} *)
+(* {2 The mutant account: every --expect-buggy leg's acceptance test}
 
-type buggy_kind = [ `Create | `Unlink | `Write ]
+   One row per mutant kind, whichever leg filled it: the random fuzzer
+   and [Enum] from their shrunk reproducers ([account]), [Interleave]
+   from its mutant pairs' verdicts. *)
 
-let buggy_kind_name = function
-  | `Create -> "create"
-  | `Unlink -> "unlink"
-  | `Write -> "write"
+type buggy_kind = W.buggy_kind
 
-let all_buggy_kinds : buggy_kind list = [ `Create; `Unlink; `Write ]
+let all_buggy_kinds = W.all_buggy_kinds
+let buggy_kind_name = W.buggy_kind_name
+let buggy_kind_of_op = W.buggy_kind_of_op
 
-let buggy_kind_of_op : W.op -> buggy_kind option = function
-  | W.Buggy_create _ -> Some `Create
-  | W.Buggy_unlink _ -> Some `Unlink
-  | W.Buggy_write _ -> Some `Write
-  | _ -> None
+type verdict = {
+  k_kind : buggy_kind;
+  k_oracle : bool;  (** the crash oracle flagged it *)
+  k_trace : bool;  (** the SSU trace checker flagged it *)
+}
 
-(* Kinds are read off the *shrunk* reproducers: a buggy op the shrinker
-   could remove would mean the violation did not come from it. *)
-let kinds_found (found : found list) =
-  List.sort_uniq compare
-    (List.concat_map (fun f -> List.filter_map buggy_kind_of_op f.fd_min) found)
+type account = {
+  a_rows : verdict list;  (** one per kind, in [all_buggy_kinds] order *)
+  a_faults : string list;  (** reproducers that break the leg's rules *)
+}
+
+let account_ok a = a.a_faults = [] && List.for_all (fun v -> v.k_oracle && v.k_trace) a.a_rows
+
+(* Kinds are read off the shrunk reproducers: a mutant op the shrinker
+   could remove would mean the violation did not come from it, so a
+   reproducer that holds none, or runs past the leg's [bound], fails the
+   leg. The oracle flagged a kind if a reproducer holds it; the trace
+   checker flagged it if {!Obs.Ssu} rejects the traced re-run of such a
+   reproducer under [cfg] (tracing never perturbs a run, so the re-run
+   replays what the sweep saw). A reproducer is re-run only while it
+   holds a kind the trace checker has not been credited with yet. *)
+let account ~bound cfg (found : found list) =
+  let kinds f = List.filter_map buggy_kind_of_op f.fd_min in
+  let faults =
+    List.filter_map
+      (fun f ->
+        let n = List.length f.fd_min in
+        if n > bound then
+          Some (Printf.sprintf "reproducer of %d ops exceeds the %d-op bound" n bound)
+        else if kinds f = [] then
+          Some ("mutant-free reproducer failed the oracle: " ^ f.fd_detail)
+        else None)
+      found
+  in
+  let held = List.filter (fun f -> List.length f.fd_min <= bound) found in
+  let rejected ops =
+    let trace = Obs.Recorder.create () in
+    ignore
+      (Exec.run ~device_size:cfg.device_size ~max_images_per_fence:cfg.max_images
+         ~faults:cfg.faults ?latency:cfg.latency ~trace ops);
+    Result.is_error (Obs.Ssu.check (Obs.Recorder.to_list trace))
+  in
+  let traced =
+    List.fold_left
+      (fun credited f ->
+        let fresh = List.filter (fun k -> not (List.mem k credited)) (kinds f) in
+        if fresh <> [] && rejected f.fd_min then fresh @ credited else credited)
+      [] held
+  in
+  {
+    a_rows =
+      List.map
+        (fun k ->
+          { k_kind = k;
+            k_oracle = List.exists (fun f -> List.mem k (kinds f)) held;
+            k_trace = List.mem k traced })
+        all_buggy_kinds;
+    a_faults = faults;
+  }
 
 let states_per_sim_sec r =
   if r.r_sim_ns = 0 then None

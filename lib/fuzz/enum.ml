@@ -43,7 +43,7 @@ module H = Crashcheck.Harness
 
 type cfg = {
   depth : int;  (** 2 = seq-1 + seq-2; 3 adds seq-3 *)
-  buggy : bool;  (** widen the alphabet with the three [Buggy_*] mutants *)
+  buggy : bool;  (** widen the alphabet with one op per mutant kind *)
   max_images : int;
 }
 
@@ -53,10 +53,14 @@ let default_cfg = { depth = 2; buggy = false; max_images = 8 }
    [Buggy_*] kind, phrased on the same universe. [Buggy_create] targets a
    fresh name ("/NB") because its bug only manifests with a prior create
    in the history — which the setup prefix provides. *)
-let buggy_ops =
-  [ W.Buggy_create "/NB"; W.Buggy_unlink "/A"; W.Buggy_write ("/A", String.make 64 'z') ]
+let buggy_op : W.buggy_kind -> W.op = function
+  | `Create -> W.Buggy_create "/NB"
+  | `Unlink -> W.Buggy_unlink "/A"
+  | `Write -> W.Buggy_write ("/A", String.make 64 'z')
+  | `Snap -> W.Buggy_snap W.buggy_snap_name
 
-let alphabet cfg = if cfg.buggy then W.alphabet @ buggy_ops else W.alphabet
+let alphabet cfg =
+  if cfg.buggy then W.alphabet @ List.map buggy_op W.all_buggy_kinds else W.alphabet
 
 (* {2 Coverage accounting} *)
 
@@ -168,16 +172,15 @@ let build cfg =
 
 (* {2 Execution} *)
 
+let run_cfg cfg = { Driver.default_cfg with max_images = cfg.max_images }
+
 (* The sweep runs every enumerated sequence behind the setup prefix, each
    primary run traced for the SSU checker. *)
 let run ?(jobs = 1) cfg =
   let tiers, work = build cfg in
-  let run_cfg =
-    { Driver.default_cfg with
-      max_images = cfg.max_images }
-  in
   let s, _ =
-    Driver.sweep ~jobs ~traced:true run_cfg (Array.length work) (fun i -> W.setup @ work.(i))
+    Driver.sweep ~jobs ~traced:true (run_cfg cfg) (Array.length work) (fun i ->
+        W.setup @ work.(i))
   in
   let sum f = List.fold_left (fun a t -> a + f t) 0 tiers in
   let distinct = Driver.I64Set.cardinal s.Driver.s_sigs in
@@ -200,13 +203,11 @@ let run ?(jobs = 1) cfg =
     e_ssu_found = s.s_ssu_found;
   }
 
-(* {2 Mutant accounting and rendering} *)
+(* The mutant leg's acceptance ([Driver.account]): reproducers of at
+   most 3 ops. *)
+let account cfg r = Driver.account ~bound:3 (run_cfg cfg) r.e_found
 
-let ssu_kinds_found r =
-  List.sort_uniq compare
-    (List.concat_map
-       (fun f -> List.filter_map Driver.buggy_kind_of_op f.Driver.sf_ops)
-       r.e_ssu_found)
+(* {2 Rendering} *)
 
 let pp_report ppf r =
   let open Format in

@@ -257,6 +257,13 @@ let memoized p ~seen ~memo check v =
    line rate. *)
 let media_images_per_fence = 4
 
+(* Every mutant leg's budget, and [Interleave]'s serial legs':
+   [Device.crash_views] lists every legal crash state of a fence that
+   has at most this many and samples beyond it. The snapshot mutant's
+   torn state is one line-prefix combination, which the default 8
+   sampled images can miss. *)
+let exhaustive_images_per_fence = 64
+
 let probe p ~max_images ~media ~compare_data ~legal ~fail =
   List.iteri
     (fun image v ->
@@ -654,8 +661,8 @@ let run ?device_size ?max_images_per_fence ?faults ?latency ?pool ?trace ?metric
   run_body ?device_size ?max_images_per_fence ?faults ?latency ?pool ?trace ?metrics ops
     (sequential ops)
 
-let run_with ~pool ~setup ~trace ~legal ~final drive =
-  run_body ~pool ~setup ~trace [||] (fun st fs ->
+let run_with ?max_images_per_fence ~pool ~setup ~trace ~legal ~final drive =
+  run_body ?max_images_per_fence ~pool ~setup ~trace [||] (fun st fs ->
       st.legal <- legal;
       drive fs;
       final)

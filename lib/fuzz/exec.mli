@@ -53,6 +53,11 @@ module Pool : sig
   val create : unit -> t
 end
 
+val exhaustive_images_per_fence : int
+(** The crash images per fence every mutant leg probes (64), and
+    [Interleave]'s serial legs too: a fence with at most this many legal
+    crash states has every one probed, not a sample. *)
+
 val apply_sq : Squirrelfs.Fsctx.t -> Crashcheck.Workload.op -> (unit, Vfs.Errno.t) result
 (** Apply one op to a live SquirrelFS, [Buggy_*] variants included (guarded
     so failed preconditions return the model's errno instead of raising;
@@ -91,6 +96,7 @@ val run :
     arguments. *)
 
 val run_with :
+  ?max_images_per_fence:int ->
   pool:Pool.t ->
   setup:Crashcheck.Workload.op list ->
   trace:Obs.Recorder.t ->
@@ -102,8 +108,9 @@ val run_with :
     in place of the sequential loop: on a 256 KiB volume formatted, put
     through [setup] and cleanly unmounted (the pool's template, so the
     setup runs once per pool), the scheduler runs its ops on the mounted
-    volume while [trace] records them. Every fence probes up to 8 crash
-    views, each of which must recover to one of [legal]; the quiescent
+    volume while [trace] records them. Every fence probes up to
+    [max_images_per_fence] (default 8) crash views, each of which must
+    recover to one of [legal]; the quiescent
     volume must then equal [final] exactly, file contents included, and
     pass a live fsck. Return values are the caller's to check:
     [o_divergences] and the report's [ops_run] stay 0. *)

@@ -41,7 +41,7 @@ let data rng max_len =
     (Char.chr (Char.code 'a' + Random.State.int rng 26))
 
 (* The Buggy_* mutants operate on root-level names (they take the parent
-   inode directly); only emit ones whose preconditions hold in [m], so a
+   inode directly); only emit kinds whose preconditions hold in [m], so a
    generated buggy op always reaches its mis-ordered store sequence. *)
 let gen_buggy rng m =
   let files = files_of m in
@@ -49,25 +49,25 @@ let gen_buggy rng m =
     List.filter (fun p -> String.length p > 1 && not (String.contains_from p 1 '/')) files
   in
   let fresh_roots = List.filter (fun n -> Ref_fs.kind m ("/" ^ n) = None) root_names in
-  let fresh_snaps =
-    List.filter (fun n -> not (List.mem n (snap_names m))) snap_pool
+  let candidate : W.buggy_kind -> (unit -> W.op) option = function
+    | `Create ->
+        if fresh_roots = [] then None
+        else Some (fun () -> W.Buggy_create ("/" ^ pick rng fresh_roots))
+    | `Unlink ->
+        if root_files = [] then None else Some (fun () -> W.Buggy_unlink (pick rng root_files))
+    | `Write ->
+        if files = [] then None
+        else
+          Some
+            (fun () ->
+              W.Buggy_write (pick rng files, String.make (64 + Random.State.int rng 192) 'z'))
+    | `Snap ->
+        if List.mem W.buggy_snap_name (snap_names m) then None
+        else Some (fun () -> W.Buggy_snap W.buggy_snap_name)
   in
-  let cands =
-    (if fresh_roots <> [] then [ `Create ] else [])
-    @ (if root_files <> [] then [ `Unlink ] else [])
-    @ (if files <> [] then [ `Write ] else [])
-    @ if fresh_snaps <> [] then [ `Snap ] else []
-  in
-  match cands with
+  match List.filter_map candidate W.all_buggy_kinds with
   | [] -> None
-  | _ ->
-      Some
-        (match pick rng cands with
-        | `Create -> W.Buggy_create ("/" ^ pick rng fresh_roots)
-        | `Unlink -> W.Buggy_unlink (pick rng root_files)
-        | `Write ->
-            W.Buggy_write (pick rng files, String.make (64 + Random.State.int rng 192) 'z')
-        | `Snap -> W.Buggy_snap (pick rng fresh_snaps))
+  | cands -> Some (pick rng cands ())
 
 let gen_correct rng m =
   let files = files_of m and dirs = dirs_of m in

@@ -141,7 +141,7 @@ let checked_leg run =
    sibling prefix for the DFS. The run is [Exec]'s, from the
    post-setup template: the crash oracle probes every fence against the
    four subset states, and the quiescent volume must equal [final]. *)
-let run_schedule pool ~legal ~final ~(ops : W.op array) ~prefix =
+let run_schedule ?max_images pool ~legal ~final ~(ops : W.op array) ~prefix =
   let fibers = Array.map (fun op -> Unstarted op) ops in
   let runnable i = match fibers.(i) with Done _ -> false | _ -> true in
   let step ctx i =
@@ -211,7 +211,8 @@ let run_schedule pool ~legal ~final ~(ops : W.op array) ~prefix =
   in
   let fail, ssu, states, deduped =
     checked_leg (fun trace ->
-        Exec.run_with ~pool ~setup:Gen.setup ~trace ~legal ~final run_fibers)
+        Exec.run_with ?max_images_per_fence:max_images ~pool ~setup:Gen.setup ~trace
+          ~legal ~final run_fibers)
   in
   {
     so_schedule = List.rev !schedule;
@@ -249,7 +250,8 @@ let model_after ops =
 
 (* Explore every lock-respecting interleaving of a disjoint pair via
    DFS over schedule prefixes. *)
-let explore_disjoint pool ~max_interleavings ~(a : W.op) ~(b : W.op) ~legal ~final =
+let explore_disjoint ?max_images pool ~max_interleavings ~(a : W.op) ~(b : W.op) ~legal
+    ~final =
   let ops = [| a; b |] in
   let stack = ref [ [] ] in
   let n = ref 0 and skipped = ref 0 in
@@ -263,7 +265,7 @@ let explore_disjoint pool ~max_interleavings ~(a : W.op) ~(b : W.op) ~legal ~fin
         if !n >= max_interleavings then incr skipped
         else begin
           incr n;
-          let out = run_schedule pool ~legal ~final ~ops ~prefix in
+          let out = run_schedule ?max_images pool ~legal ~final ~ops ~prefix in
           states := !states + out.so_states;
           deduped := !deduped + out.so_deduped;
           if !oracle_fail = None then oracle_fail := out.so_fail;
@@ -295,15 +297,12 @@ let explore_disjoint pool ~max_interleavings ~(a : W.op) ~(b : W.op) ~legal ~fin
 
 (* Overlapping pair: the lock table serializes it, so its two serial
    orders are the only lock-respecting schedules — run both through the
-   full sequential differential executor, traced.  Pairs are tiny, so
-   raise the per-fence image budget enough to enumerate fences
-   exhaustively: the snap mutant's torn window is one specific
-   line-prefix combination (commit word's line fully drained, the
-   CRC-sealed name tail still in flight) that sampled probing can
-   deterministically miss. *)
+   full sequential differential executor, traced, at the exhaustive
+   image budget: pairs are tiny. *)
 let serial_legs epool ~(a : W.op) ~(b : W.op) =
   let one ops =
-    checked_leg (fun trace -> Exec.run ~pool:epool ~max_images_per_fence:64 ~trace ops)
+    checked_leg (fun trace ->
+        Exec.run ~pool:epool ~max_images_per_fence:Exec.exhaustive_images_per_fence ~trace ops)
   in
   let o1, s1, n1, d1 = one (Gen.setup @ [ a; b ]) in
   let o2, s2, n2, d2 = one (Gen.setup @ [ b; a ]) in
@@ -331,7 +330,9 @@ let gen_pair ~seed i =
   let m0, _ = model_after Gen.setup in
   (Gen.gen_correct rng m0, Gen.gen_correct rng m0)
 
-let check_pair ~pools:(pool, epool) ~max_interleavings ~index (a, b) =
+(* [max_images] is the disjoint schedules' budget (default 8); serial
+   legs always probe the exhaustive one. *)
+let check_pair ?max_images ~pools:(pool, epool) ~max_interleavings ~index (a, b) =
   let m0, _ = model_after Gen.setup in
   let cap0 = Ref_fs.capture m0 in
   let ma, ra = Ref_fs.apply m0 a in
@@ -350,7 +351,7 @@ let check_pair ~pools:(pool, epool) ~max_interleavings ~index (a, b) =
     match kind with
     | Disjoint ->
         let final = Ref_fs.capture mab in
-        explore_disjoint pool ~max_interleavings ~a ~b ~final
+        explore_disjoint ?max_images pool ~max_interleavings ~a ~b ~final
           ~legal:[ cap0; Ref_fs.capture ma; Ref_fs.capture mb; final ]
     | Overlapping -> serial_legs epool ~a ~b
   in
@@ -389,38 +390,32 @@ let run ?(seed = 1) ?(pairs = 50) ?(max_interleavings = 64) () =
 
 (* {2 Expect-buggy leg}
 
-   Each [Buggy_*] mutant paired with a correct op on a disjoint path.
+   Each mutant kind paired with a correct op on a disjoint path, the
+   snapshot mutant with any op (it is global, so its pair serializes).
    The mutants skip [Fsctx.fence] (they mis-order raw device stores), so
    a mutant never yields: the schedules interleave the partner's persist
-   points around it. Every mutant must be flagged by the crash oracle
-   AND by the SSU trace checker in at least one schedule. *)
+   points around it. A kind's row records whether the crash oracle and
+   the SSU trace checker each flagged at least one schedule; every
+   schedule probes the exhaustive image budget. *)
 
-let buggy_pairs =
-  [
-    ("create", W.Buggy_create "/x", W.Write ("/d/f", 0, String.make 100 'q'));
-    ("unlink", W.Buggy_unlink "/a", W.Create "/e/n");
-    ("write", W.Buggy_write ("/a", String.make 80 'z'), W.Create "/d/n");
-    (* the name must run past the slot's first 64-byte line (> 24 chars)
-       so the torn window spans lines: a crash view can then drain the
-       commit word's line while CRC-sealed name bytes are still in
-       flight, which is what the oracle catches *)
-    ("snap", W.Buggy_snap "torn-snapshot-commit-ordering", W.Write ("/a", 0, String.make 90 'w'));
-  ]
-
-type buggy_result = {
-  b_name : string;
-  b_oracle : bool;  (** crash oracle flagged it *)
-  b_ssu : bool;  (** SSU trace checker flagged it *)
-}
+let buggy_pair : W.buggy_kind -> W.op * W.op = function
+  | `Create -> (W.Buggy_create "/x", W.Write ("/d/f", 0, String.make 100 'q'))
+  | `Unlink -> (W.Buggy_unlink "/a", W.Create "/e/n")
+  | `Write -> (W.Buggy_write ("/a", String.make 80 'z'), W.Create "/d/n")
+  | `Snap -> (W.Buggy_snap W.buggy_snap_name, W.Write ("/a", 0, String.make 90 'w'))
 
 let run_buggy ?(max_interleavings = 64) () =
   let pools = (Exec.Pool.create (), Exec.Pool.create ()) in
-  List.mapi
-    (fun i (name, buggy, partner) ->
-      let pr = check_pair ~pools ~max_interleavings ~index:i (buggy, partner) in
-      {
-        b_name = name;
-        b_oracle = pr.pr_oracle_fail <> None;
-        b_ssu = pr.pr_ssu_fail <> None;
-      })
-    buggy_pairs
+  {
+    Driver.a_faults = [];
+    a_rows =
+      List.mapi
+        (fun i k ->
+          let pr =
+            check_pair ~max_images:Exec.exhaustive_images_per_fence ~pools ~max_interleavings
+              ~index:i (buggy_pair k)
+          in
+          { Driver.k_kind = k; k_oracle = pr.pr_oracle_fail <> None;
+            k_trace = pr.pr_ssu_fail <> None })
+        W.all_buggy_kinds;
+  }

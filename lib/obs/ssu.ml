@@ -345,8 +345,8 @@ let check_size st g ~index ~ts i v =
   end
 
 (* Decode the tracked fields covered by a store and run the store-time
-   ordering checks.  Returns the semantic updates, to be queued on the
-   covering lines until they drain. *)
+   ordering checks.  Returns the semantic updates, each with its field's
+   byte offset, to be queued on the covering lines until they drain. *)
 let sems_of_store st ~index ~ts ~off ~data ~coarse =
   match st.geo with
   | None -> []
@@ -431,8 +431,7 @@ let sems_of_store st ~index ~ts ~off ~data ~coarse =
          restored state. *)
       let sems = List.sort compare !sems in
       List.iter
-        (fun (fo, sem) ->
-          ignore fo;
+        (fun (_, sem) ->
           match sem with
           | D_kind (p, v) -> Hashtbl.replace st.d_kind_latest p v
           | _ when st.in_rollback -> ()
@@ -441,7 +440,7 @@ let sems_of_store st ~index ~ts ~off ~data ~coarse =
           | I_size (i, v) -> check_size st g ~index ~ts i v
           | _ -> ())
         sems;
-      List.map snd sems
+      sems
 
 (* -- event dispatch ------------------------------------------------------ *)
 
@@ -524,29 +523,7 @@ let on_store st ~index ~ts ~off ~data ~nt ~coarse =
       end;
       let lo = l * line_size and hi = (l + 1) * line_size in
       let here =
-        List.filter
-          (fun sem ->
-            let fo =
-              match sem with
-              | I_ino (i, _) | I_kind (i, _) | I_links (i, _) | I_size (i, _)
-                ->
-                  let g = Option.get st.geo in
-                  g.g_itab + ((i - 1) * g.g_isize)
-                  + (match sem with
-                    | I_ino _ -> 0
-                    | I_kind _ -> 8
-                    | I_links _ -> 16
-                    | _ -> 24)
-              | D_ino (p, _) | D_kind (p, _) | D_off (p, _) ->
-                  let g = Option.get st.geo in
-                  g.g_dtab + (p * g.g_dsize)
-                  + (match sem with D_ino _ -> 0 | D_kind _ -> 8 | _ -> 16)
-              | De_ino (p, sl, _) ->
-                  let g = Option.get st.geo in
-                  g.g_data + (p * g.g_psize) + (sl * g.g_desize) + 112
-            in
-            fo >= lo && fo < hi)
-          sems
+        List.filter_map (fun (fo, sem) -> if fo >= lo && fo < hi then Some sem else None) sems
       in
       s.l_recs <- s.l_recs @ [ { r_nt = nt; r_sems = here } ]
     done

@@ -8,8 +8,9 @@
      mutant extension;
    - a clean seq-2 sweep is quiet through both the crash oracle and the
      SSU trace checker;
-   - the mutant sweep rediscovers all three Buggy_* kinds through BOTH
-     checkers, with shrunk reproducers of at most 3 ops;
+   - the mutant sweep, at the mutant budget, rediscovers all four
+     Buggy_* kinds through BOTH checkers, with shrunk reproducers of at
+     most 3 ops;
    - [-j N] reports are bit-identical to [-j 1] (QCheck over jobs);
    - a depth other than 2 or 3 is refused, so the coverage record
      cannot misreport its depth. *)
@@ -138,7 +139,7 @@ let test_seq3_complete () =
 (* {2 Full sweeps} *)
 
 (* fewer images per fence than the CLI default: same coverage shape,
-   faster test wall clock; all assertions are image-count independent *)
+   faster test wall clock *)
 let test_cfg = { E.default_cfg with E.max_images = 4 }
 
 let test_clean_sweep () =
@@ -155,25 +156,34 @@ let test_clean_sweep () =
   Alcotest.(check int) "no harness violations" 0
     (List.length r.E.e_harness.Crashcheck.Harness.violations)
 
+(* [fuzz --enum --expect-buggy]'s leg *)
 let test_mutant_rediscovery () =
-  let r = E.run { test_cfg with E.buggy = true } in
+  let cfg =
+    { E.default_cfg with E.buggy = true; max_images = Fuzzer.Exec.exhaustive_images_per_fence }
+  in
+  let r = E.run cfg in
   Alcotest.(check bool) "reconciles" true (E.reconciles r);
-  let names ks = List.sort compare (List.map Fuzzer.buggy_kind_name ks) in
-  Alcotest.(check (list string))
-    "oracle rediscovers all mutants"
-    (names Fuzzer.all_buggy_kinds)
-    (names (Fuzzer.kinds_found r.E.e_found));
-  Alcotest.(check (list string))
-    "trace checker rediscovers all mutants"
-    (names Fuzzer.all_buggy_kinds)
-    (names (E.ssu_kinds_found r));
+  Alcotest.(check int) "alphabet gains a mutant per kind" (List.length W.alphabet + 4)
+    r.E.e_alphabet;
   List.iter
     (fun f ->
       Alcotest.(check bool) "reproducer at most 3 ops" true (List.length f.Fuzzer.fd_min <= 3);
       Alcotest.(check bool)
         "reproducer contains a mutant op" true
         (List.exists (fun op -> Fuzzer.buggy_kind_of_op op <> None) f.Fuzzer.fd_min))
-    r.E.e_found
+    r.E.e_found;
+  let a = E.account cfg r in
+  Alcotest.(check (list string)) "no reproducer breaks the rules" [] a.Fuzzer.a_faults;
+  let flagged pick =
+    List.filter_map
+      (fun v -> if pick v then Some (Fuzzer.buggy_kind_name v.Fuzzer.k_kind) else None)
+      a.Fuzzer.a_rows
+  in
+  let all = [ "create"; "unlink"; "write"; "snap" ] in
+  Alcotest.(check (list string)) "oracle rediscovers all mutants" all
+    (flagged (fun v -> v.Fuzzer.k_oracle));
+  Alcotest.(check (list string)) "trace checker rediscovers all mutants" all
+    (flagged (fun v -> v.Fuzzer.k_trace))
 
 (* {2 Sharding determinism} *)
 

@@ -441,20 +441,44 @@ let test_repro_rejects_garbage () =
 
 (* {1 Mutant re-discovery: the fuzzer's own acceptance test} *)
 
+(* [make fuzz-smoke]'s mutant leg *)
 let rediscovery_cfg =
-  { F.default_cfg with seed = 1; iters = 40; op_budget = 6; buggy_rate = 0.15 }
+  { F.default_cfg with seed = 1; iters = 40; op_budget = 6; buggy_rate = 0.15;
+    max_images = F.Exec.exhaustive_images_per_fence }
 
 let rediscovery = lazy (F.run rediscovery_cfg)
 
+(* Both checkers flag every kind, and every reproducer keeps a mutant op
+   within the 6-op bound. *)
 let test_rediscovers_all_mutants () =
   let r = Lazy.force rediscovery in
-  let kinds = F.kinds_found r.F.r_found in
+  let a = F.account ~bound:6 rediscovery_cfg r.F.r_found in
+  Alcotest.(check (list string)) "no reproducer breaks the rules" [] a.F.a_faults;
+  Alcotest.(check int) "a row per kind" 4 (List.length a.F.a_rows);
   List.iter
-    (fun k ->
-      if not (List.mem k kinds) then
-        Alcotest.failf "buggy-%s not re-discovered in %d iterations"
-          (F.buggy_kind_name k) rediscovery_cfg.F.iters)
-    F.all_buggy_kinds
+    (fun v ->
+      let name = F.buggy_kind_name v.F.k_kind in
+      if not v.F.k_oracle then
+        Alcotest.failf "buggy-%s not re-discovered in %d iterations" name rediscovery_cfg.F.iters;
+      if not v.F.k_trace then Alcotest.failf "trace checker missed buggy-%s" name)
+    a.F.a_rows
+
+(* Every op the mutant generator emits has a kind: one without would go
+   uncounted in every leg's account. Each step asks for a mutant, applies
+   it (or a correct op where none fits) and asks again. *)
+let prop_gen_buggy_has_kind =
+  QCheck.Test.make ~count:100 ~name:"every op gen_buggy emits has a kind" QCheck.small_nat
+    (fun seed ->
+      let rng = Random.State.make [| 0x5EED; seed |] in
+      let m = ref F.Ref_fs.empty in
+      List.iter (fun op -> m := fst (F.Ref_fs.apply !m op)) F.Gen.setup;
+      List.for_all
+        (fun _ ->
+          let emitted = F.Gen.gen_buggy rng !m in
+          let op = match emitted with Some op -> op | None -> F.Gen.gen_correct rng !m in
+          m := fst (F.Ref_fs.apply !m op);
+          match emitted with Some op -> F.buggy_kind_of_op op <> None | None -> true)
+        (List.init 10 Fun.id))
 
 let test_reproducers_are_small () =
   let r = Lazy.force rediscovery in
@@ -465,8 +489,12 @@ let test_reproducers_are_small () =
       if n > 6 then
         Alcotest.failf "reproducer has %d ops (> 6):%s" n
           (Format.asprintf "%a" W.pp f.F.fd_min);
-      (* each emitted reproducer must replay to a failure *)
-      if (run f.F.fd_min).F.Exec.o_fail = None then
+      (* each emitted reproducer must replay to a failure at the leg's
+         budget *)
+      let replay =
+        F.Exec.run ~max_images_per_fence:rediscovery_cfg.F.max_images f.F.fd_min
+      in
+      if replay.F.Exec.o_fail = None then
         Alcotest.failf "shrunk reproducer does not replay:%s"
           (Format.asprintf "%a" W.pp f.F.fd_min))
     r.F.r_found
@@ -551,7 +579,7 @@ let test_pinned_counts () =
       in
       Alcotest.(check (list int))
         (Printf.sprintf "mutant leg at -j %d" jobs)
-        [ 458; 1847; 5397; 20441; 5791; 181; 418; 16 ]
+        [ 536; 2102; 6271; 81912; 12645; 230; 496; 16 ]
         (r.F.r_harness.Crashcheck.Harness.workloads :: counts r
         @ [ r.F.r_shrink_runs; r.F.r_divergences ]))
     [ 1; 2 ]
@@ -739,6 +767,7 @@ let () =
             test_rediscovers_all_mutants;
           Alcotest.test_case "reproducers <= 6 ops and replay" `Slow
             test_reproducers_are_small;
+          QCheck_alcotest.to_alcotest prop_gen_buggy_has_kind;
         ] );
       ( "determinism",
         [

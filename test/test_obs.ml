@@ -192,17 +192,22 @@ let prop_checker_rejects_buggy =
   QCheck.Test.make ~count:25 ~name:"SSU checker rejects every Buggy_* mutant"
     QCheck.(pair name_arb (QCheck.make QCheck.Gen.(1 -- 300)))
     (fun (p, n) ->
-      let rejects ops =
-        let _, events = traced_run ops in
-        match Obs.Ssu.check events with Ok () -> false | Error _ -> true
+      let case : W.buggy_kind -> W.op list = function
+        (* the create mutant needs an existing root dirpage: the very
+           first create allocates one with enough fencing to be
+           accidentally correct, and the crash oracle agrees a lone
+           Buggy_create on an empty volume is clean *)
+        | `Create -> [ W.Create "/Z"; W.Buggy_create p ]
+        | `Unlink -> [ W.Create p; W.Buggy_unlink p ]
+        | `Write -> [ W.Create p; W.Buggy_write (p, String.make n 'z') ]
+        (* R-snap needs no second cache line: any name will do *)
+        | `Snap -> [ W.Buggy_snap (String.sub p 1 (String.length p - 1)) ]
       in
-      (* the create mutant needs an existing root dirpage: the very first
-         create allocates one with enough fencing to be accidentally
-         correct, and the crash oracle agrees a lone Buggy_create on an
-         empty volume is clean *)
-      rejects [ W.Create "/Z"; W.Buggy_create p ]
-      && rejects [ W.Create p; W.Buggy_unlink p ]
-      && rejects [ W.Create p; W.Buggy_write (p, String.make n 'z') ])
+      List.for_all
+        (fun k ->
+          let _, events = traced_run (case k) in
+          Result.is_error (Obs.Ssu.check events))
+        W.all_buggy_kinds)
 
 (* Dually: clean workloads (buggy_rate 0) must always be accepted. *)
 let prop_checker_accepts_clean =

@@ -345,17 +345,14 @@ let test_interleave_deterministic () =
   Alcotest.(check bool) "identical counts" true (strip a = strip b)
 
 let test_interleave_flags_mutants () =
-  let results = Fuzzer.Interleave.run_buggy ~max_interleavings:24 () in
-  Alcotest.(check int) "four mutants" 4 (List.length results);
+  let a = Fuzzer.Interleave.run_buggy ~max_interleavings:24 () in
+  Alcotest.(check int) "four mutants" 4 (List.length a.Fuzzer.a_rows);
   List.iter
-    (fun b ->
-      Alcotest.(check bool)
-        (b.Fuzzer.Interleave.b_name ^ " flagged by crash oracle") true
-        b.Fuzzer.Interleave.b_oracle;
-      Alcotest.(check bool)
-        (b.Fuzzer.Interleave.b_name ^ " flagged by SSU trace checker") true
-        b.Fuzzer.Interleave.b_ssu)
-    results
+    (fun v ->
+      let name = Fuzzer.buggy_kind_name v.Fuzzer.k_kind in
+      Alcotest.(check bool) (name ^ " flagged by crash oracle") true v.Fuzzer.k_oracle;
+      Alcotest.(check bool) (name ^ " flagged by SSU trace checker") true v.Fuzzer.k_trace)
+    a.Fuzzer.a_rows
 
 (* A schedule's closing probe compares file contents: one disjoint
    schedule closed against an A∘B state with the same tree but other

@@ -1,7 +1,8 @@
 (* Tests for the snapshot subsystem (lib/snap): creation/round-trip
    semantics, clone isolation (including clone-of-clone), table
    persistence across remount and Device.reset, scrub-and-quarantine of
-   rotted pins, and the QCheck diff/apply_diff reproduction property. *)
+   rotted pins, crash-checked snapshot/rollback sequences, and the QCheck
+   diff/apply_diff reproduction property. *)
 
 module Device = Pmem.Device
 module Sq = Squirrelfs
@@ -275,6 +276,38 @@ let test_scrub_detects_flipped_line () =
   Alcotest.(check (list (pair string bool))) "sticky" [ ("s0", false) ]
     (Snap.scrub fs)
 
+(* {1 Crash checking}
+
+   Fixed snapshot/rollback sequences through the differential executor
+   at 128 crash images per fence, so every crash state of snapshot
+   creation and rollback is probed: each must recover to the old table
+   or the fully CRC-sealed new entry (a committed-but-torn entry is a raw
+   fsck violation), and the SSU trace checker must accept the trace. The
+   crash-state counts are pinned: a change to what these probes see
+   fails here. *)
+
+let test_sequences_crash_clean () =
+  let module W = Crashcheck.Workload in
+  let check name ops want =
+    let r = Obs.Recorder.create () in
+    let out = Fuzzer.Exec.run ~max_images_per_fence:128 ~trace:r (Fuzzer.Gen.setup @ ops) in
+    (match out.Fuzzer.Exec.o_fail with
+    | Some (_, d) -> Alcotest.failf "%s: oracle: %s" name d
+    | None -> ());
+    (match Obs.Ssu.check (Obs.Recorder.to_list r) with
+    | Error v -> Alcotest.failf "%s: trace checker: %a" name Obs.Ssu.pp_violation v
+    | Ok () -> ());
+    Alcotest.(check int) (name ^ " crash states") want
+      out.Fuzzer.Exec.o_report.Crashcheck.Harness.crash_states
+  in
+  check "create" W.[ Snapshot "s0"; Write ("/a", 0, "after"); Snapshot "s1" ] 324;
+  check "rollback"
+    W.[ Snapshot "s0"; Write ("/a", 0, String.make 200 'x'); Unlink "/d/f"; Rollback "s0" ]
+    739;
+  check "stacked"
+    W.[ Snapshot "s0"; Rename ("/a", "/e/a"); Snapshot "s1"; Rollback "s1"; Rollback "s0" ]
+    790
+
 (* {1 QCheck: diff/apply reproduces} *)
 
 (* Random mutation batch between two snapshots; [diff a b] applied to
@@ -358,6 +391,11 @@ let () =
         [
           Alcotest.test_case "flipped snapshot line detected" `Quick
             test_scrub_detects_flipped_line;
+        ] );
+      ( "crash",
+        [
+          Alcotest.test_case "snapshot sequences crash-check clean" `Quick
+            test_sequences_crash_clean;
         ] );
       ("qcheck", [ QCheck_alcotest.to_alcotest prop_diff_apply_reproduces ]);
     ]
