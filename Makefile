@@ -23,10 +23,10 @@ build:
 test: check
 
 # Small seed-matrix fuzzing run: a few clean seeds (any violation is an
-# SSU bug) plus the random mutant leg: at 64 crash images per fence,
-# both the crash oracle (with <= 6-op shrunk reproducers) and the SSU
-# trace checker must flag every mutant kind (create, unlink, write,
-# snap).
+# SSU bug) plus the random mutant leg: with every sequence that holds a
+# mutant op probed at 64 crash images per fence, both the crash oracle
+# (with <= 6-op shrunk reproducers) and the SSU trace checker must flag
+# every mutant kind (create, unlink, write, snap).
 fuzz-smoke: build
 	@for s in 1 2 3; do \
 	  echo "== fuzz --seed $$s (clean) =="; \
@@ -44,8 +44,9 @@ fuzz-smoke: build
 # byte), the complete clean seq-3 sweep (every third op after each
 # feasible two-op prefix, ~8 s; it rewrites its own committed record,
 # which CI diffs too), then the mutant leg: the alphabet gains one op per
-# mutant kind, and at 64 crash images per fence every kind must be
-# flagged by BOTH checkers with a <= 3-op shrunk reproducer.
+# mutant kind, a sequence holding one probes 64 crash images per fence,
+# and every kind must be flagged by BOTH checkers with a <= 3-op shrunk
+# reproducer.
 enum-smoke: build
 	@echo "== fuzz --enum (clean seq-2 sweep) =="
 	dune exec bin/fuzz.exe -- --enum --coverage-out ENUM_coverage.json
@@ -62,8 +63,8 @@ enum-smoke: build
 # whole-FS fallback), then an interleaved 2-op fuzz batch — every
 # lock-respecting schedule crash-checked clean, and the mutant leg: one
 # pair per mutant kind (create, unlink, write, snap), probed at 64 crash
-# images per fence, each flagged by both the oracle and the SSU trace
-# checker.
+# images per fence as every sequence holding a mutant op is, each
+# flagged by both the oracle and the SSU trace checker.
 # Nonzero exit on any violation.
 serve-smoke: build
 	@echo "== serve: 200 clients x 20 ops, -j 2 =="

@@ -20,10 +20,11 @@
      fuzz --interleaved [--expect-buggy]       -- every lock-respecting
                                                   schedule of 2-op pairs
 
-   With --expect-buggy every mode runs its mutant leg at
-   [Fuzzer.Exec.exhaustive_images_per_fence] and prints one row per
-   mutant kind; it exits 2 unless the crash oracle and the SSU trace
-   checker both flag every kind. *)
+   With --expect-buggy every mode runs its mutant leg and prints one row
+   per mutant kind; it exits 2 unless the crash oracle and the SSU trace
+   checker both flag every kind. In every mode, a --replay included, a
+   sequence that holds a mutant op probes
+   [Fuzzer.Exec.exhaustive_images_per_fence] crash images per fence. *)
 
 open Cmdliner
 
@@ -125,11 +126,7 @@ let interleaved_cmd seed pairs expect_buggy =
    the account requires each to be flagged by BOTH the crash oracle (with
    a <= 3-op shrunk reproducer) and the SSU trace checker. *)
 let enum_cmd jobs depth coverage_out expect_buggy =
-  let cfg =
-    if expect_buggy then
-      { Fuzzer.Enum.depth; buggy = true; max_images = Fuzzer.Exec.exhaustive_images_per_fence }
-    else { Fuzzer.Enum.default_cfg with depth }
-  in
+  let cfg = { Fuzzer.Enum.default_cfg with depth; buggy = expect_buggy } in
   let r = Fuzzer.Enum.run ~jobs cfg in
   Format.printf "%a@." Fuzzer.Enum.pp_report r;
   (match coverage_out with
@@ -177,9 +174,6 @@ let fuzz_cmd seed iters op_budget buggy_rate flips torn stuck optane jobs replay
           faults;
           latency = latency_of optane;
           collect_metrics = metrics;
-          max_images =
-            (if expect_buggy then Fuzzer.Exec.exhaustive_images_per_fence
-             else Fuzzer.default_cfg.max_images);
         }
       in
       let cores = Domain.recommended_domain_count () in
@@ -352,11 +346,12 @@ let () =
       value & flag
       & info [ "expect-buggy" ]
           ~doc:
-            "Run the mode's mutant leg, probing 64 crash images per fence, \
-             and fail unless every mutant kind (create, unlink, write, snap) \
-             is flagged by the crash oracle, with shrunk reproducers of at \
-             most 6 ops (3 with --enum), AND by the trace-driven SSU checker \
-             from its recorded persist stream")
+            "Run the mode's mutant leg and fail unless every mutant kind \
+             (create, unlink, write, snap) is flagged by the crash oracle, \
+             with shrunk reproducers of at most 6 ops (3 with --enum), AND by \
+             the trace-driven SSU checker from its recorded persist stream. \
+             In every mode a sequence holding a mutant op probes 64 crash \
+             images per fence")
   in
   let trace =
     Arg.(

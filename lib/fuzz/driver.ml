@@ -18,6 +18,8 @@ type cfg = {
   op_budget : int;
   buggy_rate : float;  (** probability an op slot emits a [Buggy_*] mutant *)
   max_images : int;
+      (** crash images per fence of a mutant-free sequence; one that holds
+          a mutant op probes {!Exec.exhaustive_images_per_fence} *)
   device_size : int;
   faults : Faults.Plan.t;
   latency : Pmem.Latency.t option;
@@ -128,7 +130,8 @@ let run_shard ~traced cfg ~next seq =
   (* shrinker re-executions are accounted like any other run *)
   let exec ?trace ops =
     let o =
-      Exec.run ~device_size:cfg.device_size ~max_images_per_fence:cfg.max_images
+      Exec.run ~device_size:cfg.device_size
+        ~max_images_per_fence:(Exec.images_per_fence ~default:cfg.max_images ops)
         ~faults:cfg.faults ?latency:cfg.latency ~pool ?metrics ?trace ops
     in
     s :=
@@ -303,7 +306,8 @@ let account ~bound cfg (found : found list) =
   let rejected ops =
     let trace = Obs.Recorder.create () in
     ignore
-      (Exec.run ~device_size:cfg.device_size ~max_images_per_fence:cfg.max_images
+      (Exec.run ~device_size:cfg.device_size
+         ~max_images_per_fence:(Exec.images_per_fence ~default:cfg.max_images ops)
          ~faults:cfg.faults ?latency:cfg.latency ~trace ops);
     Result.is_error (Obs.Ssu.check (Obs.Recorder.to_list trace))
   in

@@ -44,7 +44,7 @@ module H = Crashcheck.Harness
 type cfg = {
   depth : int;  (** 2 = seq-1 + seq-2; 3 adds seq-3 *)
   buggy : bool;  (** widen the alphabet with one op per mutant kind *)
-  max_images : int;
+  max_images : int;  (** as {!Driver.cfg}'s: a mutant-free sequence's budget *)
 }
 
 let default_cfg = { depth = 2; buggy = false; max_images = 8 }

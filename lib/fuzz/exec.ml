@@ -257,12 +257,18 @@ let memoized p ~seen ~memo check v =
    line rate. *)
 let media_images_per_fence = 4
 
-(* Every mutant leg's budget, and [Interleave]'s serial legs':
-   [Device.crash_views] lists every legal crash state of a fence that
-   has at most this many and samples beyond it. The snapshot mutant's
-   torn state is one line-prefix combination, which the default 8
-   sampled images can miss. *)
+(* The budget of every sequence that holds a mutant op, and of
+   [Interleave]'s serial legs: [Device.crash_views] lists every legal
+   crash state of a fence that has at most this many and samples beyond
+   it. The snapshot mutant's torn state is one line-prefix combination,
+   which the default 8 sampled images can miss. *)
 let exhaustive_images_per_fence = 64
+
+(* The one budget rule: a sequence that holds a mutant op probes the
+   exhaustive budget, any other [default]. *)
+let images_per_fence ?(default = 8) ops =
+  if List.exists (fun op -> W.buggy_kind_of_op op <> None) ops then exhaustive_images_per_fence
+  else default
 
 let probe p ~max_images ~media ~compare_data ~legal ~fail =
   List.iteri
@@ -560,7 +566,7 @@ let sequential ops st fs =
     ops;
   !cap_prev
 
-let run_body ?(device_size = 256 * 1024) ?(max_images_per_fence = 8) ?(faults = Faults.none)
+let run_body ?(device_size = 256 * 1024) ~max_images_per_fence ?(faults = Faults.none)
     ?latency ?pool ?(setup = []) ?trace ?metrics ops drive =
   (* Media faults only make sense on a volume that can detect them: fault
      runs format with checksummed metadata records. *)
@@ -657,12 +663,15 @@ let run_body ?(device_size = 256 * 1024) ?(max_images_per_fence = 8) ?(faults = 
   }
 
 let run ?device_size ?max_images_per_fence ?faults ?latency ?pool ?trace ?metrics ops =
+  let max_images_per_fence =
+    match max_images_per_fence with Some n -> n | None -> images_per_fence ops
+  in
   let ops = Array.of_list ops in
-  run_body ?device_size ?max_images_per_fence ?faults ?latency ?pool ?trace ?metrics ops
+  run_body ?device_size ~max_images_per_fence ?faults ?latency ?pool ?trace ?metrics ops
     (sequential ops)
 
-let run_with ?max_images_per_fence ~pool ~setup ~trace ~legal ~final drive =
-  run_body ?max_images_per_fence ~pool ~setup ~trace [||] (fun st fs ->
+let run_with ~max_images_per_fence ~pool ~setup ~trace ~legal ~final drive =
+  run_body ~max_images_per_fence ~pool ~setup ~trace [||] (fun st fs ->
       st.legal <- legal;
       drive fs;
       final)

@@ -54,9 +54,13 @@ module Pool : sig
 end
 
 val exhaustive_images_per_fence : int
-(** The crash images per fence every mutant leg probes (64), and
-    [Interleave]'s serial legs too: a fence with at most this many legal
-    crash states has every one probed, not a sample. *)
+(** The crash images per fence a sequence holding a [Buggy_*] op probes
+    (64), and [Interleave]'s serial legs too: a fence with at most this
+    many legal crash states has every one probed, not a sample. *)
+
+val images_per_fence : ?default:int -> Crashcheck.Workload.op list -> int
+(** The one image budget rule: {!exhaustive_images_per_fence} for a
+    sequence that holds a [Buggy_*] op, [default] (8) for any other. *)
 
 val apply_sq : Squirrelfs.Fsctx.t -> Crashcheck.Workload.op -> (unit, Vfs.Errno.t) result
 (** Apply one op to a live SquirrelFS, [Buggy_*] variants included (guarded
@@ -79,24 +83,25 @@ val run :
     before or after the op under way, file contents aside (plain data
     writes are not crash-atomic), and return values must agree.
 
-    Defaults: 256 KiB device, 8 crash images per fence, [Faults.none],
-    zero latency, no pool (fresh device + mkfs per call). [?trace] records the workload's
-    store/flush/fence stream (opened with a geometry + durable-state
-    preamble, see {!Squirrelfs.Tracing}); [?metrics] counts device and
-    token traffic and op latencies. Neither perturbs the outcome: a traced
-    run is bit-identical to an untraced one. With a
-    non-trivial [?faults] plan the volume is formatted [~csum:true], the
-    plan is installed, and with a torn or stuck line rate up to 4
-    torn/stuck media images per fence (from [crash_views_faulty]) get
-    the graceful-handling check on top of the pure crash images. With [bit_flips > 0] a sequence that passed ends
-    with Phase B: seeded flips in up to [bit_flips] committed inode
+    Defaults: 256 KiB device, [images_per_fence ops] crash images per
+    fence, [Faults.none], zero latency, no pool (fresh device + mkfs per
+    call). [?trace] records the workload's store/flush/fence stream
+    (opened with a geometry + durable-state preamble, see
+    {!Squirrelfs.Tracing}); [?metrics] counts device and token traffic
+    and op latencies. Neither perturbs the outcome: a traced run is
+    bit-identical to an untraced one. With a non-trivial [?faults] plan
+    the volume is formatted [~csum:true], the plan is installed, and with
+    a torn or stuck line rate up to 4 torn/stuck media images per fence
+    (from [crash_views_faulty]) get the graceful-handling check on top of
+    the pure crash images. With [bit_flips > 0] a sequence that passed
+    ends with Phase B: seeded flips in up to [bit_flips] committed inode
     records, then scrub, degraded remount, quarantine and [EIO] checks,
     which fill [faults_detected], [faults_quarantined] and [eio_checks]
     ([o_sim_ns] is read before it). Fully deterministic for fixed
     arguments. *)
 
 val run_with :
-  ?max_images_per_fence:int ->
+  max_images_per_fence:int ->
   pool:Pool.t ->
   setup:Crashcheck.Workload.op list ->
   trace:Obs.Recorder.t ->
@@ -109,8 +114,8 @@ val run_with :
     through [setup] and cleanly unmounted (the pool's template, so the
     setup runs once per pool), the scheduler runs its ops on the mounted
     volume while [trace] records them. Every fence probes up to
-    [max_images_per_fence] (default 8) crash views, each of which must
-    recover to one of [legal]; the quiescent
-    volume must then equal [final] exactly, file contents included, and
-    pass a live fsck. Return values are the caller's to check:
-    [o_divergences] and the report's [ops_run] stay 0. *)
+    [max_images_per_fence] crash views ({!images_per_fence} of the ops
+    the scheduler runs), each of which must recover to one of [legal];
+    the quiescent volume must then equal [final] exactly, file contents
+    included, and pass a live fsck. Return values are the caller's to
+    check: [o_divergences] and the report's [ops_run] stay 0. *)

@@ -139,9 +139,10 @@ let checked_leg run =
 (* Run one schedule: follow [prefix]'s choices, then always pick the
    lowest-id runnable fiber, recording each abandoned alternative as a
    sibling prefix for the DFS. The run is [Exec]'s, from the
-   post-setup template: the crash oracle probes every fence against the
-   four subset states, and the quiescent volume must equal [final]. *)
-let run_schedule ?max_images pool ~legal ~final ~(ops : W.op array) ~prefix =
+   post-setup template, at the budget [Exec.images_per_fence] gives
+   [ops]: the crash oracle probes every fence against the four subset
+   states, and the quiescent volume must equal [final]. *)
+let run_schedule pool ~legal ~final ~(ops : W.op array) ~prefix =
   let fibers = Array.map (fun op -> Unstarted op) ops in
   let runnable i = match fibers.(i) with Done _ -> false | _ -> true in
   let step ctx i =
@@ -211,8 +212,9 @@ let run_schedule ?max_images pool ~legal ~final ~(ops : W.op array) ~prefix =
   in
   let fail, ssu, states, deduped =
     checked_leg (fun trace ->
-        Exec.run_with ?max_images_per_fence:max_images ~pool ~setup:Gen.setup ~trace
-          ~legal ~final run_fibers)
+        Exec.run_with
+          ~max_images_per_fence:(Exec.images_per_fence (Array.to_list ops))
+          ~pool ~setup:Gen.setup ~trace ~legal ~final run_fibers)
   in
   {
     so_schedule = List.rev !schedule;
@@ -250,8 +252,7 @@ let model_after ops =
 
 (* Explore every lock-respecting interleaving of a disjoint pair via
    DFS over schedule prefixes. *)
-let explore_disjoint ?max_images pool ~max_interleavings ~(a : W.op) ~(b : W.op) ~legal
-    ~final =
+let explore_disjoint pool ~max_interleavings ~(a : W.op) ~(b : W.op) ~legal ~final =
   let ops = [| a; b |] in
   let stack = ref [ [] ] in
   let n = ref 0 and skipped = ref 0 in
@@ -265,7 +266,7 @@ let explore_disjoint ?max_images pool ~max_interleavings ~(a : W.op) ~(b : W.op)
         if !n >= max_interleavings then incr skipped
         else begin
           incr n;
-          let out = run_schedule ?max_images pool ~legal ~final ~ops ~prefix in
+          let out = run_schedule pool ~legal ~final ~ops ~prefix in
           states := !states + out.so_states;
           deduped := !deduped + out.so_deduped;
           if !oracle_fail = None then oracle_fail := out.so_fail;
@@ -330,9 +331,7 @@ let gen_pair ~seed i =
   let m0, _ = model_after Gen.setup in
   (Gen.gen_correct rng m0, Gen.gen_correct rng m0)
 
-(* [max_images] is the disjoint schedules' budget (default 8); serial
-   legs always probe the exhaustive one. *)
-let check_pair ?max_images ~pools:(pool, epool) ~max_interleavings ~index (a, b) =
+let check_pair ~pools:(pool, epool) ~max_interleavings ~index (a, b) =
   let m0, _ = model_after Gen.setup in
   let cap0 = Ref_fs.capture m0 in
   let ma, ra = Ref_fs.apply m0 a in
@@ -351,7 +350,7 @@ let check_pair ?max_images ~pools:(pool, epool) ~max_interleavings ~index (a, b)
     match kind with
     | Disjoint ->
         let final = Ref_fs.capture mab in
-        explore_disjoint ?max_images pool ~max_interleavings ~a ~b ~final
+        explore_disjoint pool ~max_interleavings ~a ~b ~final
           ~legal:[ cap0; Ref_fs.capture ma; Ref_fs.capture mb; final ]
     | Overlapping -> serial_legs epool ~a ~b
   in
@@ -395,8 +394,7 @@ let run ?(seed = 1) ?(pairs = 50) ?(max_interleavings = 64) () =
    The mutants skip [Fsctx.fence] (they mis-order raw device stores), so
    a mutant never yields: the schedules interleave the partner's persist
    points around it. A kind's row records whether the crash oracle and
-   the SSU trace checker each flagged at least one schedule; every
-   schedule probes the exhaustive image budget. *)
+   the SSU trace checker each flagged at least one schedule. *)
 
 let buggy_pair : W.buggy_kind -> W.op * W.op = function
   | `Create -> (W.Buggy_create "/x", W.Write ("/d/f", 0, String.make 100 'q'))
@@ -411,10 +409,7 @@ let run_buggy ?(max_interleavings = 64) () =
     a_rows =
       List.mapi
         (fun i k ->
-          let pr =
-            check_pair ~max_images:Exec.exhaustive_images_per_fence ~pools ~max_interleavings
-              ~index:i (buggy_pair k)
-          in
+          let pr = check_pair ~pools ~max_interleavings ~index:i (buggy_pair k) in
           { Driver.k_kind = k; k_oracle = pr.pr_oracle_fail <> None;
             k_trace = pr.pr_ssu_fail <> None })
         W.all_buggy_kinds;

@@ -158,9 +158,7 @@ let test_clean_sweep () =
 
 (* [fuzz --enum --expect-buggy]'s leg *)
 let test_mutant_rediscovery () =
-  let cfg =
-    { E.default_cfg with E.buggy = true; max_images = Fuzzer.Exec.exhaustive_images_per_fence }
-  in
+  let cfg = { E.default_cfg with E.buggy = true } in
   let r = E.run cfg in
   Alcotest.(check bool) "reconciles" true (E.reconciles r);
   Alcotest.(check int) "alphabet gains a mutant per kind" (List.length W.alphabet + 4)

@@ -443,8 +443,7 @@ let test_repro_rejects_garbage () =
 
 (* [make fuzz-smoke]'s mutant leg *)
 let rediscovery_cfg =
-  { F.default_cfg with seed = 1; iters = 40; op_budget = 6; buggy_rate = 0.15;
-    max_images = F.Exec.exhaustive_images_per_fence }
+  { F.default_cfg with seed = 1; iters = 40; op_budget = 6; buggy_rate = 0.15 }
 
 let rediscovery = lazy (F.run rediscovery_cfg)
 
@@ -489,12 +488,9 @@ let test_reproducers_are_small () =
       if n > 6 then
         Alcotest.failf "reproducer has %d ops (> 6):%s" n
           (Format.asprintf "%a" W.pp f.F.fd_min);
-      (* each emitted reproducer must replay to a failure at the leg's
-         budget *)
-      let replay =
-        F.Exec.run ~max_images_per_fence:rediscovery_cfg.F.max_images f.F.fd_min
-      in
-      if replay.F.Exec.o_fail = None then
+      (* each emitted reproducer must replay to a failure as [fuzz
+         --replay] runs it *)
+      if (run f.F.fd_min).F.Exec.o_fail = None then
         Alcotest.failf "shrunk reproducer does not replay:%s"
           (Format.asprintf "%a" W.pp f.F.fd_min))
     r.F.r_found
@@ -579,7 +575,7 @@ let test_pinned_counts () =
       in
       Alcotest.(check (list int))
         (Printf.sprintf "mutant leg at -j %d" jobs)
-        [ 536; 2102; 6271; 81912; 12645; 230; 496; 16 ]
+        [ 536; 2102; 6271; 56871; 10733; 230; 496; 16 ]
         (r.F.r_harness.Crashcheck.Harness.workloads :: counts r
         @ [ r.F.r_shrink_runs; r.F.r_divergences ]))
     [ 1; 2 ]
