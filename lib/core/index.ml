@@ -18,6 +18,7 @@ type t = {
   slots : int Itbl.t; (* dir page -> mask of used slots; absent = none *)
   versions : int Itbl.t; (* ino -> extent-map version *)
   deaths : int Itbl.t; (* ino -> #times removed as a file *)
+  generation : int Atomic.t; (* bumped by every change [lookup]/[is_dir] see *)
   lock : Mutex.t; (* guards the tables; see the wrappers below *)
 }
 
@@ -28,6 +29,7 @@ let create () =
     slots = Itbl.create 256;
     versions = Itbl.create 64;
     deaths = Itbl.create 64;
+    generation = Atomic.make 0;
     lock = Mutex.create ();
   }
 
@@ -53,9 +55,16 @@ let dir_exn t ino =
   | Some d -> d
   | None -> invalid_arg (Printf.sprintf "Index: %d is not an indexed dir" ino)
 
+(* Only [add_dir], [insert_dentry], [remove_dentry] and [remove_dir]
+   change what [lookup] or [is_dir] answer: each bumps the generation
+   after its change, inside its wrapper's critical section. *)
+let bump t = Atomic.incr t.generation
+
 let add_dir t ino =
-  if not (Itbl.mem t.dirs ino) then
-    Itbl.add t.dirs ino { names = Hashtbl.create 8; pages = [] }
+  if not (Itbl.mem t.dirs ino) then begin
+    Itbl.add t.dirs ino { names = Hashtbl.create 8; pages = [] };
+    bump t
+  end
 
 let add_dir_page t ~dir page =
   let d = dir_exn t dir in
@@ -69,14 +78,17 @@ let dir_pages t ~dir = (dir_exn t dir).pages
 
 let insert_dentry t ~dir name ~ino loc =
   Hashtbl.replace (dir_exn t dir).names name (ino, loc);
-  slot_add t loc.page loc.slot
+  slot_add t loc.page loc.slot;
+  bump t
 
 let remove_dentry t ~dir name =
   let d = dir_exn t dir in
-  (match Hashtbl.find_opt d.names name with
-  | Some (_, loc) -> slot_remove t loc.page loc.slot
-  | None -> ());
-  Hashtbl.remove d.names name
+  match Hashtbl.find_opt d.names name with
+  | Some (_, loc) ->
+      slot_remove t loc.page loc.slot;
+      Hashtbl.remove d.names name;
+      bump t
+  | None -> ()
 
 let lookup t ~dir name =
   match Itbl.find_opt t.dirs dir with
@@ -89,6 +101,7 @@ let dentries t ~dir =
 
 let dentry_count t ~dir = Hashtbl.length (dir_exn t dir).names
 let is_dir t ino = Itbl.mem t.dirs ino
+let generation t = Atomic.get t.generation
 
 let mark_slot_used t loc = slot_add t loc.page loc.slot
 let mark_slot_free t loc = slot_remove t loc.page loc.slot
@@ -106,7 +119,11 @@ let rec first_free t = function
 
 let free_slot t ~dir = first_free t (dir_exn t dir).pages
 
-let remove_dir t ino = Itbl.remove t.dirs ino
+let remove_dir t ino =
+  if Itbl.mem t.dirs ino then begin
+    Itbl.remove t.dirs ino;
+    bump t
+  end
 
 let file_exn t ino =
   match Itbl.find_opt t.files ino with

@@ -11,8 +11,8 @@
     and that order matters — {!file_pages} feeds the allocator's
     free-page stack through truncate and unlink, so a different hash
     would move every later page number, crash image and pinned report.
-    Every entry point takes the instance's lock for one short critical
-    section. *)
+    Every entry point but {!generation} takes the instance's lock for one
+    short critical section. *)
 
 type dentry_loc = { page : int; slot : int }
 
@@ -35,6 +35,17 @@ val lookup : t -> dir:int -> string -> (int * dentry_loc) option
 val dentries : t -> dir:int -> (string * int) list
 val dentry_count : t -> dir:int -> int
 val is_dir : t -> int -> bool
+
+val generation : t -> int
+(** A counter that {!add_dir}, {!remove_dir}, {!insert_dentry} and
+    {!remove_dentry} bump inside their critical sections, after their
+    change: every change that {!lookup} or {!is_dir} can see moves it,
+    and no other call does (file pages, directory pages and slot marks
+    leave it alone). Read without the lock. A caller that reads it
+    before a series of lookups and reads the same value afterwards knows
+    that no such change completed in between, so the index still
+    answers every lookup of the series as it did. Generations of two
+    instances are unrelated: compare them on one [t] only. *)
 
 val free_slot : t -> dir:int -> dentry_loc option
 (** A dir page slot not currently holding an allocated dentry, if any of

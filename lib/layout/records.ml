@@ -91,27 +91,6 @@ module Inode = struct
     gid : int;
   }
 
-  let decode dev ~base =
-    let ino = Device.read_u64 dev (base + f_ino) in
-    if ino = 0 then None
-    else
-      match Kind.of_int (Device.read_u64 dev (base + f_kind)) with
-      | None -> None
-      | Some kind ->
-          Some
-            {
-              ino;
-              kind;
-              links = Device.read_u64 dev (base + f_links);
-              size = Device.read_u64 dev (base + f_size);
-              atime = Device.read_u64 dev (base + f_atime);
-              mtime = Device.read_u64 dev (base + f_mtime);
-              ctime = Device.read_u64 dev (base + f_ctime);
-              mode = Device.read_u64 dev (base + f_mode);
-              uid = Device.read_u64 dev (base + f_uid);
-              gid = Device.read_u64 dev (base + f_gid);
-            }
-
   let of_window buf pos =
     let ino = word buf (pos + f_ino) in
     if ino = 0 then None
@@ -132,6 +111,21 @@ module Inode = struct
               uid = word buf (pos + f_uid);
               gid = word buf (pos + f_gid);
             }
+
+  (* One window, billed as the field reads a field-by-field decoder
+     makes: the ino word, then the kind word if the ino is set, then the
+     other eight if the kind is valid. *)
+  let decode dev ~base =
+    let reads, r =
+      match Device.record_view dev ~off:base ~len:Geometry.inode_size with
+      | None -> (1, None)
+      | Some (buf, pos) -> (
+          match of_window buf pos with
+          | Some _ as r -> (10, r)
+          | None -> ((if word buf (pos + f_ino) = 0 then 1 else 2), None))
+    in
+    Device.charge_reads dev ~meta:reads ~bulk:0 ~lines:0 ~bytes:0;
+    r
 
   let is_allocated dev ~base = any_nonzero dev base Geometry.inode_size
 

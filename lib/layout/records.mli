@@ -79,7 +79,11 @@ module Inode : sig
   }
 
   val decode : Pmem.Device.t -> base:int -> t option
-  (** [None] if the record is free (ino field zero) or malformed. *)
+  (** [None] if the record is free (ino field zero) or malformed. Reads
+      the record through one {!Pmem.Device.record_view} window and bills
+      it with one {!Pmem.Device.charge_reads} as the field reads it
+      stands for: one {!Pmem.Device.read_u64} for a free record, two for
+      an invalid kind, ten for a decoded one. *)
 
   val of_window : Bytes.t -> int -> t option
   (** {!decode} over a record window. *)

@@ -2,25 +2,37 @@
 
     Lock protocol (see DESIGN.md, "Concurrent serving"):
 
-    + {e resolve} — without holding any shard, walk the volatile index
-      to collect the inode numbers the request touches (each [Index]
-      call is individually atomic, so the walk reads consistent entries
-      that may nonetheless be stale by the time locks are taken);
+    + {e resolve} — read the volatile index's generation
+      ({!Squirrelfs.Index.generation}) and the [Index.t] itself, then,
+      without holding any shard, walk the index once to collect the
+      inode numbers the request touches (each [Index] call is
+      individually atomic, so the walk reads consistent entries that
+      may nonetheless be stale by the time locks are taken);
     + {e lock} — take the shards those keys map to, in ascending shard
-      order ({!Squirrelfs.Locks.with_keys} — deadlock-free by the total
-      order);
-    + {e revalidate} — re-run the resolution under the locks; if the
-      fresh key set still maps inside the held shard set, the index
-      entries the op depends on cannot change until release, so execute;
-      otherwise drop the shards and retry with the new keys;
+      order ({!Squirrelfs.Locks.with_shards} — deadlock-free by the
+      total order);
+    + {e validate} — under the shards, the same index at the same
+      generation means no change a lookup could see has completed since
+      the walk began, so the keys are what a re-walk would return: a
+      complete resolution executes at once, and an incomplete one (a
+      dangling component) would stay incomplete on every retry, so it
+      drops the shards and takes {!Squirrelfs.Locks.with_all} at once.
+      Only a moved generation or a swapped index re-walks, under the
+      locks: if the fresh key set is complete and maps inside the held
+      shard set, the index entries the op depends on cannot change
+      until release, so execute; otherwise drop the shards and retry
+      with a fresh walk;
     + after [max_retries] failed validations, fall back to
       {!Squirrelfs.Locks.with_all} (the whole-FS lock), which trivially
       validates.
 
-    Directory renames go straight to [with_all]: the
-    into-own-subtree check walks the destination's whole ancestor
-    chain, which per-inode keys cannot name in advance (the VFS
-    [s_vfs_rename_mutex] analogue).
+    Directory renames take [with_all]: the into-own-subtree check walks
+    the destination's whole ancestor chain, which per-inode keys cannot
+    name in advance (the VFS [s_vfs_rename_mutex] analogue). Whether a
+    rename's source is a directory is read from the resolution that
+    validates its keys, so a source re-pointed at a directory while the
+    rename waits for its shards sends it to [with_all] too. Snapshots
+    always take it (see [resolution]).
 
     Shared-fence soundness under domains: the simulated device's
     [sfence] drains {e all} pending lines device-wide (unlike a real
@@ -73,29 +85,27 @@ let walk (t : t) parts =
   in
   go Layout.Geometry.root_ino parts
 
-(* (parent ino if the walk got there, target ino if it exists, lock
-   keys). Only the final parent and the target are keyed — like the
-   VFS, which locks the last component's parent, not the whole walked
-   prefix. Intermediate directories are merely read (each [Index] call
-   is atomic); a prefix going stale between resolution and execution is
-   exactly what revalidation catches, and an op that needs prefix
-   stability (directory rename) takes the whole-FS lock instead. *)
+(* (target ino if it exists, lock keys). Only the final parent and the
+   target are keyed — like the VFS, which locks the last component's
+   parent, not the whole walked prefix. Intermediate directories are
+   merely read (each [Index] call is atomic); a prefix going stale
+   between resolution and execution is exactly what validation catches,
+   and an op that needs prefix stability (directory rename) takes the
+   whole-FS lock instead. *)
 let resolve t path =
   match Vfs.Path.parent_base path with
   | Error _ ->
       (* invalid path: the op will fail without reading the index *)
-      (None, None, ([], true))
+      (None, ([], true))
   | Ok (parents, name) -> (
       match walk t parents with
-      | None -> (None, None, ([], false))
+      | None -> (None, ([], false))
       | Some dir -> (
           match Sq.Index.lookup t.ctx.Sq.Fsctx.index ~dir name with
-          | Some (ino, _) -> (Some dir, Some ino, ([ dir; ino ], true))
-          | None -> (Some dir, None, ([ dir ], true))))
+          | Some (ino, _) -> (Some ino, ([ dir; ino ], true))
+          | None -> (None, ([ dir ], true))))
 
-let resolve_keys t path =
-  let _, _, kc = resolve t path in
-  kc
+let resolve_keys t path = snd (resolve t path)
 
 let merge (k1, c1) (k2, c2) = (k1 @ k2, c1 && c2)
 
@@ -103,10 +113,10 @@ let merge (k1, c1) (k2, c2) = (k1 @ k2, c1 && c2)
    (every named path's parent directory reached). An incomplete
    resolution cannot be validated — the dangling component could appear
    concurrently after we decide not to lock it — so completeness is part
-   of the revalidation check, and persistently incomplete requests fall
-   back to the whole-FS lock, where they fail with the right errno
-   race-free. A missing {e final} component is fine: the op only needs
-   its (keyed) parent. *)
+   of the validation check, and an incomplete request whose index has
+   not changed since its walk falls back to the whole-FS lock at once,
+   where it fails with the right errno race-free. A missing {e final}
+   component is fine: the op only needs its (keyed) parent. *)
 let lock_keys t (r : Req.req) : int list * bool =
   match r with
   | Req.Create p | Req.Mkdir p | Req.Symlink (_, p) -> resolve_keys t p
@@ -129,23 +139,28 @@ let lock_keys t (r : Req.req) : int list * bool =
       match Sq.Fsctx.oft_ino t.ctx tag with
       | Some ino -> ([ ino ], true)
       | None -> ([], true))
-  (* Snapshot quiesces the whole volume (needs_global); no per-inode
+  (* Snapshot quiesces the whole volume (see [resolution]); no per-inode
      keys can name "everything". *)
   | Req.Snapshot _ -> ([], true)
 
-(* Directory renames and snapshots take the whole-FS lock: renames for
-   the ancestor-chain check, snapshots because creation quiesces to a
-   fence epoch — the captured delta view must not race any in-flight
-   mutation, so the quiescent point is "all shards held". *)
-let needs_global t (r : Req.req) =
+(* [lock_keys], plus whether the request must take the whole-FS lock:
+   a rename whose source resolves to a directory, for the ancestor-chain
+   check, and a snapshot, because creation quiesces to a fence epoch —
+   the captured delta view must not race any in-flight mutation, so the
+   quiescent point is "all shards held". A rename's source is walked
+   once, for its keys and its kind. *)
+let resolution t (r : Req.req) =
   match r with
-  | Req.Rename (src, _) -> (
-      let _, target, _ = resolve t src in
-      match target with
-      | Some ino -> Sq.Index.is_dir t.ctx.Sq.Fsctx.index ino
-      | None -> false (* will fail ENOENT; per-inode keys suffice *))
-  | Req.Snapshot _ -> true
-  | _ -> false
+  | Req.Rename (src, dst) ->
+      let target, src_keys = resolve t src in
+      let dir =
+        match target with
+        | Some ino -> Sq.Index.is_dir t.ctx.Sq.Fsctx.index ino
+        | None -> false (* will fail ENOENT; per-inode keys suffice *)
+      in
+      (merge src_keys (resolve_keys t dst), dir)
+  | Req.Snapshot _ -> (([], true), true)
+  | _ -> (lock_keys t r, false)
 
 (* {2 Execution} *)
 
@@ -182,31 +197,38 @@ let subset need held = List.for_all (fun s -> List.mem s held) need
 
 (* Run [f] with the request's locks held, per the protocol above. *)
 let with_op_locks t r f =
-  if needs_global t r then begin
+  let global () =
     Atomic.incr t.fallbacks;
     Sq.Locks.with_all t.locks f
-  end
-  else
-    let rec attempt n (keys, _) =
-      if n >= max_retries then begin
-        Atomic.incr t.fallbacks;
-        Sq.Locks.with_all t.locks f
-      end
+  in
+  let rec attempt n =
+    if n >= max_retries then global ()
+    else
+      let index = t.ctx.Sq.Fsctx.index in
+      let gen = Sq.Index.generation index in
+      let (keys, complete), dir = resolution t r in
+      if dir then global ()
       else
         let held = Sq.Locks.shard_set t.locks keys in
         let outcome =
           Sq.Locks.with_shards t.locks held (fun () ->
-              let need, complete = lock_keys t r in
-              let need = Sq.Locks.shard_set t.locks need in
-              if complete && subset need held then Some (f ()) else None)
+              if t.ctx.Sq.Fsctx.index == index && Sq.Index.generation index = gen
+              then if complete then `Ran (f ()) else `Global
+              else
+                let (need, complete), dir = resolution t r in
+                if dir then `Global
+                else if complete && subset (Sq.Locks.shard_set t.locks need) held
+                then `Ran (f ())
+                else `Retry)
         in
         match outcome with
-        | Some v -> v
-        | None ->
+        | `Ran v -> v
+        | `Global -> global ()
+        | `Retry ->
             Atomic.incr t.retries;
-            attempt (n + 1) (lock_keys t r)
-    in
-    attempt 0 (lock_keys t r)
+            attempt (n + 1)
+  in
+  attempt 0
 
 let submit t ~client ~seq (r : Req.req) : Req.reply =
   with_op_locks t r (fun () ->

@@ -30,7 +30,7 @@
    Locking: none here. Quiescence means no op may be mid-flight between
    our fence and our capture, so a multi-domain caller serializes every
    entry point against all other ops itself — the server runs snapshot
-   requests under its whole-FS lock ([Serve.Engine.needs_global]); the
+   requests under its whole-FS lock ([Serve.Engine.with_op_locks]); the
    CLI, fuzzer, bench and tests are single-domain. *)
 
 module Device = Pmem.Device

@@ -87,10 +87,13 @@ let test_engine_ops () =
   | Error Vfs.Errno.ENOENT -> ()
   | _ -> Alcotest.fail "unlink missing");
   (* dangling-path requests take the whole-FS fallback and still fail
-     with the right errno *)
+     with the right errno; with the index unchanged since the walk, a
+     retry would walk to the same dangling component, so none is made *)
   (match submit eng (Serve.Req.Create "/nosuch/deep/f") with
   | Error Vfs.Errno.ENOENT -> ()
   | _ -> Alcotest.fail "create under missing dir");
+  Alcotest.(check (pair int int)) "retries, fallbacks" (0, 1)
+    (Serve.Engine.retry_count eng, Serve.Engine.fallback_count eng);
   Alcotest.(check bool) "stamps issued" true (Serve.Engine.stamps_issued eng >= 8)
 
 let test_engine_stamps_monotone () =
@@ -228,6 +231,65 @@ let test_rename_deadlock_regression () =
   Device.set_shared dev false;
   (* both domains completed: no deadlock; tree still sane *)
   Alcotest.(check (list string)) "fsck clean" [] (Sq.Fsck.check (Serve.Engine.(fun t -> t.ctx) eng))
+
+(* {1 Requests that wait on a changing directory}
+
+   One domain holds a directory's shard through the engine's own lock
+   table and changes the directory through [Squirrelfs] directly, while
+   the other domain's request waits for that shard (or, if it starts
+   late, walks the changed directory). Either ordering must give the
+   request the answer and the locks of the directory it finds. *)
+
+let ino_of ctx ~dir name =
+  match Sq.Index.lookup ctx.Sq.Fsctx.index ~dir name with
+  | Some (ino, _) -> ino
+  | None -> Alcotest.failf "no %s in %d" name dir
+
+(* Run [req] on a second domain while this one holds [dir]'s shard and
+   runs [change]; the request's reply. *)
+let race_shard eng ~dir req change =
+  let waiter =
+    Locks.with_keys eng.Serve.Engine.locks [ dir ] (fun () ->
+        let d = Domain.spawn (fun () -> submit eng req) in
+        Unix.sleepf 0.05;
+        change ();
+        d)
+  in
+  Domain.join waiter
+
+(* The source of a rename is replaced by a directory while the rename
+   waits for its parent's shard: the ancestor-chain check needs the
+   whole-FS lock, so the rename must take it. *)
+let test_rename_source_turns_dir () =
+  let dev, ctx, eng = mk_engine () in
+  List.iter (fun r -> ok_ (submit eng r))
+    Serve.Req.[ Mkdir "/p"; Mkdir "/q"; Create "/p/s" ];
+  let p = ino_of ctx ~dir:Layout.Geometry.root_ino "p" in
+  let before = Serve.Engine.fallback_count eng in
+  Device.set_shared dev true;
+  let reply =
+    race_shard eng ~dir:p (Serve.Req.Rename ("/p/s", "/q/s")) (fun () ->
+        ok (Sq.unlink ctx "/p/s");
+        ok (Sq.mkdir ctx "/p/s"))
+  in
+  Device.set_shared dev false;
+  ok_ reply;
+  Alcotest.(check int) "took the whole-FS lock" (before + 1) (Serve.Engine.fallback_count eng);
+  Alcotest.(check bool) "moved the directory" true
+    (Sq.Index.is_dir ctx.Sq.Fsctx.index (ino_of ctx ~dir:(ino_of ctx ~dir:Layout.Geometry.root_ino "q") "s"))
+
+(* A stat waits for its directory's shard while the file is unlinked. *)
+let test_stat_waits_for_unlink () =
+  let dev, ctx, eng = mk_engine () in
+  List.iter (fun r -> ok_ (submit eng r)) Serve.Req.[ Mkdir "/d"; Create "/d/f" ];
+  let d = ino_of ctx ~dir:Layout.Geometry.root_ino "d" in
+  Device.set_shared dev true;
+  let reply = race_shard eng ~dir:d (Serve.Req.Stat "/d/f") (fun () -> ok (Sq.unlink ctx "/d/f")) in
+  Device.set_shared dev false;
+  match reply with
+  | Error Vfs.Errno.ENOENT -> ()
+  | Ok _ -> Alcotest.fail "stat of an unlinked file succeeded"
+  | Error e -> Alcotest.failf "stat replied %s" (Vfs.Errno.to_string e)
 
 (* {1 Token cells across domains}
 
@@ -410,6 +472,8 @@ let () =
           ("op surface round-trips", `Quick, test_engine_ops);
           ("stamps monotone", `Quick, test_engine_stamps_monotone);
           ("rename deadlock regression", `Quick, test_rename_deadlock_regression);
+          ("rename source turns into a directory", `Quick, test_rename_source_turns_dir);
+          ("stat waits for an unlink", `Quick, test_stat_waits_for_unlink);
           ("token cells across two domains", `Quick, test_token_cells_two_domains);
           QCheck_alcotest.to_alcotest prop_linearizable;
         ] );

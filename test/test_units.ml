@@ -466,6 +466,115 @@ let prop_index_free_slot_matches_model =
         steps;
       true)
 
+(* {1 Index generation}
+
+   The server's lock protocol trusts keys walked at an unchanged
+   generation, so every change a [lookup] or [is_dir] answer can show
+   must move it; file-page, directory-page and slot changes must not,
+   so data writes never force a re-walk. Each step is applied (a step on
+   an unindexed directory or file raises and changes nothing), then
+   every lookup over a fixed universe of directories and names and
+   every [is_dir] over a fixed range of inode numbers is probed. *)
+
+type gen_step =
+  | Add_dir of int
+  | Remove_dir of int
+  | Insert_dentry of int * string * int * int (* dir, name, ino, slot *)
+  | Remove_dentry of int * string
+  | Add_dir_page of int * int (* dir, page *)
+  | Slot_used of int * int (* page, slot *)
+  | Slot_free of int * int
+  | Add_file of int
+  | Add_file_page of int * int * int (* ino, offset, page *)
+  | Remove_file_page of int * int
+  | Remove_file of int
+
+let pp_gen_step = function
+  | Add_dir d -> Printf.sprintf "add_dir %d" d
+  | Remove_dir d -> Printf.sprintf "remove_dir %d" d
+  | Insert_dentry (d, n, i, s) -> Printf.sprintf "insert_dentry %d %s ino %d slot %d" d n i s
+  | Remove_dentry (d, n) -> Printf.sprintf "remove_dentry %d %s" d n
+  | Add_dir_page (d, p) -> Printf.sprintf "add_dir_page %d %d" d p
+  | Slot_used (p, s) -> Printf.sprintf "mark_slot_used (%d,%d)" p s
+  | Slot_free (p, s) -> Printf.sprintf "mark_slot_free (%d,%d)" p s
+  | Add_file i -> Printf.sprintf "add_file %d" i
+  | Add_file_page (i, o, p) -> Printf.sprintf "add_file_page %d @%d = %d" i o p
+  | Remove_file_page (i, o) -> Printf.sprintf "remove_file_page %d @%d" i o
+  | Remove_file i -> Printf.sprintf "remove_file %d" i
+
+let gen_inos = List.init 6 (fun i -> i + 1)
+let gen_names = [ "n0"; "n1"; "n2" ]
+
+let gen_steps =
+  let open QCheck.Gen in
+  let ino = int_range 1 6 and name = oneofl gen_names and small = int_bound 3 in
+  let step =
+    frequency
+      [
+        (2, map (fun d -> Add_dir d) ino);
+        (1, map (fun d -> Remove_dir d) ino);
+        (4, map2 (fun (d, n) (i, s) -> Insert_dentry (d, n, i, s)) (pair ino name) (pair ino small));
+        (2, map2 (fun d n -> Remove_dentry (d, n)) ino name);
+        (1, map2 (fun d p -> Add_dir_page (d, p)) ino small);
+        (1, map2 (fun p s -> Slot_used (p, s)) small small);
+        (1, map2 (fun p s -> Slot_free (p, s)) small small);
+        (1, map (fun i -> Add_file i) ino);
+        (2, map3 (fun i o p -> Add_file_page (i, o, p)) ino small small);
+        (1, map2 (fun i o -> Remove_file_page (i, o)) ino small);
+        (1, map (fun i -> Remove_file i) ino);
+      ]
+  in
+  QCheck.make
+    ~print:(fun l -> String.concat "; " (List.map pp_gen_step l))
+    ~shrink:QCheck.Shrink.list
+    (list_size (int_range 1 60) step)
+
+let prop_index_generation =
+  QCheck.Test.make ~count:500 ~name:"generation moves with every lookup or is_dir change"
+    gen_steps (fun steps ->
+      let idx = Index.create () in
+      let probe () =
+        ( List.concat_map
+            (fun dir -> List.map (fun name -> Index.lookup idx ~dir name) gen_names)
+            gen_inos,
+          List.map (Index.is_dir idx) gen_inos )
+      in
+      let apply = function
+        | Add_dir d -> Index.add_dir idx d
+        | Remove_dir d -> Index.remove_dir idx d
+        | Insert_dentry (dir, name, ino, slot) ->
+            Index.insert_dentry idx ~dir name ~ino { Index.page = ino; slot }
+        | Remove_dentry (dir, name) -> Index.remove_dentry idx ~dir name
+        | Add_dir_page (dir, page) -> Index.add_dir_page idx ~dir page
+        | Slot_used (page, slot) -> Index.mark_slot_used idx { Index.page; slot }
+        | Slot_free (page, slot) -> Index.mark_slot_free idx { Index.page; slot }
+        | Add_file ino -> Index.add_file idx ino
+        | Add_file_page (ino, offset, page) -> Index.add_file_page idx ~ino ~offset page
+        | Remove_file_page (ino, offset) -> Index.remove_file_page idx ~ino ~offset
+        | Remove_file ino -> Index.remove_file idx ino
+      in
+      let invisible = function
+        | Add_dir _ | Remove_dir _ | Insert_dentry _ | Remove_dentry _ -> false
+        | Add_dir_page _ | Slot_used _ | Slot_free _ | Add_file _ | Add_file_page _
+        | Remove_file_page _ | Remove_file _ ->
+            true
+      in
+      ignore
+        (List.fold_left
+           (fun (seen, gen) step ->
+             (try apply step with Invalid_argument _ -> ());
+             let now = probe () and gen' = Index.generation idx in
+             if now <> seen && gen' = gen then
+               QCheck.Test.fail_reportf "after %s: an answer changed, generation stayed %d"
+                 (pp_gen_step step) gen;
+             if invisible step && gen' <> gen then
+               QCheck.Test.fail_reportf "after %s: generation moved %d -> %d" (pp_gen_step step)
+                 gen gen';
+             (now, gen'))
+           (probe (), Index.generation idx)
+           steps);
+      true)
+
 (* {1 The table decoder}
 
    [Scan.decode] must agree, on every backed slot, with the per-field
@@ -529,6 +638,32 @@ let scribble rng (g : G.t) img n =
         done
   done
 
+(* The field-by-field inode reader that [R.Inode.decode]'s one window
+   replaced: ten [read_u64]s for a decoded record, fewer for a free one
+   or an invalid kind. The reference for [Scan.decode]'s inode fields
+   and for [R.Inode.decode]'s value and bill. *)
+let inode_by_fields dev ~base =
+  let field f = Device.read_u64 dev (base + f) in
+  let ino = field R.Inode.f_ino in
+  if ino = 0 then None
+  else
+    match R.Kind.of_int (field R.Inode.f_kind) with
+    | None -> None
+    | Some kind ->
+        Some
+          {
+            R.Inode.ino;
+            kind;
+            links = field R.Inode.f_links;
+            size = field R.Inode.f_size;
+            atime = field R.Inode.f_atime;
+            mtime = field R.Inode.f_mtime;
+            ctime = field R.Inode.f_ctime;
+            mode = field R.Inode.f_mode;
+            uid = field R.Inode.f_uid;
+            gid = field R.Inode.f_gid;
+          }
+
 let decoder_agrees dev =
   let g = (Option.get (R.Superblock.read dev)).R.Superblock.geometry in
   let dec = Scan.decode dev g in
@@ -543,7 +678,7 @@ let decoder_agrees dev =
     if backed base G.inode_size && R.Inode.is_allocated dev ~base then begin
       if !k >= Array.length dec.inos || dec.inos.(!k) <> ino then fail "inode %d: not listed" ino;
       let got = dec.inodes.(!k) in
-      (match R.Inode.decode dev ~base with
+      (match inode_by_fields dev ~base with
       | Some r -> if got <> r then fail "inode %d: fields differ" ino
       | None -> if got != Scan.undecodable_inode then fail "inode %d: decoded" ino);
       if dec.ino_words.(!k) <> Device.read_u64 dev (base + R.Inode.f_ino) then
@@ -600,6 +735,41 @@ let prop_decoder_matches_readers =
       let g = G.compute ~device_size:(Bytes.length img) in
       scribble rng g img n;
       decoder_agrees (Device.of_image img))
+
+(* [R.Inode.decode] reads one window and bills it in one call: on an
+   allocated record, a free one, an invalid kind and an unbacked chunk
+   it answers what the field-by-field reader answers, and moves the
+   clock, [reads] and [bytes_read] exactly as far. *)
+let test_inode_decode_matches_fields () =
+  let dev = Device.create ~latency:Pmem.Latency.optane ~size:(1024 * 1024) () in
+  let g = G.compute ~device_size:(1024 * 1024) in
+  let put ino f v = Device.store_u64 dev (G.inode_off g ~ino + f) v in
+  List.iteri (fun i f -> put 3 f (100 + i))
+    R.Inode.[ f_links; f_size; f_atime; f_mtime; f_ctime; f_mode; f_uid; f_gid ];
+  put 3 R.Inode.f_ino 3;
+  put 3 R.Inode.f_kind (R.Kind.to_int R.Kind.File);
+  put 5 R.Inode.f_ino 5;
+  put 5 R.Inode.f_kind 7;
+  put 5 R.Inode.f_links 1;
+  let unbacked = g.G.inode_count in
+  let base ino = G.inode_off g ~ino in
+  Alcotest.(check bool) "the last inode's chunk is unbacked" true
+    (Device.record_view dev ~off:(base unbacked) ~len:G.inode_size = None);
+  let billed decode ino =
+    let st = Device.stats dev in
+    let t0 = Device.now_ns dev and r0 = st.reads and b0 = st.bytes_read in
+    let r = decode dev ~base:(base ino) in
+    (r, (Device.now_ns dev - t0, st.reads - r0, st.bytes_read - b0))
+  in
+  List.iter
+    (fun (what, ino) ->
+      let want, want_bill = billed inode_by_fields ino in
+      let got, got_bill = billed R.Inode.decode ino in
+      Alcotest.(check bool) (what ^ ": value") true (got = want);
+      Alcotest.(check (triple int int int)) (what ^ ": ns, reads, bytes") want_bill got_bill)
+    [ ("allocated", 3); ("free", 4); ("invalid kind", 5); ("unbacked", unbacked) ];
+  Alcotest.(check bool) "the allocated record decodes" true
+    (Option.is_some (R.Inode.decode dev ~base:(base 3)))
 
 (* A borrowed device's decode is remembered until its content changes;
    a live device's never is. *)
@@ -676,6 +846,7 @@ let () =
           ("dentry roundtrip", `Quick, test_dentry_record_roundtrip);
           ("superblock roundtrip", `Quick, test_superblock_roundtrip);
           QCheck_alcotest.to_alcotest prop_decoder_matches_readers;
+          ("inode decode bills as its field reads", `Quick, test_inode_decode_matches_fields);
           ("decode shared on views", `Quick, test_decode_shared_on_views);
           QCheck_alcotest.to_alcotest prop_window_nonzero;
           ("window_nonzero bounds", `Quick, test_window_nonzero_bounds);
@@ -688,5 +859,9 @@ let () =
           QCheck_alcotest.to_alcotest prop_token_distinct_ids_independent;
           QCheck_alcotest.to_alcotest prop_token_cells_match_tables;
         ] );
-      ("index", [ QCheck_alcotest.to_alcotest prop_index_free_slot_matches_model ]);
+      ( "index",
+        [
+          QCheck_alcotest.to_alcotest prop_index_free_slot_matches_model;
+          QCheck_alcotest.to_alcotest prop_index_generation;
+        ] );
     ]
