@@ -143,9 +143,10 @@ scaling: build
 # Paired comparison against a reference commit, not part of `make check`,
 # and the one way to append to the committed perf trajectory: 10
 # alternating pairs of BENCHMARK.json's run length per workload, the
-# working tree against a temporary local `git worktree` of REF, with
-# medians, quartiles, ratios and pairs won printed and appended to
-# BENCH_history.jsonl. WORKLOAD= picks one workload, SEED= another seed.
+# working tree against a temporary `git archive` export of REF (.git is
+# left untouched), with medians, quartiles, ratios and pairs won printed
+# and appended to BENCH_history.jsonl. WORKLOAD= picks one workload,
+# SEED= another seed.
 bench-pairs:
 	@test -n "$(REF)" || { echo "usage: make bench-pairs REF=<rev> [WORKLOAD=name] [SEED=n]"; exit 2; }
 	python3 tools/bench_pairs.py --ref "$(REF)" $(if $(WORKLOAD),--workload $(WORKLOAD)) \

@@ -101,20 +101,36 @@ let free_inode t ino =
   t.ino_stack <- ino :: t.ino_stack;
   t.ino_free <- t.ino_free + 1
 
-let reserve_inode t ino =
-  match Imap.find_last_opt (fun s -> s <= ino) t.ino_runs with
-  | Some (s, l) when ino < s + l ->
-      t.ino_runs <- Imap.remove s t.ino_runs;
-      if ino > s then t.ino_runs <- Imap.add s (ino - s) t.ino_runs;
-      if s + l - (ino + 1) > 0 then
-        t.ino_runs <- Imap.add (ino + 1) (s + l - (ino + 1)) t.ino_runs;
-      t.ino_free <- t.ino_free - 1
-  | _ ->
-      if List.mem ino t.ino_stack then begin
-        t.ino_stack <- List.filter (fun i -> i <> ino) t.ino_stack;
-        t.ino_free <- t.ino_free - 1
-      end
-      else invalid_arg "Core.Alloc.reserve_inode: inode is not free"
+(* The runs of [runs] with ascending, distinct [items] carved out, as
+   carving each in turn leaves them. *)
+let carve_ascending what runs items =
+  let rec go acc runs items =
+    match (runs, items) with
+    | _, [] -> List.rev_append acc runs
+    | (s, l) :: rest, i :: items' ->
+        if i >= s + l then go ((s, l) :: acc) rest items
+        else if i < s then invalid_arg what
+        else
+          let acc = if i > s then (s, i - s) :: acc else acc in
+          if s + l > i + 1 then go acc ((i + 1, s + l - (i + 1)) :: rest) items'
+          else go acc rest items'
+    | [], _ :: _ -> invalid_arg what
+  in
+  go [] (Imap.bindings runs) items
+
+(* Carve the live objects a mount finds out of the run maps, in one
+   pass over each: [inos] and [pages] ascending and distinct. The stack
+   of freed inodes must be empty, as it is while a mount rebuilds. *)
+let reserve t ~inos ~pages =
+  if t.ino_stack <> [] then invalid_arg "Core.Alloc.reserve: freed inodes";
+  let ino_runs = carve_ascending "Core.Alloc.reserve: inode is not free" t.ino_runs inos in
+  t.ino_runs <- Imap.of_seq (List.to_seq ino_runs);
+  t.ino_free <- t.ino_free - List.length inos;
+  let runs = carve_ascending "Core.Alloc.reserve: page is not free" t.runs pages in
+  t.runs <- Imap.of_seq (List.to_seq runs);
+  t.by_len <- Imap.empty;
+  List.iter (fun (start, len) -> by_len_add t ~start ~len) runs;
+  t.run_pages <- t.run_pages - List.length pages
 
 (* {1 Pages} *)
 
@@ -138,11 +154,6 @@ let free_page t page =
   t.stack_size <- t.stack_size + 1
 
 (* Remove one specific page from whatever run contains it. *)
-let reserve_page t page =
-  match Imap.find_last_opt (fun s -> s <= page) t.runs with
-  | Some (s, l) when page < s + l -> run_carve t ~start:s ~len:l ~want:page ~n:1
-  | _ -> invalid_arg "Core.Alloc.reserve_page: page is not free"
-
 let free_page_count t = t.run_pages + t.stack_size
 let free_inode_count t = t.ino_free
 
@@ -228,8 +239,7 @@ let locked t f = Mutex.protect t.lock f
 
 let alloc_inode t = locked t (fun () -> alloc_inode t)
 let free_inode t ino = locked t (fun () -> free_inode t ino)
-let reserve_inode t ino = locked t (fun () -> reserve_inode t ino)
-let reserve_page t page = locked t (fun () -> reserve_page t page)
+let reserve t ~inos ~pages = locked t (fun () -> reserve t ~inos ~pages)
 let alloc_page t = locked t (fun () -> alloc_page t)
 let free_page t page = locked t (fun () -> free_page t page)
 let alloc_extent ?align t n = locked t (fun () -> alloc_extent ?align t n)

@@ -6,8 +6,8 @@
     modelled.
 
     Free space is kept as maximal runs with a by-length index:
-    population is O(1) from geometry, single-page allocation and
-    {!reserve_page}/{!reserve_inode} are O(log runs), and contiguous
+    population is O(1) from geometry, single-page allocation is
+    O(log runs), a mount's {!reserve} one pass, and contiguous
     (optionally aligned) extents are carved directly from the run
     index. Freed pages go to one LIFO stack, freed inode numbers to
     another. *)
@@ -16,14 +16,14 @@ type t
 
 val populated : Layout.Geometry.t -> t
 (** Allocator with every inode (except the root) and every page free,
-    in O(1): one run each. Carve out live objects with
-    {!reserve_inode}/{!reserve_page}. *)
+    in O(1): one run each. Carve out live objects with {!reserve}. *)
 
-val reserve_inode : t -> int -> unit
-val reserve_page : t -> int -> unit
-(** Remove one currently-free object from the allocator (the mount
-    rebuild: start fully free, reserve what the scan finds live).
-    O(log runs); raises [Invalid_argument] if not free. *)
+val reserve : t -> inos:int list -> pages:int list -> unit
+(** Remove currently-free inode numbers and pages, each list ascending
+    and distinct, from the allocator (the mount rebuild: start fully
+    free, reserve what the scan finds live), in one pass over the run
+    maps: O(runs + objects). Raises [Invalid_argument] if one is not
+    free in the runs, or if freed inode numbers are stacked. *)
 
 val alloc_inode : t -> int option
 (** Freed numbers first (LIFO), then the never-used ones ascending. *)

@@ -22,13 +22,16 @@ type t = {
   lock : Mutex.t; (* guards the tables; see the wrappers below *)
 }
 
+(* The top-level tables start small (every crash view's mount makes
+   an index); only [footprint_bytes] folds them, into a sum, so their
+   sizes decide no order. *)
 let create () =
   {
-    dirs = Itbl.create 64;
-    files = Itbl.create 64;
-    slots = Itbl.create 256;
-    versions = Itbl.create 64;
-    deaths = Itbl.create 64;
+    dirs = Itbl.create 16;
+    files = Itbl.create 16;
+    slots = Itbl.create 16;
+    versions = Itbl.create 16;
+    deaths = Itbl.create 16;
     generation = Atomic.make 0;
     lock = Mutex.create ();
   }
@@ -214,6 +217,16 @@ let footprint_bytes t =
    nesting, so a plain [Mutex] is enough). *)
 
 let locked t f = Mutex.protect t.lock f
+
+module Load = struct
+  let add_dir = add_dir
+  let add_dir_page = add_dir_page
+  let add_file = add_file
+  let add_file_page = add_file_page
+  let insert_dentry = insert_dentry
+end
+
+let load = locked
 
 let add_dir t ino = locked t (fun () -> add_dir t ino)
 let add_dir_page t ~dir page = locked t (fun () -> add_dir_page t ~dir page)

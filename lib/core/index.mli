@@ -89,3 +89,19 @@ val file_deaths : t -> int -> int
 val footprint_bytes : t -> int
 (** Approximate DRAM footprint using the paper's accounting: 24 bytes per
     file page entry, ~250 bytes per directory entry. *)
+
+(** {1 Loading}
+
+    A mount fills a fresh index with one critical section: [load t f]
+    runs [f] holding the instance's lock, and [f] calls the entry points
+    of {!Load}, which take no lock. Nothing else may call those. *)
+
+val load : t -> (unit -> 'a) -> 'a
+
+module Load : sig
+  val add_dir : t -> int -> unit
+  val add_dir_page : t -> dir:int -> int -> unit
+  val add_file : t -> int -> unit
+  val add_file_page : t -> ino:int -> offset:int -> int -> unit
+  val insert_dentry : t -> dir:int -> string -> ino:int -> dentry_loc -> unit
+end

@@ -78,28 +78,54 @@ let quarantined_free (quar : Q.t) (dec : Scan.t) =
     ([], 0) (Q.to_list quar)
 
 (* Rebuild all volatile state from one decode; if [recover], also repair
-   the volume. *)
+   the volume. Inodes are numbered by their positions in the decode
+   ([dec.inos], then the quarantine's free slots), descriptors and
+   dentries by theirs, and every set and map over them is an array.
+   Where recovery stores for several inodes or owners in turn, it stores
+   in the order hash tables of them once listed them ([Scan.table_order]
+   of the inodes as pass 1 found them, of the owners as their pages were
+   met), so every device sees the same stores in the same order. *)
 let rebuild_decoded (ctx : Fsctx.t) (dec : Scan.t) ~recover =
   let dev = ctx.dev and geo = ctx.geo in
   let st = ref Fsctx.{ no_recovery with recovered = recover } in
   let bump f = st := f !st in
-  (* what the allocator pass at the end needs, so that the decode itself
-     is garbage once the index is built *)
   let inos = dec.inos and pages = dec.pages in
+  let n = Array.length inos in
   let inode_slots = Scan.inode_slots dec and desc_slots = Scan.desc_slots dec in
   let root_backed = Scan.inode_backed dec Geometry.root_ino in
   let q_free_inos, q_free_pages = quarantined_free ctx.quar dec in
+  let q_free = Array.of_list q_free_inos in
+  let npos = n + Array.length q_free in
+  let ino_at k = if k < n then inos.(k) else q_free.(k - n) in
+  (* the position of an inode number the decode did not place *)
+  let qpos ino =
+    let rec find i =
+      if i >= Array.length q_free then -1 else if q_free.(i) = ino then n + i else find (i + 1)
+    in
+    find 0
+  in
+  let pos ino =
+    let k = Scan.ino_index dec ino in
+    if k >= 0 then k else qpos ino
+  in
+  (* the position of dentry [j]'s inode *)
+  let tpos j =
+    let k = dec.dent_ino_pos.(j) in
+    if k >= 0 then k else qpos dec.dent_inos.(j)
+  in
+  let mark set k = if k >= 0 then Bytes.set set k '\001' in
+  let marked set k = k >= 0 && Bytes.get set k <> '\000' in
   (* Recovery's frees, remembered so the allocator pass reserves what is
      still allocated without reading the tables again. *)
-  let freed_inodes = Hashtbl.create 8 and freed_pages = Hashtbl.create 8 in
+  let freed_inodes = Bytes.make n '\000' and freed_pages = Bytes.make (Array.length pages) '\000' in
   let zero_inode ino =
     zero_persist dev ~off:(Geometry.inode_off geo ~ino) ~len:Geometry.inode_size;
-    Hashtbl.replace freed_inodes ino ();
+    mark freed_inodes (Scan.ino_index dec ino);
     bump (fun s -> Fsctx.{ s with orphan_inodes = s.orphan_inodes + 1 })
   in
   let zero_desc page =
     zero_persist dev ~off:(Geometry.desc_off geo ~page) ~len:Geometry.desc_size;
-    Hashtbl.replace freed_pages page ();
+    mark freed_pages (Scan.page_index dec page);
     bump (fun s -> Fsctx.{ s with orphan_pages = s.orphan_pages + 1 })
   in
 
@@ -109,7 +135,13 @@ let rebuild_decoded (ctx : Fsctx.t) (dec : Scan.t) ~recover =
      Ledger: every backed slot's ino word, its kind word when the ino is
      nonzero, its 8 other fields when it decodes, and an allocation test
      unless it decodes with its own ino or is quarantined. *)
-  let attrs : (int, R.Inode.t) Hashtbl.t = Hashtbl.create (Array.length inos) in
+  let attr = Array.make npos Scan.undecodable_inode and has_attr = Bytes.make npos '\000' in
+  let attr_keys = ref [] in
+  let set_attr k r =
+    attr.(k) <- r;
+    mark has_attr k;
+    attr_keys := ino_at k :: !attr_keys
+  in
   let synthesized ino =
     {
       R.Inode.ino;
@@ -132,21 +164,28 @@ let rebuild_decoded (ctx : Fsctx.t) (dec : Scan.t) ~recover =
       if dec.ino_words.(k) <> 0 then incr meta;
       if r != Scan.undecodable_inode then meta := !meta + 8;
       if r.ino = ino then begin
-        Hashtbl.replace attrs ino r;
+        set_attr k r;
         decr tests
       end
       else if Q.mem_ino ctx.quar ino then begin
-        Hashtbl.replace attrs ino (synthesized ino);
+        set_attr k (synthesized ino);
         decr tests
       end
       else garbage_inodes := ino :: !garbage_inodes)
     inos;
-  List.iter
-    (fun ino ->
-      Hashtbl.replace attrs ino (synthesized ino);
+  Array.iteri
+    (fun i ino ->
+      set_attr (n + i) (synthesized ino);
       decr tests)
-    q_free_inos;
+    q_free;
   bill dev ~meta:!meta [ (!tests, Geometry.inode_size) ];
+  let attr_keys = List.rev !attr_keys in
+  (* the order a table of [attr_keys] made with [n] buckets listed *)
+  let in_attrs_order items = Scan.in_table_order ~size:n attr_keys items in
+  let attr_of ino =
+    let k = pos ino in
+    if marked has_attr k then Some attr.(k) else None
+  in
 
   (* Pass 2: page descriptor table. Ledger: every backed slot's
      allocation test; its kind word, and its other three when it
@@ -166,31 +205,30 @@ let rebuild_decoded (ctx : Fsctx.t) (dec : Scan.t) ~recover =
      replacement supersedes the page it points at; recovery frees the old
      page and clears the pointer. An uncommitted replacement (ino = 0)
      falls into the garbage path below and is rolled back. An
-     undecodable descriptor reads as ino 0. *)
-  let killed_pages : (int, unit) Hashtbl.t = Hashtbl.create 8 in
+     undecodable descriptor reads as ino 0. A pointer out of range is
+     left set. *)
+  let killed_pages = Bytes.make (Array.length pages) '\000' in
   Array.iteri
     (fun k page ->
-      match dec.descs.(k) with
-      | { R.Desc.ino; replaces; _ }
-        when ino <> 0
-             && replaces <> 0
-             && replaces - 1 < geo.page_count
-             && not (Q.mem_page ctx.quar page) ->
-          let old = replaces - 1 in
-          Hashtbl.replace killed_pages old ();
-          if recover then begin
-            zero_desc old;
-            persist_u64 dev
-              (Geometry.desc_off geo ~page + R.Desc.f_replaces)
-              0
-          end
-      | _ -> ())
+      let d = dec.descs.(k) in
+      if d.ino <> 0 && not (Q.mem_page ctx.quar page) then
+        match R.Desc.replaced geo d with
+        | Some old ->
+            mark killed_pages (Scan.page_index dec old);
+            if recover then begin
+              zero_desc old;
+              persist_u64 dev
+                (Geometry.desc_off geo ~page + R.Desc.f_replaces)
+                0
+            end
+        | None -> ())
     pages;
   bill dev ~meta:0 [ (!retests, Geometry.desc_size) ];
-  let owned : (int, (R.Desc.page_kind * int * int) list ref) Hashtbl.t =
-    Hashtbl.create (Array.length inos)
-  in
-  (* owner ino -> (kind, offset, page) list *)
+  (* What each owner owns, as (kind, offset, position in [pages]), newest
+     first: by position for the inodes numbered above, in [foreign] for
+     any other backpointer. [owner_keys] lists every owner as its first
+     page was met. *)
+  let owned = Array.make npos [] and foreign = ref [] and owner_keys = ref [] in
   let garbage_descs = ref [] in
   Array.iteri
     (fun k page ->
@@ -199,53 +237,67 @@ let rebuild_decoded (ctx : Fsctx.t) (dec : Scan.t) ~recover =
         match dec.descs.(k) with
         | d when d == Scan.undecodable_desc ->
             (* garbage, unless the replacement pass just zeroed it *)
-            if not (Hashtbl.mem freed_pages page) then
+            if not (marked freed_pages k) then
               garbage_descs := page :: !garbage_descs
         | { ino; kind; offset; replaces = _ }
-          when ino <> 0 && not (Hashtbl.mem killed_pages page) ->
-            let l =
-              match Hashtbl.find_opt owned ino with
-              | Some l -> l
-              | None ->
-                  let l = ref [] in
-                  Hashtbl.replace owned ino l;
-                  l
+          when ino <> 0 && not (marked killed_pages k) -> (
+            let o =
+              let o = dec.desc_ino_pos.(k) in
+              if o >= 0 then o else qpos ino
             in
-            l := (kind, offset, page) :: !l
+            if o >= 0 then begin
+              if owned.(o) = [] then owner_keys := ino :: !owner_keys;
+              owned.(o) <- (kind, offset, k) :: owned.(o)
+            end
+            else
+              match List.assoc_opt ino !foreign with
+              | Some l -> l := (kind, offset, k) :: !l
+              | None ->
+                  owner_keys := ino :: !owner_keys;
+                  foreign := (ino, ref [ (kind, offset, k) ]) :: !foreign)
         | { ino; _ } when ino <> 0 -> () (* superseded by a replacer *)
         | _ -> garbage_descs := page :: !garbage_descs)
     pages;
+  let owner_keys = List.rev !owner_keys in
+  let owned_by ino =
+    let o = pos ino in
+    if o >= 0 then owned.(o)
+    else match List.assoc_opt ino !foreign with Some l -> !l | None -> []
+  in
 
   (* Pass 3: directory pages -> raw dentries. A raw dentry is an index
      [j] into the decode; [dir_of.(j)] is its directory, or -1 if its
      page is not a directory page of a valid, unquarantined directory.
+     [dir_pages.(k)] is such a directory's (offset, page position) list.
      Ledger: every slot of every page read, and each nonzero slot's name
      and two words. *)
   let dir_of = Array.make (Array.length dec.dent_inos) (-1) in
-  let dir_pages_of : (int, (int * int) list) Hashtbl.t = Hashtbl.create 16 in
-  (* dir ino -> (offset, page) list *)
+  let dir_at = Array.make (Array.length dec.dent_inos) (-1) in
+  let dir_pages = Array.make npos [] in
   let pages_read = ref 0 and names_read = ref 0 in
-  Hashtbl.iter
-    (fun ino l ->
-      match Hashtbl.find_opt attrs ino with
-      | Some r when r.kind = R.Kind.Dir && not (Q.mem_ino ctx.quar ino) ->
-          let pages =
-            List.filter_map
-              (function
-                | R.Desc.Dirpage, offset, page -> Some (offset, page)
-                | R.Desc.Data, _, _ -> None)
-              !l
-          in
-          Hashtbl.replace dir_pages_of ino pages;
-          List.iter
-            (fun (_, page) ->
-              incr pages_read;
-              Scan.iter_dentries dec ~page (fun j ->
-                  incr names_read;
-                  dir_of.(j) <- ino))
-            pages
-      | Some _ | None -> ())
-    owned;
+  for k = 0 to npos - 1 do
+    let ino = ino_at k in
+    if
+      marked has_attr k && attr.(k).kind = R.Kind.Dir && owned.(k) <> []
+      && not (Q.mem_ino ctx.quar ino)
+    then begin
+      let dps =
+        List.filter_map
+          (function
+            | R.Desc.Dirpage, offset, p -> Some (offset, p) | R.Desc.Data, _, _ -> None)
+          owned.(k)
+      in
+      dir_pages.(k) <- dps;
+      List.iter
+        (fun (_, p) ->
+          incr pages_read;
+          Scan.iter_dentries dec ~page:pages.(p) (fun j ->
+              incr names_read;
+              dir_of.(j) <- ino;
+              dir_at.(j) <- k))
+        dps
+    end
+  done;
   bill dev ~meta:(2 * !names_read)
     [
       (Geometry.dentries_per_page * !pages_read, Geometry.dentry_size);
@@ -257,11 +309,11 @@ let rebuild_decoded (ctx : Fsctx.t) (dec : Scan.t) ~recover =
      bucket in reverse insertion order, so this keeps listings stable
      across remounts). *)
   let iter_raw f =
-    let n = Array.length dir_of in
+    let nd = Array.length dir_of in
     let j = ref 0 in
-    while !j < n do
+    while !j < nd do
       let hi = ref !j in
-      while !hi + 1 < n && dec.dent_pages.(!hi + 1) = dec.dent_pages.(!j) do
+      while !hi + 1 < nd && dec.dent_pages.(!hi + 1) = dec.dent_pages.(!j) do
         incr hi
       done;
       for k = !hi downto !j do
@@ -273,7 +325,7 @@ let rebuild_decoded (ctx : Fsctx.t) (dec : Scan.t) ~recover =
 
   if recover then begin
     (* orphan-tracking and link-count structures (§5.5) *)
-    Device.charge dev (Hashtbl.length attrs * recovery_obj_ns);
+    Device.charge dev (List.length attr_keys * recovery_obj_ns);
     Device.charge dev (!names_read * recovery_obj_ns);
     (* an extra scan pass over directory pages looking for rename
        pointers (Table 2 attributes recovery-mount cost partly to this) *)
@@ -285,7 +337,7 @@ let rebuild_decoded (ctx : Fsctx.t) (dec : Scan.t) ~recover =
      completes the rename physically. An uncommitted dentry is rolled
      back. The source is read from the device: recovery may already
      have written it. *)
-  let killed : (int * int, unit) Hashtbl.t = Hashtbl.create 8 in
+  let killed = Bytes.make (Array.length dir_of) '\000' in
   iter_raw (fun j ->
       let ino = dec.dent_inos.(j) and rptr = dec.dent_rptrs.(j) in
       if ino <> 0 && rptr <> 0 then begin
@@ -301,7 +353,7 @@ let rebuild_decoded (ctx : Fsctx.t) (dec : Scan.t) ~recover =
         (* For a destination replacing an existing entry, the atomic point
            is its ino changing to the source's: before that it still holds
            the old target and the source stays live. *)
-        if committed then Hashtbl.replace killed (sp, ss) ();
+        if committed then mark killed (Scan.dentry_index dec ~page:sp ~slot:ss);
         if recover then
           if committed then begin
             (* complete: invalidate + zero src, then clear the pointer *)
@@ -333,173 +385,202 @@ let rebuild_decoded (ctx : Fsctx.t) (dec : Scan.t) ~recover =
             bump (fun s -> Fsctx.{ s with orphan_dentries = s.orphan_dentries + 1 })
         end
       end
-      else if not (Hashtbl.mem killed (dec.dent_pages.(j), dec.dent_slots.(j)))
-      then Bytes.set committed j '\001');
-  let iter_committed f = iter_raw (fun j -> if Bytes.get committed j <> '\000' then f j) in
+      else if not (marked killed j) then mark committed j);
+  let iter_committed f = iter_raw (fun j -> if marked committed j then f j) in
 
-  (* Pass 3c: reachability from the root. *)
-  let reachable : (int, unit) Hashtbl.t = Hashtbl.create (Hashtbl.length attrs) in
+  (* Pass 3c: reachability from the root. [reach_order] lists what it
+     reached, in order, for the link-count pass. *)
+  let reachable = Bytes.make npos '\000' in
+  let reach_order = ref [] in
+  let reach k =
+    mark reachable k;
+    reach_order := ino_at k :: !reach_order
+  in
   let queue = Queue.create () in
-  if Hashtbl.mem attrs Geometry.root_ino then begin
-    Hashtbl.replace reachable Geometry.root_ino ();
-    Queue.push Geometry.root_ino queue
-  end;
+  (let root = pos Geometry.root_ino in
+   if marked has_attr root then begin
+     reach root;
+     Queue.push root queue
+   end);
   while not (Queue.is_empty queue) do
     let dir = Queue.pop queue in
-    match Hashtbl.find_opt dir_pages_of dir with
-    | None -> ()
-    | Some pages ->
-        List.iter
-          (fun (_, page) ->
-            Scan.iter_dentries dec ~page (fun j ->
-                if Bytes.get committed j <> '\000' then
-                  let ino = dec.dent_inos.(j) in
-                  match Hashtbl.find_opt attrs ino with
-                  | None -> () (* dangling: recovery's link fix won't index it *)
-                  | Some r ->
-                      if not (Hashtbl.mem reachable ino) then begin
-                        Hashtbl.replace reachable ino ();
-                        if r.kind = R.Kind.Dir then Queue.push ino queue
-                      end))
-          pages
+    List.iter
+      (fun (_, p) ->
+        Scan.iter_dentries dec ~page:pages.(p) (fun j ->
+            if marked committed j then
+              let t = tpos j in
+              (* dangling: recovery's link fix won't index it *)
+              if marked has_attr t && not (marked reachable t) then begin
+                reach t;
+                if attr.(t).kind = R.Kind.Dir then Queue.push t queue
+              end))
+      dir_pages.(dir)
   done;
+  let is_reachable ino = marked reachable (pos ino) in
 
   (* Trim pages owned by reachable files beyond their size (space leaked
-     by a crash between backpointer commit and size update). *)
-  let trimmed : (int * int, unit) Hashtbl.t = Hashtbl.create 8 in
-  if recover then
-    Hashtbl.iter
-      (fun ino r ->
-        if Hashtbl.mem reachable ino && r.R.Inode.kind <> R.Kind.Dir then
-          match Hashtbl.find_opt owned ino with
-          | None -> ()
-          | Some l ->
-              let keep = page_units r.R.Inode.size in
-              let seen : (int, unit) Hashtbl.t = Hashtbl.create 8 in
-              List.iter
-                (function
-                  | R.Desc.Data, offset, page
-                    when offset >= keep || Hashtbl.mem seen offset ->
-                      zero_desc page;
-                      Hashtbl.replace trimmed (ino, page) ()
-                  | R.Desc.Data, offset, _ -> Hashtbl.replace seen offset ()
-                  | R.Desc.Dirpage, _, _ -> ())
-                (List.sort compare !l))
-      attrs;
+     by a crash between backpointer commit and size update), and all but
+     the first page at one offset. *)
+  let trimmed = Bytes.make (Array.length pages) '\000' in
+  if recover then begin
+    let trims = ref [] in
+    for k = npos - 1 downto 0 do
+      if marked has_attr k && marked reachable k && attr.(k).kind <> R.Kind.Dir then begin
+        let keep = page_units attr.(k).size in
+        (* sorted, a file's data pages come by offset: a repeat follows
+           the page it repeats *)
+        let kept = ref false and last = ref 0 and cut = ref [] in
+        List.iter
+          (function
+            | R.Desc.Data, offset, p when offset >= keep || (!kept && offset = !last) ->
+                cut := p :: !cut
+            | R.Desc.Data, offset, _ ->
+                kept := true;
+                last := offset
+            | R.Desc.Dirpage, _, _ -> ())
+          (List.sort compare owned.(k));
+        if !cut <> [] then trims := (ino_at k, List.rev !cut) :: !trims
+      end
+    done;
+    List.iter
+      (fun (_, cut) ->
+        List.iter
+          (fun p ->
+            zero_desc pages.(p);
+            mark trimmed p)
+          cut)
+      (in_attrs_order !trims)
+  end;
 
   (* Recovery: free orphans. *)
   if recover then begin
     List.iter zero_inode !garbage_inodes;
     List.iter zero_desc !garbage_descs;
-    let unreachable =
-      Hashtbl.fold
-        (fun ino _ acc ->
-          if Hashtbl.mem reachable ino then acc else ino :: acc)
-        attrs []
-    in
+    (* unreachable inodes, in the reverse of the table's order *)
+    let unreachable = ref [] in
+    for k = npos - 1 downto 0 do
+      if marked has_attr k && not (marked reachable k) then
+        unreachable := (ino_at k, ()) :: !unreachable
+    done;
     List.iter
-      (fun ino ->
+      (fun (ino, ()) ->
         (* unreachable inode: free it and everything it owns *)
-        (match Hashtbl.find_opt owned ino with
-        | None -> ()
-        | Some l -> List.iter (fun (_, _, page) -> zero_desc page) !l);
+        List.iter (fun (_, _, p) -> zero_desc pages.(p)) (owned_by ino);
         zero_inode ino;
-        Hashtbl.remove attrs ino)
-      unreachable;
+        Bytes.set has_attr (pos ino) '\000')
+      (List.rev (in_attrs_order !unreachable));
     (* pages owned by inos that are not valid at all; read from the
        device, since the frees above may have zeroed them already *)
-    Hashtbl.iter
-      (fun ino l ->
-        if not (Hashtbl.mem attrs ino) || not (Hashtbl.mem reachable ino) then
-          List.iter
-            (fun (_, _, page) ->
-              if
-                Device.read_u64 dev
-                  (Geometry.desc_off geo ~page + R.Desc.f_ino)
-                <> 0
-              then zero_desc page)
-            !l)
-      owned
+    let orphaned =
+      List.filter_map
+        (fun ino ->
+          if Option.is_none (attr_of ino) || not (is_reachable ino) then
+            Some (ino, owned_by ino)
+          else None)
+        owner_keys
+    in
+    List.iter
+      (fun (_, l) ->
+        List.iter
+          (fun (_, _, p) ->
+            let page = pages.(p) in
+            if Device.read_u64 dev (Geometry.desc_off geo ~page + R.Desc.f_ino) <> 0 then
+              zero_desc page)
+          l)
+      (Scan.in_table_order ~size:n owner_keys orphaned)
   end;
 
-  (* Recovery: recompute link counts. *)
-  if recover then begin
-    let true_links : (int, int) Hashtbl.t =
-      Hashtbl.create (Hashtbl.length reachable)
-    in
-    let add ino n =
-      Hashtbl.replace true_links ino
-        ((match Hashtbl.find_opt true_links ino with Some c -> c | None -> 0)
-        + n)
-    in
-    Hashtbl.iter (fun ino _ -> add ino 0) reachable;
-    add Geometry.root_ino 2;
+  (* Recovery: recompute link counts. They are summed by position; only
+     if some count is wrong are they summed again into the table whose
+     order the fixes are stored in, made from the reachable inodes in
+     the order the hash table of them iterated. *)
+  let iter_true_links f =
     iter_committed (fun j ->
-        let ino = dec.dent_inos.(j) in
-        if Hashtbl.mem reachable ino then
-          match Hashtbl.find_opt attrs ino with
-          | Some r when r.kind = R.Kind.Dir ->
-              add ino 2;
-              add dir_of.(j) 1
-          | Some _ -> add ino 1
-          | None -> ());
-    Hashtbl.iter
-      (fun ino want ->
-        match Hashtbl.find_opt attrs ino with
-        | Some r when Hashtbl.mem reachable ino && r.links <> want ->
-            persist_u64 dev
-              (Geometry.inode_off geo ~ino + R.Inode.f_links)
-              want;
-            bump (fun s ->
-                Fsctx.{ s with fixed_link_counts = s.fixed_link_counts + 1 })
-        | Some _ | None -> ())
-      true_links
+        let t = tpos j in
+        if marked reachable t && marked has_attr t then
+          match attr.(t).kind with
+          | R.Kind.Dir ->
+              f t 2;
+              f dir_at.(j) 1
+          | R.Kind.File | R.Kind.Symlink -> f t 1)
+  in
+  if recover then begin
+    let want = Array.make npos 0 in
+    let add k m = if k >= 0 then want.(k) <- want.(k) + m in
+    add (pos Geometry.root_ino) 2;
+    iter_true_links add;
+    let wrong ino =
+      let k = pos ino in
+      marked has_attr k && attr.(k).links <> want.(k)
+    in
+    if List.exists wrong !reach_order then begin
+      let reachable = List.rev !reach_order in
+      let true_links : (int, int) Hashtbl.t = Hashtbl.create (List.length reachable) in
+      let add ino m =
+        Hashtbl.replace true_links ino
+          ((match Hashtbl.find_opt true_links ino with Some c -> c | None -> 0)
+          + m)
+      in
+      List.iter
+        (fun ino -> add ino 0)
+        (Scan.table_order ~size:(List.length attr_keys) reachable);
+      add Geometry.root_ino 2;
+      iter_true_links (fun k m -> add (ino_at k) m);
+      Hashtbl.iter
+        (fun ino want ->
+          match attr_of ino with
+          | Some r when is_reachable ino && r.links <> want ->
+              persist_u64 dev
+                (Geometry.inode_off geo ~ino + R.Inode.f_links)
+                want;
+              bump (fun s ->
+                  Fsctx.{ s with fixed_link_counts = s.fixed_link_counts + 1 })
+          | Some _ | None -> ())
+        true_links
+    end
   end;
 
-  (* Build the volatile index from the (possibly repaired) state. *)
+  (* Build the volatile index from the (possibly repaired) state: each
+     directory's and file's own table gets its entries in their order,
+     whatever the order of the inodes. *)
   let inserts = ref 0 in
-  Hashtbl.iter
-    (fun ino r ->
-      if Hashtbl.mem reachable ino then begin
-        incr inserts;
-        if Q.mem_ino ctx.quar ino then
-          (* resolvable so that operations can answer EIO; no pages *)
-          Index.add_file ctx.index ino
-        else
-        match r.R.Inode.kind with
-        | R.Kind.Dir ->
-            Index.add_dir ctx.index ino;
-            (match Hashtbl.find_opt dir_pages_of ino with
-            | None -> ()
-            | Some pages ->
+  Index.load ctx.index (fun () ->
+      for k = 0 to npos - 1 do
+        if marked has_attr k && marked reachable k then begin
+          let ino = ino_at k in
+          incr inserts;
+          if Q.mem_ino ctx.quar ino then
+            (* resolvable so that operations can answer EIO; no pages *)
+            Index.Load.add_file ctx.index ino
+          else
+            match attr.(k).kind with
+            | R.Kind.Dir ->
+                Index.Load.add_dir ctx.index ino;
                 List.iter
-                  (fun (_, page) ->
+                  (fun (_, p) ->
                     incr inserts;
-                    Index.add_dir_page ctx.index ~dir:ino page)
-                  (List.sort compare pages))
-        | R.Kind.File | R.Kind.Symlink -> (
-            Index.add_file ctx.index ino;
-            match Hashtbl.find_opt owned ino with
-            | None -> ()
-            | Some l ->
+                    Index.Load.add_dir_page ctx.index ~dir:ino pages.(p))
+                  (List.sort compare dir_pages.(k))
+            | R.Kind.File | R.Kind.Symlink ->
+                Index.Load.add_file ctx.index ino;
                 List.iter
                   (function
-                    | R.Desc.Data, offset, page ->
-                        if not (Hashtbl.mem trimmed (ino, page)) then begin
+                    | R.Desc.Data, offset, p ->
+                        if not (marked trimmed p) then begin
                           incr inserts;
-                          Index.add_file_page ctx.index ~ino ~offset page
+                          Index.Load.add_file_page ctx.index ~ino ~offset pages.(p)
                         end
                     | R.Desc.Dirpage, _, _ -> ())
-                  !l)
-      end)
-    attrs;
-  iter_committed (fun j ->
-      let ino = dec.dent_inos.(j) in
-      if Hashtbl.mem reachable dir_of.(j) && Hashtbl.mem reachable ino then begin
-        incr inserts;
-        Index.insert_dentry ctx.index ~dir:dir_of.(j) dec.dent_names.(j) ~ino
-          { Index.page = dec.dent_pages.(j); slot = dec.dent_slots.(j) }
-      end);
+                  owned.(k)
+        end
+      done;
+      iter_committed (fun j ->
+          let ino = dec.dent_inos.(j) in
+          if marked reachable dir_at.(j) && marked reachable (tpos j) then begin
+            incr inserts;
+            Index.Load.insert_dentry ctx.index ~dir:dir_of.(j) dec.dent_names.(j) ~ino
+              { Index.page = dec.dent_pages.(j); slot = dec.dent_slots.(j) }
+          end));
   Device.charge dev (!inserts * index_insert_ns);
 
   (* Allocators: anything with a fully-zero record is free. The
@@ -513,22 +594,16 @@ let rebuild_decoded (ctx : Fsctx.t) (dec : Scan.t) ~recover =
       (inode_slots - Bool.to_int root_backed, Geometry.inode_size);
       (desc_slots, Geometry.desc_size);
     ];
-  let reserved = ref 0 in
-  Array.iter
-    (fun ino ->
-      if ino <> Geometry.root_ino && not (Hashtbl.mem freed_inodes ino) then begin
-        Alloc.reserve_inode ctx.alloc ino;
-        incr reserved
-      end)
-    inos;
-  Array.iter
-    (fun page ->
-      if not (Hashtbl.mem freed_pages page) then begin
-        Alloc.reserve_page ctx.alloc page;
-        incr reserved
-      end)
-    pages;
-  Device.charge dev (!reserved * 40);
+  let kept_inos = ref [] and kept_pages = ref [] in
+  for k = n - 1 downto 0 do
+    if inos.(k) <> Geometry.root_ino && not (marked freed_inodes k) then
+      kept_inos := inos.(k) :: !kept_inos
+  done;
+  for k = Array.length pages - 1 downto 0 do
+    if not (marked freed_pages k) then kept_pages := pages.(k) :: !kept_pages
+  done;
+  Alloc.reserve ctx.alloc ~inos:!kept_inos ~pages:!kept_pages;
+  Device.charge dev ((List.length !kept_inos + List.length !kept_pages) * 40);
   ctx.recovery <- !st
 
 let rebuild (ctx : Fsctx.t) ~recover =
@@ -549,44 +624,69 @@ let rebuild (ctx : Fsctx.t) ~recover =
      or the new entry, never a torn one". *)
 let snap_recover dev geo =
   let module S = Layout.Snaptab in
-  (match S.Intent.decode dev with
-  | Some { slot = _; log_page; count } when S.Intent.verify dev ->
-      let entries = ref [] in
-      let page = ref log_page and remaining = ref count in
-      while !page >= 0 && !page < geo.Geometry.page_count && !remaining > 0 do
-        let base = Geometry.page_off geo ~page:!page in
-        let n = min (Device.read_u64 dev (base + S.Log.f_count)) !remaining in
-        for i = 0 to n - 1 do
-          entries := S.Log.read_entry dev ~page_base:base i :: !entries
+  (* the table is read from one window and its reads billed in closed
+     form, each before the first store that follows it *)
+  let tab = S.read dev and bill = S.bill () in
+  S.bill_intent_decode bill tab.intent;
+  let stored =
+    match tab.intent_rec with
+    | Some { slot = _; log_page; count }
+      when S.bill_verify bill S.Intent.sealed_ranges;
+           tab.intent.sealed ->
+        S.settle dev bill;
+        let entries = ref [] in
+        let page = ref log_page and remaining = ref count in
+        while !page >= 0 && !page < geo.Geometry.page_count && !remaining > 0 do
+          let base = Geometry.page_off geo ~page:!page in
+          let n = min (Device.read_u64 dev (base + S.Log.f_count)) !remaining in
+          for i = 0 to n - 1 do
+            entries := S.Log.read_entry dev ~page_base:base i :: !entries
+          done;
+          remaining := !remaining - n;
+          page := Device.read_u64 dev (base + S.Log.f_next) - 1
         done;
-        remaining := !remaining - n;
-        page := Device.read_u64 dev (base + S.Log.f_next) - 1
-      done;
-      List.iter
-        (fun (off, data) ->
-          Device.store dev ~off data;
-          Device.flush dev ~off ~len:(String.length data))
-        !entries;
-      Device.fence dev;
-      S.Intent.clear dev;
-      Device.fence dev
-  | Some _ ->
-      (* committed but CRC-corrupt: never a legal crash state (media
-         damage); replay would restore garbage, so drop the intent *)
-      S.Intent.clear dev;
-      Device.fence dev
-  | None ->
-      if not (S.Intent.is_free dev) then begin
+        List.iter
+          (fun (off, data) ->
+            Device.store dev ~off data;
+            Device.flush dev ~off ~len:(String.length data))
+          !entries;
+        Device.fence dev;
         S.Intent.clear dev;
-        Device.fence dev
-      end);
+        Device.fence dev;
+        true
+    | Some _ ->
+        (* committed but CRC-corrupt: never a legal crash state (media
+           damage); replay would restore garbage, so drop the intent *)
+        S.settle dev bill;
+        S.Intent.clear dev;
+        Device.fence dev;
+        true
+    | None ->
+        S.bill_free bill;
+        if tab.intent.free then false
+        else begin
+          S.settle dev bill;
+          S.Intent.clear dev;
+          Device.fence dev;
+          true
+        end
+  in
+  (* a replayed log may have rewritten the slots *)
+  let tab = if stored then S.read dev else tab in
   let cleared = ref false in
   for slot = 0 to S.slots - 1 do
-    if S.Slot.state dev ~slot <> 1 && not (S.Slot.is_free dev ~slot) then begin
-      S.Slot.clear dev ~slot;
-      cleared := true
+    let e = tab.slot.(slot) in
+    S.bill_state bill;
+    if e.state <> 1 then begin
+      S.bill_free bill;
+      if not e.free then begin
+        S.settle dev bill;
+        S.Slot.clear dev ~slot;
+        cleared := true
+      end
     end
   done;
+  S.settle dev bill;
   if !cleared then Device.fence dev
 
 (* Media pre-pass (csum volumes only): verify record checksums before

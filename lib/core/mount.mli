@@ -37,6 +37,14 @@ val mount_recover : Pmem.Device.t -> (Fsctx.t, Vfs.Errno.t) result
 (** Like [mount] but always runs the recovery passes (used to measure
     recovery-mount cost on a cleanly-unmounted volume, as in Table 2). *)
 
+val snap_recover : Pmem.Device.t -> Layout.Geometry.t -> unit
+(** The snapshot table's share of recovery, before any other: replay a
+    committed rollback intent's redo log, or drop an uncommitted or
+    corrupt one, then zero every uncommitted slot. It reads the table
+    once ({!Layout.Snaptab.read}) and bills the reads of a slot-by-slot
+    scan, each before the first store after it. A recovering mount runs
+    it first. *)
+
 val rebuild : Fsctx.t -> recover:bool -> unit
 (** Re-run the volatile-state rebuild (index + allocator population,
     optional recovery passes) against the context's {e current} [index]

@@ -7,22 +7,27 @@
     {!Pmem.Device.backed_spans} are durably zero, so a decode costs
     O(backed records), not O(volume size).
 
-    One decode before recovery, one after. Each consumer
+    One decode per crash view, plus updates. Each consumer
     ([Fsck.check_raw], [Mount.media_prepass], [Mount.rebuild],
     [Fsck.check]) calls [decode] and keeps its own logic, but [decode]
     remembers, per domain, its last decode of a borrowed
-    ({!Pmem.Device.of_view}) device, keyed by the device itself ([==]),
-    its {!Pmem.Device.content_version} and the geometry (compared
-    structurally). So a crash view's [check_raw] and mount share one
-    decode of the pre-recovery bytes, while any store in between (a
-    recovery write, mount's closing clean-flag store) makes the next
-    decode fresh: [Fsck.check] still derives its state from the
-    post-recovery media. A remembered decode is shared by its
-    consumers: its arrays must not be mutated. Live volumes are never
-    remembered, since their decode would outlive the mount that indexed
-    it (on a large volume, tens of MiB of names).
+    ({!Pmem.Device.of_view}) device, keyed by the device itself ([==])
+    and the geometry (compared structurally), with the
+    {!Pmem.Device.content_version} it saw. At that version it returns
+    the decode as it is, so a crash view's [check_raw] and mount share
+    one decode of the pre-recovery bytes. After a store (a recovery
+    write, mount's closing clean-flag store) it re-decodes only the
+    records on the lines stored since
+    ({!Pmem.Device.lines_stored_since}) and keeps the rest, so
+    [Fsck.check] derives its state from the post-recovery media without
+    a second full decode. A full decode is the same update, from
+    {!empty}, over every backed span. A remembered decode is shared by
+    its consumers: its arrays must not be mutated, and an update builds
+    new arrays for each table it changes and shares the others. Live
+    volumes are never remembered, since their decode would outlive the
+    mount that indexed it (on a large volume, tens of MiB of names).
 
-    A decode zero-tests each backed slot once and charges no simulated
+    A decode zero-tests each slot it reads once and charges no simulated
     time: mount bills the reads it models with
     {!Pmem.Device.charge_reads}. *)
 
@@ -55,12 +60,32 @@ type t = {
           arrays: a decode keeps no per-dentry block, so on a large
           volume the names that mount hands to the index are all that
           outlives it *)
+  dent_ino_pos : int array;
+      (** the position in [inos] of each dentry's [ino], or -1 when no
+          record of that number is allocated *)
+  desc_ino_pos : int array;
+      (** the position in [inos] of each descriptor's [f_ino] word (its
+          owner), or -1 *)
 }
 
 val decode : Pmem.Device.t -> Layout.Geometry.t -> t
 (** Never raises on any table contents; charges nothing. On a borrowed
-    device, returns the remembered decode ([==]) while the key above
-    still matches. *)
+    device, returns the remembered decode ([==]) while the device,
+    geometry and content version match, and updates it over the lines
+    stored since while only the version moved. *)
+
+val decode_media : Pmem.Device.t -> Layout.Geometry.t -> t
+(** A full decode of the visible image, remembered nowhere: what
+    [decode] answers, field by field. *)
+
+val empty : t
+(** The decode of a volume with no backed span. *)
+
+type counts = { full_decodes : int; line_updates : int }
+
+val counts : unit -> counts
+(** The full decodes and the updates of a remembered decode that this
+    domain has made so far. *)
 
 val undecodable_inode : Layout.Records.Inode.t
 (** Placeholder, compared with [==], for a nonzero inode record that
@@ -86,9 +111,30 @@ val inode_allocated : t -> int -> bool
 
 val page_allocated : t -> int -> bool
 
+val ino_index : t -> int -> int
+(** The position of an allocated inode number in [inos], or -1. *)
+
+val page_index : t -> int -> int
+(** The position of a nonzero descriptor's page in [pages], or -1. *)
+
+val dentry_index : t -> page:int -> slot:int -> int
+(** The index of the decoded dentry at this page and slot, or -1. *)
+
 val iter_dentries : t -> page:int -> (int -> unit) -> unit
 (** [f k] for the index [k] of every decoded dentry of [page], by
     ascending slot. *)
+
+val table_order : size:int -> int list -> int list
+(** [keys] in the order a polymorphic hash table made with
+    [Hashtbl.create size], into which they were added in this order,
+    lists them. Recovery's stores and fsck's reports keep the orders
+    such tables once gave them; the sets that decide them are arrays
+    over the decode's positions. *)
+
+val in_table_order : size:int -> int list -> (int * 'a) list -> (int * 'a) list
+(** [items] stably sorted by the {!table_order} of [keys] of their
+    keys (a key not in [keys] sorts last); the table is made only for
+    two items or more. *)
 
 val word : Pmem.Device.t -> int -> int
 (** One u64 of the visible image, read through a window: uncharged. *)

@@ -31,13 +31,24 @@ let word buf pos = Int64.to_int (Bytes.get_int64_le buf pos)
 external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
 
 (* Record sizes are multiples of 8, so a word-wise test covers them:
-   one bounds check, then the or of the words, unchecked. *)
+   one bounds check, then the or of the words, unchecked, four at a
+   time. *)
 let window_nonzero buf pos len =
   if pos < 0 || len < 0 || len land 7 <> 0 || len > Bytes.length buf - pos then
     invalid_arg "Layout.Records.window_nonzero";
-  let acc = ref 0L in
-  for i = 0 to (len lsr 3) - 1 do
-    acc := Int64.logor !acc (get64u buf (pos + (i lsl 3)))
+  let acc = ref 0L and p = ref pos and stop = pos + len in
+  while !p + 32 <= stop do
+    let q = !p in
+    acc :=
+      Int64.logor !acc
+        (Int64.logor
+           (Int64.logor (get64u buf q) (get64u buf (q + 8)))
+           (Int64.logor (get64u buf (q + 16)) (get64u buf (q + 24))));
+    p := q + 32
+  done;
+  while !p < stop do
+    acc := Int64.logor !acc (get64u buf !p);
+    p := !p + 8
   done;
   !acc <> 0L
 
@@ -221,6 +232,9 @@ module Desc = struct
             offset = word buf (pos + f_offset);
             replaces = word buf (pos + f_replaces);
           }
+
+  let replaced (geo : Geometry.t) d =
+    if d.replaces >= 1 && d.replaces <= geo.page_count then Some (d.replaces - 1) else None
 
   let is_allocated dev ~base = any_nonzero dev base Geometry.desc_size
 

@@ -145,6 +145,13 @@ module Desc : sig
   val of_window : Bytes.t -> int -> t option
   (** {!decode} over a record window. *)
 
+  val replaced : Geometry.t -> t -> int option
+  (** The page whose contents this descriptor's replace word says it
+      replaces: [Some (replaces - 1)] when [1 <= replaces <= page_count],
+      else [None] — no pointer, or one out of range (negative or past
+      the volume), which recovery leaves set and [Fsck.check] reports.
+      The one reading of the word for mount, raw fsck and fsck. *)
+
   val is_allocated : Pmem.Device.t -> base:int -> bool
   val kind_to_int : page_kind -> int
   val kind_of_int : int -> page_kind option

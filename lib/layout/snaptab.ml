@@ -234,6 +234,139 @@ module Intent = struct
         }
 end
 
+(* {1 The whole table from one window}
+
+   The intent and the slots lie in the superblock page, so one zero-copy
+   window ([Device.record_view], uncharged) serves every record: [read]
+   decodes what [state], [is_free], [verify] and [decode] read of each,
+   and a consumer bills the calls it stands for through a [bill]. *)
+
+type entry = {
+  state : int;  (** the state word *)
+  free : bool;  (** every byte zero *)
+  sealed : bool;  (** committed ([state = 1]) with a matching CRC *)
+}
+
+type table = {
+  intent : entry;
+  intent_rec : Intent.t option;  (** what [Intent.decode] returns *)
+  slot : entry array;
+  slot_rec : Slot.t option array;  (** what [Slot.decode] returns *)
+}
+
+let zero_entry = { state = 0; free = true; sealed = false }
+
+let window_entry buf pos ~f_crc ranges =
+  if not (Records.window_nonzero buf pos slot_size) then zero_entry
+  else
+    let state = Records.word buf pos in
+    let sealed =
+      state = 1
+      && List.fold_left
+           (fun crc (off, len) -> Faults.Crc32.digest_bytes ~crc buf ~off:(pos + off) ~len)
+           0 ranges
+         = Int32.to_int (Bytes.get_int32_le buf (pos + f_crc)) land 0xFFFFFFFF
+    in
+    { state; free = false; sealed }
+
+let window_slot buf pos ~slot =
+  let raw = Bytes.sub_string buf (pos + Slot.f_name) name_max in
+  let name =
+    match String.index_opt raw '\000' with Some i -> String.sub raw 0 i | None -> raw
+  in
+  {
+    Slot.slot;
+    id = Records.word buf (pos + Slot.f_id);
+    epoch = Records.word buf (pos + Slot.f_epoch);
+    hash = Bytes.get_int64_le buf (pos + Slot.f_hash);
+    name;
+  }
+
+(* The table of a volume without snapshots, shared. *)
+let zero_table =
+  {
+    intent = zero_entry;
+    intent_rec = None;
+    slot = Array.make slots zero_entry;
+    slot_rec = Array.make slots None;
+  }
+
+let read dev =
+  let len = table_off + (slots * slot_size) - intent_off in
+  match Device.record_view dev ~off:intent_off ~len with
+  | None -> zero_table
+  | Some (buf, pos) when not (Records.window_nonzero buf pos len) -> zero_table
+  | Some (buf, pos) ->
+      let at off = pos + off - intent_off in
+      let intent = window_entry buf (at intent_off) ~f_crc:Intent.f_crc Intent.sealed_ranges in
+      let intent_rec =
+        if intent.state <> 1 then None
+        else
+          let w f = Records.word buf (at intent_off + f) in
+          Some
+            { Intent.slot = w Intent.f_slot; log_page = w Intent.f_log - 1; count = w Intent.f_count }
+      in
+      let slot =
+        Array.init slots (fun slot ->
+            window_entry buf (at (slot_off slot)) ~f_crc:Slot.f_crc Slot.sealed_ranges)
+      in
+      let slot_rec =
+        Array.init slots (fun s ->
+            if slot.(s).state <> 1 then None else Some (window_slot buf (at (slot_off s)) ~slot:s))
+      in
+      { intent; intent_rec; slot; slot_rec }
+
+(* What the record readers above bill, accumulated call by call and
+   billed at once by [settle]: the u64 and u32 word reads, and the bulk
+   reads with their cache lines and bytes. Every record starts on a
+   cache line. *)
+type bill = {
+  mutable u64 : int;
+  mutable u32 : int;
+  mutable bulk : int;
+  mutable lines : int;
+  mutable bytes : int;
+  mutable ns : int;
+}
+
+let bill () = { u64 = 0; u32 = 0; bulk = 0; lines = 0; bytes = 0; ns = 0 }
+
+(* a [Device.read_meta] of [len] bytes at [off] from a record's base *)
+let bill_bulk b off len =
+  b.bulk <- b.bulk + 1;
+  b.lines <- b.lines + ((off + len - 1) / Device.line_size) - (off / Device.line_size) + 1;
+  b.bytes <- b.bytes + len
+
+let bill_state b = b.u64 <- b.u64 + 1
+let bill_free b = bill_bulk b 0 slot_size
+
+let bill_verify b ranges =
+  b.ns <- b.ns + crc_ns;
+  List.iter (fun (off, len) -> bill_bulk b off len) ranges;
+  b.u32 <- b.u32 + 1
+
+let bill_intent_decode b (e : entry) = b.u64 <- b.u64 + if e.state = 1 then 4 else 1
+
+let bill_slot_decode b (e : entry) =
+  bill_state b;
+  if e.state = 1 then begin
+    bill_bulk b Slot.f_name name_max;
+    b.u64 <- b.u64 + 2;
+    bill_bulk b Slot.f_hash 8
+  end
+
+let settle dev b =
+  Device.charge dev b.ns;
+  (* a u32 read bills as a u64 read of 4 bytes *)
+  Device.charge_reads dev ~meta:(b.u64 + b.u32) ~bulk:b.bulk ~lines:b.lines
+    ~bytes:(b.bytes - (4 * b.u32));
+  b.u64 <- 0;
+  b.u32 <- 0;
+  b.bulk <- 0;
+  b.lines <- 0;
+  b.bytes <- 0;
+  b.ns <- 0
+
 (* {1 Redo-log pages}
 
    Chained data pages holding [(off, 64-byte pre-image)] entries. Log

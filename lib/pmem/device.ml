@@ -146,9 +146,11 @@ type t = {
   mutable base_hash : int64; (* xor of line hashes: hash of durable image *)
   mutable attached : scratch option; (* scratch kept in sync across fences *)
   mutable retained : retained list; (* live pinned views, newest first *)
-  mutable taint : (int, unit) Hashtbl.t option;
-      (* line indexes mutated through this device; only on borrowed
-         ([of_view]) devices, so the owning scratch can revert them *)
+  mutable taint : (int, int) Hashtbl.t option;
+      (* line indexes mutated through this device, each with the content
+         version at its last mutation; only on borrowed ([of_view])
+         devices, so the owning scratch can revert them and a decoder
+         can re-read only what changed *)
   mutable tracer : Obs.Recorder.t option;
       (* when set, every store/flush/fence is mirrored as a structured
          event at the current simulated timestamp.  Emission never reads
@@ -447,9 +449,19 @@ let taint_lines t first last =
   match t.taint with
   | Some tbl ->
       for idx = first to last do
-        Hashtbl.replace tbl idx ()
+        Hashtbl.replace tbl idx t.version
       done
   | None -> ()
+
+(* A line's stamp is the version when it was last tainted: a mutation
+   tainted at version [v] or later happened after a reader saw [v]. *)
+let lines_stored_since t ~version =
+  match t.taint with
+  | Some tbl ->
+      Some
+        (List.sort Int.compare
+           (Hashtbl.fold (fun idx v acc -> if v >= version then idx :: acc else acc) tbl []))
+  | None -> None
 
 (* Copy-on-write hook for retained views: called immediately BEFORE a
    fence drain changes durable lines [first, last]. One [Sbuf.sub] per
@@ -925,7 +937,7 @@ let scratch_dirty_lines s =
     match s.s_borrow with
     | Some d -> (
         match d.taint with
-        | Some tbl -> Hashtbl.fold (fun idx () acc -> idx :: acc) tbl []
+        | Some tbl -> Hashtbl.fold (fun idx _ acc -> idx :: acc) tbl []
         | None -> [])
     | None -> []
   in
@@ -1032,7 +1044,9 @@ let fence t =
           | rest -> rest
         in
         l.pending <- List.rev (take l.flushed (List.rev l.pending));
-        l.count <- l.count - l.flushed
+        l.count <- l.count - l.flushed;
+        (* aliased images: the drain may rewrite a visible byte *)
+        taint_lines t idx idx
       end;
       l.flushed <- 0;
       drained_lines t idx idx)
@@ -1512,7 +1526,7 @@ let of_view ?(latency = Latency.zero) s =
   | Some { taint = Some tbl; _ } ->
       (* fold the previous borrow's mutations into the patched set *)
       Hashtbl.iter
-        (fun idx () ->
+        (fun idx _ ->
           if not (List.mem idx s.s_patched) then
             s.s_patched <- idx :: s.s_patched)
         tbl

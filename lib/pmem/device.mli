@@ -73,6 +73,14 @@ val content_version : t -> int
 val is_view : t -> bool
 (** Was the device made by {!of_view}? *)
 
+val lines_stored_since : t -> version:int -> int list option
+(** The line indexes, ascending, whose visible content a borrowed
+    ({!of_view}) device may have changed at or after content version
+    [version]: the lines its stores, fence drains and {!flip_bit} touched
+    since a reader saw that version (a line tainted at [version] itself
+    may be listed although it changed before). [None] on any other
+    device, and once its scratch has taken its lines back. *)
+
 val is_sparse : t -> bool
 (** Always [true]: every device is lazily backed. *)
 

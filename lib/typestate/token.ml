@@ -18,7 +18,7 @@ type t = { oid : int; gen : int; cell : cell }
 
 let create_registry () =
   {
-    cells = Itbl.create 64;
+    cells = Itbl.create 16; (* only counted, never folded *)
     epoch = Atomic.make 1;
     obs = None;
     lock = Mutex.create ();

@@ -45,18 +45,18 @@ let test_indexed_inode_order () =
 let test_reserve_splits_runs () =
   let t = Alloc.populated geo_small in
   let n0 = Alloc.free_page_count t in
-  Alloc.reserve_page t 10;
+  Alloc.reserve t ~inos:[] ~pages:[ 10 ];
   Alcotest.(check int) "one fewer" (n0 - 1) (Alloc.free_page_count t);
   Alcotest.check_raises "double reserve raises"
-    (Invalid_argument "Core.Alloc.reserve_page: page is not free") (fun () ->
-      Alloc.reserve_page t 10);
+    (Invalid_argument "Core.Alloc.reserve: page is not free") (fun () ->
+      Alloc.reserve t ~inos:[] ~pages:[ 10 ]);
   (* the split runs still hand out everything around the hole *)
   Alloc.free_page t 10;
   Alcotest.(check int) "returned" n0 (Alloc.free_page_count t);
-  Alloc.reserve_inode t 5;
+  Alloc.reserve t ~inos:[ 5 ] ~pages:[];
   Alcotest.check_raises "double inode reserve raises"
-    (Invalid_argument "Core.Alloc.reserve_inode: inode is not free") (fun () ->
-      Alloc.reserve_inode t 5)
+    (Invalid_argument "Core.Alloc.reserve: inode is not free") (fun () ->
+      Alloc.reserve t ~inos:[ 5 ] ~pages:[])
 
 let test_extent_contiguous_and_aligned () =
   let t = Alloc.populated geo_big in
@@ -72,7 +72,7 @@ let test_extent_contiguous_and_aligned () =
 let test_alloc_pages_hugepage_alignment () =
   let t = Alloc.populated geo_big in
   (* skew the run map so an unaligned prefix exists *)
-  Alloc.reserve_page t 0;
+  Alloc.reserve t ~inos:[] ~pages:[ 0 ];
   let n = Alloc.hugepage_pages in
   match Alloc.alloc_pages t n with
   | None -> Alcotest.fail "hugepage-sized alloc failed"

@@ -227,6 +227,38 @@ let test_csum_mount_charges () =
   check_charge "csum degraded"
     { ns = 5_209_491; reads = 43_955; bytes = 1_014_872 } c
 
+(* A data-page descriptor whose replace word reads out of range — -1,
+   or the most negative word — is a pointer to no page: a recovering
+   mount leaves it set, as it leaves a word past the volume, and fsck
+   reports it. The file keeps its page. *)
+let test_replace_word_out_of_range () =
+  List.iter
+    (fun (what, word) ->
+      let dev = Device.create ~size:(256 * 1024) () in
+      Sq.mkfs dev;
+      let fs = ok (Sq.mount dev) in
+      ok (Sq.create fs "/a");
+      ignore (ok (Sq.write fs "/a" ~off:0 "data") : int);
+      let ino = (ok (Sq.stat fs "/a")).Vfs.Fs.ino in
+      let page =
+        match Sq.Index.file_pages fs.Sq.Fsctx.index ~ino with
+        | [ (0, page) ] -> page
+        | _ -> Alcotest.fail "one data page"
+      in
+      let off = Layout.Geometry.desc_off fs.Sq.Fsctx.geo ~page + Layout.Records.Desc.f_replaces in
+      Device.store_u64 dev off word;
+      Device.persist dev ~off ~len:8;
+      match Sq.Mount.mount_recover dev with
+      | Error e -> Alcotest.failf "%s: mount refused: %s" what (Vfs.Errno.to_string e)
+      | Ok fs ->
+          Alcotest.(check (list string))
+            (what ^ ": fsck reports the pointer")
+            [ Printf.sprintf "page %d: replace pointer still set (interrupted COW write)" page ]
+            (Sq.Fsck.check fs);
+          Alcotest.(check string) (what ^ ": the file reads") "data"
+            (ok (Sq.read fs "/a" ~off:0 ~len:4)))
+    [ ("-1", -1); ("min_int", min_int) ]
+
 let () =
   Alcotest.run "remount"
     [
@@ -245,5 +277,10 @@ let () =
         [
           Alcotest.test_case "Table 2 mount charges" `Quick test_tab2_mount_charges;
           Alcotest.test_case "csum mount charges" `Quick test_csum_mount_charges;
+        ] );
+      ( "recovery",
+        [
+          Alcotest.test_case "replace word out of range" `Quick
+            test_replace_word_out_of_range;
         ] );
     ]

@@ -792,6 +792,221 @@ let test_decode_shared_on_views () =
   Alcotest.(check bool) "a live device: never shared" true
     (Scan.decode dev g != Scan.decode dev g)
 
+(* {2 One decode per crash view}
+
+   A crash view's raw fsck, recovering mount and fsck read one decode:
+   the first is full, the others update it over the lines recovery
+   stored. Whatever the updates skipped, each must equal a fresh full
+   decode of the same bytes, field by field. *)
+
+let same_decode (a : Scan.t) (b : Scan.t) =
+  let same_recs none x y =
+    Array.length x = Array.length y
+    && Array.for_all2 (fun r s -> r = s && (r == none) = (s == none)) x y
+  in
+  a.inode_runs = b.inode_runs && a.inos = b.inos && a.ino_words = b.ino_words
+  && same_recs Scan.undecodable_inode a.inodes b.inodes
+  && a.page_runs = b.page_runs && a.pages = b.pages && a.desc_words = b.desc_words
+  && same_recs Scan.undecodable_desc a.descs b.descs
+  && a.dent_pages = b.dent_pages && a.dent_slots = b.dent_slots
+  && a.dent_names = b.dent_names && a.dent_inos = b.dent_inos
+  && a.dent_rptrs = b.dent_rptrs && a.dent_ino_pos = b.dent_ino_pos
+  && a.desc_ino_pos = b.desc_ino_pos
+
+let prop_view_decodes_fresh =
+  QCheck.Test.make ~count:30 ~name:"crash-view decodes equal fresh full decodes"
+    QCheck.small_nat (fun seed ->
+      let rng = Random.State.make [| 0xDEC0DE; seed |] in
+      let ops = Fuzzer.Gen.sequence rng { Fuzzer.Gen.op_budget = 10; buggy_rate = 0.3 } in
+      let dev = Device.create ~size:(256 * 1024) () in
+      Squirrelfs.Mount.mkfs dev;
+      let fs = ok (Squirrelfs.mount dev) in
+      let s = Device.scratch dev in
+      let fail = ref None in
+      let same what d g =
+        if !fail = None && not (same_decode (Scan.decode d g) (Scan.decode_media d g)) then
+          fail :=
+            Some
+              (Format.asprintf "%s differs after %a" what Crashcheck.Workload.pp ops)
+      in
+      let probe d =
+        List.iter
+          (fun v ->
+            Device.apply_view s v;
+            let d2 = Device.of_view s in
+            match R.Superblock.read d2 with
+            | None -> ()
+            | Some sb -> (
+                let g = sb.R.Superblock.geometry in
+                ignore (Squirrelfs.Fsck.check_raw d2 g : string list);
+                same "raw fsck's decode" d2 g;
+                match Squirrelfs.mount d2 with
+                | Error _ -> ()
+                | Ok fs2 ->
+                    same "the recovered mount's decode" d2 g;
+                    ignore (Squirrelfs.Fsck.check fs2 : string list);
+                    same "fsck's decode" d2 g))
+          (Device.crash_views ~max_images:8 d)
+      in
+      Device.set_fence_hook dev (Some probe);
+      List.iter (fun op -> ignore (Fuzzer.Exec.apply_sq fs op)) ops;
+      Device.set_fence_hook dev None;
+      match !fail with None -> true | Some msg -> QCheck.Test.fail_report msg)
+
+(* A verdict makes one full decode: [Exec.run] of a sequence whose crash
+   views recover (renames, links and orphans to repair) makes one per
+   distinct crash state, and two for the live volume (its mount and its
+   closing fsck). Each verdict's fsck updates the decode once, over what
+   the recovering mount stored. *)
+let test_one_full_decode_per_verdict () =
+  let ops =
+    Crashcheck.Workload.
+      [
+        Mkdir "/d";
+        Create "/d/a";
+        Write ("/d/a", 0, String.make 5000 'w');
+        Link ("/d/a", "/b");
+        Rename ("/d/a", "/c");
+        Unlink "/b";
+      ]
+  in
+  let before = Scan.counts () in
+  let o = Fuzzer.Exec.run ops in
+  let after = Scan.counts () in
+  let h = o.Fuzzer.Exec.o_report in
+  Alcotest.(check bool) "the run is clean" true (o.Fuzzer.Exec.o_fail = None);
+  Alcotest.(check int) "full decodes: one per distinct crash state, two live"
+    (h.Crashcheck.Harness.crash_states - h.Crashcheck.Harness.states_deduped + 2)
+    (after.full_decodes - before.full_decodes);
+  Alcotest.(check int) "one update per verdict: fsck's, after the mount's stores"
+    (h.Crashcheck.Harness.crash_states - h.Crashcheck.Harness.states_deduped)
+    (after.line_updates - before.line_updates)
+
+(* {2 The snapshot table's bill}
+
+   The snapshot table is read from one window; its readers bill the
+   per-record reads they stand for. The references are those reads:
+   [check_raw]'s, [check]'s and [snap_recover]'s, the latter with its
+   stores. *)
+
+module S = Layout.Snaptab
+
+let raw_reads dev =
+  if not (S.Intent.state dev = 1 && S.Intent.verify dev) then begin
+    if S.Intent.state dev = 1 then ignore (S.Intent.verify dev : bool);
+    for slot = 0 to S.slots - 1 do
+      if S.Slot.state dev ~slot = 1 && S.Slot.verify dev ~slot then
+        ignore (S.Slot.decode dev ~slot : S.Slot.t option)
+    done
+  end
+
+let check_reads dev =
+  ignore (S.Intent.is_free dev : bool);
+  for slot = 0 to S.slots - 1 do
+    match S.Slot.state dev ~slot with
+    | 1 -> if S.Slot.verify dev ~slot then ignore (S.Slot.decode dev ~slot : S.Slot.t option)
+    | 0 -> ignore (S.Slot.is_free dev ~slot : bool)
+    | _ -> ()
+  done
+
+let recover_by_slots dev (geo : G.t) =
+  (match S.Intent.decode dev with
+  | Some { slot = _; log_page; count } when S.Intent.verify dev ->
+      let entries = ref [] in
+      let page = ref log_page and remaining = ref count in
+      while !page >= 0 && !page < geo.page_count && !remaining > 0 do
+        let base = G.page_off geo ~page:!page in
+        let n = min (Device.read_u64 dev (base + S.Log.f_count)) !remaining in
+        for i = 0 to n - 1 do
+          entries := S.Log.read_entry dev ~page_base:base i :: !entries
+        done;
+        remaining := !remaining - n;
+        page := Device.read_u64 dev (base + S.Log.f_next) - 1
+      done;
+      List.iter
+        (fun (off, data) ->
+          Device.store dev ~off data;
+          Device.flush dev ~off ~len:(String.length data))
+        !entries;
+      Device.fence dev;
+      S.Intent.clear dev;
+      Device.fence dev
+  | Some _ ->
+      S.Intent.clear dev;
+      Device.fence dev
+  | None ->
+      if not (S.Intent.is_free dev) then begin
+        S.Intent.clear dev;
+        Device.fence dev
+      end);
+  let cleared = ref false in
+  for slot = 0 to S.slots - 1 do
+    if S.Slot.state dev ~slot <> 1 && not (S.Slot.is_free dev ~slot) then begin
+      S.Slot.clear dev ~slot;
+      cleared := true
+    end
+  done;
+  if !cleared then Device.fence dev
+
+let bill dev f =
+  let st = Device.stats dev in
+  let t0 = Device.now_ns dev and r0 = st.reads and b0 = st.bytes_read in
+  let s0 = st.stores and fl0 = st.flushes and fe0 = st.fences in
+  f ();
+  ( (Device.now_ns dev - t0, st.reads - r0, st.bytes_read - b0),
+    (st.stores - s0, st.flushes - fl0, st.fences - fe0) )
+
+let test_snaptab_bills () =
+  (* crash images of a fresh volume, of snapshots being taken and
+     deleted over files, and of a rollback under way *)
+  let dev = Device.create ~size:(256 * 1024) () in
+  Squirrelfs.Mount.mkfs dev;
+  let fresh = Device.image_durable dev in
+  let fs = ok (Squirrelfs.mount dev) in
+  let images = ref [ fresh ] in
+  Device.set_fence_hook dev (Some (fun d -> images := Images.crash_images ~max_images:8 d @ !images));
+  ok (Squirrelfs.create fs "/a");
+  ignore (ok (Squirrelfs.write fs "/a" ~off:0 "v1") : int);
+  ignore (ok (Snap.snapshot fs "s0") : Snap.info);
+  ignore (ok (Squirrelfs.write fs "/a" ~off:0 "v2") : int);
+  ignore (ok (Snap.snapshot fs "a-longer-snapshot-name-1") : Snap.info);
+  ok (Snap.rollback fs "s0");
+  Device.set_fence_hook dev None;
+  let geo = fs.Squirrelfs.Fsctx.geo in
+  let of_image img = Device.of_image ~latency:Pmem.Latency.optane img in
+  let mid_rollback = ref 0 and remnants = ref 0 and committed = ref 0 in
+  List.iteri
+    (fun i img ->
+      let what k = Printf.sprintf "image %d: %s" i k in
+      let d = of_image img in
+      if S.Intent.state d = 1 then incr mid_rollback;
+      for slot = 0 to S.slots - 1 do
+        if S.Slot.state d ~slot = 1 then incr committed
+        else if not (S.Slot.is_free d ~slot) then incr remnants
+      done;
+      let d = of_image img in
+      let want = fst (bill d (fun () -> raw_reads d)) in
+      let got = fst (bill d (fun () -> ignore (Squirrelfs.Fsck.check_raw d geo : string list))) in
+      Alcotest.(check (triple int int int)) (what "raw fsck: ns, reads, bytes") want got;
+      let a = of_image img and b = of_image img in
+      let want = bill a (fun () -> recover_by_slots a geo) in
+      let got = bill b (fun () -> Squirrelfs.Mount.snap_recover b geo) in
+      Alcotest.(check (pair (triple int int int) (triple int int int)))
+        (what "recovery: bill and stores, flushes, fences") want got;
+      Alcotest.(check bool) (what "recovery: the same image") true
+        (Bytes.equal (Device.image_latest a) (Device.image_latest b));
+      match Squirrelfs.Mount.mount_recover (of_image img) with
+      | Error _ -> ()
+      | Ok ctx ->
+          let d = ctx.Squirrelfs.Fsctx.dev in
+          let got = fst (bill d (fun () -> ignore (Squirrelfs.Fsck.check ctx : string list))) in
+          let want = fst (bill d (fun () -> check_reads d)) in
+          Alcotest.(check (triple int int int)) (what "fsck: ns, reads, bytes") want got)
+    !images;
+  Alcotest.(check bool) "a committed rollback intent, an uncommitted slot and a committed one"
+    true
+    (!mid_rollback > 0 && !remnants > 0 && !committed > 0)
+
 let prop_window_nonzero =
   let gen =
     QCheck.Gen.(
@@ -848,6 +1063,9 @@ let () =
           QCheck_alcotest.to_alcotest prop_decoder_matches_readers;
           ("inode decode bills as its field reads", `Quick, test_inode_decode_matches_fields);
           ("decode shared on views", `Quick, test_decode_shared_on_views);
+          QCheck_alcotest.to_alcotest prop_view_decodes_fresh;
+          ("one full decode per verdict", `Quick, test_one_full_decode_per_verdict);
+          ("snapshot table bills as its record reads", `Quick, test_snaptab_bills);
           QCheck_alcotest.to_alcotest prop_window_nonzero;
           ("window_nonzero bounds", `Quick, test_window_nonzero_bounds);
         ] );

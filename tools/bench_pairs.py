@@ -5,8 +5,9 @@ Usage, from the root of a checkout (or through `make bench-pairs`):
 
     python3 tools/bench_pairs.py --ref REV [--workload NAME] [--seed N]
 
-Checks REV out into a temporary `git worktree` (local, no network) and
-runs `perfbench/run.py --trace 0` for each workload, alternating which
+Exports REV with `git archive` into a temporary directory (local, no
+network; `.git` is left untouched) and runs `perfbench/run.py --trace 0`
+for each workload, alternating which
 tree goes first: pair 0 runs REV then the working tree, pair 1 the
 working tree then REV, and so on, for 10 pairs of BENCHMARK.json's
 `run_seconds` each. The workloads default to all of its workloads.
@@ -15,7 +16,7 @@ For every end-to-end metric it prints both medians, both sets of
 quartiles, the ratio of the medians (working tree over REV), the pairs
 the working tree won, and whether the medians differ by more than REV's
 interquartile range. It appends one line per workload with these values
-and the raw runs to BENCH_history.jsonl. The worktree is removed
+and the raw runs to BENCH_history.jsonl. The export is removed
 afterwards; TMPDIR chooses where it is made.
 """
 
@@ -108,8 +109,14 @@ def main():
 
     tmp = tempfile.mkdtemp(prefix="bench-pairs-")
     ref_tree = os.path.join(tmp, "ref")
-    git("worktree", "add", "--detach", ref_tree, rev)
     try:
+        os.makedirs(ref_tree)
+        archive = subprocess.Popen(["git", "-C", ROOT, "archive", "--format=tar", rev],
+                                   stdout=subprocess.PIPE)
+        untar = subprocess.run(["tar", "-x", "-C", ref_tree], stdin=archive.stdout)
+        archive.stdout.close()
+        if archive.wait() != 0 or untar.returncode != 0:
+            sys.exit("bench-pairs: could not export %s" % args.ref)
         trees = {"tree": ROOT, "ref": ref_tree}
         # build both trees first, so no measured run follows a fresh build
         env = dict(os.environ, DUNE_CACHE="disabled")
@@ -136,8 +143,6 @@ def main():
             with open(os.path.join(ROOT, "BENCH_history.jsonl"), "a") as f:
                 f.write(json.dumps(line) + "\n")
     finally:
-        subprocess.run(["git", "-C", ROOT, "worktree", "remove", "--force", ref_tree])
-        subprocess.run(["git", "-C", ROOT, "worktree", "prune"])
         shutil.rmtree(tmp, ignore_errors=True)
 
 
